@@ -60,13 +60,9 @@ void BatchScheduler::submit(Request request,
   }
   if (server_.options_.max_queue_depth > 0 &&
       pending_.size() >= server_.options_.max_queue_depth) {
-    // Same admission bound the serial path enforces through try_post.
+    // Same admission bound the unbatched path enforces through try_post.
     lock.unlock();
-    server_.shed_.fetch_add(1, std::memory_order_relaxed);
-    p.done(error_response(
-        "server overloaded: queue depth limit " +
-            std::to_string(server_.options_.max_queue_depth) + " reached",
-        op_name(p.request.op), p.request.id, "overloaded"));
+    p.done(std::move(server_.shed({&p.request, 1}).front()));
     return;
   }
   server_.queue_depth_.fetch_add(1, std::memory_order_relaxed);
@@ -151,16 +147,16 @@ void BatchScheduler::flush_locked() {
 
 void BatchScheduler::dispatch_one(Pending p) {
   // Size-1 dispatch (bypass or a one-deep flush): post the request
-  // directly — no batch deque, no shared_ptr — so a lone request pays the
-  // same allocations as unbatched submit_with. The serial path gives the
-  // same answer without the grouping machinery. Same `this`-lifetime rule
-  // as dispatch(): nothing after on_batch_done touches the scheduler.
+  // directly — no batch deque, no shared_ptr — and hand it to
+  // handle_batch as a batch of one, in place. Same `this`-lifetime rule as
+  // dispatch(): nothing after on_batch_done touches the scheduler.
   Server* srv = &server_;
   server_.pool_.post([this, srv, p = std::move(p)]() mutable {
     if (srv->fault_ != nullptr) {
       srv->fault_->maybe_delay(FaultPoint::kWorkerStall);
     }
-    Response r = srv->handle_until(p.request, p.deadline);
+    Response r = std::move(
+        srv->handle_batch({&p.request, 1}, {&p.deadline, 1}).front());
     on_batch_done();
     p.done(std::move(r));
     srv->queue_depth_.fetch_sub(1, std::memory_order_relaxed);

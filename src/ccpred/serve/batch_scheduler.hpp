@@ -31,10 +31,10 @@
 ///    tightest deadlines board first. A deadline can still expire under
 ///    true overload, but never because of batch hold.
 ///
-/// Answers are bit-identical to per-request dispatch: handle_batch groups
-/// by (machine, kind), acquires one model handle per group, dedups
-/// identical (O, V) keys into the same single-flight sweeps the serial
-/// path uses, and derives STQ/BQ/budget answers with the same code.
+/// Answers are bit-identical to per-request dispatch: every dispatch, a
+/// lone request included, goes through Server::handle_batch, which groups
+/// by (machine, kind), acquires one model handle per group and dedups
+/// identical (O, V) keys into one single-flight sweep.
 
 #include <atomic>
 #include <chrono>
@@ -53,9 +53,9 @@ namespace ccpred::serve {
 
 class Server;
 
-/// Scheduler knobs (ServeOptions::batch). Disabled by default: the serial
-/// path's exact shed/counter semantics stay the baseline, and serverd /
-/// benches opt in explicitly.
+/// Scheduler knobs (ServeOptions::batch). Disabled by default: the
+/// unbatched path's exact shed/counter semantics stay the baseline, and
+/// serverd / benches opt in explicitly.
 struct BatchOptions {
   bool enabled = false;
   std::size_t max_batch = 64;     ///< flush size cap per dispatch

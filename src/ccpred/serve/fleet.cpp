@@ -27,6 +27,8 @@ std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
   return h;
 }
 
+const char* const kNoLiveShard = "no live shard for this key";
+
 }  // namespace
 
 HashRing::HashRing(std::size_t vnodes) : vnodes_(vnodes) {
@@ -136,25 +138,31 @@ void ShardFleet::maybe_chaos(std::uint64_t key) {
   }
 }
 
-Response ShardFleet::handle(const Request& req) {
-  if (req.op == Op::kStats) return stats_response(req);
+std::shared_ptr<Server> ShardFleet::route(const Request& req, std::size_t n) {
   const std::uint64_t key = request_key(req);
   maybe_chaos(key);
   bool failed_over = false;
   for (const int s : ring_.preference(key, slots_.size())) {
     const auto i = static_cast<std::size_t>(s);
-    const std::shared_ptr<Server> srv = pin(i);
+    std::shared_ptr<Server> srv = pin(i);
     if (srv == nullptr) {
       failed_over = true;
       continue;
     }
     if (failed_over) failovers_.fetch_add(1, std::memory_order_relaxed);
-    slots_[i]->routed.fetch_add(1, std::memory_order_relaxed);
-    return srv->handle(req);
+    slots_[i]->routed.fetch_add(n, std::memory_order_relaxed);
+    return srv;
   }
   unrouteable_.fetch_add(1, std::memory_order_relaxed);
-  return error_response("no live shard for this key", op_name(req.op), req.id,
-                        "unavailable");
+  return nullptr;
+}
+
+Response ShardFleet::handle(const Request& req) {
+  if (req.op == Op::kStats) return stats_response(req);
+  if (const std::shared_ptr<Server> srv = route(req, 1)) {
+    return srv->handle(req);
+  }
+  return error_response(kNoLiveShard, op_name(req.op), req.id, "unavailable");
 }
 
 void ShardFleet::submit_with(Request req, std::function<void(Response)> done) {
@@ -162,24 +170,11 @@ void ShardFleet::submit_with(Request req, std::function<void(Response)> done) {
     done(stats_response(req));
     return;
   }
-  const std::uint64_t key = request_key(req);
-  maybe_chaos(key);
-  bool failed_over = false;
-  for (const int s : ring_.preference(key, slots_.size())) {
-    const auto i = static_cast<std::size_t>(s);
-    const std::shared_ptr<Server> srv = pin(i);
-    if (srv == nullptr) {
-      failed_over = true;
-      continue;
-    }
-    if (failed_over) failovers_.fetch_add(1, std::memory_order_relaxed);
-    slots_[i]->routed.fetch_add(1, std::memory_order_relaxed);
+  if (const std::shared_ptr<Server> srv = route(req, 1)) {
     srv->submit_with(std::move(req), std::move(done));
     return;
   }
-  unrouteable_.fetch_add(1, std::memory_order_relaxed);
-  done(error_response("no live shard for this key", op_name(req.op), req.id,
-                      "unavailable"));
+  done(error_response(kNoLiveShard, op_name(req.op), req.id, "unavailable"));
 }
 
 void ShardFleet::submit_batch_with(
@@ -204,29 +199,12 @@ void ShardFleet::submit_batch_with(
   // Route the whole frame by its first record: clients batch questions
   // that share a destination; strays still answer correctly, they just
   // miss this shard's cache.
-  const std::uint64_t key = request_key(batch.front());
-  maybe_chaos(key);
-  bool failed_over = false;
-  for (const int s : ring_.preference(key, slots_.size())) {
-    const auto i = static_cast<std::size_t>(s);
-    const std::shared_ptr<Server> srv = pin(i);
-    if (srv == nullptr) {
-      failed_over = true;
-      continue;
-    }
-    if (failed_over) failovers_.fetch_add(1, std::memory_order_relaxed);
-    slots_[i]->routed.fetch_add(batch.size(), std::memory_order_relaxed);
+  if (const std::shared_ptr<Server> srv =
+          route(batch.front(), batch.size())) {
     srv->submit_batch_with(std::move(batch), std::move(done));
     return;
   }
-  unrouteable_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Response> out;
-  out.reserve(batch.size());
-  for (const Request& r : batch) {
-    out.push_back(error_response("no live shard for this key", op_name(r.op),
-                                 r.id, "unavailable"));
-  }
-  done(std::move(out));
+  done(frame_error(batch, kNoLiveShard, "unavailable"));
 }
 
 bool ShardFleet::kill_shard(std::size_t i) {
@@ -290,105 +268,18 @@ FleetCounters ShardFleet::counters() const {
 }
 
 ServerStats ShardFleet::aggregated_stats() const {
-  ServerStats total;
-  std::uint64_t latency_weight = 0;
-  std::uint64_t verb_weight[kNumOps] = {};
+  std::vector<ServerStats> parts;
+  parts.reserve(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const std::shared_ptr<Server> srv = pin(i);
-    if (srv == nullptr) continue;
-    const ServerStats s = srv->stats();
-    total.requests += s.requests;
-    total.errors += s.errors;
-    total.sweeps_computed += s.sweeps_computed;
-    total.coalesced += s.coalesced;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.cache_evictions += s.cache_evictions;
-    total.cache_size += s.cache_size;
-    total.queue_depth += s.queue_depth;
-    total.deadline_exceeded += s.deadline_exceeded;
-    total.shed += s.shed;
-    total.stale_served += s.stale_served;
-    total.retries += s.retries;
-    // Registry counters are shared by every shard: take them once, not
-    // summed N times.
-    total.reload_failures = s.reload_failures;
-    total.models_loaded = s.models_loaded;
-    total.models_trained = s.models_trained;
-    // Request-weighted latency means (a true fleet quantile would need
-    // histogram merging; the weighted mean is stable and monotone).
-    total.latency_p50_ms += s.latency_p50_ms * static_cast<double>(s.requests);
-    total.latency_p95_ms += s.latency_p95_ms * static_cast<double>(s.requests);
-    total.latency_mean_ms += s.latency_mean_ms * static_cast<double>(s.requests);
-    latency_weight += s.requests;
-    // Batch-scheduler counters sum; the size quantiles are weighted by
-    // each shard's dispatch count (flushes + bypasses).
-    total.batched_requests += s.batched_requests;
-    total.batch_flushes += s.batch_flushes;
-    total.batch_bypass += s.batch_bypass;
-    const auto dispatches =
-        static_cast<double>(s.batch_flushes + s.batch_bypass);
-    total.batch_size_p50 += s.batch_size_p50 * dispatches;
-    total.batch_size_p95 += s.batch_size_p95 * dispatches;
-    total.overflow_closed += s.overflow_closed;
-    for (std::size_t v = 0; v < kNumOps; ++v) {
-      total.verb_latency[v].count += s.verb_latency[v].count;
-      total.verb_latency[v].p50_ms += s.verb_latency[v].p50_ms *
-                                      static_cast<double>(s.verb_latency[v].count);
-      total.verb_latency[v].p95_ms += s.verb_latency[v].p95_ms *
-                                      static_cast<double>(s.verb_latency[v].count);
-      total.verb_latency[v].p99_ms += s.verb_latency[v].p99_ms *
-                                      static_cast<double>(s.verb_latency[v].count);
-      // The fleet's worst observation is the max of the shard maxima —
-      // exact, unlike the weighted quantile means.
-      total.verb_latency[v].max_ms =
-          std::max(total.verb_latency[v].max_ms, s.verb_latency[v].max_ms);
-      verb_weight[v] += s.verb_latency[v].count;
-    }
-    if (s.online_enabled) {
-      total.online_enabled = true;
-      total.online.reports += s.online.reports;
-      total.online.measurements += s.online.measurements;
-      total.online.duplicates += s.online.duplicates;
-      total.online.rejected += s.online.rejected;
-      total.online.buffered += s.online.buffered;
-      total.online.rolling_mape =
-          std::max(total.online.rolling_mape, s.online.rolling_mape);
-      total.online.drift_events += s.online.drift_events;
-      total.online.incremental_updates += s.online.incremental_updates;
-      total.online.refits += s.online.refits;
-      total.online.shadow_evals += s.online.shadow_evals;
-      total.online.promotions += s.online.promotions;
-      total.online.promotions_rejected += s.online.promotions_rejected;
-      total.online.cache_invalidated += s.online.cache_invalidated;
+    if (const std::shared_ptr<Server> srv = pin(i)) {
+      parts.push_back(srv->stats());
     }
   }
-  if (latency_weight > 0) {
-    const double w = static_cast<double>(latency_weight);
-    total.latency_p50_ms /= w;
-    total.latency_p95_ms /= w;
-    total.latency_mean_ms /= w;
-  }
-  for (std::size_t v = 0; v < kNumOps; ++v) {
-    if (verb_weight[v] > 0) {
-      const double w = static_cast<double>(verb_weight[v]);
-      total.verb_latency[v].p50_ms /= w;
-      total.verb_latency[v].p95_ms /= w;
-      total.verb_latency[v].p99_ms /= w;
-    }
-  }
-  const std::uint64_t total_dispatches =
-      total.batch_flushes + total.batch_bypass;
-  if (total_dispatches > 0) {
-    const double w = static_cast<double>(total_dispatches);
-    total.batch_size_p50 /= w;
-    total.batch_size_p95 /= w;
-  }
-  const std::uint64_t lookups = total.cache_hits + total.cache_misses;
-  total.cache_hit_rate = lookups == 0
-                             ? 0.0
-                             : static_cast<double>(total.cache_hits) /
-                                   static_cast<double>(lookups);
+  ServerStats total = merge_stats(parts);
+  // Every shard shares registry_: its counters count once, not per shard.
+  total.reload_failures = registry_.reload_failures();
+  total.models_loaded = registry_.loads();
+  total.models_trained = registry_.trainings();
   return total;
 }
 

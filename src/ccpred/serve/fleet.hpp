@@ -136,8 +136,9 @@ class ShardFleet {
   int route_of(const Request& request) const;
 
   FleetCounters counters() const;
-  /// Sum of per-shard counters plus fleet-level queue depth; latency
-  /// quantiles are request-weighted means across live shards.
+  /// merge_stats() over the live shards' snapshots, with the registry
+  /// counters (reload failures, loads, trainings) taken once from the
+  /// registry every shard shares.
   ServerStats aggregated_stats() const;
 
  private:
@@ -154,6 +155,12 @@ class ShardFleet {
   std::uint64_t request_key(const Request& request) const;
   /// First live shard in the key's preference list; -1 if none.
   int pick(std::uint64_t key, bool* failed_over) const;
+  /// The routing loop behind handle/submit_with/submit_batch_with: runs
+  /// the chaos points for `request`'s key, then pins the first live shard
+  /// of its preference list, counting a failover if the owner was dead and
+  /// `n` routed requests. Returns nullptr (counted unrouteable) when no
+  /// shard is alive.
+  std::shared_ptr<Server> route(const Request& request, std::size_t n);
   /// Consults the chaos points once per routed request.
   void maybe_chaos(std::uint64_t key);
   Response stats_response(const Request& request);

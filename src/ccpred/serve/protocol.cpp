@@ -437,4 +437,15 @@ Response error_response(const std::string& message, const std::string& op,
   return r;
 }
 
+std::vector<Response> frame_error(std::span<const Request> frame,
+                                  const std::string& message,
+                                  const std::string& code) {
+  std::vector<Response> out;
+  out.reserve(frame.size());
+  for (const Request& r : frame) {
+    out.push_back(error_response(message, op_name(r.op), r.id, code));
+  }
+  return out;
+}
+
 }  // namespace ccpred::serve

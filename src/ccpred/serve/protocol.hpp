@@ -33,6 +33,7 @@
 /// additionally carries "stale":true.
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -144,5 +145,11 @@ std::string format_response(const Response& response);
 Response error_response(const std::string& message, const std::string& op = "",
                         const std::string& id = "",
                         const std::string& code = "bad_request");
+
+/// The same ok=false answer for every record of a frame, each echoing its
+/// own record's op and id: a frame always gets one response per record.
+std::vector<Response> frame_error(std::span<const Request> frame,
+                                  const std::string& message,
+                                  const std::string& code);
 
 }  // namespace ccpred::serve

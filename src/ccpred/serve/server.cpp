@@ -28,8 +28,8 @@ Server::Server(ModelRegistry& registry, ServeOptions options)
       options_(std::move(options)),
       fault_(options_.fault_injector),
       cache_(options_.cache_capacity, options_.cache_shards),
-      pool_(options_.threads),
-      sweep_pool_(options_.threads) {
+      sweep_pool_(options_.threads),
+      pool_(options_.threads) {
   cache_.set_fault_injector(fault_);
   if (options_.online.enabled) {
     online_ = std::make_unique<online::OnlineTrainer>(
@@ -54,81 +54,7 @@ const sim::CcsdSimulator& Server::simulator(const std::string& machine) {
   return it->second;
 }
 
-SweepPtr Server::sweep_for(const std::string& machine, const std::string& kind,
-                           int o, int v, Clock::time_point deadline,
-                           std::uint64_t* model_version, bool* cache_hit,
-                           bool* stale, bool* timed_out) {
-  *timed_out = false;
-  const ModelHandle handle = registry_.get(machine, kind);
-  *model_version = handle.version;
-  *stale = handle.stale;
-  const SweepKey key{machine, kind, handle.version, o, v};
-  if (SweepPtr cached = cache_.get(key)) {
-    *cache_hit = true;
-    return cached;
-  }
-  *cache_hit = false;
-
-  // Single-flight: the first requester becomes the leader and schedules
-  // ONE sweep on the sweep pool; everyone (leader included) waits on its
-  // shared future. Running the sweep off the request thread lets a
-  // deadline abandon the wait while the computation still completes and
-  // populates the cache.
-  auto promise = std::make_shared<std::promise<SweepResult>>();
-  std::shared_future<SweepResult> future;
-  bool leader = false;
-  {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    const auto it = inflight_.find(key);
-    if (it == inflight_.end()) {
-      leader = true;
-      future = promise->get_future().share();
-      inflight_[key] = future;
-    } else {
-      future = it->second;
-    }
-  }
-  if (leader) {
-    // A failed sweep resolves the shared future with an error STRING, not
-    // an exception_ptr — see SweepResult for why (TSAN vs. cross-thread
-    // exception_ptr release in uninstrumented libstdc++).
-    sweep_pool_.post([this, promise, handle, key] {
-      SweepResult result;
-      try {
-        if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kSweepCompute);
-        const guide::Advisor advisor(*handle.model, simulator(key.machine));
-        auto sweep = std::make_shared<const guide::Recommendation>(
-            advisor.recommend(key.o, key.v, guide::Objective::kShortestTime));
-        sweeps_computed_.fetch_add(1, std::memory_order_relaxed);
-        cache_.put(key, sweep);
-        result.sweep = std::move(sweep);
-      } catch (const std::exception& e) {
-        result.error = e.what();
-      } catch (...) {
-        result.error = "sweep failed with a non-standard exception";
-      }
-      {
-        const std::lock_guard<std::mutex> lock(inflight_mutex_);
-        inflight_.erase(key);
-      }
-      promise->set_value(std::move(result));
-    });
-  } else {
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (deadline != Clock::time_point::max() &&
-      future.wait_until(deadline) == std::future_status::timeout) {
-    *timed_out = true;
-    return nullptr;
-  }
-  const SweepResult& result = future.get();
-  // Rethrown on the waiting thread: handle_until turns it into the same
-  // code="internal" response the old exception-carrying future produced.
-  if (result.sweep == nullptr) throw Error(result.error);
-  return result.sweep;
-}
-
-Response Server::dispatch(const Request& req, Clock::time_point deadline) {
+Response Server::dispatch(const Request& req) {
   Response r;
   r.op = op_name(req.op);
   r.id = req.id;
@@ -166,97 +92,23 @@ Response Server::dispatch(const Request& req, Clock::time_point deadline) {
     return r;
   }
 
-  if (req.op == Op::kJob) {
-    const sim::RunConfig cfg{
-        .o = req.o, .v = req.v, .nodes = req.nodes, .tile = req.tile};
-    const auto job = sim::estimate_job(simulator(machine), cfg);
-    r.ok = true;
-    r.has_job = true;
-    r.iterations = job.iterations;
-    r.setup_s = job.setup_s;
-    r.iteration_s = job.iteration_s;
-    r.total_s = job.total_s;
-    r.node_hours = job.node_hours;
-    return r;
-  }
-
-  // STQ / BQ / budget: one cached sweep answers all three.
-  const std::string kind =
-      req.model.empty() ? options_.default_model : req.model;
-  std::uint64_t version = 0;
-  bool cache_hit = false;
-  bool stale = false;
-  bool timed_out = false;
-  const SweepPtr sweep = sweep_for(machine, kind, req.o, req.v, deadline,
-                                   &version, &cache_hit, &stale, &timed_out);
-  if (timed_out) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    r.ok = false;
-    r.code = "deadline";
-    r.error = "deadline of " + std::to_string(req.deadline_ms) +
-              " ms exceeded; the sweep continues in the background";
-    return r;
-  }
-
-  // Answer through a pointer: STQ reads the cached recommendation in
-  // place (copying it would clone the whole swept grid per request).
-  guide::Recommendation computed;
-  const guide::Recommendation* rec = &computed;
-  switch (req.op) {
-    case Op::kStq:
-      rec = sweep.get();  // the cached sweep IS the shortest-time answer
-      break;
-    case Op::kBq:
-      computed = guide::Advisor::from_sweep(sweep->sweep,
-                                            guide::Objective::kNodeHours);
-      break;
-    case Op::kBudget:
-      computed =
-          guide::Advisor::fastest_within_budget(*sweep, req.max_node_hours);
-      break;
-    default:
-      throw Error("unhandled op");  // unreachable
-  }
+  if (req.op != Op::kJob) throw Error("unhandled op");  // unreachable
+  const sim::RunConfig cfg{
+      .o = req.o, .v = req.v, .nodes = req.nodes, .tile = req.tile};
+  const auto job = sim::estimate_job(simulator(machine), cfg);
   r.ok = true;
-  r.stale = stale;
-  if (stale) stale_served_.fetch_add(1, std::memory_order_relaxed);
-  r.has_recommendation = true;
-  r.nodes = rec->config.nodes;
-  r.tile = rec->config.tile;
-  r.time_s = rec->predicted_time_s;
-  r.node_hours = rec->predicted_node_hours;
-  r.model_version = version;
-  r.sweep_size = sweep->sweep.size();
-  r.cache_hit = cache_hit;
-  return r;
-}
-
-Response Server::handle_until(const Request& req, Clock::time_point deadline) {
-  const Stopwatch timer;
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Response r;
-  try {
-    if (deadline != Clock::time_point::max() && Clock::now() >= deadline) {
-      // Expired while queued: answer without doing the work.
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      r = error_response("deadline of " + std::to_string(req.deadline_ms) +
-                             " ms exceeded before dispatch",
-                         op_name(req.op), req.id, "deadline");
-    } else {
-      r = dispatch(req, deadline);
-    }
-  } catch (const std::exception& e) {
-    r = error_response(e.what(), op_name(req.op), req.id, "internal");
-  }
-  if (!r.ok) errors_.fetch_add(1, std::memory_order_relaxed);
-  const double elapsed_s = timer.elapsed_s();
-  latency_.record(elapsed_s);
-  op_latency_[static_cast<std::size_t>(req.op)].record(elapsed_s);
+  r.has_job = true;
+  r.iterations = job.iterations;
+  r.setup_s = job.setup_s;
+  r.iteration_s = job.iteration_s;
+  r.total_s = job.total_s;
+  r.node_hours = job.node_hours;
   return r;
 }
 
 Response Server::handle(const Request& req) {
-  return handle_until(req, deadline_for(req));
+  const Clock::time_point deadline = deadline_for(req);
+  return std::move(handle_batch({&req, 1}, {&deadline, 1}).front());
 }
 
 std::vector<Response> Server::dispatch_batch(
@@ -268,24 +120,46 @@ std::vector<Response> Server::dispatch_batch(
 }
 
 std::vector<Response> Server::handle_batch(
-    const std::vector<Request>& batch,
-    const std::vector<Clock::time_point>& deadlines) {
+    std::span<const Request> batch,
+    std::span<const Clock::time_point> deadlines) {
   const Stopwatch timer;
   std::vector<Response> out(batch.size());
   // Group sweep-shaped members by (machine, kind); the other verbs have no
-  // cross-request work to share and take the serial path. std::map keeps
-  // group order deterministic.
+  // cross-request work to share and are answered on the spot. std::map
+  // keeps group order deterministic.
   std::map<std::pair<std::string, std::string>, std::vector<std::size_t>>
       groups;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Request& req = batch[i];
-    if (req.op == Op::kStq || req.op == Op::kBq || req.op == Op::kBudget) {
+    const bool expired = deadlines[i] != Clock::time_point::max() &&
+                         Clock::now() >= deadlines[i];
+    if (!expired &&
+        (req.op == Op::kStq || req.op == Op::kBq || req.op == Op::kBudget)) {
       groups[{req.machine.empty() ? options_.default_machine : req.machine,
               req.model.empty() ? options_.default_model : req.model}]
           .push_back(i);
-    } else {
-      out[i] = handle_until(req, deadlines[i]);
+      continue;
     }
+    const Stopwatch own;
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    Response& r = out[i];
+    if (expired) {
+      // Expired while queued: answer without doing the work.
+      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      r = error_response("deadline of " + std::to_string(req.deadline_ms) +
+                             " ms exceeded before dispatch",
+                         op_name(req.op), req.id, "deadline");
+    } else {
+      try {
+        r = dispatch(req);
+      } catch (const std::exception& e) {
+        r = error_response(e.what(), op_name(req.op), req.id, "internal");
+      }
+    }
+    if (!r.ok) errors_.fetch_add(1, std::memory_order_relaxed);
+    const double elapsed_s = own.elapsed_s();
+    latency_.record(elapsed_s);
+    op_latency_[static_cast<std::size_t>(req.op)].record(elapsed_s);
   }
   for (const auto& [mk, members] : groups) {
     answer_group(mk.first, mk.second, members, batch, deadlines, timer, &out);
@@ -295,11 +169,10 @@ std::vector<Response> Server::handle_batch(
 
 void Server::answer_group(const std::string& machine, const std::string& kind,
                           const std::vector<std::size_t>& members,
-                          const std::vector<Request>& batch,
-                          const std::vector<Clock::time_point>& deadlines,
+                          std::span<const Request> batch,
+                          std::span<const Clock::time_point> deadlines,
                           const Stopwatch& timer, std::vector<Response>* out) {
-  // One model-handle acquisition per group — the serial path stat()s the
-  // artifact once per request; the whole group shares one here.
+  // One model-handle acquisition per group, however many members share it.
   ModelHandle handle;
   std::string handle_error;
   try {
@@ -309,7 +182,7 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
   }
 
   // Dedup members onto unique (O, V) keys and batch-probe the cache once
-  // per key (the serial path probes once per request).
+  // per key.
   std::vector<SweepKey> keys;
   std::map<std::pair<int, int>, std::size_t> key_index;
   std::vector<std::size_t> member_key(members.size(), 0);
@@ -328,9 +201,12 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
   std::vector<SweepPtr> cached;
   cache_.get_batch(keys, &cached);
 
-  // Single-flight join per cold key: keys this group leads are computed in
-  // ONE batched recommend on the sweep pool; keys already in flight
-  // elsewhere are waited on exactly like the serial path.
+  // Single-flight: the first requester of a cold key becomes its leader;
+  // everyone (leader included) waits on the key's shared future. Keys this
+  // group leads are computed in ONE batched recommend on the sweep pool;
+  // keys already in flight elsewhere are joined. Running sweeps off the
+  // request thread lets a deadline abandon the wait while the computation
+  // still completes and populates the cache.
   std::vector<std::shared_future<SweepResult>> futures(keys.size());
   std::vector<std::shared_ptr<std::promise<SweepResult>>> promises(
       keys.size());
@@ -363,7 +239,9 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
     // single concatenated predict (recommend_batch), so the SIMD batch
     // kernels see cross-request batches. If the batched compute fails —
     // e.g. one infeasible problem — fall back to per-key sweeps so the
-    // innocent keys keep their serial-path answers.
+    // innocent keys keep their own answers. A failed sweep resolves the
+    // shared future with an error STRING, not an exception_ptr — see
+    // SweepResult for why.
     sweep_pool_.post([this, handle, lead_keys = std::move(lead_keys),
                       lead_promises = std::move(lead_promises)] {
       if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kSweepCompute);
@@ -415,16 +293,14 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
     });
   }
 
-  // Answer every member with the serial path's exact derivations and
-  // accounting. The first member of a led key is the sweep's "miss"; every
-  // further member of that key — and every member of an externally
-  // in-flight key — coalesced onto an existing flight, same as serial.
+  // Answer every member. The first member of a led key is the sweep's
+  // "miss"; every further member of that key — and every member of an
+  // externally in-flight key — coalesced onto an existing flight.
   //
   // BQ/budget answers scan the whole swept grid; members sharing a sweep
   // key, verb, and budget get bit-identical answers by construction (the
-  // pick_* scans are pure and shared with the serial path's from_sweep /
-  // fastest_within_budget), so each distinct derivation runs once per
-  // flush and its winning point fans out.
+  // pick_* scans are pure), so each distinct derivation runs once per
+  // batch and its winning point fans out.
   std::vector<std::tuple<std::size_t, Op, double>> derived_keys;
   std::vector<guide::SweepPoint> derived_points;
   std::vector<bool> key_claimed(keys.size(), false);
@@ -436,92 +312,73 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
     ++op_counts[static_cast<std::size_t>(req.op)];
     Response r;
     try {
-      if (deadlines[i] != Clock::time_point::max() &&
-          Clock::now() >= deadlines[i]) {
+      if (!handle_error.empty()) throw Error(handle_error);
+      const std::size_t k = member_key[m];
+      const bool cache_hit = cached[k] != nullptr;
+      SweepPtr sweep = cached[k];
+      if (sweep == nullptr) {
+        if (promises[k] != nullptr && !key_claimed[k]) {
+          key_claimed[k] = true;
+        } else {
+          coalesced_.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (deadlines[i] == Clock::time_point::max() ||
+            futures[k].wait_until(deadlines[i]) !=
+                std::future_status::timeout) {
+          const SweepResult& result = futures[k].get();
+          if (result.sweep == nullptr) throw Error(result.error);
+          sweep = result.sweep;
+        }
+      }
+      if (sweep == nullptr) {
         deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        r = error_response("deadline of " + std::to_string(req.deadline_ms) +
-                               " ms exceeded before dispatch",
-                           op_name(req.op), req.id, "deadline");
-      } else if (!handle_error.empty()) {
-        throw Error(handle_error);
+        r = error_response(
+            "deadline of " + std::to_string(req.deadline_ms) +
+                " ms exceeded; the sweep continues in the background",
+            op_name(req.op), req.id, "deadline");
       } else {
-        const std::size_t k = member_key[m];
-        const bool cache_hit = cached[k] != nullptr;
-        SweepPtr sweep = cached[k];
-        bool timed_out = false;
-        if (sweep == nullptr) {
-          if (promises[k] != nullptr && !key_claimed[k]) {
-            key_claimed[k] = true;
-          } else {
-            coalesced_.fetch_add(1, std::memory_order_relaxed);
+        guide::SweepPoint pt;
+        if (req.op == Op::kStq) {
+          // The cached sweep IS the shortest-time answer.
+          pt.config = sweep->config;
+          pt.predicted_time_s = sweep->predicted_time_s;
+          pt.predicted_node_hours = sweep->predicted_node_hours;
+        } else {
+          const double budget =
+              req.op == Op::kBudget ? req.max_node_hours : 0.0;
+          bool memoized = false;
+          for (std::size_t d = 0; d < derived_keys.size(); ++d) {
+            const auto& [dk, dop, dbudget] = derived_keys[d];
+            if (dk == k && dop == req.op && dbudget == budget) {
+              pt = derived_points[d];
+              memoized = true;
+              break;
+            }
           }
-          if (deadlines[i] != Clock::time_point::max() &&
-              futures[k].wait_until(deadlines[i]) ==
-                  std::future_status::timeout) {
-            timed_out = true;
-          } else {
-            const SweepResult& result = futures[k].get();
-            if (result.sweep == nullptr) throw Error(result.error);
-            sweep = result.sweep;
+          if (!memoized) {
+            pt = req.op == Op::kBq
+                     ? guide::Advisor::pick_best(sweep->sweep,
+                                                 guide::Objective::kNodeHours)
+                     : guide::Advisor::pick_within_budget(*sweep, budget);
+            derived_keys.emplace_back(k, req.op, budget);
+            derived_points.push_back(pt);
           }
         }
         r.op = op_name(req.op);
         r.id = req.id;
-        if (timed_out) {
-          deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-          r.ok = false;
-          r.code = "deadline";
-          r.error = "deadline of " + std::to_string(req.deadline_ms) +
-                    " ms exceeded; the sweep continues in the background";
-        } else {
-          guide::SweepPoint pt;
-          if (req.op == Op::kStq) {
-            // The cached sweep IS the shortest-time answer.
-            pt.config = sweep->config;
-            pt.predicted_time_s = sweep->predicted_time_s;
-            pt.predicted_node_hours = sweep->predicted_node_hours;
-          } else {
-            const double budget =
-                req.op == Op::kBudget ? req.max_node_hours : 0.0;
-            bool memoized = false;
-            for (std::size_t d = 0; d < derived_keys.size(); ++d) {
-              const auto& [dk, dop, dbudget] = derived_keys[d];
-              if (dk == k && dop == req.op && dbudget == budget) {
-                pt = derived_points[d];
-                memoized = true;
-                break;
-              }
-            }
-            if (!memoized) {
-              switch (req.op) {
-                case Op::kBq:
-                  pt = guide::Advisor::pick_best(
-                      sweep->sweep, guide::Objective::kNodeHours);
-                  break;
-                case Op::kBudget:
-                  pt = guide::Advisor::pick_within_budget(*sweep, budget);
-                  break;
-                default:
-                  throw Error("unhandled op");  // unreachable
-              }
-              derived_keys.emplace_back(k, req.op, budget);
-              derived_points.push_back(pt);
-            }
-          }
-          r.ok = true;
-          r.stale = handle.stale;
-          if (handle.stale) {
-            stale_served_.fetch_add(1, std::memory_order_relaxed);
-          }
-          r.has_recommendation = true;
-          r.nodes = pt.config.nodes;
-          r.tile = pt.config.tile;
-          r.time_s = pt.predicted_time_s;
-          r.node_hours = pt.predicted_node_hours;
-          r.model_version = handle.version;
-          r.sweep_size = sweep->sweep.size();
-          r.cache_hit = cache_hit;
+        r.ok = true;
+        r.stale = handle.stale;
+        if (handle.stale) {
+          stale_served_.fetch_add(1, std::memory_order_relaxed);
         }
+        r.has_recommendation = true;
+        r.nodes = pt.config.nodes;
+        r.tile = pt.config.tile;
+        r.time_s = pt.predicted_time_s;
+        r.node_hours = pt.predicted_node_hours;
+        r.model_version = handle.version;
+        r.sweep_size = sweep->sweep.size();
+        r.cache_hit = cache_hit;
       }
     } catch (const std::exception& e) {
       r = error_response(e.what(), op_name(req.op), req.id, "internal");
@@ -529,7 +386,7 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
     if (!r.ok) errors_.fetch_add(1, std::memory_order_relaxed);
     (*out)[i] = std::move(r);
   }
-  // Every member of the flush completes when the flush completes, so one
+  // Every member of the batch completes when the batch completes, so one
   // timestamp and one bulk record per verb replaces 2 histogram updates
   // per member.
   const double elapsed_s = timer.elapsed_s();
@@ -537,6 +394,14 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
   for (std::size_t op = 0; op < kNumOps; ++op) {
     op_latency_[op].record_n(elapsed_s, op_counts[op]);
   }
+}
+
+std::vector<Response> Server::shed(std::span<const Request> frame) {
+  shed_.fetch_add(frame.size(), std::memory_order_relaxed);
+  return frame_error(frame,
+                     "server overloaded: queue depth limit " +
+                         std::to_string(options_.max_queue_depth) + " reached",
+                     "overloaded");
 }
 
 std::future<Response> Server::submit(Request request) {
@@ -552,30 +417,12 @@ void Server::submit_with(Request request, std::function<void(Response)> done) {
     batcher_->submit(std::move(request), std::move(done));
     return;
   }
-  const auto deadline = deadline_for(request);
-  const std::string op = op_name(request.op);
-  const std::string id = request.id;
-
-  queue_depth_.fetch_add(1, std::memory_order_relaxed);
-  auto task = [this, done, deadline, request = std::move(request)]() {
-    const GaugeGuard guard{queue_depth_};
-    if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kWorkerStall);
-    done(handle_until(request, deadline));
-  };
-  bool admitted = true;
-  if (options_.max_queue_depth == 0) {
-    pool_.post(std::move(task));
-  } else {
-    admitted = pool_.try_post(std::move(task), options_.max_queue_depth);
-  }
-  if (!admitted) {
-    queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    done(error_response("server overloaded: queue depth limit " +
-                            std::to_string(options_.max_queue_depth) +
-                            " reached",
-                        op, id, "overloaded"));
-  }
+  std::vector<Request> frame;
+  frame.push_back(std::move(request));
+  submit_batch_with(std::move(frame),
+                    [done = std::move(done)](std::vector<Response> out) {
+                      done(std::move(out.front()));
+                    });
 }
 
 void Server::submit_batch_with(std::vector<Request> batch,
@@ -607,27 +454,28 @@ void Server::submit_batch_with(std::vector<Request> batch,
     }
     return;
   }
-  // Deadline clocks start at submission (time queued counts), matching
-  // submit(); captured per request before the batch is enqueued.
+  // Deadline clocks start at submission (time queued counts), captured per
+  // request before the frame is enqueued. The frame is shared so the shed
+  // path can still echo its records after a rejected try_post consumed the
+  // task.
   std::vector<Clock::time_point> deadlines;
   deadlines.reserve(batch.size());
   for (const Request& req : batch) deadlines.push_back(deadline_for(req));
-  // Echo fields for the shed path, captured before the batch moves into
-  // the task (a rejected try_post leaves the task — and the batch inside
-  // it — in a moved-from state).
-  std::vector<std::pair<std::string, std::string>> echoes;
-  echoes.reserve(batch.size());
-  for (const Request& req : batch) echoes.emplace_back(op_name(req.op), req.id);
+  const auto frame =
+      std::make_shared<const std::vector<Request>>(std::move(batch));
 
   queue_depth_.fetch_add(1, std::memory_order_relaxed);
-  auto task = [this, done, deadlines = std::move(deadlines),
-               batch = std::move(batch)]() {
+  auto task = [this, done, frame, deadlines = std::move(deadlines)]() {
     const GaugeGuard guard{queue_depth_};
     if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kWorkerStall);
+    // Record by record, not as one group: an unbatched frame answers
+    // exactly as if its records had arrived one at a time, cache_hit flags
+    // included.
     std::vector<Response> out;
-    out.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      out.push_back(handle_until(batch[i], deadlines[i]));
+    out.reserve(frame->size());
+    for (std::size_t i = 0; i < frame->size(); ++i) {
+      out.push_back(std::move(
+          handle_batch({&(*frame)[i], 1}, {&deadlines[i], 1}).front()));
     }
     done(std::move(out));
   };
@@ -638,18 +486,9 @@ void Server::submit_batch_with(std::vector<Request> batch,
     admitted = pool_.try_post(std::move(task), options_.max_queue_depth);
   }
   if (!admitted) {
+    // A shed frame answers every record: frames are admitted as a unit.
     queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-    shed_.fetch_add(echoes.size(), std::memory_order_relaxed);
-    // A shed frame answers every record: batches are admitted as a unit.
-    const std::string why = "server overloaded: queue depth limit " +
-                            std::to_string(options_.max_queue_depth) +
-                            " reached";
-    std::vector<Response> out;
-    out.reserve(echoes.size());
-    for (const auto& [op, id] : echoes) {
-      out.push_back(error_response(why, op, id, "overloaded"));
-    }
-    done(std::move(out));
+    done(shed(*frame));
   }
 }
 

@@ -2,8 +2,12 @@
 
 /// \file server.hpp
 /// The recommendation server: a thread-safe request handler over a model
-/// registry, a sharded sweep cache, and a worker pool. Four properties
-/// matter for a guidance service and are tested explicitly:
+/// registry, a sharded sweep cache, and a worker pool. Every request is
+/// answered through one path, handle_batch(): handle() is a batch of one,
+/// the worker pool and the BatchScheduler hand it whole batches, and
+/// answer_group() is the only code that derives STQ/BQ/budget answers.
+/// Four properties matter for a guidance service and are tested
+/// explicitly:
 ///
 ///  * determinism — any interleaving of requests produces the same answers
 ///    as serial execution against the same artifacts (sweeps are pure
@@ -36,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,8 +72,9 @@ struct ServeOptions {
   online::OnlineOptions online;
   /// Dynamic micro-batching across connections (see batch_scheduler.hpp).
   /// When enabled, submit()/submit_with()/submit_batch_with() route
-  /// through the BatchScheduler; handle() stays serial. Answers are
-  /// bit-identical either way.
+  /// through the BatchScheduler, which coalesces requests into larger
+  /// batches; handle() is always a batch of one. Answers are bit-identical
+  /// either way.
   BatchOptions batch;
 };
 
@@ -77,8 +83,8 @@ class Server {
  public:
   explicit Server(ModelRegistry& registry, ServeOptions options = {});
 
-  /// Handles one request synchronously. Thread-safe; never throws —
-  /// failures come back as ok=false responses.
+  /// Handles one request synchronously as a batch of one. Thread-safe;
+  /// never throws — failures come back as ok=false responses.
   Response handle(const Request& request);
 
   /// Enqueues a request onto the worker pool. When `max_queue_depth` is
@@ -94,17 +100,17 @@ class Server {
   void submit_with(Request request, std::function<void(Response)> done);
 
   /// One pool task for a whole wire frame: the batch is admitted (or shed)
-  /// as a unit and handled sequentially on one worker, so a 16-request
-  /// frame pays the queue hand-off once instead of 16 times. Deadlines
-  /// still apply per request.
+  /// as a unit and its records are handled one after another on one
+  /// worker, so a 16-request frame pays the queue hand-off once instead of
+  /// 16 times. Deadlines still apply per request.
   void submit_batch_with(std::vector<Request> batch,
                          std::function<void(std::vector<Response>)> done);
 
-  /// Handles a whole batch synchronously through the grouped batch lane:
-  /// members are grouped by (machine, kind, verb), each group acquires its
-  /// model handle once, batch-probes the sweep cache, and dedups identical
-  /// (O, V) keys into one single-flight sweep. Answers are bit-identical
-  /// to calling handle() per request. Deadline clocks start here.
+  /// Handles a whole batch synchronously as one group: members are grouped
+  /// by (machine, kind), each group acquires its model handle once,
+  /// batch-probes the sweep cache, and dedups identical (O, V) keys into
+  /// one single-flight sweep. Answers are bit-identical to calling
+  /// handle() per request. Deadline clocks start here.
   std::vector<Response> dispatch_batch(const std::vector<Request>& batch);
 
   /// Point-in-time statistics snapshot.
@@ -136,16 +142,16 @@ class Server {
 
   using Clock = std::chrono::steady_clock;
 
-  /// handle() with an absolute deadline (Clock::time_point::max() = none).
-  Response handle_until(const Request& request, Clock::time_point deadline);
+  /// Answers the verbs that need no sweep: stats, report and job.
+  Response dispatch(const Request& request);
 
-  Response dispatch(const Request& request, Clock::time_point deadline);
-
-  /// dispatch_batch() with per-request absolute deadlines: the batch lane
-  /// shared by dispatch_batch and the BatchScheduler's flushes.
+  /// The one answer path, with per-request absolute deadlines
+  /// (Clock::time_point::max() = none). A request whose deadline already
+  /// passed is answered code="deadline" without doing its work; the sweep
+  /// verbs go to answer_group(), the rest to dispatch().
   std::vector<Response> handle_batch(
-      const std::vector<Request>& batch,
-      const std::vector<Clock::time_point>& deadlines);
+      std::span<const Request> batch,
+      std::span<const Clock::time_point> deadlines);
 
   /// Answers one (machine, kind) group of STQ/BQ/budget members inside a
   /// batch: one model handle, one cache probe per unique (O, V) key, one
@@ -153,9 +159,13 @@ class Server {
   /// ONE batched recommend).
   void answer_group(const std::string& machine, const std::string& kind,
                     const std::vector<std::size_t>& members,
-                    const std::vector<Request>& batch,
-                    const std::vector<Clock::time_point>& deadlines,
+                    std::span<const Request> batch,
+                    std::span<const Clock::time_point> deadlines,
                     const Stopwatch& timer, std::vector<Response>* out);
+
+  /// Counts every record of a frame that admission control turned away
+  /// and answers each code="overloaded".
+  std::vector<Response> shed(std::span<const Request> frame);
 
   /// Absolute deadline for a request whose clock starts now.
   static Clock::time_point deadline_for(const Request& request) {
@@ -173,15 +183,6 @@ class Server {
     SweepPtr sweep;     ///< null on failure
     std::string error;  ///< why, when sweep is null
   };
-
-  /// The sweep for (machine, kind, o, v): cache -> in-flight future ->
-  /// compute on the sweep pool. Sets `cache_hit` and `stale`; returns the
-  /// model version used. On deadline expiry sets `timed_out` and returns
-  /// nullptr — the sweep keeps running and populates the cache.
-  SweepPtr sweep_for(const std::string& machine, const std::string& kind,
-                     int o, int v, Clock::time_point deadline,
-                     std::uint64_t* model_version, bool* cache_hit,
-                     bool* stale, bool* timed_out);
 
   /// Lazily-built simulator per machine (stable address for Advisor refs).
   const sim::CcsdSimulator& simulator(const std::string& machine);
@@ -220,10 +221,11 @@ class Server {
 
   // The pools are among the last members so their destructors run first:
   // they drain and join while every field their tasks touch is still
-  // alive. sweep_pool_ follows pool_ — request workers block on sweep
-  // futures, so sweeps must drain before the request pool joins.
-  ThreadPool pool_;
+  // alive. pool_ follows sweep_pool_, so it drains first: a request still
+  // queued at teardown posts its sweep and blocks on the future, which
+  // only a live sweep pool resolves.
   ThreadPool sweep_pool_;
+  ThreadPool pool_;
 
   /// Very last member: destroyed FIRST, so the scheduler stops its flusher
   /// and drains its queue while the pools it posts to are still alive.

@@ -3,11 +3,12 @@
 /// \file stats.hpp
 /// The serving subsystem's observable state: one plain snapshot struct
 /// filled by Server::stats() and rendered by the line protocol's `stats`
-/// response. Kept dependency-free so both server.cpp and protocol.cpp can
-/// include it.
+/// response, plus the one function that merges shard snapshots. Kept
+/// dependency-free so both server.cpp and protocol.cpp can include it.
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace ccpred::serve {
 
@@ -76,5 +77,14 @@ struct ServerStats {
   bool online_enabled = false;        ///< online learning loop active
   OnlineStats online;
 };
+
+/// Fleet view of several shards' snapshots: counters and gauges sum, each
+/// verb's `max_ms` and the online `rolling_mape` take the maximum, latency
+/// quantiles are request-weighted means (per-verb ones weighted by that
+/// verb's count), batch-size quantiles are weighted by dispatch count, and
+/// `cache_hit_rate` is recomputed from the summed hits and misses.
+/// Registry counters sum too; callers whose shards share one registry
+/// overwrite them.
+ServerStats merge_stats(std::span<const ServerStats> parts);
 
 }  // namespace ccpred::serve

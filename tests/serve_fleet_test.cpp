@@ -309,6 +309,108 @@ TEST(ShardFleetTest, StatsAggregateAcrossShardsAndBatchesAnswerInOrder) {
   EXPECT_EQ(f.fleet->counters().routed, batch.size());
 }
 
+TEST(MergeStatsTest, SumsWeighsAndMaxesEveryKindOfField) {
+  ServerStats a;
+  a.requests = 30;
+  a.errors = 2;
+  a.sweeps_computed = 4;
+  a.cache_hits = 6;
+  a.cache_misses = 4;
+  a.cache_hit_rate = 0.6;
+  a.cache_size = 4;
+  a.queue_depth = 1;
+  a.models_loaded = 1;
+  a.latency_p50_ms = 1.0;
+  a.latency_p95_ms = 4.0;
+  a.latency_mean_ms = 2.0;
+  a.verb_latency[0] = {.count = 10, .p50_ms = 1.0, .p95_ms = 2.0,
+                       .p99_ms = 3.0, .max_ms = 9.0};
+  a.batch_flushes = 1;
+  a.batch_bypass = 3;
+  a.batch_size_p50 = 1.0;
+  a.batch_size_p95 = 8.0;
+  a.online_enabled = true;
+  a.online.reports = 5;
+  a.online.rolling_mape = 0.4;
+
+  ServerStats b;
+  b.requests = 10;
+  b.errors = 1;
+  b.sweeps_computed = 1;
+  b.cache_hits = 0;
+  b.cache_misses = 10;
+  b.cache_size = 1;
+  b.queue_depth = 2;
+  b.models_loaded = 2;
+  b.latency_p50_ms = 5.0;
+  b.latency_p95_ms = 8.0;
+  b.latency_mean_ms = 6.0;
+  b.verb_latency[0] = {.count = 30, .p50_ms = 5.0, .p95_ms = 6.0,
+                       .p99_ms = 7.0, .max_ms = 4.0};
+  b.batch_flushes = 0;
+  b.batch_bypass = 4;
+  b.batch_size_p50 = 1.0;
+  b.batch_size_p95 = 1.0;
+  b.online.rolling_mape = 0.9;  // online disabled: ignored
+
+  const ServerStats parts[] = {a, b};
+  const ServerStats m = merge_stats(parts);
+  EXPECT_EQ(m.requests, 40u);
+  EXPECT_EQ(m.errors, 3u);
+  EXPECT_EQ(m.sweeps_computed, 5u);
+  EXPECT_EQ(m.cache_hits, 6u);
+  EXPECT_EQ(m.cache_misses, 14u);
+  EXPECT_EQ(m.cache_size, 5u);
+  EXPECT_EQ(m.queue_depth, 3u);
+  EXPECT_EQ(m.models_loaded, 3u);
+  EXPECT_DOUBLE_EQ(m.cache_hit_rate, 6.0 / 20.0);
+  // Request-weighted: (30 * a + 10 * b) / 40.
+  EXPECT_DOUBLE_EQ(m.latency_p50_ms, 2.0);
+  EXPECT_DOUBLE_EQ(m.latency_p95_ms, 5.0);
+  EXPECT_DOUBLE_EQ(m.latency_mean_ms, 3.0);
+  // Count-weighted per verb: (10 * a + 30 * b) / 40; max of the maxima.
+  EXPECT_EQ(m.verb_latency[0].count, 40u);
+  EXPECT_DOUBLE_EQ(m.verb_latency[0].p50_ms, 4.0);
+  EXPECT_DOUBLE_EQ(m.verb_latency[0].p95_ms, 5.0);
+  EXPECT_DOUBLE_EQ(m.verb_latency[0].p99_ms, 6.0);
+  EXPECT_DOUBLE_EQ(m.verb_latency[0].max_ms, 9.0);
+  EXPECT_EQ(m.verb_latency[1].count, 0u);
+  EXPECT_DOUBLE_EQ(m.verb_latency[1].p50_ms, 0.0);
+  // Dispatch-weighted batch sizes: a has 4 dispatches, b has 4.
+  EXPECT_EQ(m.batch_flushes, 1u);
+  EXPECT_EQ(m.batch_bypass, 7u);
+  EXPECT_DOUBLE_EQ(m.batch_size_p50, 1.0);
+  EXPECT_DOUBLE_EQ(m.batch_size_p95, 4.5);
+  EXPECT_TRUE(m.online_enabled);
+  EXPECT_EQ(m.online.reports, 5u);
+  EXPECT_DOUBLE_EQ(m.online.rolling_mape, 0.4);
+
+  // rolling_mape merges as the worst stream across shards.
+  ServerStats c;
+  c.online_enabled = true;
+  c.online.rolling_mape = 0.7;
+  const ServerStats with_c[] = {a, c};
+  EXPECT_DOUBLE_EQ(merge_stats(with_c).online.rolling_mape, 0.7);
+  EXPECT_EQ(merge_stats({}).requests, 0u);
+}
+
+TEST(ShardFleetTest, AggregatedRegistryCountersComeFromTheSharedRegistry) {
+  FleetOptions opt;
+  opt.shards = 3;
+  FleetFixture f("registry_counters", opt);
+  for (const auto& [o, v] : kProblems) {
+    ASSERT_TRUE(f.fleet->handle(stq(o, v)).ok);
+  }
+  const int owner = f.fleet->route_of(stq(134, 951));
+  ASSERT_TRUE(f.fleet->kill_shard(static_cast<std::size_t>(owner)));
+  ASSERT_TRUE(f.fleet->handle(stq(134, 951)).ok);  // served by a replica
+
+  const ServerStats s = f.fleet->aggregated_stats();
+  EXPECT_EQ(s.models_loaded, f.registry.loads());
+  EXPECT_EQ(s.models_trained, f.registry.trainings());
+  EXPECT_EQ(s.reload_failures, f.registry.reload_failures());
+}
+
 // ----------------------------------------------------------- EventLoopServer
 
 struct TestClient {

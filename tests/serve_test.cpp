@@ -933,6 +933,30 @@ TEST(ServerRobustnessTest, QueueDepthReturnsToZeroAfterMixedBurst) {
   EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
 }
 
+TEST(ServerRobustnessTest, RequestStillQueuedAtTeardownGetsItsSweep) {
+  // Destroying a Server drains its request pool, and a request answered
+  // during that drain may still need a cold sweep. The sweep pool must
+  // outlive the request pool, or the sweep is posted to a joined pool,
+  // never runs, and a request without a deadline waits forever (a fleet
+  // shard killed under load hits exactly this).
+  FaultOptions fopt;
+  fopt.seed = 5;
+  fopt.worker_stall = 1.0;  // the lone worker stalls 25..75 ms first
+  fopt.worker_stall_ms = 50.0;
+  FaultInjector fault(fopt);
+  ServeOptions base;
+  base.fault_injector = &fault;
+  ServerFixture f(32, 1, base, "teardown");
+
+  Request req = f.stq(85, 698);
+  req.deadline_ms = 10000;  // bounds the wait if the sweep were lost
+  auto answer = f.server->submit(req);
+  f.server.reset();  // the request is still stalled on its worker
+  const Response r = answer.get();
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_FALSE(r.cache_hit);
+}
+
 // ------------------------------------------------- dynamic batching: lane
 
 TEST(BatchLaneTest, IdenticalColdKeysRunOneSweepSingleFlight) {

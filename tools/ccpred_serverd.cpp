@@ -360,16 +360,14 @@ class FleetRouter {
   /// Routes one request to its shard (stats fan out and aggregate).
   serve::Response forward(const serve::Request& request) {
     if (request.op == serve::Op::kStats) return stats_response(request);
-    std::vector<serve::Request> one(1, request);
-    std::vector<serve::Response> replies = forward_batch(std::move(one));
-    return replies.at(0);
+    return forward_batch({request}).at(0);
   }
 
   /// Routes a whole frame by its first record's key — clients batch by
   /// destination, so this preserves cache locality; mixed frames are still
   /// answered correctly by whichever shard receives them.
   std::vector<serve::Response> forward_batch(
-      std::vector<serve::Request> batch) {
+      const std::vector<serve::Request>& batch) {
     if (batch.empty()) return {};
     const std::uint64_t key = key_of(batch.front());
     const std::vector<int> prefs = ring_.preference(key, remotes_.size());
@@ -389,14 +387,7 @@ class FleetRouter {
         mark_dead(shard, e.what());
       }
     }
-    std::vector<serve::Response> failed;
-    failed.reserve(batch.size());
-    for (const serve::Request& request : batch) {
-      failed.push_back(serve::error_response("no live shard",
-                                             serve::op_name(request.op),
-                                             request.id, "unavailable"));
-    }
-    return failed;
+    return serve::frame_error(batch, "no live shard", "unavailable");
   }
 
   std::uint64_t forwarded() const {
@@ -508,17 +499,10 @@ class FleetRouter {
     }
   }
 
-  /// Fans a stats request out to every live shard and aggregates, mirroring
-  /// ShardFleet::aggregated_stats (shards own separate registries here, so
-  /// registry counters sum instead of being taken once).
+  /// Fans a stats request out to every live shard and merges the replies
+  /// (shards own separate registries here, so registry counters sum).
   serve::Response stats_response(const serve::Request& request) {
-    serve::Response out;
-    out.op = serve::op_name(serve::Op::kStats);
-    out.id = request.id;
-    serve::ServerStats& total = out.stats;
-    std::uint64_t latency_weight = 0;
-    std::uint64_t verb_weight[serve::kNumOps] = {};
-    bool any = false;
+    std::vector<serve::ServerStats> parts;
     for (std::size_t shard = 0; shard < remotes_.size(); ++shard) {
       Remote& remote = *remotes_[shard];
       if (!remote.alive.load(std::memory_order_acquire)) continue;
@@ -529,106 +513,21 @@ class FleetRouter {
         mark_dead(shard, e.what());
         continue;
       }
-      if (replies.size() != 1 || !replies[0].ok || !replies[0].has_stats) {
-        continue;
-      }
-      any = true;
-      const serve::ServerStats& s = replies[0].stats;
-      total.requests += s.requests;
-      total.errors += s.errors;
-      total.sweeps_computed += s.sweeps_computed;
-      total.coalesced += s.coalesced;
-      total.cache_hits += s.cache_hits;
-      total.cache_misses += s.cache_misses;
-      total.cache_evictions += s.cache_evictions;
-      total.cache_size += s.cache_size;
-      total.queue_depth += s.queue_depth;
-      total.deadline_exceeded += s.deadline_exceeded;
-      total.shed += s.shed;
-      total.stale_served += s.stale_served;
-      total.reload_failures += s.reload_failures;
-      total.retries += s.retries;
-      total.models_loaded += s.models_loaded;
-      total.models_trained += s.models_trained;
-      total.latency_p50_ms +=
-          s.latency_p50_ms * static_cast<double>(s.requests);
-      total.latency_p95_ms +=
-          s.latency_p95_ms * static_cast<double>(s.requests);
-      total.latency_mean_ms +=
-          s.latency_mean_ms * static_cast<double>(s.requests);
-      latency_weight += s.requests;
-      total.batched_requests += s.batched_requests;
-      total.batch_flushes += s.batch_flushes;
-      total.batch_bypass += s.batch_bypass;
-      const auto dispatches =
-          static_cast<double>(s.batch_flushes + s.batch_bypass);
-      total.batch_size_p50 += s.batch_size_p50 * dispatches;
-      total.batch_size_p95 += s.batch_size_p95 * dispatches;
-      total.overflow_closed += s.overflow_closed;
-      for (std::size_t v = 0; v < serve::kNumOps; ++v) {
-        total.verb_latency[v].count += s.verb_latency[v].count;
-        total.verb_latency[v].p50_ms +=
-            s.verb_latency[v].p50_ms *
-            static_cast<double>(s.verb_latency[v].count);
-        total.verb_latency[v].p95_ms +=
-            s.verb_latency[v].p95_ms *
-            static_cast<double>(s.verb_latency[v].count);
-        total.verb_latency[v].p99_ms +=
-            s.verb_latency[v].p99_ms *
-            static_cast<double>(s.verb_latency[v].count);
-        total.verb_latency[v].max_ms =
-            std::max(total.verb_latency[v].max_ms, s.verb_latency[v].max_ms);
-        verb_weight[v] += s.verb_latency[v].count;
-      }
-      if (s.online_enabled) {
-        total.online_enabled = true;
-        total.online.reports += s.online.reports;
-        total.online.measurements += s.online.measurements;
-        total.online.duplicates += s.online.duplicates;
-        total.online.rejected += s.online.rejected;
-        total.online.buffered += s.online.buffered;
-        total.online.rolling_mape =
-            std::max(total.online.rolling_mape, s.online.rolling_mape);
-        total.online.drift_events += s.online.drift_events;
-        total.online.incremental_updates += s.online.incremental_updates;
-        total.online.refits += s.online.refits;
-        total.online.shadow_evals += s.online.shadow_evals;
-        total.online.promotions += s.online.promotions;
-        total.online.promotions_rejected += s.online.promotions_rejected;
-        total.online.cache_invalidated += s.online.cache_invalidated;
+      if (replies.size() == 1 && replies[0].ok && replies[0].has_stats) {
+        parts.push_back(replies[0].stats);
       }
     }
-    if (!any) {
+    if (parts.empty()) {
       return serve::error_response("no live shard",
                                    serve::op_name(serve::Op::kStats),
                                    request.id, "unavailable");
     }
-    if (latency_weight > 0) {
-      const double w = static_cast<double>(latency_weight);
-      total.latency_p50_ms /= w;
-      total.latency_p95_ms /= w;
-      total.latency_mean_ms /= w;
-    }
-    for (std::size_t v = 0; v < serve::kNumOps; ++v) {
-      if (verb_weight[v] == 0) continue;
-      const double w = static_cast<double>(verb_weight[v]);
-      total.verb_latency[v].p50_ms /= w;
-      total.verb_latency[v].p95_ms /= w;
-      total.verb_latency[v].p99_ms /= w;
-    }
-    if (total.batch_flushes + total.batch_bypass > 0) {
-      const auto w =
-          static_cast<double>(total.batch_flushes + total.batch_bypass);
-      total.batch_size_p50 /= w;
-      total.batch_size_p95 /= w;
-    }
-    if (total.cache_hits + total.cache_misses > 0) {
-      total.cache_hit_rate =
-          static_cast<double>(total.cache_hits) /
-          static_cast<double>(total.cache_hits + total.cache_misses);
-    }
+    serve::Response out;
     out.ok = true;
+    out.op = serve::op_name(serve::Op::kStats);
+    out.id = request.id;
     out.has_stats = true;
+    out.stats = serve::merge_stats(parts);
     return out;
   }
 
@@ -646,6 +545,11 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
   CCPRED_CHECK_MSG(shards >= 1 && shards <= 64,
                    "--fleet wants 1..64 shards, got " << shards);
   const int base_port = static_cast<int>(parse_int(flags.at("port")));
+  // Shards listen on base_port + 1 .. base_port + N, so the router's port
+  // must be a real one: --port 0 would fork shards onto ports 1..N.
+  CCPRED_CHECK_MSG(base_port >= 1,
+                   "--fleet needs --port >= 1 (shards listen on the ports "
+                   "after it), got " << base_port);
 
   // Fork every shard BEFORE the parent creates any thread (router pool,
   // event loop): forking a multithreaded process clones only the calling
@@ -711,10 +615,9 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
                              done = std::move(done)]() mutable {
             std::vector<serve::Response> replies;
             try {
-              replies = router.forward_batch(std::move(batch));
+              replies = router.forward_batch(batch);
             } catch (const std::exception& e) {
-              replies.assign(1, serve::error_response(e.what(), "", "",
-                                                      "internal"));
+              replies = serve::frame_error(batch, e.what(), "internal");
             }
             done(std::move(replies));
           });

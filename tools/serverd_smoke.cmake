@@ -6,7 +6,9 @@
 #  * the sweep cache reports hits (the session repeats problem sizes;
 #    checked with batching off, where repeats re-probe the cache),
 #  * the dynamic micro-batcher (daemon default) answers the same session
-#    byte-identically while sharing sweeps instead of recomputing them.
+#    byte-identically while sharing sweeps instead of recomputing them,
+#  * the --fleet process mode answers it byte-identically too, and its
+#    merged stats count each problem size's sweep once.
 
 set(dir "${WORKDIR}/serverd_smoke_artifacts")
 file(REMOVE_RECURSE "${dir}")
@@ -108,6 +110,34 @@ if(NOT answers_b STREQUAL answers_1)
 endif()
 if(NOT err MATCHES "\\(0 errors\\), 9 sweeps")
   message(FATAL_ERROR "batched run did not share sweeps: ${err}")
+endif()
+
+# Process fleet (--fleet 2): the router forwards stdin serially to two
+# forked shards on the ports after --port, so answers must match the
+# single-process run, and each problem size is swept once on the one shard
+# that owns its key — the merged fleet stats must still read 9 sweeps.
+string(RANDOM LENGTH 4 ALPHABET 0123456789 rand)
+math(EXPR port "20000 + (${rand} * 4) % 40000")
+execute_process(COMMAND "${SERVERD}" serve --artifacts "${dir}"
+                        --fleet 2 --port ${port}
+                        --threads 4 --rows 300 --estimators 60
+                INPUT_FILE "${session}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "fleet serve on port ${port} failed: ${err}")
+endif()
+string(REGEX MATCHALL "\"ok\":true" oks "${out}")
+list(LENGTH oks n_ok)
+if(NOT n_ok EQUAL 120)
+  message(FATAL_ERROR "fleet run: expected 120 ok responses, got ${n_ok}")
+endif()
+string(REGEX REPLACE "[^\n]*\"op\":\"stats\"[^\n]*\n" "" answers_f "${out}")
+string(REGEX REPLACE "\"cache_hit\":(true|false)" "" answers_f "${answers_f}")
+if(NOT answers_f STREQUAL answers_1)
+  message(FATAL_ERROR "fleet answers differ from single-process answers")
+endif()
+if(NOT err MATCHES "\\(0 errors\\), 9 sweeps")
+  message(FATAL_ERROR "fleet stats did not merge to 9 sweeps: ${err}")
 endif()
 
 # The artifact must have been loaded, never retrained, during serving.
