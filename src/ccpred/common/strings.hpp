@@ -1,8 +1,10 @@
 #pragma once
 
 /// \file strings.hpp
-/// Small string utilities shared by CSV I/O and report formatting.
+/// Small string utilities shared by CSV I/O, report formatting and the
+/// stable hashes of cache keys and artifacts.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,5 +29,16 @@ std::string format_double(double v, int prec);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
+
+/// 64-bit FNV-1a of `s`, continuing from `h` (the FNV offset basis by
+/// default). Stable across processes and builds, unlike std::hash.
+constexpr std::uint64_t fnv1a64(std::string_view s,
+                                std::uint64_t h = 0xcbf29ce484222325ULL) {
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 }  // namespace ccpred

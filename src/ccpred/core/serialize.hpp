@@ -6,11 +6,19 @@
 /// train once per machine, publish the model file, everyone gets instant
 /// STQ/BQ answers.
 ///
-/// Format: line-oriented ASCII with full double precision. Versioned
-/// header; loaders validate structure and throw ccpred::Error on
-/// malformed input.
+/// Format: line-oriented ASCII, whitespace-separated decimal numbers,
+/// doubles at 17 significant digits ("%.17g", so every double round-trips
+/// exactly). Versioned header; loaders validate structure and throw
+/// ccpred::Error on malformed input.
+///
+/// The writer formats with std::to_chars into one reserved string and the
+/// reader parses with std::from_chars over one buffer, both linear in the
+/// artifact size with no stream in between. The format is unchanged from
+/// the earlier ostream/istream codec, byte for byte; the reader rejects a
+/// leading '+', non-finite values and negative counts.
 
 #include <string>
+#include <string_view>
 
 #include "ccpred/core/decision_tree.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
@@ -22,7 +30,7 @@ namespace ccpred::ml {
 std::string serialize_tree(const DecisionTreeRegressor& tree);
 
 /// Restores a tree from serialize_tree output.
-DecisionTreeRegressor deserialize_tree(const std::string& text);
+DecisionTreeRegressor deserialize_tree(std::string_view text);
 
 /// Serializes a fitted gradient-boosting model (all stages + the
 /// hyper-parameters needed to predict).
@@ -30,7 +38,7 @@ std::string serialize_gb(const GradientBoostingRegressor& model);
 
 /// Restores a GB model from serialize_gb output; the result predicts
 /// bit-identically to the original.
-GradientBoostingRegressor deserialize_gb(const std::string& text);
+GradientBoostingRegressor deserialize_gb(std::string_view text);
 
 /// Convenience: write/read a GB model file.
 void save_gb(const GradientBoostingRegressor& model, const std::string& path);
@@ -42,10 +50,14 @@ std::string serialize_rf(const RandomForestRegressor& model);
 
 /// Restores a forest from serialize_rf output; the result predicts
 /// bit-identically to the original.
-RandomForestRegressor deserialize_rf(const std::string& text);
+RandomForestRegressor deserialize_rf(std::string_view text);
 
 /// Convenience: write/read an RF model file.
 void save_rf(const RandomForestRegressor& model, const std::string& path);
 RandomForestRegressor load_rf(const std::string& path);
+
+/// The whole file at `path` in one read, for callers that both hash and
+/// parse an artifact (load_gb/load_rf are deserialize_* of this).
+std::string read_artifact(const std::string& path);
 
 }  // namespace ccpred::ml

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "ccpred/common/error.hpp"
+#include "ccpred/common/strings.hpp"
 
 namespace ccpred::serve {
 namespace {
@@ -15,16 +16,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// FNV-1a, explicitly — std::hash makes no cross-process guarantee, and
-/// the serverd router and its shard children must agree on every key.
-std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 const char* const kNoLiveShard = "no live shard for this key";
@@ -74,9 +65,12 @@ std::vector<int> HashRing::preference(std::uint64_t key, std::size_t n) const {
 
 std::uint64_t HashRing::key_hash(const std::string& machine,
                                  const std::string& kind, int o, int v) {
-  std::uint64_t h = fnv1a(machine, 1469598103934665603ULL);
-  h = fnv1a("/", h);  // separator: ("ab","c") must differ from ("a","bc")
-  h = fnv1a(kind, h);
+  // FNV-1a, explicitly — std::hash makes no cross-process guarantee, and
+  // the serverd router and its shard children must agree on every key.
+  // The seed is not the FNV offset basis; it stays for stable placement.
+  std::uint64_t h = fnv1a64(machine, 1469598103934665603ULL);
+  h = fnv1a64("/", h);  // separator: ("ab","c") must differ from ("a","bc")
+  h = fnv1a64(kind, h);
   const std::uint64_t ov =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(o)) << 32) |
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));

@@ -2,10 +2,10 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "ccpred/common/error.hpp"
+#include "ccpred/common/strings.hpp"
 #include "ccpred/core/serialize.hpp"
 #include "ccpred/data/generator.hpp"
 #include "ccpred/data/problems.hpp"
@@ -55,25 +55,12 @@ std::string ModelRegistry::artifact_path(const std::string& machine,
   return (fs::path(dir_) / (machine + "-" + kind + ".model")).string();
 }
 
-std::uint64_t ModelRegistry::hash_artifact_locked(
+std::string ModelRegistry::read_artifact_locked(
     const std::string& path) const {
   if (fault_ != nullptr && fault_->fire(FaultPoint::kArtifactRead)) {
     throw Error("injected fault: artifact read failure for " + path);
   }
-  std::ifstream in(path, std::ios::binary);
-  CCPRED_CHECK_MSG(in.good(), "cannot read artifact " << path);
-  // FNV-1a 64: cheap, deterministic, and only change *detection* is needed
-  // (a colliding publish degrades to the old mtime-only behavior).
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  char buf[4096];
-  while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-    const std::streamsize n = in.gcount();
-    for (std::streamsize i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(buf[i]);
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
+  return ml::read_artifact(path);
 }
 
 std::uint64_t ModelRegistry::published_gen_locked(
@@ -88,23 +75,45 @@ void ModelRegistry::note_published(const std::string& machine,
   ++published_gen_[machine + "/" + kind];
 }
 
-ModelHandle ModelRegistry::load_locked(const std::string& machine,
-                                       const std::string& kind,
-                                       const std::string& path) {
-  ModelHandle handle;
+ModelRegistry::Entry ModelRegistry::load_locked(const std::string& machine,
+                                                const std::string& kind,
+                                                const std::string& path,
+                                                std::string_view bytes,
+                                                std::uint64_t hash) {
+  Entry entry;
+  ModelHandle& handle = entry.handle;
   if (kind == "gb") {
     handle.model = std::make_shared<const ml::GradientBoostingRegressor>(
-        ml::load_gb(path));
+        ml::deserialize_gb(bytes));
   } else {
     handle.model = std::make_shared<const ml::RandomForestRegressor>(
-        ml::load_rf(path));
+        ml::deserialize_rf(bytes));
   }
   handle.version = next_version_++;
   handle.machine = machine;
   handle.kind = kind;
   handle.path = path;
+  entry.content_hash = hash;
   ++loads_;
-  return handle;
+  return entry;
+}
+
+ModelHandle ModelRegistry::first_load_locked(const std::string& machine,
+                                             const std::string& kind,
+                                             const std::string& key,
+                                             const std::string& path) {
+  try {
+    const std::int64_t now_ns = mtime_ns(path);
+    const std::string bytes = read_artifact_locked(path);
+    Entry entry = load_locked(machine, kind, path, bytes, fnv1a64(bytes));
+    entry.mtime_ns = now_ns;
+    entry.loaded_gen = published_gen_locked(key);
+    return (entries_[key] = std::move(entry)).handle;
+  } catch (const std::exception&) {
+    // First load failed — there is no last-good model to degrade to.
+    ++reload_failures_;
+    throw;
+  }
 }
 
 std::string ModelRegistry::train_artifact(const std::string& machine,
@@ -163,9 +172,12 @@ ModelHandle ModelRegistry::get(const std::string& machine,
         return it->second.handle;
       }
       // A changed mtime or a note_published() within the same mtime
-      // granularity: verify the bytes before paying for a reload.
+      // granularity: verify the bytes before paying for a reload. One read
+      // serves both the hash and the parse, so a publish landing mid-check
+      // can never pair one file's hash with another file's model.
       try {
-        const std::uint64_t hash = hash_artifact_locked(path);
+        const std::string bytes = read_artifact_locked(path);
+        const std::uint64_t hash = fnv1a64(bytes);
         if (hash == it->second.content_hash) {
           // Same bytes (touch / identical or intra-granularity re-publish):
           // absorb without a version bump so cached sweeps stay valid.
@@ -175,11 +187,11 @@ ModelHandle ModelRegistry::get(const std::string& machine,
           ++hash_skips_;
           return it->second.handle;
         }
-        Entry entry{load_locked(machine, kind, path), now_ns};
-        entry.content_hash = hash;
+        Entry entry = load_locked(machine, kind, path, bytes, hash);
+        entry.mtime_ns = now_ns;
         entry.loaded_gen = gen;
-        it->second = entry;
-        return entry.handle;
+        it->second = std::move(entry);
+        return it->second.handle;
       } catch (const std::exception&) {
         // Unreadable/corrupt publish: keep serving the last-good model,
         // marked stale, and retry only when the artifact changes again.
@@ -190,18 +202,7 @@ ModelHandle ModelRegistry::get(const std::string& machine,
         return it->second.handle;
       }
     } else if (fs::exists(path)) {
-      try {
-        const std::uint64_t hash = hash_artifact_locked(path);
-        Entry entry{load_locked(machine, kind, path), mtime_ns(path)};
-        entry.content_hash = hash;
-        entry.loaded_gen = published_gen_locked(key);
-        entries_[key] = entry;
-        return entry.handle;
-      } catch (const std::exception&) {
-        // First load failed — there is no last-good model to degrade to.
-        ++reload_failures_;
-        throw;
-      }
+      return first_load_locked(machine, kind, key, path);
     }
   }
   // Missing artifact: train-and-cache outside the lock (training is the
@@ -211,17 +212,7 @@ ModelHandle ModelRegistry::get(const std::string& machine,
   // Another thread may have loaded while we trained; reuse its entry.
   const auto it = entries_.find(key);
   if (it != entries_.end()) return it->second.handle;
-  try {
-    const std::uint64_t hash = hash_artifact_locked(path);
-    Entry entry{load_locked(machine, kind, path), mtime_ns(path)};
-    entry.content_hash = hash;
-    entry.loaded_gen = published_gen_locked(key);
-    entries_[key] = entry;
-    return entry.handle;
-  } catch (const std::exception&) {
-    ++reload_failures_;
-    throw;
-  }
+  return first_load_locked(machine, kind, key, path);
 }
 
 std::uint64_t ModelRegistry::loads() const {

@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "ccpred/core/regressor.hpp"
 #include "ccpred/serve/fault_injector.hpp"
@@ -122,17 +123,25 @@ class ModelRegistry {
     std::uint64_t loaded_gen = 0;      ///< published_gen_ seen at load
   };
 
-  /// Loads the artifact at `path` into a fresh handle (caller holds lock).
-  /// Every load attempt hashes the bytes first via hash_artifact_locked()
-  /// — which is where the fault injector is consulted — so this only
-  /// parses.
-  ModelHandle load_locked(const std::string& machine, const std::string& kind,
-                          const std::string& path);
+  /// Parses `bytes`, read from `path`, into an entry with a fresh handle
+  /// and `hash` as its content hash (caller holds the lock and sets the
+  /// entry's mtime and generation).
+  Entry load_locked(const std::string& machine, const std::string& kind,
+                    const std::string& path, std::string_view bytes,
+                    std::uint64_t hash);
 
-  /// Hashes the artifact bytes. Consults the kArtifactRead injection point
-  /// (one arrival per reload attempt) and throws on a fired fault or an
+  /// Loads (machine, kind) with no last-good entry to fall back on: a
+  /// failure is counted and rethrown.
+  ModelHandle first_load_locked(const std::string& machine,
+                                const std::string& kind,
+                                const std::string& key,
+                                const std::string& path);
+
+  /// Reads the whole artifact once per load attempt; its content hash and
+  /// its parse both use these bytes. Consults the kArtifactRead injection
+  /// point (one arrival per attempt) and throws on a fired fault or an
   /// unreadable file — the caller's degraded path handles both the same.
-  std::uint64_t hash_artifact_locked(const std::string& path) const;
+  std::string read_artifact_locked(const std::string& path) const;
 
   std::uint64_t published_gen_locked(const std::string& key) const;
 

@@ -33,9 +33,12 @@ double lpt_makespan(std::vector<TaskGroup> groups, int workers) {
 
   std::vector<double> load(w, 0.0);
   std::vector<std::int64_t> extra(w, 0);
+  // (key, worker) pairs. Ordered lexicographically, the smallest
+  // (load, worker) pair is the worker greedy picks next: least loaded,
+  // lowest index on ties.
   using Entry = std::pair<double, std::size_t>;
-  std::vector<Entry> heap;
-  heap.reserve(w);
+  std::vector<Entry> entries;
+  entries.reserve(w);
 
   // Greedy assignment of `count` identical tasks of duration d: each task
   // goes to the currently least-loaded worker.
@@ -46,7 +49,7 @@ double lpt_makespan(std::vector<TaskGroup> groups, int workers) {
     if (count > static_cast<std::int64_t>(w)) {
       // Water-fill bulk step: greedy raises the lowest loads toward the
       // common level T = (sum load + count*d) / w. Pre-assign the whole
-      // multiples and leave the (O(w)-sized) remainder to the exact heap.
+      // multiples and leave the (O(w)-sized) remainder to the exact step.
       double total = static_cast<double>(count) * d;
       for (double l : load) total += l;
       const double level = total / static_cast<double>(w);
@@ -57,21 +60,31 @@ double lpt_makespan(std::vector<TaskGroup> groups, int workers) {
         extra[i] = std::max<std::int64_t>(0, n);
         assigned += extra[i];
       }
-      // Clamp overshoot (possible when some workers sit above the level):
-      // remove tasks from the workers that ended up highest.
-      while (assigned > count) {
-        std::size_t arg = 0;
-        double best = -1.0;
+      if (assigned > count) {
+        // Clamp overshoot (possible when some workers sit above the level):
+        // remove tasks one by one from the worker whose top
+        // load + extra*d is highest, lowest index on ties. A max-heap on
+        // (top, lowest index) finds it without rescanning every worker.
+        const auto below = [](const Entry& a, const Entry& b) {
+          return a.first < b.first ||
+                 (a.first == b.first && a.second > b.second);
+        };
+        entries.clear();
         for (std::size_t i = 0; i < w; ++i) {
           if (extra[i] == 0) continue;
-          const double top = load[i] + static_cast<double>(extra[i]) * d;
-          if (top > best) {
-            best = top;
-            arg = i;
-          }
+          entries.emplace_back(load[i] + static_cast<double>(extra[i]) * d, i);
         }
-        --extra[arg];
-        --assigned;
+        std::make_heap(entries.begin(), entries.end(), below);
+        for (; assigned > count; --assigned) {
+          std::pop_heap(entries.begin(), entries.end(), below);
+          const std::size_t i = entries.back().second;
+          if (--extra[i] == 0) {
+            entries.pop_back();
+            continue;
+          }
+          entries.back().first = load[i] + static_cast<double>(extra[i]) * d;
+          std::push_heap(entries.begin(), entries.end(), below);
+        }
       }
       for (std::size_t i = 0; i < w; ++i) {
         load[i] += static_cast<double>(extra[i]) * d;
@@ -79,16 +92,32 @@ double lpt_makespan(std::vector<TaskGroup> groups, int workers) {
       count -= assigned;
       if (count == 0) return;
     }
-    // Exact greedy for the remaining (< w) tasks, on a reused binary heap.
-    heap.clear();
-    for (std::size_t i = 0; i < w; ++i) heap.emplace_back(load[i], i);
-    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+    // Exact greedy for the remaining (<= w) tasks. Greedy gives one task
+    // each to the `count` smallest (load, worker) entries whenever no
+    // loaded entry (load + d, worker) of those ranks before the count-th
+    // one; an nth_element pick then replaces `count` heap pops.
+    entries.clear();
+    for (std::size_t i = 0; i < w; ++i) entries.emplace_back(load[i], i);
+    if (count <= static_cast<std::int64_t>(w)) {
+      const auto nth = entries.begin() + (count - 1);
+      std::nth_element(entries.begin(), nth, entries.end());
+      const bool exact = std::all_of(
+          entries.begin(), nth, [&](const Entry& e) {
+            return *nth < Entry{e.first + d, e.second};
+          });
+      if (exact) {
+        for (auto it = entries.begin(); it <= nth; ++it) load[it->second] += d;
+        return;
+      }
+    }
+    // Fallback: task-by-task greedy on a binary heap.
+    std::make_heap(entries.begin(), entries.end(), std::greater<>{});
     for (std::int64_t t = 0; t < count; ++t) {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-      auto& [l, i] = heap.back();
+      std::pop_heap(entries.begin(), entries.end(), std::greater<>{});
+      auto& [l, i] = entries.back();
       l += d;
       load[i] = l;
-      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+      std::push_heap(entries.begin(), entries.end(), std::greater<>{});
     }
   };
 

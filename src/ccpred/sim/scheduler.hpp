@@ -25,7 +25,16 @@ struct TaskGroup {
 /// Greedy LPT makespan of the grouped task set on `workers` identical
 /// workers. Groups are processed in descending duration; within a group,
 /// whole multiples of `workers` are spread evenly and the remainder goes
-/// to the currently least-loaded workers. Returns the maximum worker load.
+/// to the currently least-loaded workers (lowest index on ties). Returns
+/// the maximum worker load.
+///
+/// Cost per group is O(w) plus O(r log w) for r overshoot removals, w =
+/// workers: the water-fill's overshoot clamp pops a max-heap on (top,
+/// lowest index), and the remainder is one nth_element pick of the
+/// `count` least-loaded workers, with a per-task heap only when a loaded
+/// worker would rank before the pick's last one. Results are bit-identical
+/// to the previous O(w)-rescan implementation, which tests keep as an
+/// oracle (tests/lpt_reference.hpp).
 double lpt_makespan(std::vector<TaskGroup> groups, int workers);
 
 /// Sum of duration*count over all groups (aggregate work).

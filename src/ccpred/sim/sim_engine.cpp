@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ccpred/common/error.hpp"
+#include "ccpred/common/strings.hpp"
 #include "ccpred/common/thread_pool.hpp"
 #include "ccpred/exec/arena.hpp"
 #include "ccpred/exec/task_scope.hpp"
@@ -55,13 +56,7 @@ std::uint64_t measurement_stream_seed(std::uint64_t campaign_seed,
 }
 
 std::uint64_t SimCache::machine_tag(const std::string& name) {
-  // FNV-1a: stable across processes, unlike std::hash.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return fnv1a64(name);
 }
 
 std::size_t SimCache::KeyHash::operator()(const Key& k) const {

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string_view>
 #include <tuple>
+#include <utility>
 
+#include "ccpred/common/strings.hpp"
 #include "ccpred/data/dataset.hpp"
 #include "ccpred/data/generator.hpp"
 #include "ccpred/data/problems.hpp"
@@ -212,6 +216,42 @@ TEST_F(GeneratorTest, NodeGridNeverInvertsForExtremeProblems) {
   ASSERT_FALSE(tiny.empty());
   EXPECT_GE(tiny.front(), 5);
   EXPECT_LE(tiny.back(), 110);
+}
+
+/// FNV-1a over every row of a campaign: its (O, V, nodes, tile) and the
+/// bit pattern of its target.
+std::uint64_t campaign_checksum(const Dataset& ds) {
+  const auto bytes = [](const auto& v) {
+    return std::string_view(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  std::uint64_t h = fnv1a64("");
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    const auto& c = ds.config(i);
+    const std::int64_t ints[] = {c.o, c.v, c.nodes, c.tile};
+    h = fnv1a64(bytes(ints), h);
+    h = fnv1a64(bytes(ds.target(i)), h);
+  }
+  return h;
+}
+
+TEST(GeneratorGoldenTest, DaemonDefaultCampaignsAreBitStable) {
+  // The campaigns ccpred_serverd trains on by default (600 rows, seed
+  // 2025). The checksums were recorded with the scheduler that rescanned
+  // every worker per step; any change to a simulated time shows up here.
+  const std::pair<sim::MachineModel, std::uint64_t> cases[] = {
+      {sim::MachineModel::aurora(), 0xb7cf681cf3a653beULL},
+      {sim::MachineModel::frontier(), 0x4ba105038025d059ULL},
+  };
+  for (const auto& [machine, expect] : cases) {
+    const sim::CcsdSimulator simulator(machine);
+    GeneratorOptions opt;
+    opt.seed = 2025;
+    opt.target_total = 600;
+    const auto ds =
+        generate_dataset(simulator, problems_for(machine.name), opt);
+    ASSERT_EQ(ds.size(), 600u);
+    EXPECT_EQ(campaign_checksum(ds), expect) << machine.name;
+  }
 }
 
 TEST_F(GeneratorTest, PaperDatasetSizes) {

@@ -311,6 +311,45 @@ TEST(ModelRegistryOnlineTest, IdenticalBytesAbsorbedWithoutVersionBump) {
   EXPECT_EQ(registry.get("aurora", "gb").version, 2u);
 }
 
+TEST(ModelRegistryOnlineTest, SameMtimeABARepublishesServeTheFileOnDisk) {
+  // Models A and B alternate at one pinned mtime, each swapped in by
+  // rename and announced with note_published(). After every step the
+  // served model must be the one on disk: a content hash recorded against
+  // the wrong model would absorb the second A as "same bytes" and keep
+  // serving B.
+  const auto dir = scratch_dir("registry_aba");
+  ModelRegistry registry(dir);
+  const auto path = registry.artifact_path("aurora", "gb");
+  const std::string a = ml::serialize_gb(campaign_gb(10));
+  const std::string b = ml::serialize_gb(campaign_gb(20));
+  const auto stamp = std::chrono::floor<std::chrono::seconds>(
+      fs::file_time_type::clock::now() - std::chrono::hours(1));
+  const auto publish = [&](const std::string& bytes) {
+    const std::string tmp = path + ".tmp";
+    {
+      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    fs::last_write_time(tmp, stamp);
+    fs::rename(tmp, path);
+    registry.note_published("aurora", "gb");
+  };
+  const auto x = test::small_campaign(250).test.features();
+  int step = 0;
+  for (const std::string* bytes : {&a, &b, &a, &b, &a}) {
+    publish(*bytes);
+    const auto served = registry.get("aurora", "gb").model->predict(x);
+    const auto on_disk = ml::load_gb(path).predict(x);
+    ASSERT_EQ(served.size(), on_disk.size());
+    for (std::size_t i = 0; i < served.size(); ++i) {
+      ASSERT_EQ(served[i], on_disk[i]) << "step " << step << " row " << i;
+    }
+    ++step;
+  }
+  EXPECT_EQ(registry.loads(), 5u);
+  EXPECT_EQ(registry.reload_failures(), 0u);
+}
+
 // ----------------------------------------------------- per-verb latencies
 
 TEST(ServerStatsTest, PerVerbLatencyHistogramsSurfaceThroughStats) {

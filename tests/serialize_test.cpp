@@ -5,9 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ccpred/common/error.hpp"
+#include "ccpred/common/strings.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/random_forest.hpp"
 #include "ccpred/core/serialize.hpp"
@@ -124,6 +131,112 @@ TEST(SerializeNegativeTest, TruncatedImportanceThrows) {
 TEST(SerializeNegativeTest, UnfittedModelsRefuseToSerialize) {
   EXPECT_THROW(serialize_gb(GradientBoostingRegressor(10)), Error);
   EXPECT_THROW(serialize_rf(RandomForestRegressor(10)), Error);
+}
+
+/// A minimal tree file with the given node count, leaf value and first
+/// importance; tree_text("1", "1.5", "0.25") is valid.
+std::string tree_text(const std::string& count, const std::string& value,
+                      const std::string& importance) {
+  return "ccpred-tree-v1\n" + count + " 2\n-1 0 " + value + " -1 -1\n" +
+         importance + " 0.75\n";
+}
+
+TEST(SerializeNegativeTest, ValidMinimalTreeParses) {
+  const auto tree = deserialize_tree(tree_text("1", "1.5", "0.25"));
+  EXPECT_EQ(tree.nodes().size(), 1u);
+  EXPECT_EQ(tree.nodes()[0].value, 1.5);
+  EXPECT_EQ(tree.raw_importance(), (std::vector<double>{0.25, 0.75}));
+}
+
+TEST(SerializeNegativeTest, LeadingPlusThrows) {
+  // The writer never emits a '+' sign, so an artifact carrying one was
+  // not written by it.
+  const std::string body = tree_text("1", "1.5", "0.25").substr(15);
+  EXPECT_NO_THROW(deserialize_gb("ccpred-gb-v1\n1 0.1 5.0\n" + body));
+  EXPECT_THROW(deserialize_tree(tree_text("+1", "1.5", "0.25")), Error);
+  EXPECT_THROW(deserialize_tree(tree_text("1", "+1.5", "0.25")), Error);
+  EXPECT_THROW(deserialize_tree(tree_text("1", "1.5", "+0.25")), Error);
+  EXPECT_THROW(deserialize_gb("ccpred-gb-v1\n+1 0.1 5.0\n" + body), Error);
+  EXPECT_THROW(deserialize_gb("ccpred-gb-v1\n1 +0.1 5.0\n" + body), Error);
+}
+
+TEST(SerializeNegativeTest, NonFiniteValuesThrow) {
+  const std::string body = tree_text("1", "1.5", "0.25").substr(15);
+  for (const std::string bad : {"nan", "-nan", "NaN", "inf", "-inf",
+                                "infinity", "1e999", "-1e999"}) {
+    EXPECT_THROW(deserialize_tree(tree_text("1", bad, "0.25")), Error) << bad;
+    EXPECT_THROW(deserialize_tree(tree_text("1", "1.5", bad)), Error) << bad;
+    EXPECT_THROW(deserialize_gb("ccpred-gb-v1\n1 " + bad + " 5.0\n" + body),
+                 Error)
+        << bad;
+  }
+}
+
+TEST(SerializeNegativeTest, NegativeCountsThrow) {
+  EXPECT_THROW(deserialize_tree(tree_text("-1", "1.5", "0.25")), Error);
+  EXPECT_THROW(deserialize_tree("ccpred-tree-v1\n1 -2\n-1 0 1.5 -1 -1\n"),
+               Error);
+  EXPECT_THROW(deserialize_gb("ccpred-gb-v1\n-1 0.1 5.0\n"), Error);
+  EXPECT_THROW(deserialize_rf("ccpred-rf-v1\n-3\n"), Error);
+  // A huge importance count must fail on the missing values, not try to
+  // allocate them first.
+  EXPECT_THROW(deserialize_tree("ccpred-tree-v1\n1 99999999999\n"
+                                "-1 0 1.5 -1 -1\n"),
+               Error);
+}
+
+// ------------------------------------------------------------ golden bytes
+
+TEST(SerializeGoldenTest, BytesMatchTheStreamCodec) {
+  // Sizes and FNV-1a checksums recorded from the ostream codec that the
+  // to_chars writer replaced: the file format must not move by one byte.
+  const auto gb = serialize_gb(small_gb(7));
+  EXPECT_EQ(gb.size(), 294691u);
+  EXPECT_EQ(fnv1a64(gb), 0x03eab960bff3ceaaULL);
+
+  const auto data = test::make_nonlinear(200, 0.05, 11);
+  RandomForestRegressor rf(15);
+  rf.fit(data.x, data.y);
+  const auto text = serialize_rf(rf);
+  EXPECT_EQ(text.size(), 123266u);
+  EXPECT_EQ(fnv1a64(text), 0x106e769b81416fa0ULL);
+}
+
+TEST(SerializeGoldenTest, DoublesFormatLikePrecision17Streams) {
+  // Every finite bit pattern class — normal, subnormal, signed zero,
+  // integral, extreme exponents — formats exactly as an ostream at
+  // precision 17 does, and parses back to the same bits.
+  Rng rng(17);
+  std::vector<double> values = {0.0,  -0.0,   1.0,     0.1,    1.0 / 3.0,
+                                1e16, 1e17,   1e-5,    1e-4,   123456789.0,
+                                5e-324, 2.2250738585072014e-308,
+                                1.7976931348623157e308, -2.5e-5};
+  while (values.size() < 4000) {
+    const auto bits = (static_cast<std::uint64_t>(rng.uniform_int(
+                           0, std::numeric_limits<std::int64_t>::max()))
+                       << 1) ^
+                      static_cast<std::uint64_t>(rng.uniform_int(0, 1));
+    const double v = std::bit_cast<double>(bits);
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  std::ostringstream expect;
+  expect.precision(17);
+  expect << "ccpred-tree-v1\n1 " << values.size() << "\n-1 0 0 -1 -1\n";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    expect << (i ? " " : "") << values[i];
+  }
+  expect << '\n';
+  const auto tree =
+      DecisionTreeRegressor::from_parts({}, {TreeNode{}}, values);
+  const auto text = serialize_tree(tree);
+  ASSERT_EQ(text, expect.str());
+  const auto restored = deserialize_tree(text).raw_importance();
+  ASSERT_EQ(restored.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(restored[i]),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << values[i];
+  }
 }
 
 }  // namespace

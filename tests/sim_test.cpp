@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/rng.hpp"
@@ -13,6 +16,7 @@
 #include "ccpred/sim/noise.hpp"
 #include "ccpred/sim/scheduler.hpp"
 #include "ccpred/sim/tiling.hpp"
+#include "lpt_reference.hpp"
 
 namespace ccpred::sim {
 namespace {
@@ -150,6 +154,142 @@ TEST(SchedulerTest, TotalHelpers) {
   const std::vector<TaskGroup> groups = {{2.0, 3}, {0.5, 4}};
   EXPECT_DOUBLE_EQ(total_work(groups), 8.0);
   EXPECT_EQ(total_tasks(groups), 7);
+}
+
+// ---------- scheduler vs the previous implementation ----------
+
+/// A task duration from one of four families: small integers and dyadic
+/// fractions (exact sums, so loads tie often), a few ulps around `base`
+/// (sums that round), and plain uniform draws.
+double draw_duration(Rng& rng, int family, double base) {
+  switch (family) {
+    case 0:
+      return static_cast<double>(rng.uniform_int(1, 4));
+    case 1:
+      return static_cast<double>(rng.uniform_int(1, 64)) / 16.0;
+    case 2: {
+      double d = base;
+      for (auto k = rng.uniform_int(-3, 3); k != 0; k += k > 0 ? -1 : 1) {
+        d = std::nextafter(d, k > 0 ? 10.0 : 0.0);
+      }
+      return d;
+    }
+    default:
+      return rng.uniform(0.01, 3.0);
+  }
+}
+
+/// A task count below, at or above `workers` (a multiple plus a
+/// remainder), or zero.
+std::int64_t draw_count(Rng& rng, int workers) {
+  const std::int64_t w = workers;
+  switch (rng.uniform_int(0, 4)) {
+    case 0:
+      return rng.uniform_int(1, w - 1);
+    case 1:
+      return w;
+    case 2:
+      return w * rng.uniform_int(1, 3) + rng.uniform_int(1, w - 1);
+    case 3:
+      return 0;
+    default:
+      return rng.uniform_int(1, 4 * w);
+  }
+}
+
+/// Groups shaped to make the water-fill overshoot: a few long tasks leave
+/// some workers above the level a short group with count > workers fills
+/// to, and a last large group lifts every worker past them, so a task the
+/// overshoot clamp wrongly keeps or removes changes the makespan.
+std::vector<TaskGroup> stair_groups(Rng& rng, int workers, int family,
+                                    double base) {
+  const std::int64_t w = workers;
+  const double unit = family == 2 ? base : 1.0;
+  const double tall = unit * static_cast<double>(rng.uniform_int(3, 8));
+  return {
+      {tall, rng.uniform_int(1, std::max<std::int64_t>(1, w / 2))},
+      // An ulp shorter: two stair heights whose tops nearly tie.
+      {std::nextafter(tall, 0.0),
+       rng.uniform_int(0, std::max<std::int64_t>(1, w / 4))},
+      {unit, w + rng.uniform_int(1, 2 * w)},
+      {unit / 2, w * rng.uniform_int(8, 16) + rng.uniform_int(0, w - 1)},
+  };
+}
+
+TEST(SchedulerTest, BitIdenticalToReferenceOnAdversarialInputs) {
+  Rng rng(20250613);
+  const int fixed_workers[] = {2, 3, 4, 7, 64, 480, 2048, 7200};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int workers =
+        trial < 8 ? fixed_workers[trial]
+                  : static_cast<int>(trial % 5 == 0 ? rng.uniform_int(2, 7200)
+                                                    : rng.uniform_int(2, 96));
+    const auto family = static_cast<int>(rng.uniform_int(0, 3));
+    const double base = rng.uniform(0.1, 2.0);
+    std::vector<TaskGroup> groups;
+    if (trial % 4 == 3) {
+      groups = stair_groups(rng, workers, family, base);
+    } else {
+      groups.resize(static_cast<std::size_t>(rng.uniform_int(1, 6)));
+      for (auto& g : groups) {
+        g.duration_s = draw_duration(rng, family, base);
+        g.count = draw_count(rng, workers);
+      }
+    }
+    const double expect = test::lpt_makespan_reference(groups, workers);
+    const double got = lpt_makespan(groups, workers);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(expect))
+        << "trial " << trial << " workers " << workers << " family "
+        << family << ": " << got << " vs " << expect;
+  }
+}
+
+TEST(SchedulerTest, BitIdenticalToReferenceOnRoundingTies) {
+  // Decimal durations make sums round, so two workers can tie on load (or
+  // on load + extra*d in the overshoot clamp) while their next loads
+  // differ in the last bit. Found by random search: the first five
+  // separate the reference from a clamp that breaks ties toward the
+  // highest index, the last five from a remainder pick that ignores the
+  // index on equal loads.
+  struct Case {
+    int workers;
+    std::vector<TaskGroup> groups;
+  };
+  const Case cases[] = {
+      {7, {{0.59999999999999998, 7}, {0.89999999999999991, 11},
+           {0.29999999999999999, 21}, {4.4000000000000004, 9},
+           {0.30000000000000004, 11}}},
+      {7, {{0.69999999999999996, 9}, {0.10000000000000001, 17},
+           {0.20000000000000001, 9}, {2.7999999999999998, 21}}},
+      {4, {{0.44999999999999996, 8}, {0.59999999999999998, 5},
+           {0.20000000000000001, 15}, {0.10000000000000001, 15}, {2, 1}}},
+      {7, {{0.10000000000000001, 23}, {0.60000000000000009, 14},
+           {3.3000000000000003, 11}, {0.20000000000000001, 18}}},
+      {4, {{2.7999999999999998, 6}, {0.20000000000000001, 14},
+           {0.20000000000000001, 16}, {2, 5}}},
+      {7, {{0.60000000000000009, 16}, {4.4000000000000004, 12},
+           {0.40000000000000002, 7}, {0.40000000000000002, 26}}},
+      {4, {{0.10000000000000001, 16}, {0.40000000000000002, 9},
+           {2.2000000000000002, 10}, {0.10000000000000001, 6},
+           {0.40000000000000002, 2}}},
+      {5, {{0.10000000000000001, 20}, {0.30000000000000004, 5},
+           {0.30000000000000004, 13}, {0.89999999999999991, 18},
+           {0.60000000000000009, 14}}},
+      {3, {{1, 8}, {0.40000000000000002, 12}, {0.10000000000000001, 10},
+           {0.20000000000000001, 3}}},
+      {5, {{0.59999999999999998, 7}, {0.10000000000000001, 8},
+           {0.30000000000000004, 5}, {0.89999999999999991, 19},
+           {0.29999999999999999, 3}}},
+  };
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    const auto& [workers, groups] = cases[c];
+    ASSERT_EQ(
+        std::bit_cast<std::uint64_t>(lpt_makespan(groups, workers)),
+        std::bit_cast<std::uint64_t>(
+            test::lpt_makespan_reference(groups, workers)))
+        << "case " << c;
+  }
 }
 
 // ---------- machine & network ----------
