@@ -347,29 +347,16 @@ LoadResult run_load(int port, int conns, int rounds, bool binary, int batch) {
 
 // --------------------------------------------------------------- backends
 
-serve::EventLoopServer::Dispatch dispatch_of(serve::Server& s) {
+serve::EventLoopServer::Dispatch dispatch_of(serve::Shard& s) {
   return [&s](serve::Request req, serve::EventLoopServer::Completion done) {
     s.submit_with(std::move(req), std::move(done));
   };
 }
 
-serve::EventLoopServer::BatchDispatch batch_dispatch_of(serve::Server& s) {
+serve::EventLoopServer::BatchDispatch batch_dispatch_of(serve::Shard& s) {
   return [&s](std::vector<serve::Request> batch,
               serve::EventLoopServer::BatchCompletion done) {
     s.submit_batch_with(std::move(batch), std::move(done));
-  };
-}
-
-serve::EventLoopServer::Dispatch dispatch_of(serve::ShardFleet& f) {
-  return [&f](serve::Request req, serve::EventLoopServer::Completion done) {
-    f.submit_with(std::move(req), std::move(done));
-  };
-}
-
-serve::EventLoopServer::BatchDispatch batch_dispatch_of(serve::ShardFleet& f) {
-  return [&f](std::vector<serve::Request> batch,
-              serve::EventLoopServer::BatchCompletion done) {
-    f.submit_batch_with(std::move(batch), std::move(done));
   };
 }
 

@@ -1,10 +1,20 @@
 #include "ccpred/serve/fleet.hpp"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <cstdio>
+#include <thread>
 #include <utility>
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/strings.hpp"
+#include "ccpred/serve/wire.hpp"
 
 namespace ccpred::serve {
 namespace {
@@ -19,6 +29,138 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 const char* const kNoLiveShard = "no live shard for this key";
+
+/// Shard processes train missing artifacts on first use, so the first
+/// connect can race a multi-second startup: retry for up to ~60 s.
+int connect_with_retry(int port) {
+  for (int attempt = 0;; ++attempt) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    CCPRED_CHECK_MSG(fd >= 0, "cannot create router socket");
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      return fd;
+    }
+    ::close(fd);
+    CCPRED_CHECK_MSG(attempt < 300, "cannot connect to shard on port " << port);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+}
+
+void send_all(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    CCPRED_CHECK_MSG(n > 0, "shard connection lost mid-send");
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+std::vector<Response> read_response_frame(int fd) {
+  std::string buf;
+  char chunk[65536];
+  wire::FrameHeader header;
+  while (true) {
+    std::string error;
+    const wire::FrameStatus status = wire::probe_frame(
+        reinterpret_cast<const unsigned char*>(buf.data()), buf.size(),
+        &header, &error);
+    CCPRED_CHECK_MSG(status != wire::FrameStatus::kBad,
+                     "shard protocol error: " << error);
+    if (status == wire::FrameStatus::kHeader &&
+        buf.size() >= wire::kHeaderBytes + header.payload_bytes) {
+      // Round trips are serialized per connection, so nothing may follow
+      // the frame.
+      CCPRED_CHECK_MSG(buf.size() == wire::kHeaderBytes + header.payload_bytes,
+                       "unexpected bytes after shard response frame");
+      return wire::decode_response_frame(
+          header, reinterpret_cast<const unsigned char*>(buf.data()) +
+                      wire::kHeaderBytes);
+    }
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
+    CCPRED_CHECK_MSG(n > 0, "shard connection closed mid-frame");
+    buf.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// A shard process on 127.0.0.1:port, over one lazily opened binary-wire
+/// connection that serializes its round trips. The first failed round
+/// trip closes the connection for good — the process is presumed gone —
+/// and every call from then on throws ShardDown at once.
+class RemoteShard final : public Shard {
+ public:
+  explicit RemoteShard(int port) : port_(port) {}
+  ~RemoteShard() override {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  Response handle(const Request& request) override {
+    return std::move(exchange({request}).front());
+  }
+  void submit_with(Request request,
+                   std::function<void(Response)> done) override {
+    done(handle(request));
+  }
+  void submit_batch_with(
+      std::vector<Request> batch,
+      std::function<void(std::vector<Response>)> done) override {
+    done(exchange(batch));
+  }
+  ServerStats stats() const override {
+    Request request;
+    request.op = Op::kStats;
+    const std::vector<Response> reply = exchange({request});
+    if (!reply.front().has_stats) {
+      throw ShardDown("shard on port " + std::to_string(port_) +
+                      " did not answer stats: " + reply.front().error);
+    }
+    return reply.front().stats;
+  }
+
+ private:
+  /// One frame out, one frame back.
+  std::vector<Response> exchange(const std::vector<Request>& batch) const {
+    // A record the wire cannot carry (a JSON line may hold a string field
+    // over wire::kMaxStringBytes) is the request's fault, not the shard's.
+    std::string frame;
+    try {
+      frame = wire::encode_request_frame(batch);
+    } catch (const std::exception& e) {
+      return frame_error(batch, e.what(), "bad_request");
+    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (down_) {
+      throw ShardDown("shard on port " + std::to_string(port_) + " is down");
+    }
+    try {
+      if (fd_ < 0) fd_ = connect_with_retry(port_);
+      send_all(fd_, frame);
+      std::vector<Response> replies = read_response_frame(fd_);
+      CCPRED_CHECK_MSG(replies.size() == batch.size(),
+                       "shard answered " << replies.size() << " records for "
+                                         << batch.size());
+      return replies;
+    } catch (const std::exception& e) {
+      if (fd_ >= 0) ::close(fd_);
+      fd_ = -1;
+      down_ = true;
+      throw ShardDown("shard on port " + std::to_string(port_) + ": " +
+                      e.what());
+    }
+  }
+
+  const int port_;
+  mutable std::mutex mutex_;  ///< serializes round trips on fd_
+  mutable int fd_ = -1;       ///< pooled connection, opened lazily
+  mutable bool down_ = false;
+};
 
 }  // namespace
 
@@ -78,21 +220,34 @@ std::uint64_t HashRing::key_hash(const std::string& machine,
 }
 
 ShardFleet::ShardFleet(ModelRegistry& registry, FleetOptions options)
-    : registry_(registry), options_(std::move(options)), ring_(options_.vnodes) {
+    : registry_(&registry), options_(std::move(options)) {
   CCPRED_CHECK_MSG(options_.shards > 0, "fleet needs at least one shard");
   slots_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
-    auto slot = std::make_unique<Slot>();
-    slot->server = std::make_shared<Server>(registry_, options_.serve);
-    slots_.push_back(std::move(slot));
+    slots_.push_back(std::make_unique<Slot>(
+        std::make_shared<Server>(registry, options_.serve)));
     ring_.add(static_cast<int>(i));
   }
 }
 
-std::shared_ptr<Server> ShardFleet::pin(std::size_t i) const {
+ShardFleet::ShardFleet(const std::vector<int>& ports, FleetOptions options)
+    : registry_(nullptr),
+      options_(std::move(options)),
+      pool_(std::make_unique<ThreadPool>(options_.serve.threads)) {
+  CCPRED_CHECK_MSG(!ports.empty(), "fleet needs at least one shard");
+  options_.shards = ports.size();
+  slots_.reserve(ports.size());
+  for (std::size_t i = 0; i < ports.size(); ++i) {
+    slots_.push_back(
+        std::make_unique<Slot>(std::make_shared<RemoteShard>(ports[i])));
+    ring_.add(static_cast<int>(i));
+  }
+}
+
+std::shared_ptr<Shard> ShardFleet::pin(std::size_t i) const {
   const Slot& slot = *slots_[i];
   const std::lock_guard<std::mutex> lock(slot.mutex);
-  return slot.server;
+  return slot.shard;
 }
 
 std::uint64_t ShardFleet::request_key(const Request& req) const {
@@ -103,14 +258,12 @@ std::uint64_t ShardFleet::request_key(const Request& req) const {
   return HashRing::key_hash(machine, kind, req.o, req.v);
 }
 
-int ShardFleet::pick(std::uint64_t key, bool* failed_over) const {
-  if (failed_over != nullptr) *failed_over = false;
+int ShardFleet::pick(std::uint64_t key) const {
   for (const int s : ring_.preference(key, slots_.size())) {
     if (slots_[static_cast<std::size_t>(s)]->alive.load(
             std::memory_order_acquire)) {
       return s;
     }
-    if (failed_over != nullptr) *failed_over = true;
   }
   return -1;
 }
@@ -119,7 +272,7 @@ void ShardFleet::maybe_chaos(std::uint64_t key) {
   FaultInjector* fault = options_.fault_injector;
   if (fault == nullptr || !fault->enabled()) return;
   if (fault->fire(FaultPoint::kShardKill)) {
-    const int target = pick(key, nullptr);
+    const int target = pick(key);
     if (target >= 0) kill_shard(static_cast<std::size_t>(target));
   }
   if (fault->fire(FaultPoint::kShardRestart)) {
@@ -132,54 +285,80 @@ void ShardFleet::maybe_chaos(std::uint64_t key) {
   }
 }
 
-std::shared_ptr<Server> ShardFleet::route(const Request& req, std::size_t n) {
+template <typename Serve>
+bool ShardFleet::route(const Request& req, std::size_t n, Serve&& serve) {
   const std::uint64_t key = request_key(req);
   maybe_chaos(key);
   bool failed_over = false;
   for (const int s : ring_.preference(key, slots_.size())) {
     const auto i = static_cast<std::size_t>(s);
-    std::shared_ptr<Server> srv = pin(i);
-    if (srv == nullptr) {
+    const std::shared_ptr<Shard> shard = pin(i);
+    if (shard == nullptr) {
       failed_over = true;
       continue;
     }
+    // Counted before `serve`, which may complete the request on this
+    // thread: a caller woken by its answer must see the counts.
     if (failed_over) failovers_.fetch_add(1, std::memory_order_relaxed);
     slots_[i]->routed.fetch_add(n, std::memory_order_relaxed);
-    return srv;
+    try {
+      serve(*shard);
+      return true;
+    } catch (const ShardDown& e) {
+      if (failed_over) failovers_.fetch_sub(1, std::memory_order_relaxed);
+      slots_[i]->routed.fetch_sub(n, std::memory_order_relaxed);
+      if (retire(i, /*keep_last=*/false)) {
+        std::fprintf(stderr, "fleet: shard %zu marked dead: %s\n", i,
+                     e.what());
+      }
+      failed_over = true;
+    }
   }
   unrouteable_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  return false;
 }
 
 Response ShardFleet::handle(const Request& req) {
   if (req.op == Op::kStats) return stats_response(req);
-  if (const std::shared_ptr<Server> srv = route(req, 1)) {
-    return srv->handle(req);
+  Response out;
+  if (route(req, 1, [&](Shard& shard) { out = shard.handle(req); })) {
+    return out;
   }
   return error_response(kNoLiveShard, op_name(req.op), req.id, "unavailable");
 }
 
 void ShardFleet::submit_with(Request req, std::function<void(Response)> done) {
-  if (req.op == Op::kStats) {
-    done(stats_response(req));
-    return;
-  }
-  if (const std::shared_ptr<Server> srv = route(req, 1)) {
-    srv->submit_with(std::move(req), std::move(done));
-    return;
-  }
-  done(error_response(kNoLiveShard, op_name(req.op), req.id, "unavailable"));
+  std::vector<Request> frame;
+  frame.push_back(std::move(req));
+  submit_batch_with(std::move(frame),
+                    [done = std::move(done)](std::vector<Response> out) {
+                      done(std::move(out.front()));
+                    });
 }
 
 void ShardFleet::submit_batch_with(
     std::vector<Request> batch,
     std::function<void(std::vector<Response>)> done) {
+  if (pool_ == nullptr) {
+    route_frame(batch, done);
+    return;
+  }
+  // Remote round trips block: keep them off the caller's (event-loop)
+  // thread.
+  pool_->post([this, batch = std::move(batch), done = std::move(done)] {
+    route_frame(batch, done);
+  });
+}
+
+void ShardFleet::route_frame(
+    const std::vector<Request>& batch,
+    const std::function<void(std::vector<Response>)>& done) {
   if (batch.empty()) {
     done({});
     return;
   }
-  // Stats inside a frame would need a fan-out from a shard worker; answer
-  // such frames through the synchronous per-record path instead.
+  // A stats record fans out to every shard, so a frame holding one cannot
+  // go to a single shard: answer it record by record.
   const bool any_stats =
       std::any_of(batch.begin(), batch.end(),
                   [](const Request& r) { return r.op == Op::kStats; });
@@ -192,18 +371,16 @@ void ShardFleet::submit_batch_with(
   }
   // Route the whole frame by its first record: clients batch questions
   // that share a destination; strays still answer correctly, they just
-  // miss this shard's cache.
-  if (const std::shared_ptr<Server> srv =
-          route(batch.front(), batch.size())) {
-    srv->submit_batch_with(std::move(batch), std::move(done));
-    return;
+  // miss this shard's cache. Each attempt gets its own copy of the frame,
+  // so a failed round trip leaves it for the next shard.
+  if (!route(batch.front(), batch.size(),
+             [&](Shard& shard) { shard.submit_batch_with(batch, done); })) {
+    done(frame_error(batch, kNoLiveShard, "unavailable"));
   }
-  done(frame_error(batch, kNoLiveShard, "unavailable"));
 }
 
-bool ShardFleet::kill_shard(std::size_t i) {
-  if (i >= slots_.size()) return false;
-  std::shared_ptr<Server> victim;
+bool ShardFleet::retire(std::size_t i, bool keep_last) {
+  std::shared_ptr<Shard> victim;
   {
     const std::lock_guard<std::mutex> membership(membership_mutex_);
     std::size_t live = 0;
@@ -212,9 +389,9 @@ bool ShardFleet::kill_shard(std::size_t i) {
     }
     Slot& slot = *slots_[i];
     const std::lock_guard<std::mutex> lock(slot.mutex);
-    if (slot.server == nullptr || live <= 1) return false;
-    victim = std::move(slot.server);
-    slot.server = nullptr;
+    if (slot.shard == nullptr || (keep_last && live <= 1)) return false;
+    victim = std::move(slot.shard);
+    slot.shard = nullptr;
     slot.alive.store(false, std::memory_order_release);
     kills_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -223,15 +400,19 @@ bool ShardFleet::kill_shard(std::size_t i) {
   return true;
 }
 
+bool ShardFleet::kill_shard(std::size_t i) {
+  return i < slots_.size() && retire(i, /*keep_last=*/true);
+}
+
 bool ShardFleet::restart_shard(std::size_t i) {
-  if (i >= slots_.size()) return false;
+  if (i >= slots_.size() || registry_ == nullptr) return false;
   // Built outside the locks: Server construction spawns worker pools.
-  auto fresh = std::make_shared<Server>(registry_, options_.serve);
+  auto fresh = std::make_shared<Server>(*registry_, options_.serve);
   const std::lock_guard<std::mutex> membership(membership_mutex_);
   Slot& slot = *slots_[i];
   const std::lock_guard<std::mutex> lock(slot.mutex);
-  if (slot.server != nullptr) return false;
-  slot.server = std::move(fresh);
+  if (slot.shard != nullptr) return false;
+  slot.shard = std::move(fresh);
   slot.alive.store(true, std::memory_order_release);
   restarts_.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -244,7 +425,7 @@ bool ShardFleet::alive(std::size_t i) const {
 
 int ShardFleet::route_of(const Request& req) const {
   if (req.op == Op::kStats) return -1;
-  return pick(request_key(req), nullptr);
+  return pick(request_key(req));
 }
 
 FleetCounters ShardFleet::counters() const {
@@ -265,19 +446,30 @@ ServerStats ShardFleet::aggregated_stats() const {
   std::vector<ServerStats> parts;
   parts.reserve(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (const std::shared_ptr<Server> srv = pin(i)) {
-      parts.push_back(srv->stats());
+    const std::shared_ptr<Shard> shard = pin(i);
+    if (shard == nullptr) continue;
+    try {
+      parts.push_back(shard->stats());
+    } catch (const ShardDown&) {
+      // Left out; the next request routed to it marks the slot dead.
     }
   }
   ServerStats total = merge_stats(parts);
-  // Every shard shares registry_: its counters count once, not per shard.
-  total.reload_failures = registry_.reload_failures();
-  total.models_loaded = registry_.loads();
-  total.models_trained = registry_.trainings();
+  if (registry_ != nullptr) {
+    // Every shard shares the registry: its counters count once, not per
+    // shard.
+    total.reload_failures = registry_->reload_failures();
+    total.models_loaded = registry_->loads();
+    total.models_trained = registry_->trainings();
+  }
   return total;
 }
 
 Response ShardFleet::stats_response(const Request& req) {
+  if (counters().alive == 0) {
+    return error_response("no live shard", op_name(Op::kStats), req.id,
+                          "unavailable");
+  }
   Response r;
   r.ok = true;
   r.op = op_name(Op::kStats);

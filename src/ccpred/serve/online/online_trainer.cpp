@@ -311,8 +311,8 @@ void OnlineTrainer::run_refit(const std::string& machine,
   s.refit_inflight = false;
 }
 
-OnlineCounters OnlineTrainer::counters() const {
-  OnlineCounters c;
+OnlineStats OnlineTrainer::counters() const {
+  OnlineStats c;
   c.reports = reports_.load(std::memory_order_relaxed);
   c.measurements = measurements_.load(std::memory_order_relaxed);
   c.duplicates = duplicates_.load(std::memory_order_relaxed);

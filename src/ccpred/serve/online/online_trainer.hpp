@@ -45,6 +45,7 @@
 #include "ccpred/serve/online/drift_detector.hpp"
 #include "ccpred/serve/online/feedback_buffer.hpp"
 #include "ccpred/serve/online/shadow_evaluator.hpp"
+#include "ccpred/serve/stats.hpp"
 #include "ccpred/serve/sweep_cache.hpp"
 #include "ccpred/sim/ccsd_simulator.hpp"
 
@@ -88,23 +89,6 @@ struct ReportOutcome {
   std::uint64_t model_version = 0;  ///< model that scored the reports
 };
 
-/// Aggregated observable state (surfaced through the stats verb).
-struct OnlineCounters {
-  std::uint64_t reports = 0;       ///< report requests ingested
-  std::uint64_t measurements = 0;  ///< individual wall times received
-  std::uint64_t duplicates = 0;
-  std::uint64_t rejected = 0;
-  std::size_t buffered = 0;        ///< rows buffered across streams
-  double rolling_mape = 0.0;       ///< worst stream's rolling MAPE
-  std::uint64_t drift_events = 0;  ///< transitions into the drifting state
-  std::uint64_t incremental_updates = 0;  ///< GP::update() absorptions
-  std::uint64_t refits = 0;               ///< background candidates trained
-  std::uint64_t shadow_evals = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t promotions_rejected = 0;  ///< candidates that lost shadow eval
-  std::uint64_t cache_invalidated = 0;    ///< sweeps dropped by promotions
-};
-
 /// See file comment. The registry (and cache, when given) must outlive the
 /// trainer; the destructor drains in-flight background refits.
 class OnlineTrainer {
@@ -120,7 +104,7 @@ class OnlineTrainer {
                        const std::vector<double>& wall_times);
 
   /// Point-in-time counters across all streams.
-  OnlineCounters counters() const;
+  OnlineStats counters() const;
 
   /// Blocks until no background refit is in flight (test hook).
   void wait_idle();

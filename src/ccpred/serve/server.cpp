@@ -544,20 +544,7 @@ ServerStats Server::stats() const {
   }
   if (online_ != nullptr) {
     s.online_enabled = true;
-    const online::OnlineCounters oc = online_->counters();
-    s.online.reports = oc.reports;
-    s.online.measurements = oc.measurements;
-    s.online.duplicates = oc.duplicates;
-    s.online.rejected = oc.rejected;
-    s.online.buffered = oc.buffered;
-    s.online.rolling_mape = oc.rolling_mape;
-    s.online.drift_events = oc.drift_events;
-    s.online.incremental_updates = oc.incremental_updates;
-    s.online.refits = oc.refits;
-    s.online.shadow_evals = oc.shadow_evals;
-    s.online.promotions = oc.promotions;
-    s.online.promotions_rejected = oc.promotions_rejected;
-    s.online.cache_invalidated = oc.cache_invalidated;
+    s.online = online_->counters();
   }
   return s;
 }

@@ -45,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ccpred/common/error.hpp"
 #include "ccpred/common/latency_histogram.hpp"
 #include "ccpred/common/stopwatch.hpp"
 #include "ccpred/common/thread_pool.hpp"
@@ -78,14 +79,45 @@ struct ServeOptions {
   BatchOptions batch;
 };
 
+/// Anything that answers requests: the in-process Server, a shard process
+/// reached over a socket (fleet.cpp), or a ShardFleet routing to either.
+/// A remote shard that cannot be reached throws ShardDown from any of
+/// these calls without invoking `done`; the fleet then fails over.
+class Shard {
+ public:
+  Shard() = default;
+  virtual ~Shard() = default;
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
+
+  /// Answers one request on the calling thread.
+  virtual Response handle(const Request& request) = 0;
+  /// Answers one request; `done` runs exactly once, on any thread.
+  virtual void submit_with(Request request,
+                           std::function<void(Response)> done) = 0;
+  /// Answers a frame in record order; `done` runs exactly once, on any
+  /// thread.
+  virtual void submit_batch_with(
+      std::vector<Request> batch,
+      std::function<void(std::vector<Response>)> done) = 0;
+  /// Point-in-time statistics snapshot.
+  virtual ServerStats stats() const = 0;
+};
+
+/// Thrown by a Shard that cannot be reached (see Shard).
+class ShardDown : public Error {
+ public:
+  using Error::Error;
+};
+
 /// See file comment. The registry must outlive the server.
-class Server {
+class Server final : public Shard {
  public:
   explicit Server(ModelRegistry& registry, ServeOptions options = {});
 
   /// Handles one request synchronously as a batch of one. Thread-safe;
   /// never throws — failures come back as ok=false responses.
-  Response handle(const Request& request);
+  Response handle(const Request& request) override;
 
   /// Enqueues a request onto the worker pool. When `max_queue_depth` is
   /// set and the pool's backlog is full, the future resolves immediately
@@ -97,14 +129,16 @@ class Server {
   /// future, `done` is invoked with the response — from a worker thread on
   /// the normal path, or synchronously from this call when the request is
   /// shed. `done` must be safe to run on either.
-  void submit_with(Request request, std::function<void(Response)> done);
+  void submit_with(Request request,
+                   std::function<void(Response)> done) override;
 
   /// One pool task for a whole wire frame: the batch is admitted (or shed)
   /// as a unit and its records are handled one after another on one
   /// worker, so a 16-request frame pays the queue hand-off once instead of
   /// 16 times. Deadlines still apply per request.
-  void submit_batch_with(std::vector<Request> batch,
-                         std::function<void(std::vector<Response>)> done);
+  void submit_batch_with(
+      std::vector<Request> batch,
+      std::function<void(std::vector<Response>)> done) override;
 
   /// Handles a whole batch synchronously as one group: members are grouped
   /// by (machine, kind), each group acquires its model handle once,
@@ -114,7 +148,7 @@ class Server {
   std::vector<Response> dispatch_batch(const std::vector<Request>& batch);
 
   /// Point-in-time statistics snapshot.
-  ServerStats stats() const;
+  ServerStats stats() const override;
 
   /// Folds `n` client-side retries into the stats (the daemon's backoff
   /// loop reports its retries here so `stats` can surface them).

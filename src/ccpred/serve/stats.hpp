@@ -25,7 +25,8 @@ struct VerbLatency {
   double max_ms = 0.0;  ///< exact worst observation, not bucket-quantized
 };
 
-/// Observable state of the online learning loop (zero when disabled).
+/// Observable state of the online learning loop, as
+/// online::OnlineTrainer::counters() reports it (zero when disabled).
 struct OnlineStats {
   std::uint64_t reports = 0;       ///< report requests ingested
   std::uint64_t measurements = 0;  ///< individual wall times received
@@ -33,13 +34,13 @@ struct OnlineStats {
   std::uint64_t rejected = 0;      ///< invalid wall times dropped
   std::size_t buffered = 0;        ///< rows buffered across streams
   double rolling_mape = 0.0;       ///< worst stream's rolling MAPE
-  std::uint64_t drift_events = 0;
+  std::uint64_t drift_events = 0;  ///< transitions into the drifting state
   std::uint64_t incremental_updates = 0;  ///< GP surrogate update() calls
   std::uint64_t refits = 0;               ///< background candidates trained
   std::uint64_t shadow_evals = 0;
   std::uint64_t promotions = 0;
-  std::uint64_t promotions_rejected = 0;
-  std::uint64_t cache_invalidated = 0;  ///< sweeps dropped by promotions
+  std::uint64_t promotions_rejected = 0;  ///< candidates that lost shadow eval
+  std::uint64_t cache_invalidated = 0;    ///< sweeps dropped by promotions
 };
 
 /// Point-in-time snapshot of a running Server.

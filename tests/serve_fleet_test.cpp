@@ -1,9 +1,11 @@
 // Tests for the serving fleet: the consistent-hash ring (stable assignment
 // under membership churn), the in-process ShardFleet (failover to a live
 // replica, kill/restart rejoining with an empty cache but bit-identical
-// answers) and the epoll EventLoopServer end to end over real sockets
+// answers), the epoll EventLoopServer end to end over real sockets
 // (response ordering, JSON/binary interleaving on one connection, garbage
-// input, oversized declared lengths, mid-frame disconnects).
+// input, oversized declared lengths, mid-frame disconnects) and the fleet
+// of remote shards that `ccpred_serverd serve --fleet N` routes through
+// (fleet-wide stats inside a frame, failover when a shard's socket dies).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -715,6 +718,164 @@ TEST(EventLoopServerTest, ManyConcurrentConnectionsAllAnswered) {
   }
   EXPECT_EQ(server.stats().connections_accepted,
             static_cast<std::uint64_t>(kConns));
+}
+
+// ------------------------------------------------------------ remote shards
+//
+// The fleet `ccpred_serverd serve --fleet N` runs: every slot is a remote
+// shard reached over one binary-wire connection. Each shard here is an
+// in-process Server behind an EventLoopServer on an ephemeral port, so the
+// daemon's router is tested without a fork.
+
+struct RemoteFleetFixture {
+  RemoteFleetFixture(const std::string& name, std::size_t shards)
+      : dir(scratch_dir(name)), registry(dir) {
+    ml::save_gb(fleet_gb(), registry.artifact_path("aurora", "gb"));
+    FleetOptions opt;
+    opt.serve.threads = 2;
+    std::vector<int> ports;
+    for (std::size_t i = 0; i < shards; ++i) {
+      servers.push_back(std::make_unique<Server>(registry, opt.serve));
+      Server& server = *servers.back();
+      listeners.push_back(std::make_unique<EventLoopServer>(
+          [&server](Request r, EventLoopServer::Completion done) {
+            server.submit_with(std::move(r), std::move(done));
+          },
+          [&server](std::vector<Request> b,
+                    EventLoopServer::BatchCompletion done) {
+            server.submit_batch_with(std::move(b), std::move(done));
+          }));
+      ports.push_back(listeners.back()->port());
+    }
+    fleet = std::make_unique<ShardFleet>(ports, opt);
+  }
+
+  std::string dir;
+  ModelRegistry registry;
+  std::vector<std::unique_ptr<Server>> servers;
+  std::vector<std::unique_ptr<EventLoopServer>> listeners;
+  std::unique_ptr<ShardFleet> fleet;  ///< last: destroyed first
+};
+
+/// Submits one frame and waits for its answer; a second completion would
+/// throw from set_value.
+std::vector<Response> submit_frame(ShardFleet& fleet,
+                                   std::vector<Request> batch) {
+  std::promise<std::vector<Response>> promise;
+  auto future = promise.get_future();
+  fleet.submit_batch_with(std::move(batch),
+                          [&promise](std::vector<Response> out) {
+                            promise.set_value(std::move(out));
+                          });
+  return future.get();
+}
+
+/// The answer as rendered, minus cache_hit, which says which shard's cache
+/// served it, not what the answer is.
+std::string answer_bytes(Response r) {
+  r.cache_hit = false;
+  return format_response(r);
+}
+
+/// The nine problem sizes of the serverd session smoke test.
+const std::vector<std::pair<int, int>> kNine = {
+    {44, 260},  {81, 835},  {85, 698},  {99, 718}, {116, 575},
+    {134, 523}, {134, 951}, {146, 591}, {180, 720}};
+
+TEST(RemoteFleetTest, StatsInsideAFrameCoverTheWholeFleet) {
+  RemoteFleetFixture f("remote_frame_stats", 2);
+  std::set<int> owners;
+  for (const auto& [o, v] : kNine) {
+    owners.insert(f.fleet->route_of(stq(o, v)));
+    const auto out = submit_frame(*f.fleet, {stq(o, v)});
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_TRUE(out[0].ok) << out[0].error;
+  }
+  ASSERT_EQ(owners.size(), 2u) << "the keys must span both shards";
+
+  Request stats;
+  stats.op = Op::kStats;
+  Request bq = stq(44, 260);
+  bq.op = Op::kBq;
+  const auto out = submit_frame(*f.fleet, {stq(134, 951), stats, bq});
+  ASSERT_EQ(out.size(), 3u);
+  for (const Response& r : out) EXPECT_TRUE(r.ok) << r.error;
+  ASSERT_TRUE(out[1].has_stats);
+  // One sweep per problem size, summed over both shards — not the one
+  // shard a frame routes to.
+  EXPECT_EQ(out[1].stats.sweeps_computed, kNine.size());
+  EXPECT_EQ(out[1].stats.sweeps_computed,
+            f.fleet->aggregated_stats().sweeps_computed);
+}
+
+TEST(RemoteFleetTest, ALostShardFailsOverWithByteIdenticalAnswers) {
+  constexpr std::size_t kShards = 3;
+  RemoteFleetFixture f("remote_failover", kShards);
+  std::vector<std::string> before;
+  for (const auto& [o, v] : kNine) {
+    const Response r = f.fleet->handle(stq(o, v));
+    ASSERT_TRUE(r.ok) << r.error;
+    before.push_back(answer_bytes(r));
+  }
+
+  const int victim = f.fleet->route_of(stq(kNine[0].first, kNine[0].second));
+  ASSERT_GE(victim, 0);
+  f.listeners[static_cast<std::size_t>(victim)].reset();  // socket gone
+
+  for (std::size_t i = 0; i < kNine.size(); ++i) {
+    const Request req = stq(kNine[i].first, kNine[i].second);
+    const auto out = submit_frame(*f.fleet, {req});
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_TRUE(out[0].ok) << "request " << i << ": " << out[0].error;
+    EXPECT_EQ(answer_bytes(out[0]), before[i]) << "request " << i;
+    const Response again = f.fleet->handle(req);
+    ASSERT_TRUE(again.ok) << "request " << i << ": " << again.error;
+    EXPECT_EQ(answer_bytes(again), before[i]) << "request " << i;
+  }
+
+  const FleetCounters c = f.fleet->counters();
+  EXPECT_GE(c.failovers, 1u);
+  EXPECT_EQ(c.alive, kShards - 1);
+  EXPECT_FALSE(f.fleet->alive(static_cast<std::size_t>(victim)));
+  EXPECT_EQ(c.unrouteable, 0u);
+
+  // Stats merge the live shards only.
+  std::uint64_t live_sweeps = 0;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    if (i != static_cast<std::size_t>(victim)) {
+      live_sweeps += f.servers[i]->stats().sweeps_computed;
+    }
+  }
+  EXPECT_EQ(f.fleet->aggregated_stats().sweeps_computed, live_sweeps);
+}
+
+TEST(RemoteFleetTest, WithEveryShardGoneRequestsAndStatsAnswerUnavailable) {
+  RemoteFleetFixture f("remote_all_gone", 2);
+  Request stats;
+  stats.op = Op::kStats;
+  ASSERT_TRUE(f.fleet->handle(stats).ok);  // connects to every shard
+  for (auto& listener : f.listeners) listener.reset();
+
+  const Response r = f.fleet->handle(stq(134, 951));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, "unavailable");
+  const FleetCounters c = f.fleet->counters();
+  EXPECT_EQ(c.alive, 0u);
+  EXPECT_EQ(c.unrouteable, 1u);
+  const Response s = f.fleet->handle(stats);
+  EXPECT_FALSE(s.ok);
+  EXPECT_EQ(s.code, "unavailable");
+}
+
+TEST(RemoteFleetTest, AFieldTheWireCannotCarryFailsTheRequestNotTheShard) {
+  RemoteFleetFixture f("remote_oversized", 2);
+  Request big = stq(134, 951);
+  big.id.assign(wire::kMaxStringBytes + 1, 'x');
+  const Response r = f.fleet->handle(big);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, "bad_request");
+  EXPECT_EQ(f.fleet->counters().alive, 2u);
+  EXPECT_TRUE(f.fleet->handle(stq(134, 951)).ok);
 }
 
 }  // namespace

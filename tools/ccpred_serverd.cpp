@@ -24,12 +24,14 @@
 ///
 ///       --fleet N forks N shard processes listening on ports P+1..P+N,
 ///       each a full Server over the shared artifacts directory; the
-///       parent becomes a consistent-hash router on P, forwarding every
-///       request to the shard owning its (machine, model, O, V) key over
-///       pooled binary-wire connections, failing over to the next shard
-///       in ring order if a shard dies. Pre-train artifacts first so the
+///       parent serves its listener on P and stdin through a
+///       serve::ShardFleet of those processes — the same consistent-hash
+///       router the in-process fleet uses — forwarding every request to
+///       the shard owning its (machine, model, O, V) key over pooled
+///       binary-wire connections, and failing over to the next shard in
+///       ring order if a shard dies. Pre-train artifacts first so the
 ///       shards start instantly and answer reproducibly. `stats` fans out
-///       to every live shard and aggregates.
+///       to every live shard and aggregates, also inside a binary frame.
 ///
 ///       --max-queue bounds each worker backlog: beyond it, requests are
 ///       answered immediately with code="overloaded" (the event loop
@@ -47,36 +49,29 @@
 /// `serve` works on an empty directory — pre-train with `train` to make
 /// startup instant and answers reproducible across deployments.
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <future>
 #include <iostream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/strings.hpp"
-#include "ccpred/common/thread_pool.hpp"
 #include "ccpred/serve/event_loop.hpp"
 #include "ccpred/serve/fault_injector.hpp"
 #include "ccpred/serve/fleet.hpp"
 #include "ccpred/serve/model_registry.hpp"
 #include "ccpred/serve/server.hpp"
-#include "ccpred/serve/wire.hpp"
 
 namespace {
 
@@ -138,9 +133,9 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
 
 /// One protocol line in, one response line out (used by the stdin
 /// --serial path).
-std::string answer_line(serve::Server& server, const std::string& line) {
+std::string answer_line(serve::Shard& front, const std::string& line) {
   try {
-    return serve::format_response(server.handle(serve::parse_request(line)));
+    return serve::format_response(front.handle(serve::parse_request(line)));
   } catch (const std::exception& e) {
     return serve::format_response(serve::error_response(e.what()));
   }
@@ -241,22 +236,27 @@ serve::EventLoopOptions event_loop_options_from_flags(
   return opt;
 }
 
-/// Event-loop dispatch callbacks bound to one Server: single requests go
+/// The epoll listener on 127.0.0.1:port over `front`: single requests go
 /// through submit_with, whole binary frames through submit_batch_with (one
-/// pool hand-off per frame).
-serve::EventLoopServer::Dispatch make_dispatch(serve::Server& server) {
-  return [&server](serve::Request request,
-                   serve::EventLoopServer::Completion done) {
-    server.submit_with(std::move(request), std::move(done));
-  };
-}
-
-serve::EventLoopServer::BatchDispatch make_batch_dispatch(
-    serve::Server& server) {
-  return [&server](std::vector<serve::Request> batch,
-                   serve::EventLoopServer::BatchCompletion done) {
-    server.submit_batch_with(std::move(batch), std::move(done));
-  };
+/// hand-off per frame).
+std::unique_ptr<serve::EventLoopServer> open_listener(
+    serve::Shard& front, const std::map<std::string, std::string>& flags,
+    int port) {
+  auto listener = std::make_unique<serve::EventLoopServer>(
+      [&front](serve::Request request,
+               serve::EventLoopServer::Completion done) {
+        front.submit_with(std::move(request), std::move(done));
+      },
+      [&front](std::vector<serve::Request> batch,
+               serve::EventLoopServer::BatchCompletion done) {
+        front.submit_batch_with(std::move(batch), std::move(done));
+      },
+      event_loop_options_from_flags(flags, port));
+  std::fprintf(stderr,
+               "ccpred_serverd listening on 127.0.0.1:%d "
+               "(epoll, JSON + binary frames)\n",
+               listener->port());
+  return listener;
 }
 
 void print_loop_stats(const serve::EventLoopServer& listener) {
@@ -295,14 +295,62 @@ void print_final_stats(const serve::ServerStats& s) {
   }
 }
 
+/// Serves `front` until EOF on stdin, answering stdin lines on stdout in
+/// request order — pipelined through submit_with, or one at a time with
+/// --serial — while `listener`, if any, serves its socket. Then prints
+/// the final stats to stderr.
+void serve_stdin(serve::Shard& front, bool serial,
+                 const serve::EventLoopServer* listener) {
+  // Flush completed responses in request order (a response never
+  // overtakes an earlier one).
+  std::deque<std::future<serve::Response>> pending;
+  const auto flush_ready = [&](bool all) {
+    while (!pending.empty() &&
+           (all || pending.front().wait_for(std::chrono::seconds(0)) ==
+                       std::future_status::ready)) {
+      std::cout << serve::format_response(pending.front().get()) << '\n';
+      pending.pop_front();
+    }
+    if (all) std::cout.flush();
+  };
+
+  std::string line;
+  while (std::getline(std::cin, line)) {
+    if (trim(line).empty()) continue;
+    if (serial) {
+      std::cout << answer_line(front, line) << std::endl;
+      continue;
+    }
+    auto promise = std::make_shared<std::promise<serve::Response>>();
+    pending.push_back(promise->get_future());
+    serve::Request req;
+    try {
+      req = serve::parse_request(line);
+    } catch (const std::exception& e) {
+      // Keep ordering: the parse error answers in this line's place.
+      promise->set_value(serve::error_response(e.what()));
+      flush_ready(false);
+      continue;
+    }
+    front.submit_with(std::move(req), [promise](serve::Response r) {
+      promise->set_value(std::move(r));
+    });
+    flush_ready(false);
+  }
+  flush_ready(true);
+
+  print_final_stats(front.stats());
+  if (listener != nullptr) print_loop_stats(*listener);
+}
+
 // ---------------------------------------------------------------------------
-// --fleet mode: shard child processes + parent consistent-hash router.
+// --fleet mode: shard child processes behind a ShardFleet in the parent.
 
 /// Body of one forked shard process: a full Server on its own port. Blocks
 /// until the parent closes the shutdown pipe (EOF), then tears down. Never
 /// touches stdin/stdout — those belong to the parent.
 int run_fleet_child(const std::map<std::string, std::string>& flags,
-                    int shard_index, int port, int shutdown_fd) {
+                    int port, int shutdown_fd) {
   serve::ModelRegistry registry(need(flags, "artifacts"),
                                 registry_options(flags));
   const auto fault = fault_injector_from_flags(flags);
@@ -310,13 +358,9 @@ int run_fleet_child(const std::map<std::string, std::string>& flags,
   serve::ServeOptions opt = serve_options_from_flags(flags);
   opt.fault_injector = fault.get();
   serve::Server server(registry, opt);
-  serve::EventLoopServer listener(make_dispatch(server),
-                                  make_batch_dispatch(server),
-                                  event_loop_options_from_flags(flags, port));
+  const auto listener = open_listener(server, flags, port);
   server.set_overflow_source(
-      [&listener] { return listener.stats().overflow_closes; });
-  std::fprintf(stderr, "ccpred_serverd shard %d listening on 127.0.0.1:%d\n",
-               shard_index, port);
+      [&listener] { return listener->stats().overflow_closes; });
   char byte = 0;
   while (true) {
     const ssize_t n = ::read(shutdown_fd, &byte, 1);
@@ -326,218 +370,6 @@ int run_fleet_child(const std::map<std::string, std::string>& flags,
   ::close(shutdown_fd);
   return 0;
 }
-
-/// Parent-side request router: forwards to shard processes over pooled
-/// binary-wire connections, one per shard, routed by the same consistent-
-/// hash ring the in-process ShardFleet uses (both sides derive the ring
-/// from the shard count alone, so they agree without coordination).
-///
-/// A shard that fails a round trip — connect timeout, mid-frame EOF,
-/// malformed reply — is treated as crashed: marked dead and skipped by
-/// every later request, which fails over to the next shard in ring order.
-/// Process respawn is an operator concern (the in-process fleet covers
-/// restart semantics); when every shard is dead, requests are answered
-/// code="unavailable".
-class FleetRouter {
- public:
-  FleetRouter(std::vector<int> ports, std::string default_machine,
-              std::string default_model)
-      : default_machine_(std::move(default_machine)),
-        default_model_(std::move(default_model)) {
-    for (std::size_t i = 0; i < ports.size(); ++i) {
-      ring_.add(static_cast<int>(i));
-      remotes_.push_back(std::make_unique<Remote>(ports[i]));
-    }
-  }
-
-  ~FleetRouter() {
-    for (auto& remote : remotes_) {
-      std::lock_guard<std::mutex> lock(remote->mutex);
-      if (remote->fd >= 0) ::close(remote->fd);
-    }
-  }
-
-  /// Routes one request to its shard (stats fan out and aggregate).
-  serve::Response forward(const serve::Request& request) {
-    if (request.op == serve::Op::kStats) return stats_response(request);
-    return forward_batch({request}).at(0);
-  }
-
-  /// Routes a whole frame by its first record's key — clients batch by
-  /// destination, so this preserves cache locality; mixed frames are still
-  /// answered correctly by whichever shard receives them.
-  std::vector<serve::Response> forward_batch(
-      const std::vector<serve::Request>& batch) {
-    if (batch.empty()) return {};
-    const std::uint64_t key = key_of(batch.front());
-    const std::vector<int> prefs = ring_.preference(key, remotes_.size());
-    for (std::size_t k = 0; k < prefs.size(); ++k) {
-      const auto shard = static_cast<std::size_t>(prefs[k]);
-      Remote& remote = *remotes_[shard];
-      if (!remote.alive.load(std::memory_order_acquire)) continue;
-      try {
-        std::vector<serve::Response> replies = exchange(remote, batch);
-        CCPRED_CHECK_MSG(replies.size() == batch.size(),
-                         "shard answered " << replies.size() << " records for "
-                                           << batch.size());
-        if (k > 0) failovers_.fetch_add(1, std::memory_order_relaxed);
-        forwarded_.fetch_add(batch.size(), std::memory_order_relaxed);
-        return replies;
-      } catch (const std::exception& e) {
-        mark_dead(shard, e.what());
-      }
-    }
-    return serve::frame_error(batch, "no live shard", "unavailable");
-  }
-
-  std::uint64_t forwarded() const {
-    return forwarded_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t failovers() const {
-    return failovers_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Remote {
-    explicit Remote(int p) : port(p) {}
-    const int port;
-    std::mutex mutex;  ///< serializes the fd's request/response round trips
-    int fd = -1;       ///< pooled connection, opened lazily
-    std::atomic<bool> alive{true};
-  };
-
-  std::uint64_t key_of(const serve::Request& request) const {
-    const std::string& machine =
-        request.machine.empty() ? default_machine_ : request.machine;
-    const std::string& model =
-        request.model.empty() ? default_model_ : request.model;
-    return serve::HashRing::key_hash(machine, model, request.o, request.v);
-  }
-
-  void mark_dead(std::size_t shard, const char* why) {
-    Remote& remote = *remotes_[shard];
-    std::lock_guard<std::mutex> lock(remote.mutex);
-    if (remote.fd >= 0) ::close(remote.fd);
-    remote.fd = -1;
-    if (remote.alive.exchange(false, std::memory_order_acq_rel)) {
-      std::fprintf(stderr, "fleet router: shard on port %d marked dead: %s\n",
-                   remote.port, why);
-    }
-  }
-
-  /// One frame out, one frame back, under the remote's mutex. Throws on
-  /// any connect/IO/protocol failure; the caller turns that into a death.
-  std::vector<serve::Response> exchange(
-      Remote& remote, const std::vector<serve::Request>& batch) {
-    std::lock_guard<std::mutex> lock(remote.mutex);
-    if (remote.fd < 0) remote.fd = connect_with_retry(remote.port);
-    send_all(remote.fd, serve::wire::encode_request_frame(batch));
-    return read_response_frame(remote.fd);
-  }
-
-  /// Shards train missing artifacts on first use, so the first connect can
-  /// race a multi-second startup: retry for up to ~60 s before declaring
-  /// the shard dead.
-  static int connect_with_retry(int port) {
-    for (int attempt = 0;; ++attempt) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      CCPRED_CHECK_MSG(fd >= 0, "cannot create router socket");
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = htons(static_cast<std::uint16_t>(port));
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
-          0) {
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        return fd;
-      }
-      ::close(fd);
-      CCPRED_CHECK_MSG(attempt < 300,
-                       "cannot connect to shard on port " << port);
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-  }
-
-  static void send_all(int fd, const std::string& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      CCPRED_CHECK_MSG(n > 0, "shard connection lost mid-send");
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  static std::vector<serve::Response> read_response_frame(int fd) {
-    std::string buf;
-    char chunk[65536];
-    serve::wire::FrameHeader header;
-    while (true) {
-      std::string error;
-      const serve::wire::FrameStatus status = serve::wire::probe_frame(
-          reinterpret_cast<const unsigned char*>(buf.data()), buf.size(),
-          &header, &error);
-      CCPRED_CHECK_MSG(status != serve::wire::FrameStatus::kBad,
-                       "shard protocol error: " << error);
-      if (status == serve::wire::FrameStatus::kHeader &&
-          buf.size() >= serve::wire::kHeaderBytes + header.payload_bytes) {
-        // Round trips are serialized per connection, so nothing may follow
-        // the frame.
-        CCPRED_CHECK_MSG(
-            buf.size() == serve::wire::kHeaderBytes + header.payload_bytes,
-            "unexpected bytes after shard response frame");
-        return serve::wire::decode_response_frame(
-            header, reinterpret_cast<const unsigned char*>(buf.data()) +
-                        serve::wire::kHeaderBytes);
-      }
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      CCPRED_CHECK_MSG(n > 0, "shard connection closed mid-frame");
-      buf.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  /// Fans a stats request out to every live shard and merges the replies
-  /// (shards own separate registries here, so registry counters sum).
-  serve::Response stats_response(const serve::Request& request) {
-    std::vector<serve::ServerStats> parts;
-    for (std::size_t shard = 0; shard < remotes_.size(); ++shard) {
-      Remote& remote = *remotes_[shard];
-      if (!remote.alive.load(std::memory_order_acquire)) continue;
-      std::vector<serve::Response> replies;
-      try {
-        replies = exchange(remote, {request});
-      } catch (const std::exception& e) {
-        mark_dead(shard, e.what());
-        continue;
-      }
-      if (replies.size() == 1 && replies[0].ok && replies[0].has_stats) {
-        parts.push_back(replies[0].stats);
-      }
-    }
-    if (parts.empty()) {
-      return serve::error_response("no live shard",
-                                   serve::op_name(serve::Op::kStats),
-                                   request.id, "unavailable");
-    }
-    serve::Response out;
-    out.ok = true;
-    out.op = serve::op_name(serve::Op::kStats);
-    out.id = request.id;
-    out.has_stats = true;
-    out.stats = serve::merge_stats(parts);
-    return out;
-  }
-
-  const std::string default_machine_;
-  const std::string default_model_;
-  serve::HashRing ring_;
-  std::vector<std::unique_ptr<Remote>> remotes_;
-  std::atomic<std::uint64_t> forwarded_{0};
-  std::atomic<std::uint64_t> failovers_{0};
-};
 
 int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
                     int shards) {
@@ -551,7 +383,7 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
                    "--fleet needs --port >= 1 (shards listen on the ports "
                    "after it), got " << base_port);
 
-  // Fork every shard BEFORE the parent creates any thread (router pool,
+  // Fork every shard BEFORE the parent creates any thread (fleet pool,
   // event loop): forking a multithreaded process clones only the calling
   // thread and leaves cloned locks in undefined states.
   std::vector<pid_t> pids;
@@ -568,7 +400,7 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
       for (const int fd : shutdown_fds) ::close(fd);
       int code = 1;
       try {
-        code = run_fleet_child(flags, i, child_port, pipe_fds[0]);
+        code = run_fleet_child(flags, child_port, pipe_fds[0]);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "shard %d: fatal: %s\n", i, e.what());
       }
@@ -581,79 +413,23 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
     pids.push_back(pid);
   }
 
-  FleetRouter router(child_ports, get_or(flags, "default-machine", "aurora"),
-                     get_or(flags, "default-model", "gb"));
   {
-    // Forwarding blocks on child round trips, so it runs on a small pool,
-    // never on the loop thread. Pool before listener: dispatched tasks may
-    // outlive the listener's destructor, and completions landing after it
-    // are dropped by the loop's closed sink.
-    const auto threads =
-        static_cast<std::size_t>(parse_int(get_or(flags, "threads", "0")));
-    ThreadPool forward_pool(threads == 0 ? 4 : threads);
-    const auto dispatch = [&router, &forward_pool](
-                              serve::Request request,
-                              serve::EventLoopServer::Completion done) {
-      forward_pool.post([&router, request = std::move(request),
-                         done = std::move(done)]() mutable {
-        serve::Response response;
-        try {
-          response = router.forward(request);
-        } catch (const std::exception& e) {
-          response = serve::error_response(e.what(),
-                                           serve::op_name(request.op),
-                                           request.id, "internal");
-        }
-        done(std::move(response));
-      });
-    };
-    const auto batch_dispatch =
-        [&router, &forward_pool](
-            std::vector<serve::Request> batch,
-            serve::EventLoopServer::BatchCompletion done) {
-          forward_pool.post([&router, batch = std::move(batch),
-                             done = std::move(done)]() mutable {
-            std::vector<serve::Response> replies;
-            try {
-              replies = router.forward_batch(batch);
-            } catch (const std::exception& e) {
-              replies = serve::frame_error(batch, e.what(), "internal");
-            }
-            done(std::move(replies));
-          });
-        };
-    serve::EventLoopServer listener(
-        dispatch, batch_dispatch,
-        event_loop_options_from_flags(flags, base_port));
+    serve::FleetOptions opt;
+    opt.serve = serve_options_from_flags(flags);
+    serve::ShardFleet fleet(child_ports, opt);
+    // Declared after the fleet, so it stops first; completions the fleet's
+    // pool delivers after that are dropped by the loop's closed sink.
+    const auto listener = open_listener(fleet, flags, base_port);
+    std::fprintf(stderr, "ccpred_serverd fleet: %d shards on ports %d..%d\n",
+                 shards, base_port + 1, base_port + shards);
+    serve_stdin(fleet, flags.count("serial") != 0, listener.get());
+    const serve::FleetCounters c = fleet.counters();
     std::fprintf(stderr,
-                 "ccpred_serverd fleet router on 127.0.0.1:%d "
-                 "(%d shards on %d..%d)\n",
-                 base_port, shards, base_port + 1, base_port + shards);
-
-    // stdin side channel: route lines serially through the router.
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      if (trim(line).empty()) continue;
-      serve::Response response;
-      try {
-        response = router.forward(serve::parse_request(line));
-      } catch (const std::exception& e) {
-        response = serve::error_response(e.what());
-      }
-      std::cout << serve::format_response(response) << '\n';
-    }
-    std::cout.flush();
-
-    serve::Request stats_request;
-    stats_request.op = serve::Op::kStats;
-    const serve::Response final_stats = router.forward(stats_request);
-    if (final_stats.has_stats) print_final_stats(final_stats.stats);
-    std::fprintf(stderr,
-                 "fleet router: %llu forwarded, %llu failovers\n",
-                 static_cast<unsigned long long>(router.forwarded()),
-                 static_cast<unsigned long long>(router.failovers()));
-    print_loop_stats(listener);
-    // Scope end: listener stops accepting, then the forward pool drains.
+                 "fleet: %llu routed, %llu failovers, %zu of %zu shards "
+                 "alive\n",
+                 static_cast<unsigned long long>(c.routed),
+                 static_cast<unsigned long long>(c.failovers), c.alive,
+                 c.shards);
   }
 
   for (const int fd : shutdown_fds) ::close(fd);
@@ -688,60 +464,15 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
                  "ccpred_serverd FAULT INJECTION ARMED (seed %llu)\n",
                  static_cast<unsigned long long>(fault->options().seed));
   }
-  const bool serial = flags.count("serial") != 0;
 
   std::unique_ptr<serve::EventLoopServer> listener;
   if (flags.count("port")) {
-    const int port = static_cast<int>(parse_int(flags.at("port")));
-    listener = std::make_unique<serve::EventLoopServer>(
-        make_dispatch(server), make_batch_dispatch(server),
-        event_loop_options_from_flags(flags, port));
-    std::fprintf(stderr,
-                 "ccpred_serverd listening on 127.0.0.1:%d "
-                 "(epoll, JSON + binary frames)\n",
-                 listener->port());
+    listener = open_listener(server, flags,
+                             static_cast<int>(parse_int(flags.at("port"))));
     server.set_overflow_source(
         [&listener] { return listener->stats().overflow_closes; });
   }
-
-  // stdin/stdout loop: submit each line to the pool and flush completed
-  // responses in request order (a response never overtakes an earlier one).
-  std::deque<std::future<serve::Response>> pending;
-  const auto flush_ready = [&](bool all) {
-    while (!pending.empty() &&
-           (all || pending.front().wait_for(std::chrono::seconds(0)) ==
-                       std::future_status::ready)) {
-      std::cout << serve::format_response(pending.front().get()) << '\n';
-      pending.pop_front();
-    }
-    if (all) std::cout.flush();
-  };
-
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (trim(line).empty()) continue;
-    if (serial) {
-      std::cout << answer_line(server, line) << std::endl;
-      continue;
-    }
-    serve::Request req;
-    try {
-      req = serve::parse_request(line);
-    } catch (const std::exception& e) {
-      // Keep ordering: materialize the parse error as a ready future.
-      std::promise<serve::Response> p;
-      p.set_value(serve::error_response(e.what()));
-      pending.push_back(p.get_future());
-      flush_ready(false);
-      continue;
-    }
-    pending.push_back(server.submit(std::move(req)));
-    flush_ready(false);
-  }
-  flush_ready(true);
-
-  print_final_stats(server.stats());
-  if (listener != nullptr) print_loop_stats(*listener);
+  serve_stdin(server, flags.count("serial") != 0, listener.get());
   return 0;
 }
 
@@ -768,7 +499,9 @@ int usage() {
                "[--online-drift-window N] [--online-min-reports N] "
                "[--online-drift-threshold X] [--online-refit-interval N]\n"
                "        [--online-min-refit-rows N] [--online-holdout N] "
-               "[--online-min-improvement X] [--online-feedback-weight N]\n");
+               "[--online-min-improvement X] [--online-feedback-weight N]\n"
+               "  --fleet N forks N shard processes on ports P+1..P+N and "
+               "routes to them through one serve::ShardFleet\n");
   return 2;
 }
 

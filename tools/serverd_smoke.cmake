@@ -112,7 +112,7 @@ if(NOT err MATCHES "\\(0 errors\\), 9 sweeps")
   message(FATAL_ERROR "batched run did not share sweeps: ${err}")
 endif()
 
-# Process fleet (--fleet 2): the router forwards stdin serially to two
+# Process fleet (--fleet 2): the parent's ShardFleet forwards stdin to two
 # forked shards on the ports after --port, so answers must match the
 # single-process run, and each problem size is swept once on the one shard
 # that owns its key — the merged fleet stats must still read 9 sweeps.
