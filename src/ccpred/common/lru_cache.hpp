@@ -81,15 +81,6 @@ class LruCache {
   /// the probe the sharded memo cache's first-writer-wins insert needs.
   bool contains(const K& key) const { return index_.find(key) != index_.end(); }
 
-  /// Counter- and recency-neutral read: the value if present, else nullopt.
-  /// Used by coalesced single-flight waiters, whose call already counted
-  /// toward the coalesced statistic — a get() here would double-count.
-  std::optional<V> peek(const K& key) const {
-    const auto it = index_.find(key);
-    if (it == index_.end()) return std::nullopt;
-    return it->second->second;
-  }
-
   std::size_t size() const { return index_.size(); }
   std::size_t capacity() const { return capacity_; }
   const CacheCounters& counters() const { return counters_; }

@@ -1,8 +1,13 @@
 #include "ccpred/core/serialize.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <concepts>
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 
 #include "ccpred/common/error.hpp"
@@ -241,11 +246,24 @@ std::string read_artifact(const std::string& path) {
 
 namespace {
 
+/// Writes a temp file beside `path`, named per writer (pid + counter), and
+/// rename(2)s it over `path`: a reader sees the old bytes or the new ones,
+/// never a truncated file, and a stream already open on the old file
+/// keeps reading it whole. A failed write removes the temp file.
 void write_artifact(const std::string& bytes, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  CCPRED_CHECK_MSG(out.good(), "cannot open model file for write: " << path);
+  static std::atomic<std::uint64_t> writes{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(writes.fetch_add(1));
+  std::ofstream out(tmp, std::ios::binary);
+  CCPRED_CHECK_MSG(out.good(), "cannot open model file for write: " << tmp);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  CCPRED_CHECK_MSG(out.good(), "I/O error writing model file: " << path);
+  out.close();
+  std::error_code ec;
+  if (out.good()) std::filesystem::rename(tmp, path, ec);
+  if (!out.good() || ec) {
+    std::filesystem::remove(tmp, ec);
+    throw Error("I/O error writing model file: " + path);
+  }
 }
 
 }  // namespace

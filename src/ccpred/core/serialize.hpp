@@ -40,7 +40,9 @@ std::string serialize_gb(const GradientBoostingRegressor& model);
 /// bit-identically to the original.
 GradientBoostingRegressor deserialize_gb(std::string_view text);
 
-/// Convenience: write/read a GB model file.
+/// Convenience: write/read a GB model file. save_* publishes atomically:
+/// it writes a temp file beside `path` and renames it over `path`, so a
+/// concurrent reader never sees a partly written artifact.
 void save_gb(const GradientBoostingRegressor& model, const std::string& path);
 GradientBoostingRegressor load_gb(const std::string& path);
 
@@ -52,7 +54,7 @@ std::string serialize_rf(const RandomForestRegressor& model);
 /// bit-identically to the original.
 RandomForestRegressor deserialize_rf(std::string_view text);
 
-/// Convenience: write/read an RF model file.
+/// Convenience: write/read an RF model file (atomic, as save_gb).
 void save_rf(const RandomForestRegressor& model, const std::string& path);
 RandomForestRegressor load_rf(const std::string& path);
 

@@ -8,24 +8,30 @@
 /// simulated times), the serving layer's SweepCache (bounded LRU of advisor
 /// sweeps) and the ad-hoc single-flight logic in front of them. Each shard
 /// is an LruCache under its own mutex; keys are distributed by a mixed hash
-/// so shard choice and bucket choice stay uncorrelated. A per-shard
-/// in-flight set gives get_or_compute() single-flight coalescing: concurrent
-/// callers of the same missing key run the compute function once and share
-/// the result.
+/// so shard choice and bucket choice stay uncorrelated.
+///
+/// It is also the project's one single flight: next to its LRU each shard
+/// keeps the computations in flight as shared futures, so one lock decides
+/// whether a key is cached, in flight or cold. claim() returns a cached
+/// value, a flight to join, or a new flight the caller leads and resolves
+/// with finish(); get_or_compute() is claim, compute, finish. A joiner may
+/// stop waiting (a request deadline) without cancelling the flight.
 ///
 /// Capacity semantics: `per_shard_capacity == 0` means unbounded (memo
 /// table, inserts never evict); a positive value bounds each shard with LRU
 /// eviction. Shard count defaults to exec::kDefaultShards but any positive
 /// count works, which is what the property tests exercise.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
+#include <optional>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -53,7 +59,7 @@ struct MemoCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t coalesced = 0;  ///< get_or_compute calls that waited on a peer
+  std::uint64_t coalesced = 0;  ///< claims that joined a flight in progress
   std::size_t entries = 0;
 };
 
@@ -103,46 +109,87 @@ class ShardedMemoCache {
     s.cache.put(key, std::move(value));
   }
 
+  /// How a flight resolves. A failure travels as a string, not an
+  /// exception_ptr: releasing an exception_ptr on a thread other than the
+  /// one that set it runs refcounting inside (uninstrumented) libstdc++,
+  /// which ThreadSanitizer reports as a race between leader and joiner.
+  struct Outcome {
+    std::optional<V> value;  ///< empty on failure
+    std::string error;       ///< why, when value is empty
+  };
+  using Lead = std::shared_ptr<std::promise<Outcome>>;
+
+  /// What claim() found: a cached value (`hit`), a flight to join (`flight`
+  /// valid, `lead` null), or a new flight (`flight` and `lead` set) that
+  /// the caller computes and must resolve with finish().
+  struct Claim {
+    std::optional<V> hit;
+    std::shared_future<Outcome> flight;
+    Lead lead;
+  };
+
+  /// Checks the cache and the in-flight table under one shard lock.
+  /// Accounting: a hit counts as a hit, a joined flight as coalesced, a new
+  /// flight as a miss — so hits + misses + coalesced equals the number of
+  /// claims.
+  Claim claim(const K& key) {
+    Shard& s = shard_for(key);
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    if (lock_hook_) lock_hook_();
+    Claim c;
+    if (const auto it = s.flights.find(key); it != s.flights.end()) {
+      ++s.coalesced;
+      c.flight = it->second;
+      return c;
+    }
+    c.hit = s.cache.get(key);  // counts the hit, or the miss we now lead
+    if (c.hit) return c;
+    c.lead = std::make_shared<std::promise<Outcome>>();
+    c.flight = c.lead->get_future().share();
+    s.flights.emplace(key, c.flight);
+    return c;
+  }
+
+  /// Resolves a flight the caller leads: caches a value (a failure caches
+  /// nothing, so the next claim leads again), drops the flight and wakes
+  /// its joiners.
+  void finish(const K& key, const Lead& lead, Outcome outcome) {
+    {
+      Shard& s = shard_for(key);
+      const std::lock_guard<std::mutex> lock(s.mutex);
+      if (outcome.value) {
+        if (lock_hook_) lock_hook_();
+        s.cache.put(key, *outcome.value);
+      }
+      s.flights.erase(key);
+    }
+    lead->set_value(std::move(outcome));
+  }
+
   /// Single-flight memoization: returns the cached value, or runs `fn` and
   /// caches its result. Concurrent callers of the same missing key coalesce
-  /// onto one compute; the losers block until the winner publishes (or
-  /// rethrows, in which case one waiter retries the compute).
-  ///
-  /// Accounting: every call resolves as exactly one of a hit (served from
-  /// the cache), a miss (this caller computed), or a coalesced wait (got
-  /// the value another caller was already computing) — so
-  /// hits + misses + coalesced equals the number of calls.
+  /// onto one compute. If it throws, the computing caller rethrows its own
+  /// exception and the joiners throw ccpred::Error with its message.
   template <typename Fn>
   V get_or_compute(const K& key, Fn&& fn) {
-    Shard& s = shard_for(key);
-    std::unique_lock<std::mutex> lock(s.mutex);
-    if (lock_hook_) lock_hook_();
-    if (s.inflight.count(key) == 0) {
-      if (auto hit = s.cache.get(key)) return std::move(*hit);
-      s.inflight.insert(key);  // cold key: the get above counted our miss
-    } else {
-      ++s.coalesced;
-      do {
-        s.cv.wait(lock);
-      } while (s.inflight.count(key) != 0);
-      if (auto hit = s.cache.peek(key)) return std::move(*hit);
-      // The compute we waited on threw; take over ownership and retry.
-      s.inflight.insert(key);
+    Claim c = claim(key);
+    if (c.hit) return std::move(*c.hit);
+    if (c.lead == nullptr) {
+      const Outcome& joined = c.flight.get();
+      if (!joined.value) throw Error(joined.error);
+      return *joined.value;
     }
-    lock.unlock();
     V value;
     try {
       value = fn();
+    } catch (const std::exception& e) {
+      finish(key, c.lead, Outcome{std::nullopt, e.what()});
+      throw;
     } catch (...) {
-      lock.lock();
-      s.inflight.erase(key);
-      s.cv.notify_all();
+      finish(key, c.lead, Outcome{std::nullopt, "compute failed"});
       throw;
     }
-    lock.lock();
-    s.cache.put(key, value);
-    s.inflight.erase(key);
-    s.cv.notify_all();
+    finish(key, c.lead, Outcome{value, {}});
     return value;
   }
 
@@ -194,7 +241,8 @@ class ShardedMemoCache {
   std::size_t shard_count() const { return shards_.size(); }
 
   /// Test/chaos hook invoked while a shard mutex is held on every cache
-  /// operation (the SweepCache kCacheShard fault point). Pass an empty
+  /// operation, finish() only when it caches a value (the SweepCache
+  /// kCacheShard fault point). Pass an empty
   /// function to disarm. Not thread-safe against concurrent cache use —
   /// arm before sharing the cache.
   void set_lock_hook(std::function<void()> hook) {
@@ -205,9 +253,8 @@ class ShardedMemoCache {
   struct Shard {
     explicit Shard(std::size_t capacity) : cache(capacity) {}
     mutable std::mutex mutex;
-    mutable std::condition_variable cv;
     mutable LruCache<K, V, Hash> cache;
-    std::unordered_set<K, Hash> inflight;
+    std::unordered_map<K, std::shared_future<Outcome>, Hash> flights;
     mutable std::uint64_t coalesced = 0;
   };
 

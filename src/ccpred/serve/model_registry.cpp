@@ -206,10 +206,11 @@ ModelHandle ModelRegistry::get(const std::string& machine,
     }
   }
   // Missing artifact: train-and-cache outside the lock (training is the
-  // slow path and must not block serving other machines), then load.
-  train_artifact(machine, kind);
+  // slow path and must not block serving other machines), once per key
+  // however many callers race here, then load.
+  trained_.get_or_compute(key, [&] { return train_artifact(machine, kind); });
   const std::lock_guard<std::mutex> lock(mutex_);
-  // Another thread may have loaded while we trained; reuse its entry.
+  // Another caller may have loaded since; reuse its entry.
   const auto it = entries_.find(key);
   if (it != entries_.end()) return it->second.handle;
   return first_load_locked(machine, kind, key, path);

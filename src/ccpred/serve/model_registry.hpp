@@ -6,7 +6,10 @@
 /// directory, and every server process serves from it. The registry
 /// hot-reloads when the artifact's mtime changes (a newer campaign was
 /// published) and falls back to train-and-cache when an artifact is
-/// missing, so a fresh deployment bootstraps itself.
+/// missing, so a fresh deployment bootstraps itself. Concurrent first
+/// get()s of one missing (machine, kind) train it once: they coalesce on
+/// the executor layer's single flight, while different keys train in
+/// parallel.
 ///
 /// Degraded mode (stale-while-revalidate): when a hot reload fails — the
 /// new artifact is unreadable, corrupt, or has vanished — the registry
@@ -33,6 +36,7 @@
 #include <string_view>
 
 #include "ccpred/core/regressor.hpp"
+#include "ccpred/exec/sharded_cache.hpp"
 #include "ccpred/serve/fault_injector.hpp"
 #include "ccpred/sim/ccsd_simulator.hpp"
 
@@ -148,6 +152,9 @@ class ModelRegistry {
   std::string dir_;
   RegistryOptions options_;
   FaultInjector* fault_ = nullptr;
+  /// Single flight over train-and-cache, keyed "machine/kind" (one shard);
+  /// a failed training caches nothing, so the next get() trains again.
+  exec::ShardedMemoCache<std::string, std::string> trained_{1};
 
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;  ///< keyed "machine/kind"

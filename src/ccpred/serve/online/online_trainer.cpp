@@ -1,7 +1,6 @@
 #include "ccpred/serve/online/online_trainer.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <functional>
 #include <utility>
 
@@ -280,10 +279,7 @@ void OnlineTrainer::run_refit(const std::string& machine,
           fault_->maybe_delay(FaultPoint::kPromotionRace);
         }
         const std::lock_guard<std::mutex> publish(promote_mutex_);
-        const std::string path = registry_.artifact_path(machine, kind);
-        const std::string tmp = path + ".promote";
-        save(tmp);
-        std::filesystem::rename(tmp, path);  // atomic swap, same directory
+        save(registry_.artifact_path(machine, kind));  // atomic swap
         registry_.note_published(machine, kind);
         // Load the promoted artifact now, so the very next request serves
         // it (and pays no reload latency), then drop the sweeps computed

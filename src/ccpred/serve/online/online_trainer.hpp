@@ -22,8 +22,9 @@
 ///    dozen reports can outvote a 600-row campaign where they overlap);
 ///  * shadow-evaluates the candidate against the incumbent on a holdout of
 ///    the newest reports (excluded from training) and, only on a win,
-///    atomically republishes through the registry (tmp + rename +
-///    note_published) and invalidates the affected sweep-cache shards.
+///    atomically republishes through the registry (ml::save_*'s tmp +
+///    rename, then note_published) and invalidates the affected
+///    sweep-cache shards.
 ///
 /// A failed or losing refit changes nothing: the incumbent keeps serving
 /// and the feedback keeps accumulating. All entry points are thread-safe.

@@ -181,71 +181,44 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
     handle_error = e.what();
   }
 
-  // Dedup members onto unique (O, V) keys and batch-probe the cache once
-  // per key.
-  std::vector<SweepKey> keys;
+  // Dedup members onto unique (O, V) keys and claim each key once: a
+  // cached sweep, a flight to join, or a new flight this group leads. The
+  // cache tells these apart under one shard lock, so a sweep published
+  // between probe and join can never be swept twice. Keys this group
+  // leads are computed in ONE batched recommend on the sweep pool; running
+  // sweeps off the request thread lets a deadline abandon the wait while
+  // the computation still completes and populates the cache.
+  std::vector<SweepCache::Claim> claims;
+  std::vector<SweepKey> lead_keys;
+  std::vector<SweepCache::Lead> leads;
   std::map<std::pair<int, int>, std::size_t> key_index;
   std::vector<std::size_t> member_key(members.size(), 0);
   if (handle_error.empty()) {
     for (std::size_t m = 0; m < members.size(); ++m) {
       const Request& req = batch[members[m]];
-      const auto [it, inserted] =
-          key_index.try_emplace(std::pair<int, int>{req.o, req.v},
-                                keys.size());
+      const auto [it, inserted] = key_index.try_emplace(
+          std::pair<int, int>{req.o, req.v}, claims.size());
       if (inserted) {
-        keys.push_back(SweepKey{machine, kind, handle.version, req.o, req.v});
+        const SweepKey key{machine, kind, handle.version, req.o, req.v};
+        claims.push_back(cache_.claim(key));
+        if (claims.back().lead != nullptr) {
+          lead_keys.push_back(key);
+          leads.push_back(claims.back().lead);
+        }
       }
       member_key[m] = it->second;
     }
   }
-  std::vector<SweepPtr> cached;
-  cache_.get_batch(keys, &cached);
-
-  // Single-flight: the first requester of a cold key becomes its leader;
-  // everyone (leader included) waits on the key's shared future. Keys this
-  // group leads are computed in ONE batched recommend on the sweep pool;
-  // keys already in flight elsewhere are joined. Running sweeps off the
-  // request thread lets a deadline abandon the wait while the computation
-  // still completes and populates the cache.
-  std::vector<std::shared_future<SweepResult>> futures(keys.size());
-  std::vector<std::shared_ptr<std::promise<SweepResult>>> promises(
-      keys.size());
-  std::vector<std::size_t> leaders;
-  {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      if (cached[k] != nullptr) continue;
-      const auto it = inflight_.find(keys[k]);
-      if (it == inflight_.end()) {
-        promises[k] = std::make_shared<std::promise<SweepResult>>();
-        futures[k] = promises[k]->get_future().share();
-        inflight_[keys[k]] = futures[k];
-        leaders.push_back(k);
-      } else {
-        futures[k] = it->second;
-      }
-    }
-  }
-  if (!leaders.empty()) {
-    std::vector<SweepKey> lead_keys;
-    std::vector<std::shared_ptr<std::promise<SweepResult>>> lead_promises;
-    lead_keys.reserve(leaders.size());
-    lead_promises.reserve(leaders.size());
-    for (const std::size_t k : leaders) {
-      lead_keys.push_back(keys[k]);
-      lead_promises.push_back(promises[k]);
-    }
+  if (!lead_keys.empty()) {
     // One sweep-pool task computes every cold key the group leads with a
     // single concatenated predict (recommend_batch), so the SIMD batch
     // kernels see cross-request batches. If the batched compute fails —
     // e.g. one infeasible problem — fall back to per-key sweeps so the
-    // innocent keys keep their own answers. A failed sweep resolves the
-    // shared future with an error STRING, not an exception_ptr — see
-    // SweepResult for why.
+    // innocent keys keep their own answers.
     sweep_pool_.post([this, handle, lead_keys = std::move(lead_keys),
-                      lead_promises = std::move(lead_promises)] {
+                      leads = std::move(leads)] {
       if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kSweepCompute);
-      std::vector<SweepResult> results(lead_keys.size());
+      std::vector<SweepCache::Outcome> results(lead_keys.size());
       bool batched_ok = true;
       try {
         const guide::Advisor advisor(*handle.model,
@@ -258,7 +231,7 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
         std::vector<guide::Recommendation> recs = advisor.recommend_batch(
             problems, guide::Objective::kShortestTime);
         for (std::size_t k = 0; k < lead_keys.size(); ++k) {
-          results[k].sweep = std::make_shared<const guide::Recommendation>(
+          results[k].value = std::make_shared<const guide::Recommendation>(
               std::move(recs[k]));
         }
       } catch (...) {
@@ -269,7 +242,7 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
           try {
             const guide::Advisor advisor(
                 *handle.model, simulator(lead_keys[k].machine));
-            results[k].sweep = std::make_shared<const guide::Recommendation>(
+            results[k].value = std::make_shared<const guide::Recommendation>(
                 advisor.recommend(lead_keys[k].o, lead_keys[k].v,
                                   guide::Objective::kShortestTime));
           } catch (const std::exception& e) {
@@ -280,15 +253,10 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
         }
       }
       for (std::size_t k = 0; k < lead_keys.size(); ++k) {
-        if (results[k].sweep != nullptr) {
+        if (results[k].value) {
           sweeps_computed_.fetch_add(1, std::memory_order_relaxed);
-          cache_.put(lead_keys[k], results[k].sweep);
         }
-        {
-          const std::lock_guard<std::mutex> lock(inflight_mutex_);
-          inflight_.erase(lead_keys[k]);
-        }
-        lead_promises[k]->set_value(std::move(results[k]));
+        cache_.finish(lead_keys[k], leads[k], std::move(results[k]));
       }
     });
   }
@@ -303,7 +271,7 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
   // batch and its winning point fans out.
   std::vector<std::tuple<std::size_t, Op, double>> derived_keys;
   std::vector<guide::SweepPoint> derived_points;
-  std::vector<bool> key_claimed(keys.size(), false);
+  std::vector<bool> key_claimed(claims.size(), false);
   std::array<std::uint64_t, kNumOps> op_counts{};
   requests_.fetch_add(members.size(), std::memory_order_relaxed);
   for (std::size_t m = 0; m < members.size(); ++m) {
@@ -314,20 +282,21 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
     try {
       if (!handle_error.empty()) throw Error(handle_error);
       const std::size_t k = member_key[m];
-      const bool cache_hit = cached[k] != nullptr;
-      SweepPtr sweep = cached[k];
-      if (sweep == nullptr) {
-        if (promises[k] != nullptr && !key_claimed[k]) {
+      const SweepCache::Claim& claim = claims[k];
+      const bool cache_hit = claim.hit.has_value();
+      SweepPtr sweep = cache_hit ? *claim.hit : nullptr;
+      if (!cache_hit) {
+        if (claim.lead != nullptr && !key_claimed[k]) {
           key_claimed[k] = true;
         } else {
           coalesced_.fetch_add(1, std::memory_order_relaxed);
         }
         if (deadlines[i] == Clock::time_point::max() ||
-            futures[k].wait_until(deadlines[i]) !=
+            claim.flight.wait_until(deadlines[i]) !=
                 std::future_status::timeout) {
-          const SweepResult& result = futures[k].get();
-          if (result.sweep == nullptr) throw Error(result.error);
-          sweep = result.sweep;
+          const SweepCache::Outcome& result = claim.flight.get();
+          if (!result.value) throw Error(result.error);
+          sweep = *result.value;
         }
       }
       if (sweep == nullptr) {

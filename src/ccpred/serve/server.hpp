@@ -13,8 +13,8 @@
 ///    as serial execution against the same artifacts (sweeps are pure
 ///    functions of (machine, model-version, O, V));
 ///  * single-flight sweeps — concurrent requests for the same uncached
-///    (machine, O, V) run ONE enumerate+predict sweep; the rest block on
-///    its future (`coalesced` counts them);
+///    (machine, O, V) run ONE enumerate+predict sweep; the rest join the
+///    flight the sweep cache keeps for it (`coalesced` counts them);
 ///  * cheap repeats — a cached sweep answers STQ, BQ and budget questions
 ///    without touching the model at all;
 ///  * graceful failure — a request with `deadline_ms` gets a structured
@@ -42,7 +42,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ccpred/common/error.hpp"
@@ -141,9 +140,8 @@ class Server final : public Shard {
       std::function<void(std::vector<Response>)> done) override;
 
   /// Handles a whole batch synchronously as one group: members are grouped
-  /// by (machine, kind), each group acquires its model handle once,
-  /// batch-probes the sweep cache, and dedups identical (O, V) keys into
-  /// one single-flight sweep. Answers are bit-identical to calling
+  /// by (machine, kind), each group acquires its model handle once and
+  /// dedups identical (O, V) keys into one sweep-cache claim. Answers are bit-identical to calling
   /// handle() per request. Deadline clocks start here.
   std::vector<Response> dispatch_batch(const std::vector<Request>& batch);
 
@@ -188,9 +186,9 @@ class Server final : public Shard {
       std::span<const Clock::time_point> deadlines);
 
   /// Answers one (machine, kind) group of STQ/BQ/budget members inside a
-  /// batch: one model handle, one cache probe per unique (O, V) key, one
-  /// single-flight sweep per cold key (all cold keys of the group share
-  /// ONE batched recommend).
+  /// batch: one model handle, one sweep-cache claim per unique (O, V) key,
+  /// one sweep per key the group leads (all of them share ONE batched
+  /// recommend).
   void answer_group(const std::string& machine, const std::string& kind,
                     const std::vector<std::size_t>& members,
                     std::span<const Request> batch,
@@ -207,16 +205,6 @@ class Server final : public Shard {
                ? Clock::now() + std::chrono::milliseconds(request.deadline_ms)
                : Clock::time_point::max();
   }
-
-  /// How one in-flight sweep resolves. Errors travel as strings, not
-  /// exception_ptrs: releasing an exception_ptr on a thread other than the
-  /// one that set it runs refcounting inside (uninstrumented) libstdc++,
-  /// which ThreadSanitizer reports as a race between the sweep worker and
-  /// the waiting request thread.
-  struct SweepResult {
-    SweepPtr sweep;     ///< null on failure
-    std::string error;  ///< why, when sweep is null
-  };
 
   /// Lazily-built simulator per machine (stable address for Advisor refs).
   const sim::CcsdSimulator& simulator(const std::string& machine);
@@ -235,10 +223,6 @@ class Server final : public Shard {
 
   std::mutex simulators_mutex_;
   std::map<std::string, sim::CcsdSimulator> simulators_;
-
-  std::mutex inflight_mutex_;
-  std::unordered_map<SweepKey, std::shared_future<SweepResult>, SweepKeyHash>
-      inflight_;
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> errors_{0};

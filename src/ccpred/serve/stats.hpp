@@ -48,9 +48,10 @@ struct ServerStats {
   std::uint64_t requests = 0;        ///< requests handled (incl. errors)
   std::uint64_t errors = 0;          ///< requests answered with ok=false
   std::uint64_t sweeps_computed = 0; ///< full enumerate+predict sweeps run
-  std::uint64_t coalesced = 0;       ///< requests that joined an in-flight sweep
+  std::uint64_t coalesced = 0;       ///< requests that joined a sweep in flight
   std::uint64_t cache_hits = 0;      ///< sweep-cache hits
-  std::uint64_t cache_misses = 0;    ///< sweep-cache misses
+  std::uint64_t cache_misses = 0;    ///< keys that led a new sweep; a request
+                                     ///< joining one is coalesced, not a miss
   std::uint64_t cache_evictions = 0; ///< sweep-cache LRU evictions
   double cache_hit_rate = 0.0;       ///< hits / (hits + misses), 0 if unused
   std::size_t cache_size = 0;        ///< cached sweeps right now

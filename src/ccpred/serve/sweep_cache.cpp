@@ -27,18 +27,6 @@ SweepPtr SweepCache::get(const SweepKey& key) {
   return sweep;
 }
 
-std::size_t SweepCache::get_batch(const std::vector<SweepKey>& keys,
-                                  std::vector<SweepPtr>* out) {
-  out->clear();
-  out->reserve(keys.size());
-  std::size_t hits = 0;
-  for (const SweepKey& key : keys) {
-    out->push_back(get(key));
-    if (out->back() != nullptr) ++hits;
-  }
-  return hits;
-}
-
 void SweepCache::put(const SweepKey& key, SweepPtr sweep) {
   cache_.put(key, std::move(sweep));
 }

@@ -7,15 +7,16 @@
 /// common case for a guidance service — into a hash lookup. Keys include
 /// the model version: a hot-reloaded model invalidates by construction.
 ///
-/// The sharded machinery itself is the executor layer's ShardedMemoCache;
-/// this facade keeps the serving vocabulary (SweepKey, invalidate,
-/// FaultInjector arming) and derives its default shard count from
-/// exec::kDefaultShards instead of a private constant.
+/// The sharded machinery itself is the executor layer's ShardedMemoCache,
+/// which also keeps the sweeps in flight: the server claim()s each key and
+/// the leader of a cold key finish()es it. This facade keeps the serving
+/// vocabulary (SweepKey, invalidate, FaultInjector arming) and derives its
+/// default shard count from exec::kDefaultShards.
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "ccpred/common/lru_cache.hpp"
 #include "ccpred/exec/sharded_cache.hpp"
@@ -54,7 +55,13 @@ using SweepPtr = std::shared_ptr<const guide::Recommendation>;
 /// LruCache under its own mutex; keys are distributed by hash, so
 /// concurrent lookups for different problems rarely contend.
 class SweepCache {
+  using Cache = exec::ShardedMemoCache<SweepKey, SweepPtr, SweepKeyHash>;
+
  public:
+  using Claim = Cache::Claim;
+  using Lead = Cache::Lead;
+  using Outcome = Cache::Outcome;
+
   /// `capacity` is total across shards (each shard gets its even share,
   /// at least 1). The shard count is clamped to the capacity so every
   /// shard holds at least one sweep.
@@ -64,10 +71,14 @@ class SweepCache {
   /// Returns the cached sweep or nullptr; refreshes LRU recency on hit.
   SweepPtr get(const SweepKey& key);
 
-  /// Batch probe for the serving layer's batch lane: one get() per key,
-  /// results aligned with `keys` (nullptr on miss). Returns the hit count.
-  std::size_t get_batch(const std::vector<SweepKey>& keys,
-                        std::vector<SweepPtr>* out);
+  /// The cached sweep, the flight computing it, or a new flight the caller
+  /// leads (see ShardedMemoCache::claim).
+  Claim claim(const SweepKey& key) { return cache_.claim(key); }
+
+  /// Publishes a led flight's sweep (or its error) and wakes its joiners.
+  void finish(const SweepKey& key, const Lead& lead, Outcome outcome) {
+    cache_.finish(key, lead, std::move(outcome));
+  }
 
   /// Inserts (or refreshes) a sweep.
   void put(const SweepKey& key, SweepPtr sweep);
@@ -86,13 +97,14 @@ class SweepCache {
 
   std::size_t shard_count() const { return cache_.shard_count(); }
 
-  /// Arms the kCacheShard injection point: get()/put() hold the shard
-  /// mutex for the injected extra time, simulating shard contention.
-  /// The injector must outlive the cache; pass nullptr to disarm.
+  /// Arms the kCacheShard injection point: every claim and every published
+  /// sweep holds the shard mutex for the injected extra time, simulating
+  /// shard contention. The injector must outlive the cache; pass nullptr
+  /// to disarm.
   void set_fault_injector(FaultInjector* fault);
 
  private:
-  exec::ShardedMemoCache<SweepKey, SweepPtr, SweepKeyHash> cache_;
+  Cache cache_;
 };
 
 }  // namespace ccpred::serve

@@ -1,8 +1,9 @@
 /// \file exec_test.cpp
 /// Executor-layer lockdown: differential/property tests for
 /// exec::ShardedMemoCache against a single-map reference model (serial and
-/// 8-thread, TSAN-clean), single-flight semantics, TaskScope structure
-/// (coverage, exception propagation, per-chunk arenas, seed derivation),
+/// 8-thread, TSAN-clean), single-flight semantics (claim/finish step by
+/// step, then under threads), TaskScope structure (coverage, exception
+/// propagation, per-chunk arenas, seed derivation),
 /// the shuffle-injection determinism suite for every engine rewired onto
 /// the layer (campaign generation, STQ/BQ sweeps, RF fits), Arena edge
 /// cases, and the kDefaultShards derivation shared by SimCache and
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <latch>
 #include <stdexcept>
 #include <string>
@@ -228,6 +230,86 @@ TEST(ShardedMemoCacheTest, GetOrComputeSurvivesThrowingCompute) {
   double got = 0.0;
   EXPECT_TRUE(cache.lookup(1, &got));
   EXPECT_EQ(got, 2.0);
+}
+
+/// The single flight step by step, on one thread: hits + misses +
+/// coalesced equals the number of claims after every step.
+TEST(ShardedMemoCacheTest, ClaimLeadsJoinsThenHits) {
+  ShardedMemoCache<int, double> cache(2);
+  const auto expect_counts = [&](std::uint64_t hits, std::uint64_t misses,
+                                 std::uint64_t coalesced) {
+    const auto st = cache.stats();
+    EXPECT_EQ(st.hits, hits);
+    EXPECT_EQ(st.misses, misses);
+    EXPECT_EQ(st.coalesced, coalesced);
+  };
+  const auto lead = cache.claim(7);
+  EXPECT_FALSE(lead.hit);
+  ASSERT_NE(lead.lead, nullptr);
+  expect_counts(0, 1, 0);  // the first claim leads: a miss
+
+  const auto join = cache.claim(7);
+  EXPECT_FALSE(join.hit);
+  EXPECT_EQ(join.lead, nullptr);
+  ASSERT_TRUE(join.flight.valid());
+  expect_counts(0, 1, 1);  // the second joins: coalesced, not a miss
+  EXPECT_EQ(join.flight.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+
+  cache.finish(7, lead.lead, {3.5, {}});
+  ASSERT_EQ(join.flight.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  ASSERT_TRUE(join.flight.get().value);
+  EXPECT_EQ(*join.flight.get().value, 3.5);
+  const auto hit = cache.claim(7);
+  ASSERT_TRUE(hit.hit);
+  EXPECT_EQ(*hit.hit, 3.5);
+  EXPECT_EQ(hit.lead, nullptr);
+  expect_counts(1, 1, 1);
+}
+
+/// A failed flight hands its error to the joiners, caches nothing, and
+/// the next claim leads a new flight.
+TEST(ShardedMemoCacheTest, FailedFlightCachesNothingAndNextClaimLeads) {
+  ShardedMemoCache<int, double> cache(2);
+  const auto first = cache.claim(1);
+  const auto join = cache.claim(1);
+  cache.finish(1, first.lead, {std::nullopt, "boom"});
+  const auto& joined = join.flight.get();
+  EXPECT_FALSE(joined.value);
+  EXPECT_EQ(joined.error, "boom");
+  EXPECT_EQ(cache.size(), 0u);
+
+  const auto again = cache.claim(1);
+  EXPECT_FALSE(again.hit);
+  ASSERT_NE(again.lead, nullptr);
+  EXPECT_NE(again.lead, first.lead);
+  const auto st = cache.stats();
+  EXPECT_EQ(st.hits + st.misses + st.coalesced, 3u);
+  EXPECT_EQ(st.misses, 2u);
+  cache.finish(1, again.lead, {2.0, {}});
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+/// A joiner whose wait times out (a request deadline) cancels nothing:
+/// the leader's value still lands in the cache.
+TEST(ShardedMemoCacheTest, AbandonedWaitDoesNotCancelTheFlight) {
+  ShardedMemoCache<int, double> cache(2);
+  const auto lead = cache.claim(5);
+  {
+    const auto join = cache.claim(5);
+    EXPECT_EQ(join.flight.wait_until(std::chrono::steady_clock::now() +
+                                     std::chrono::milliseconds(1)),
+              std::future_status::timeout);
+  }  // the joiner gives up and drops its flight
+  cache.finish(5, lead.lead, {9.0, {}});
+  const auto after = cache.claim(5);
+  ASSERT_TRUE(after.hit);
+  EXPECT_EQ(*after.hit, 9.0);
+  const auto st = cache.stats();
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.coalesced, 1u);
 }
 
 /// Observable behavior must not depend on the shard count: the same

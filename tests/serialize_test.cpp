@@ -1,13 +1,16 @@
 // Serialization robustness: bit-for-bit round trips for the tree-family
-// models (GB and RF) on random inputs, plus negative tests proving that
+// models (GB and RF) on random inputs, negative tests proving that
 // corrupted artifacts fail through CCPRED_CHECK rather than reading
-// uninitialized structure.
+// uninitialized structure, and the atomic replace behind save_gb/save_rf.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -237,6 +240,37 @@ TEST(SerializeGoldenTest, DoublesFormatLikePrecision17Streams) {
               std::bit_cast<std::uint64_t>(values[i]))
         << values[i];
   }
+}
+
+// ------------------------------------------------------------ atomic save
+
+TEST(ArtifactWriteTest, SaveReplacesTheFileUnderAnOpenReader) {
+  // A reader that opened the artifact before a republish keeps reading the
+  // complete old bytes: save_gb renames a new file over the path instead
+  // of truncating the one the reader holds. No temp file is left behind.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "ccpred_serialize_atomic";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "aurora-gb.model").string();
+  const auto old_model = small_gb(1);
+  const auto new_model = small_gb(2);
+  ASSERT_NE(serialize_gb(old_model), serialize_gb(new_model));
+
+  save_gb(old_model, path);
+  std::ifstream reader(path, std::ios::binary);
+  ASSERT_TRUE(reader.good());
+  save_gb(new_model, path);
+  const std::string seen((std::istreambuf_iterator<char>(reader)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(seen, serialize_gb(old_model));
+  EXPECT_EQ(read_artifact(path), serialize_gb(new_model));
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <latch>
 #include <list>
 #include <memory>
 #include <string>
@@ -282,6 +283,36 @@ TEST(ModelRegistryTest, TrainsAndCachesWhenArtifactMissing) {
   ModelRegistry again(dir, opt);
   again.get("aurora", "gb");
   EXPECT_EQ(again.trainings(), 0u);
+}
+
+TEST(ModelRegistryTest, ConcurrentFirstGetsTrainOnce) {
+  // Four first get()s of one missing artifact coalesce on one training and
+  // one load; none reads a half-written artifact, so none fails or goes
+  // stale, and all serve the same version.
+  const auto dir = scratch_dir("registry_train_once");
+  RegistryOptions opt;
+  opt.fallback_rows = 200;
+  opt.gb_estimators = 20;
+  ModelRegistry registry(dir, opt);
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<ModelHandle> handles(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      handles[t] = registry.get("aurora", "gb");
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(registry.trainings(), 1u);
+  EXPECT_EQ(registry.loads(), 1u);
+  EXPECT_EQ(registry.reload_failures(), 0u);
+  for (const ModelHandle& h : handles) {
+    ASSERT_NE(h.model, nullptr);
+    EXPECT_EQ(h.version, handles.front().version);
+    EXPECT_FALSE(h.stale);
+  }
 }
 
 TEST(ModelRegistryTest, RejectsUnknownMachineAndKind) {
