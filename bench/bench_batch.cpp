@@ -598,7 +598,8 @@ int main() {
       top.clients, speedup, speedup_ok ? "PASS" : "FAIL",
       identical ? "PASS" : "FAIL", lone_batched.p95_ms, lone_unbatched.p95_ms,
       lone_ratio, lone_ok ? "PASS" : "FAIL", deadline_ok ? "PASS" : "FAIL",
-      batched_stats.batch_size_p50, batched_stats.batch_size_p95,
+      batched_stats.batch_size_quantile(0.50),
+      batched_stats.batch_size_quantile(0.95),
       static_cast<unsigned long long>(batched_stats.batched_requests),
       static_cast<unsigned long long>(batched_stats.batch_bypass));
 
@@ -632,8 +633,8 @@ int main() {
         socket_conns, socket_unbatched.qps, socket_batched.qps, speedup,
         identical ? "true" : "false", lone_unbatched.p95_ms,
         lone_batched.p95_ms, lone_ratio, lone_ok ? "true" : "false",
-        deadline_ok ? "true" : "false", batched_stats.batch_size_p50,
-        batched_stats.batch_size_p95,
+        deadline_ok ? "true" : "false", batched_stats.batch_size_quantile(0.50),
+        batched_stats.batch_size_quantile(0.95),
         static_cast<unsigned long long>(batched_stats.batched_requests),
         static_cast<unsigned long long>(batched_stats.batch_flushes),
         static_cast<unsigned long long>(batched_stats.batch_bypass),

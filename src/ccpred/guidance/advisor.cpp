@@ -11,13 +11,17 @@ namespace ccpred::guide {
 namespace {
 
 /// A NaN/Inf prediction would silently win or lose every comparison below,
-/// turning one bad model output into a confidently wrong recommendation —
-/// reject the sweep instead and name the offending configuration.
+/// and a run predicted to take no time (or cost nothing) would win every
+/// one, turning one bad model output into a confidently wrong
+/// recommendation — reject the sweep instead and name the offending
+/// configuration.
 void check_sweep_finite(const std::vector<SweepPoint>& sweep) {
   for (const auto& pt : sweep) {
     CCPRED_CHECK_MSG(std::isfinite(pt.predicted_time_s) &&
-                         std::isfinite(pt.predicted_node_hours),
-                     "non-finite prediction (time="
+                         std::isfinite(pt.predicted_node_hours) &&
+                         pt.predicted_time_s > 0.0 &&
+                         pt.predicted_node_hours > 0.0,
+                     "non-finite or non-positive prediction (time="
                          << pt.predicted_time_s
                          << ", node_hours=" << pt.predicted_node_hours
                          << ") for O=" << pt.config.o << " V=" << pt.config.v

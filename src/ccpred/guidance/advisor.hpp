@@ -48,7 +48,8 @@ class Advisor {
 
   /// Recommends the configuration minimizing the objective for (o, v).
   /// Sweeps the machine's node menu clipped to memory feasibility and the
-  /// full tile menu.
+  /// full tile menu. Throws ccpred::Error when the model's sweep is
+  /// corrupt (see from_sweep).
   Recommendation recommend(int o, int v, Objective objective) const;
 
   /// Batched recommend(): concatenates every problem's candidate grid into
@@ -84,14 +85,18 @@ class Advisor {
   /// no model predictions are re-run, so callers holding a cached
   /// Recommendation (e.g. the serving layer) answer budget queries for
   /// free. Throws ccpred::Error if nothing fits the budget or if the sweep
-  /// carries non-finite predictions.
+  /// is corrupt (see from_sweep).
   static Recommendation fastest_within_budget(const Recommendation& base,
                                               double max_node_hours);
 
   /// Re-derives the argmin for `objective` from an existing sweep without
   /// re-predicting — the sweep is objective-independent, only the winner
-  /// changes. Throws ccpred::Error on an empty sweep or on any non-finite
-  /// (NaN/Inf) predicted time or cost.
+  /// changes. Throws ccpred::Error on an empty sweep or on a corrupt one:
+  /// any predicted time or cost that is NaN, infinite, zero or negative.
+  /// A corrupt sweep fails the whole question rather than dropping the bad
+  /// cells, so a broken model is noticed instead of quietly answering from
+  /// the cells that survive; the serving layer answers code="internal" and
+  /// caches nothing.
   static Recommendation from_sweep(std::vector<SweepPoint> sweep,
                                    Objective objective);
 

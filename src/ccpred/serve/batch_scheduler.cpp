@@ -1,16 +1,30 @@
 #include "ccpred/serve/batch_scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
+#include "ccpred/common/error.hpp"
 #include "ccpred/serve/server.hpp"
+#include "ccpred/serve/wire.hpp"
 
 namespace ccpred::serve {
+namespace {
+
+/// `options`, checked before the flusher thread starts: every dispatch
+/// size must be an index the stats wire record can carry.
+BatchOptions checked(BatchOptions options) {
+  CCPRED_CHECK_MSG(options.max_batch < wire::kMaxHistogramEntries,
+                   "batch: max_batch " << options.max_batch
+                                       << " exceeds "
+                                       << wire::kMaxHistogramEntries - 1);
+  return options;
+}
+
+}  // namespace
 
 BatchScheduler::BatchScheduler(Server& server, BatchOptions options)
     : server_(server),
-      options_(options),
+      options_(checked(options)),
       max_inflight_(options.max_inflight > 0 ? options.max_inflight
                                              : server.pool_.size()),
       hold_(std::chrono::microseconds(options.max_hold_us)),
@@ -209,39 +223,24 @@ void BatchScheduler::on_batch_done() {
 }
 
 void BatchScheduler::record_dispatch(std::size_t size) {
-  if (size >= 2) {
-    batch_flushes_.fetch_add(1, std::memory_order_relaxed);
-    batched_requests_.fetch_add(size, std::memory_order_relaxed);
-  } else {
-    batch_bypass_.fetch_add(1, std::memory_order_relaxed);
-  }
   const std::size_t slot = std::min(size, options_.max_batch);
   size_hist_[slot].fetch_add(1, std::memory_order_relaxed);
 }
 
-BatchCounters BatchScheduler::counters() const {
-  BatchCounters c;
-  c.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  c.batch_flushes = batch_flushes_.load(std::memory_order_relaxed);
-  c.batch_bypass = batch_bypass_.load(std::memory_order_relaxed);
-  std::uint64_t total = 0;
-  for (std::size_t s = 1; s <= options_.max_batch; ++s) {
-    total += size_hist_[s].load(std::memory_order_relaxed);
-  }
-  if (total == 0) return c;
-  const auto quantile = [&](double q) {
-    const auto rank =
-        static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total)));
-    std::uint64_t seen = 0;
-    for (std::size_t s = 1; s <= options_.max_batch; ++s) {
-      seen += size_hist_[s].load(std::memory_order_relaxed);
-      if (seen >= rank) return static_cast<double>(s);
+void BatchScheduler::fill(ServerStats* s) const {
+  s->batch_sizes.clear();
+  for (std::size_t size = 1; size <= options_.max_batch; ++size) {
+    const std::uint64_t n = size_hist_[size].load(std::memory_order_relaxed);
+    if (n == 0) continue;
+    s->batch_sizes.resize(size + 1);
+    s->batch_sizes[size] = n;
+    if (size == 1) {
+      s->batch_bypass = n;
+    } else {
+      s->batch_flushes += n;
+      s->batched_requests += size * n;
     }
-    return static_cast<double>(options_.max_batch);
-  };
-  c.size_p50 = quantile(0.50);
-  c.size_p95 = quantile(0.95);
-  return c;
+  }
 }
 
 }  // namespace ccpred::serve

@@ -58,21 +58,14 @@ class Server;
 /// serverd / benches opt in explicitly.
 struct BatchOptions {
   bool enabled = false;
-  std::size_t max_batch = 64;     ///< flush size cap per dispatch
+  /// Flush size cap per dispatch; at most 65,535, because the stats wire
+  /// record indexes dispatch sizes with a u16.
+  std::size_t max_batch = 64;
   std::uint32_t max_hold_us = 200;  ///< hard bound on queue hold time
   /// Concurrent dispatches targeted by bypass and the completion pump;
   /// 0 = the worker pool size. Hold/deadline flushes may exceed it (the
   /// pool queues), so it shapes batching, it does not gate liveness.
   std::size_t max_inflight = 0;
-};
-
-/// Point-in-time scheduler counters (folded into ServerStats).
-struct BatchCounters {
-  std::uint64_t batched_requests = 0;  ///< requests in flushes of size >= 2
-  std::uint64_t batch_flushes = 0;     ///< dispatches of size >= 2
-  std::uint64_t batch_bypass = 0;      ///< size-1 dispatches
-  double size_p50 = 0.0;               ///< median dispatch size
-  double size_p95 = 0.0;               ///< tail dispatch size
 };
 
 /// See file comment. Owned by Server (the last member, so it drains first
@@ -94,7 +87,9 @@ class BatchScheduler {
   /// clock starts here, so hold time counts against it.
   void submit(Request request, std::function<void(Response)> done);
 
-  BatchCounters counters() const;
+  /// Writes the dispatch-size histogram into `s`, and the batch counters
+  /// it determines: size-1 dispatches are bypasses, larger ones flushes.
+  void fill(ServerStats* s) const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -144,11 +139,8 @@ class BatchScheduler {
   /// stale earlier value that would lose a wake.
   Clock::time_point armed_ = Clock::time_point::max();
 
-  std::atomic<std::uint64_t> batched_requests_{0};
-  std::atomic<std::uint64_t> batch_flushes_{0};
-  std::atomic<std::uint64_t> batch_bypass_{0};
   /// Dispatch-size histogram: slot s counts dispatches of exactly s
-  /// requests (s in [1, max_batch]), the source of size_p50/p95.
+  /// requests (s in [1, max_batch]).
   std::unique_ptr<std::atomic<std::uint64_t>[]> size_hist_;
 
   std::thread flusher_;  ///< last member: joined before anything else dies

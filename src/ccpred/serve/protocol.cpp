@@ -370,56 +370,34 @@ std::string format_response(const Response& r) {
   }
   if (r.has_stats) {
     const ServerStats& s = r.stats;
-    os << ",\"requests\":" << s.requests << ",\"errors\":" << s.errors
-       << ",\"sweeps_computed\":" << s.sweeps_computed
-       << ",\"coalesced\":" << s.coalesced
-       << ",\"cache_hits\":" << s.cache_hits
-       << ",\"cache_misses\":" << s.cache_misses
-       << ",\"cache_evictions\":" << s.cache_evictions
-       << ",\"cache_hit_rate\":" << number(s.cache_hit_rate)
-       << ",\"cache_size\":" << s.cache_size
-       << ",\"queue_depth\":" << s.queue_depth
-       << ",\"deadline_exceeded\":" << s.deadline_exceeded
-       << ",\"shed\":" << s.shed
-       << ",\"stale_served\":" << s.stale_served
-       << ",\"reload_failures\":" << s.reload_failures
-       << ",\"retries\":" << s.retries
-       << ",\"models_loaded\":" << s.models_loaded
-       << ",\"models_trained\":" << s.models_trained
-       << ",\"latency_p50_ms\":" << number(s.latency_p50_ms)
-       << ",\"latency_p95_ms\":" << number(s.latency_p95_ms)
-       << ",\"latency_mean_ms\":" << number(s.latency_mean_ms)
-       << ",\"batched_requests\":" << s.batched_requests
-       << ",\"batch_flushes\":" << s.batch_flushes
-       << ",\"batch_bypass\":" << s.batch_bypass
-       << ",\"batch_size_p50\":" << number(s.batch_size_p50)
-       << ",\"batch_size_p95\":" << number(s.batch_size_p95)
-       << ",\"overflow_closed\":" << s.overflow_closed;
+    for (const auto& c : kCounters) {
+      os << ",\"" << c.name << "\":" << s.*c.member;
+    }
+    const LatencyHistogram::Snapshot total = s.total_latency();
+    os << ",\"cache_hit_rate\":" << number(s.cache_hit_rate())
+       << ",\"latency_p50_ms\":" << number(total.quantile(0.50) * 1e3)
+       << ",\"latency_p95_ms\":" << number(total.quantile(0.95) * 1e3)
+       << ",\"latency_mean_ms\":" << number(total.mean() * 1e3)
+       << ",\"batch_size_p50\":" << number(s.batch_size_quantile(0.50))
+       << ",\"batch_size_p95\":" << number(s.batch_size_quantile(0.95));
     for (std::size_t i = 0; i < kNumOps; ++i) {
-      const VerbLatency& vl = s.verb_latency[i];
-      if (vl.count == 0) continue;  // only verbs actually served
-      const char* verb = op_name(static_cast<Op>(i));
-      os << ",\"lat_" << verb << "_count\":" << vl.count << ",\"lat_" << verb
-         << "_p50_ms\":" << number(vl.p50_ms) << ",\"lat_" << verb
-         << "_p95_ms\":" << number(vl.p95_ms) << ",\"lat_" << verb
-         << "_p99_ms\":" << number(vl.p99_ms) << ",\"lat_" << verb
-         << "_max_ms\":" << number(vl.max_ms);
+      const LatencyHistogram::Snapshot& h = s.verb_latency[i];
+      if (h.count == 0) continue;  // only verbs actually served
+      const auto key = [&](const char* suffix) -> std::ostream& {
+        return os << ",\"lat_" << op_name(static_cast<Op>(i)) << suffix
+                  << "\":";
+      };
+      key("_count") << h.count;
+      key("_p50_ms") << number(h.quantile(0.50) * 1e3);
+      key("_p95_ms") << number(h.quantile(0.95) * 1e3);
+      key("_p99_ms") << number(h.quantile(0.99) * 1e3);
+      key("_max_ms") << number(h.max() * 1e3);
     }
     if (s.online_enabled) {
-      const OnlineStats& o = s.online;
-      os << ",\"online_reports\":" << o.reports
-         << ",\"online_measurements\":" << o.measurements
-         << ",\"online_duplicates\":" << o.duplicates
-         << ",\"online_rejected\":" << o.rejected
-         << ",\"online_buffered\":" << o.buffered
-         << ",\"online_rolling_mape\":" << number(o.rolling_mape)
-         << ",\"online_drift_events\":" << o.drift_events
-         << ",\"online_incremental_updates\":" << o.incremental_updates
-         << ",\"online_refits\":" << o.refits
-         << ",\"online_shadow_evals\":" << o.shadow_evals
-         << ",\"online_promotions\":" << o.promotions
-         << ",\"online_promotions_rejected\":" << o.promotions_rejected
-         << ",\"online_cache_invalidated\":" << o.cache_invalidated;
+      for (const auto& c : kOnlineCounters) {
+        os << ",\"" << c.name << "\":" << s.online.*c.member;
+      }
+      os << ",\"online_rolling_mape\":" << number(s.online.rolling_mape);
     }
   }
   os << '}';

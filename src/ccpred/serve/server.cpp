@@ -157,9 +157,7 @@ std::vector<Response> Server::handle_batch(
       }
     }
     if (!r.ok) errors_.fetch_add(1, std::memory_order_relaxed);
-    const double elapsed_s = own.elapsed_s();
-    latency_.record(elapsed_s);
-    op_latency_[static_cast<std::size_t>(req.op)].record(elapsed_s);
+    op_latency_[static_cast<std::size_t>(req.op)].record(own.elapsed_s());
   }
   for (const auto& [mk, members] : groups) {
     answer_group(mk.first, mk.second, members, batch, deadlines, timer, &out);
@@ -356,10 +354,9 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
     (*out)[i] = std::move(r);
   }
   // Every member of the batch completes when the batch completes, so one
-  // timestamp and one bulk record per verb replaces 2 histogram updates
-  // per member.
+  // timestamp and one bulk record per verb replaces a histogram update per
+  // member.
   const double elapsed_s = timer.elapsed_s();
-  latency_.record_n(elapsed_s, members.size());
   for (std::size_t op = 0; op < kNumOps; ++op) {
     op_latency_[op].record_n(elapsed_s, op_counts[op]);
   }
@@ -471,42 +468,18 @@ ServerStats Server::stats() const {
   s.cache_hits = cc.hits;
   s.cache_misses = cc.misses;
   s.cache_evictions = cc.evictions;
-  s.cache_hit_rate = cc.hit_rate();
   s.cache_size = cache_.size();
   s.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
   s.stale_served = stale_served_.load(std::memory_order_relaxed);
   s.reload_failures = registry_.reload_failures();
-  s.retries = retries_.load(std::memory_order_relaxed);
   s.models_loaded = registry_.loads();
   s.models_trained = registry_.trainings();
-  // Bucket quantiles interpolate toward the bucket's upper bound, so with
-  // few samples they can overshoot the exact tracked max; clamp so the
-  // reported p50 <= p95 <= p99 <= max always holds.
-  const double overall_max = latency_.max() * 1e3;
-  s.latency_p50_ms = std::min(latency_.quantile(0.50) * 1e3, overall_max);
-  s.latency_p95_ms = std::min(latency_.quantile(0.95) * 1e3, overall_max);
-  s.latency_mean_ms = latency_.mean() * 1e3;
   for (std::size_t i = 0; i < kNumOps; ++i) {
-    const double verb_max = op_latency_[i].max() * 1e3;
-    s.verb_latency[i].count = op_latency_[i].count();
-    s.verb_latency[i].p50_ms =
-        std::min(op_latency_[i].quantile(0.50) * 1e3, verb_max);
-    s.verb_latency[i].p95_ms =
-        std::min(op_latency_[i].quantile(0.95) * 1e3, verb_max);
-    s.verb_latency[i].p99_ms =
-        std::min(op_latency_[i].quantile(0.99) * 1e3, verb_max);
-    s.verb_latency[i].max_ms = verb_max;
+    s.verb_latency[i] = op_latency_[i].snapshot();
   }
-  if (batcher_ != nullptr) {
-    const BatchCounters bc = batcher_->counters();
-    s.batched_requests = bc.batched_requests;
-    s.batch_flushes = bc.batch_flushes;
-    s.batch_bypass = bc.batch_bypass;
-    s.batch_size_p50 = bc.size_p50;
-    s.batch_size_p95 = bc.size_p95;
-  }
+  if (batcher_ != nullptr) batcher_->fill(&s);
   {
     const std::lock_guard<std::mutex> lock(overflow_mutex_);
     if (overflow_source_) s.overflow_closed = overflow_source_();

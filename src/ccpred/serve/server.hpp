@@ -148,16 +148,10 @@ class Server final : public Shard {
   /// Point-in-time statistics snapshot.
   ServerStats stats() const override;
 
-  /// Folds `n` client-side retries into the stats (the daemon's backoff
-  /// loop reports its retries here so `stats` can surface them).
-  void record_retries(std::uint64_t n) {
-    retries_.fetch_add(n, std::memory_order_relaxed);
-  }
-
   /// The daemon reports its event loop's overflow-closed connections
   /// through this callback so `stats` can surface them beside the server
-  /// counters (mirrors record_retries). Install before serving traffic;
-  /// the callback must stay valid for the server's lifetime.
+  /// counters. Install before serving traffic; the callback must stay
+  /// valid for the server's lifetime.
   void set_overflow_source(std::function<std::uint64_t()> source);
 
   const ServeOptions& options() const { return options_; }
@@ -213,8 +207,8 @@ class Server final : public Shard {
   ServeOptions options_;
   FaultInjector* fault_;  ///< == options_.fault_injector
   SweepCache cache_;
-  LatencyHistogram latency_;
-  LatencyHistogram op_latency_[kNumOps];  ///< per-verb, indexed by Op
+  /// Per-verb handler latency, indexed by Op; overall latency is their sum.
+  LatencyHistogram op_latency_[kNumOps];
 
   /// Constructed only when options_.online.enabled. Declared after cache_
   /// (its refits invalidate cache shards) and before the pools, so its own
@@ -231,7 +225,6 @@ class Server final : public Shard {
   std::atomic<std::uint64_t> deadline_exceeded_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> stale_served_{0};
-  std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::size_t> queue_depth_{0};
 
   mutable std::mutex overflow_mutex_;

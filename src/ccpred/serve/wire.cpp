@@ -1,5 +1,6 @@
 #include "ccpred/serve/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "ccpred/common/error.hpp"
@@ -33,6 +34,21 @@ struct Writer {
                                               << " bytes exceeds the cap");
     u32(static_cast<std::uint32_t>(s.size()));
     out.append(s);
+  }
+  /// A histogram as its nonzero entries: a u16 entry count, then
+  /// (u16 index, u64 count) pairs in ascending index order.
+  void counts(const std::vector<std::uint64_t>& h) {
+    CCPRED_CHECK_MSG(h.size() <= kMaxHistogramEntries,
+                     "wire: histogram of " << h.size()
+                                           << " entries exceeds the cap");
+    const auto nonzero = static_cast<std::uint16_t>(
+        std::count_if(h.begin(), h.end(), [](auto n) { return n != 0; }));
+    u16(nonzero);
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      if (h[i] == 0) continue;
+      u16(static_cast<std::uint16_t>(i));
+      u64(h[i]);
+    }
   }
 };
 
@@ -86,6 +102,22 @@ struct Reader {
     std::string s(reinterpret_cast<const char*>(data + pos), n);
     pos += n;
     return s;
+  }
+  /// Reads what Writer::counts wrote. Indices must rise and stay below
+  /// `limit`, and counts must be nonzero, so the result has no trailing
+  /// zeros.
+  std::vector<std::uint64_t> counts(std::size_t limit) {
+    std::vector<std::uint64_t> h;
+    for (std::uint16_t i = u16(); i > 0; --i) {
+      const std::uint16_t index = u16();
+      CCPRED_CHECK_MSG(index >= h.size() && index < limit,
+                       "wire: histogram index " << index
+                                                << " out of order or range");
+      h.resize(index + 1);
+      h[index] = u64();
+      CCPRED_CHECK_MSG(h[index] != 0, "wire: empty histogram entry");
+    }
+    return h;
   }
 };
 
@@ -157,107 +189,32 @@ constexpr std::uint8_t kFlagCacheHit = 1u << 6;
 constexpr std::uint8_t kFlagDrift = 1u << 7;
 
 void encode_stats(Writer& w, const ServerStats& s) {
-  w.u64(s.requests);
-  w.u64(s.errors);
-  w.u64(s.sweeps_computed);
-  w.u64(s.coalesced);
-  w.u64(s.cache_hits);
-  w.u64(s.cache_misses);
-  w.u64(s.cache_evictions);
-  w.f64(s.cache_hit_rate);
-  w.u64(s.cache_size);
-  w.u64(s.queue_depth);
-  w.u64(s.deadline_exceeded);
-  w.u64(s.shed);
-  w.u64(s.stale_served);
-  w.u64(s.reload_failures);
-  w.u64(s.retries);
-  w.u64(s.models_loaded);
-  w.u64(s.models_trained);
-  w.f64(s.latency_p50_ms);
-  w.f64(s.latency_p95_ms);
-  w.f64(s.latency_mean_ms);
-  w.u64(s.batched_requests);
-  w.u64(s.batch_flushes);
-  w.u64(s.batch_bypass);
-  w.f64(s.batch_size_p50);
-  w.f64(s.batch_size_p95);
-  w.u64(s.overflow_closed);
-  for (std::size_t i = 0; i < kNumOps; ++i) {
-    w.u64(s.verb_latency[i].count);
-    w.f64(s.verb_latency[i].p50_ms);
-    w.f64(s.verb_latency[i].p95_ms);
-    w.f64(s.verb_latency[i].p99_ms);
-    w.f64(s.verb_latency[i].max_ms);
+  for (const auto& c : kCounters) w.u64(s.*c.member);
+  for (const LatencyHistogram::Snapshot& h : s.verb_latency) {
+    w.counts(h.buckets);
+    w.u64(h.sum_ns);
+    w.u64(h.max_ns);
   }
+  w.counts(s.batch_sizes);
   w.u8(s.online_enabled ? 1 : 0);
   if (!s.online_enabled) return;
-  const OnlineStats& o = s.online;
-  w.u64(o.reports);
-  w.u64(o.measurements);
-  w.u64(o.duplicates);
-  w.u64(o.rejected);
-  w.u64(o.buffered);
-  w.f64(o.rolling_mape);
-  w.u64(o.drift_events);
-  w.u64(o.incremental_updates);
-  w.u64(o.refits);
-  w.u64(o.shadow_evals);
-  w.u64(o.promotions);
-  w.u64(o.promotions_rejected);
-  w.u64(o.cache_invalidated);
+  for (const auto& c : kOnlineCounters) w.u64(s.online.*c.member);
+  w.f64(s.online.rolling_mape);
 }
 
 void decode_stats(Reader& rd, ServerStats* s) {
-  s->requests = rd.u64();
-  s->errors = rd.u64();
-  s->sweeps_computed = rd.u64();
-  s->coalesced = rd.u64();
-  s->cache_hits = rd.u64();
-  s->cache_misses = rd.u64();
-  s->cache_evictions = rd.u64();
-  s->cache_hit_rate = rd.f64();
-  s->cache_size = static_cast<std::size_t>(rd.u64());
-  s->queue_depth = static_cast<std::size_t>(rd.u64());
-  s->deadline_exceeded = rd.u64();
-  s->shed = rd.u64();
-  s->stale_served = rd.u64();
-  s->reload_failures = rd.u64();
-  s->retries = rd.u64();
-  s->models_loaded = rd.u64();
-  s->models_trained = rd.u64();
-  s->latency_p50_ms = rd.f64();
-  s->latency_p95_ms = rd.f64();
-  s->latency_mean_ms = rd.f64();
-  s->batched_requests = rd.u64();
-  s->batch_flushes = rd.u64();
-  s->batch_bypass = rd.u64();
-  s->batch_size_p50 = rd.f64();
-  s->batch_size_p95 = rd.f64();
-  s->overflow_closed = rd.u64();
-  for (std::size_t i = 0; i < kNumOps; ++i) {
-    s->verb_latency[i].count = rd.u64();
-    s->verb_latency[i].p50_ms = rd.f64();
-    s->verb_latency[i].p95_ms = rd.f64();
-    s->verb_latency[i].p99_ms = rd.f64();
-    s->verb_latency[i].max_ms = rd.f64();
+  for (const auto& c : kCounters) s->*c.member = rd.u64();
+  for (LatencyHistogram::Snapshot& h : s->verb_latency) {
+    h.buckets = rd.counts(LatencyHistogram::kBuckets);
+    for (const std::uint64_t n : h.buckets) h.count += n;
+    h.sum_ns = rd.u64();
+    h.max_ns = rd.u64();
   }
+  s->batch_sizes = rd.counts(kMaxHistogramEntries);
   s->online_enabled = rd.u8() != 0;
   if (!s->online_enabled) return;
-  OnlineStats& o = s->online;
-  o.reports = rd.u64();
-  o.measurements = rd.u64();
-  o.duplicates = rd.u64();
-  o.rejected = rd.u64();
-  o.buffered = static_cast<std::size_t>(rd.u64());
-  o.rolling_mape = rd.f64();
-  o.drift_events = rd.u64();
-  o.incremental_updates = rd.u64();
-  o.refits = rd.u64();
-  o.shadow_evals = rd.u64();
-  o.promotions = rd.u64();
-  o.promotions_rejected = rd.u64();
-  o.cache_invalidated = rd.u64();
+  for (const auto& c : kOnlineCounters) s->online.*c.member = rd.u64();
+  s->online.rolling_mape = rd.f64();
 }
 
 void encode_response(Writer& w, const Response& r) {
@@ -343,16 +300,13 @@ Response decode_response(Reader& rd) {
   return r;
 }
 
-template <typename Record, typename EncodeFn>
-std::string encode_frame(FrameKind kind, const std::vector<Record>& records,
-                         EncodeFn&& encode_one) {
-  std::string payload;
-  Writer pw{payload};
-  for (const Record& rec : records) encode_one(pw, rec);
+/// The frame around `count` records already encoded into `payload`.
+std::string frame_of(FrameKind kind, std::size_t count,
+                     const std::string& payload) {
   std::string frame;
   frame.reserve(kHeaderBytes + payload.size());
   Writer fw{frame};
-  write_header(fw, kind, records.size(), payload.size());
+  write_header(fw, kind, count, payload.size());
   frame.append(payload);
   return frame;
 }
@@ -409,15 +363,27 @@ FrameStatus probe_frame(const unsigned char* data, std::size_t size,
   return FrameStatus::kHeader;
 }
 
-std::string encode_request_frame(const std::vector<Request>& requests) {
-  return encode_frame(FrameKind::kRequest, requests,
-                      [](Writer& w, const Request& r) { encode_request(w, r); });
+std::string encode_request_frame(const std::vector<Request>& batch) {
+  std::string payload;
+  Writer w{payload};
+  for (const Request& r : batch) encode_request(w, r);
+  return frame_of(FrameKind::kRequest, batch.size(), payload);
 }
 
 std::string encode_response_frame(const std::vector<Response>& responses) {
-  return encode_frame(
-      FrameKind::kResponse, responses,
-      [](Writer& w, const Response& r) { encode_response(w, r); });
+  std::string payload;
+  Writer w{payload};
+  for (const Response& r : responses) encode_response(w, r);
+  if (payload.size() > kMaxFramePayload) {
+    // Each too_large record is at most 32 bytes plus its id; the request
+    // record that carried the id was at least 43 bytes plus it, so this
+    // frame fits wherever the request frame did.
+    payload.clear();
+    for (const Response& r : responses) {
+      encode_response(w, error_response("", r.op, r.id, "too_large"));
+    }
+  }
+  return frame_of(FrameKind::kResponse, responses.size(), payload);
 }
 
 std::vector<Request> decode_request_frame(const FrameHeader& header,

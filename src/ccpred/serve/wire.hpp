@@ -13,7 +13,7 @@
 ///
 ///   offset  size  field
 ///   0       4     magic: C3 'C' 'P' 'B'
-///   4       1     version (currently 1)
+///   4       1     version (currently 2)
 ///   5       1     kind: 0 = request frame, 1 = response frame
 ///   6       2     count: records in this frame (u16)
 ///   8       4     payload length in bytes (u32, <= kMaxFramePayload)
@@ -24,6 +24,23 @@
 /// exactly and a decoded response renders via format_response() into the
 /// byte-identical JSON line the server would have sent for the same
 /// request — the bit-identity gate in bench_serve_fleet leans on this.
+///
+/// A stats record (version 2) carries the snapshot's state, never a
+/// quantile (see stats.hpp): every kCounters value as a u64 in list order;
+/// then, per verb in Op order, the latency histogram and its u64 sum and
+/// u64 max in nanoseconds; then the dispatch-size histogram; then a u8
+/// online flag and, when set, every kOnlineCounters value as a u64 and
+/// `rolling_mape` as an f64. A histogram is a u16 count of its nonzero
+/// entries followed by that many (u16 index, u64 count) pairs in rising
+/// index order; decode rejects an index out of order or out of range
+/// (latency buckets stop at 64) and a zero count.
+///
+/// A response frame whose payload would exceed kMaxFramePayload — 1,024
+/// stats records with long ids can — is answered instead with one
+/// ok=false record per request carrying its op, its id and
+/// code="too_large", and no message. Such a record is smaller than the
+/// request record it answers, so the fallback always fits, and it keeps
+/// the record count, so a client never mistakes it for a broken peer.
 ///
 /// Robustness contract (fuzzed in protocol_fuzz_test): probe_frame() never
 /// reads past `size`, rejects oversized declared lengths from the header
@@ -40,7 +57,7 @@
 namespace ccpred::serve::wire {
 
 inline constexpr unsigned char kMagic[4] = {0xC3, 'C', 'P', 'B'};
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 12;
 /// Hard cap on one frame's payload; a header declaring more is rejected
 /// before any buffering.
@@ -49,6 +66,8 @@ inline constexpr std::size_t kMaxFramePayload = 1u << 20;
 inline constexpr std::size_t kMaxFrameRecords = 1024;
 /// Hard cap on one encoded string field.
 inline constexpr std::size_t kMaxStringBytes = 1u << 16;
+/// Entries a histogram may carry: its indices are u16.
+inline constexpr std::size_t kMaxHistogramEntries = 1u << 16;
 
 enum class FrameKind : std::uint8_t { kRequest = 0, kResponse = 1 };
 
@@ -76,7 +95,8 @@ enum class FrameStatus {
 FrameStatus probe_frame(const unsigned char* data, std::size_t size,
                         FrameHeader* header, std::string* error);
 
-/// Encodes a complete frame (header + payload).
+/// Encodes a complete frame (header + payload). A response frame over the
+/// payload cap is answered code="too_large" record by record (see above).
 std::string encode_request_frame(const std::vector<Request>& requests);
 std::string encode_response_frame(const std::vector<Response>& responses);
 

@@ -379,6 +379,26 @@ TEST(SweepValidationTest, FastestWithinBudgetRejectsNonFiniteSweep) {
   EXPECT_THROW(guide::Advisor::fastest_within_budget(base, 100.0), Error);
 }
 
+// A run predicted to take no time, or to cost nothing, wins every argmin
+// just as silently, so zero and negative predictions fail the sweep too.
+TEST(SweepValidationTest, EveryQuestionRejectsNonPositivePredictions) {
+  for (const guide::SweepPoint& bad :
+       {make_point(0.0, 3), make_point(-1.58, 3), make_point(10, 0.0),
+        make_point(10, -0.38)}) {
+    SCOPED_TRACE(std::to_string(bad.predicted_time_s) + " s, " +
+                 std::to_string(bad.predicted_node_hours) + " node-hours");
+    for (const auto objective :
+         {guide::Objective::kShortestTime, guide::Objective::kNodeHours}) {
+      EXPECT_THROW(
+          guide::Advisor::from_sweep({make_point(10, 5), bad}, objective),
+          Error);
+    }
+    guide::Recommendation base;
+    base.sweep = {make_point(10, 5), bad};
+    EXPECT_THROW(guide::Advisor::fastest_within_budget(base, 100.0), Error);
+  }
+}
+
 TEST_F(BudgetAdvisorTest, ParetoFrontContainsBothExtremes) {
   const guide::Advisor advisor(*model_, simulator_);
   const auto stq = advisor.shortest_time(134, 951);

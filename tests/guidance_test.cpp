@@ -257,6 +257,32 @@ TEST_F(AdvisorTest, RecommendBatchMatchesPerProblemExactly) {
                Error);
 }
 
+// The daemon's train-and-cache model at the paper's campaign size (aurora,
+// 2,329 rows, seed 2025, 750 GB stages) predicts a negative time for some
+// cells of (O=44, V=260), and both its STQ and its BQ argmin land on such a
+// cell. A run that takes no time is as corrupt a prediction as a NaN: the
+// advisor must refuse the sweep instead of recommending it.
+TEST(PaperSizeAdvisorTest, NeverRecommendsARunPredictedToTakeNoTime) {
+  const sim::CcsdSimulator simulator{sim::MachineModel::aurora()};
+  const data::Dataset campaign = data::paper_dataset(simulator, 2025);
+  ASSERT_EQ(campaign.size(), 2329u);
+  ml::GradientBoostingRegressor model(750);
+  model.fit(campaign.features(), campaign.targets());
+
+  linalg::Matrix cell(1, data::kNumFeatures);
+  cell(0, data::kFeatO) = 44;
+  cell(0, data::kFeatV) = 260;
+  cell(0, data::kFeatNodes) = 600;
+  cell(0, data::kFeatTile) = 90;
+  ASSERT_LE(model.predict(cell).front(), 0.0)
+      << "premise: the model predicts no time for (44, 260, 600 nodes, "
+         "tile 90)";
+
+  const Advisor advisor(model, simulator);
+  EXPECT_THROW(advisor.recommend(44, 260, Objective::kShortestTime), Error);
+  EXPECT_THROW(advisor.recommend(44, 260, Objective::kNodeHours), Error);
+}
+
 // ---------- report ----------
 
 TEST(ReportTest, ParenNotation) {

@@ -388,8 +388,8 @@ TEST(ServerStatsTest, PerVerbLatencyHistogramsSurfaceThroughStats) {
   EXPECT_EQ(s.verb_latency[static_cast<std::size_t>(Op::kStats)].count, 1u);
   EXPECT_EQ(s.verb_latency[static_cast<std::size_t>(Op::kBq)].count, 0u);
   const auto& stq_lat = s.verb_latency[static_cast<std::size_t>(Op::kStq)];
-  EXPECT_GT(stq_lat.p50_ms, 0.0);
-  EXPECT_LE(stq_lat.p50_ms, stq_lat.p95_ms);
+  EXPECT_GT(stq_lat.quantile(0.50), 0.0);
+  EXPECT_LE(stq_lat.quantile(0.50), stq_lat.quantile(0.95));
 
   // The formatted stats verb carries the same numbers; verbs never served
   // are omitted entirely.

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "ccpred/common/error.hpp"
+#include "ccpred/common/latency_histogram.hpp"
 #include "ccpred/common/rng.hpp"
 #include "ccpred/serve/protocol.hpp"
 #include "ccpred/serve/wire.hpp"
@@ -328,20 +330,35 @@ Response random_wire_response(Rng& rng) {
     r.stats.requests = static_cast<std::uint64_t>(rng.uniform_int(0, 100000));
     r.stats.errors = static_cast<std::uint64_t>(rng.uniform_int(0, 500));
     r.stats.cache_hits = static_cast<std::uint64_t>(rng.uniform_int(0, 9999));
-    r.stats.cache_hit_rate = rng.uniform(0.0, 1.0);
-    r.stats.latency_p50_ms = rng.uniform(0.0, 50.0);
-    r.stats.latency_p95_ms = rng.uniform(0.0, 500.0);
-    r.stats.verb_latency[2].count =
-        static_cast<std::uint64_t>(rng.uniform_int(0, 100));
-    r.stats.verb_latency[2].p95_ms = rng.uniform(0.0, 10.0);
-    r.stats.verb_latency[2].p99_ms = rng.uniform(0.0, 20.0);
-    r.stats.verb_latency[2].max_ms = rng.uniform(0.0, 50.0);
+    r.stats.cache_misses = static_cast<std::uint64_t>(rng.uniform_int(0, 99));
+    // Latency histograms: empty, sparse, or spread over every bucket
+    // (samples from 0.1 µs to 10^6 s land below and above the range too).
+    for (LatencyHistogram::Snapshot& verb : r.stats.verb_latency) {
+      LatencyHistogram h;
+      const int samples =
+          rng.uniform_int(0, 2) == 0 ? 0
+                                     : static_cast<int>(rng.uniform_int(1, 300));
+      for (int k = 0; k < samples; ++k) {
+        h.record_n(std::exp(rng.uniform(std::log(1e-7), std::log(1e6))),
+                   static_cast<std::uint64_t>(rng.uniform_int(1, 3)));
+      }
+      verb = h.snapshot();
+    }
     r.stats.batched_requests =
         static_cast<std::uint64_t>(rng.uniform_int(0, 5000));
     r.stats.batch_flushes = static_cast<std::uint64_t>(rng.uniform_int(0, 999));
     r.stats.batch_bypass = static_cast<std::uint64_t>(rng.uniform_int(0, 999));
-    r.stats.batch_size_p50 = rng.uniform(0.0, 64.0);
-    r.stats.batch_size_p95 = rng.uniform(0.0, 64.0);
+    // Dispatch sizes: none, or a few counts at random sizes up to 4,096.
+    const auto max_size = rng.uniform_int(0, 4096);
+    for (int k = static_cast<int>(rng.uniform_int(0, 40)); k > 0 && max_size > 0;
+         --k) {
+      const auto size = static_cast<std::size_t>(rng.uniform_int(1, max_size));
+      if (r.stats.batch_sizes.size() <= size) {
+        r.stats.batch_sizes.resize(size + 1);
+      }
+      r.stats.batch_sizes[size] +=
+          static_cast<std::uint64_t>(rng.uniform_int(1, 1000));
+    }
     r.stats.overflow_closed = static_cast<std::uint64_t>(rng.uniform_int(0, 9));
     r.stats.online_enabled = rng.uniform_int(0, 1) != 0;
     r.stats.online.reports = static_cast<std::uint64_t>(rng.uniform_int(0, 99));
@@ -417,6 +434,46 @@ TEST(WireFuzzTest, ResponseFramesRoundTripToIdenticalJson) {
       EXPECT_EQ(format_response(decoded[k]), format_response(batch[k]));
     }
   }
+}
+
+TEST(WireFuzzTest, HistogramIndicesOutOfOrderOrRangeAreRejected) {
+  Response r;
+  r.ok = true;
+  r.op = "stats";
+  r.has_stats = true;
+  LatencyHistogram h;
+  h.record(2e-6);  // bucket 1
+  h.record(1e-3);  // bucket 17
+  r.stats.verb_latency[0] = h.snapshot();
+  const std::string frame = wire::encode_response_frame({r});
+  const auto decode = [](const std::string& bytes) {
+    wire::FrameHeader header;
+    std::string error;
+    EXPECT_EQ(wire::probe_frame(bytes_of(bytes), bytes.size(), &header, &error),
+              wire::FrameStatus::kHeader);
+    return wire::decode_response_frame(header,
+                                       bytes_of(bytes) + wire::kHeaderBytes);
+  };
+  ASSERT_EQ(decode(frame).front().stats, r.stats);
+
+  // The first verb's histogram follows the flags byte, the four strings
+  // (op "stats", empty id, error and code) and the counters: a u16 entry
+  // count, then (u16 index, u64 count) pairs.
+  const std::size_t at = wire::kHeaderBytes + 1 + (4 + 5) + 3 * 4 +
+                         std::size(kCounters) * sizeof(std::uint64_t);
+  ASSERT_EQ(frame[at], 2);
+  ASSERT_EQ(frame[at + 2], 1);
+  ASSERT_EQ(frame[at + 12], 17);
+
+  std::string swapped = frame;  // indices 17, 1: out of order
+  std::swap(swapped[at + 2], swapped[at + 12]);
+  EXPECT_THROW(decode(swapped), Error);
+  std::string repeated = frame;  // indices 1, 1: out of order
+  repeated[at + 12] = 1;
+  EXPECT_THROW(decode(repeated), Error);
+  std::string past_end = frame;  // index 64: no such latency bucket
+  past_end[at + 12] = 64;
+  EXPECT_THROW(decode(past_end), Error);
 }
 
 TEST(WireFuzzTest, TruncatedPrefixesAskForMoreNeverCrash) {

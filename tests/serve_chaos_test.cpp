@@ -714,8 +714,8 @@ void run_batch_storm_at_seed(std::uint64_t seed) {
   // out in exactly one dispatch — a >=2 flush or a bypass, never both.
   EXPECT_EQ(stats.batched_requests + stats.batch_bypass, scheduled.load());
   if (stats.batch_flushes > 0) {
-    EXPECT_GE(stats.batch_size_p95, stats.batch_size_p50);
-    EXPECT_GE(stats.batch_size_p50, 1.0);
+    EXPECT_GE(stats.batch_size_quantile(0.95), stats.batch_size_quantile(0.50));
+    EXPECT_GE(stats.batch_size_quantile(0.50), 1.0);
   }
   EXPECT_GT(fault.injected(FaultPoint::kWorkerStall), 0u);
   // Only a handful of sweep-compute arrivals happen (one per unique
@@ -799,7 +799,7 @@ void run_fleet_batch_storm_at_seed(std::uint64_t seed) {
   EXPECT_GE(agg.batched_requests + agg.batch_bypass, 1u);
   EXPECT_LE(agg.batched_requests + agg.batch_bypass, agg.requests);
   if (agg.batch_flushes + agg.batch_bypass > 0) {
-    EXPECT_GE(agg.batch_size_p95, agg.batch_size_p50);
+    EXPECT_GE(agg.batch_size_quantile(0.95), agg.batch_size_quantile(0.50));
   }
 }
 

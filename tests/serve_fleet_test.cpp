@@ -312,32 +312,46 @@ TEST(ShardFleetTest, StatsAggregateAcrossShardsAndBatchesAnswerInOrder) {
   EXPECT_EQ(f.fleet->counters().routed, batch.size());
 }
 
-TEST(MergeStatsTest, SumsWeighsAndMaxesEveryKindOfField) {
+TEST(MergeStatsTest, SumsCountersAndPoolsHistogramsExactly) {
+  // Two shards under different load: a answers 300 STQs near 0.5 ms, b
+  // answers 100 near 85 ms and 20 BQs. The pooled histograms are fed every
+  // sample either shard saw.
+  const auto kStq = static_cast<std::size_t>(Op::kStq);
+  const auto kBq = static_cast<std::size_t>(Op::kBq);
+  LatencyHistogram a_stq, b_stq, b_bq, pooled_stq, pooled_all;
+  for (int i = 0; i < 300; ++i) {
+    for (auto* h : {&a_stq, &pooled_stq, &pooled_all}) {
+      h->record(4e-4 + i * 1e-6);
+    }
+  }
+  for (int i = 0; i < 100; ++i) {
+    for (auto* h : {&b_stq, &pooled_stq, &pooled_all}) {
+      h->record(0.08 + i * 1e-4);
+    }
+  }
+  for (int i = 0; i < 20; ++i) {
+    for (auto* h : {&b_bq, &pooled_all}) h->record(0.002 + i * 1e-5);
+  }
+
   ServerStats a;
-  a.requests = 30;
+  a.requests = 300;
   a.errors = 2;
   a.sweeps_computed = 4;
   a.cache_hits = 6;
   a.cache_misses = 4;
-  a.cache_hit_rate = 0.6;
   a.cache_size = 4;
   a.queue_depth = 1;
   a.models_loaded = 1;
-  a.latency_p50_ms = 1.0;
-  a.latency_p95_ms = 4.0;
-  a.latency_mean_ms = 2.0;
-  a.verb_latency[0] = {.count = 10, .p50_ms = 1.0, .p95_ms = 2.0,
-                       .p99_ms = 3.0, .max_ms = 9.0};
+  a.verb_latency[kStq] = a_stq.snapshot();
   a.batch_flushes = 1;
   a.batch_bypass = 3;
-  a.batch_size_p50 = 1.0;
-  a.batch_size_p95 = 8.0;
+  a.batch_sizes = {0, 3, 0, 0, 0, 0, 0, 0, 1};
   a.online_enabled = true;
   a.online.reports = 5;
   a.online.rolling_mape = 0.4;
 
   ServerStats b;
-  b.requests = 10;
+  b.requests = 120;
   b.errors = 1;
   b.sweeps_computed = 1;
   b.cache_hits = 0;
@@ -345,20 +359,21 @@ TEST(MergeStatsTest, SumsWeighsAndMaxesEveryKindOfField) {
   b.cache_size = 1;
   b.queue_depth = 2;
   b.models_loaded = 2;
-  b.latency_p50_ms = 5.0;
-  b.latency_p95_ms = 8.0;
-  b.latency_mean_ms = 6.0;
-  b.verb_latency[0] = {.count = 30, .p50_ms = 5.0, .p95_ms = 6.0,
-                       .p99_ms = 7.0, .max_ms = 4.0};
+  b.verb_latency[kStq] = b_stq.snapshot();
+  b.verb_latency[kBq] = b_bq.snapshot();
   b.batch_flushes = 0;
   b.batch_bypass = 4;
-  b.batch_size_p50 = 1.0;
-  b.batch_size_p95 = 1.0;
-  b.online.rolling_mape = 0.9;  // online disabled: ignored
+  b.batch_sizes = {0, 4};
+  b.online.reports = 7;  // online disabled: ignored
+  b.online.rolling_mape = 0.9;
+
+  // Every dispatch of both shards, pooled.
+  ServerStats pooled_sizes;
+  pooled_sizes.batch_sizes = {0, 7, 0, 0, 0, 0, 0, 0, 1};
 
   const ServerStats parts[] = {a, b};
   const ServerStats m = merge_stats(parts);
-  EXPECT_EQ(m.requests, 40u);
+  EXPECT_EQ(m.requests, 420u);
   EXPECT_EQ(m.errors, 3u);
   EXPECT_EQ(m.sweeps_computed, 5u);
   EXPECT_EQ(m.cache_hits, 6u);
@@ -366,24 +381,41 @@ TEST(MergeStatsTest, SumsWeighsAndMaxesEveryKindOfField) {
   EXPECT_EQ(m.cache_size, 5u);
   EXPECT_EQ(m.queue_depth, 3u);
   EXPECT_EQ(m.models_loaded, 3u);
-  EXPECT_DOUBLE_EQ(m.cache_hit_rate, 6.0 / 20.0);
-  // Request-weighted: (30 * a + 10 * b) / 40.
-  EXPECT_DOUBLE_EQ(m.latency_p50_ms, 2.0);
-  EXPECT_DOUBLE_EQ(m.latency_p95_ms, 5.0);
-  EXPECT_DOUBLE_EQ(m.latency_mean_ms, 3.0);
-  // Count-weighted per verb: (10 * a + 30 * b) / 40; max of the maxima.
-  EXPECT_EQ(m.verb_latency[0].count, 40u);
-  EXPECT_DOUBLE_EQ(m.verb_latency[0].p50_ms, 4.0);
-  EXPECT_DOUBLE_EQ(m.verb_latency[0].p95_ms, 5.0);
-  EXPECT_DOUBLE_EQ(m.verb_latency[0].p99_ms, 6.0);
-  EXPECT_DOUBLE_EQ(m.verb_latency[0].max_ms, 9.0);
-  EXPECT_EQ(m.verb_latency[1].count, 0u);
-  EXPECT_DOUBLE_EQ(m.verb_latency[1].p50_ms, 0.0);
-  // Dispatch-weighted batch sizes: a has 4 dispatches, b has 4.
+  EXPECT_DOUBLE_EQ(m.cache_hit_rate(), 6.0 / 20.0);
+
+  // Quantiles, means and maxima of the pooled samples, per verb and
+  // overall; the max is the max of the shard maxima.
+  const LatencyHistogram::Snapshot want_stq = pooled_stq.snapshot();
+  const LatencyHistogram::Snapshot want_all = pooled_all.snapshot();
+  const LatencyHistogram::Snapshot& got_stq = m.verb_latency[kStq];
+  const LatencyHistogram::Snapshot got_all = m.total_latency();
+  EXPECT_EQ(got_stq, want_stq);
+  EXPECT_EQ(got_all, want_all);
+  for (const double q : {0.50, 0.95, 0.99}) {
+    EXPECT_EQ(got_stq.quantile(q), want_stq.quantile(q)) << q;
+    EXPECT_EQ(got_all.quantile(q), want_all.quantile(q)) << q;
+  }
+  EXPECT_EQ(got_stq.mean(), want_stq.mean());
+  EXPECT_EQ(got_all.mean(), want_all.mean());
+  EXPECT_EQ(got_stq.max(), std::max(a_stq.max(), b_stq.max()));
+  EXPECT_EQ(got_all.max(), want_all.max());
+  EXPECT_EQ(got_stq.count, 400u);
+  EXPECT_EQ(m.verb_latency[kBq], b_bq.snapshot());
+  EXPECT_EQ(m.verb_latency[static_cast<std::size_t>(Op::kJob)].count, 0u);
+  // The request-weighted mean of the shards' p50s, which a fleet used to
+  // report, is more than 10x the pooled p50.
+  const double weighted_p50 =
+      (300 * a_stq.quantile(0.50) + 100 * b_stq.quantile(0.50)) / 400;
+  EXPECT_GT(weighted_p50, 10 * got_stq.quantile(0.50));
+
   EXPECT_EQ(m.batch_flushes, 1u);
   EXPECT_EQ(m.batch_bypass, 7u);
-  EXPECT_DOUBLE_EQ(m.batch_size_p50, 1.0);
-  EXPECT_DOUBLE_EQ(m.batch_size_p95, 4.5);
+  EXPECT_EQ(m.batch_sizes, pooled_sizes.batch_sizes);
+  for (const double q : {0.50, 0.95}) {
+    EXPECT_EQ(m.batch_size_quantile(q), pooled_sizes.batch_size_quantile(q));
+  }
+  EXPECT_EQ(m.batch_size_quantile(0.95), 8.0);
+
   EXPECT_TRUE(m.online_enabled);
   EXPECT_EQ(m.online.reports, 5u);
   EXPECT_DOUBLE_EQ(m.online.rolling_mape, 0.4);
@@ -702,6 +734,56 @@ TEST(EventLoopServerTest, MidFrameDisconnectIsHarmless) {
   EXPECT_EQ(parse_record(client.read_line()).at("id"), "q9");
 }
 
+TEST(EventLoopServerTest, AnOverCapResponseFrameAnswersTooLargeAndServesOn) {
+  // 1,024 stats records with 700-byte ids make a 760,844-byte request
+  // frame, within every request cap, but their stats answers would need
+  // about 1.2 MB: more than one response frame may carry.
+  std::vector<Request> frame(wire::kMaxFrameRecords);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[i].op = Op::kStats;
+    frame[i].id = std::to_string(i) + std::string(700, 'i');
+    frame[i].id.resize(700);
+  }
+  const std::string bytes = wire::encode_request_frame(frame);
+  ASSERT_LE(bytes.size() - wire::kHeaderBytes, wire::kMaxFramePayload);
+
+  for (const bool batching : {false, true}) {
+    SCOPED_TRACE(batching ? "batching on" : "batching off");
+    ModelRegistry registry(scratch_dir("over_cap"));
+    ServeOptions opt;
+    opt.threads = 2;
+    opt.batch.enabled = batching;
+    Server server(registry, opt);
+    // Wired as the daemon wires them: lines through submit_with, frames
+    // through submit_batch_with.
+    EventLoopServer listener(
+        [&server](Request r, EventLoopServer::Completion done) {
+          server.submit_with(std::move(r), std::move(done));
+        },
+        [&server](std::vector<Request> b,
+                  EventLoopServer::BatchCompletion done) {
+          server.submit_batch_with(std::move(b), std::move(done));
+        });
+    TestClient client(listener.port());
+    client.send(bytes);
+    const auto out = client.read_frame();
+    ASSERT_EQ(out.size(), frame.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_FALSE(out[i].ok) << i;
+      EXPECT_EQ(out[i].code, "too_large") << i;
+      EXPECT_EQ(out[i].op, "stats") << i;
+      EXPECT_EQ(out[i].id, frame[i].id) << i;
+      EXPECT_FALSE(out[i].has_stats) << i;
+    }
+
+    // The connection survives and keeps answering.
+    client.send("{\"op\":\"stats\",\"id\":\"next\"}\n");
+    const auto next = parse_record(client.read_line());
+    EXPECT_EQ(next.at("ok"), "true");
+    EXPECT_EQ(next.at("id"), "next");
+  }
+}
+
 TEST(EventLoopServerTest, ManyConcurrentConnectionsAllAnswered) {
   EventLoopServer server(echo_dispatch());
   constexpr int kConns = 32;
@@ -806,6 +888,38 @@ TEST(RemoteFleetTest, StatsInsideAFrameCoverTheWholeFleet) {
   EXPECT_EQ(out[1].stats.sweeps_computed, kNine.size());
   EXPECT_EQ(out[1].stats.sweeps_computed,
             f.fleet->aggregated_stats().sweeps_computed);
+}
+
+TEST(RemoteFleetTest, FleetStatsAreTheMergeOfTheShardsOwnSnapshots) {
+  RemoteFleetFixture f("remote_merge", 2);
+  for (const auto& [o, v] : kNine) {
+    Request bq = stq(o, v);
+    bq.op = Op::kBq;
+    const auto out = submit_frame(*f.fleet, {stq(o, v), bq});
+    ASSERT_EQ(out.size(), 2u);
+    ASSERT_TRUE(out[0].ok && out[1].ok) << out[0].error << out[1].error;
+  }
+
+  ServerStats fleet = f.fleet->aggregated_stats();
+  std::vector<ServerStats> own;
+  for (const auto& server : f.servers) own.push_back(server->stats());
+  ServerStats expect = merge_stats(own);
+  // Each shard answered the fleet's stats request while it was still
+  // queued, and recorded that request's latency only afterwards.
+  for (ServerStats* s : {&fleet, &expect}) {
+    s->queue_depth = 0;
+    s->verb_latency[static_cast<std::size_t>(Op::kStats)] = {};
+  }
+  EXPECT_EQ(fleet.verb_latency[static_cast<std::size_t>(Op::kStq)].count,
+            kNine.size());
+  EXPECT_EQ(fleet.verb_latency[static_cast<std::size_t>(Op::kBq)].count,
+            kNine.size());
+  EXPECT_TRUE(fleet == expect);
+  Response a, b;
+  a.has_stats = b.has_stats = true;
+  a.stats = fleet;
+  b.stats = expect;
+  EXPECT_EQ(format_response(a), format_response(b));
 }
 
 TEST(RemoteFleetTest, ALostShardFailsOverWithByteIdenticalAnswers) {

@@ -906,7 +906,6 @@ TEST(ServerRobustnessTest, FailedReloadServesStaleAnswers) {
   EXPECT_EQ(rec.at("stale_served"), "2");
   EXPECT_EQ(rec.at("deadline_exceeded"), "0");
   EXPECT_EQ(rec.at("shed"), "0");
-  EXPECT_EQ(rec.at("retries"), "0");
 }
 
 // -------------------------------------- robustness: queue depth accounting
@@ -1091,6 +1090,17 @@ TEST(BatchSchedulerTest, LoneRequestBypassesWithoutHold) {
   EXPECT_EQ(stats.batch_flushes, 0u);
 }
 
+TEST(BatchSchedulerTest, MaxBatchMustFitTheStatsRecord) {
+  // The wire's stats record indexes dispatch sizes with a u16.
+  ServeOptions base;
+  base.batch.enabled = true;
+  base.batch.max_batch = 65536;
+  EXPECT_THROW(ServerFixture(8, 1, base, "batch_cap"), Error);
+  base.batch.max_batch = 65535;
+  ServerFixture f(8, 1, base, "batch_cap");
+  EXPECT_TRUE(f.server->handle(f.stq(44, 260)).ok);
+}
+
 TEST(BatchSchedulerTest, BurstCoalescesAndStaysBitIdentical) {
   // A burst through the scheduler must coalesce into multi-request flushes
   // (max_inflight=1 keeps the slot busy so arrivals pile up) while every
@@ -1146,8 +1156,8 @@ TEST(BatchSchedulerTest, BurstCoalescesAndStaysBitIdentical) {
             static_cast<std::uint64_t>(kRequests));
   EXPECT_GE(stats.batch_flushes, 1u);
   EXPECT_GE(stats.batched_requests, 2u);
-  EXPECT_GE(stats.batch_size_p95, stats.batch_size_p50);
-  EXPECT_GE(stats.batch_size_p50, 1.0);
+  EXPECT_GE(stats.batch_size_quantile(0.95), stats.batch_size_quantile(0.50));
+  EXPECT_GE(stats.batch_size_quantile(0.50), 1.0);
   EXPECT_EQ(stats.sweeps_computed, problems.size());
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kRequests));
@@ -1245,9 +1255,9 @@ TEST(ServerStatsTest, VerbTailLatencySurfacesInStatsAndJson) {
   EXPECT_EQ(stq.count, 6u);
   // Interpolated quantiles may exceed the exact max, so assert ordering
   // among quantiles and positivity of the exact max only.
-  EXPECT_GE(stq.p99_ms, stq.p95_ms);
-  EXPECT_GE(stq.p95_ms, stq.p50_ms);
-  EXPECT_GT(stq.max_ms, 0.0);
+  EXPECT_GE(stq.quantile(0.99), stq.quantile(0.95));
+  EXPECT_GE(stq.quantile(0.95), stq.quantile(0.50));
+  EXPECT_GT(stq.max(), 0.0);
   EXPECT_GE(stats.batch_bypass + stats.batch_flushes, 1u);
 
   Request sr;
@@ -1270,6 +1280,107 @@ TEST(ServerStatsTest, OverflowSourceFeedsStats) {
   EXPECT_EQ(f.server->stats().overflow_closed, 7u);
 }
 
+TEST(ServerStatsTest, OneServerRendersTheSameValuesFromHistograms) {
+  // Fixed inputs: counters, per-verb samples, dispatch sizes, online on.
+  LatencyHistogram verb[kNumOps];
+  const auto record = [&](Op op, double seconds, std::uint64_t n) {
+    verb[static_cast<std::size_t>(op)].record_n(seconds, n);
+  };
+  for (int i = 0; i < 300; ++i) record(Op::kStq, 0.0004 + i * 1e-6, 1);
+  record(Op::kStq, 0.085, 1);
+  record(Op::kBq, 0.0021, 10);
+  record(Op::kBq, 0.0035, 40);
+  record(Op::kBq, 0.0123, 1);
+  for (int i = 0; i < 20; ++i) record(Op::kBudget, 0.001 + i * 5e-5, 1);
+  record(Op::kJob, 0.00002, 3);
+  record(Op::kJob, 0.0007, 2);
+  record(Op::kStats, 0.000015, 1);
+  record(Op::kStats, 0.00003, 2);
+
+  Response r;
+  r.ok = true;
+  r.op = "stats";
+  r.id = "golden";
+  r.has_stats = true;
+  ServerStats& s = r.stats;
+  s.requests = 1234;
+  s.errors = 7;
+  s.sweeps_computed = 42;
+  s.coalesced = 5;
+  s.cache_hits = 900;
+  s.cache_misses = 300;
+  s.cache_evictions = 11;
+  s.cache_size = 256;
+  s.queue_depth = 3;
+  s.deadline_exceeded = 2;
+  s.shed = 4;
+  s.stale_served = 6;
+  s.reload_failures = 1;
+  s.models_loaded = 2;
+  s.models_trained = 1;
+  s.batched_requests = 953;
+  s.batch_flushes = 300;
+  s.batch_bypass = 200;
+  s.overflow_closed = 9;
+  for (std::size_t i = 0; i < kNumOps; ++i) {
+    s.verb_latency[i] = verb[i].snapshot();
+  }
+  s.batch_sizes.assign(65, 0);
+  s.batch_sizes[1] = 200;
+  s.batch_sizes[2] = 160;
+  s.batch_sizes[3] = 90;
+  s.batch_sizes[5] = 40;
+  s.batch_sizes[8] = 6;
+  s.batch_sizes[17] = 3;
+  s.batch_sizes[64] = 1;
+  s.online_enabled = true;
+  s.online = {.reports = 12, .measurements = 40, .duplicates = 3,
+              .rejected = 1, .buffered = 33, .rolling_mape = 0.123456789,
+              .drift_events = 2, .incremental_updates = 7, .refits = 1,
+              .shadow_evals = 1, .promotions = 1, .promotions_rejected = 0,
+              .cache_invalidated = 17};
+
+  // The line these inputs rendered when the snapshot stored quantiles:
+  // overall ones from a histogram fed every sample, each clamped to its
+  // exact max, and batch sizes ranked over the scheduler's size slots.
+  const auto want = parse_record(
+      R"({"ok":true,"op":"stats","id":"golden","requests":1234,"errors":7)"
+      R"(,"sweeps_computed":42,"coalesced":5,"cache_hits":900)"
+      R"(,"cache_misses":300,"cache_evictions":11,"cache_hit_rate":0.75)"
+      R"(,"cache_size":256,"queue_depth":3,"deadline_exceeded":2,"shed":4)"
+      R"(,"stale_served":6,"reload_failures":1,"retries":0)"
+      R"(,"models_loaded":2,"models_trained":1)"
+      R"(,"latency_p50_ms":0.5838585205,"latency_p95_ms":4.28126804)"
+      R"(,"latency_mean_ms":1.195223671,"batched_requests":953)"
+      R"(,"batch_flushes":300,"batch_bypass":200,"batch_size_p50":2)"
+      R"(,"batch_size_p95":5,"overflow_closed":9,"lat_stq_count":301)"
+      R"(,"lat_stq_p50_ms":0.5508665151,"lat_stq_p95_ms":0.8783336755)"
+      R"(,"lat_stq_p99_ms":0.9699858851,"lat_stq_max_ms":85)"
+      R"(,"lat_bq_count":51,"lat_bq_p50_ms":3.990308076)"
+      R"(,"lat_bq_p95_ms":4.946319386,"lat_bq_p99_ms":12.3)"
+      R"(,"lat_bq_max_ms":12.3,"lat_budget_count":20)"
+      R"(,"lat_budget_p50_ms":1.47789188,"lat_budget_p95_ms":1.95)"
+      R"(,"lat_budget_p99_ms":1.95,"lat_budget_max_ms":1.95)"
+      R"(,"lat_job_count":5,"lat_job_p50_ms":0.02562890625)"
+      R"(,"lat_job_p95_ms":0.7,"lat_job_p99_ms":0.7,"lat_job_max_ms":0.7)"
+      R"(,"lat_stats_count":3,"lat_stats_p50_ms":0.03)"
+      R"(,"lat_stats_p95_ms":0.03,"lat_stats_p99_ms":0.03)"
+      R"(,"lat_stats_max_ms":0.03,"online_reports":12)"
+      R"(,"online_measurements":40,"online_duplicates":3)"
+      R"(,"online_rejected":1,"online_buffered":33)"
+      R"(,"online_rolling_mape":0.123456789,"online_drift_events":2)"
+      R"(,"online_incremental_updates":7,"online_refits":1)"
+      R"(,"online_shadow_evals":1,"online_promotions":1)"
+      R"(,"online_promotions_rejected":0,"online_cache_invalidated":17})");
+  const auto got = parse_record(format_response(r));
+  for (const auto& [key, value] : want) {
+    if (key == "retries") continue;  // the counter is gone
+    ASSERT_EQ(got.count(key), 1u) << key;
+    EXPECT_EQ(got.at(key), value) << key;
+  }
+  EXPECT_EQ(got.size(), want.size() - 1);
+}
+
 TEST(ServerStatsTest, BatchAndTailFieldsSurviveTheWire) {
   Response r;
   r.ok = true;
@@ -1278,15 +1389,15 @@ TEST(ServerStatsTest, BatchAndTailFieldsSurviveTheWire) {
   r.stats.batched_requests = 123;
   r.stats.batch_flushes = 17;
   r.stats.batch_bypass = 9;
-  r.stats.batch_size_p50 = 3.5;
-  r.stats.batch_size_p95 = 12.25;
+  r.stats.batch_sizes = {0, 9, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 13};
   r.stats.overflow_closed = 4;
-  auto& verb = r.stats.verb_latency[static_cast<int>(Op::kStq)];
-  verb.count = 11;
-  verb.p50_ms = 0.5;
-  verb.p95_ms = 2.0;
-  verb.p99_ms = 3.75;
-  verb.max_ms = 8.125;
+  LatencyHistogram stq;
+  stq.record_n(0.0005, 7);
+  stq.record(0.002);
+  stq.record(0.003);
+  stq.record(0.00375);
+  stq.record(8.125);
+  r.stats.verb_latency[static_cast<int>(Op::kStq)] = stq.snapshot();
 
   const std::string frame = wire::encode_response_frame({r});
   wire::FrameHeader header;
@@ -1304,13 +1415,15 @@ TEST(ServerStatsTest, BatchAndTailFieldsSurviveTheWire) {
   EXPECT_EQ(d.batched_requests, 123u);
   EXPECT_EQ(d.batch_flushes, 17u);
   EXPECT_EQ(d.batch_bypass, 9u);
-  EXPECT_EQ(d.batch_size_p50, 3.5);
-  EXPECT_EQ(d.batch_size_p95, 12.25);
+  EXPECT_EQ(d.batch_sizes, r.stats.batch_sizes);
+  EXPECT_EQ(d.batch_size_quantile(0.50), 2.0);
+  EXPECT_EQ(d.batch_size_quantile(0.95), 12.0);
   EXPECT_EQ(d.overflow_closed, 4u);
-  const auto& dv = decoded[0].stats.verb_latency[static_cast<int>(Op::kStq)];
+  const auto& dv = d.verb_latency[static_cast<int>(Op::kStq)];
+  EXPECT_EQ(dv.buckets, r.stats.verb_latency[static_cast<int>(Op::kStq)].buckets);
   EXPECT_EQ(dv.count, 11u);
-  EXPECT_EQ(dv.p99_ms, 3.75);
-  EXPECT_EQ(dv.max_ms, 8.125);
+  EXPECT_EQ(dv.max(), 8.125);
+  EXPECT_EQ(d, r.stats);
 }
 
 TEST(EventLoopOptionsTest, EffectiveInbufResolvesZeroToDerivedDefault) {

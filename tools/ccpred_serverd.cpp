@@ -273,25 +273,23 @@ void print_loop_stats(const serve::EventLoopServer& listener) {
 }
 
 void print_final_stats(const serve::ServerStats& s) {
+  const LatencyHistogram::Snapshot latency = s.total_latency();
   std::fprintf(stderr,
                "served %llu requests (%llu errors), %llu sweeps, cache "
                "hit rate %.2f, p50 %.2f ms, p95 %.2f ms\n",
                static_cast<unsigned long long>(s.requests),
                static_cast<unsigned long long>(s.errors),
                static_cast<unsigned long long>(s.sweeps_computed),
-               s.cache_hit_rate, s.latency_p50_ms, s.latency_p95_ms);
-  if (s.deadline_exceeded + s.shed + s.stale_served + s.reload_failures +
-          s.retries >
-      0) {
-    std::fprintf(
-        stderr,
-        "degraded: %llu deadline, %llu shed, %llu stale, %llu reload "
-        "failures, %llu retries\n",
-        static_cast<unsigned long long>(s.deadline_exceeded),
-        static_cast<unsigned long long>(s.shed),
-        static_cast<unsigned long long>(s.stale_served),
-        static_cast<unsigned long long>(s.reload_failures),
-        static_cast<unsigned long long>(s.retries));
+               s.cache_hit_rate(), latency.quantile(0.50) * 1e3,
+               latency.quantile(0.95) * 1e3);
+  if (s.deadline_exceeded + s.shed + s.stale_served + s.reload_failures > 0) {
+    std::fprintf(stderr,
+                 "degraded: %llu deadline, %llu shed, %llu stale, %llu reload "
+                 "failures\n",
+                 static_cast<unsigned long long>(s.deadline_exceeded),
+                 static_cast<unsigned long long>(s.shed),
+                 static_cast<unsigned long long>(s.stale_served),
+                 static_cast<unsigned long long>(s.reload_failures));
   }
 }
 
