@@ -4,14 +4,18 @@
 /// This translation unit interposes the global allocation operators with
 /// counting wrappers (atomic, thread-safe — pool workers allocate too), so
 /// every `new` anywhere in the process is observed. Two workloads, each
-/// run under the reference engine and the fast engine:
+/// run from scratch (the reference) and through the fast engine:
 ///
 ///   - campaign generation: the figure pipeline's generate_dataset, where
 ///     the fast path batches through the memoized SimEngine and keeps its
-///     grouping scratch in a per-thread Arena
+///     grouping scratch in a per-thread Arena; the reference labels the
+///     same rows with the oracle's campaign_labels, one from-scratch
+///     simulation per row
 ///   - STQ/BQ true-optima sweeps across evaluation rounds: the fast engine
 ///     serves repeat rounds from its ShardedMemoCache instead of
-///     re-simulating (and re-allocating) every round
+///     re-simulating (and re-allocating) every round; the reference runs
+///     one from-scratch iteration_time per swept point, round and
+///     objective
 ///
 /// Gates (exit nonzero on failure):
 ///   - fast allocates >= 5x fewer times than reference on both workloads
@@ -37,6 +41,7 @@
 #include "ccpred/data/problems.hpp"
 #include "ccpred/guidance/optimal.hpp"
 #include "ccpred/sim/sim_engine.hpp"
+#include "oracle/oracle.hpp"
 
 // ---------------------------------------------------------------------------
 // Counting allocator interposition (whole process, all threads)
@@ -96,44 +101,6 @@ std::uint64_t allocations_of(Fn&& fn) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-bool datasets_identical(const data::Dataset& a, const data::Dataset& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!(a.config(i) == b.config(i))) return false;
-    if (a.target(i) != b.target(i)) return false;
-  }
-  return true;
-}
-
-bool sweeps_identical(const std::vector<guide::TrueOptimaSweep>& a,
-                      const std::vector<guide::TrueOptimaSweep>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].o != b[i].o || a[i].v != b[i].v) return false;
-    if (a[i].points.size() != b[i].points.size()) return false;
-    for (std::size_t j = 0; j < a[i].points.size(); ++j) {
-      if (!(a[i].points[j].config == b[i].points[j].config)) return false;
-      if (a[i].points[j].time_s != b[i].points[j].time_s) return false;
-      if (a[i].points[j].value != b[i].points[j].value) return false;
-    }
-    if (!(a[i].best.config == b[i].best.config)) return false;
-    if (a[i].best.value != b[i].best.value) return false;
-  }
-  return true;
-}
-
-/// The k smallest problems by O*V work proxy (cheapest sweep surfaces).
-std::vector<data::Problem> smallest_problems(std::vector<data::Problem> all,
-                                             std::size_t k) {
-  std::sort(all.begin(), all.end(),
-            [](const data::Problem& a, const data::Problem& b) {
-              return static_cast<double>(a.o) * a.v <
-                     static_cast<double>(b.o) * b.v;
-            });
-  all.resize(std::min(k, all.size()));
-  return all;
-}
-
 }  // namespace
 
 int main() {
@@ -149,23 +116,24 @@ int main() {
   // ---- workload A: campaign generation ----
   const int regens = 2;
   const auto campaign_problems =
-      fast_mode ? smallest_problems(problems, 6) : problems;
-  data::GeneratorOptions ref_opt;
-  ref_opt.seed = 2025;
-  ref_opt.target_total = fast_mode ? data::paper_total_rows("aurora") / 4
-                                   : data::paper_total_rows("aurora");
-  ref_opt.engine_mode = sim::SimEngineMode::kReference;
+      fast_mode ? bench::smallest_problems(problems, 6) : problems;
+  data::GeneratorOptions opt;
+  opt.seed = 2025;
+  opt.target_total = fast_mode ? data::paper_total_rows("aurora") / 4
+                               : data::paper_total_rows("aurora");
 
-  data::Dataset ref_campaign;
+  // The campaign's rows (not counted), which the reference labels from
+  // scratch.
+  const data::Dataset rows =
+      data::generate_dataset(simulator, campaign_problems, opt);
+  std::vector<double> ref_labels;
   const std::uint64_t campaign_ref_allocs = allocations_of([&] {
     for (int r = 0; r < regens; ++r) {
-      ref_campaign =
-          data::generate_dataset(simulator, campaign_problems, ref_opt);
+      ref_labels = oracle::campaign_labels(simulator, rows, opt.seed);
     }
   });
 
-  data::GeneratorOptions fast_opt = ref_opt;
-  fast_opt.engine_mode = sim::SimEngineMode::kFast;
+  data::GeneratorOptions fast_opt = opt;
   sim::SimEngine shared_engine(simulator);
   fast_opt.shared_engine = &shared_engine;
 
@@ -180,23 +148,12 @@ int main() {
       static_cast<double>(campaign_ref_allocs) /
       static_cast<double>(std::max<std::uint64_t>(1, campaign_fast_allocs));
   const bool campaign_identical =
-      datasets_identical(ref_campaign, fast_campaign);
+      bench::campaign_matches(fast_campaign, rows, ref_labels);
 
   // ---- workload B: STQ/BQ true-optima sweeps across rounds ----
   const int rounds = 4;
-  const auto sweep_problems = smallest_problems(problems, fast_mode ? 3 : 6);
-
-  sim::SimEngine ref_engine(simulator,
-                            {.mode = sim::SimEngineMode::kReference});
-  std::vector<guide::TrueOptimaSweep> ref_stq, ref_bq;
-  const std::uint64_t sweep_ref_allocs = allocations_of([&] {
-    for (int r = 0; r < rounds; ++r) {
-      ref_stq = guide::true_optima_sweeps(ref_engine, sweep_problems,
-                                          guide::Objective::kShortestTime);
-      ref_bq = guide::true_optima_sweeps(ref_engine, sweep_problems,
-                                         guide::Objective::kNodeHours);
-    }
-  });
+  const auto sweep_problems =
+      bench::smallest_problems(problems, fast_mode ? 3 : 6);
 
   sim::SimEngine fast_engine(simulator);
   std::vector<guide::TrueOptimaSweep> fast_stq, fast_bq;
@@ -208,11 +165,21 @@ int main() {
                                           guide::Objective::kNodeHours);
     }
   });
+
+  std::vector<double> ref_stq, ref_bq;
+  const std::uint64_t sweep_ref_allocs = allocations_of([&] {
+    for (int r = 0; r < rounds; ++r) {
+      ref_stq = bench::reference_times(simulator, fast_stq);
+      ref_bq = bench::reference_times(simulator, fast_bq);
+    }
+  });
   const double sweep_ratio =
       static_cast<double>(sweep_ref_allocs) /
       static_cast<double>(std::max<std::uint64_t>(1, sweep_fast_allocs));
   const bool sweep_identical =
-      sweeps_identical(ref_stq, fast_stq) && sweeps_identical(ref_bq, fast_bq);
+      bench::sweeps_match(fast_stq, ref_stq,
+                          guide::Objective::kShortestTime) &&
+      bench::sweeps_match(fast_bq, ref_bq, guide::Objective::kNodeHours);
 
   TextTable table({"workload", "path", "allocations", "ratio"},
                   "Global operator-new counts");
@@ -236,7 +203,7 @@ int main() {
       "campaign allocation ratio %.1fx (target >= 5x): %s\n"
       "STQ/BQ sweep allocation ratio %.1fx (target >= 5x): %s\n"
       "fast vs reference bit-identity (campaign %s, sweeps %s): %s\n",
-      ref_campaign.size(), regens, campaign_ratio,
+      rows.size(), regens, campaign_ratio,
       campaign_ok ? "PASS" : "FAIL", sweep_ratio, sweep_ok ? "PASS" : "FAIL",
       campaign_identical ? "yes" : "NO", sweep_identical ? "yes" : "NO",
       identical_ok ? "PASS" : "FAIL");
@@ -259,7 +226,7 @@ int main() {
         "  \"pass\": %s,\n"
         "  \"provenance\": %s\n"
         "}\n",
-        fast_mode ? "true" : "false", threads, ref_campaign.size(), regens,
+        fast_mode ? "true" : "false", threads, rows.size(), regens,
         static_cast<unsigned long long>(campaign_ref_allocs),
         static_cast<unsigned long long>(campaign_fast_allocs), campaign_ratio,
         campaign_identical ? "true" : "false", sweep_problems.size(), rounds,

@@ -1,14 +1,15 @@
 /// Kernel-model engine bench: the fast GP path (cached squared distances,
 /// blocked Cholesky, batched variances, incremental refits) against the
-/// scalar reference engine, on the paper's Aurora campaign.
+/// test oracle's ReferenceGp (the original scalar per-candidate / per-row
+/// computation), on the paper's Aurora campaign.
 ///
 /// Three timed sections:
 ///   - GP fit with the (gamma, noise) grid search (Fig. 3 hyper-parameter
-///     optimization), fast vs reference engine
+///     optimization), fast vs reference
 ///   - pool-sized batch predict_with_std, fast vs reference
 ///   - one uncertainty-sampling active-learning arm (Fig. 3 US config),
-///     fast engine + incremental refits vs reference engine + from-scratch
-///     refits, compared per round
+///     fast GP + incremental refits vs ReferenceGp + from-scratch refits,
+///     compared per round
 ///
 /// Gates (exit nonzero on failure):
 ///   - GP grid fit: fast >= 3x faster than reference
@@ -38,6 +39,7 @@
 #include "ccpred/common/thread_pool.hpp"
 #include "ccpred/core/gaussian_process.hpp"
 #include "ccpred/simd/simd.hpp"
+#include "oracle/oracle.hpp"
 
 namespace {
 
@@ -99,8 +101,7 @@ int main() {
 
   // ---- GP fit with the (gamma, noise) grid (Fig. 3 US model) ----
   ml::GaussianProcessRegression gp_fast(0.5, 1e-4, true, true);
-  ml::GaussianProcessRegression gp_ref(0.5, 1e-4, true, true);
-  gp_ref.set_params({{"engine", 1.0}});
+  oracle::ReferenceGp gp_ref(0.5, 1e-4, true, true);
 
   const int fit_reps = fast_mode ? 1 : 2;
   const double fit_fast_s =
@@ -135,8 +136,7 @@ int main() {
   al_fast_opt.refit_cadence = 5;
 
   ml::GaussianProcessRegression al_proto_fast(0.5, 1e-4, true, true);
-  ml::GaussianProcessRegression al_proto_ref(0.5, 1e-4, true, true);
-  al_proto_ref.set_params({{"engine", 1.0}});
+  oracle::ReferenceGp al_proto_ref(0.5, 1e-4, true, true);
 
   al::UncertaintySampling us_fast, us_ref;
   std::size_t al_rounds = 0;

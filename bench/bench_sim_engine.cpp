@@ -1,16 +1,18 @@
 /// Simulation-engine bench: the memoized/batched/parallel SimEngine against
-/// the serial from-scratch reference, on the paper's Aurora reproduction
+/// serial from-scratch simulation, on the paper's Aurora reproduction
 /// workloads.
 ///
 /// Two timed sections:
 ///   - campaign generation: the figure pipeline regenerates the paper
 ///     campaign once per bench binary; we time two regenerations, reference
-///     (one from-scratch simulation per row) vs fast (one shared engine
-///     whose SimCache persists across regenerations)
+///     (the oracle's campaign_labels: one from-scratch simulation per row)
+///     vs fast (one shared engine whose SimCache persists across
+///     regenerations)
 ///   - STQ/BQ true-optima sweeps: the paper's exhaustive ground-truth sweep
 ///     over the machine menu, repeated for several evaluation rounds (the
-///     AL goal evaluation used to recompute it every round), reference vs
-///     one fast engine
+///     AL goal evaluation used to recompute it every round), one fast
+///     engine vs a reference of one from-scratch iteration_time per swept
+///     point, per round and objective
 ///
 /// Gates (exit nonzero on failure):
 ///   - campaign generation: fast >= 4x faster than reference
@@ -19,7 +21,6 @@
 ///
 /// Emits the measurements to BENCH_sim_engine.json.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,52 +33,9 @@
 #include "ccpred/data/problems.hpp"
 #include "ccpred/guidance/optimal.hpp"
 #include "ccpred/sim/sim_engine.hpp"
-
-namespace {
+#include "oracle/oracle.hpp"
 
 using namespace ccpred;
-
-/// Exact row-by-row equality (configs and targets compared with ==).
-bool datasets_identical(const data::Dataset& a, const data::Dataset& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!(a.config(i) == b.config(i))) return false;
-    if (a.target(i) != b.target(i)) return false;
-  }
-  return true;
-}
-
-/// Exact sweep equality: every point's config and time, and the argmin.
-bool sweeps_identical(const std::vector<guide::TrueOptimaSweep>& a,
-                      const std::vector<guide::TrueOptimaSweep>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].o != b[i].o || a[i].v != b[i].v) return false;
-    if (a[i].points.size() != b[i].points.size()) return false;
-    for (std::size_t j = 0; j < a[i].points.size(); ++j) {
-      if (!(a[i].points[j].config == b[i].points[j].config)) return false;
-      if (a[i].points[j].time_s != b[i].points[j].time_s) return false;
-      if (a[i].points[j].value != b[i].points[j].value) return false;
-    }
-    if (!(a[i].best.config == b[i].best.config)) return false;
-    if (a[i].best.value != b[i].best.value) return false;
-  }
-  return true;
-}
-
-/// The k smallest problems by O*V work proxy (cheapest sweep surfaces).
-std::vector<data::Problem> smallest_problems(std::vector<data::Problem> all,
-                                             std::size_t k) {
-  std::sort(all.begin(), all.end(),
-            [](const data::Problem& a, const data::Problem& b) {
-              return static_cast<double>(a.o) * a.v <
-                     static_cast<double>(b.o) * b.v;
-            });
-  all.resize(std::min(k, all.size()));
-  return all;
-}
-
-}  // namespace
 
 int main() {
   const bool fast_mode = bench::fast_mode();
@@ -95,23 +53,24 @@ int main() {
   // a repeat-free workload no pipeline actually runs.
   const int regens = 2;
   const auto campaign_problems =
-      fast_mode ? smallest_problems(problems, 6) : problems;
-  data::GeneratorOptions ref_opt;
-  ref_opt.seed = 2025;
-  ref_opt.target_total =
+      fast_mode ? bench::smallest_problems(problems, 6) : problems;
+  data::GeneratorOptions opt;
+  opt.seed = 2025;
+  opt.target_total =
       fast_mode ? data::paper_total_rows("aurora") / 4
                 : data::paper_total_rows("aurora");
-  ref_opt.engine_mode = sim::SimEngineMode::kReference;
 
-  data::Dataset ref_campaign;
+  // The campaign's rows (untimed), which the reference labels from scratch.
+  const data::Dataset rows =
+      data::generate_dataset(simulator, campaign_problems, opt);
+  std::vector<double> ref_labels;
   Stopwatch campaign_ref_watch;
   for (int r = 0; r < regens; ++r) {
-    ref_campaign = data::generate_dataset(simulator, campaign_problems, ref_opt);
+    ref_labels = oracle::campaign_labels(simulator, rows, opt.seed);
   }
   const double campaign_ref_s = campaign_ref_watch.elapsed_s();
 
-  data::GeneratorOptions fast_opt = ref_opt;
-  fast_opt.engine_mode = sim::SimEngineMode::kFast;
+  data::GeneratorOptions fast_opt = opt;
   sim::SimEngine shared_engine(simulator);
   fast_opt.shared_engine = &shared_engine;
 
@@ -122,25 +81,14 @@ int main() {
   }
   const double campaign_fast_s = campaign_fast_watch.elapsed_s();
   const double campaign_speedup = campaign_ref_s / campaign_fast_s;
-  const bool campaign_identical = datasets_identical(ref_campaign, fast_campaign);
+  const bool campaign_identical =
+      bench::campaign_matches(fast_campaign, rows, ref_labels);
   const auto campaign_cache = shared_engine.cache().stats();
 
   // ---- STQ/BQ true-optima sweeps across evaluation rounds ----
   const int rounds = 4;
   const auto sweep_problems =
-      smallest_problems(problems, fast_mode ? 3 : 6);
-
-  sim::SimEngine ref_engine(simulator,
-                            {.mode = sim::SimEngineMode::kReference});
-  std::vector<guide::TrueOptimaSweep> ref_stq, ref_bq;
-  Stopwatch sweep_ref_watch;
-  for (int r = 0; r < rounds; ++r) {
-    ref_stq = guide::true_optima_sweeps(ref_engine, sweep_problems,
-                                        guide::Objective::kShortestTime);
-    ref_bq = guide::true_optima_sweeps(ref_engine, sweep_problems,
-                                       guide::Objective::kNodeHours);
-  }
-  const double sweep_ref_s = sweep_ref_watch.elapsed_s();
+      bench::smallest_problems(problems, fast_mode ? 3 : 6);
 
   sim::SimEngine fast_engine(simulator);
   std::vector<guide::TrueOptimaSweep> fast_stq, fast_bq;
@@ -152,11 +100,21 @@ int main() {
                                         guide::Objective::kNodeHours);
   }
   const double sweep_fast_s = sweep_fast_watch.elapsed_s();
+
+  std::vector<double> ref_stq, ref_bq;
+  Stopwatch sweep_ref_watch;
+  for (int r = 0; r < rounds; ++r) {
+    ref_stq = bench::reference_times(simulator, fast_stq);
+    ref_bq = bench::reference_times(simulator, fast_bq);
+  }
+  const double sweep_ref_s = sweep_ref_watch.elapsed_s();
   const double sweep_speedup = sweep_ref_s / sweep_fast_s;
   const bool sweep_identical =
-      sweeps_identical(ref_stq, fast_stq) && sweeps_identical(ref_bq, fast_bq);
+      bench::sweeps_match(fast_stq, ref_stq,
+                          guide::Objective::kShortestTime) &&
+      bench::sweeps_match(fast_bq, ref_bq, guide::Objective::kNodeHours);
   std::size_t sweep_configs = 0;
-  for (const auto& sw : ref_stq) sweep_configs += sw.points.size();
+  for (const auto& sw : fast_stq) sweep_configs += sw.points.size();
   const auto sweep_cache = fast_engine.cache().stats();
 
   TextTable table({"section", "path", "seconds", "speedup"},
@@ -183,7 +141,7 @@ int main() {
       "campaign generation speedup %.1fx (target >= 4x): %s\n"
       "STQ/BQ sweep speedup %.1fx (target >= 3x): %s\n"
       "fast vs reference bit-identity (campaign %s, sweeps %s): %s\n",
-      ref_campaign.size(), regens, campaign_cache.entries,
+      rows.size(), regens, campaign_cache.entries,
       static_cast<unsigned long long>(campaign_cache.hits),
       sweep_problems.size(), sweep_configs, rounds, sweep_cache.entries,
       static_cast<unsigned long long>(sweep_cache.hits), campaign_speedup,
@@ -210,7 +168,7 @@ int main() {
         "  \"provenance\": %s,\n"
         "  \"pass\": %s\n"
         "}\n",
-        fast_mode ? "true" : "false", threads, ref_campaign.size(), regens,
+        fast_mode ? "true" : "false", threads, rows.size(), regens,
         campaign_ref_s, campaign_fast_s, campaign_speedup,
         campaign_identical ? "true" : "false", campaign_cache.entries,
         static_cast<unsigned long long>(campaign_cache.hits),

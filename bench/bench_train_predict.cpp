@@ -1,6 +1,7 @@
 /// Tree-ensemble engine bench: histogram training vs the exact reference,
-/// compiled SoA batch inference vs the per-row tree walk, and the
-/// dispatched bin-code kernel across SIMD modes.
+/// compiled SoA batch inference vs the per-row tree walk (GB's
+/// predict_staged over every stage, the oracle's forest_walk for RF), and
+/// the dispatched bin-code kernel across SIMD modes.
 ///
 /// Trains GB and RF on the paper's Aurora campaign both ways and times a
 /// sweep-shaped batch prediction through both inference paths, asserting
@@ -32,6 +33,7 @@
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/random_forest.hpp"
 #include "ccpred/simd/simd.hpp"
+#include "oracle/oracle.hpp"
 
 namespace {
 
@@ -96,18 +98,22 @@ int main() {
   // A sweep-shaped query batch: every campaign row is a (O, V, nodes, tile)
   // point, just like the advisor's enumerate-and-predict sweep.
   const int predict_reps = fast ? 5 : 10;
-  const double walk_s = best_time_s(predict_reps, [&] { gb_hist.predict_walk(x); });
+  const auto gb_walk = [&] {
+    return gb_hist.predict_staged(x, gb_hist.stage_count());
+  };
+  const double walk_s = best_time_s(predict_reps, gb_walk);
   const double compiled_s = best_time_s(predict_reps, [&] { gb_hist.predict(x); });
   const double predict_speedup = walk_s / compiled_s;
 
-  const auto walk_out = gb_hist.predict_walk(x);
+  const auto walk_out = gb_walk();
   const auto compiled_out = gb_hist.predict(x);
   bool bit_identical = walk_out.size() == compiled_out.size();
   for (std::size_t i = 0; bit_identical && i < walk_out.size(); ++i) {
     bit_identical = walk_out[i] == compiled_out[i];
   }
 
-  const double rf_walk_s = best_time_s(predict_reps, [&] { rf_hist.predict_walk(x); });
+  const double rf_walk_s =
+      best_time_s(predict_reps, [&] { oracle::forest_walk(rf_hist, x); });
   const double rf_compiled_s = best_time_s(predict_reps, [&] { rf_hist.predict(x); });
   const double rf_predict_speedup = rf_walk_s / rf_compiled_s;
 

@@ -9,9 +9,11 @@
 /// datasets, fewer search iterations) for quick smoke runs.
 
 #include <string>
+#include <vector>
 
 #include "ccpred/data/generator.hpp"
 #include "ccpred/data/split.hpp"
+#include "ccpred/guidance/optimal.hpp"
 #include "ccpred/sim/ccsd_simulator.hpp"
 
 namespace ccpred::bench {
@@ -36,6 +38,25 @@ struct PaperData {
 
 PaperData load_paper_data(const std::string& machine,
                           std::uint64_t seed = 2025, bool full_rows = false);
+
+/// The k smallest problems by O*V work proxy (cheapest sweep surfaces).
+std::vector<data::Problem> smallest_problems(std::vector<data::Problem> all,
+                                             std::size_t k);
+
+/// Exact row-by-row equality: same configs as `rows`, targets == labels.
+bool campaign_matches(const data::Dataset& campaign, const data::Dataset& rows,
+                      const std::vector<double>& labels);
+
+/// The reference sweep: one from-scratch iteration_time per swept point.
+std::vector<double> reference_times(
+    const sim::CcsdSimulator& simulator,
+    const std::vector<guide::TrueOptimaSweep>& sweeps);
+
+/// Exact sweep equality: every point's time is its reference time, every
+/// value follows from its time, and each argmin is a minimum.
+bool sweeps_match(const std::vector<guide::TrueOptimaSweep>& sweeps,
+                  const std::vector<double>& times,
+                  guide::Objective objective);
 
 /// One-line JSON object fragment recording where a bench number came from:
 /// detected CPU features (avx2/fma), the SIMD dispatch mode the run

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "ccpred/common/error.hpp"
-#include "ccpred/common/thread_pool.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 
 namespace ccpred::al {
 
@@ -38,7 +38,7 @@ std::vector<std::size_t> QueryByCommittee::select(
   for (auto& s : seeds) s = rng.next();
 
   std::vector<std::vector<double>> predictions(members);
-  parallel_for(0, members, [&](std::size_t m) {
+  exec::parallel_for(0, members, [&](std::size_t m) {
     Rng member_rng(seeds[m]);
     const auto boot = member_rng.bootstrap_indices(x_labeled.rows());
     const linalg::Matrix xb = x_labeled.select_rows(boot);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -26,16 +25,6 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  // packaged_task is move-only and std::function requires copyability, so
-  // the queue stores a shared_ptr-owning thunk.
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  auto fut = packaged->get_future();
-  post([packaged] { (*packaged)(); });
-  return fut;
 }
 
 void ThreadPool::post(std::function<void()> task) {
@@ -125,43 +114,6 @@ void TaskGroup::wait() {
     std::exception_ptr err = std::exchange(error_, nullptr);
     std::rethrow_exception(err);
   }
-}
-
-namespace {
-thread_local bool in_parallel_region_flag = false;
-}  // namespace
-
-bool in_parallel_region() { return in_parallel_region_flag; }
-
-void set_in_parallel_region(bool value) { in_parallel_region_flag = value; }
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  ThreadPool* pool) {
-  if (begin >= end) return;
-  if (pool == nullptr) pool = &ThreadPool::global();
-
-  const std::size_t n = end - begin;
-  const std::size_t workers = std::min(pool->size(), n);
-
-  if (workers <= 1 || in_parallel_region_flag) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  const std::size_t chunk = (n + workers - 1) / workers;
-  TaskGroup group(*pool);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t lo = begin + w * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    group.run([lo, hi, &body] {
-      in_parallel_region_flag = true;
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-      in_parallel_region_flag = false;
-    });
-  }
-  group.wait();  // rethrows the first chunk exception, if any
 }
 
 }  // namespace ccpred

@@ -1,21 +1,18 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// A fixed-size worker pool, a deterministic parallel_for and a TaskGroup
-/// batch waiter.
+/// A fixed-size worker pool and a TaskGroup batch waiter.
 ///
-/// ccpred parallelizes embarrassingly parallel loops: forest/committee
-/// member training, gradient-boosting residual updates, cross-validation
-/// folds, hyper-parameter candidates and dataset generation. Work is
-/// partitioned statically by index so results are bitwise identical
-/// regardless of worker count or scheduling, as long as each index derives
-/// its randomness from its own Rng stream.
+/// The pool runs the serving layer's request and sweep workers and, as
+/// ThreadPool::global(), the chunks of exec::parallel_for — the one
+/// data-parallel loop behind every forest, boosting, kernel, CV, search,
+/// campaign and sweep fan-out.
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -36,14 +33,9 @@ class ThreadPool {
   /// Number of worker threads.
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task; the future resolves when it completes (exceptions
-  /// propagate through the future).
-  std::future<void> submit(std::function<void()> task);
-
-  /// Fire-and-forget enqueue: no future is allocated, so there is nobody to
-  /// receive an exception — the task must not throw. Waiters that need
-  /// exception propagation without per-task futures use TaskGroup, whose
-  /// run() wraps the task accordingly.
+  /// Fire-and-forget enqueue: there is nobody to receive an exception, so
+  /// the task must not throw. Waiters that need exception propagation use
+  /// TaskGroup, whose run() wraps the task accordingly.
   void post(std::function<void()> task);
 
   /// Bounded-admission post: enqueues only if fewer than `max_queue` tasks
@@ -102,26 +94,5 @@ class TaskGroup {
   std::size_t pending_ = 0;
   std::exception_ptr error_;
 };
-
-/// Runs body(i) for i in [begin, end) across the pool, blocking until all
-/// iterations finish. The index range is split into contiguous chunks, one
-/// per worker. The first exception thrown by any iteration is rethrown.
-///
-/// Safe to call from non-worker threads only (no nested parallel_for on the
-/// same pool — nesting would deadlock a fixed-size pool; nested calls instead
-/// run serially, detected via a thread-local depth flag).
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body,
-                  ThreadPool* pool = nullptr);
-
-/// True on a thread currently running inside a parallel_for (or TaskScope)
-/// chunk. Data-parallel constructs check this and run serially when nested,
-/// because nested fan-out on a fixed-size pool would deadlock.
-bool in_parallel_region();
-
-/// Marks/unmarks the calling thread as inside a parallel chunk. Exposed for
-/// the executor layer's TaskScope, which shares parallel_for's nested-
-/// execution rule; application code has no reason to call it.
-void set_in_parallel_region(bool value);
 
 }  // namespace ccpred

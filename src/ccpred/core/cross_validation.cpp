@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "ccpred/common/error.hpp"
-#include "ccpred/common/thread_pool.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 
 namespace ccpred::ml {
 
@@ -40,7 +40,7 @@ CvResult cross_validate(const Regressor& prototype, const linalg::Matrix& x,
 
   CvResult result;
   result.fold_scores.resize(fold_idx.size());
-  parallel_for(0, fold_idx.size(), [&](std::size_t f) {
+  exec::parallel_for(0, fold_idx.size(), [&](std::size_t f) {
     const auto& val_rows = fold_idx[f];
     std::vector<bool> in_val(x.rows(), false);
     for (auto i : val_rows) in_val[i] = true;

@@ -24,19 +24,9 @@ GaussianProcessRegression::GaussianProcessRegression(double gamma,
   kernel_.gamma = gamma;
 }
 
-void GaussianProcessRegression::fit_with_gamma(double gamma) {
-  kernel_.gamma = gamma;
-  linalg::Matrix k = (engine_ == Engine::kFast && !dist2_.empty())
-                         ? rbf_from_squared_distances_symmetric(dist2_, gamma)
-                         : kernel_.gram_symmetric(x_train_);
-  factor_and_score(std::move(k));
-}
-
 void GaussianProcessRegression::factor_and_score(linalg::Matrix k) {
   k.add_diagonal(noise_ + 1e-10);
-  // Engine and Cholesky::Method are the same exec::EngineMode, so the GP's
-  // mode selects the factorization path directly.
-  chol_ = std::make_unique<linalg::Cholesky>(std::move(k), engine_);
+  chol_ = std::make_unique<linalg::Cholesky>(std::move(k));
   alpha_ = chol_->solve(yz_);
   // log p(y | X) = -1/2 y^T K^{-1} y - 1/2 log|K| - n/2 log(2 pi)
   const double n = static_cast<double>(yz_.size());
@@ -74,14 +64,14 @@ void GaussianProcessRegression::fit(const linalg::Matrix& x,
     yz_ = y_scaler_.fit_transform(y);
   }
 
-  // The fast engine computes the pairwise squared distances once: every
-  // grid candidate's Gram matrix is then an elementwise exp(-gamma * D)
-  // (noise only touches the diagonal) instead of a full recomputation.
-  dist2_ = engine_ == Engine::kFast ? squared_distances(x_train_)
-                                    : linalg::Matrix();
+  // The pairwise squared distances are computed once: every grid
+  // candidate's Gram matrix is then an elementwise exp(-gamma * D) (noise
+  // only touches the diagonal) instead of a full recomputation.
+  dist2_ = squared_distances(x_train_);
 
   if (!optimize_) {
-    fit_with_gamma(kernel_.gamma);
+    factor_and_score(
+        rbf_from_squared_distances_symmetric(dist2_, kernel_.gamma));
     return;
   }
   // Type-II maximum likelihood over a log-spaced (gamma, noise) grid:
@@ -92,48 +82,32 @@ void GaussianProcessRegression::fit(const linalg::Matrix& x,
   double best_gamma = kernel_.gamma;
   double best_noise = noise_;
   double best_lml = -std::numeric_limits<double>::infinity();
-  if (engine_ == Engine::kFast) {
-    // Gamma-major order: one exp map serves all noise levels of a gamma.
-    // The winning candidate's factorization is kept, so the final fit is a
-    // restore instead of a 16th O(n^3) factorization (the factorization is
-    // deterministic, so this is bitwise identical to recomputing it).
-    std::unique_ptr<linalg::Cholesky> best_chol;
-    std::vector<double> best_alpha;
-    for (double g : gamma_candidates) {
-      const linalg::Matrix kg = rbf_from_squared_distances_symmetric(dist2_, g);
-      kernel_.gamma = g;
-      for (double nz : noise_candidates) {
-        noise_ = nz;
-        factor_and_score(kg);
-        if (lml_ > best_lml) {
-          best_lml = lml_;
-          best_gamma = g;
-          best_noise = nz;
-          best_chol = std::move(chol_);
-          best_alpha = std::move(alpha_);
-        }
-      }
-    }
-    kernel_.gamma = best_gamma;
-    noise_ = best_noise;
-    chol_ = std::move(best_chol);
-    alpha_ = std::move(best_alpha);
-    lml_ = best_lml;
-  } else {
+  // Gamma-major order: one exp map serves all noise levels of a gamma.
+  // The winning candidate's factorization is kept, so the final fit is a
+  // restore instead of a 16th O(n^3) factorization (the factorization is
+  // deterministic, so this is bitwise identical to recomputing it).
+  std::unique_ptr<linalg::Cholesky> best_chol;
+  std::vector<double> best_alpha;
+  for (double g : gamma_candidates) {
+    const linalg::Matrix kg = rbf_from_squared_distances_symmetric(dist2_, g);
+    kernel_.gamma = g;
     for (double nz : noise_candidates) {
       noise_ = nz;
-      for (double g : gamma_candidates) {
-        fit_with_gamma(g);
-        if (lml_ > best_lml) {
-          best_lml = lml_;
-          best_gamma = g;
-          best_noise = nz;
-        }
+      factor_and_score(kg);
+      if (lml_ > best_lml) {
+        best_lml = lml_;
+        best_gamma = g;
+        best_noise = nz;
+        best_chol = std::move(chol_);
+        best_alpha = std::move(alpha_);
       }
     }
-    noise_ = best_noise;
-    fit_with_gamma(best_gamma);
   }
+  kernel_.gamma = best_gamma;
+  noise_ = best_noise;
+  chol_ = std::move(best_chol);
+  alpha_ = std::move(best_alpha);
+  lml_ = best_lml;
 }
 
 std::vector<double> GaussianProcessRegression::predict(
@@ -156,29 +130,18 @@ void GaussianProcessRegression::predict_with_std(const linalg::Matrix& x,
   const linalg::Matrix z = scaler_.transform(maybe_log(x));
   const std::size_t m = x.rows();
   std.assign(m, 0.0);
-  // var(x*) = k(x*,x*) - k*^T K^{-1} k*; k(x,x) = 1 for RBF.
-  if (engine_ == Engine::kFast) {
-    // All variances from ONE multi-RHS triangular solve of K*^T plus
-    // column squared-norms, instead of a serial per-row solve_lower loop.
-    const linalg::Matrix ks_t = kernel_.gram(x_train_, z);  // n x m
-    mean = linalg::gemv_transposed(ks_t, alpha_);
-    const linalg::Matrix v = chol_->solve_lower(ks_t);
-    for (std::size_t r = 0; r < v.rows(); ++r) {
-      const double* vr = v.row_ptr(r);
-      for (std::size_t j = 0; j < m; ++j) std[j] += vr[j] * vr[j];
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      std[j] = std::max(0.0, 1.0 + noise_ - std[j]);
-    }
-  } else {
-    const linalg::Matrix ks = kernel_.gram(z, x_train_);
-    mean = linalg::gemv(ks, alpha_);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto v = chol_->solve_lower(ks.row(i));
-      double quad = 0.0;
-      for (double w : v) quad += w * w;
-      std[i] = std::max(0.0, 1.0 + noise_ - quad);
-    }
+  // var(x*) = k(x*,x*) - k*^T K^{-1} k*; k(x,x) = 1 for RBF. All variances
+  // come from ONE multi-RHS triangular solve of K*^T plus column squared
+  // norms, instead of a serial per-row solve_lower loop.
+  const linalg::Matrix ks_t = kernel_.gram(x_train_, z);  // n x m
+  mean = linalg::gemv_transposed(ks_t, alpha_);
+  const linalg::Matrix v = chol_->solve_lower(ks_t);
+  for (std::size_t r = 0; r < v.rows(); ++r) {
+    const double* vr = v.row_ptr(r);
+    for (std::size_t j = 0; j < m; ++j) std[j] += vr[j] * vr[j];
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    std[j] = std::max(0.0, 1.0 + noise_ - std[j]);
   }
   for (std::size_t i = 0; i < m; ++i) {
     std[i] = std::sqrt(std[i]) * y_scaler_.stddev();
@@ -221,26 +184,24 @@ void GaussianProcessRegression::update(const linalg::Matrix& x_new,
   // O(n^2 q) rank-q append instead of an O(n^3) refactorization.
   chol_->extend(k21, k22);
 
-  if (!dist2_.empty()) {
-    // Keep the cached distance matrix in sync with the grown factor.
-    const std::size_t n = dist2_.rows();
-    const std::size_t q = z.rows();
-    linalg::Matrix d2(n + q, n + q);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* src = dist2_.row_ptr(i);
-      std::copy(src, src + n, d2.row_ptr(i));
-    }
-    for (std::size_t r = 0; r < q; ++r) {
-      const double* cr = cross_d.row_ptr(r);
-      double* dr = d2.row_ptr(n + r);
-      for (std::size_t j = 0; j < n; ++j) {
-        dr[j] = cr[j];
-        d2(j, n + r) = cr[j];
-      }
-      for (std::size_t c = 0; c < q; ++c) dr[n + c] = self_d(r, c);
-    }
-    dist2_ = std::move(d2);
+  // Keep the cached distance matrix in sync with the grown factor.
+  const std::size_t n = dist2_.rows();
+  const std::size_t q = z.rows();
+  linalg::Matrix d2(n + q, n + q);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* src = dist2_.row_ptr(i);
+    std::copy(src, src + n, d2.row_ptr(i));
   }
+  for (std::size_t r = 0; r < q; ++r) {
+    const double* cr = cross_d.row_ptr(r);
+    double* dr = d2.row_ptr(n + r);
+    for (std::size_t j = 0; j < n; ++j) {
+      dr[j] = cr[j];
+      d2(j, n + r) = cr[j];
+    }
+    for (std::size_t c = 0; c < q; ++c) dr[n + c] = self_d(r, c);
+  }
+  dist2_ = std::move(d2);
   x_train_.append_rows(z);
   yz_.insert(yz_.end(), yz_new.begin(), yz_new.end());
   alpha_ = chol_->solve(yz_);
@@ -250,10 +211,8 @@ void GaussianProcessRegression::update(const linalg::Matrix& x_new,
 }
 
 std::unique_ptr<Regressor> GaussianProcessRegression::clone() const {
-  auto copy = std::make_unique<GaussianProcessRegression>(
+  return std::make_unique<GaussianProcessRegression>(
       kernel_.gamma, noise_, optimize_, log_target_, log_features_);
-  copy->engine_ = engine_;
-  return copy;
 }
 
 const std::string& GaussianProcessRegression::name() const {
@@ -275,10 +234,6 @@ void GaussianProcessRegression::set_params(const ParamMap& params) {
       log_target_ = value != 0.0;
     } else if (key == "log_features") {
       log_features_ = value != 0.0;
-    } else if (key == "engine") {
-      CCPRED_CHECK_MSG(value == 0.0 || value == 1.0,
-                       "engine must be 0 (fast) or 1 (reference)");
-      engine_ = value == 0.0 ? Engine::kFast : Engine::kReference;
     } else {
       throw Error("GaussianProcessRegression: unknown parameter '" + key +
                   "'");

@@ -12,7 +12,6 @@
 #include "ccpred/core/kernels.hpp"
 #include "ccpred/core/regressor.hpp"
 #include "ccpred/data/scaler.hpp"
-#include "ccpred/exec/engine_mode.hpp"
 #include "ccpred/linalg/cholesky.hpp"
 
 namespace ccpred::ml {
@@ -25,18 +24,14 @@ namespace ccpred::ml {
 /// "log_features" (1 = kernel operates on log-transformed features —
 /// runtime is a power law in the orbital counts and node count, so
 /// distances in log space are the natural metric; features must be > 0).
-/// An additional parameter "engine" (0 = fast, 1 = reference) selects the
-/// compute engine. The fast engine caches the pairwise squared-distance
-/// matrix once per fit (every grid candidate's Gram matrix is then an
-/// elementwise exp; noise only touches the diagonal), factors with the
-/// blocked parallel Cholesky, and batches all predictive variances into one
-/// multi-RHS triangular solve. The reference engine is the original
-/// per-candidate / per-row path, kept for tests and the speedup gates.
+/// Fitting caches the pairwise squared-distance matrix once (every grid
+/// candidate's Gram matrix is then an elementwise exp; noise only touches
+/// the diagonal), factors with the blocked parallel Cholesky, and batches
+/// all predictive variances into one multi-RHS triangular solve. The test
+/// oracle's ReferenceGp keeps the original per-candidate / per-row
+/// computation as the reference.
 class GaussianProcessRegression : public UncertaintyRegressor {
  public:
-  /// The executor layer's shared reference-vs-fast convention.
-  using Engine = exec::EngineMode;
-
   explicit GaussianProcessRegression(double gamma = 0.5, double noise = 1e-4,
                                      bool optimize = true,
                                      bool log_target = false,
@@ -61,9 +56,6 @@ class GaussianProcessRegression : public UncertaintyRegressor {
               const std::vector<double>& y_new) override;
   bool supports_incremental_update() const override { return true; }
 
-  void set_engine(Engine engine) { engine_ = engine; }
-  Engine engine() const { return engine_; }
-
   /// Log marginal likelihood of the training data under the current
   /// hyper-parameters (computed during fit).
   double log_marginal_likelihood() const { return lml_; }
@@ -72,7 +64,6 @@ class GaussianProcessRegression : public UncertaintyRegressor {
   double gamma() const { return kernel_.gamma; }
 
  private:
-  void fit_with_gamma(double gamma);
   void factor_and_score(linalg::Matrix k);
   linalg::Matrix maybe_log(const linalg::Matrix& x) const;
 
@@ -81,12 +72,11 @@ class GaussianProcessRegression : public UncertaintyRegressor {
   bool optimize_;
   bool log_target_;
   bool log_features_;
-  Engine engine_ = Engine::kFast;
   double lml_ = 0.0;
   data::StandardScaler scaler_;
   data::TargetScaler y_scaler_;
   linalg::Matrix x_train_;
-  linalg::Matrix dist2_;  // cached pairwise squared distances (fast engine)
+  linalg::Matrix dist2_;  // cached pairwise squared distances
   std::vector<double> yz_;
   std::vector<double> alpha_;  // K^{-1} y
   std::unique_ptr<linalg::Cholesky> chol_;

@@ -4,9 +4,9 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/rng.hpp"
-#include "ccpred/common/thread_pool.hpp"
 #include "ccpred/core/compiled_ensemble.hpp"
 #include "ccpred/exec/arena.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 
 namespace ccpred::ml {
 
@@ -89,11 +89,11 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
     // Update residuals with the shrunken stage prediction, chunked over the
     // pool (each index is independent, so the result is deterministic).
     if (use_train_pred) {
-      parallel_for(0, n, [&](std::size_t i) {
+      exec::parallel_for(0, n, [&](std::size_t i) {
         residual[i] -= learning_rate_ * train_pred[i];
       });
     } else {
-      parallel_for(0, n, [&](std::size_t i) {
+      exec::parallel_for(0, n, [&](std::size_t i) {
         residual[i] -= learning_rate_ * tree.predict_row(x.row_ptr(i));
       });
     }
@@ -114,11 +114,6 @@ std::vector<double> GradientBoostingRegressor::predict(
     const linalg::Matrix& x) const {
   CCPRED_CHECK_MSG(fitted_, "GradientBoostingRegressor::predict before fit");
   return compiled_->predict_batch(x);
-}
-
-std::vector<double> GradientBoostingRegressor::predict_walk(
-    const linalg::Matrix& x) const {
-  return predict_staged(x, trees_.size());
 }
 
 std::vector<double> GradientBoostingRegressor::predict_staged(

@@ -11,7 +11,7 @@
 /// FeatureBins; residual updates run chunked over the shared thread pool.
 /// fit() also compiles the fitted stages into a CompiledEnsemble, so
 /// predict() serves flattened SoA batch inference (bit-identical to the
-/// reference tree walk, see predict_walk).
+/// tree walk of predict_staged over every stage).
 
 #include <memory>
 #include <string>
@@ -38,12 +38,8 @@ class GradientBoostingRegressor : public Regressor {
   void fit(const linalg::Matrix& x, const std::vector<double>& y) override;
 
   /// Compiled batch inference (CompiledEnsemble); bit-identical to
-  /// predict_walk.
+  /// predict_staged(x, stage_count()).
   std::vector<double> predict(const linalg::Matrix& x) const override;
-
-  /// Reference tree-walk prediction path — kept as the verification
-  /// baseline for the compiled engine (tests assert bitwise equality).
-  std::vector<double> predict_walk(const linalg::Matrix& x) const;
 
   std::unique_ptr<Regressor> clone() const override;
   const std::string& name() const override;
@@ -57,8 +53,10 @@ class GradientBoostingRegressor : public Regressor {
   /// normalized to sum to 1.
   std::vector<double> feature_importances() const;
 
-  /// Prediction truncated to the first `stages` boosting stages — used by
-  /// staged-training diagnostics and the hyper-parameter ablation bench.
+  /// Prediction truncated to the first `stages` boosting stages, by walking
+  /// each tree — used by staged-training diagnostics, the hyper-parameter
+  /// ablation bench and, over every stage, as the reference the compiled
+  /// engine must match bitwise.
   std::vector<double> predict_staged(const linalg::Matrix& x,
                                      std::size_t stages) const;
 

@@ -4,7 +4,7 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/stopwatch.hpp"
-#include "ccpred/common/thread_pool.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 
 namespace ccpred::ml {
 namespace detail {
@@ -24,7 +24,7 @@ SearchResult evaluate_candidates(const Regressor& prototype,
   Stopwatch watch;
   SearchResult result;
   result.trials.resize(candidates.size());
-  parallel_for(0, candidates.size(), [&](std::size_t c) {
+  exec::parallel_for(0, candidates.size(), [&](std::size_t c) {
     const auto& params = candidates[c];
     auto model = prototype.clone();
     model->set_params(params);

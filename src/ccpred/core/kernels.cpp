@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "ccpred/common/error.hpp"
-#include "ccpred/common/thread_pool.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/simd/simd.hpp"
 
 namespace ccpred::ml {
@@ -40,7 +40,7 @@ linalg::Matrix Kernel::gram(const linalg::Matrix& a,
   CCPRED_CHECK_MSG(a.cols() == b.cols(), "kernel feature dims differ");
   linalg::Matrix k(a.rows(), b.rows());
   const std::size_t d = a.cols();
-  parallel_for(0, a.rows(), [&](std::size_t i) {
+  exec::parallel_for(0, a.rows(), [&](std::size_t i) {
     const double* ai = a.row_ptr(i);
     double* ki = k.row_ptr(i);
     for (std::size_t j = 0; j < b.rows(); ++j) {
@@ -59,7 +59,7 @@ linalg::Matrix Kernel::gram_symmetric(const linalg::Matrix& a) const {
   // single one. Pairing row p with its mirror n-1-p makes every index
   // carry ~n+1 entries, so the static chunking stays balanced.
   const std::size_t half = (n + 1) / 2;
-  parallel_for(0, half, [&](std::size_t p) {
+  exec::parallel_for(0, half, [&](std::size_t p) {
     const double* ap = a.row_ptr(p);
     for (std::size_t j = p; j < n; ++j) {
       k(p, j) = (*this)(ap, a.row_ptr(j), d);
@@ -116,7 +116,7 @@ linalg::Matrix squared_distances(const linalg::Matrix& a) {
   const auto& ops = simd::ops();
   // Mirror-paired rows, same balancing as Kernel::gram_symmetric.
   const std::size_t half = (n + 1) / 2;
-  parallel_for(0, half, [&](std::size_t p) {
+  exec::parallel_for(0, half, [&](std::size_t p) {
     ops.sqdist_row(xt.data(), n, d, a.row_ptr(p), p, n, k.row_ptr(p));
     const std::size_t q = n - 1 - p;
     if (q == p) return;
@@ -135,7 +135,7 @@ linalg::Matrix squared_distances(const linalg::Matrix& a,
   linalg::Matrix k(a.rows(), b.rows());
   const std::vector<double> bt = transpose_points(b);
   const auto& ops = simd::ops();
-  parallel_for(0, a.rows(), [&](std::size_t i) {
+  exec::parallel_for(0, a.rows(), [&](std::size_t i) {
     ops.sqdist_row(bt.data(), b.rows(), d, a.row_ptr(i), 0, b.rows(),
                    k.row_ptr(i));
   });
@@ -159,7 +159,7 @@ linalg::Matrix rbf_from_squared_distances_symmetric(const linalg::Matrix& d2,
   // cost of the dense map. Mirror-paired rows keep the split balanced.
   const auto& ops = simd::ops();
   const std::size_t half = (n + 1) / 2;
-  parallel_for(0, half, [&](std::size_t p) {
+  exec::parallel_for(0, half, [&](std::size_t p) {
     ops.rbf_exp_map(d2.row_ptr(p) + p, k.row_ptr(p) + p, n - p, gamma);
     const std::size_t q = n - 1 - p;
     if (q == p) return;

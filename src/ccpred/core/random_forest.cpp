@@ -4,7 +4,7 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/core/compiled_ensemble.hpp"
-#include "ccpred/exec/task_scope.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 
 namespace ccpred::ml {
 
@@ -51,13 +51,12 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
     }
   }
 
-  // Structured fan-out with a per-chunk arena: every member tree's fit
-  // scratch bump-allocates from its chunk's reused arena instead of the
-  // heap. Per-tree randomness derives only from tree_seeds[t], so the
-  // result is independent of chunking and iteration order (the determinism
-  // suite shuffles this loop and asserts bit-identical forests).
-  exec::TaskScope scope;
-  scope.parallel_for(0, n, [&](std::size_t t, exec::Arena& arena) {
+  // Fan-out with a per-chunk arena: every member tree's fit scratch
+  // bump-allocates from its chunk's arena instead of the heap. Per-tree
+  // randomness derives only from tree_seeds[t], so the result is
+  // independent of chunking and iteration order (the determinism suite
+  // shuffles this loop and asserts bit-identical forests).
+  exec::parallel_for(0, n, [&](std::size_t t, exec::Arena& arena) {
     Rng rng(tree_seeds[t]);
     if (histogram) {
       trees_[t].fit_binned(
@@ -83,19 +82,6 @@ std::vector<double> RandomForestRegressor::predict(
     const linalg::Matrix& x) const {
   CCPRED_CHECK_MSG(is_fitted(), "RandomForestRegressor::predict before fit");
   return compiled_->predict_batch(x);
-}
-
-std::vector<double> RandomForestRegressor::predict_walk(
-    const linalg::Matrix& x) const {
-  CCPRED_CHECK_MSG(is_fitted(), "RandomForestRegressor::predict before fit");
-  std::vector<double> out(x.rows(), 0.0);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    const double* row = x.row_ptr(i);
-    double s = 0.0;
-    for (const auto& tree : trees_) s += tree.predict_row(row);
-    out[i] = s / static_cast<double>(trees_.size());
-  }
-  return out;
 }
 
 std::vector<double> RandomForestRegressor::feature_importances() const {

@@ -9,8 +9,9 @@
 /// With TreeOptions::split_mode == kHistogram the features are
 /// quantile-binned once per fit and every member trains on the shared
 /// FeatureBins. fit() also compiles the forest into a CompiledEnsemble, so
-/// predict() serves flattened SoA batch inference (bit-identical to the
-/// reference tree walk, see predict_walk).
+/// predict() serves flattened SoA batch inference (bit-identical to
+/// averaging each member's tree walk, which the test oracle keeps as the
+/// reference).
 
 #include <memory>
 #include <string>
@@ -36,13 +37,8 @@ class RandomForestRegressor : public Regressor {
 
   void fit(const linalg::Matrix& x, const std::vector<double>& y) override;
 
-  /// Compiled batch inference (CompiledEnsemble); bit-identical to
-  /// predict_walk.
+  /// Compiled batch inference (CompiledEnsemble).
   std::vector<double> predict(const linalg::Matrix& x) const override;
-
-  /// Reference tree-walk prediction path — kept as the verification
-  /// baseline for the compiled engine (tests assert bitwise equality).
-  std::vector<double> predict_walk(const linalg::Matrix& x) const;
 
   std::unique_ptr<Regressor> clone() const override;
   const std::string& name() const override;

@@ -4,12 +4,15 @@
 #include <cmath>
 
 #include "ccpred/common/error.hpp"
-#include "ccpred/common/thread_pool.hpp"
-#include "ccpred/exec/task_scope.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/sim/contraction.hpp"
 
 namespace ccpred::data {
 namespace {
+
+/// At most this many node counts and tile sizes are swept per problem.
+constexpr std::size_t kMaxNodeValues = 7;
+constexpr std::size_t kMaxTileValues = 5;
 
 /// Work-based cap on the node counts worth sweeping for a problem: jobs
 /// saturate once per-GPU work gets small, so the campaign stops there.
@@ -54,7 +57,7 @@ std::vector<int> node_grid(const sim::CcsdSimulator& simulator,
 
 namespace {
 
-/// Evenly-spaced subset of `values` with at most `k` entries, always
+/// Evenly-spaced subset of `values` with at most `k >= 2` entries, always
 /// keeping the first and last.
 std::vector<int> evenly_spaced(const std::vector<int>& values, std::size_t k) {
   if (values.size() <= k) return values;
@@ -86,13 +89,12 @@ Dataset generate_dataset(const sim::CcsdSimulator& simulator,
   std::vector<std::vector<sim::RunConfig>> per_problem(problems.size());
   for (std::size_t pi = 0; pi < problems.size(); ++pi) {
     const auto& p = problems[pi];
-    const auto nodes = evenly_spaced(node_grid(simulator, p),
-                                     options.max_node_values);
+    const auto nodes = evenly_spaced(node_grid(simulator, p), kMaxNodeValues);
     // Rotate which tiles each problem sweeps so the union covers the full
     // menu while each individual campaign stays small.
     const auto& menu = simulator.machine().tile_menu();
     std::vector<int> tiles;
-    const std::size_t k = std::min(options.max_tile_values, menu.size());
+    const std::size_t k = std::min(kMaxTileValues, menu.size());
     for (std::size_t i = 0; i < k; ++i) {
       tiles.push_back(menu[(pi + i * menu.size() / k) % menu.size()]);
     }
@@ -125,10 +127,9 @@ Dataset generate_dataset(const sim::CcsdSimulator& simulator,
 
   // Label every configuration's repeat series through the engine. Each
   // configuration draws from its own measurement stream (seeded on
-  // (campaign seed, config)), so the values do not depend on engine mode,
-  // evaluation order or thread count.
-  sim::SimEngine local_engine(simulator,
-                              sim::SimEngineOptions{.mode = options.engine_mode});
+  // (campaign seed, config)), so the values do not depend on evaluation
+  // order or thread count.
+  sim::SimEngine local_engine(simulator);
   sim::SimEngine& engine =
       options.shared_engine ? *options.shared_engine : local_engine;
 
@@ -152,40 +153,23 @@ Dataset generate_dataset(const sim::CcsdSimulator& simulator,
     }
   }
 
-  const bool fast = engine.options().mode == sim::SimEngineMode::kFast;
-  if (fast) {
-    // Warm the noise-free cache in one batch (task-graph reuse across node
-    // counts), then draw the per-config noise series in parallel.
-    std::vector<sim::RunConfig> all;
-    all.reserve(items.size());
-    for (const auto& it : items) all.push_back(per_problem[it.problem][it.config]);
-    engine.simulate_batch(all);
-    const auto label = [&](std::size_t i) {
-      const auto& it = items[i];
-      series[it.problem][it.config] = engine.measured_series(
-          per_problem[it.problem][it.config], options.seed, it.reps);
-    };
-    // Each item draws only from its own config's measurement stream, so
-    // the fan-out is order-independent (the determinism suite shuffles it).
-    if (engine.options().parallel &&
-        items.size() >= engine.options().min_parallel_batch) {
-      exec::TaskScope scope;
-      scope.parallel_for(0, items.size(), label);
-    } else {
-      for (std::size_t i = 0; i < items.size(); ++i) label(i);
-    }
+  // Warm the noise-free cache in one batch (task-graph reuse across node
+  // counts), then draw the per-config noise series in parallel.
+  std::vector<sim::RunConfig> all;
+  all.reserve(items.size());
+  for (const auto& it : items) all.push_back(per_problem[it.problem][it.config]);
+  engine.simulate_batch(all);
+  const auto label = [&](std::size_t i) {
+    const auto& it = items[i];
+    series[it.problem][it.config] = engine.measured_series(
+        per_problem[it.problem][it.config], options.seed, it.reps);
+  };
+  // Each item draws only from its own config's measurement stream, so the
+  // fan-out is order-independent (the determinism suite shuffles it).
+  if (items.size() >= sim::kMinParallelBatch) {
+    exec::parallel_for(0, items.size(), label);
   } else {
-    // Reference: one from-scratch simulation per ROW (the legacy campaign
-    // cost profile), serially. Values are bit-identical to the fast path
-    // because every row draws from the same per-config stream.
-    for (const auto& it : items) {
-      auto& s = series[it.problem][it.config];
-      s.resize(static_cast<std::size_t>(it.reps));
-      for (int r = 0; r < it.reps; ++r) {
-        s[static_cast<std::size_t>(r)] = engine.measured_time(
-            per_problem[it.problem][it.config], options.seed, r);
-      }
-    }
+    for (std::size_t i = 0; i < items.size(); ++i) label(i);
   }
 
   // Emit rows round-robin so repeat counts differ by at most one across a

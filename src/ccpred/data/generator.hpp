@@ -23,18 +23,9 @@ struct GeneratorOptions {
   /// and surplus rows are repeated (independent-noise) measurements.
   /// 0 means "one measurement per feasible configuration".
   std::size_t target_total = 0;
-  /// At most this many node counts swept per problem.
-  std::size_t max_node_values = 7;
-  /// At most this many tile sizes swept per problem.
-  std::size_t max_tile_values = 5;
-  /// Simulation strategy. kFast labels through the memoized parallel
-  /// engine; kReference labels serially from scratch. Both produce
-  /// bit-identical rows (each configuration draws its noise from its own
-  /// measurement stream — see sim::measurement_stream_seed).
-  sim::SimEngineMode engine_mode = sim::SimEngineMode::kFast;
   /// Optional externally owned engine (must wrap `simulator`); lets a
   /// figure pipeline share one SimCache across campaign regenerations and
-  /// sweeps. nullptr means "use a private engine with `engine_mode`".
+  /// sweeps. nullptr means "use a private engine".
   sim::SimEngine* shared_engine = nullptr;
 };
 
@@ -44,9 +35,12 @@ struct GeneratorOptions {
 std::vector<int> node_grid(const sim::CcsdSimulator& simulator,
                            const Problem& p);
 
-/// Generates the measurement campaign for `problems` on `simulator`.
-/// Rows are deterministic given options.seed — independent of engine mode,
-/// thread count and evaluation order.
+/// Generates the measurement campaign for `problems` on `simulator`: per
+/// problem, at most 7 evenly spaced node counts of node_grid() times at
+/// most 5 tile sizes. Rows are deterministic given options.seed —
+/// independent of thread count and evaluation order. Row k of a config is
+/// its k-th draw: iteration_time(cfg) times the k-th noise factor of the
+/// config's measurement stream (see sim::measurement_stream_seed).
 Dataset generate_dataset(const sim::CcsdSimulator& simulator,
                          const std::vector<Problem>& problems,
                          const GeneratorOptions& options);

@@ -13,7 +13,7 @@
 /// so callers never need to size the arena exactly — an undersized arena is
 /// only slower, never wrong.
 ///
-/// Arenas are single-owner: one task (or one TaskScope chunk) uses one
+/// Arenas are single-owner: one task (or one parallel_for chunk) uses one
 /// arena at a time. Nothing is destroyed on reset, so only trivially
 /// destructible element types may live in arena storage.
 

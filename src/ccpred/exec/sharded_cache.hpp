@@ -37,12 +37,11 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/lru_cache.hpp"
-#include "ccpred/exec/engine_mode.hpp"
 
 namespace ccpred::exec {
 
 /// splitmix64 finalizer: the strong 64-bit mix shared by shard selection,
-/// task-seed derivation and the simulation engine's stream seeding.
+/// the test shuffle order and the simulation engine's stream seeding.
 inline std::uint64_t splitmix64(std::uint64_t z) {
   z ^= z >> 30;
   z *= 0xbf58476d1ce4e5b9ULL;
@@ -53,6 +52,9 @@ inline std::uint64_t splitmix64(std::uint64_t z) {
 }
 
 inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
+
+/// Default shard count of every sharded cache (SimCache, SweepCache).
+inline constexpr std::size_t kDefaultShards = 16;
 
 /// Aggregated counters of one sharded cache.
 struct MemoCacheStats {

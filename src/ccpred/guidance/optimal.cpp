@@ -1,7 +1,7 @@
 #include "ccpred/guidance/optimal.hpp"
 
 #include "ccpred/common/error.hpp"
-#include "ccpred/exec/task_scope.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 
 namespace ccpred::guide {
 namespace {
@@ -65,8 +65,7 @@ std::vector<ProblemSweep> sweep_optimal_values(const data::Dataset& dataset,
   // Each group writes only its own sweep slot, so the fan-out is
   // order-independent (the determinism suite shuffles it).
   if (groups.size() >= 8) {
-    exec::TaskScope scope;
-    scope.parallel_for(0, groups.size(), sweep_one);
+    exec::parallel_for(0, groups.size(), sweep_one);
   } else {
     for (std::size_t gi = 0; gi < groups.size(); ++gi) sweep_one(gi);
   }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "ccpred/common/thread_pool.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 
 namespace ccpred::linalg {
 
@@ -80,7 +80,7 @@ Matrix gemm(const Matrix& a, const Matrix& b) {
   // fork/join overhead is irrelevant.
   if (m * b.cols() * a.cols() > 1u << 21) {
     const std::size_t stripes = (m + kBlock - 1) / kBlock;
-    parallel_for(0, stripes, [&](std::size_t s) {
+    exec::parallel_for(0, stripes, [&](std::size_t s) {
       const std::size_t i0 = s * kBlock;
       gemm_block(a, b, c, i0, std::min(m, i0 + kBlock));
     });
@@ -123,7 +123,7 @@ Matrix syrk_at_a(const Matrix& a) {
     syrk_at_a_rows(a, c, 0, m);
   } else {
     std::vector<Matrix> partial(stripes, Matrix(n, n));
-    parallel_for(0, stripes, [&](std::size_t s) {
+    exec::parallel_for(0, stripes, [&](std::size_t s) {
       const std::size_t r0 = s * kStripe;
       syrk_at_a_rows(a, partial[s], r0, std::min(m, r0 + kStripe));
     });
@@ -138,7 +138,7 @@ Matrix syrk_at_a(const Matrix& a) {
 Matrix syrk_a_at(const Matrix& a) {
   const std::size_t m = a.rows();
   Matrix c(m, m);
-  parallel_for(0, m, [&](std::size_t i) {
+  exec::parallel_for(0, m, [&](std::size_t i) {
     const double* ai = a.row_ptr(i);
     for (std::size_t j = i; j < m; ++j) {
       const double* aj = a.row_ptr(j);

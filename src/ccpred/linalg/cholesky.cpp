@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "ccpred/common/thread_pool.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/linalg/blas.hpp"
 #include "ccpred/simd/simd.hpp"
 
@@ -14,7 +14,8 @@ namespace {
 
 /// Panel width of the blocked factorization. Orders up to kPanel take the
 /// scalar diagonal-block path only, which performs the exact arithmetic of
-/// the reference algorithm — small factorizations are bit-for-bit stable.
+/// the left-looking column algorithm — small factorizations are
+/// bit-for-bit stable.
 constexpr std::size_t kPanel = 64;
 
 /// Row-stripe granularity for parallel panel solves / trailing updates.
@@ -24,35 +25,12 @@ constexpr std::size_t kRowStripe = 64;
 /// Each stripe's working set (panel rows x stripe) stays L2-resident.
 constexpr std::size_t kColStripe = 128;
 
-/// The original scalar left-looking column algorithm (the reference path).
-void factor_reference(Matrix& l, const Matrix& a) {
-  const std::size_t n = a.rows();
-  // Left-looking column algorithm; inner dot products stream through the
-  // contiguous rows of L.
-  for (std::size_t j = 0; j < n; ++j) {
-    const double* lj = l.row_ptr(j);
-    double d = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) d -= lj[k] * lj[k];
-    CCPRED_CHECK_MSG(d > 0.0, "matrix is not positive definite (pivot "
-                                  << d << " at column " << j << ")");
-    const double ljj = std::sqrt(d);
-    l(j, j) = ljj;
-    const double inv = 1.0 / ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      const double* li = l.row_ptr(i);
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
-      l(i, j) = s * inv;
-    }
-  }
-}
-
 /// Blocked right-looking factorization, in place on `l` (initially a copy
 /// of A). Per panel: scalar diagonal-block factorization, row-wise panel
 /// solve, then a GEMM-shaped trailing update through a transposed panel
 /// buffer whose inner loops are contiguous (vectorizable) — unlike the
-/// reference's serial dot-product recurrences. Panel solve and trailing
-/// update fan out over the shared pool in row stripes.
+/// left-looking algorithm's serial dot-product recurrences. Panel solve and
+/// trailing update fan out over the shared pool in row stripes.
 void factor_blocked(Matrix& l) {
   const std::size_t n = l.rows();
   std::vector<double> panel(kPanel * n);
@@ -89,7 +67,7 @@ void factor_blocked(Matrix& l) {
     }
     // Panel solve: L[i, k:k1] = A[i, k:k1] L_kk^{-T}, right-looking per row
     // (divide by the pivot, then push the column's contribution forward).
-    parallel_for(0, stripes, [&](std::size_t s) {
+    exec::parallel_for(0, stripes, [&](std::size_t s) {
       const std::size_t i0 = k1 + s * kRowStripe;
       const std::size_t i1 = std::min(n, i0 + kRowStripe);
       for (std::size_t i = i0; i < i1; ++i) {
@@ -111,11 +89,12 @@ void factor_blocked(Matrix& l) {
     // Trailing update A22 -= P P^T (SYRK), lower triangle only. Four panel
     // rows per pass so each li[j] load/store is amortized over 8 flops;
     // the 2x4 register block is the simd::update2x4 primitive (FMA when
-    // the AVX2 mode is active — covered by the kReference agreement bound,
-    // not bit-identity). Each row's terms are still accumulated in the
-    // same order, so the result is deterministic for a given mode.
+    // the AVX2 mode is active — covered by the 1e-9 agreement bound with
+    // the left-looking oracle, not bit-identity). Each row's terms are
+    // still accumulated in the same order, so the result is deterministic
+    // for a given mode.
     const auto& ops = simd::ops();
-    parallel_for(0, stripes, [&](std::size_t s) {
+    exec::parallel_for(0, stripes, [&](std::size_t s) {
       const std::size_t i0 = k1 + s * kRowStripe;
       const std::size_t i1 = std::min(n, i0 + kRowStripe);
       std::size_t i = i0;
@@ -353,7 +332,7 @@ template <typename Solver>
 void for_each_col_stripe(Matrix& y, const Solver& solver) {
   const std::size_t m = y.cols();
   const std::size_t stripes = (m + kColStripe - 1) / kColStripe;
-  parallel_for(0, stripes, [&](std::size_t s) {
+  exec::parallel_for(0, stripes, [&](std::size_t s) {
     const std::size_t c0 = s * kColStripe;
     solver(c0, std::min(m, c0 + kColStripe));
   });
@@ -361,15 +340,10 @@ void for_each_col_stripe(Matrix& y, const Solver& solver) {
 
 }  // namespace
 
-Cholesky::Cholesky(Matrix a, Method method) {
-  CCPRED_CHECK_MSG(a.rows() == a.cols(), "Cholesky requires a square matrix");
-  if (method == Method::kFast) {
-    l_ = std::move(a);
-    factor_blocked(l_);
-  } else {
-    l_ = Matrix(a.rows(), a.cols());
-    factor_reference(l_, a);
-  }
+Cholesky::Cholesky(Matrix a) : l_(std::move(a)) {
+  CCPRED_CHECK_MSG(l_.rows() == l_.cols(),
+                   "Cholesky requires a square matrix");
+  factor_blocked(l_);
 }
 
 std::vector<double> Cholesky::solve_lower(const std::vector<double>& b) const {

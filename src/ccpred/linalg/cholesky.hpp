@@ -4,16 +4,14 @@
 /// Cholesky factorization of symmetric positive-definite matrices, the
 /// backbone of the kernel ridge / Gaussian-process / Bayesian-ridge solvers.
 ///
-/// Two factorization paths share one class: a blocked right-looking
-/// algorithm (panel factorization + GEMM-shaped trailing updates fanned out
-/// over the shared thread pool) that the kernel-model engine uses, and the
-/// original scalar left-looking column algorithm kept as the reference.
-/// For orders up to the panel width the two perform identical arithmetic,
-/// so small-matrix results are bit-for-bit unchanged.
+/// The factorization is blocked and right-looking: panel factorization,
+/// then GEMM-shaped trailing updates fanned out over the shared thread
+/// pool. For orders up to the panel width it performs exactly the
+/// arithmetic of the scalar left-looking column algorithm, which the test
+/// oracle keeps as the reference.
 
 #include <vector>
 
-#include "ccpred/exec/engine_mode.hpp"
 #include "ccpred/linalg/matrix.hpp"
 
 namespace ccpred::linalg {
@@ -24,17 +22,11 @@ namespace ccpred::linalg {
 /// or a whole right-hand-side matrix per blocked sweep.
 class Cholesky {
  public:
-  /// Factorization algorithm selection — the executor layer's shared
-  /// reference-vs-fast convention. kFast is the blocked right-looking
-  /// algorithm (panels + parallel trailing updates); kReference the scalar
-  /// left-looking column algorithm (the original path).
-  using Method = exec::EngineMode;
-
   /// Factorizes `a` (must be square, symmetric, positive definite).
-  /// Taken by value: the blocked path factorizes in place, so moving in a
+  /// Taken by value: the factorization runs in place, so moving in a
   /// matrix the caller no longer needs skips a copy.
   /// Throws ccpred::Error if a non-positive pivot is encountered.
-  explicit Cholesky(Matrix a, Method method = Method::kFast);
+  explicit Cholesky(Matrix a);
 
   std::size_t order() const { return l_.rows(); }
 

@@ -7,9 +7,8 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/strings.hpp"
-#include "ccpred/common/thread_pool.hpp"
 #include "ccpred/exec/arena.hpp"
-#include "ccpred/exec/task_scope.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/sim/noise.hpp"
 
 namespace ccpred::sim {
@@ -69,9 +68,8 @@ std::size_t SimCache::KeyHash::operator()(const Key& k) const {
   return static_cast<std::size_t>(h);
 }
 
-SimEngine::SimEngine(const CcsdSimulator& simulator, SimEngineOptions options)
+SimEngine::SimEngine(const CcsdSimulator& simulator)
     : simulator_(&simulator),
-      options_(options),
       machine_tag_(SimCache::machine_tag(simulator.machine().name)) {}
 
 SimCache::Key SimEngine::key_for(const RunConfig& cfg,
@@ -99,7 +97,6 @@ double SimEngine::iteration_time(const RunConfig& cfg) {
     ++stats_.evaluations;
     return t;
   };
-  if (!fast() || !options_.use_cache) return simulate();
   // Single-flight: concurrent callers of the same uncached config coalesce
   // onto one simulation instead of duplicating the graph build.
   return cache_.get_or_compute(key_for(cfg), simulate);
@@ -109,16 +106,6 @@ std::vector<double> SimEngine::simulate_batch(
     const std::vector<RunConfig>& configs) {
   std::vector<double> out(configs.size(), 0.0);
   if (configs.empty()) return out;
-
-  if (!fast()) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      out[i] = simulator_->iteration_time(configs[i]);
-    }
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.graph_builds += configs.size();
-    stats_.evaluations += configs.size();
-    return out;
-  }
 
   // All grouping scratch bump-allocates from a reused per-thread arena —
   // the batching layer itself does not touch the heap.
@@ -147,11 +134,8 @@ std::vector<double> SimEngine::simulate_batch(
 
   double* uval = arena.alloc_array<double>(nu);
   unsigned char* have = arena.alloc_array<unsigned char>(nu);
-  std::fill(have, have + nu, static_cast<unsigned char>(0));
-  if (options_.use_cache) {
-    for (std::size_t u = 0; u < nu; ++u) {
-      have[u] = cache_.lookup(key_for(configs[urep[u]]), &uval[u]) ? 1 : 0;
-    }
+  for (std::size_t u = 0; u < nu; ++u) {
+    have[u] = cache_.lookup(key_for(configs[urep[u]]), &uval[u]) ? 1 : 0;
   }
 
   // Group cache misses by (O, V, tile): one task-graph build per group,
@@ -181,18 +165,15 @@ std::vector<double> SimEngine::simulate_batch(
       uval[u] = simulator_->breakdown(graph, configs[urep[u]].nodes).total_s();
     }
   };
-  if (options_.parallel && ngroups >= options_.min_parallel_batch) {
-    exec::TaskScope scope;
-    scope.parallel_for(0, ngroups, eval_group);
+  if (ngroups >= kMinParallelBatch) {
+    exec::parallel_for(0, ngroups, eval_group);
   } else {
     for (std::size_t gi = 0; gi < ngroups; ++gi) eval_group(gi);
   }
 
-  if (options_.use_cache) {
-    for (std::size_t m = 0; m < evaluated; ++m) {
-      const std::size_t u = gmember[m];
-      cache_.insert(key_for(configs[urep[u]]), uval[u]);
-    }
+  for (std::size_t m = 0; m < evaluated; ++m) {
+    const std::size_t u = gmember[m];
+    cache_.insert(key_for(configs[urep[u]]), uval[u]);
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -212,17 +193,12 @@ std::vector<double> SimEngine::measured_series(const RunConfig& cfg,
   if (reps == 0) return out;
   const std::uint64_t stream = measurement_stream_seed(campaign_seed, cfg);
 
-  if (fast() && options_.use_cache) {
-    bool all = true;
-    for (int r = 0; r < reps; ++r) {
-      if (!cache_.lookup(key_for(cfg, rep_seed(stream, r)),
-                         &out[static_cast<std::size_t>(r)])) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return out;
+  bool all = true;
+  for (int r = 0; r < reps && all; ++r) {
+    all = cache_.lookup(key_for(cfg, rep_seed(stream, r)),
+                        &out[static_cast<std::size_t>(r)]);
   }
+  if (all) return out;
 
   // Replaying the stream from the start makes each rep's value independent
   // of which prefix happened to be cached.
@@ -231,9 +207,7 @@ std::vector<double> SimEngine::measured_series(const RunConfig& cfg,
   for (int r = 0; r < reps; ++r) {
     const double value = base * noise_factor(simulator_->machine(), rng);
     out[static_cast<std::size_t>(r)] = value;
-    if (fast() && options_.use_cache) {
-      cache_.insert(key_for(cfg, rep_seed(stream, r)), value);
-    }
+    cache_.insert(key_for(cfg, rep_seed(stream, r)), value);
   }
   return out;
 }

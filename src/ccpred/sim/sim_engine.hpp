@@ -23,39 +23,28 @@
 ///    simulated, in which order, or on how many threads ran them. Serial,
 ///    parallel and cached paths are bit-identical by construction.
 ///
-/// SimEngineMode::kReference preserves the original serial from-scratch
-/// path (no cache, no dedup, no graph reuse) as the ground truth the bench
-/// gates compare against with operator==.
+/// CcsdSimulator::iteration_time, one from-scratch simulation per call,
+/// is the ground truth the tests and bench gates compare against with
+/// operator==.
 
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
-#include "ccpred/exec/engine_mode.hpp"
 #include "ccpred/exec/sharded_cache.hpp"
 #include "ccpred/sim/ccsd_simulator.hpp"
 
 namespace ccpred::sim {
 
-/// Engine execution strategy — the executor layer's shared convention.
-using SimEngineMode = exec::EngineMode;
-
-/// Engine tuning knobs.
-struct SimEngineOptions {
-  SimEngineMode mode = SimEngineMode::kFast;
-  /// Memoize results in the engine's SimCache (fast mode only).
-  bool use_cache = true;
-  /// Fan batch groups over ThreadPool::global() (fast mode only).
-  bool parallel = true;
-  /// Batches with fewer uncached groups than this run serially — the pool
-  /// handoff costs more than it saves on tiny batches.
-  std::size_t min_parallel_batch = 4;
-};
+/// Batches with fewer independent work items than this run serially — the
+/// pool handoff costs more than it saves. Shared by simulate_batch's group
+/// fan-out and the campaign generator's labeling fan-out.
+inline constexpr std::size_t kMinParallelBatch = 4;
 
 /// Deterministic per-(campaign-seed, config) RNG stream seed. Mixing uses
 /// the splitmix64 finalizer so nearby configs land in unrelated streams.
-/// Every engine path (serial, parallel, cached) draws a config's noise from
-/// this stream, which is what makes them bit-identical.
+/// Every path (serial, parallel, cached) draws a config's noise from this
+/// stream, which is what makes them bit-identical.
 std::uint64_t measurement_stream_seed(std::uint64_t campaign_seed,
                                       const RunConfig& cfg);
 
@@ -130,27 +119,24 @@ struct SimEngineStats {
 
 /// Memoized, batch-oriented simulator front end for one machine.
 ///
-/// The engine never changes results: fast-mode outputs are bit-identical
-/// to reference-mode outputs for every API below (enforced by
-/// bench_sim_engine and the sim_engine tests).
+/// The engine never changes results: every API below is bit-identical to
+/// the simulator's from-scratch iteration_time and its noise stream
+/// (enforced by bench_sim_engine and the sim_engine tests).
 class SimEngine {
  public:
-  explicit SimEngine(const CcsdSimulator& simulator,
-                     SimEngineOptions options = {});
+  explicit SimEngine(const CcsdSimulator& simulator);
 
   const CcsdSimulator& simulator() const { return *simulator_; }
-  const SimEngineOptions& options() const { return options_; }
   SimCache& cache() { return cache_; }
   const SimCache& cache() const { return cache_; }
   SimEngineStats stats() const;
 
-  /// Noise-free wall time of one iteration, memoized in fast mode.
+  /// Noise-free wall time of one iteration, memoized.
   double iteration_time(const RunConfig& cfg);
 
-  /// Noise-free times for a config list. Fast mode dedupes, reuses one
-  /// task graph per (O, V, tile) group across its node counts, serves
-  /// repeats from the cache and fans groups over the shared ThreadPool;
-  /// reference mode simulates each entry serially from scratch.
+  /// Noise-free times for a config list: dedupes, reuses one task graph
+  /// per (O, V, tile) group across its node counts, serves repeats from
+  /// the cache and fans groups over the shared ThreadPool.
   std::vector<double> simulate_batch(const std::vector<RunConfig>& configs);
 
   /// The rep-th simulated measurement of `cfg` under `campaign_seed`:
@@ -166,10 +152,8 @@ class SimEngine {
 
  private:
   SimCache::Key key_for(const RunConfig& cfg, std::uint64_t seed = 0) const;
-  bool fast() const { return options_.mode == SimEngineMode::kFast; }
 
   const CcsdSimulator* simulator_;
-  SimEngineOptions options_;
   std::uint64_t machine_tag_ = 0;
   SimCache cache_;
   mutable std::mutex stats_mutex_;

@@ -17,8 +17,9 @@
 ///  - `rbf_exp_map`: the AVX2 path uses a Cephes-style polynomial exp
 ///    (measured max relative error ~3e-16 vs libm); agreement with the
 ///    scalar path is gated far below the engine-wide 1e-9 tolerance.
-///  - `update2x4` / `update1x4`: FMA-fused multiply-adds; agreement within
-///    the Cholesky kReference 1e-9 bound, not bit-identical.
+///  - `update2x4` / `update1x4`: FMA-fused multiply-adds; the blocked
+///    Cholesky agrees with the test oracle's left-looking factorization
+///    within 1e-9, not bit-identically.
 ///
 /// Scalar kernels replicate the exact loops the fast engines shipped with
 /// (PRs 2/3), so `CCPRED_SIMD=scalar` reproduces pre-SIMD behavior.

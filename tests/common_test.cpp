@@ -299,54 +299,6 @@ TEST(CsvTest, UnreadableFileThrows) {
 
 // ---------- thread pool ----------
 
-TEST(ThreadPoolTest, ExecutesSubmittedTask) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  auto f = pool.submit([&] { counter = 42; });
-  f.get();
-  EXPECT_EQ(counter, 42);
-}
-
-TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(1);
-  auto f = pool.submit([] { throw Error("boom"); });
-  EXPECT_THROW(f.get(), Error);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, hits.size(), [&](std::size_t i) { hits[i]++; }, &pool);
-  for (const auto& h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoop) {
-  int calls = 0;
-  parallel_for(5, 5, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(0, 10,
-                            [&](std::size_t i) {
-                              if (i == 7) throw Error("inner failure");
-                            },
-                            &pool),
-               Error);
-}
-
-TEST(ThreadPoolTest, NestedParallelForRunsSerially) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  parallel_for(0, 4,
-               [&](std::size_t) {
-                 parallel_for(0, 4, [&](std::size_t) { total++; }, &pool);
-               },
-               &pool);
-  EXPECT_EQ(total, 16);
-}
-
 TEST(ThreadPoolTest, GlobalPoolIsSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
 }

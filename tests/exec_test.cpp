@@ -2,12 +2,14 @@
 /// Executor-layer lockdown: differential/property tests for
 /// exec::ShardedMemoCache against a single-map reference model (serial and
 /// 8-thread, TSAN-clean), single-flight semantics (claim/finish step by
-/// step, then under threads), TaskScope structure (coverage, exception
-/// propagation, per-chunk arenas, seed derivation),
-/// the shuffle-injection determinism suite for every engine rewired onto
-/// the layer (campaign generation, STQ/BQ sweeps, RF fits), Arena edge
-/// cases, and the kDefaultShards derivation shared by SimCache and
-/// SweepCache — including behavior at non-default shard counts.
+/// step, then under threads), exec::parallel_for structure (coverage,
+/// exception propagation, empty ranges, nesting, per-chunk arenas), the
+/// shuffle-injection determinism suite for every loop on the layer
+/// (campaign generation, STQ/BQ sweeps, RF and GB fits, the GP fit and
+/// predictive variances, cross-validation, grid search, query by
+/// committee), Arena edge cases, and the kDefaultShards derivation shared
+/// by SimCache and SweepCache — including behavior at non-default shard
+/// counts.
 
 #include <gtest/gtest.h>
 
@@ -17,37 +19,43 @@
 #include <cstdint>
 #include <future>
 #include <latch>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "ccpred/active/pool.hpp"
+#include "ccpred/active/query_by_committee.hpp"
+#include "ccpred/core/cross_validation.hpp"
+#include "ccpred/core/gaussian_process.hpp"
+#include "ccpred/core/gradient_boosting.hpp"
+#include "ccpred/core/grid_search.hpp"
+#include "ccpred/core/random_forest.hpp"
 #include "ccpred/data/generator.hpp"
 #include "ccpred/data/problems.hpp"
 #include "ccpred/exec/arena.hpp"
-#include "ccpred/exec/engine_mode.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/exec/sharded_cache.hpp"
-#include "ccpred/exec/task_scope.hpp"
 #include "ccpred/guidance/optimal.hpp"
-#include "ccpred/core/random_forest.hpp"
 #include "ccpred/serve/sweep_cache.hpp"
 #include "ccpred/sim/sim_engine.hpp"
 #include "ccpred/simd/simd.hpp"
+#include "oracle/oracle.hpp"
 
 namespace ccpred {
 namespace {
 
 using exec::Arena;
 using exec::ShardedMemoCache;
-using exec::TaskScope;
 
 /// Restores the no-shuffle default even when a test assertion fails.
 struct ShuffleGuard {
   explicit ShuffleGuard(std::uint64_t seed) {
-    TaskScope::set_shuffle_for_testing(seed);
+    exec::set_shuffle_for_testing(seed);
   }
-  ~ShuffleGuard() { TaskScope::set_shuffle_for_testing(0); }
+  ~ShuffleGuard() { exec::set_shuffle_for_testing(0); }
 };
 
 // ---------------------------------------------------------------------------
@@ -406,21 +414,19 @@ TEST(DefaultShardsTest, SweepCacheInvalidateAtNonDefaultShards) {
 }
 
 // ---------------------------------------------------------------------------
-// TaskScope
+// exec::parallel_for
 // ---------------------------------------------------------------------------
 
-TEST(TaskScopeTest, ParallelForCoversEveryIndexExactlyOnce) {
+TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
-  TaskScope scope;
-  scope.parallel_for(0, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+  exec::parallel_for(0, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(TaskScopeTest, ParallelForPropagatesExceptions) {
-  TaskScope scope;
-  EXPECT_THROW(scope.parallel_for(0, 64,
+TEST(ParallelForTest, PropagatesExceptions) {
+  EXPECT_THROW(exec::parallel_for(0, 64,
                                   [&](std::size_t i) {
                                     if (i == 33) {
                                       throw std::runtime_error("task 33");
@@ -429,11 +435,29 @@ TEST(TaskScopeTest, ParallelForPropagatesExceptions) {
                std::runtime_error);
 }
 
-TEST(TaskScopeTest, ArenaOverloadHandsOutWritableArenas) {
+TEST(ParallelForTest, EmptyRangeIsNoop) {
+  int calls = 0;
+  exec::parallel_for(5, 5, [&](std::size_t) { ++calls; });
+  exec::parallel_for(7, 3, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(ParallelForTest, NestedLoopRunsSerially) {
+  std::atomic<int> total{0};
+  exec::parallel_for(0, 8, [&](std::size_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    exec::parallel_for(0, 8, [&](std::size_t) {
+      EXPECT_EQ(std::this_thread::get_id(), outer);
+      total.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ParallelForTest, ArenaOverloadHandsOutWritableArenas) {
   constexpr std::size_t kN = 64;
   std::vector<double> sums(kN, 0.0);
-  TaskScope scope;
-  scope.parallel_for(0, kN, [&](std::size_t i, Arena& arena) {
+  exec::parallel_for(0, kN, [&](std::size_t i, Arena& arena) {
     double* scratch = arena.alloc_array<double>(128);
     for (int j = 0; j < 128; ++j) {
       scratch[j] = static_cast<double>(i + static_cast<std::size_t>(j));
@@ -447,26 +471,13 @@ TEST(TaskScopeTest, ArenaOverloadHandsOutWritableArenas) {
   }
 }
 
-TEST(TaskScopeTest, TaskSeedsAreStableAndDistinct) {
-  const std::uint64_t base = 2025;
-  EXPECT_EQ(TaskScope::task_seed(base, 0),
-            exec::splitmix64(base + exec::kGoldenGamma));
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < 256; ++i) {
-    seeds.push_back(TaskScope::task_seed(base, i));
-  }
-  std::sort(seeds.begin(), seeds.end());
-  EXPECT_EQ(std::unique(seeds.begin(), seeds.end()), seeds.end());
-}
-
-TEST(TaskScopeTest, ShuffledParallelForStillCoversEveryIndex) {
+TEST(ParallelForTest, ShuffledLoopStillCoversEveryIndex) {
   constexpr std::size_t kN = 500;
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
     ShuffleGuard guard(seed);
     std::vector<std::atomic<int>> hits(kN);
     for (auto& h : hits) h.store(0);
-    TaskScope scope;
-    scope.parallel_for(0, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+    exec::parallel_for(0, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1);
   }
 }
@@ -475,29 +486,28 @@ TEST(TaskScopeTest, ShuffledParallelForStillCoversEveryIndex) {
 // Determinism suite: shuffled executor runs vs serial reference
 // ---------------------------------------------------------------------------
 
-/// Campaign generation must be bit-identical between the serial reference
-/// engine and the fast engine with an adversarially shuffled task order.
+/// Campaign generation with an adversarially shuffled task order must
+/// reproduce the oracle's from-scratch labels bit for bit.
 TEST(ExecDeterminismTest, ShuffledCampaignMatchesReference) {
   const sim::CcsdSimulator simulator{sim::MachineModel::aurora()};
   const auto& problems = data::problems_for("aurora");
 
-  data::GeneratorOptions ref_opt;
-  ref_opt.target_total = 400;
-  ref_opt.engine_mode = sim::SimEngineMode::kReference;
-  const data::Dataset reference =
-      data::generate_dataset(simulator, problems, ref_opt);
+  data::GeneratorOptions opt;
+  opt.target_total = 400;
+  const data::Dataset natural =
+      data::generate_dataset(simulator, problems, opt);
+  const std::vector<double> labels =
+      oracle::campaign_labels(simulator, natural, opt.seed);
 
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
     ShuffleGuard guard(seed);
-    data::GeneratorOptions fast_opt = ref_opt;
-    fast_opt.engine_mode = sim::SimEngineMode::kFast;
     const data::Dataset shuffled =
-        data::generate_dataset(simulator, problems, fast_opt);
-    ASSERT_EQ(shuffled.size(), reference.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(shuffled.config(i), reference.config(i))
+        data::generate_dataset(simulator, problems, opt);
+    ASSERT_EQ(shuffled.size(), natural.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < natural.size(); ++i) {
+      ASSERT_EQ(shuffled.config(i), natural.config(i))
           << "seed " << seed << " row " << i;
-      ASSERT_EQ(shuffled.target(i), reference.target(i))
+      ASSERT_EQ(shuffled.target(i), labels[i])
           << "seed " << seed << " row " << i;
     }
   }
@@ -534,7 +544,7 @@ TEST(ExecDeterminismTest, ShuffledSweepsMatchReference) {
   }
 }
 
-/// Random-forest fits fan member trees over TaskScope; per-tree randomness
+/// Random-forest fits fan member trees over parallel_for; per-tree randomness
 /// derives only from the member's seed, so a shuffled fit must produce a
 /// bit-identical forest.
 TEST(ExecDeterminismTest, ShuffledForestFitMatchesReference) {
@@ -561,6 +571,99 @@ TEST(ExecDeterminismTest, ShuffledForestFitMatchesReference) {
     ASSERT_EQ(shuffled.predict(x), ref_pred) << "seed " << seed;
     ASSERT_EQ(shuffled.feature_importances(), ref_imp) << "seed " << seed;
   }
+}
+
+/// A small aurora campaign shared by the model-fit determinism cases.
+const data::Dataset& fit_campaign() {
+  static const data::Dataset dataset = [] {
+    const sim::CcsdSimulator simulator{sim::MachineModel::aurora()};
+    data::GeneratorOptions opt;
+    opt.target_total = 400;
+    return data::generate_dataset(simulator, data::problems_for("aurora"),
+                                  opt);
+  }();
+  return dataset;
+}
+
+/// Runs `run` unshuffled, then shuffled at seeds 1/7/42, and expects
+/// bit-identical results.
+template <typename Run>
+void expect_shuffle_invariant(const Run& run) {
+  const auto reference = run();
+  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
+    ShuffleGuard guard(seed);
+    EXPECT_EQ(run(), reference) << "seed " << seed;
+  }
+}
+
+/// Boosting fans its residual updates over parallel_for (fused training
+/// predictions under histogram splits, a per-row tree walk under exact
+/// splits), so a shuffled fit must produce bit-identical stages.
+TEST(ExecDeterminismTest, ShuffledBoostingFitMatchesReference) {
+  const data::Dataset& d = fit_campaign();
+  const linalg::Matrix x = d.features();
+  for (const auto mode : {ml::SplitMode::kExact, ml::SplitMode::kHistogram}) {
+    expect_shuffle_invariant([&] {
+      ml::GradientBoostingRegressor gb(
+          40, 0.1, ml::TreeOptions{.max_depth = 5, .split_mode = mode});
+      gb.fit(x, d.targets());
+      return std::make_pair(gb.predict(x), gb.feature_importances());
+    });
+  }
+}
+
+/// The GP fit, its incremental update and the predictive variances run the
+/// kernel builds, the blocked Cholesky's panel and trailing-update stripes,
+/// the multi-RHS triangular solves and the BLAS stripes over parallel_for.
+TEST(ExecDeterminismTest, ShuffledGpMatchesReference) {
+  const data::Dataset& d = fit_campaign();
+  std::vector<std::size_t> head(300), tail(d.size() - 300);
+  std::iota(head.begin(), head.end(), std::size_t{0});
+  std::iota(tail.begin(), tail.end(), head.size());
+  const data::Dataset first = d.select(head), rest = d.select(tail);
+  expect_shuffle_invariant([&] {
+    ml::GaussianProcessRegression gp(0.5, 1e-4, true, true);
+    gp.fit(first.features(), first.targets());
+    gp.update(rest.features(), rest.targets());
+    std::vector<double> mean, std;
+    gp.predict_with_std(d.features(), mean, std);
+    return std::make_pair(mean, std);
+  });
+}
+
+/// Cross-validation folds and grid-search candidates each fit their own
+/// clone on their own folds, so shuffled runs must score identically.
+TEST(ExecDeterminismTest, ShuffledCrossValidationAndGridSearchMatchReference) {
+  const data::Dataset& d = fit_campaign();
+  const linalg::Matrix x = d.features();
+  const ml::GradientBoostingRegressor proto(20, 0.1,
+                                            ml::TreeOptions{.max_depth = 3});
+  const ml::ParamGrid grid = {{"max_depth", {2.0, 3.0}},
+                              {"learning_rate", {0.05, 0.1}}};
+  expect_shuffle_invariant([&] {
+    Rng rng(5);
+    const ml::CvResult cv = ml::cross_validate(proto, x, d.targets(), 4, rng);
+    const ml::SearchResult gs = ml::grid_search(
+        proto, grid, x, d.targets(), ml::SearchOptions{.refit = false});
+    std::vector<double> values;
+    for (const ml::Scores& f : cv.fold_scores) {
+      values.insert(values.end(), {f.r2, f.mae, f.mape, f.rmse});
+    }
+    for (const ml::SearchTrial& t : gs.trials) values.push_back(t.value);
+    return std::make_pair(values, gs.best_params);
+  });
+}
+
+/// Committee members train in parallel from pre-derived seeds, so a
+/// shuffled query must pick the same rows in the same order.
+TEST(ExecDeterminismTest, ShuffledCommitteeQueryMatchesReference) {
+  const ml::GradientBoostingRegressor proto(20, 0.1,
+                                            ml::TreeOptions{.max_depth = 4});
+  expect_shuffle_invariant([&] {
+    Rng rng(11);
+    const al::Pool pool(fit_campaign(), 60, rng);
+    return al::QueryByCommittee(proto, 5).select(pool, proto, 25, rng);
+  });
 }
 
 // ---------------------------------------------------------------------------

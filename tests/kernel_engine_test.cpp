@@ -1,6 +1,6 @@
-// Tests for the fast kernel-model engine: GP fast-vs-reference agreement,
-// cached-Gram KRR refits, incremental GP updates and the incremental
-// active-learning loop.
+// Tests for the fast kernel-model engine: GP agreement with the oracle's
+// ReferenceGp, cached-Gram KRR refits, incremental GP updates and the
+// incremental active-learning loop.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "ccpred/core/gaussian_process.hpp"
 #include "ccpred/core/kernel_ridge.hpp"
 #include "ccpred/core/kernels.hpp"
+#include "oracle/oracle.hpp"
 #include "test_util.hpp"
 
 namespace ccpred::ml {
@@ -70,7 +71,7 @@ TEST(SquaredDistancesTest, RectangularMatchesSymmetric) {
   EXPECT_DOUBLE_EQ(sym.max_abs_diff(rect), 0.0);
 }
 
-// ---------- GP fast vs reference ----------
+// ---------- GP vs the oracle's ReferenceGp ----------
 
 class GpEngineTest : public ::testing::Test {
  protected:
@@ -81,8 +82,7 @@ class GpEngineTest : public ::testing::Test {
 TEST_F(GpEngineTest, FastMatchesReferenceWithOptimization) {
   // The Fig. 3 US configuration: optimized hyper-parameters, log target.
   GaussianProcessRegression fast(0.5, 1e-4, true, true);
-  GaussianProcessRegression ref(0.5, 1e-4, true, true);
-  ref.set_params({{"engine", 1.0}});
+  oracle::ReferenceGp ref(0.5, 1e-4, true, true);
   fast.fit(tt_->train.features(), tt_->train.targets());
   ref.fit(tt_->train.features(), tt_->train.targets());
 
@@ -105,23 +105,11 @@ TEST_F(GpEngineTest, FastMatchesReferenceWithOptimization) {
 
 TEST_F(GpEngineTest, FastMatchesReferenceFixedHyperparams) {
   GaussianProcessRegression fast(0.8, 1e-3, false);
-  GaussianProcessRegression ref(0.8, 1e-3, false);
-  ref.set_params({{"engine", 1.0}});
+  oracle::ReferenceGp ref(0.8, 1e-3, false);
   fast.fit(tt_->train.features(), tt_->train.targets());
   ref.fit(tt_->train.features(), tt_->train.targets());
   expect_close_rel(fast.predict(tt_->test.features()),
                    ref.predict(tt_->test.features()), kRelTol, "predict");
-}
-
-TEST(GpEngineParams, EngineParamValidatedAndCloned) {
-  GaussianProcessRegression gp(0.5, 1e-4, false);
-  EXPECT_THROW(gp.set_params({{"engine", 2.0}}), Error);
-  gp.set_params({{"engine", 1.0}});
-  EXPECT_EQ(gp.engine(), GaussianProcessRegression::Engine::kReference);
-  const auto copy = gp.clone();
-  auto* gp_copy = dynamic_cast<GaussianProcessRegression*>(copy.get());
-  ASSERT_NE(gp_copy, nullptr);
-  EXPECT_EQ(gp_copy->engine(), GaussianProcessRegression::Engine::kReference);
 }
 
 // ---------- GP incremental update ----------

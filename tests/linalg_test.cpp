@@ -11,6 +11,7 @@
 #include "ccpred/linalg/matrix.hpp"
 #include "ccpred/linalg/qr.hpp"
 #include "ccpred/linalg/solve.hpp"
+#include "oracle/oracle.hpp"
 
 namespace ccpred::linalg {
 namespace {
@@ -271,19 +272,19 @@ TEST(CholeskyTest, TriangularSolvesCompose) {
   for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(via_parts[i], direct[i], 1e-12);
 }
 
-// Blocked (default) factorization must agree with the scalar left-looking
-// reference across sizes spanning the panel boundary (kPanel = 64).
+// The blocked factorization must agree with the oracle's scalar
+// left-looking one across sizes spanning the panel boundary (kPanel = 64).
 class CholeskyBlockedSizes : public ::testing::TestWithParam<int> {};
 
 TEST_P(CholeskyBlockedSizes, MatchesReference) {
   const int n = GetParam();
   Rng rng(static_cast<std::uint64_t>(100 + n));
   const Matrix a = random_spd(static_cast<std::size_t>(n), rng);
-  const Cholesky fast(a, Cholesky::Method::kFast);
-  const Cholesky ref(a, Cholesky::Method::kReference);
+  const Cholesky fast(a);
+  const Matrix ref = oracle::cholesky_left_looking(a);
   double scale = 0.0;
   for (std::size_t i = 0; i < a.rows(); ++i) scale = std::max(scale, a(i, i));
-  EXPECT_LT(fast.factor().max_abs_diff(ref.factor()), 1e-9 * scale)
+  EXPECT_LT(fast.factor().max_abs_diff(ref), 1e-9 * scale)
       << "blocked factor diverged from reference at n = " << n;
 }
 
@@ -291,17 +292,18 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyBlockedSizes,
                          ::testing::Values(1, 2, 63, 64, 65, 130, 200));
 
 TEST(CholeskyTest, BlockedPreservesPositiveDefiniteMessage) {
-  Matrix m = {{1, 0}, {0, -1}};
-  for (auto method :
-       {Cholesky::Method::kFast, Cholesky::Method::kReference}) {
+  const Matrix m = {{1, 0}, {0, -1}};
+  const auto expect_message = [](const auto& factor) {
     try {
-      const Cholesky chol(m, method);
+      factor();
       FAIL() << "expected indefinite matrix to throw";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("not positive definite"),
                 std::string::npos);
     }
-  }
+  };
+  expect_message([&] { return Cholesky(m); });
+  expect_message([&] { return oracle::cholesky_left_looking(m); });
 }
 
 TEST(CholeskyTest, MultiRhsTriangularSolvesMatchVectorSolves) {

@@ -16,6 +16,7 @@
 #include "ccpred/core/metrics.hpp"
 #include "ccpred/core/random_forest.hpp"
 #include "ccpred/core/serialize.hpp"
+#include "oracle/oracle.hpp"
 #include "test_util.hpp"
 
 namespace ccpred {
@@ -201,7 +202,7 @@ TEST_P(CompiledBitIdentity, GbPredictIsBitIdenticalToWalk) {
   gb.fit(train.x, train.y);
 
   const auto compiled = gb.predict(query.x);
-  const auto walk = gb.predict_walk(query.x);
+  const auto walk = gb.predict_staged(query.x, gb.stage_count());
   ASSERT_EQ(compiled.size(), walk.size());
   for (std::size_t i = 0; i < walk.size(); ++i) {
     EXPECT_EQ(compiled[i], walk[i]) << "row " << i;  // bitwise, not NEAR
@@ -225,7 +226,7 @@ TEST_P(CompiledBitIdentity, RfPredictIsBitIdenticalToWalk) {
   rf.fit(train.x, train.y);
 
   const auto compiled = rf.predict(query.x);
-  const auto walk = rf.predict_walk(query.x);
+  const auto walk = oracle::forest_walk(rf, query.x);
   ASSERT_EQ(compiled.size(), walk.size());
   for (std::size_t i = 0; i < walk.size(); ++i) {
     EXPECT_EQ(compiled[i], walk[i]) << "row " << i;
@@ -271,7 +272,7 @@ TEST(CompiledEnsembleTest, BlockBoundarySizesAllAgree) {
   for (const std::size_t n : {1u, 255u, 256u, 257u, 513u}) {
     const auto query = test::make_nonlinear(n, 0.1, 91);
     const auto compiled = gb.predict(query.x);
-    const auto walk = gb.predict_walk(query.x);
+    const auto walk = gb.predict_staged(query.x, gb.stage_count());
     ASSERT_EQ(compiled.size(), n);
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(compiled[i], walk[i]);
   }
