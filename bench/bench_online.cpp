@@ -2,8 +2,8 @@
 ///
 /// The closed-loop subsystem rides on the serving layer's request threads:
 /// every `report` scores the reported configuration with the serving
-/// model, feeds the drift detector and grows an incremental GP surrogate.
-/// The number that matters is what that costs everyone else — so this
+/// model, feeds the drift detector and buffers the measurement. The
+/// number that matters is what that costs everyone else — so this
 /// bench measures warm STQ/BQ/budget throughput twice, once on a plain
 /// server and once with online learning enabled and one report
 /// interleaved per 100 questions (report handling time lands in the
@@ -139,9 +139,7 @@ int main() {
 
   // Phase B: online enabled, promotions out of reach (the serving model
   // must not change mid-measurement), one report interleaved per
-  // kReportEvery questions. gp_max_rows is kept small so the cadence
-  // full refit stays a bounded Cholesky, like a real deployment would cap
-  // its surrogate.
+  // kReportEvery questions.
   double qps_with_reports = 0.0;
   double reports_per_s = 0.0;
   std::size_t reports_sent = 0;
@@ -150,7 +148,6 @@ int main() {
     sopt.cache_capacity = 64;
     sopt.online.enabled = true;
     sopt.online.min_refit_rows = 1u << 30;
-    sopt.online.gp_max_rows = 64;
     serve::Server server(registry, sopt);
     for (std::size_t i = 0; i < problems.size(); ++i) {
       serve::Request req;

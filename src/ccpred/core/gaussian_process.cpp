@@ -12,12 +12,8 @@ namespace ccpred::ml {
 GaussianProcessRegression::GaussianProcessRegression(double gamma,
                                                      double noise,
                                                      bool optimize,
-                                                     bool log_target,
-                                                     bool log_features)
-    : noise_(noise),
-      optimize_(optimize),
-      log_target_(log_target),
-      log_features_(log_features) {
+                                                     bool log_target)
+    : noise_(noise), optimize_(optimize), log_target_(log_target) {
   CCPRED_CHECK_MSG(gamma > 0.0, "GP gamma must be > 0");
   CCPRED_CHECK_MSG(noise >= 0.0, "GP noise must be >= 0");
   kernel_.type = KernelType::kRbf;
@@ -34,25 +30,11 @@ void GaussianProcessRegression::factor_and_score(linalg::Matrix k) {
          0.5 * n * std::log(2.0 * std::numbers::pi);
 }
 
-linalg::Matrix GaussianProcessRegression::maybe_log(
-    const linalg::Matrix& x) const {
-  if (!log_features_) return x;
-  linalg::Matrix out = x;
-  for (std::size_t i = 0; i < out.rows(); ++i) {
-    for (std::size_t c = 0; c < out.cols(); ++c) {
-      CCPRED_CHECK_MSG(out(i, c) > 0.0,
-                       "log_features GP needs positive features");
-      out(i, c) = std::log(out(i, c));
-    }
-  }
-  return out;
-}
-
 void GaussianProcessRegression::fit(const linalg::Matrix& x,
                                     const std::vector<double>& y) {
   CCPRED_CHECK_MSG(x.rows() == y.size(), "X/y row mismatch");
   CCPRED_CHECK_MSG(x.rows() > 0, "cannot fit on empty data");
-  x_train_ = scaler_.fit_transform(maybe_log(x));
+  x_train_ = scaler_.fit_transform(x);
   if (log_target_) {
     std::vector<double> logged(y.size());
     for (std::size_t i = 0; i < y.size(); ++i) {
@@ -113,7 +95,7 @@ void GaussianProcessRegression::fit(const linalg::Matrix& x,
 std::vector<double> GaussianProcessRegression::predict(
     const linalg::Matrix& x) const {
   CCPRED_CHECK_MSG(is_fitted(), "GaussianProcessRegression::predict before fit");
-  const linalg::Matrix z = scaler_.transform(maybe_log(x));
+  const linalg::Matrix z = scaler_.transform(x);
   const linalg::Matrix ks = kernel_.gram(z, x_train_);
   auto out = linalg::gemv(ks, alpha_);
   for (auto& v : out) {
@@ -127,7 +109,7 @@ void GaussianProcessRegression::predict_with_std(const linalg::Matrix& x,
                                                  std::vector<double>& mean,
                                                  std::vector<double>& std) const {
   CCPRED_CHECK_MSG(is_fitted(), "GP predict_with_std before fit");
-  const linalg::Matrix z = scaler_.transform(maybe_log(x));
+  const linalg::Matrix z = scaler_.transform(x);
   const std::size_t m = x.rows();
   std.assign(m, 0.0);
   // var(x*) = k(x*,x*) - k*^T K^{-1} k*; k(x,x) = 1 for RBF. All variances
@@ -162,7 +144,7 @@ void GaussianProcessRegression::update(const linalg::Matrix& x_new,
   // Frozen scalers: the standardization learned at the last full fit keeps
   // the cached distances and factor valid. The drift it ignores is absorbed
   // by the active-learning loop's cadence of full refits.
-  const linalg::Matrix z = scaler_.transform(maybe_log(x_new));
+  const linalg::Matrix z = scaler_.transform(x_new);
   std::vector<double> yz_new;
   if (log_target_) {
     std::vector<double> logged(y_new.size());
@@ -212,7 +194,7 @@ void GaussianProcessRegression::update(const linalg::Matrix& x_new,
 
 std::unique_ptr<Regressor> GaussianProcessRegression::clone() const {
   return std::make_unique<GaussianProcessRegression>(
-      kernel_.gamma, noise_, optimize_, log_target_, log_features_);
+      kernel_.gamma, noise_, optimize_, log_target_);
 }
 
 const std::string& GaussianProcessRegression::name() const {
@@ -232,8 +214,6 @@ void GaussianProcessRegression::set_params(const ParamMap& params) {
       optimize_ = value != 0.0;
     } else if (key == "log_target") {
       log_target_ = value != 0.0;
-    } else if (key == "log_features") {
-      log_features_ = value != 0.0;
     } else {
       throw Error("GaussianProcessRegression: unknown parameter '" + key +
                   "'");

@@ -20,10 +20,7 @@ namespace ccpred::ml {
 /// the diagonal), "optimize" (1 = grid-search gamma/noise by marginal
 /// likelihood on fit, 0 = keep as set), "log_target" (1 = model log(y),
 /// the exact likelihood under the machines' multiplicative run-to-run
-/// noise; predictions are transformed back with the delta method),
-/// "log_features" (1 = kernel operates on log-transformed features —
-/// runtime is a power law in the orbital counts and node count, so
-/// distances in log space are the natural metric; features must be > 0).
+/// noise; predictions are transformed back with the delta method).
 /// Fitting caches the pairwise squared-distance matrix once (every grid
 /// candidate's Gram matrix is then an elementwise exp; noise only touches
 /// the diagonal), factors with the blocked parallel Cholesky, and batches
@@ -34,8 +31,7 @@ class GaussianProcessRegression : public UncertaintyRegressor {
  public:
   explicit GaussianProcessRegression(double gamma = 0.5, double noise = 1e-4,
                                      bool optimize = true,
-                                     bool log_target = false,
-                                     bool log_features = false);
+                                     bool log_target = false);
 
   void fit(const linalg::Matrix& x, const std::vector<double>& y) override;
   std::vector<double> predict(const linalg::Matrix& x) const override;
@@ -65,13 +61,11 @@ class GaussianProcessRegression : public UncertaintyRegressor {
 
  private:
   void factor_and_score(linalg::Matrix k);
-  linalg::Matrix maybe_log(const linalg::Matrix& x) const;
 
   Kernel kernel_;
   double noise_;
   bool optimize_;
   bool log_target_;
-  bool log_features_;
   double lml_ = 0.0;
   data::StandardScaler scaler_;
   data::TargetScaler y_scaler_;

@@ -98,19 +98,7 @@ std::vector<SweepPoint> sweep_from_predictions(
 }  // namespace
 
 Recommendation Advisor::recommend(int o, int v, Objective objective) const {
-  const std::vector<sim::RunConfig> candidates =
-      feasible_candidates(simulator_, o, v);
-
-  // One batched prediction over the whole sweep.
-  linalg::Matrix x(candidates.size(), data::kNumFeatures);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    x(i, data::kFeatO) = candidates[i].o;
-    x(i, data::kFeatV) = candidates[i].v;
-    x(i, data::kFeatNodes) = candidates[i].nodes;
-    x(i, data::kFeatTile) = candidates[i].tile;
-  }
-  const auto times = model_.predict(x);
-  return from_sweep(sweep_from_predictions(candidates, times, 0), objective);
+  return std::move(recommend_batch({{o, v}}, objective).front());
 }
 
 std::vector<Recommendation> Advisor::recommend_batch(

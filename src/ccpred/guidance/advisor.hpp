@@ -49,7 +49,7 @@ class Advisor {
   /// Recommends the configuration minimizing the objective for (o, v).
   /// Sweeps the machine's node menu clipped to memory feasibility and the
   /// full tile menu. Throws ccpred::Error when the model's sweep is
-  /// corrupt (see from_sweep).
+  /// corrupt (see from_sweep). A batch of one: recommend_batch below.
   Recommendation recommend(int o, int v, Objective objective) const;
 
   /// Batched recommend(): concatenates every problem's candidate grid into

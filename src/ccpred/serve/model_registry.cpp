@@ -152,7 +152,6 @@ ModelHandle ModelRegistry::get(const std::string& machine,
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
-      if (!options_.hot_reload) return it->second.handle;
       const std::uint64_t gen = published_gen_locked(key);
       const std::int64_t now_ns = mtime_ns(path);
       const bool gen_changed = gen != it->second.loaded_gen;

@@ -50,7 +50,6 @@ sim::CcsdSimulator simulator_for(const std::string& machine);
 /// Registry knobs; the defaults match the paper's production models, the
 /// small values are for tests and benches.
 struct RegistryOptions {
-  bool hot_reload = true;          ///< stat() artifacts on every get()
   std::size_t fallback_rows = 600; ///< campaign size for train-and-cache
   std::uint64_t fallback_seed = 2025;
   int gb_estimators = 750;  ///< boosting stages for fallback-trained GB

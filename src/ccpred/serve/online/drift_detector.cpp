@@ -13,7 +13,6 @@ DriftDetector::DriftDetector(DriftOptions options) : options_(options) {
   CCPRED_CHECK_MSG(options_.mape_threshold > 0.0,
                    "DriftDetector mape_threshold must be > 0");
   ape_.reserve(options_.window);
-  residual_.reserve(options_.window);
 }
 
 void DriftDetector::observe(double predicted_s, double measured_s) {
@@ -22,16 +21,12 @@ void DriftDetector::observe(double predicted_s, double measured_s) {
     return;
   }
   const double ape = std::abs(predicted_s - measured_s) / measured_s;
-  const double residual = predicted_s - measured_s;
   if (ape_.size() < options_.window) {
     ape_.push_back(ape);
-    residual_.push_back(residual);
   } else {
     ape_[next_] = ape;
-    residual_[next_] = residual;
     next_ = (next_ + 1) % options_.window;
   }
-  ++observed_;
 }
 
 double DriftDetector::rolling_mape() const {
@@ -41,13 +36,6 @@ double DriftDetector::rolling_mape() const {
   return sum / static_cast<double>(ape_.size());
 }
 
-double DriftDetector::mean_residual() const {
-  if (residual_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double r : residual_) sum += r;
-  return sum / static_cast<double>(residual_.size());
-}
-
 bool DriftDetector::drifting() const {
   return ape_.size() >= options_.min_samples &&
          rolling_mape() > options_.mape_threshold;
@@ -55,7 +43,6 @@ bool DriftDetector::drifting() const {
 
 void DriftDetector::reset() {
   ape_.clear();
-  residual_.clear();
   next_ = 0;
 }
 

@@ -4,16 +4,15 @@
 /// Rolling comparison of what the serving model predicted against what
 /// users measured. Each observe() pushes one (predicted, measured) pair
 /// into a fixed window; the detector reports the window's mean absolute
-/// percentage error (MAPE, the paper's headline accuracy metric) and its
-/// mean signed residual (bias direction). `drifting()` trips once the
-/// window holds at least `min_samples` pairs AND the rolling MAPE exceeds
-/// the threshold — the trigger for a background refit.
+/// percentage error (MAPE, the paper's headline accuracy metric).
+/// `drifting()` trips once the window holds at least `min_samples` pairs
+/// AND the rolling MAPE exceeds the threshold — the trigger for a
+/// background refit.
 ///
 /// Not thread-safe by itself; the OnlineTrainer serializes access per
 /// stream.
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace ccpred::serve::online {
@@ -40,15 +39,8 @@ class DriftDetector {
   /// Mean |predicted - measured| / measured over the window (0 if empty).
   double rolling_mape() const;
 
-  /// Mean signed (predicted - measured) over the window — negative means
-  /// the model now under-predicts (e.g. the machine got slower).
-  double mean_residual() const;
-
   /// Pairs currently in the window.
   std::size_t samples() const { return ape_.size(); }
-
-  /// Pairs ever observed (monotonic across resets).
-  std::uint64_t observed() const { return observed_; }
 
   /// True when the window is warm and its MAPE exceeds the threshold.
   bool drifting() const;
@@ -61,10 +53,8 @@ class DriftDetector {
 
  private:
   DriftOptions options_;
-  std::vector<double> ape_;       ///< ring of absolute percentage errors
-  std::vector<double> residual_;  ///< ring of signed residuals (s)
-  std::size_t next_ = 0;          ///< ring write position
-  std::uint64_t observed_ = 0;
+  std::vector<double> ape_;  ///< ring of absolute percentage errors
+  std::size_t next_ = 0;     ///< ring write position
 };
 
 }  // namespace ccpred::serve::online

@@ -27,7 +27,7 @@ FeedbackBuffer::FeedbackBuffer(std::size_t capacity) : capacity_(capacity) {
   CCPRED_CHECK_MSG(capacity > 0, "FeedbackBuffer capacity must be > 0");
 }
 
-AddResult FeedbackBuffer::add(MeasuredRun run) {
+AddResult FeedbackBuffer::add(const MeasuredRun& run) {
   if (!std::isfinite(run.wall_time_s) || run.wall_time_s <= 0.0) {
     return AddResult::kRejected;
   }
@@ -38,7 +38,7 @@ AddResult FeedbackBuffer::add(MeasuredRun run) {
     keys_.erase(key_of(runs_.front()));
     runs_.pop_front();
   }
-  run.seq = next_seq_++;
+  ++accepted_;
   runs_.push_back(run);
   return AddResult::kAccepted;
 }
@@ -48,12 +48,6 @@ std::vector<MeasuredRun> FeedbackBuffer::snapshot() const {
   return {runs_.begin(), runs_.end()};
 }
 
-std::vector<MeasuredRun> FeedbackBuffer::recent(std::size_t n) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t take = n < runs_.size() ? n : runs_.size();
-  return {runs_.end() - static_cast<std::ptrdiff_t>(take), runs_.end()};
-}
-
 std::size_t FeedbackBuffer::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return runs_.size();
@@ -61,7 +55,7 @@ std::size_t FeedbackBuffer::size() const {
 
 std::uint64_t FeedbackBuffer::accepted() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return next_seq_;
+  return accepted_;
 }
 
 }  // namespace ccpred::serve::online

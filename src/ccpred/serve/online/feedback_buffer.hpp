@@ -21,17 +21,13 @@
 
 namespace ccpred::serve::online {
 
-/// One user-reported measurement, plus what the serving model predicted
-/// for it at ingest time (the residual feeds drift detection).
+/// One user-reported measurement.
 struct MeasuredRun {
   int o = 0;
   int v = 0;
   int nodes = 0;
   int tile = 0;
   double wall_time_s = 0.0;  ///< measured per-iteration wall time
-  double predicted_s = 0.0;  ///< what the served model predicted at ingest
-  std::uint64_t model_version = 0;  ///< model that made the prediction
-  std::uint64_t seq = 0;            ///< ingest order within the buffer
 };
 
 /// Outcome of one add() call.
@@ -47,18 +43,14 @@ class FeedbackBuffer {
   explicit FeedbackBuffer(std::size_t capacity);
 
   /// Stores `run` unless it is invalid or a byte-exact duplicate of a
-  /// buffered row. Assigns `run.seq` on acceptance. When the buffer is
-  /// full the oldest row (and its dedup key) is evicted first.
-  AddResult add(MeasuredRun run);
+  /// buffered row. When the buffer is full the oldest row (and its dedup
+  /// key) is evicted first.
+  AddResult add(const MeasuredRun& run);
 
   /// Chronological copy (oldest first) of everything buffered.
   std::vector<MeasuredRun> snapshot() const;
 
-  /// The most recent `n` rows, oldest of them first.
-  std::vector<MeasuredRun> recent(std::size_t n) const;
-
   std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
 
   /// Total rows ever accepted (monotonic; eviction does not decrease it).
   std::uint64_t accepted() const;
@@ -80,7 +72,7 @@ class FeedbackBuffer {
   mutable std::mutex mutex_;
   std::deque<MeasuredRun> runs_;  ///< front = oldest
   std::unordered_set<DedupKey, DedupKeyHash> keys_;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t accepted_ = 0;
 };
 
 }  // namespace ccpred::serve::online

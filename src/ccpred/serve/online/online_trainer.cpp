@@ -12,25 +12,6 @@
 #include "ccpred/data/problems.hpp"
 
 namespace ccpred::serve::online {
-namespace {
-
-/// (features, targets) of a run list, in the library's column order.
-std::pair<linalg::Matrix, std::vector<double>> xy_of(
-    const std::vector<MeasuredRun>& runs) {
-  linalg::Matrix x(runs.size(), data::kNumFeatures);
-  std::vector<double> y;
-  y.reserve(runs.size());
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    x(i, data::kFeatO) = runs[i].o;
-    x(i, data::kFeatV) = runs[i].v;
-    x(i, data::kFeatNodes) = runs[i].nodes;
-    x(i, data::kFeatTile) = runs[i].tile;
-    y.push_back(runs[i].wall_time_s);
-  }
-  return {std::move(x), std::move(y)};
-}
-
-}  // namespace
 
 OnlineTrainer::OnlineTrainer(ModelRegistry& registry, SweepCache* cache,
                              OnlineOptions options, FaultInjector* fault)
@@ -45,10 +26,6 @@ OnlineTrainer::OnlineTrainer(ModelRegistry& registry, SweepCache* cache,
   CCPRED_CHECK_MSG(options_.holdout > 0, "online: holdout must be > 0");
   CCPRED_CHECK_MSG(options_.feedback_weight > 0,
                    "online: feedback_weight must be > 0");
-  CCPRED_CHECK_MSG(options_.gp_seed_rows > 0,
-                   "online: gp_seed_rows must be > 0");
-  CCPRED_CHECK_MSG(options_.gp_refit_cadence > 0,
-                   "online: gp_refit_cadence must be > 0");
   CCPRED_CHECK_MSG(options_.min_improvement >= 0.0 &&
                        options_.min_improvement < 1.0,
                    "online: min_improvement must be in [0, 1)");
@@ -63,34 +40,6 @@ OnlineTrainer::Stream& OnlineTrainer::stream(const std::string& machine,
     it = streams_.emplace(key, std::make_unique<Stream>(options_)).first;
   }
   return *it->second;
-}
-
-void OnlineTrainer::absorb_into_gp_locked(
-    Stream& s, const std::vector<MeasuredRun>& batch) {
-  std::vector<MeasuredRun> added;
-  for (const MeasuredRun& run : batch) {
-    if (s.gp_rows.size() >= options_.gp_max_rows) break;
-    s.gp_rows.push_back(run);
-    added.push_back(run);
-  }
-  if (added.empty()) return;
-  if (!s.gp.is_fitted()) {
-    if (s.gp_rows.size() >= options_.gp_seed_rows) {
-      const auto [x, y] = xy_of(s.gp_rows);
-      s.gp.fit(x, y);
-    }
-    return;
-  }
-  // Hot path: O(n^2 q) Cholesky extension instead of an O(n^3) refit.
-  const auto [x, y] = xy_of(added);
-  s.gp.update(x, y);
-  incremental_updates_.fetch_add(1, std::memory_order_relaxed);
-  if (++s.gp_batches % options_.gp_refit_cadence == 0) {
-    // Cadence full refit re-anchors the frozen scalers/hyper-parameters,
-    // exactly like the AL loop's refit_cadence.
-    const auto [ax, ay] = xy_of(s.gp_rows);
-    s.gp.fit(ax, ay);
-  }
 }
 
 ReportOutcome OnlineTrainer::ingest(const std::string& machine,
@@ -116,14 +65,10 @@ ReportOutcome OnlineTrainer::ingest(const std::string& machine,
   bool do_refit = false;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
-    std::vector<MeasuredRun> accepted;
     for (const double wall : wall_times) {
-      MeasuredRun run{cfg.o,     cfg.v,     cfg.nodes,      cfg.tile,
-                      wall,      predicted, handle.version, 0};
-      switch (s.buffer.add(run)) {
+      switch (s.buffer.add({cfg.o, cfg.v, cfg.nodes, cfg.tile, wall})) {
         case AddResult::kAccepted:
           s.drift.observe(predicted, wall);
-          accepted.push_back(run);
           ++out.accepted;
           break;
         case AddResult::kDuplicate:
@@ -136,7 +81,6 @@ ReportOutcome OnlineTrainer::ingest(const std::string& machine,
           break;
       }
     }
-    absorb_into_gp_locked(s, accepted);
     out.buffered = s.buffer.size();
     out.rolling_mape = s.drift.rolling_mape();
     out.drifting = s.drift.drifting();
@@ -145,19 +89,9 @@ ReportOutcome OnlineTrainer::ingest(const std::string& machine,
     }
     s.was_drifting = out.drifting;
 
-    const std::uint64_t total = s.buffer.accepted();
-    bool want = false;
-    if (total >= options_.min_refit_rows) {
-      if (out.drifting) {
-        want = true;
-      } else if (options_.refit_interval > 0 &&
-                 total - s.accepted_at_last_refit >= options_.refit_interval) {
-        want = true;
-      }
-    }
-    if (want && !s.refit_inflight) {
+    if (out.drifting && s.buffer.accepted() >= options_.min_refit_rows &&
+        !s.refit_inflight) {
       s.refit_inflight = true;
-      s.accepted_at_last_refit = total;
       out.refit_scheduled = true;
       do_refit = true;
     }
@@ -218,25 +152,19 @@ void OnlineTrainer::run_refit(const std::string& machine,
       const std::vector<MeasuredRun> train(
           rows.begin(), rows.end() - static_cast<std::ptrdiff_t>(holdout_n));
 
-      std::size_t n = train.size() * options_.feedback_weight;
-      const data::Dataset* camp = nullptr;
-      linalg::Matrix campaign_x;
-      if (options_.use_campaign) {
-        camp = &campaign(machine);
-        campaign_x = camp->features();
-        n += camp->size();
-      }
+      const data::Dataset& camp = campaign(machine);
+      const linalg::Matrix campaign_x = camp.features();
+      const std::size_t n =
+          camp.size() + train.size() * options_.feedback_weight;
       linalg::Matrix x(n, data::kNumFeatures);
       std::vector<double> y;
       y.reserve(n);
       std::size_t r = 0;
-      if (camp != nullptr) {
-        for (std::size_t i = 0; i < camp->size(); ++i, ++r) {
-          for (std::size_t c = 0; c < data::kNumFeatures; ++c) {
-            x(r, c) = campaign_x(i, c);
-          }
-          y.push_back(camp->targets()[i]);
+      for (std::size_t i = 0; i < camp.size(); ++i, ++r) {
+        for (std::size_t c = 0; c < data::kNumFeatures; ++c) {
+          x(r, c) = campaign_x(i, c);
         }
+        y.push_back(camp.targets()[i]);
       }
       for (const MeasuredRun& run : train) {
         for (std::size_t w = 0; w < options_.feedback_weight; ++w, ++r) {
@@ -314,8 +242,6 @@ OnlineStats OnlineTrainer::counters() const {
   c.duplicates = duplicates_.load(std::memory_order_relaxed);
   c.rejected = rejected_.load(std::memory_order_relaxed);
   c.drift_events = drift_events_.load(std::memory_order_relaxed);
-  c.incremental_updates =
-      incremental_updates_.load(std::memory_order_relaxed);
   c.refits = refits_.load(std::memory_order_relaxed);
   c.shadow_evals = shadow_evals_.load(std::memory_order_relaxed);
   c.promotions = promotions_.load(std::memory_order_relaxed);

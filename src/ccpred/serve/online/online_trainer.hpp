@@ -7,19 +7,15 @@
 ///          -> ShadowEvaluator -> atomic promotion -> cache invalidation
 ///
 /// Per (machine, kind) stream the trainer:
-///  * ingests user-reported measurements on the request hot path: predicts
+///  * ingests user-reported measurements on the request worker: predicts
 ///    each reported configuration with the serving model, feeds the
 ///    (predicted, measured) pair to the drift detector, and buffers the
 ///    row (dedup-keyed, bounded);
-///  * grows a live GP surrogate of the feedback stream incrementally —
-///    GP::update() absorbs each accepted batch in O(n^2 q), with a full
-///    refit every `gp_refit_cadence` batches, mirroring the active-learning
-///    loop's incremental_refit / refit_cadence pattern;
-///  * schedules a background full refit when drift trips (or on a report
-///    cadence): candidate = the stream's model kind retrained on the
-///    registry's deterministic fallback campaign blended with the buffered
-///    feedback (feedback rows replicated `feedback_weight` times, so a few
-///    dozen reports can outvote a 600-row campaign where they overlap);
+///  * schedules a background full refit when drift trips: candidate = the
+///    stream's model kind retrained on the registry's deterministic
+///    fallback campaign blended with the buffered feedback (feedback rows
+///    replicated `feedback_weight` times, so a few dozen reports can
+///    outvote a 600-row campaign where they overlap);
 ///  * shadow-evaluates the candidate against the incumbent on a holdout of
 ///    the newest reports (excluded from training) and, only on a win,
 ///    atomically republishes through the registry (ml::save_*'s tmp +
@@ -39,7 +35,6 @@
 #include <vector>
 
 #include "ccpred/common/thread_pool.hpp"
-#include "ccpred/core/gaussian_process.hpp"
 #include "ccpred/data/dataset.hpp"
 #include "ccpred/serve/fault_injector.hpp"
 #include "ccpred/serve/model_registry.hpp"
@@ -58,8 +53,6 @@ struct OnlineOptions {
   bool enabled = false;           ///< master switch (serverd --online)
   std::size_t buffer_capacity = 4096;  ///< measurements kept per stream
   DriftOptions drift;             ///< rolling-MAPE drift detection
-  /// Accepted reports between cadence-triggered refits; 0 = drift-only.
-  std::size_t refit_interval = 0;
   std::size_t min_refit_rows = 32;  ///< buffered rows required to refit
   std::size_t holdout = 16;         ///< newest rows reserved for shadow eval
   /// Relative holdout-MAPE improvement required to promote (0 = any win).
@@ -67,15 +60,9 @@ struct OnlineOptions {
   /// Each feedback row appears this many times in the candidate's training
   /// set, weighting recent truth against the synthetic campaign.
   std::size_t feedback_weight = 8;
-  /// Blend the registry's deterministic fallback campaign into candidate
-  /// training (off = train on feedback alone; only for focused tests).
-  bool use_campaign = true;
   /// Run refits inline on the reporting thread instead of the background
   /// pool — deterministic end-to-end tests.
   bool synchronous = false;
-  std::size_t gp_seed_rows = 8;     ///< rows before the surrogate first fits
-  std::size_t gp_max_rows = 512;    ///< surrogate stops growing here
-  std::size_t gp_refit_cadence = 8; ///< full surrogate refit every N batches
 };
 
 /// What one report ingest did — echoed to the client.
@@ -124,25 +111,10 @@ class OnlineTrainer {
     FeedbackBuffer buffer;
     DriftDetector drift;
     bool was_drifting = false;
-    std::uint64_t accepted_at_last_refit = 0;
     bool refit_inflight = false;
-
-    /// Live incremental surrogate of the feedback stream. Fixed
-    /// hyper-parameters (no per-update grid search) keep updates cheap and
-    /// deterministic; log target/features match the runtime's
-    /// multiplicative noise and power-law shape.
-    ml::GaussianProcessRegression gp{0.5, 1e-4, /*optimize=*/false,
-                                     /*log_target=*/true,
-                                     /*log_features=*/true};
-    std::vector<MeasuredRun> gp_rows;
-    std::size_t gp_batches = 0;
   };
 
   Stream& stream(const std::string& machine, const std::string& kind);
-
-  /// Absorbs newly accepted rows into the stream's GP surrogate (caller
-  /// holds the stream mutex).
-  void absorb_into_gp_locked(Stream& s, const std::vector<MeasuredRun>& batch);
 
   /// The background refit + shadow eval + promotion job. Never throws —
   /// a failed refit leaves the incumbent serving.
@@ -172,7 +144,6 @@ class OnlineTrainer {
   std::atomic<std::uint64_t> duplicates_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> drift_events_{0};
-  std::atomic<std::uint64_t> incremental_updates_{0};
   std::atomic<std::uint64_t> refits_{0};
   std::atomic<std::uint64_t> shadow_evals_{0};
   std::atomic<std::uint64_t> promotions_{0};

@@ -27,7 +27,7 @@ Server::Server(ModelRegistry& registry, ServeOptions options)
     : registry_(registry),
       options_(std::move(options)),
       fault_(options_.fault_injector),
-      cache_(options_.cache_capacity, options_.cache_shards),
+      cache_(options_.cache_capacity),
       sweep_pool_(options_.threads),
       pool_(options_.threads) {
   cache_.set_fault_injector(fault_);

@@ -62,7 +62,6 @@ namespace ccpred::serve {
 struct ServeOptions {
   std::size_t threads = 0;        ///< worker pool size; 0 = hardware
   std::size_t cache_capacity = 256;  ///< sweeps kept across all shards
-  std::size_t cache_shards = exec::kDefaultShards;
   std::size_t max_queue_depth = 0;  ///< submit() sheds beyond this; 0 = off
   std::string default_machine = "aurora";  ///< when a request omits it
   std::string default_model = "gb";        ///< when a request omits it

@@ -46,7 +46,6 @@ struct OnlineStats {
   std::uint64_t buffered = 0;      ///< rows buffered across streams
   double rolling_mape = 0.0;       ///< worst stream's rolling MAPE
   std::uint64_t drift_events = 0;  ///< transitions into the drifting state
-  std::uint64_t incremental_updates = 0;  ///< GP surrogate update() calls
   std::uint64_t refits = 0;               ///< background candidates trained
   std::uint64_t shadow_evals = 0;
   std::uint64_t promotions = 0;
@@ -143,7 +142,6 @@ inline constexpr Counter<OnlineStats> kOnlineCounters[] = {
     {"online_rejected", &OnlineStats::rejected},
     {"online_buffered", &OnlineStats::buffered},
     {"online_drift_events", &OnlineStats::drift_events},
-    {"online_incremental_updates", &OnlineStats::incremental_updates},
     {"online_refits", &OnlineStats::refits},
     {"online_shadow_evals", &OnlineStats::shadow_evals},
     {"online_promotions", &OnlineStats::promotions},

@@ -13,7 +13,7 @@
 ///
 ///   offset  size  field
 ///   0       4     magic: C3 'C' 'P' 'B'
-///   4       1     version (currently 2)
+///   4       1     version (currently 3)
 ///   5       1     kind: 0 = request frame, 1 = response frame
 ///   6       2     count: records in this frame (u16)
 ///   8       4     payload length in bytes (u32, <= kMaxFramePayload)
@@ -25,7 +25,7 @@
 /// byte-identical JSON line the server would have sent for the same
 /// request — the bit-identity gate in bench_serve_fleet leans on this.
 ///
-/// A stats record (version 2) carries the snapshot's state, never a
+/// A stats record (version 3) carries the snapshot's state, never a
 /// quantile (see stats.hpp): every kCounters value as a u64 in list order;
 /// then, per verb in Op order, the latency histogram and its u64 sum and
 /// u64 max in nanoseconds; then the dispatch-size histogram; then a u8
@@ -33,7 +33,10 @@
 /// `rolling_mape` as an f64. A histogram is a u16 count of its nonzero
 /// entries followed by that many (u16 index, u64 count) pairs in rising
 /// index order; decode rejects an index out of order or out of range
-/// (latency buckets stop at 64) and a zero count.
+/// (latency buckets stop at 64) and a zero count. kVersion changes
+/// whenever a record's layout does (adding or removing a counter does),
+/// so probe_frame() turns away a peer built from other source at its
+/// first header instead of misreading its records.
 ///
 /// A response frame whose payload would exceed kMaxFramePayload — 1,024
 /// stats records with long ids can — is answered instead with one
@@ -57,7 +60,7 @@
 namespace ccpred::serve::wire {
 
 inline constexpr unsigned char kMagic[4] = {0xC3, 'C', 'P', 'B'};
-inline constexpr std::uint8_t kVersion = 2;
+inline constexpr std::uint8_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 12;
 /// Hard cap on one frame's payload; a header declaring more is rejected
 /// before any buffering.

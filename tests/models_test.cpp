@@ -261,6 +261,36 @@ TEST(GaussianProcessTest, LogTargetHandlesMultiplicativeNoise) {
   EXPECT_THROW(gp2.fit(x, bad), Error);
 }
 
+TEST(GaussianProcessTest, CloneAndParamsPreserveFlag) {
+  // A clone of a log-target GP refit on the same rows predicts the same.
+  const auto tt = test::small_campaign(200, 4);
+  GaussianProcessRegression gp(0.5, 1e-4, false, /*log_target=*/true);
+  gp.fit(tt.train.features(), tt.train.targets());
+  auto copy = gp.clone();
+  copy->fit(tt.train.features(), tt.train.targets());
+  const auto p1 = gp.predict(tt.test.features());
+  const auto p2 = copy->predict(tt.test.features());
+  for (std::size_t i = 0; i < p1.size(); ++i) EXPECT_DOUBLE_EQ(p1[i], p2[i]);
+
+  GaussianProcessRegression configured;
+  EXPECT_NO_THROW(configured.set_params({{"log_target", 1.0}}));
+  EXPECT_THROW(configured.set_params({{"log_features", 1.0}}), Error);
+}
+
+TEST(GaussianProcessTest, StdStaysPositiveAndFinite) {
+  const auto tt = test::small_campaign(200, 5);
+  GaussianProcessRegression gp(0.5, 1e-4, true, /*log_target=*/true);
+  gp.fit(tt.train.features(), tt.train.targets());
+  std::vector<double> mean;
+  std::vector<double> std;
+  gp.predict_with_std(tt.test.features(), mean, std);
+  for (std::size_t i = 0; i < std.size(); ++i) {
+    EXPECT_GE(std[i], 0.0);
+    EXPECT_TRUE(std::isfinite(std[i]));
+    EXPECT_GT(mean[i], 0.0);  // log-target predictions are positive
+  }
+}
+
 TEST(BayesianRidgeTest, RecoversCoefficientsAndNoise) {
   const auto s = make_linear(400, 0.1);
   BayesianRidgeRegression model;

@@ -107,20 +107,12 @@ TEST(FeedbackBufferTest, EvictionFreesTheDedupKey) {
   EXPECT_EQ(buf.accepted(), 4u);  // monotonic across evictions
 }
 
-TEST(FeedbackBufferTest, SnapshotAndRecentAreChronological) {
+TEST(FeedbackBufferTest, SnapshotIsChronological) {
   online::FeedbackBuffer buf(16);
   for (int i = 1; i <= 5; ++i) buf.add(run_of(1, 2, 3, 4, i));
   const auto all = buf.snapshot();
   ASSERT_EQ(all.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(all[i].wall_time_s, i + 1.0);
-    EXPECT_EQ(all[i].seq, static_cast<std::uint64_t>(i));
-  }
-  const auto last2 = buf.recent(2);
-  ASSERT_EQ(last2.size(), 2u);
-  EXPECT_DOUBLE_EQ(last2[0].wall_time_s, 4.0);
-  EXPECT_DOUBLE_EQ(last2[1].wall_time_s, 5.0);
-  EXPECT_EQ(buf.recent(99).size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(all[i].wall_time_s, i + 1.0);
 }
 
 // ----------------------------------------------------------- DriftDetector
@@ -149,18 +141,15 @@ TEST(DriftDetectorTest, TripsRecoversAndResets) {
   for (int i = 0; i < 4; ++i) d.observe(10.0, 16.0);
   EXPECT_TRUE(d.drifting());
   EXPECT_NEAR(d.rolling_mape(), 0.375, 1e-12);
-  EXPECT_NEAR(d.mean_residual(), -6.0, 1e-12);  // model under-predicts
 
   // Accurate pairs roll the bad ones out of the window.
   for (int i = 0; i < 8; ++i) d.observe(16.0, 16.0);
   EXPECT_FALSE(d.drifting());
   EXPECT_DOUBLE_EQ(d.rolling_mape(), 0.0);
   EXPECT_EQ(d.samples(), 8u);  // capped at the window
-  EXPECT_EQ(d.observed(), 12u);
 
   d.reset();
   EXPECT_EQ(d.samples(), 0u);
-  EXPECT_EQ(d.observed(), 12u);  // monotonic across resets
   EXPECT_FALSE(d.drifting());
 }
 
@@ -171,7 +160,6 @@ TEST(DriftDetectorTest, IgnoresUnusablePairs) {
   d.observe(10.0, 0.0);
   d.observe(10.0, -1.0);
   EXPECT_EQ(d.samples(), 0u);
-  EXPECT_EQ(d.observed(), 0u);
 }
 
 // --------------------------------------------------------- ShadowEvaluator
@@ -448,7 +436,6 @@ struct LoopResult {
   std::uint64_t shadow_evals = 0;
   std::uint64_t drift_events = 0;
   std::uint64_t cache_invalidated = 0;
-  std::uint64_t incremental_updates = 0;
   std::size_t reports_to_promotion = 0;
   double peak_mape = 0.0;
   double post_mape = 0.0;
@@ -544,7 +531,6 @@ LoopResult run_closed_loop(const std::string& name) {
   out.shadow_evals = c.shadow_evals;
   out.drift_events = c.drift_events;
   out.cache_invalidated = c.cache_invalidated;
-  out.incremental_updates = c.incremental_updates;
 
   const auto after = server.handle(warm);
   EXPECT_TRUE(after.ok) << after.error;
@@ -571,9 +557,6 @@ TEST(OnlineLoopTest, DriftRefitShadowEvalPromoteRecover) {
   EXPECT_GT(r.version_after, r.version_before);
   EXPECT_GE(r.cache_invalidated, 1u);
 
-  // The hot path grew the GP surrogate incrementally along the way.
-  EXPECT_GE(r.incremental_updates, 1u);
-
   // Recovery: before promotion the model under-predicted the 1.6x-slower
   // machine by ~37%; after, fresh reports of the same regime score below
   // the drift threshold again.
@@ -592,13 +575,45 @@ TEST(OnlineLoopTest, ClosedLoopIsDeterministic) {
   EXPECT_EQ(a.shadow_evals, b.shadow_evals);
   EXPECT_EQ(a.drift_events, b.drift_events);
   EXPECT_EQ(a.cache_invalidated, b.cache_invalidated);
-  EXPECT_EQ(a.incremental_updates, b.incremental_updates);
   EXPECT_EQ(a.reports_to_promotion, b.reports_to_promotion);
   EXPECT_EQ(a.peak_mape, b.peak_mape);  // bit-exact
   EXPECT_EQ(a.post_mape, b.post_mape);
   EXPECT_EQ(a.nodes, b.nodes);
   EXPECT_EQ(a.tile, b.tile);
   EXPECT_EQ(a.time_s, b.time_s);
+}
+
+TEST(OnlineLoopTest, StreamThatIsNotDriftingNeverRefits) {
+  // Far more accepted rows than min_refit_rows, but the rolling MAPE can
+  // never cross the threshold: only drift schedules a refit.
+  const auto dir = scratch_dir("no_drift");
+  ModelRegistry registry(dir);
+  ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
+  ServeOptions base;
+  base.online.enabled = true;
+  base.online.synchronous = true;
+  base.online.drift.mape_threshold = 1e9;
+  base.online.min_refit_rows = 8;
+  Server server(registry, base);
+
+  Request r;
+  r.op = Op::kReport;
+  r.o = 44;
+  r.v = 260;
+  r.nodes = 16;
+  r.tile = 60;
+  for (int i = 0; i < 64; ++i) {
+    r.wall_times = {12.5 + i};  // byte-distinct: every report is accepted
+    const auto resp = server.handle(r);
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_EQ(resp.accepted, 1u) << "report " << i;
+    EXPECT_FALSE(resp.refit_scheduled) << "report " << i;
+  }
+
+  const auto c = server.online()->counters();
+  EXPECT_EQ(c.buffered, 64u);
+  EXPECT_EQ(c.drift_events, 0u);
+  EXPECT_EQ(c.refits, 0u);
 }
 
 TEST(OnlineLoopTest, DuplicateReportsAreCountedNotLearned) {

@@ -552,6 +552,20 @@ TEST(WireFuzzTest, OversizedDeclaredLengthsRejectedFromHeaderAlone) {
             wire::FrameStatus::kBad);
 }
 
+TEST(WireFuzzTest, VersionTwoHeaderIsUnsupported) {
+  // Version 2 stats records carried one more online counter; a peer built
+  // from that source must be turned away at the header, not misread.
+  std::string frame = wire::encode_request_frame({Request{}});
+  ASSERT_EQ(frame[4], 3);
+  frame[4] = 2;
+  wire::FrameHeader header;
+  std::string error;
+  EXPECT_EQ(wire::probe_frame(bytes_of(frame), frame.size(), &header, &error),
+            wire::FrameStatus::kBad);
+  EXPECT_NE(error.find("unsupported frame version 2"), std::string::npos)
+      << error;
+}
+
 TEST(WireFuzzTest, FirstByteDisambiguatesFromJsonExactly) {
   for (int b = 0; b < 256; ++b) {
     EXPECT_EQ(wire::starts_frame(static_cast<unsigned char>(b)), b == 0xC3);

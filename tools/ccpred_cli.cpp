@@ -13,10 +13,14 @@
 ///   job --machine M --o O --v V --nodes N --tile T
 ///       Whole-job estimate (setup + converged CCSD iterations) straight
 ///       from the simulator.
+///
+/// A subcommand accepts only the flags listed for it above: any other flag
+/// fails with `unknown flag --X` before any work starts.
 
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 
 #include "ccpred/common/csv.hpp"
@@ -34,13 +38,16 @@ namespace {
 
 using namespace ccpred;
 
-/// Minimal --key value argument parser.
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first) {
+/// Minimal --key value argument parser: a trailing flag without a value
+/// or a flag outside `known` is a hard error.
+std::map<std::string, std::string> parse_flags(
+    int argc, char** argv, int first, const std::set<std::string>& known) {
   std::map<std::string, std::string> flags;
   for (int i = first; i < argc; i += 2) {
     CCPRED_CHECK_MSG(std::strncmp(argv[i], "--", 2) == 0,
                      "expected --flag, got '" << argv[i] << "'");
+    CCPRED_CHECK_MSG(known.count(argv[i] + 2) != 0,
+                     "unknown flag " << argv[i]);
     CCPRED_CHECK_MSG(i + 1 < argc,
                      "flag '" << argv[i] << "' is missing a value");
     flags[argv[i] + 2] = argv[i + 1];
@@ -179,6 +186,21 @@ int cmd_job(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+/// A subcommand and the flags it reads; any other flag is rejected before
+/// it runs.
+struct Subcommand {
+  const char* name;
+  std::set<std::string> flags;
+  int (*run)(const std::map<std::string, std::string>&);
+};
+
+const Subcommand kSubcommands[] = {
+    {"generate", {"machine", "rows", "seed", "out"}, cmd_generate},
+    {"evaluate", {"data", "test-frac", "seed"}, cmd_evaluate},
+    {"advise", {"data", "machine", "o", "v", "budget"}, cmd_advise},
+    {"job", {"machine", "o", "v", "nodes", "tile"}, cmd_job},
+};
+
 int usage() {
   std::fprintf(stderr,
                "usage: ccpred_cli <generate|evaluate|advise|job> "
@@ -192,11 +214,11 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    const auto flags = parse_flags(argc, argv, 2);
-    if (cmd == "generate") return cmd_generate(flags);
-    if (cmd == "evaluate") return cmd_evaluate(flags);
-    if (cmd == "advise") return cmd_advise(flags);
-    if (cmd == "job") return cmd_job(flags);
+    for (const Subcommand& sub : kSubcommands) {
+      if (cmd == sub.name) {
+        return sub.run(parse_flags(argc, argv, 2, sub.flags));
+      }
+    }
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

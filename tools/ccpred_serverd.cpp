@@ -48,6 +48,10 @@
 /// Missing artifacts are trained on first use (train-and-cache), so
 /// `serve` works on an empty directory — pre-train with `train` to make
 /// startup instant and answers reproducible across deployments.
+///
+/// Each subcommand accepts only the flags it reads (kSubcommands; the
+/// usage text lists them): any other flag fails with `unknown flag --X`
+/// before any work starts.
 
 #include <cerrno>
 #include <chrono>
@@ -59,6 +63,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -78,13 +83,16 @@ namespace {
 using namespace ccpred;
 
 /// Minimal --key value argument parser (same contract as ccpred_cli: a
-/// trailing flag without a value is a hard error).
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first) {
+/// trailing flag without a value or a flag outside `known` is a hard
+/// error).
+std::map<std::string, std::string> parse_flags(
+    int argc, char** argv, int first, const std::set<std::string>& known) {
   std::map<std::string, std::string> flags;
   for (int i = first; i < argc; i += 2) {
     CCPRED_CHECK_MSG(std::strncmp(argv[i], "--", 2) == 0,
                      "expected --flag, got '" << argv[i] << "'");
+    CCPRED_CHECK_MSG(known.count(argv[i] + 2) != 0,
+                     "unknown flag " << argv[i]);
     CCPRED_CHECK_MSG(i + 1 < argc,
                      "flag '" << argv[i] << "' is missing a value");
     flags[argv[i] + 2] = argv[i + 1];
@@ -187,8 +195,6 @@ serve::online::OnlineOptions online_options_from_flags(
       parse_int(get_or(flags, "online-min-reports", "16")));
   opt.drift.mape_threshold =
       parse_double(get_or(flags, "online-drift-threshold", "0.25"));
-  opt.refit_interval = static_cast<std::size_t>(
-      parse_int(get_or(flags, "online-refit-interval", "0")));
   opt.min_refit_rows = static_cast<std::size_t>(
       parse_int(get_or(flags, "online-min-refit-rows", "32")));
   opt.holdout =
@@ -474,6 +480,33 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+/// A subcommand and the flags it reads; any other flag is rejected before
+/// it runs. Fleet shards read the parent's map, so the serve list covers
+/// them too.
+struct Subcommand {
+  const char* name;
+  std::set<std::string> flags;
+  int (*run)(const std::map<std::string, std::string>&);
+};
+
+const Subcommand kSubcommands[] = {
+    {"train",
+     {"artifacts", "machine", "model", "rows", "seed", "estimators"},
+     cmd_train},
+    {"serve",
+     {"artifacts", "rows", "seed", "estimators", "default-machine",
+      "default-model", "threads", "cache", "max-queue", "batch-max",
+      "batch-hold-us", "port", "backlog", "max-line", "max-inbuf",
+      "max-outbuf", "fleet", "serial", "fault-seed", "fault-artifact",
+      "fault-sweep", "fault-sweep-ms", "fault-stall", "fault-stall-ms",
+      "fault-cache", "fault-cache-ms", "fault-report", "fault-report-ms",
+      "fault-refit", "fault-refit-ms", "fault-promote", "fault-promote-ms",
+      "online", "online-buffer", "online-drift-window", "online-min-reports",
+      "online-drift-threshold", "online-min-refit-rows", "online-holdout",
+      "online-min-improvement", "online-feedback-weight"},
+     cmd_serve},
+};
+
 int usage() {
   std::fprintf(stderr,
                "usage: ccpred_serverd <train|serve> [--flag value ...]\n"
@@ -486,6 +519,8 @@ int usage() {
                "        [--batch-max N (0 disables batching)] "
                "[--batch-hold-us US] [--max-line BYTES] "
                "[--max-inbuf BYTES (0 = derived)] [--max-outbuf BYTES]\n"
+               "        [--rows N] [--seed S] [--estimators N] "
+               "(train-and-cache of a missing artifact)\n"
                "        [--fault-seed S] [--fault-artifact P] "
                "[--fault-sweep P] [--fault-sweep-ms MS] [--fault-stall P] "
                "[--fault-stall-ms MS] [--fault-cache P] "
@@ -495,7 +530,7 @@ int usage() {
                "[--fault-promote P] [--fault-promote-ms MS]\n"
                "        [--online 1] [--online-buffer N] "
                "[--online-drift-window N] [--online-min-reports N] "
-               "[--online-drift-threshold X] [--online-refit-interval N]\n"
+               "[--online-drift-threshold X]\n"
                "        [--online-min-refit-rows N] [--online-holdout N] "
                "[--online-min-improvement X] [--online-feedback-weight N]\n"
                "  --fleet N forks N shard processes on ports P+1..P+N and "
@@ -512,9 +547,11 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    const auto flags = parse_flags(argc, argv, 2);
-    if (cmd == "train") return cmd_train(flags);
-    if (cmd == "serve") return cmd_serve(flags);
+    for (const Subcommand& sub : kSubcommands) {
+      if (cmd == sub.name) {
+        return sub.run(parse_flags(argc, argv, 2, sub.flags));
+      }
+    }
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
