@@ -90,49 +90,83 @@ FeatureBins FeatureBins::build(const linalg::Matrix& x, int max_bins) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact split finding (reference path)
+// Exact split finding (presorted)
 // ---------------------------------------------------------------------------
 
-struct DecisionTreeRegressor::BuildContext {
+FeatureRanks FeatureRanks::build(const linalg::Matrix& x) {
+  CCPRED_CHECK_MSG(x.rows() <= 0xffffffffu,
+                   "exact mode indexes rows as 32-bit");
+  FeatureRanks fr;
+  fr.n_ = x.rows();
+  fr.d_ = x.cols();
+  fr.distinct_.assign(fr.d_, 0);
+  fr.ranks_.resize(fr.n_ * fr.d_);
+  std::vector<std::uint32_t> by_value(fr.n_);
+  for (std::size_t f = 0; f < fr.d_; ++f) {
+    for (std::size_t r = 0; r < fr.n_; ++r) {
+      CCPRED_CHECK_MSG(std::isfinite(x(r, f)),
+                       "feature " << f << " of row " << r << " is not finite");
+      by_value[r] = static_cast<std::uint32_t>(r);
+    }
+    std::sort(by_value.begin(), by_value.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return x(a, f) < x(b, f);
+              });
+    std::uint32_t* rank = fr.ranks_.data() + f * fr.n_;
+    std::uint32_t next = 0;
+    for (std::size_t i = 0; i < fr.n_; ++i) {
+      if (i > 0 && x(by_value[i], f) != x(by_value[i - 1], f)) ++next;
+      rank[by_value[i]] = next;
+    }
+    fr.distinct_[f] = fr.n_ == 0 ? 0 : next + 1;
+  }
+  return fr;
+}
+
+struct DecisionTreeRegressor::PresortContext {
   const linalg::Matrix* x = nullptr;
-  const std::vector<double>* y = nullptr;
+  const FeatureRanks* ranks = nullptr;
+  const double* y = nullptr;
   std::vector<double> importance;
   int effective_max_depth = 64;
   int max_features = 0;
   Rng rng{1};
-  // Scratch reused across nodes to avoid per-node allocation.
-  std::vector<std::pair<double, double>> sorted;  // (feature value, target)
+  double* train_pred = nullptr;  ///< optional per-row leaf values
+
+  // Per-fit scratch, bump-allocated from the fit's arena:
+  std::size_t m = 0;                 ///< the tree's row count (with repeats)
+  std::uint32_t* rows = nullptr;      ///< row list, partitioned in place
+  std::uint32_t* order = nullptr;     ///< d sorted orders of m rows each
+  std::uint32_t* scratch = nullptr;   ///< right-half staging for partition
+  std::uint8_t* goes_left = nullptr;  ///< per row id: routed left at a split
+  std::size_t* all_features = nullptr;  ///< 0..d-1, reused when not sampling
 };
 
 namespace {
 
-/// Best split of `rows` on `feature`: returns (sse_reduction, threshold,
-/// left_count) or sse_reduction <= 0 if no valid split exists.
+/// The best split of one node on one feature: the largest variance-
+/// reduction gain over the boundaries between distinct values (the first
+/// one on ties), and the number of entries left of it. gain stays -1 when
+/// no boundary leaves min_samples_leaf on both sides.
 struct SplitCandidate {
   double gain = -1.0;
-  double threshold = 0.0;
   std::size_t left_count = 0;
 };
 
-SplitCandidate best_split_on_feature(
-    const linalg::Matrix& x, const std::vector<double>& y,
-    const std::vector<std::size_t>& rows, std::size_t feature,
-    int min_samples_leaf, std::vector<std::pair<double, double>>& sorted) {
-  const std::size_t n = rows.size();
-  sorted.clear();
-  sorted.reserve(n);
-  for (auto r : rows) sorted.emplace_back(x(r, feature), y[r]);
-  std::sort(sorted.begin(), sorted.end());
-
+/// Scans the node's entries of one feature's order, which are sorted by
+/// (value, target), exactly as a per-node sort of (value, target) pairs
+/// would be scanned: the total in sorted order, then the running prefix.
+SplitCandidate best_split_in_order(const std::uint32_t* order, std::size_t n,
+                                   const std::uint32_t* rank, const double* y,
+                                   std::size_t min_leaf) {
   double total = 0.0;
-  for (const auto& [v, t] : sorted) total += t;
+  for (std::size_t i = 0; i < n; ++i) total += y[order[i]];
 
   SplitCandidate best;
   double left_sum = 0.0;
-  const auto min_leaf = static_cast<std::size_t>(min_samples_leaf);
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    left_sum += sorted[i].second;
-    if (sorted[i].first == sorted[i + 1].first) continue;  // tied values
+    left_sum += y[order[i]];
+    if (rank[order[i]] == rank[order[i + 1]]) continue;  // tied values
     const std::size_t nl = i + 1;
     const std::size_t nr = n - nl;
     if (nl < min_leaf || nr < min_leaf) continue;
@@ -143,11 +177,29 @@ SplitCandidate best_split_on_feature(
                         total * total / static_cast<double>(n);
     if (gain > best.gain) {
       best.gain = gain;
-      best.threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
       best.left_count = nl;
     }
   }
   return best;
+}
+
+/// Stable partition of ids[0, n) into [left | right] by goes_left[id];
+/// returns the left count. Right ids stage in `scratch` and copy back.
+std::size_t partition_ids(std::uint32_t* ids, std::size_t n,
+                          const std::uint8_t* goes_left,
+                          std::uint32_t* scratch) {
+  std::size_t nl = 0;
+  std::size_t nr = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t id = ids[i];
+    const std::size_t left = goes_left[id];
+    ids[nl] = id;
+    scratch[nr] = id;
+    nl += left;
+    nr += 1 - left;
+  }
+  std::copy(scratch, scratch + nr, ids + nl);
+  return nl;
 }
 
 /// Candidate features for one node: all, or a random subset for forests.
@@ -162,65 +214,171 @@ std::vector<std::size_t> candidate_features(std::size_t d, int max_features,
   return features;
 }
 
+/// The fit's scratch arena: the caller's (the ensembles pass a reused
+/// per-task arena) or a reused thread-local one, reset either way.
+exec::Arena& fit_arena(exec::Arena* arena) {
+  thread_local exec::Arena fallback;
+  exec::Arena& mem = arena != nullptr ? *arena : fallback;
+  mem.reset();
+  return mem;
+}
+
 }  // namespace
 
-int DecisionTreeRegressor::build(BuildContext& ctx,
-                                 std::vector<std::size_t>& rows, int depth) {
-  const auto& x = *ctx.x;
-  const auto& y = *ctx.y;
-  const std::size_t n = rows.size();
+int DecisionTreeRegressor::build_presorted(PresortContext& ctx, std::size_t lo,
+                                           std::size_t hi, int depth) {
+  const linalg::Matrix& x = *ctx.x;
+  const double* y = ctx.y;
+  const std::size_t n = hi - lo;
+  std::uint32_t* rows = ctx.rows + lo;
 
+  // The leaf mean sums in row-list order: the caller's order, stably
+  // partitioned at every split.
   double sum = 0.0;
-  for (auto r : rows) sum += y[r];
+  for (std::size_t i = 0; i < n; ++i) sum += y[rows[i]];
   const double mean = sum / static_cast<double>(n);
 
   const int node_index = static_cast<int>(nodes_.size());
   nodes_.push_back(TreeNode{.value = mean});
 
+  // A leaf's row-list range is exactly its training rows, routed by
+  // predict_row's own comparison, so the mean is their prediction.
+  const auto emit_leaf = [&] {
+    if (ctx.train_pred != nullptr) {
+      for (std::size_t i = 0; i < n; ++i) ctx.train_pred[rows[i]] = mean;
+    }
+    return node_index;
+  };
+
   if (depth >= ctx.effective_max_depth ||
       n < static_cast<std::size_t>(options_.min_samples_split)) {
-    return node_index;
+    return emit_leaf();
   }
 
-  const std::vector<std::size_t> features =
-      candidate_features(x.cols(), ctx.max_features, ctx.rng);
+  // All features when not subsampling (no per-node vector), else a fresh
+  // random subset (candidate_features only draws from the rng when it
+  // actually samples, so the stream is the same either way).
+  const std::size_t d = x.cols();
+  std::vector<std::size_t> sampled;
+  const bool use_all = ctx.max_features <= 0 ||
+                       static_cast<std::size_t>(ctx.max_features) >= d;
+  if (!use_all) sampled = candidate_features(d, ctx.max_features, ctx.rng);
+  const std::size_t* features = use_all ? ctx.all_features : sampled.data();
+  const std::size_t n_features = use_all ? d : sampled.size();
 
   SplitCandidate best;
   std::size_t best_feature = 0;
-  for (auto f : features) {
-    const auto cand = best_split_on_feature(x, y, rows, f,
-                                            options_.min_samples_leaf,
-                                            ctx.sorted);
+  const auto min_leaf = static_cast<std::size_t>(options_.min_samples_leaf);
+  for (std::size_t fi = 0; fi < n_features; ++fi) {
+    const std::size_t f = features[fi];
+    const auto cand = best_split_in_order(ctx.order + f * ctx.m + lo, n,
+                                          ctx.ranks->column(f), y, min_leaf);
     if (cand.gain > best.gain) {
       best = cand;
       best_feature = f;
     }
   }
-  if (best.gain <= 1e-12) return node_index;  // pure or unsplittable node
+  if (best.gain <= 1e-12) return emit_leaf();  // pure or unsplittable node
   ctx.importance[best_feature] += best.gain;
 
-  // Partition rows in place.
-  std::vector<std::size_t> left_rows;
-  std::vector<std::size_t> right_rows;
-  left_rows.reserve(best.left_count);
-  right_rows.reserve(n - best.left_count);
-  for (auto r : rows) {
-    (x(r, best_feature) <= best.threshold ? left_rows : right_rows)
-        .push_back(r);
+  // The midpoint between the values either side of the winning boundary.
+  const std::uint32_t* sorted = ctx.order + best_feature * ctx.m + lo;
+  const double threshold =
+      0.5 * (x(sorted[best.left_count - 1], best_feature) +
+             x(sorted[best.left_count], best_feature));
+
+  // Route with predict_row's comparison, then carry the row list and every
+  // feature's order down by stable partition.
+  for (std::size_t i = 0; i < n; ++i) {
+    ctx.goes_left[rows[i]] = x(rows[i], best_feature) <= threshold ? 1 : 0;
   }
+  const std::size_t nl = partition_ids(rows, n, ctx.goes_left, ctx.scratch);
   // Ties at the threshold can defeat the sorted-scan counts; guard anyway.
-  if (left_rows.empty() || right_rows.empty()) return node_index;
+  if (nl == 0 || nl == n) return emit_leaf();
+  for (std::size_t f = 0; f < d; ++f) {
+    partition_ids(ctx.order + f * ctx.m + lo, n, ctx.goes_left, ctx.scratch);
+  }
 
-  rows.clear();
-  rows.shrink_to_fit();
-
-  const int left = build(ctx, left_rows, depth + 1);
-  const int right = build(ctx, right_rows, depth + 1);
+  const int left = build_presorted(ctx, lo, lo + nl, depth + 1);
+  const int right = build_presorted(ctx, lo + nl, hi, depth + 1);
   nodes_[node_index].feature = static_cast<int>(best_feature);
-  nodes_[node_index].threshold = best.threshold;
+  nodes_[node_index].threshold = threshold;
   nodes_[node_index].left = left;
   nodes_[node_index].right = right;
   return node_index;
+}
+
+void DecisionTreeRegressor::fit_presorted(const linalg::Matrix& x,
+                                          const FeatureRanks& ranks,
+                                          const std::vector<double>& y,
+                                          const std::vector<std::size_t>& rows,
+                                          double* train_pred,
+                                          exec::Arena* arena) {
+  CCPRED_CHECK_MSG(x.rows() == y.size(), "X/y row mismatch");
+  CCPRED_CHECK_MSG(ranks.rows() == x.rows() && ranks.cols() == x.cols(),
+                   "feature ranks do not match X");
+  CCPRED_CHECK_MSG(!rows.empty(), "cannot fit tree on zero rows");
+  for (auto r : rows) {
+    CCPRED_CHECK_MSG(r < x.rows(), "row index out of range");
+    CCPRED_CHECK_MSG(std::isfinite(y[r]),
+                     "target of row " << r << " is not finite");
+  }
+
+  exec::Arena& mem = fit_arena(arena);
+  nodes_.clear();
+  PresortContext ctx;
+  ctx.x = &x;
+  ctx.ranks = &ranks;
+  ctx.y = y.data();
+  ctx.importance.assign(x.cols(), 0.0);
+  ctx.effective_max_depth =
+      options_.max_depth == 0 ? 64 : options_.max_depth;
+  ctx.max_features = options_.max_features;
+  ctx.rng = Rng(options_.seed);
+  ctx.train_pred = train_pred;
+
+  const std::size_t d = x.cols();
+  const std::size_t m = rows.size();
+  ctx.m = m;
+  ctx.rows = mem.alloc_array<std::uint32_t>(m);
+  ctx.order = mem.alloc_array<std::uint32_t>(m * d);
+  ctx.scratch = mem.alloc_array<std::uint32_t>(m);
+  ctx.goes_left = mem.alloc_array<std::uint8_t>(x.rows());
+  ctx.all_features = mem.alloc_array<std::size_t>(d);
+  for (std::size_t f = 0; f < d; ++f) ctx.all_features[f] = f;
+  for (std::size_t i = 0; i < m; ++i) {
+    ctx.rows[i] = static_cast<std::uint32_t>(rows[i]);
+  }
+
+  // One sort of the tree's rows by target, then one stable counting pass
+  // per feature by rank: each order is sorted by (value, target), the order
+  // of a per-node sort of (value, target) pairs. Entries equal in both are
+  // interchangeable: they add the same bits wherever they sit.
+  std::uint32_t* by_target = ctx.scratch;
+  std::copy(ctx.rows, ctx.rows + m, by_target);
+  std::sort(by_target, by_target + m,
+            [&](std::uint32_t a, std::uint32_t b) { return y[a] < y[b]; });
+  std::uint32_t max_distinct = 0;
+  for (std::size_t f = 0; f < d; ++f) {
+    max_distinct = std::max(max_distinct, ranks.distinct(f));
+  }
+  std::size_t* start =
+      mem.alloc_array<std::size_t>(std::size_t{max_distinct} + 1);
+  for (std::size_t f = 0; f < d; ++f) {
+    const std::uint32_t* rank = ranks.column(f);
+    const std::size_t k = ranks.distinct(f);
+    std::fill(start, start + k + 1, std::size_t{0});
+    for (std::size_t i = 0; i < m; ++i) ++start[rank[by_target[i]] + 1];
+    for (std::size_t b = 0; b < k; ++b) start[b + 1] += start[b];
+    std::uint32_t* out = ctx.order + f * m;
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::uint32_t r = by_target[i];
+      out[start[rank[r]]++] = r;
+    }
+  }
+
+  build_presorted(ctx, 0, m, 0);
+  importance_ = std::move(ctx.importance);
 }
 
 // ---------------------------------------------------------------------------
@@ -606,15 +764,9 @@ void DecisionTreeRegressor::fit_binned(const FeatureBins& bins,
   CCPRED_CHECK_MSG(bins.rows() <= 0xffffffffu,
                    "histogram mode indexes rows as 32-bit");
 
-  // All fit scratch bump-allocates from one arena — the caller's (the
-  // ensembles pass a reused per-task arena) or a reused thread-local one —
-  // so repeated fits stop touching the heap.
-  exec::Arena* mem = arena;
-  if (mem == nullptr) {
-    thread_local exec::Arena fallback;
-    mem = &fallback;
-  }
-  mem->reset();
+  // All fit scratch bump-allocates from one arena, so repeated fits stop
+  // touching the heap.
+  exec::Arena* mem = &fit_arena(arena);
 
   nodes_.clear();
   HistContext ctx;
@@ -689,29 +841,19 @@ void DecisionTreeRegressor::fit_rows(const linalg::Matrix& x,
                                      const std::vector<std::size_t>& rows) {
   CCPRED_CHECK_MSG(x.rows() == y.size(), "X/y row mismatch");
   CCPRED_CHECK_MSG(!rows.empty(), "cannot fit tree on zero rows");
-  for (auto r : rows) CCPRED_CHECK_MSG(r < x.rows(), "row index out of range");
-
-  if (options_.split_mode == SplitMode::kHistogram) {
-    // Standalone histogram fit: bin here. Ensembles bin once and call
-    // fit_binned directly.
-    const FeatureBins bins = FeatureBins::build(x, options_.max_bins);
-    fit_binned(bins, y, rows);
-    return;
+  for (auto r : rows) {
+    CCPRED_CHECK_MSG(r < x.rows(), "row index out of range");
+    CCPRED_CHECK_MSG(std::isfinite(y[r]),
+                     "target of row " << r << " is not finite");
   }
 
-  nodes_.clear();
-  BuildContext ctx;
-  ctx.x = &x;
-  ctx.y = &y;
-  ctx.importance.assign(x.cols(), 0.0);
-  ctx.effective_max_depth =
-      options_.max_depth == 0 ? 64 : options_.max_depth;
-  ctx.max_features = options_.max_features;
-  ctx.rng = Rng(options_.seed);
-
-  std::vector<std::size_t> root_rows = rows;
-  build(ctx, root_rows, 0);
-  importance_ = std::move(ctx.importance);
+  // Standalone fits rank or bin here; the ensembles do it once per fit and
+  // call fit_presorted / fit_binned directly.
+  if (options_.split_mode == SplitMode::kHistogram) {
+    fit_binned(FeatureBins::build(x, options_.max_bins), y, rows);
+  } else {
+    fit_presorted(x, FeatureRanks::build(x), y, rows);
+  }
 }
 
 std::vector<double> DecisionTreeRegressor::feature_importances() const {

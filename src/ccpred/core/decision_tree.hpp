@@ -6,9 +6,12 @@
 /// and AdaBoost ensembles.
 ///
 /// Two split-finding modes (TreeOptions::split_mode):
-///  - kExact (default/reference): per-node sorted scans over the raw
-///    feature values; every midpoint between adjacent distinct values is a
-///    candidate threshold.
+///  - kExact (default/reference): every midpoint between adjacent distinct
+///    feature values is a candidate threshold. The features are ranked once
+///    per fit (FeatureRanks), each tree sorts its rows once by target and
+///    buckets them by rank into per-feature (value, target) orders, and
+///    every split stable-partitions those orders between its children, so
+///    no node sorts: a subsequence of a sorted order is still sorted.
 ///  - kHistogram: features are quantile-binned once per fit (FeatureBins),
 ///    each node accumulates per-bin (count, sum) gradient histograms and
 ///    scans bin boundaries; the sibling histogram is derived by subtracting
@@ -33,7 +36,7 @@ namespace ccpred::ml {
 
 /// Split-finding strategy for tree training.
 enum class SplitMode {
-  kExact = 0,      ///< exact sorted scans (reference)
+  kExact = 0,      ///< exact scans of presorted orders (reference)
   kHistogram = 1,  ///< quantile-binned histogram splits (fast)
 };
 
@@ -109,6 +112,34 @@ class FeatureBins {
   std::vector<std::uint16_t> codes_;        ///< n * d, row-major
 };
 
+/// Dense per-feature ranks of a feature matrix, computed once per ensemble
+/// fit and shared by every member tree: the one sort of the feature values
+/// that exact mode pays. rank(r, f) is the number of distinct values of
+/// column f below x(r, f), so equal values share a rank and rank order is
+/// value order.
+class FeatureRanks {
+ public:
+  /// Ranks every column of `x`. Throws ccpred::Error on a non-finite value
+  /// (NaN has no place in the order).
+  static FeatureRanks build(const linalg::Matrix& x);
+
+  std::size_t rows() const { return n_; }
+  std::size_t cols() const { return d_; }
+
+  /// Number of distinct values in column f; its ranks are 0 .. distinct - 1.
+  std::uint32_t distinct(std::size_t f) const { return distinct_[f]; }
+  /// Column f's ranks, indexed by row.
+  const std::uint32_t* column(std::size_t f) const {
+    return ranks_.data() + f * n_;
+  }
+
+ private:
+  std::size_t n_ = 0;
+  std::size_t d_ = 0;
+  std::vector<std::uint32_t> distinct_;  ///< per feature
+  std::vector<std::uint32_t> ranks_;     ///< d * n, feature-major
+};
+
 /// CART regressor. Parameters: "max_depth", "min_samples_split",
 /// "min_samples_leaf", "max_features", "split_mode" (0 exact /
 /// 1 histogram), "max_bins".
@@ -118,11 +149,25 @@ class DecisionTreeRegressor : public Regressor {
 
   void fit(const linalg::Matrix& x, const std::vector<double>& y) override;
 
-  /// Fits on a subset of rows (used by the ensembles to avoid copying the
-  /// feature matrix for every bootstrap resample). Dispatches on
-  /// options().split_mode; histogram mode bins `x` first.
+  /// Fits on a subset of rows (rows may repeat, as in a bootstrap).
+  /// Dispatches on options().split_mode; exact mode ranks `x` first,
+  /// histogram mode bins it. Throws ccpred::Error on a row index out of
+  /// range, a non-finite target or, in exact mode, a non-finite feature.
   void fit_rows(const linalg::Matrix& x, const std::vector<double>& y,
                 const std::vector<std::size_t>& rows);
+
+  /// Exact-mode fit on a pre-ranked matrix (the ensembles rank once and
+  /// share the FeatureRanks across members/stages); `ranks` must be
+  /// FeatureRanks::build(x). Ignores split_mode. `train_pred` and `arena`
+  /// work as in fit_binned: the leaves write their means for their rows,
+  /// routed by predict_row's own comparison, and all fit scratch (the row
+  /// list, the per-feature orders, the routing flags) bump-allocates from
+  /// the arena, which this call resets.
+  void fit_presorted(const linalg::Matrix& x, const FeatureRanks& ranks,
+                     const std::vector<double>& y,
+                     const std::vector<std::size_t>& rows,
+                     double* train_pred = nullptr,
+                     exec::Arena* arena = nullptr);
 
   /// Histogram-mode fit on a pre-binned matrix (the ensembles bin once and
   /// share the FeatureBins across members/stages). Ignores split_mode.
@@ -176,8 +221,11 @@ class DecisionTreeRegressor : public Regressor {
   const TreeOptions& options() const { return options_; }
 
  private:
-  struct BuildContext;
-  int build(BuildContext& ctx, std::vector<std::size_t>& rows, int depth);
+  struct PresortContext;
+  /// Builds the subtree over positions [lo, hi) of the context's row list
+  /// and of every feature's sorted order.
+  int build_presorted(PresortContext& ctx, std::size_t lo, std::size_t hi,
+                      int depth);
 
   struct Histogram;
   struct HistContext;

@@ -40,12 +40,17 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
   std::vector<double> residual(n);
   for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - base_prediction_;
 
-  // Histogram mode: quantile-bin the features once; every stage trains on
-  // the shared binned view (the residual targets change per stage, the
-  // binning does not).
+  // Rank (exact mode) or quantile-bin (histogram mode) the features once;
+  // every stage trains on the shared view (the residual targets change per
+  // stage, the feature order does not).
   const bool histogram = tree_options_.split_mode == SplitMode::kHistogram;
   FeatureBins bins;
-  if (histogram) bins = FeatureBins::build(x, tree_options_.max_bins);
+  FeatureRanks ranks;
+  if (histogram) {
+    bins = FeatureBins::build(x, tree_options_.max_bins);
+  } else {
+    ranks = FeatureRanks::build(x);
+  }
 
   trees_.clear();
   compiled_.reset();
@@ -56,15 +61,15 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
   for (std::size_t i = 0; i < n; ++i) all_rows[i] = i;
 
   // With the full training set per stage (no subsampling), the tree's
-  // training partition already knows every row's leaf, so fit_binned hands
+  // training partition already knows every row's leaf, so the fit hands
   // back per-row predictions (bit-identical to predict_row) and the
   // residual update needs no per-row tree walk.
   std::vector<double> train_pred;
-  const bool use_train_pred = histogram && subsample_ >= 1.0;
+  const bool use_train_pred = subsample_ >= 1.0;
   if (use_train_pred) train_pred.resize(n);
 
-  // One arena reused across every stage's tree fit: fit_binned resets it
-  // and bump-allocates all its scratch, so the boosting loop stops calling
+  // One arena reused across every stage's tree fit: the fit resets it and
+  // bump-allocates all its scratch, so the boosting loop stops calling
   // malloc per stage.
   exec::Arena stage_arena;
 
@@ -79,12 +84,11 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
                          1, static_cast<std::size_t>(
                                 subsample_ * static_cast<double>(n))))
             : all_rows;
+    double* stage_pred = use_train_pred ? train_pred.data() : nullptr;
     if (histogram) {
-      tree.fit_binned(bins, residual, rows,
-                      use_train_pred ? train_pred.data() : nullptr,
-                      &stage_arena);
+      tree.fit_binned(bins, residual, rows, stage_pred, &stage_arena);
     } else {
-      tree.fit_rows(x, residual, rows);
+      tree.fit_presorted(x, ranks, residual, rows, stage_pred, &stage_arena);
     }
     // Update residuals with the shrunken stage prediction, chunked over the
     // pool (each index is independent, so the result is deterministic).

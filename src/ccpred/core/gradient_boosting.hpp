@@ -6,12 +6,15 @@
 /// learning rate. The paper's winning model — its tuned configuration
 /// (750 estimators, depth 10, defaults otherwise) is the library default.
 ///
-/// Hot paths: with TreeOptions::split_mode == kHistogram the features are
-/// quantile-binned once per fit and every stage trains on the shared
-/// FeatureBins; residual updates run chunked over the shared thread pool.
-/// fit() also compiles the fitted stages into a CompiledEnsemble, so
-/// predict() serves flattened SoA batch inference (bit-identical to the
-/// tree walk of predict_staged over every stage).
+/// Hot paths: the features are ranked (exact splits, FeatureRanks) or
+/// quantile-binned (histogram splits, FeatureBins) once per fit and every
+/// stage trains on the shared view. Without subsampling each stage's fit
+/// also hands back its training predictions, read off the tree's own
+/// partition, so the residual update walks no tree (with subsample < 1 it
+/// walks the new tree over every row); updates run chunked over the shared
+/// thread pool. fit() also compiles the fitted stages into a
+/// CompiledEnsemble, so predict() serves flattened SoA batch inference
+/// (bit-identical to the tree walk of predict_staged over every stage).
 
 #include <memory>
 #include <string>

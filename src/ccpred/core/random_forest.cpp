@@ -39,16 +39,20 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
     trees_.emplace_back(opt);
   }
 
-  // Histogram mode: bin the features once, shared read-only by all members.
+  // Rank (exact mode) or bin (histogram mode) the features once, shared
+  // read-only by all members.
   const bool histogram = tree_options_.split_mode == SplitMode::kHistogram;
   FeatureBins bins;
-  std::vector<std::size_t> all_rows;
+  FeatureRanks ranks;
   if (histogram) {
     bins = FeatureBins::build(x, tree_options_.max_bins);
-    if (!bootstrap_) {
-      all_rows.resize(x.rows());
-      for (std::size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
-    }
+  } else {
+    ranks = FeatureRanks::build(x);
+  }
+  std::vector<std::size_t> all_rows;
+  if (!bootstrap_) {
+    all_rows.resize(x.rows());
+    for (std::size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
   }
 
   // Fan-out with a per-chunk arena: every member tree's fit scratch
@@ -58,14 +62,12 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
   // shuffles this loop and asserts bit-identical forests).
   exec::parallel_for(0, n, [&](std::size_t t, exec::Arena& arena) {
     Rng rng(tree_seeds[t]);
+    const std::vector<std::size_t> rows =
+        bootstrap_ ? rng.bootstrap_indices(x.rows()) : all_rows;
     if (histogram) {
-      trees_[t].fit_binned(
-          bins, y, bootstrap_ ? rng.bootstrap_indices(x.rows()) : all_rows,
-          nullptr, &arena);
-    } else if (bootstrap_) {
-      trees_[t].fit_rows(x, y, rng.bootstrap_indices(x.rows()));
+      trees_[t].fit_binned(bins, y, rows, nullptr, &arena);
     } else {
-      trees_[t].fit(x, y);
+      trees_[t].fit_presorted(x, ranks, y, rows, nullptr, &arena);
     }
   });
   compiled_ =

@@ -6,12 +6,12 @@
 /// the thread pool with per-tree RNG streams, so results are independent
 /// of scheduling.
 ///
-/// With TreeOptions::split_mode == kHistogram the features are
-/// quantile-binned once per fit and every member trains on the shared
-/// FeatureBins. fit() also compiles the forest into a CompiledEnsemble, so
-/// predict() serves flattened SoA batch inference (bit-identical to
-/// averaging each member's tree walk, which the test oracle keeps as the
-/// reference).
+/// The features are ranked (exact splits, FeatureRanks) or quantile-binned
+/// (histogram splits, FeatureBins) once per fit, and every member trains
+/// on the shared read-only view. fit() also compiles the forest into a
+/// CompiledEnsemble, so predict() serves flattened SoA batch inference
+/// (bit-identical to averaging each member's tree walk, which the test
+/// oracle keeps as the reference).
 
 #include <memory>
 #include <string>

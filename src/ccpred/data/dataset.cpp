@@ -1,11 +1,16 @@
 #include "ccpred/data/dataset.hpp"
 
+#include <cmath>
+#include <limits>
+
 #include "ccpred/common/error.hpp"
 
 namespace ccpred::data {
 
 void Dataset::add(const sim::RunConfig& cfg, double time_s) {
-  CCPRED_CHECK_MSG(time_s > 0.0, "wall time must be positive");
+  CCPRED_CHECK_MSG(std::isfinite(time_s) && time_s > 0.0,
+                   "time_s must be a finite positive wall time, got "
+                       << time_s);
   CCPRED_CHECK_MSG(cfg.o > 0 && cfg.v > 0 && cfg.nodes > 0 && cfg.tile > 0,
                    "run configuration fields must be positive");
   configs_.push_back(cfg);
@@ -84,11 +89,23 @@ Dataset Dataset::from_csv(const CsvTable& table) {
   const auto cn = table.column("nodes");
   const auto ct = table.column("tilesize");
   const auto cy = table.column("time_s");
+  // Each run field is checked before the cast: converting NaN or a double
+  // outside int's range to int is undefined behaviour.
+  const auto field = [&](const std::vector<double>& row, std::size_t col) {
+    const double v = row[col];
+    CCPRED_CHECK_MSG(std::isfinite(v) && v == std::trunc(v) && v >= 1.0 &&
+                         v <= std::numeric_limits<int>::max(),
+                     "CSV column " << table.header[col]
+                                   << ": expected an integer in [1, "
+                                   << std::numeric_limits<int>::max()
+                                   << "], got " << v);
+    return static_cast<int>(v);
+  };
   for (const auto& row : table.rows) {
-    d.add(sim::RunConfig{.o = static_cast<int>(row[co]),
-                         .v = static_cast<int>(row[cv]),
-                         .nodes = static_cast<int>(row[cn]),
-                         .tile = static_cast<int>(row[ct])},
+    d.add(sim::RunConfig{.o = field(row, co),
+                         .v = field(row, cv),
+                         .nodes = field(row, cn),
+                         .tile = field(row, ct)},
           row[cy]);
   }
   return d;

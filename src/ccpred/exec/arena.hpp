@@ -3,9 +3,9 @@
 /// \file arena.hpp
 /// Per-task bump allocator for hot-loop scratch memory.
 ///
-/// Campaign generation, sweep rounds and histogram tree fits used to
-/// allocate dozens of short-lived vectors per call; an Arena turns that
-/// into one cache-line-aligned block allocation reused across calls.
+/// Campaign generation, sweep rounds and tree fits (exact and histogram)
+/// used to allocate dozens of short-lived vectors per call; an Arena turns
+/// that into one cache-line-aligned block allocation reused across calls.
 /// Allocation is a pointer bump, so it is deterministic and effectively
 /// free; reset() rewinds the pointer, and the next identical allocation
 /// sequence hands back the same pointers. Requests that do not fit in the

@@ -1,21 +1,28 @@
 // Unit tests for the dataset layer: container, problem lists, campaign
-// generator, splits and scalers.
+// generator, splits and scalers, plus the byte-stable model artifacts the
+// daemon trains on those campaigns.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <string_view>
 #include <tuple>
 #include <utility>
 
 #include "ccpred/common/strings.hpp"
+#include "ccpred/core/serialize.hpp"
 #include "ccpred/data/dataset.hpp"
 #include "ccpred/data/generator.hpp"
 #include "ccpred/data/problems.hpp"
 #include "ccpred/data/scaler.hpp"
 #include "ccpred/data/split.hpp"
+#include "ccpred/serve/model_registry.hpp"
 
 namespace ccpred::data {
 namespace {
@@ -44,6 +51,44 @@ TEST(DatasetTest, RejectsInvalidRows) {
   EXPECT_THROW(d.add({10, 100, 4, 40}, 0.0), Error);
   EXPECT_THROW(d.add({10, 100, 4, 40}, -1.0), Error);
   EXPECT_THROW(d.add({0, 100, 4, 40}, 1.0), Error);
+}
+
+TEST(DatasetTest, RejectsNonFiniteWallTimes) {
+  Dataset d;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(d.add({10, 100, 4, 40}, inf), Error);
+  EXPECT_THROW(d.add({10, 100, 4, 40}, -inf), Error);
+  EXPECT_THROW(d.add({10, 100, 4, 40}, std::nan("")), Error);
+  EXPECT_TRUE(d.empty());
+}
+
+/// The message of the ccpred::Error that loading `csv` as a dataset throws,
+/// or "" when it loads.
+std::string from_csv_error(const std::string& csv) {
+  try {
+    Dataset::from_csv(parse_csv(csv));
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DatasetTest, FromCsvRejectsCellsThatAreNoRunField) {
+  // Feature cells are checked before the cast to int, which is undefined
+  // for NaN or a value outside int's range.
+  const std::string header = "O,V,nodes,tilesize,time_s\n44,260,16,60,1.5\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {"44,260,16,60,inf", "time_s"},
+      {"nan,260,16,60,1.5", "column O:"},
+      {"44,1e300,16,60,1.5", "column V:"},
+      {"44,260,2.5,60,1.5", "column nodes:"},
+  };
+  for (const auto& [row, column] : cases) {
+    const std::string what = from_csv_error(header + row + "\n");
+    EXPECT_NE(what.find(column), std::string::npos)
+        << row << " -> \"" << what << "\"";
+  }
+  EXPECT_EQ(from_csv_error(header), "");
 }
 
 TEST(DatasetTest, FeaturesMatrixLayout) {
@@ -252,6 +297,29 @@ TEST(GeneratorGoldenTest, DaemonDefaultCampaignsAreBitStable) {
     ASSERT_EQ(ds.size(), 600u);
     EXPECT_EQ(campaign_checksum(ds), expect) << machine.name;
   }
+}
+
+TEST(ModelGoldenTest, DaemonDefaultArtifactsAreByteStable) {
+  // The GB artifacts ccpred_serverd trains on a cold start: default
+  // RegistryOptions (600 rows, seed 2025, 750 stages). Sizes and FNV-1a
+  // checksums were recorded with the exact builder that sorted every
+  // feature at every node; any change to a fitted tree shows up here.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "ccpred_data_model_golden";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::tuple<std::string, std::size_t, std::uint64_t> cases[] = {
+      {"aurora", 6045513u, 0x24b50d59360e9419ULL},
+      {"frontier", 6065576u, 0xb2702229ef0b2e40ULL},
+  };
+  serve::ModelRegistry registry(dir.string());
+  for (const auto& [machine, size, expect] : cases) {
+    const std::string bytes =
+        ml::read_artifact(registry.train_artifact(machine, "gb"));
+    EXPECT_EQ(bytes.size(), size) << machine;
+    EXPECT_EQ(fnv1a64(bytes), expect) << machine;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(GeneratorTest, PaperDatasetSizes) {

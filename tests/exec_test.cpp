@@ -597,8 +597,8 @@ void expect_shuffle_invariant(const Run& run) {
 }
 
 /// Boosting fans its residual updates over parallel_for (fused training
-/// predictions under histogram splits, a per-row tree walk under exact
-/// splits), so a shuffled fit must produce bit-identical stages.
+/// predictions under both split modes), so a shuffled fit must produce
+/// bit-identical stages.
 TEST(ExecDeterminismTest, ShuffledBoostingFitMatchesReference) {
   const data::Dataset& d = fit_campaign();
   const linalg::Matrix x = d.features();

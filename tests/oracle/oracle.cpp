@@ -9,6 +9,7 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/rng.hpp"
+#include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/linalg/blas.hpp"
 #include "ccpred/sim/noise.hpp"
 #include "ccpred/sim/sim_engine.hpp"
@@ -43,7 +44,216 @@ std::vector<double> solve_upper(const linalg::Matrix& l,
   return x;
 }
 
+// ---- the exact CART builder that sorts every feature at every node ----
+
+struct BuildContext {
+  const linalg::Matrix* x = nullptr;
+  const std::vector<double>* y = nullptr;
+  ml::TreeOptions options;
+  std::vector<ml::TreeNode> nodes;
+  std::vector<double> importance;
+  int effective_max_depth = 64;
+  int max_features = 0;
+  Rng rng{1};
+  // Scratch reused across nodes to avoid per-node allocation.
+  std::vector<std::pair<double, double>> sorted;  // (feature value, target)
+};
+
+/// Best split of `rows` on `feature`: returns (sse_reduction, threshold,
+/// left_count) or sse_reduction <= 0 if no valid split exists.
+struct SplitCandidate {
+  double gain = -1.0;
+  double threshold = 0.0;
+  std::size_t left_count = 0;
+};
+
+SplitCandidate best_split_on_feature(
+    const linalg::Matrix& x, const std::vector<double>& y,
+    const std::vector<std::size_t>& rows, std::size_t feature,
+    int min_samples_leaf, std::vector<std::pair<double, double>>& sorted) {
+  const std::size_t n = rows.size();
+  sorted.clear();
+  sorted.reserve(n);
+  for (auto r : rows) sorted.emplace_back(x(r, feature), y[r]);
+  std::sort(sorted.begin(), sorted.end());
+
+  double total = 0.0;
+  for (const auto& [v, t] : sorted) total += t;
+
+  SplitCandidate best;
+  double left_sum = 0.0;
+  const auto min_leaf = static_cast<std::size_t>(min_samples_leaf);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    left_sum += sorted[i].second;
+    if (sorted[i].first == sorted[i + 1].first) continue;  // tied values
+    const std::size_t nl = i + 1;
+    const std::size_t nr = n - nl;
+    if (nl < min_leaf || nr < min_leaf) continue;
+    // Variance-reduction gain: sum_l^2/n_l + sum_r^2/n_r - total^2/n
+    const double right_sum = total - left_sum;
+    const double gain = left_sum * left_sum / static_cast<double>(nl) +
+                        right_sum * right_sum / static_cast<double>(nr) -
+                        total * total / static_cast<double>(n);
+    if (gain > best.gain) {
+      best.gain = gain;
+      best.threshold = 0.5 * (sorted[i].first + sorted[i + 1].first);
+      best.left_count = nl;
+    }
+  }
+  return best;
+}
+
+/// Candidate features for one node: all, or a random subset for forests.
+std::vector<std::size_t> candidate_features(std::size_t d, int max_features,
+                                            Rng& rng) {
+  if (max_features > 0 && static_cast<std::size_t>(max_features) < d) {
+    return rng.sample_without_replacement(
+        d, static_cast<std::size_t>(max_features));
+  }
+  std::vector<std::size_t> features(d);
+  for (std::size_t f = 0; f < d; ++f) features[f] = f;
+  return features;
+}
+
+int build(BuildContext& ctx, std::vector<std::size_t>& rows, int depth) {
+  const auto& x = *ctx.x;
+  const auto& y = *ctx.y;
+  const std::size_t n = rows.size();
+
+  double sum = 0.0;
+  for (auto r : rows) sum += y[r];
+  const double mean = sum / static_cast<double>(n);
+
+  const int node_index = static_cast<int>(ctx.nodes.size());
+  ctx.nodes.push_back(ml::TreeNode{.value = mean});
+
+  if (depth >= ctx.effective_max_depth ||
+      n < static_cast<std::size_t>(ctx.options.min_samples_split)) {
+    return node_index;
+  }
+
+  const std::vector<std::size_t> features =
+      candidate_features(x.cols(), ctx.max_features, ctx.rng);
+
+  SplitCandidate best;
+  std::size_t best_feature = 0;
+  for (auto f : features) {
+    const auto cand = best_split_on_feature(x, y, rows, f,
+                                            ctx.options.min_samples_leaf,
+                                            ctx.sorted);
+    if (cand.gain > best.gain) {
+      best = cand;
+      best_feature = f;
+    }
+  }
+  if (best.gain <= 1e-12) return node_index;  // pure or unsplittable node
+  ctx.importance[best_feature] += best.gain;
+
+  // Partition rows in place.
+  std::vector<std::size_t> left_rows;
+  std::vector<std::size_t> right_rows;
+  left_rows.reserve(best.left_count);
+  right_rows.reserve(n - best.left_count);
+  for (auto r : rows) {
+    (x(r, best_feature) <= best.threshold ? left_rows : right_rows)
+        .push_back(r);
+  }
+  // Ties at the threshold can defeat the sorted-scan counts; guard anyway.
+  if (left_rows.empty() || right_rows.empty()) return node_index;
+
+  rows.clear();
+  rows.shrink_to_fit();
+
+  const int left = build(ctx, left_rows, depth + 1);
+  const int right = build(ctx, right_rows, depth + 1);
+  ctx.nodes[node_index].feature = static_cast<int>(best_feature);
+  ctx.nodes[node_index].threshold = best.threshold;
+  ctx.nodes[node_index].left = left;
+  ctx.nodes[node_index].right = right;
+  return node_index;
+}
+
 }  // namespace
+
+ml::DecisionTreeRegressor exact_tree(const linalg::Matrix& x,
+                                     const std::vector<double>& y,
+                                     const std::vector<std::size_t>& rows,
+                                     const ml::TreeOptions& options) {
+  BuildContext ctx;
+  ctx.x = &x;
+  ctx.y = &y;
+  ctx.options = options;
+  ctx.importance.assign(x.cols(), 0.0);
+  ctx.effective_max_depth = options.max_depth == 0 ? 64 : options.max_depth;
+  ctx.max_features = options.max_features;
+  ctx.rng = Rng(options.seed);
+
+  std::vector<std::size_t> root_rows = rows;
+  build(ctx, root_rows, 0);
+  return ml::DecisionTreeRegressor::from_parts(options, std::move(ctx.nodes),
+                                               std::move(ctx.importance));
+}
+
+ml::GradientBoostingRegressor exact_gb(const linalg::Matrix& x,
+                                       const std::vector<double>& y,
+                                       int n_estimators, double learning_rate,
+                                       const ml::TreeOptions& tree_options,
+                                       double subsample, std::uint64_t seed) {
+  const std::size_t n = x.rows();
+  double base_prediction = 0.0;
+  for (double v : y) base_prediction += v;
+  base_prediction /= static_cast<double>(n);
+
+  std::vector<double> residual(n);
+  for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - base_prediction;
+
+  std::vector<ml::DecisionTreeRegressor> stages;
+  stages.reserve(static_cast<std::size_t>(n_estimators));
+  Rng rng(seed);
+  std::vector<std::size_t> all_rows(n);
+  for (std::size_t i = 0; i < n; ++i) all_rows[i] = i;
+  for (int stage = 0; stage < n_estimators; ++stage) {
+    ml::TreeOptions opt = tree_options;
+    opt.seed = rng.next();
+    const std::vector<std::size_t>& rows =
+        subsample < 1.0
+            ? rng.sample_without_replacement(
+                  n, std::max<std::size_t>(
+                         1, static_cast<std::size_t>(
+                                subsample * static_cast<double>(n))))
+            : all_rows;
+    ml::DecisionTreeRegressor tree = exact_tree(x, residual, rows, opt);
+    exec::parallel_for(0, n, [&](std::size_t i) {
+      residual[i] -= learning_rate * tree.predict_row(x.row_ptr(i));
+    });
+    stages.push_back(std::move(tree));
+  }
+  return ml::GradientBoostingRegressor::from_parts(
+      learning_rate, base_prediction, std::move(stages));
+}
+
+ml::RandomForestRegressor exact_rf(const linalg::Matrix& x,
+                                   const std::vector<double>& y,
+                                   int n_estimators,
+                                   const ml::TreeOptions& tree_options,
+                                   bool bootstrap, std::uint64_t seed) {
+  const auto n = static_cast<std::size_t>(n_estimators);
+  Rng seeder(seed);
+  std::vector<std::uint64_t> tree_seeds(n);
+  for (auto& s : tree_seeds) s = seeder.next();
+
+  std::vector<std::size_t> all_rows(x.rows());
+  for (std::size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
+  std::vector<ml::DecisionTreeRegressor> trees(n);
+  exec::parallel_for(0, n, [&](std::size_t t) {
+    ml::TreeOptions opt = tree_options;
+    opt.seed = tree_seeds[t] ^ 0x5bf03635ULL;
+    Rng rng(tree_seeds[t]);
+    trees[t] = exact_tree(
+        x, y, bootstrap ? rng.bootstrap_indices(x.rows()) : all_rows, opt);
+  });
+  return ml::RandomForestRegressor::from_parts(std::move(trees));
+}
 
 linalg::Matrix cholesky_left_looking(const linalg::Matrix& a) {
   CCPRED_CHECK_MSG(a.rows() == a.cols(), "Cholesky requires a square matrix");

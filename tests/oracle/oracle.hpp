@@ -4,27 +4,33 @@
 /// Test-only reference implementations (the ccpred_oracle library).
 ///
 /// The library ships one path per engine: the blocked Cholesky, the
-/// compiled tree ensembles, the memoized simulation engine and the
-/// cached-distance Gaussian process. The tests and the bench gates compare
-/// each against the original, plainly written computation kept here:
+/// presorted exact tree builder, the compiled tree ensembles, the memoized
+/// simulation engine and the cached-distance Gaussian process. The tests
+/// and the bench gates compare each against the original, plainly written
+/// computation kept here:
 ///
 ///  * cholesky_left_looking — the scalar left-looking factorization
 ///    (agreement within 1e-9 of the matrix scale);
+///  * exact_tree — the exact CART builder that sorts (value, target) pairs
+///    of every feature at every node, and exact_gb / exact_rf, the boosting
+///    loop and the forest assembled from it (bitwise: equal serialize_*);
 ///  * forest_walk — a random forest's per-row tree walk (bitwise);
 ///  * campaign_labels — a campaign's targets simulated from scratch, one
 ///    iteration_time per row (bitwise);
 ///  * ReferenceGp — the per-candidate / per-row Gaussian process
 ///    (relative 1e-9).
 ///
-/// Gradient boosting needs no oracle code: predict_staged over every stage
-/// is its tree walk. Neither does a sweep: CcsdSimulator::iteration_time is
-/// the simulation engine's oracle.
+/// Gradient boosting's inference needs no oracle code: predict_staged over
+/// every stage is its tree walk. Neither does a sweep:
+/// CcsdSimulator::iteration_time is the simulation engine's oracle.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "ccpred/core/decision_tree.hpp"
+#include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/kernels.hpp"
 #include "ccpred/core/random_forest.hpp"
 #include "ccpred/core/regressor.hpp"
@@ -39,6 +45,32 @@ namespace ccpred::oracle {
 /// algorithm. Throws ccpred::Error on a non-positive pivot, with the same
 /// "not positive definite" message as linalg::Cholesky.
 linalg::Matrix cholesky_left_looking(const linalg::Matrix& a);
+
+/// A CART tree fitted on `rows` of (x, y) (rows may repeat) by sorting the
+/// (value, target) pairs of every candidate feature at every node.
+ml::DecisionTreeRegressor exact_tree(const linalg::Matrix& x,
+                                     const std::vector<double>& y,
+                                     const std::vector<std::size_t>& rows,
+                                     const ml::TreeOptions& options);
+
+/// GradientBoostingRegressor(n_estimators, learning_rate, tree_options,
+/// subsample, seed).fit(x, y) with exact_tree stages: the same stage seeds
+/// and subsamples, and residuals updated by walking each new tree over
+/// every row.
+ml::GradientBoostingRegressor exact_gb(const linalg::Matrix& x,
+                                       const std::vector<double>& y,
+                                       int n_estimators, double learning_rate,
+                                       const ml::TreeOptions& tree_options,
+                                       double subsample, std::uint64_t seed);
+
+/// RandomForestRegressor(n_estimators, tree_options, bootstrap, seed)
+/// .fit(x, y) with exact_tree members: the same per-tree seeds and
+/// bootstrap draws, trees trained in parallel.
+ml::RandomForestRegressor exact_rf(const linalg::Matrix& x,
+                                   const std::vector<double>& y,
+                                   int n_estimators,
+                                   const ml::TreeOptions& tree_options,
+                                   bool bootstrap, std::uint64_t seed);
 
 /// The forest's prediction as the mean of its members' tree walks.
 std::vector<double> forest_walk(const ml::RandomForestRegressor& forest,

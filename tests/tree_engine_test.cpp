@@ -1,12 +1,17 @@
 // Property tests for the fast tree-ensemble engine: FeatureBins binning
-// invariants, histogram-mode training accuracy vs the exact reference, and
-// bit-identity of CompiledEnsemble batch inference against the tree walk.
+// invariants, bit-identity of the presorted exact builder against the
+// oracle's per-node-sort builder, histogram-mode training accuracy vs the
+// exact reference, and bit-identity of CompiledEnsemble batch inference
+// against the tree walk.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "ccpred/core/compiled_ensemble.hpp"
@@ -16,6 +21,7 @@
 #include "ccpred/core/metrics.hpp"
 #include "ccpred/core/random_forest.hpp"
 #include "ccpred/core/serialize.hpp"
+#include "ccpred/exec/arena.hpp"
 #include "oracle/oracle.hpp"
 #include "test_util.hpp"
 
@@ -25,6 +31,7 @@ namespace {
 using ml::CompiledEnsemble;
 using ml::DecisionTreeRegressor;
 using ml::FeatureBins;
+using ml::FeatureRanks;
 using ml::GradientBoostingRegressor;
 using ml::RandomForestRegressor;
 using ml::SplitMode;
@@ -104,6 +111,195 @@ TEST(FeatureBinsTest, ManyDistinctValuesRespectMaxBins) {
     EXPECT_LE(bins.bin_count(f), 24);
     EXPECT_GE(bins.bin_count(f), 20);  // quantile bins should be used
   }
+}
+
+// ---------- presorted exact builder vs the per-node-sort oracle ----------
+
+/// One exact-mode training set: features drawn from a small menu (many
+/// ties, like the paper's) or continuous, targets rounded to a coarse grid
+/// (tied) or not, and the fit's rows: all once, a bootstrap draw, or
+/// AdaBoost's weighted bootstrap (inverse-CDF sampling on skewed weights).
+struct ExactCase {
+  std::uint64_t seed;
+  bool menu;
+  bool tied;
+  int rows;  // 0 all, 1 bootstrap, 2 weighted bootstrap
+};
+
+struct ExactData {
+  linalg::Matrix x;
+  std::vector<double> y;
+  std::vector<std::size_t> rows;
+};
+
+ExactData make_exact_data(const ExactCase& c) {
+  const std::size_t n = 150;
+  const std::size_t d = 4;
+  ExactData data{c.menu ? make_menu_matrix(n, d, 6, c.seed)
+                        : linalg::Matrix(n, d),
+                 std::vector<double>(n), {}};
+  Rng rng(c.seed ^ 0xe7ac7);
+  if (!c.menu) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t f = 0; f < d; ++f) data.x(i, f) = rng.uniform(-2, 2);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = std::sin(data.x(i, 0)) + data.x(i, 1) * data.x(i, 2) -
+                     0.5 * data.x(i, 3) + rng.normal(0.0, 0.2);
+    data.y[i] = c.tied ? std::round(2.0 * v) / 2.0 : v;
+  }
+  if (c.rows == 0) {
+    data.rows.resize(n);
+    std::iota(data.rows.begin(), data.rows.end(), std::size_t{0});
+  } else if (c.rows == 1) {
+    data.rows = rng.bootstrap_indices(n);
+  } else {
+    std::vector<double> cdf(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      cdf[i] = (i == 0 ? 0.0 : cdf[i - 1]) + std::exp(rng.normal(0.0, 1.5));
+    }
+    data.rows.resize(n);
+    for (auto& r : data.rows) {
+      r = static_cast<std::size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), rng.uniform() * cdf.back()) -
+          cdf.begin());
+      r = std::min(r, n - 1);
+    }
+  }
+  return data;
+}
+
+/// Every max_features x max_depth x min_samples_leaf x min_samples_split
+/// combination the exact builder branches on.
+std::vector<TreeOptions> exact_option_grid(std::uint64_t seed) {
+  std::vector<TreeOptions> grid;
+  for (const int max_features : {0, 2}) {
+    for (const int max_depth : {0, 3, 10}) {
+      for (const int min_leaf : {1, 3}) {
+        for (const int min_split : {2, 5}) {
+          grid.push_back(TreeOptions{.max_depth = max_depth,
+                                     .min_samples_split = min_split,
+                                     .min_samples_leaf = min_leaf,
+                                     .max_features = max_features,
+                                     .seed = seed + grid.size()});
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+std::string describe(const TreeOptions& o) {
+  return "max_features=" + std::to_string(o.max_features) +
+         " max_depth=" + std::to_string(o.max_depth) +
+         " min_samples_leaf=" + std::to_string(o.min_samples_leaf) +
+         " min_samples_split=" + std::to_string(o.min_samples_split);
+}
+
+class PresortedOracle : public ::testing::TestWithParam<ExactCase> {};
+
+TEST_P(PresortedOracle, TreeIsBitIdenticalToPerNodeSort) {
+  const ExactData data = make_exact_data(GetParam());
+  const FeatureRanks ranks = FeatureRanks::build(data.x);
+  exec::Arena arena;
+  std::vector<double> train_pred(data.x.rows());
+  for (const TreeOptions& opt : exact_option_grid(GetParam().seed)) {
+    const auto expect = ml::serialize_tree(
+        oracle::exact_tree(data.x, data.y, data.rows, opt));
+    DecisionTreeRegressor standalone(opt);
+    standalone.fit_rows(data.x, data.y, data.rows);
+    EXPECT_EQ(ml::serialize_tree(standalone), expect) << describe(opt);
+
+    DecisionTreeRegressor shared(opt);
+    shared.fit_presorted(data.x, ranks, data.y, data.rows, train_pred.data(),
+                         &arena);
+    ASSERT_EQ(ml::serialize_tree(shared), expect) << describe(opt);
+    // The leaves' training predictions are predict_row's, bit for bit.
+    for (const std::size_t r : data.rows) {
+      ASSERT_EQ(train_pred[r], shared.predict_row(data.x.row_ptr(r)))
+          << describe(opt) << " row " << r;
+    }
+  }
+}
+
+TEST_P(PresortedOracle, GbIsBitIdenticalToPerNodeSortBoosting) {
+  const ExactData data = make_exact_data(GetParam());
+  const TreeOptions opt{.max_depth = 6};
+  for (const double subsample : {1.0, 0.8}) {
+    GradientBoostingRegressor gb(30, 0.1, opt, subsample, GetParam().seed);
+    gb.fit(data.x, data.y);
+    EXPECT_EQ(ml::serialize_gb(gb),
+              ml::serialize_gb(oracle::exact_gb(data.x, data.y, 30, 0.1, opt,
+                                                subsample, GetParam().seed)))
+        << "subsample " << subsample;
+  }
+}
+
+TEST_P(PresortedOracle, RfIsBitIdenticalToPerNodeSortForest) {
+  const ExactData data = make_exact_data(GetParam());
+  const TreeOptions opt{.max_depth = 8, .max_features = 2};
+  for (const bool bootstrap : {true, false}) {
+    RandomForestRegressor rf(12, opt, bootstrap, GetParam().seed);
+    rf.fit(data.x, data.y);
+    EXPECT_EQ(ml::serialize_rf(rf),
+              ml::serialize_rf(oracle::exact_rf(data.x, data.y, 12, opt,
+                                                bootstrap, GetParam().seed)))
+        << "bootstrap " << bootstrap;
+  }
+}
+
+std::vector<ExactCase> exact_cases() {
+  std::vector<ExactCase> cases;
+  for (const std::uint64_t seed : {1u, 7u, 42u}) {
+    for (const bool menu : {true, false}) {
+      for (const bool tied : {true, false}) {
+        for (const int rows : {0, 1, 2}) {
+          cases.push_back({seed, menu, tied, rows});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::string exact_case_name(const ::testing::TestParamInfo<ExactCase>& info) {
+  const ExactCase& c = info.param;
+  const char* const rows[] = {"all", "bootstrap", "weighted"};
+  return "seed" + std::to_string(c.seed) + (c.menu ? "_menu" : "_continuous") +
+         (c.tied ? "_tied_" : "_untied_") + rows[c.rows];
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, PresortedOracle,
+                         ::testing::ValuesIn(exact_cases()), exact_case_name);
+
+TEST(PresortedOracleEdges, ConstantColumnAndTinyFitsMatch) {
+  ExactData data = make_exact_data({3u, true, false, 0});
+  for (std::size_t i = 0; i < data.x.rows(); ++i) data.x(i, 2) = 7.5;
+  const std::vector<std::vector<std::size_t>> row_sets = {
+      data.rows, {4}, {4, 9}, {9, 9}, {4, 4, 9}};
+  for (const auto& rows : row_sets) {
+    for (const TreeOptions& opt : exact_option_grid(3)) {
+      DecisionTreeRegressor tree(opt);
+      tree.fit_rows(data.x, data.y, rows);
+      EXPECT_EQ(ml::serialize_tree(tree), ml::serialize_tree(oracle::exact_tree(
+                                              data.x, data.y, rows, opt)))
+          << describe(opt) << " rows " << rows.size();
+    }
+  }
+}
+
+TEST(PresortedOracleEdges, NonFiniteInputsAreRejected) {
+  ExactData data = make_exact_data({5u, false, false, 0});
+  DecisionTreeRegressor tree;
+  data.y[3] = std::nan("");
+  EXPECT_THROW(tree.fit_rows(data.x, data.y, data.rows), Error);
+  data.y[3] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(tree.fit_rows(data.x, data.y, data.rows), Error);
+  data.y[3] = 1.0;
+  data.x(8, 1) = std::nan("");
+  EXPECT_THROW(FeatureRanks::build(data.x), Error);
+  EXPECT_THROW(tree.fit_rows(data.x, data.y, data.rows), Error);
 }
 
 // ---------- histogram training accuracy ----------
