@@ -1,35 +1,25 @@
-/// Tree-ensemble engine bench: the library's exact (presorted) and
-/// histogram training vs the exact reference, compiled SoA batch inference
-/// vs the per-row tree walk (GB's predict_staged over every stage, the
-/// oracle's forest_walk for RF), and the dispatched bin-code kernel across
-/// SIMD modes.
+/// Tree-ensemble engine bench: the library's exact (presorted) training vs
+/// the exact reference, and compiled SoA batch inference vs the per-row
+/// tree walk (GB's predict_staged over every stage, the oracle's
+/// forest_walk for RF).
 ///
 /// The exact reference is the oracle's per-node-sort builder
-/// (oracle::exact_gb / exact_rf): the algorithm the histogram gates were
-/// calibrated against. Trains GB and RF on the paper's Aurora campaign all
-/// three ways, asserting the presorted fit serializes identically to the
-/// oracle's, and times a sweep-shaped batch prediction through both
-/// inference paths, asserting the compiled path is bit-identical to the
-/// walk. Emits the measurements to BENCH_tree_engine.json next to the
-/// binary's working directory. Set CCPRED_BENCH_FAST=1 (environment
-/// variable) for a reduced workload.
+/// (oracle::exact_gb / exact_rf). Trains GB and RF on the paper's Aurora
+/// campaign both ways, asserting the presorted fit serializes identically
+/// to the oracle's, and times a sweep-shaped batch prediction of those
+/// presorted models (the models the daemon serves) through both inference
+/// paths, asserting the compiled path is bit-identical to the walk. Emits
+/// the measurements to BENCH_tree_engine.json next to the binary's working
+/// directory. Set CCPRED_BENCH_FAST=1 (environment variable) for a reduced
+/// workload.
 ///
 /// Gates (exit nonzero on failure):
-///   - GB fit: histogram >= 10x faster than the exact reference
-///   - RF fit: histogram >= 10x faster than the exact reference
-///     (both raised from the pre-SIMD 3x when the direct small-node mode,
-///     per-feature range threading and fused train predictions roughly
-///     doubled the histogram engine; the structural gains are dispatch-
-///     mode-independent, so a CCPRED_SIMD=scalar run passes the same bar)
 ///   - GB and RF fit: presorted exact >= 3x faster than the exact
-///     reference, with byte-identical serialized models (the exact path
-///     calls no SIMD kernel, so both dispatch modes read alike)
+///     reference, with byte-identical serialized models (the fit calls no
+///     SIMD kernel, so both dispatch modes read alike)
 ///   - batch predict: compiled >= 5x faster than walk, bit-identical
-///   - bin-code assignment: AVX2 table >= 2x the scalar table with
-///     bit-identical codes (gated only when the host has AVX2+FMA)
 
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,11 +28,9 @@
 #include "ccpred/common/stopwatch.hpp"
 #include "ccpred/common/table.hpp"
 #include "ccpred/common/thread_pool.hpp"
-#include "ccpred/core/decision_tree.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/random_forest.hpp"
 #include "ccpred/core/serialize.hpp"
-#include "ccpred/simd/simd.hpp"
 #include "oracle/oracle.hpp"
 
 namespace {
@@ -66,10 +54,9 @@ int main() {
   using namespace ccpred;
 
   const bool fast = bench::fast_mode();
-  // Full campaign rows even in fast mode: the histogram-vs-exact fit ratio
-  // is not scale-free in n (histogram fits carry an O(total_bins) per-node
-  // floor), so the 10x gates calibrated at full size sit knife-edge on a
-  // quartered campaign. Fast mode keeps its reduced stage counts instead.
+  // Full campaign rows even in fast mode: the presort-vs-oracle fit ratio
+  // is not scale-free in n, and its committed baseline was measured at
+  // full rows. Fast mode keeps its reduced stage counts instead.
   const auto data = bench::load_paper_data("aurora", 2025, /*full_rows=*/true);
   const linalg::Matrix x = data.full.features();
   const std::vector<double>& y = data.full.targets();
@@ -80,17 +67,13 @@ int main() {
   const int rf_trees = fast ? 40 : 100;
   ml::TreeOptions exact_opt;
   exact_opt.max_depth = 10;
-  ml::TreeOptions hist_opt = exact_opt;
-  hist_opt.split_mode = ml::SplitMode::kHistogram;
-  hist_opt.max_bins = 255;
 
   std::printf("== Tree-ensemble engine (aurora campaign, n=%zu, %zu threads%s) ==\n\n",
               n, threads, fast ? ", fast mode" : "");
 
-  // ---- training: exact reference vs presorted exact vs histogram ----
-  // Fits take best-of-2 in every mode: the 10x gates leave ~2x headroom on
-  // a quiet host, and one timer outlier (or a cold first call) should not
-  // fail the run. The oracle calls repeat the library classes' default
+  // ---- training: exact reference vs presorted exact ----
+  // Fits take best-of-2: one timer outlier (or a cold first call) should
+  // not fail the run. The oracle calls repeat the library classes' default
   // seeds (42), subsample (1.0) and bootstrap (on).
   const int fit_reps = 2;
   std::optional<ml::GradientBoostingRegressor> gb_oracle;
@@ -100,9 +83,6 @@ int main() {
   ml::GradientBoostingRegressor gb_exact(gb_stages, 0.1, exact_opt);
   const double gb_presort_s =
       best_time_s(fit_reps, [&] { gb_exact.fit(x, y); });
-  ml::GradientBoostingRegressor gb_hist(gb_stages, 0.1, hist_opt);
-  const double gb_hist_s = best_time_s(fit_reps, [&] { gb_hist.fit(x, y); });
-  const double gb_fit_speedup = gb_oracle_s / gb_hist_s;
   const double gb_presort_speedup = gb_oracle_s / gb_presort_s;
   const bool gb_identical =
       ml::serialize_gb(gb_exact) == ml::serialize_gb(*gb_oracle);
@@ -114,9 +94,6 @@ int main() {
   ml::RandomForestRegressor rf_exact(rf_trees, exact_opt);
   const double rf_presort_s =
       best_time_s(fit_reps, [&] { rf_exact.fit(x, y); });
-  ml::RandomForestRegressor rf_hist(rf_trees, hist_opt);
-  const double rf_hist_s = best_time_s(fit_reps, [&] { rf_hist.fit(x, y); });
-  const double rf_fit_speedup = rf_oracle_s / rf_hist_s;
   const double rf_presort_speedup = rf_oracle_s / rf_presort_s;
   const bool rf_identical =
       ml::serialize_rf(rf_exact) == ml::serialize_rf(*rf_oracle);
@@ -126,109 +103,61 @@ int main() {
   // point, just like the advisor's enumerate-and-predict sweep.
   const int predict_reps = fast ? 5 : 10;
   const auto gb_walk = [&] {
-    return gb_hist.predict_staged(x, gb_hist.stage_count());
+    return gb_exact.predict_staged(x, gb_exact.stage_count());
   };
   const double walk_s = best_time_s(predict_reps, gb_walk);
-  const double compiled_s = best_time_s(predict_reps, [&] { gb_hist.predict(x); });
+  const double compiled_s =
+      best_time_s(predict_reps, [&] { gb_exact.predict(x); });
   const double predict_speedup = walk_s / compiled_s;
 
   const auto walk_out = gb_walk();
-  const auto compiled_out = gb_hist.predict(x);
+  const auto compiled_out = gb_exact.predict(x);
   bool bit_identical = walk_out.size() == compiled_out.size();
   for (std::size_t i = 0; bit_identical && i < walk_out.size(); ++i) {
     bit_identical = walk_out[i] == compiled_out[i];
   }
 
   const double rf_walk_s =
-      best_time_s(predict_reps, [&] { oracle::forest_walk(rf_hist, x); });
-  const double rf_compiled_s = best_time_s(predict_reps, [&] { rf_hist.predict(x); });
+      best_time_s(predict_reps, [&] { oracle::forest_walk(rf_exact, x); });
+  const double rf_compiled_s =
+      best_time_s(predict_reps, [&] { rf_exact.predict(x); });
   const double rf_predict_speedup = rf_walk_s / rf_compiled_s;
 
-  // ---- bin-code assignment kernel: scalar vs AVX2 dispatch tables ----
-  // The quantile-binning front door of every histogram fit. The scalar
-  // table keeps the shipped per-value binary search; the AVX2 table counts
-  // edges held in registers. Codes are integer counts, so the tables must
-  // agree bit-for-bit.
-  const ml::FeatureBins fb = ml::FeatureBins::build(x, hist_opt.max_bins);
-  std::vector<std::vector<double>> edges(x.cols());
-  for (std::size_t f = 0; f < x.cols(); ++f) {
-    for (int b = 0; b + 1 < fb.bin_count(f); ++b) {
-      edges[f].push_back(fb.upper_edge(f, b));
-    }
-  }
-  std::vector<std::uint16_t> codes_scalar(n * x.cols());
-  std::vector<std::uint16_t> codes_avx2(n * x.cols());
-  const auto run_codes = [&](simd::Mode mode, std::uint16_t* out) {
-    const auto& table = simd::ops_for(mode);
-    for (std::size_t f = 0; f < x.cols(); ++f) {
-      table.bin_codes(x.row_ptr(0) + f, n, x.cols(), edges[f].data(),
-                      static_cast<int>(edges[f].size()), out + f, x.cols());
-    }
-  };
-  const int code_reps = fast ? 100 : 300;
-  const double codes_scalar_s = best_time_s(
-      code_reps, [&] { run_codes(simd::Mode::kScalar, codes_scalar.data()); });
-  const double codes_avx2_s = best_time_s(
-      code_reps, [&] { run_codes(simd::Mode::kAvx2, codes_avx2.data()); });
-  const double codes_speedup = codes_scalar_s / codes_avx2_s;
-  const bool codes_identical =
-      std::memcmp(codes_scalar.data(), codes_avx2.data(),
-                  codes_scalar.size() * sizeof(std::uint16_t)) == 0;
-  const bool codes_gated = simd::avx2_available();
-
   TextTable table({"model", "path", "seconds", "speedup"},
-                  "Histogram training and compiled inference");
+                  "Exact training and compiled inference");
   table.add_row({"GB fit", "exact (oracle)", TextTable::cell(gb_oracle_s, 3),
                  "1.0x"});
   table.add_row({"GB fit", "exact (presorted)",
                  TextTable::cell(gb_presort_s, 3),
                  TextTable::cell(gb_presort_speedup, 1) + "x"});
-  table.add_row({"GB fit", "histogram", TextTable::cell(gb_hist_s, 3),
-                 TextTable::cell(gb_fit_speedup, 1) + "x"});
   table.add_row({"RF fit", "exact (oracle)", TextTable::cell(rf_oracle_s, 3),
                  "1.0x"});
   table.add_row({"RF fit", "exact (presorted)",
                  TextTable::cell(rf_presort_s, 3),
                  TextTable::cell(rf_presort_speedup, 1) + "x"});
-  table.add_row({"RF fit", "histogram", TextTable::cell(rf_hist_s, 3),
-                 TextTable::cell(rf_fit_speedup, 1) + "x"});
   table.add_row({"GB predict", "walk", TextTable::cell(walk_s, 4), "1.0x"});
   table.add_row({"GB predict", "compiled", TextTable::cell(compiled_s, 4),
                  TextTable::cell(predict_speedup, 1) + "x"});
   table.add_row({"RF predict", "walk", TextTable::cell(rf_walk_s, 4), "1.0x"});
   table.add_row({"RF predict", "compiled", TextTable::cell(rf_compiled_s, 4),
                  TextTable::cell(rf_predict_speedup, 1) + "x"});
-  table.add_row({"bin codes", "scalar", TextTable::cell(codes_scalar_s, 6),
-                 "1.0x"});
-  table.add_row({"bin codes", "avx2", TextTable::cell(codes_avx2_s, 6),
-                 TextTable::cell(codes_speedup, 1) + "x"});
   table.print();
 
-  const bool gb_fit_ok = gb_fit_speedup >= 10.0;
-  const bool rf_fit_ok = rf_fit_speedup >= 10.0;
   const bool gb_presort_ok = gb_presort_speedup >= 3.0 && gb_identical;
   const bool rf_presort_ok = rf_presort_speedup >= 3.0 && rf_identical;
   const bool predict_ok = predict_speedup >= 5.0;
-  const bool codes_ok =
-      !codes_gated || (codes_speedup >= 2.0 && codes_identical);
   std::printf(
       "\nbit-identical compiled vs walk: %s\n"
-      "GB fit speedup %.1fx (target >= 10x): %s\n"
-      "RF fit speedup %.1fx (target >= 10x): %s\n"
       "GB presorted exact fit %.1fx, identical %s (target >= 3x): %s\n"
       "RF presorted exact fit %.1fx, identical %s (target >= 3x): %s\n"
-      "GB batch-predict speedup %.1fx (target >= 5x): %s\n"
-      "bin-codes avx2 vs scalar %.1fx, identical %s (target >= 2x): %s\n",
-      bit_identical ? "yes" : "NO", gb_fit_speedup,
-      gb_fit_ok ? "PASS" : "FAIL", rf_fit_speedup, rf_fit_ok ? "PASS" : "FAIL",
-      gb_presort_speedup, gb_identical ? "yes" : "NO",
-      gb_presort_ok ? "PASS" : "FAIL", rf_presort_speedup,
-      rf_identical ? "yes" : "NO", rf_presort_ok ? "PASS" : "FAIL",
-      predict_speedup, predict_ok ? "PASS" : "FAIL", codes_speedup,
-      codes_identical ? "yes" : "NO",
-      codes_gated ? (codes_ok ? "PASS" : "FAIL") : "not gated (no AVX2)");
-  const bool pass = gb_fit_ok && rf_fit_ok && gb_presort_ok && rf_presort_ok &&
-                    predict_ok && bit_identical && codes_ok;
+      "GB batch-predict speedup %.1fx (target >= 5x): %s\n",
+      bit_identical ? "yes" : "NO", gb_presort_speedup,
+      gb_identical ? "yes" : "NO", gb_presort_ok ? "PASS" : "FAIL",
+      rf_presort_speedup, rf_identical ? "yes" : "NO",
+      rf_presort_ok ? "PASS" : "FAIL", predict_speedup,
+      predict_ok ? "PASS" : "FAIL");
+  const bool pass =
+      gb_presort_ok && rf_presort_ok && predict_ok && bit_identical;
 
   std::FILE* json = std::fopen("BENCH_tree_engine.json", "w");
   if (json != nullptr) {
@@ -240,32 +169,25 @@ int main() {
         "  \"threads\": %zu,\n"
         "  \"n_rows\": %zu,\n"
         "  \"gb\": {\"stages\": %d, \"exact_fit_s\": %.6f, "
-        "\"presort_fit_s\": %.6f, \"hist_fit_s\": %.6f, "
-        "\"fit_speedup\": %.3f, \"presort_speedup\": %.3f, "
+        "\"presort_fit_s\": %.6f, \"presort_speedup\": %.3f, "
         "\"presort_identical\": %s},\n"
         "  \"rf\": {\"trees\": %d, \"exact_fit_s\": %.6f, "
-        "\"presort_fit_s\": %.6f, \"hist_fit_s\": %.6f, "
-        "\"fit_speedup\": %.3f, \"presort_speedup\": %.3f, "
+        "\"presort_fit_s\": %.6f, \"presort_speedup\": %.3f, "
         "\"presort_identical\": %s},\n"
         "  \"predict\": {\"rows\": %zu, \"gb_walk_s\": %.6f, "
         "\"gb_compiled_s\": %.6f, \"gb_speedup\": %.3f, "
         "\"rf_walk_s\": %.6f, \"rf_compiled_s\": %.6f, "
         "\"rf_speedup\": %.3f, \"bit_identical\": %s},\n"
-        "  \"bin_codes\": {\"scalar_s\": %.6f, \"avx2_s\": %.6f, "
-        "\"speedup\": %.3f, \"identical\": %s, \"gated\": %s},\n"
         "  \"provenance\": %s,\n"
         "  \"pass\": %s\n"
         "}\n",
         fast ? "true" : "false", threads, n, gb_stages, gb_oracle_s,
-        gb_presort_s, gb_hist_s, gb_fit_speedup, gb_presort_speedup,
-        gb_identical ? "true" : "false", rf_trees, rf_oracle_s, rf_presort_s,
-        rf_hist_s, rf_fit_speedup, rf_presort_speedup,
-        rf_identical ? "true" : "false", n,
-        walk_s, compiled_s, predict_speedup, rf_walk_s, rf_compiled_s,
-        rf_predict_speedup, bit_identical ? "true" : "false", codes_scalar_s,
-        codes_avx2_s, codes_speedup, codes_identical ? "true" : "false",
-        codes_gated ? "true" : "false",
-        bench::provenance_json().c_str(), pass ? "true" : "false");
+        gb_presort_s, gb_presort_speedup, gb_identical ? "true" : "false",
+        rf_trees, rf_oracle_s, rf_presort_s, rf_presort_speedup,
+        rf_identical ? "true" : "false", n, walk_s, compiled_s,
+        predict_speedup, rf_walk_s, rf_compiled_s, rf_predict_speedup,
+        bit_identical ? "true" : "false", bench::provenance_json().c_str(),
+        pass ? "true" : "false");
     std::fclose(json);
     std::printf("\nwrote BENCH_tree_engine.json\n");
   }

@@ -29,7 +29,7 @@ sim::CcsdSimulator make_simulator(const std::string& machine);
 /// 1840/614). In fast mode the dataset is ~4x smaller unless `full_rows`
 /// is set — speedup-ratio gates calibrated at full campaign size should
 /// pass `full_rows = true` so fast mode does not shift the ratio they
-/// measure (histogram-vs-exact fit cost is not scale-free in n).
+/// measure (fit-time ratios are not scale-free in n).
 struct PaperData {
   sim::CcsdSimulator simulator;
   data::Dataset full;

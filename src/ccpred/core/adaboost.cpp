@@ -34,16 +34,9 @@ void AdaBoostRegressor::fit(const linalg::Matrix& x,
   std::vector<double> w(n, 1.0 / static_cast<double>(n));
   Rng rng(seed_);
 
-  // Rank (exact mode) or bin (histogram mode) the features once; every
-  // stage resamples rows, not values. One arena serves every stage's fit.
-  const bool histogram = tree_options_.split_mode == SplitMode::kHistogram;
-  FeatureBins bins;
-  FeatureRanks ranks;
-  if (histogram) {
-    bins = FeatureBins::build(x, tree_options_.max_bins);
-  } else {
-    ranks = FeatureRanks::build(x);
-  }
+  // Rank the features once; every stage resamples rows, not values. One
+  // arena serves every stage's fit.
+  const FeatureRanks ranks = FeatureRanks::build(x);
   exec::Arena stage_arena;
 
   for (int stage = 0; stage < n_estimators_; ++stage) {
@@ -63,11 +56,7 @@ void AdaBoostRegressor::fit(const linalg::Matrix& x,
     TreeOptions opt = tree_options_;
     opt.seed = rng.next();
     DecisionTreeRegressor tree(opt);
-    if (histogram) {
-      tree.fit_binned(bins, y, rows, nullptr, &stage_arena);
-    } else {
-      tree.fit_presorted(x, ranks, y, rows, nullptr, &stage_arena);
-    }
+    tree.fit_presorted(x, ranks, y, rows, nullptr, &stage_arena);
 
     // Relative errors on the *full* training set.
     std::vector<double> err(n);

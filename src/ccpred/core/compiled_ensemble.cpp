@@ -72,6 +72,8 @@ CompiledEnsemble CompiledEnsemble::flatten(
         ce.nodes_.push_back(
             TravNode{node.threshold, node.feature,
                      newidx[static_cast<std::size_t>(node.left)]});
+        ce.min_cols_ = std::max(ce.min_cols_,
+                                static_cast<std::size_t>(node.feature) + 1);
       }
     }
   }
@@ -97,6 +99,9 @@ CompiledEnsemble CompiledEnsemble::compile(const RandomForestRegressor& model) {
 
 void CompiledEnsemble::predict_batch(const double* x, std::size_t n_rows,
                                      std::size_t n_cols, double* out) const {
+  CCPRED_CHECK_MSG(n_cols >= min_cols_,
+                   "batch rows have " << n_cols << " columns; the model "
+                                      << "splits on feature " << min_cols_ - 1);
   // The fixed-depth kernel's +inf leaf self-loop assumes comparisons with
   // NaN never happen (a NaN would drift off the leaf). Scan once — NaN is
   // the only hazard, infinities compare like the walk — and route such

@@ -43,7 +43,8 @@ class CompiledEnsemble {
   std::vector<double> predict_batch(const linalg::Matrix& x) const;
 
   /// Raw-pointer variant: `x` is row-major n_rows x n_cols, `out` has room
-  /// for n_rows values.
+  /// for n_rows values. Throws ccpred::Error when n_cols does not cover the
+  /// widest split feature (a row would be read past its end).
   void predict_batch(const double* x, std::size_t n_rows, std::size_t n_cols,
                      double* out) const;
 
@@ -79,6 +80,7 @@ class CompiledEnsemble {
   AlignedVector<double> value_;        ///< leaf payload (0 for internal)
   std::vector<std::int32_t> roots_;    ///< root node index per tree
   std::vector<std::int32_t> depths_;   ///< descent steps per tree
+  std::size_t min_cols_ = 0;  ///< widest split feature + 1: columns a row needs
 
   // Final transform: mean_ ? acc / tree_count : bias_ + scale_ * acc.
   double bias_ = 0.0;

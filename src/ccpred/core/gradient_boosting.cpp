@@ -40,17 +40,9 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
   std::vector<double> residual(n);
   for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - base_prediction_;
 
-  // Rank (exact mode) or quantile-bin (histogram mode) the features once;
-  // every stage trains on the shared view (the residual targets change per
-  // stage, the feature order does not).
-  const bool histogram = tree_options_.split_mode == SplitMode::kHistogram;
-  FeatureBins bins;
-  FeatureRanks ranks;
-  if (histogram) {
-    bins = FeatureBins::build(x, tree_options_.max_bins);
-  } else {
-    ranks = FeatureRanks::build(x);
-  }
+  // Rank the features once; every stage trains on the shared ranks (the
+  // residual targets change per stage, the feature order does not).
+  const FeatureRanks ranks = FeatureRanks::build(x);
 
   trees_.clear();
   compiled_.reset();
@@ -85,11 +77,7 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
                                 subsample_ * static_cast<double>(n))))
             : all_rows;
     double* stage_pred = use_train_pred ? train_pred.data() : nullptr;
-    if (histogram) {
-      tree.fit_binned(bins, residual, rows, stage_pred, &stage_arena);
-    } else {
-      tree.fit_presorted(x, ranks, residual, rows, stage_pred, &stage_arena);
-    }
+    tree.fit_presorted(x, ranks, residual, rows, stage_pred, &stage_arena);
     // Update residuals with the shrunken stage prediction, chunked over the
     // pool (each index is independent, so the result is deterministic).
     if (use_train_pred) {
@@ -189,8 +177,7 @@ void GradientBoostingRegressor::set_params(const ParamMap& params) {
                        "subsample must be in (0, 1]");
       subsample_ = value;
     } else if (key == "max_depth" || key == "min_samples_split" ||
-               key == "min_samples_leaf" || key == "max_features" ||
-               key == "split_mode" || key == "max_bins") {
+               key == "min_samples_leaf" || key == "max_features") {
       DecisionTreeRegressor probe(tree_options_);
       probe.set_params({{key, value}});
       tree_options_ = probe.options();

@@ -6,9 +6,8 @@
 /// learning rate. The paper's winning model — its tuned configuration
 /// (750 estimators, depth 10, defaults otherwise) is the library default.
 ///
-/// Hot paths: the features are ranked (exact splits, FeatureRanks) or
-/// quantile-binned (histogram splits, FeatureBins) once per fit and every
-/// stage trains on the shared view. Without subsampling each stage's fit
+/// Hot paths: the features are ranked once per fit (FeatureRanks) and every
+/// stage trains on the shared ranks. Without subsampling each stage's fit
 /// also hands back its training predictions, read off the tree's own
 /// partition, so the residual update walks no tree (with subsample < 1 it
 /// walks the new tree over every row); updates run chunked over the shared
@@ -28,8 +27,8 @@ namespace ccpred::ml {
 class CompiledEnsemble;
 
 /// Parameters: "n_estimators", "learning_rate", "max_depth",
-/// "min_samples_split", "min_samples_leaf", "subsample" (stochastic GB),
-/// "split_mode" (0 exact / 1 histogram), "max_bins".
+/// "min_samples_split", "min_samples_leaf", "max_features", "subsample"
+/// (stochastic GB).
 class GradientBoostingRegressor : public Regressor {
  public:
   explicit GradientBoostingRegressor(int n_estimators = 750,

@@ -39,16 +39,8 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
     trees_.emplace_back(opt);
   }
 
-  // Rank (exact mode) or bin (histogram mode) the features once, shared
-  // read-only by all members.
-  const bool histogram = tree_options_.split_mode == SplitMode::kHistogram;
-  FeatureBins bins;
-  FeatureRanks ranks;
-  if (histogram) {
-    bins = FeatureBins::build(x, tree_options_.max_bins);
-  } else {
-    ranks = FeatureRanks::build(x);
-  }
+  // Rank the features once, shared read-only by all members.
+  const FeatureRanks ranks = FeatureRanks::build(x);
   std::vector<std::size_t> all_rows;
   if (!bootstrap_) {
     all_rows.resize(x.rows());
@@ -64,11 +56,7 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
     Rng rng(tree_seeds[t]);
     const std::vector<std::size_t> rows =
         bootstrap_ ? rng.bootstrap_indices(x.rows()) : all_rows;
-    if (histogram) {
-      trees_[t].fit_binned(bins, y, rows, nullptr, &arena);
-    } else {
-      trees_[t].fit_presorted(x, ranks, y, rows, nullptr, &arena);
-    }
+    trees_[t].fit_presorted(x, ranks, y, rows, nullptr, &arena);
   });
   compiled_ =
       std::make_shared<const CompiledEnsemble>(CompiledEnsemble::compile(*this));
@@ -131,8 +119,7 @@ void RandomForestRegressor::set_params(const ParamMap& params) {
     } else if (key == "bootstrap") {
       bootstrap_ = value != 0.0;
     } else if (key == "max_depth" || key == "min_samples_split" ||
-               key == "min_samples_leaf" || key == "max_features" ||
-               key == "split_mode" || key == "max_bins") {
+               key == "min_samples_leaf" || key == "max_features") {
       DecisionTreeRegressor probe(tree_options_);
       probe.set_params({{key, value}});
       tree_options_ = probe.options();

@@ -6,12 +6,11 @@
 /// the thread pool with per-tree RNG streams, so results are independent
 /// of scheduling.
 ///
-/// The features are ranked (exact splits, FeatureRanks) or quantile-binned
-/// (histogram splits, FeatureBins) once per fit, and every member trains
-/// on the shared read-only view. fit() also compiles the forest into a
-/// CompiledEnsemble, so predict() serves flattened SoA batch inference
-/// (bit-identical to averaging each member's tree walk, which the test
-/// oracle keeps as the reference).
+/// The features are ranked once per fit (FeatureRanks), and every member
+/// trains on the shared read-only ranks. fit() also compiles the forest
+/// into a CompiledEnsemble, so predict() serves flattened SoA batch
+/// inference (bit-identical to averaging each member's tree walk, which the
+/// test oracle keeps as the reference).
 
 #include <memory>
 #include <string>
@@ -26,8 +25,7 @@ namespace ccpred::ml {
 class CompiledEnsemble;
 
 /// Parameters: "n_estimators", "max_depth", "min_samples_split",
-/// "min_samples_leaf", "max_features" (0 = all), "bootstrap" (0/1),
-/// "split_mode" (0 exact / 1 histogram), "max_bins".
+/// "min_samples_leaf", "max_features" (0 = all), "bootstrap" (0/1).
 class RandomForestRegressor : public Regressor {
  public:
   explicit RandomForestRegressor(int n_estimators = 100,

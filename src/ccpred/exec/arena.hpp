@@ -3,15 +3,15 @@
 /// \file arena.hpp
 /// Per-task bump allocator for hot-loop scratch memory.
 ///
-/// Campaign generation, sweep rounds and tree fits (exact and histogram)
-/// used to allocate dozens of short-lived vectors per call; an Arena turns
-/// that into one cache-line-aligned block allocation reused across calls.
-/// Allocation is a pointer bump, so it is deterministic and effectively
-/// free; reset() rewinds the pointer, and the next identical allocation
-/// sequence hands back the same pointers. Requests that do not fit in the
-/// buffer fall back to individually heap-allocated blocks (freed on reset),
-/// so callers never need to size the arena exactly — an undersized arena is
-/// only slower, never wrong.
+/// Campaign generation, sweep rounds and tree fits used to allocate dozens
+/// of short-lived vectors per call; an Arena turns that into one
+/// cache-line-aligned block allocation reused across calls. Allocation is a
+/// pointer bump, so it is deterministic and effectively free; reset()
+/// rewinds the pointer, and the next identical allocation sequence hands
+/// back the same pointers. Requests that do not fit in the buffer fall back
+/// to individually heap-allocated blocks (freed on reset), so callers never
+/// need to size the arena exactly — an undersized arena is only slower,
+/// never wrong.
 ///
 /// Arenas are single-owner: one task (or one parallel_for chunk) uses one
 /// arena at a time. Nothing is destroyed on reset, so only trivially

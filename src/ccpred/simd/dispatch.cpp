@@ -18,19 +18,14 @@ namespace ccpred::simd {
 namespace {
 
 constexpr Ops kScalarOps = {
-    scalar_rbf_exp_map, scalar_sqdist_row,   scalar_ensemble_step,
-    scalar_hist_accumulate, scalar_hist_subtract, scalar_split_scan,
-    scalar_bin_codes,   scalar_update2x4,    scalar_update1x4,
+    scalar_rbf_exp_map, scalar_sqdist_row, scalar_ensemble_step,
+    scalar_update2x4,   scalar_update1x4,
 };
 
 #if defined(CCPRED_HAVE_AVX2_BUILD)
-// split_scan stays scalar in the AVX2 table: the serial-prefix scan has no
-// exploitable lane parallelism at the engine's bin counts (a two-pass
-// vector-divide variant measured at parity).
 constexpr Ops kAvx2Ops = {
-    avx2_rbf_exp_map, avx2_sqdist_row,   avx2_ensemble_step,
-    avx2_hist_accumulate, avx2_hist_subtract, scalar_split_scan,
-    avx2_bin_codes,   avx2_update2x4,    avx2_update1x4,
+    avx2_rbf_exp_map, avx2_sqdist_row, avx2_ensemble_step,
+    avx2_update2x4,   avx2_update1x4,
 };
 #else
 constexpr Ops kAvx2Ops = kScalarOps;

@@ -21,20 +21,6 @@ void scalar_sqdist_row(const double* xt, std::size_t n, std::size_t d,
 void scalar_ensemble_step(const TravNode* nodes, const double* x,
                           std::size_t bn, std::size_t n_cols,
                           std::int32_t* idx);
-void scalar_hist_accumulate(const std::uint16_t* codes, std::size_t d,
-                            const int* offsets, const std::uint32_t* rows,
-                            std::size_t n, const double* y, double* sum,
-                            std::uint32_t* count, std::size_t total_bins);
-void scalar_hist_subtract(double* sum, std::uint32_t* count,
-                          const double* osum, const std::uint32_t* ocount,
-                          std::size_t total_bins);
-bool scalar_split_scan(const double* sum, const std::uint32_t* count, int m,
-                       double total, std::size_t n, std::size_t min_leaf,
-                       double* io_best_gain, int* out_bin,
-                       double* out_left_sum, std::size_t* out_left_count);
-void scalar_bin_codes(const double* x, std::size_t n, std::size_t stride,
-                      const double* edges, int n_edges, std::uint16_t* out,
-                      std::size_t out_stride);
 void scalar_update2x4(double* ya, double* yb, const double* a, const double* b,
                       const double* y0, const double* y1, const double* y2,
                       const double* y3, std::size_t len);
@@ -50,15 +36,6 @@ void avx2_sqdist_row(const double* xt, std::size_t n, std::size_t d,
                      double* out);
 void avx2_ensemble_step(const TravNode* nodes, const double* x,
                         std::size_t bn, std::size_t n_cols, std::int32_t* idx);
-void avx2_hist_accumulate(const std::uint16_t* codes, std::size_t d,
-                          const int* offsets, const std::uint32_t* rows,
-                          std::size_t n, const double* y, double* sum,
-                          std::uint32_t* count, std::size_t total_bins);
-void avx2_hist_subtract(double* sum, std::uint32_t* count, const double* osum,
-                        const std::uint32_t* ocount, std::size_t total_bins);
-void avx2_bin_codes(const double* x, std::size_t n, std::size_t stride,
-                    const double* edges, int n_edges, std::uint16_t* out,
-                    std::size_t out_stride);
 void avx2_update2x4(double* ya, double* yb, const double* a, const double* b,
                     const double* y0, const double* y1, const double* y2,
                     const double* y3, std::size_t len);

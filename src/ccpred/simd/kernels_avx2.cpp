@@ -11,8 +11,6 @@
 #include <immintrin.h>
 
 #include <cmath>
-#include <limits>
-#include <vector>
 
 #include "ccpred/simd/kernels.hpp"
 
@@ -139,162 +137,6 @@ void avx2_ensemble_step(const TravNode* nodes, const double* x,
     const TravNode& nd = nodes[idx[i]];
     idx[i] =
         nd.left + static_cast<std::int32_t>(!(row[nd.tfeat] <= nd.threshold));
-  }
-}
-
-namespace {
-
-inline void hist_accumulate_seq(const std::uint16_t* codes, std::size_t d,
-                                const int* offsets, const std::uint32_t* rows,
-                                std::size_t n, const double* y, double* sum,
-                                std::uint32_t* count) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t r = rows[i];
-    const std::uint16_t* c = codes + r * d;
-    const double target = y[r];
-    for (std::size_t f = 0; f < d; ++f) {
-      const auto idx = static_cast<std::size_t>(offsets[f]) + c[f];
-      sum[idx] += target;
-      ++count[idx];
-    }
-  }
-}
-
-}  // namespace
-
-void avx2_hist_accumulate(const std::uint16_t* codes, std::size_t d,
-                          const int* offsets, const std::uint32_t* rows,
-                          std::size_t n, const double* y, double* sum,
-                          std::uint32_t* count, std::size_t total_bins) {
-  if (n < 8 * total_bins) {
-    // Binned scatter has no AVX2 encoding; the sequential loop is already
-    // ILP-bound. Same path (and bits) as the scalar mode at this size.
-    hist_accumulate_seq(codes, d, offsets, rows, n, y, sum, count);
-    return;
-  }
-  // 4-way partial histograms (same threshold and merge order as the scalar
-  // TU); only the zeroing and the deterministic merge vectorize.
-  thread_local std::vector<double> psum;
-  thread_local std::vector<std::uint32_t> pcount;
-  psum.assign(4 * total_bins, 0.0);
-  pcount.assign(4 * total_bins, 0);
-  double* s0 = psum.data();
-  double* s1 = s0 + total_bins;
-  double* s2 = s1 + total_bins;
-  double* s3 = s2 + total_bins;
-  std::uint32_t* c0 = pcount.data();
-  std::uint32_t* c1 = c0 + total_bins;
-  std::uint32_t* c2 = c1 + total_bins;
-  std::uint32_t* c3 = c2 + total_bins;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const std::uint16_t* a = codes + rows[i] * d;
-    const std::uint16_t* b = codes + rows[i + 1] * d;
-    const std::uint16_t* c = codes + rows[i + 2] * d;
-    const std::uint16_t* e = codes + rows[i + 3] * d;
-    const double t0 = y[rows[i]], t1 = y[rows[i + 1]], t2 = y[rows[i + 2]],
-                 t3 = y[rows[i + 3]];
-    for (std::size_t f = 0; f < d; ++f) {
-      const auto off = static_cast<std::size_t>(offsets[f]);
-      s0[off + a[f]] += t0;
-      ++c0[off + a[f]];
-      s1[off + b[f]] += t1;
-      ++c1[off + b[f]];
-      s2[off + c[f]] += t2;
-      ++c2[off + c[f]];
-      s3[off + e[f]] += t3;
-      ++c3[off + e[f]];
-    }
-  }
-  hist_accumulate_seq(codes, d, offsets, rows + i, n - i, y, s0, c0);
-  std::size_t b = 0;
-  for (; b + 4 <= total_bins; b += 4) {
-    // ((s0+s1)+s2)+s3 per lane: same order as the scalar merge.
-    __m256d acc = _mm256_add_pd(_mm256_loadu_pd(s0 + b),
-                                _mm256_loadu_pd(s1 + b));
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(s2 + b));
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(s3 + b));
-    _mm256_storeu_pd(sum + b, _mm256_add_pd(_mm256_loadu_pd(sum + b), acc));
-  }
-  for (; b < total_bins; ++b) sum[b] += ((s0[b] + s1[b]) + s2[b]) + s3[b];
-  b = 0;
-  for (; b + 8 <= total_bins; b += 8) {
-    __m256i acc = _mm256_add_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c0 + b)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c1 + b)));
-    acc = _mm256_add_epi32(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c2 + b)));
-    acc = _mm256_add_epi32(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c3 + b)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(count + b),
-        _mm256_add_epi32(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(count + b)),
-            acc));
-  }
-  for (; b < total_bins; ++b) count[b] += ((c0[b] + c1[b]) + c2[b]) + c3[b];
-}
-
-void avx2_hist_subtract(double* sum, std::uint32_t* count, const double* osum,
-                        const std::uint32_t* ocount, std::size_t total_bins) {
-  std::size_t i = 0;
-  for (; i + 4 <= total_bins; i += 4) {
-    _mm256_storeu_pd(sum + i, _mm256_sub_pd(_mm256_loadu_pd(sum + i),
-                                            _mm256_loadu_pd(osum + i)));
-  }
-  for (; i < total_bins; ++i) sum[i] -= osum[i];
-  i = 0;
-  for (; i + 8 <= total_bins; i += 8) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(count + i),
-        _mm256_sub_epi32(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(count + i)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(ocount + i))));
-  }
-  for (; i < total_bins; ++i) count[i] -= ocount[i];
-}
-
-void avx2_bin_codes(const double* x, std::size_t n, std::size_t stride,
-                    const double* edges, int n_edges, std::uint16_t* out,
-                    std::size_t out_stride) {
-  // The code of a value is the number of edges strictly below it — an
-  // integer count, so lane-parallel counting agrees with the scalar
-  // binary search bit-for-bit, ties included. Edge vectors are loaded
-  // once and held in registers across the whole row sweep; +inf padding
-  // lanes can never satisfy edge < x for finite or NaN input.
-  if (n_edges > 64) {
-    // Wider ladders than the register file; the branchy search wins
-    // nothing here anyway at such depths.
-    scalar_bin_codes(x, n, stride, edges, n_edges, out, out_stride);
-    return;
-  }
-  __m256d ev[16];
-  const int nv = (n_edges + 3) / 4;
-  for (int k = 0; k < nv; ++k) {
-    if ((k + 1) * 4 <= n_edges) {
-      ev[k] = _mm256_loadu_pd(edges + k * 4);
-    } else {
-      double tail[4] = {std::numeric_limits<double>::infinity(),
-                        std::numeric_limits<double>::infinity(),
-                        std::numeric_limits<double>::infinity(),
-                        std::numeric_limits<double>::infinity()};
-      for (int j = k * 4; j < n_edges; ++j) tail[j - k * 4] = edges[j];
-      ev[k] = _mm256_loadu_pd(tail);
-    }
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    const __m256d v = _mm256_set1_pd(x[r * stride]);
-    __m256i acc = _mm256_setzero_si256();
-    for (int k = 0; k < nv; ++k) {
-      const __m256d lt = _mm256_cmp_pd(ev[k], v, _CMP_LT_OQ);
-      acc = _mm256_sub_epi64(acc, _mm256_castpd_si256(lt));
-    }
-    const __m128i half = _mm_add_epi64(_mm256_castsi256_si128(acc),
-                                       _mm256_extracti128_si256(acc, 1));
-    const long long c =
-        _mm_extract_epi64(half, 0) + _mm_extract_epi64(half, 1);
-    out[r * out_stride] = static_cast<std::uint16_t>(c);
   }
 }
 

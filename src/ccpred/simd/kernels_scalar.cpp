@@ -1,14 +1,9 @@
 /// \file kernels_scalar.cpp
 /// Portable kernel implementations. These are the exact loops the fast
 /// engines shipped with before the SIMD layer (PRs 2/3), so the scalar
-/// dispatch mode reproduces pre-SIMD numeric behavior bit-for-bit; the
-/// shared-structure variants (split_scan's zero-block skip, the
-/// hist_accumulate partial-histogram threshold) mirror the AVX2 TU so both
-/// modes produce identical bits at every input size.
+/// dispatch mode reproduces pre-SIMD numeric behavior bit-for-bit.
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "ccpred/simd/kernels.hpp"
 
@@ -40,155 +35,6 @@ void scalar_ensemble_step(const TravNode* nodes, const double* x,
     const TravNode& nd = nodes[idx[i]];
     idx[i] =
         nd.left + static_cast<std::int32_t>(!(row[nd.tfeat] <= nd.threshold));
-  }
-}
-
-namespace {
-
-inline void hist_accumulate_seq(const std::uint16_t* codes, std::size_t d,
-                                const int* offsets, const std::uint32_t* rows,
-                                std::size_t n, const double* y, double* sum,
-                                std::uint32_t* count) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t r = rows[i];
-    const std::uint16_t* c = codes + r * d;
-    const double target = y[r];
-    for (std::size_t f = 0; f < d; ++f) {
-      const auto idx = static_cast<std::size_t>(offsets[f]) + c[f];
-      sum[idx] += target;
-      ++count[idx];
-    }
-  }
-}
-
-/// 4-way partial histograms with a deterministic merge; pays only when the
-/// row count dwarfs the bin count (the zeroing + merge cost is 8 *
-/// total_bins operations).
-inline void hist_accumulate_partials(const std::uint16_t* codes, std::size_t d,
-                                     const int* offsets,
-                                     const std::uint32_t* rows, std::size_t n,
-                                     const double* y, double* sum,
-                                     std::uint32_t* count,
-                                     std::size_t total_bins) {
-  thread_local std::vector<double> psum;
-  thread_local std::vector<std::uint32_t> pcount;
-  psum.assign(4 * total_bins, 0.0);
-  pcount.assign(4 * total_bins, 0);
-  double* s0 = psum.data();
-  double* s1 = s0 + total_bins;
-  double* s2 = s1 + total_bins;
-  double* s3 = s2 + total_bins;
-  std::uint32_t* c0 = pcount.data();
-  std::uint32_t* c1 = c0 + total_bins;
-  std::uint32_t* c2 = c1 + total_bins;
-  std::uint32_t* c3 = c2 + total_bins;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const std::uint16_t* a = codes + rows[i] * d;
-    const std::uint16_t* b = codes + rows[i + 1] * d;
-    const std::uint16_t* c = codes + rows[i + 2] * d;
-    const std::uint16_t* e = codes + rows[i + 3] * d;
-    const double t0 = y[rows[i]], t1 = y[rows[i + 1]], t2 = y[rows[i + 2]],
-                 t3 = y[rows[i + 3]];
-    for (std::size_t f = 0; f < d; ++f) {
-      const auto off = static_cast<std::size_t>(offsets[f]);
-      s0[off + a[f]] += t0;
-      ++c0[off + a[f]];
-      s1[off + b[f]] += t1;
-      ++c1[off + b[f]];
-      s2[off + c[f]] += t2;
-      ++c2[off + c[f]];
-      s3[off + e[f]] += t3;
-      ++c3[off + e[f]];
-    }
-  }
-  hist_accumulate_seq(codes, d, offsets, rows + i, n - i, y, s0, c0);
-  for (std::size_t b = 0; b < total_bins; ++b) {
-    sum[b] += ((s0[b] + s1[b]) + s2[b]) + s3[b];
-    count[b] += ((c0[b] + c1[b]) + c2[b]) + c3[b];
-  }
-}
-
-}  // namespace
-
-void scalar_hist_accumulate(const std::uint16_t* codes, std::size_t d,
-                            const int* offsets, const std::uint32_t* rows,
-                            std::size_t n, const double* y, double* sum,
-                            std::uint32_t* count, std::size_t total_bins) {
-  if (n >= 8 * total_bins) {
-    hist_accumulate_partials(codes, d, offsets, rows, n, y, sum, count,
-                             total_bins);
-  } else {
-    hist_accumulate_seq(codes, d, offsets, rows, n, y, sum, count);
-  }
-}
-
-void scalar_hist_subtract(double* sum, std::uint32_t* count,
-                          const double* osum, const std::uint32_t* ocount,
-                          std::size_t total_bins) {
-  for (std::size_t i = 0; i < total_bins; ++i) {
-    sum[i] -= osum[i];
-    count[i] -= ocount[i];
-  }
-}
-
-bool scalar_split_scan(const double* sum, const std::uint32_t* count, int m,
-                       double total, std::size_t n, std::size_t min_leaf,
-                       double* io_best_gain, int* out_bin,
-                       double* out_left_sum, std::size_t* out_left_count) {
-  double best_gain = *io_best_gain;
-  bool improved = false;
-  double left_sum = 0.0;
-  std::size_t left_count = 0;
-  const double tt_n = total * total / static_cast<double>(n);
-  int b = 0;
-  while (b < m) {
-    // Skip blocks of 8 empty bins outright: untouched bins hold exactly
-    // +0.0, so the prefix state is unchanged.
-    if (b + 8 <= m) {
-      const std::uint32_t any = count[b] | count[b + 1] | count[b + 2] |
-                                count[b + 3] | count[b + 4] | count[b + 5] |
-                                count[b + 6] | count[b + 7];
-      if (any == 0) {
-        b += 8;
-        continue;
-      }
-    }
-    const int bend = b + 8 <= m ? b + 8 : m;
-    for (; b < bend; ++b) {
-      left_sum += sum[b];
-      left_count += count[b];
-      if (count[b] == 0) continue;
-      const std::size_t nl = left_count;
-      const std::size_t nr = n - left_count;
-      if (nl < min_leaf || nr < min_leaf || nr == 0) continue;
-      const double right_sum = total - left_sum;
-      const double gain = left_sum * left_sum / static_cast<double>(nl) +
-                          right_sum * right_sum / static_cast<double>(nr) -
-                          tt_n;
-      if (gain > best_gain) {
-        best_gain = gain;
-        *out_bin = b;
-        *out_left_sum = left_sum;
-        *out_left_count = left_count;
-        improved = true;
-      }
-    }
-  }
-  if (improved) *io_best_gain = best_gain;
-  return improved;
-}
-
-void scalar_bin_codes(const double* x, std::size_t n, std::size_t stride,
-                      const double* edges, int n_edges, std::uint16_t* out,
-                      std::size_t out_stride) {
-  // The shipped per-value binary search: first edge >= x, i.e. the count
-  // of edges strictly below the value.
-  const double* end = edges + n_edges;
-  for (std::size_t r = 0; r < n; ++r) {
-    const double v = x[r * stride];
-    out[r * out_stride] =
-        static_cast<std::uint16_t>(std::lower_bound(edges, end, v) - edges);
   }
 }
 

@@ -1,7 +1,10 @@
 #pragma once
 
 /// \file simd.hpp
-/// Runtime-dispatched vector kernels for the hot numeric loop families.
+/// Runtime-dispatched vector kernels for the hot numeric loop families:
+/// the kernel-model maps (`rbf_exp_map`, `sqdist_row`), the compiled tree
+/// ensemble's descent step (`ensemble_step`) and the blocked Cholesky's
+/// trailing updates (`update2x4`, `update1x4`).
 ///
 /// Layout: a function-pointer table (`Ops`) per dispatch mode. `ops()`
 /// returns the active table, chosen once at first use: AVX2+FMA when the
@@ -10,10 +13,10 @@
 /// benches can compare the implementations directly.
 ///
 /// Numeric contracts (enforced by tests/simd_test.cpp):
-///  - `sqdist_row`, `ensemble_step`, `hist_accumulate`, `hist_subtract`,
-///    `split_scan`: bit-identical results across modes. The AVX2 variants
-///    keep multiply and add separate (no FMA contraction; the TU is built
-///    with -ffp-contract=off) and preserve the scalar accumulation order.
+///  - `sqdist_row`, `ensemble_step`: bit-identical results across modes.
+///    The AVX2 variants keep multiply and add separate (no FMA contraction;
+///    the TU is built with -ffp-contract=off) and preserve the scalar
+///    accumulation order.
 ///  - `rbf_exp_map`: the AVX2 path uses a Cephes-style polynomial exp
 ///    (measured max relative error ~3e-16 vs libm); agreement with the
 ///    scalar path is gated far below the engine-wide 1e-9 tolerance.
@@ -64,50 +67,6 @@ struct Ops {
   /// nodes[idx[i]]. Leaves self-absorb (+inf threshold).
   void (*ensemble_step)(const TravNode* nodes, const double* x,
                         std::size_t bn, std::size_t n_cols, std::int32_t* idx);
-
-  /// Gradient-histogram accumulation: for each row r in rows[0..n),
-  /// sum[offsets[f] + codes[r*d+f]] += y[r] and the matching count++,
-  /// features in ascending order per row, rows in array order. When
-  /// n >= 8 * total_bins both modes switch to 4-way-unrolled partial
-  /// histograms with a deterministic ((p0+p1)+p2)+p3 merge, so results
-  /// stay bit-identical across modes at every size.
-  void (*hist_accumulate)(const std::uint16_t* codes, std::size_t d,
-                          const int* offsets, const std::uint32_t* rows,
-                          std::size_t n, const double* y, double* sum,
-                          std::uint32_t* count, std::size_t total_bins);
-
-  /// sum[i] -= osum[i], count[i] -= ocount[i] over [0, total_bins).
-  void (*hist_subtract)(double* sum, std::uint32_t* count, const double* osum,
-                        const std::uint32_t* ocount, std::size_t total_bins);
-
-  /// Best-split scan over one feature's `m` candidate boundaries
-  /// (bins 0..m-1 of a histogram slice). Updates *io_best_gain / *out_bin
-  /// with first-strictly-greater semantics, starting from the passed-in
-  /// running best; on improvement also writes the winning boundary's left
-  /// prefix (sum through bin *out_bin accumulated in ascending bin order,
-  /// and its row count) to *out_left_sum / *out_left_count and returns
-  /// true. All-zero count blocks are skipped in every mode (their sums are
-  /// exactly +0.0), so results are mode-independent bit-for-bit. Both
-  /// tables currently share the scalar implementation: the scan is a
-  /// serial prefix with almost no arithmetic per bin, and the measured
-  /// two-pass AVX2 variant was parity at the engine's bin counts.
-  bool (*split_scan)(const double* sum, const std::uint32_t* count, int m,
-                     double total, std::size_t n, std::size_t min_leaf,
-                     double* io_best_gain, int* out_bin, double* out_left_sum,
-                     std::size_t* out_left_count);
-
-  /// Quantile-bin code assignment: out[r*out_stride] = index of the first
-  /// edge >= x[r*stride] in the ascending `edges` array (== the number of
-  /// edges strictly less than the value), for r in [0, n). The result is an
-  /// integer count, so modes agree bit-for-bit by construction, including
-  /// values exactly equal to an edge. The scalar path is the shipped
-  /// per-value binary search; the AVX2 path holds up to 64 edges in
-  /// registers and counts compare-mask lanes (falling back to the scalar
-  /// search above that), which measures 2.5-3.4x at the engine's edge
-  /// counts because the branchy search never auto-vectorizes.
-  void (*bin_codes)(const double* x, std::size_t n, std::size_t stride,
-                    const double* edges, int n_edges, std::uint16_t* out,
-                    std::size_t out_stride);
 
   /// Fused trailing update, the shared primitive of the blocked-Cholesky
   /// SYRK and panel solves: for c in [0, len),

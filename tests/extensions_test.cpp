@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/importance.hpp"
@@ -261,6 +262,34 @@ TEST(SerializeTest, MalformedInputThrows) {
                                     "-1 0 3.0 -1 -1\n"),
                Error);  // child index out of range
   EXPECT_THROW(ml::load_gb("/nonexistent/model.txt"), Error);
+
+  // One-stage GB artifacts (the daemon's format) over 4 features whose
+  // nodes do not form a pre-order tree: loading one must throw, not loop
+  // in the flattener or serve reads past the row.
+  const std::string stage = "ccpred-gb-v1\n1 0.1 5\n";
+  const std::string importance = "0 0 0 0\n";
+  const std::pair<const char*, std::string> bad_trees[] = {
+      {"self-loop", "3 4\n0 0.5 1 0 2\n-1 0 2 -1 -1\n-1 0 3 -1 -1\n"},
+      {"child points back at its parent",
+       "3 4\n0 0.5 1 1 2\n1 0.5 2 0 2\n-1 0 3 -1 -1\n"},
+      {"two parents share one child",
+       "5 4\n0 0.5 1 1 2\n1 0.5 2 3 4\n1 1.5 3 3 4\n-1 0 4 -1 -1\n"
+       "-1 0 5 -1 -1\n"},
+      {"split feature past the importance width",
+       "3 4\n4 0.5 1 1 2\n-1 0 2 -1 -1\n-1 0 3 -1 -1\n"},
+  };
+  for (const auto& [what, tree] : bad_trees) {
+    EXPECT_THROW(ml::deserialize_gb(stage + tree + importance), Error) << what;
+  }
+
+  // A well-formed model over 10 features that splits on feature 9 loads,
+  // but a batch with 4 columns cannot cover the split and must throw.
+  const auto wide = ml::deserialize_gb(
+      stage + "3 10\n9 0.5 1 1 2\n-1 0 2 -1 -1\n-1 0 3 -1 -1\n" +
+      "0 0 0 0 0 0 0 0 0 0\n");
+  EXPECT_THROW(wide.predict(linalg::Matrix(3, 4)), Error);
+  EXPECT_EQ(wide.predict(linalg::Matrix(3, 10)),
+            std::vector<double>(3, 5.0 + 0.1 * 2.0));
 }
 
 TEST(SerializeTest, UnfittedModelRejected) {

@@ -535,7 +535,11 @@ TEST_P(ZooContract, CloneIsUnfittedAndIndependent) {
 
 TEST_P(ZooContract, UnknownParameterThrows) {
   const auto model = make_model(GetParam());
-  EXPECT_THROW(model->set_params({{"definitely_not_a_param", 1.0}}), Error);
+  // No split-mode or bin-count keys: trees always split exactly, so the
+  // tree ensembles reject those keys like any other unknown one.
+  for (const char* key : {"definitely_not_a_param", "split_mode", "max_bins"}) {
+    EXPECT_THROW(model->set_params({{key, 1.0}}), Error) << key;
+  }
 }
 
 TEST_P(ZooContract, GridParamsAreAccepted) {

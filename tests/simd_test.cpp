@@ -1,15 +1,14 @@
 /// Contracts of the runtime-dispatched SIMD kernel tables (simd.hpp).
 ///
 /// Every kernel family is exercised across ragged and boundary sizes —
-/// below, at and above the vector width, plus the sizes where a kernel
-/// changes strategy (the hist partial-histogram threshold, the bin-code
-/// 64-edge register limit) — comparing the scalar and AVX2 tables
-/// directly via ops_for(). Families documented bit-identical are compared
-/// with ==/memcmp; the transcendental and FMA-fused families against
-/// their documented tolerances. A full histogram-GB fit is compared
-/// bit-for-bit across dispatch modes, and the cache-line alignment of the
-/// hot containers (linalg::Matrix, AlignedVector) is pinned along with
-/// serialization stability over the aligned storage.
+/// below, at and above the vector width — comparing the scalar and AVX2
+/// tables directly via ops_for(). Families documented bit-identical are
+/// compared with ==/memcmp; the transcendental and FMA-fused families
+/// against their documented tolerances. A whole GB fit and compiled
+/// predict (ensemble_step) is compared bit-for-bit across dispatch modes,
+/// and the cache-line alignment of the hot containers (linalg::Matrix,
+/// AlignedVector) is pinned along with serialization stability over the
+/// aligned storage.
 ///
 /// On hosts without AVX2+FMA, ops_for(kAvx2) is the scalar table, so the
 /// cross-mode comparisons degrade to tautologies rather than failures.
@@ -25,8 +24,6 @@
 #include <vector>
 
 #include "ccpred/common/aligned.hpp"
-#include "ccpred/core/decision_tree.hpp"
-#include "ccpred/exec/arena.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/serialize.hpp"
 #include "ccpred/linalg/matrix.hpp"
@@ -160,151 +157,6 @@ TEST(SimdKernels, EnsembleStepBitIdenticalAcrossModes) {
   }
 }
 
-TEST(SimdKernels, HistAccumulateBitIdenticalAcrossPartialThreshold) {
-  const auto& sc = simd::ops_for(Mode::kScalar);
-  const auto& vx = simd::ops_for(Mode::kAvx2);
-  // d=3 features with ragged bin counts; total_bins=16 puts the 4-way
-  // partial-histogram switchover at n = 8 * 16 = 128.
-  const std::size_t d = 3;
-  const int bin_counts[3] = {4, 7, 5};
-  const int offsets[4] = {0, 4, 11, 16};
-  const std::size_t total_bins = 16;
-  for (const std::size_t n :
-       {1u, 2u, 5u, 100u, 127u, 128u, 129u, 300u, 1000u}) {
-    auto rng = seeded_rng(404 + n);
-    std::vector<std::uint16_t> codes(n * d);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t f = 0; f < d; ++f) {
-        codes[r * d + f] = static_cast<std::uint16_t>(
-            rng() % static_cast<std::uint64_t>(bin_counts[f]));
-      }
-    }
-    std::vector<std::uint32_t> rows(n);
-    for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::uint32_t>(i);
-    std::shuffle(rows.begin(), rows.end(), rng);
-    const auto y = random_doubles(n, 405 + n);
-
-    std::vector<double> sum_s(total_bins, 0.0), sum_v(total_bins, 0.0);
-    std::vector<std::uint32_t> cnt_s(total_bins, 0), cnt_v(total_bins, 0);
-    sc.hist_accumulate(codes.data(), d, offsets, rows.data(), n, y.data(),
-                       sum_s.data(), cnt_s.data(), total_bins);
-    vx.hist_accumulate(codes.data(), d, offsets, rows.data(), n, y.data(),
-                       sum_v.data(), cnt_v.data(), total_bins);
-    EXPECT_TRUE(bitwise_equal(sum_s, sum_v)) << "n=" << n;
-    EXPECT_EQ(cnt_s, cnt_v) << "n=" << n;
-    // Counts are order-independent; pin them against a direct tally.
-    std::vector<std::uint32_t> cnt_ref(total_bins, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t f = 0; f < d; ++f) {
-        cnt_ref[offsets[f] + codes[rows[i] * d + f]] += 1;
-      }
-    }
-    EXPECT_EQ(cnt_s, cnt_ref) << "n=" << n;
-  }
-}
-
-TEST(SimdKernels, HistSubtractBitIdenticalAndExact) {
-  const auto& sc = simd::ops_for(Mode::kScalar);
-  const auto& vx = simd::ops_for(Mode::kAvx2);
-  for (const std::size_t m : kRaggedSizes) {
-    const auto osum = random_doubles(m, 505 + m);
-    auto base = random_doubles(m, 506 + m, 50.0, 100.0);
-    std::vector<std::uint32_t> ocnt(m), bcnt(m);
-    auto rng = seeded_rng(507 + m);
-    for (std::size_t i = 0; i < m; ++i) {
-      ocnt[i] = static_cast<std::uint32_t>(rng() % 50);
-      bcnt[i] = 100 + static_cast<std::uint32_t>(rng() % 50);
-    }
-    auto sum_s = base, sum_v = base;
-    auto cnt_s = bcnt, cnt_v = bcnt;
-    sc.hist_subtract(sum_s.data(), cnt_s.data(), osum.data(), ocnt.data(), m);
-    vx.hist_subtract(sum_v.data(), cnt_v.data(), osum.data(), ocnt.data(), m);
-    EXPECT_TRUE(bitwise_equal(sum_s, sum_v)) << "m=" << m;
-    EXPECT_EQ(cnt_s, cnt_v) << "m=" << m;
-    for (std::size_t i = 0; i < m; ++i) {
-      EXPECT_EQ(sum_s[i], base[i] - osum[i]) << "m=" << m;
-      EXPECT_EQ(cnt_s[i], bcnt[i] - ocnt[i]) << "m=" << m;
-    }
-  }
-}
-
-TEST(SimdKernels, SplitScanAgreesAcrossModes) {
-  const auto& sc = simd::ops_for(Mode::kScalar);
-  const auto& vx = simd::ops_for(Mode::kAvx2);
-  for (const int m : {1, 2, 3, 5, 13, 30, 64}) {
-    for (const std::size_t min_leaf : {1u, 2u, 5u}) {
-      auto rng = seeded_rng(606 + m * 10 + min_leaf);
-      std::vector<double> sum(m);
-      std::vector<std::uint32_t> cnt(m);
-      std::size_t n = 0;
-      double total = 0.0;
-      for (int i = 0; i < m; ++i) {
-        // Every third bin empty: empty bins must carry exactly +0.0 sums.
-        cnt[i] = (i % 3 == 2) ? 0u : static_cast<std::uint32_t>(1 + rng() % 9);
-        sum[i] = cnt[i] == 0
-                     ? 0.0
-                     : std::uniform_real_distribution<double>(-5, 5)(rng);
-        n += cnt[i];
-        total += sum[i];
-      }
-      double gain_s = 0.0, gain_v = 0.0, lsum_s = -1, lsum_v = -1;
-      int bin_s = -1, bin_v = -1;
-      std::size_t lcnt_s = 0, lcnt_v = 0;
-      const bool imp_s = sc.split_scan(sum.data(), cnt.data(), m, total, n,
-                                       min_leaf, &gain_s, &bin_s, &lsum_s,
-                                       &lcnt_s);
-      const bool imp_v = vx.split_scan(sum.data(), cnt.data(), m, total, n,
-                                       min_leaf, &gain_v, &bin_v, &lsum_v,
-                                       &lcnt_v);
-      EXPECT_EQ(imp_s, imp_v) << "m=" << m;
-      EXPECT_EQ(gain_s, gain_v) << "m=" << m;
-      EXPECT_EQ(bin_s, bin_v) << "m=" << m;
-      if (imp_s) {
-        EXPECT_EQ(lsum_s, lsum_v) << "m=" << m;
-        EXPECT_EQ(lcnt_s, lcnt_v) << "m=" << m;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, BinCodesMatchLowerBoundIncludingTiesAndFallback) {
-  const auto& sc = simd::ops_for(Mode::kScalar);
-  const auto& vx = simd::ops_for(Mode::kAvx2);
-  // 65 and 100 edges exceed the AVX2 16-register ladder and take the
-  // documented scalar fallback; 63/64 sit right at the limit.
-  for (const int m : {0, 1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65, 100}) {
-    std::vector<double> edges(m);
-    for (int i = 0; i < m; ++i) edges[i] = 0.5 * i - 3.0;
-    for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 9u, 30u}) {
-      auto x = random_doubles(n, 707 + m * 100 + n, -5.0, 0.5 * m);
-      // Force ties: values exactly equal to an edge must code as "not
-      // strictly greater", identically in both modes.
-      if (m > 0 && n > 1) x[1] = edges[0];
-      if (m > 2 && n > 3) x[3] = edges[m / 2];
-      if (m > 0 && n > 5) x[5] = edges[m - 1];
-      for (const std::size_t stride : {1u, 4u}) {
-        std::vector<double> xs(n * stride, 1e9);
-        for (std::size_t r = 0; r < n; ++r) xs[r * stride] = x[r];
-        std::vector<std::uint16_t> out_s(n * stride, 9999),
-            out_v(n * stride, 9999);
-        sc.bin_codes(xs.data(), n, stride, edges.data(), m, out_s.data(),
-                     stride);
-        vx.bin_codes(xs.data(), n, stride, edges.data(), m, out_v.data(),
-                     stride);
-        for (std::size_t r = 0; r < n; ++r) {
-          const auto ref = static_cast<std::uint16_t>(
-              std::lower_bound(edges.begin(), edges.end(), x[r]) -
-              edges.begin());
-          EXPECT_EQ(out_s[r * stride], ref)
-              << "m=" << m << " n=" << n << " r=" << r;
-          EXPECT_EQ(out_v[r * stride], ref)
-              << "m=" << m << " n=" << n << " r=" << r;
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdKernels, CholeskyUpdatesWithinReferenceTolerance) {
   const auto& sc = simd::ops_for(Mode::kScalar);
   const auto& vx = simd::ops_for(Mode::kAvx2);
@@ -336,11 +188,11 @@ TEST(SimdKernels, CholeskyUpdatesWithinReferenceTolerance) {
   }
 }
 
-TEST(SimdModel, HistogramGbFitBitIdenticalAcrossModes) {
+TEST(SimdModel, GbFitAndPredictBitIdenticalAcrossModes) {
   if (!simd::avx2_available()) GTEST_SKIP() << "no AVX2+FMA on this host";
-  // The histogram engine touches bin_codes, hist_accumulate/subtract,
-  // split_scan and ensemble_step — every one contracted bit-identical —
-  // so a whole fit+predict must agree across dispatch modes bit-for-bit.
+  // The fit calls no dispatched kernel and the compiled predict runs
+  // ensemble_step, contracted bit-identical, so a whole fit+predict must
+  // agree across dispatch modes bit-for-bit.
   const std::size_t n = 400, d = 4;
   linalg::Matrix x(n, d);
   auto rng = seeded_rng(909);
@@ -352,8 +204,6 @@ TEST(SimdModel, HistogramGbFitBitIdenticalAcrossModes) {
   }
   ml::TreeOptions opt;
   opt.max_depth = 6;
-  opt.split_mode = ml::SplitMode::kHistogram;
-  opt.max_bins = 32;
 
   const Mode before = simd::active_mode();
   simd::set_mode_for_testing(Mode::kScalar);
@@ -407,36 +257,6 @@ TEST(AlignedStorage, AlignedVectorStaysAlignedAcrossGrowth) {
             0u);
 }
 
-TEST(AlignedStorage, ArenaBuffersSatisfyKernelAlignment) {
-  // The executor layer's Arena feeds SIMD kernels directly (histogram
-  // scratch in fit_binned, batch buffers in simulate_batch): every
-  // allocation must be at least cache-line aligned, and kernels must agree
-  // bit-for-bit across modes on arena-backed memory. exec_test checks the
-  // same property from the arena side; this pins it at the kernel level.
-  exec::Arena arena;
-  const auto& sc = simd::ops_for(Mode::kScalar);
-  const auto& vx = simd::ops_for(Mode::kAvx2);
-  for (const std::size_t n : kRaggedSizes) {
-    double* x = arena.alloc_array<double>(n);
-    std::uint16_t* out_s = arena.alloc_array<std::uint16_t>(n);
-    std::uint16_t* out_v = arena.alloc_array<std::uint16_t>(n);
-    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(x) % kCacheLineAlign, 0u);
-    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(out_s) % kCacheLineAlign, 0u);
-    for (std::size_t r = 0; r < n; ++r) {
-      x[r] = 0.25 * static_cast<double>(r) - 2.0;
-    }
-    std::vector<double> edges = {-3.0, -1.0, 0.0, 0.5, 2.5};
-    sc.bin_codes(x, n, 1, edges.data(), static_cast<int>(edges.size()),
-                 out_s, 1);
-    vx.bin_codes(x, n, 1, edges.data(), static_cast<int>(edges.size()),
-                 out_v, 1);
-    for (std::size_t r = 0; r < n; ++r) {
-      ASSERT_EQ(out_s[r], out_v[r]) << "n=" << n << " r=" << r;
-    }
-    arena.reset();
-  }
-}
-
 TEST(AlignedStorage, SerializationBytesUnchangedByAlignedStorage) {
   // Regression for the aligned-allocator change: serialization reads only
   // values, so bytes must be stable through a round trip and the restored
@@ -452,8 +272,6 @@ TEST(AlignedStorage, SerializationBytesUnchangedByAlignedStorage) {
   }
   ml::TreeOptions opt;
   opt.max_depth = 5;
-  opt.split_mode = ml::SplitMode::kHistogram;
-  opt.max_bins = 24;
   ml::GradientBoostingRegressor gb(15, 0.1, opt);
   gb.fit(x, y);
 

@@ -1,8 +1,6 @@
-// Property tests for the fast tree-ensemble engine: FeatureBins binning
-// invariants, bit-identity of the presorted exact builder against the
-// oracle's per-node-sort builder, histogram-mode training accuracy vs the
-// exact reference, and bit-identity of CompiledEnsemble batch inference
-// against the tree walk.
+// Property tests for the tree-ensemble engine: bit-identity of the
+// presorted exact builder against the oracle's per-node-sort builder, and
+// bit-identity of CompiledEnsemble batch inference against the tree walk.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +8,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -18,7 +15,6 @@
 #include "ccpred/core/decision_tree.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/grid_search.hpp"
-#include "ccpred/core/metrics.hpp"
 #include "ccpred/core/random_forest.hpp"
 #include "ccpred/core/serialize.hpp"
 #include "ccpred/exec/arena.hpp"
@@ -30,11 +26,9 @@ namespace {
 
 using ml::CompiledEnsemble;
 using ml::DecisionTreeRegressor;
-using ml::FeatureBins;
 using ml::FeatureRanks;
 using ml::GradientBoostingRegressor;
 using ml::RandomForestRegressor;
-using ml::SplitMode;
 using ml::TreeOptions;
 
 // Menu-structured matrix like the paper's features: every column draws from
@@ -52,65 +46,6 @@ linalg::Matrix make_menu_matrix(std::size_t n, std::size_t d,
     }
   }
   return x;
-}
-
-// ---------- FeatureBins ----------
-
-class FeatureBinsProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(FeatureBinsProperty, CodeEdgeEquivalenceHolds) {
-  const auto s = test::make_nonlinear(160, 0.1, GetParam());
-  const int max_bins = 32;
-  const auto bins = FeatureBins::build(s.x, max_bins);
-  ASSERT_EQ(bins.rows(), s.x.rows());
-  ASSERT_EQ(bins.cols(), s.x.cols());
-  for (std::size_t f = 0; f < bins.cols(); ++f) {
-    ASSERT_GE(bins.bin_count(f), 1);
-    ASSERT_LE(bins.bin_count(f), max_bins);
-    for (std::size_t r = 0; r < bins.rows(); ++r) {
-      const int code = bins.code(r, f);
-      ASSERT_LT(code, bins.bin_count(f));
-      // The defining invariant: code(x) <= b  ⇔  x <= upper_edge(f, b).
-      for (int b = 0; b + 1 < bins.bin_count(f); ++b) {
-        EXPECT_EQ(code <= b, s.x(r, f) <= bins.upper_edge(f, b))
-            << "row " << r << " feature " << f << " bin " << b;
-      }
-    }
-  }
-}
-
-TEST_P(FeatureBinsProperty, MenuFeaturesGetOneBinPerDistinctValue) {
-  const auto x = make_menu_matrix(300, 4, 7, GetParam());
-  const auto bins = FeatureBins::build(x, 255);
-  for (std::size_t f = 0; f < bins.cols(); ++f) {
-    std::set<double> distinct;
-    for (std::size_t r = 0; r < x.rows(); ++r) distinct.insert(x(r, f));
-    EXPECT_EQ(bins.bin_count(f), static_cast<int>(distinct.size()));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, FeatureBinsProperty,
-                         ::testing::Values(11u, 22u, 33u));
-
-TEST(FeatureBinsTest, ConstantColumnGetsSingleBin) {
-  linalg::Matrix x(50, 2);
-  Rng rng(5);
-  for (std::size_t i = 0; i < 50; ++i) {
-    x(i, 0) = 4.25;
-    x(i, 1) = rng.uniform(0.0, 1.0);
-  }
-  const auto bins = FeatureBins::build(x, 16);
-  EXPECT_EQ(bins.bin_count(0), 1);
-  for (std::size_t i = 0; i < 50; ++i) EXPECT_EQ(bins.code(i, 0), 0);
-}
-
-TEST(FeatureBinsTest, ManyDistinctValuesRespectMaxBins) {
-  const auto s = test::make_nonlinear(2000, 0.0, 17);
-  const auto bins = FeatureBins::build(s.x, 24);
-  for (std::size_t f = 0; f < bins.cols(); ++f) {
-    EXPECT_LE(bins.bin_count(f), 24);
-    EXPECT_GE(bins.bin_count(f), 20);  // quantile bins should be used
-  }
 }
 
 // ---------- presorted exact builder vs the per-node-sort oracle ----------
@@ -302,99 +237,17 @@ TEST(PresortedOracleEdges, NonFiniteInputsAreRejected) {
   EXPECT_THROW(tree.fit_rows(data.x, data.y, data.rows), Error);
 }
 
-// ---------- histogram training accuracy ----------
-
-TreeOptions hist_options(int max_bins = 64) {
-  TreeOptions opt;
-  opt.split_mode = SplitMode::kHistogram;
-  opt.max_bins = max_bins;
-  return opt;
-}
-
-class HistogramAccuracy : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(HistogramAccuracy, TreeMatchesExactOnMenuFeatures) {
-  // With <= max_bins distinct values per feature the candidate-threshold
-  // set is identical to exact mode's, so the fitted trees agree.
-  const auto x = make_menu_matrix(400, 3, 9, GetParam());
-  std::vector<double> y(x.rows());
-  Rng rng(GetParam() ^ 0x9e);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    y[i] = 2.0 * x(i, 0) - x(i, 1) * x(i, 2) + rng.normal(0.0, 0.05);
-  }
-  TreeOptions exact_opt;
-  exact_opt.max_depth = 6;
-  DecisionTreeRegressor exact(exact_opt);
-  exact.fit(x, y);
-  TreeOptions h = hist_options(255);
-  h.max_depth = 6;
-  DecisionTreeRegressor hist(h);
-  hist.fit(x, y);
-  const auto pe = exact.predict(x);
-  const auto ph = hist.predict(x);
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    EXPECT_NEAR(pe[i], ph[i], 1e-9) << "row " << i;
-  }
-}
-
-TEST_P(HistogramAccuracy, GbHistogramWithinToleranceOfExact) {
-  const auto train = test::make_nonlinear(1200, 0.1, GetParam());
-  const auto test_set = test::make_nonlinear(400, 0.1, GetParam() ^ 0xf00d);
-  TreeOptions exact_opt;
-  exact_opt.max_depth = 4;
-  GradientBoostingRegressor gb_exact(120, 0.1, exact_opt);
-  gb_exact.fit(train.x, train.y);
-  TreeOptions h = hist_options(64);
-  h.max_depth = 4;
-  GradientBoostingRegressor gb_hist(120, 0.1, h);
-  gb_hist.fit(train.x, train.y);
-
-  const auto se = ml::score_all(test_set.y, gb_exact.predict(test_set.x));
-  const auto sh = ml::score_all(test_set.y, gb_hist.predict(test_set.x));
-  EXPECT_GT(se.r2, 0.9);  // sanity: the reference itself fits well
-  EXPECT_GT(sh.r2, se.r2 - 0.03);
-  EXPECT_LT(sh.mae, se.mae * 1.35 + 1e-3);
-}
-
-TEST_P(HistogramAccuracy, RfHistogramWithinToleranceOfExact) {
-  const auto train = test::make_nonlinear(900, 0.1, GetParam());
-  const auto test_set = test::make_nonlinear(300, 0.1, GetParam() ^ 0xbeef);
-  TreeOptions exact_opt;
-  exact_opt.max_depth = 8;
-  RandomForestRegressor rf_exact(40, exact_opt, true, 9);
-  rf_exact.fit(train.x, train.y);
-  TreeOptions h = hist_options(64);
-  h.max_depth = 8;
-  RandomForestRegressor rf_hist(40, h, true, 9);
-  rf_hist.fit(train.x, train.y);
-
-  const auto se = ml::score_all(test_set.y, rf_exact.predict(test_set.x));
-  const auto sh = ml::score_all(test_set.y, rf_hist.predict(test_set.x));
-  EXPECT_GT(se.r2, 0.85);
-  EXPECT_GT(sh.r2, se.r2 - 0.05);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HistogramAccuracy,
-                         ::testing::Values(101u, 202u, 303u));
-
 // ---------- compiled inference bit-identity ----------
 
-struct EngineCase {
-  std::uint64_t seed;
-  SplitMode mode;
-};
-
-class CompiledBitIdentity : public ::testing::TestWithParam<EngineCase> {};
+class CompiledBitIdentity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CompiledBitIdentity, GbPredictIsBitIdenticalToWalk) {
-  const auto p = GetParam();
-  const auto train = test::make_nonlinear(500, 0.1, p.seed);
-  const auto query = test::make_nonlinear(700, 0.1, p.seed ^ 0x51);
+  const std::uint64_t seed = GetParam();
+  const auto train = test::make_nonlinear(500, 0.1, seed);
+  const auto query = test::make_nonlinear(700, 0.1, seed ^ 0x51);
   TreeOptions opt;
   opt.max_depth = 5;
-  opt.split_mode = p.mode;
-  opt.max_bins = 48;
-  GradientBoostingRegressor gb(60, 0.1, opt, 0.8, p.seed);
+  GradientBoostingRegressor gb(60, 0.1, opt, 0.8, seed);
   gb.fit(train.x, train.y);
 
   const auto compiled = gb.predict(query.x);
@@ -410,15 +263,13 @@ TEST_P(CompiledBitIdentity, GbPredictIsBitIdenticalToWalk) {
 }
 
 TEST_P(CompiledBitIdentity, RfPredictIsBitIdenticalToWalk) {
-  const auto p = GetParam();
-  const auto train = test::make_nonlinear(400, 0.1, p.seed);
-  const auto query = test::make_nonlinear(600, 0.1, p.seed ^ 0x52);
+  const std::uint64_t seed = GetParam();
+  const auto train = test::make_nonlinear(400, 0.1, seed);
+  const auto query = test::make_nonlinear(600, 0.1, seed ^ 0x52);
   TreeOptions opt;
   opt.max_depth = 7;
   opt.max_features = 2;
-  opt.split_mode = p.mode;
-  opt.max_bins = 48;
-  RandomForestRegressor rf(30, opt, true, p.seed);
+  RandomForestRegressor rf(30, opt, true, seed);
   rf.fit(train.x, train.y);
 
   const auto compiled = rf.predict(query.x);
@@ -432,20 +283,15 @@ TEST_P(CompiledBitIdentity, RfPredictIsBitIdenticalToWalk) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, CompiledBitIdentity,
-    ::testing::Values(EngineCase{7u, SplitMode::kExact},
-                      EngineCase{7u, SplitMode::kHistogram},
-                      EngineCase{19u, SplitMode::kExact},
-                      EngineCase{19u, SplitMode::kHistogram},
-                      EngineCase{31u, SplitMode::kExact}));
+INSTANTIATE_TEST_SUITE_P(Cases, CompiledBitIdentity,
+                         ::testing::Values(7u, 19u, 31u));
 
 TEST(CompiledEnsembleTest, SerializationRoundTripStaysBitIdentical) {
   // The serving registry loads via from_parts; the reloaded model must
   // compile eagerly and predict exactly like the original.
   const auto train = test::make_nonlinear(300, 0.1, 77);
   const auto query = test::make_nonlinear(300, 0.1, 78);
-  GradientBoostingRegressor gb(40, 0.1, hist_options(32));
+  GradientBoostingRegressor gb(40, 0.1, TreeOptions{.max_depth = 6});
   gb.fit(train.x, train.y);
   const auto loaded = ml::deserialize_gb(ml::serialize_gb(gb));
   const auto a = gb.predict(query.x);

@@ -6,13 +6,13 @@
 ///       Run a simulated trace-collection campaign, train the model and
 ///       publish the artifact as DIR/<machine>-<model>.model.
 ///   serve --artifacts DIR [--default-machine M] [--default-model gb|rf]
-///         [--threads N] [--cache N] [--port P] [--backlog N] [--serial]
+///         [--threads N] [--cache N] [--port P] [--backlog N] [--serial 1]
 ///         [--fleet N] [--max-queue N] [--fault-seed S] [--fault-artifact P]
 ///         [--fault-sweep P] [--fault-sweep-ms MS] [--fault-stall P]
 ///         [--fault-stall-ms MS] [--fault-cache P] [--fault-cache-ms MS]
 ///       Serve requests (see serve/protocol.hpp) from stdin, one response
 ///       line per request line, in request order. Requests are pipelined
-///       through the worker pool unless --serial is given.
+///       through the worker pool unless --serial 1 is given.
 ///
 ///       With --port, additionally listen on 127.0.0.1:P through the
 ///       non-blocking epoll event loop (serve/event_loop.hpp). Every
@@ -113,6 +113,16 @@ std::string get_or(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+/// An on/off flag (--serial, --online): absent or 0 is off, 1 is on, and
+/// any other value is a usage error.
+bool switch_on(const std::map<std::string, std::string>& flags,
+               const std::string& key) {
+  const std::string value = get_or(flags, key, "0");
+  CCPRED_CHECK_MSG(value == "0" || value == "1",
+                   "--" << key << " must be 0 or 1, got '" << value << "'");
+  return value == "1";
+}
+
 serve::RegistryOptions registry_options(
     const std::map<std::string, std::string>& flags) {
   serve::RegistryOptions opt;
@@ -185,7 +195,7 @@ std::unique_ptr<serve::FaultInjector> fault_injector_from_flags(
 serve::online::OnlineOptions online_options_from_flags(
     const std::map<std::string, std::string>& flags) {
   serve::online::OnlineOptions opt;
-  opt.enabled = flags.count("online") != 0 && get_or(flags, "online", "0") != "0";
+  opt.enabled = switch_on(flags, "online");
   if (!opt.enabled) return opt;
   opt.buffer_capacity = static_cast<std::size_t>(
       parse_int(get_or(flags, "online-buffer", "4096")));
@@ -301,7 +311,7 @@ void print_final_stats(const serve::ServerStats& s) {
 
 /// Serves `front` until EOF on stdin, answering stdin lines on stdout in
 /// request order — pipelined through submit_with, or one at a time with
-/// --serial — while `listener`, if any, serves its socket. Then prints
+/// --serial 1 — while `listener`, if any, serves its socket. Then prints
 /// the final stats to stderr.
 void serve_stdin(serve::Shard& front, bool serial,
                  const serve::EventLoopServer* listener) {
@@ -376,7 +386,8 @@ int run_fleet_child(const std::map<std::string, std::string>& flags,
 }
 
 int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
-                    int shards) {
+                    int shards, const serve::ServeOptions& serve_opt,
+                    bool serial) {
   CCPRED_CHECK_MSG(flags.count("port") != 0, "--fleet requires --port");
   CCPRED_CHECK_MSG(shards >= 1 && shards <= 64,
                    "--fleet wants 1..64 shards, got " << shards);
@@ -419,14 +430,14 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
 
   {
     serve::FleetOptions opt;
-    opt.serve = serve_options_from_flags(flags);
+    opt.serve = serve_opt;
     serve::ShardFleet fleet(child_ports, opt);
     // Declared after the fleet, so it stops first; completions the fleet's
     // pool delivers after that are dropped by the loop's closed sink.
     const auto listener = open_listener(fleet, flags, base_port);
     std::fprintf(stderr, "ccpred_serverd fleet: %d shards on ports %d..%d\n",
                  shards, base_port + 1, base_port + shards);
-    serve_stdin(fleet, flags.count("serial") != 0, listener.get());
+    serve_stdin(fleet, serial, listener.get());
     const serve::FleetCounters c = fleet.counters();
     std::fprintf(stderr,
                  "fleet: %llu routed, %llu failovers, %zu of %zu shards "
@@ -447,14 +458,17 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
 // ---------------------------------------------------------------------------
 
 int cmd_serve(const std::map<std::string, std::string>& flags) {
+  // Both switches are read before any fork, load or socket, so a bad value
+  // fails like an unknown flag.
+  const bool serial = switch_on(flags, "serial");
+  serve::ServeOptions opt = serve_options_from_flags(flags);
   const int fleet = static_cast<int>(parse_int(get_or(flags, "fleet", "0")));
-  if (fleet > 0) return cmd_serve_fleet(flags, fleet);
+  if (fleet > 0) return cmd_serve_fleet(flags, fleet, opt, serial);
 
   serve::ModelRegistry registry(need(flags, "artifacts"),
                                 registry_options(flags));
   const auto fault = fault_injector_from_flags(flags);
   registry.set_fault_injector(fault.get());
-  serve::ServeOptions opt = serve_options_from_flags(flags);
   opt.fault_injector = fault.get();
   serve::Server server(registry, opt);
   if (opt.online.enabled) {
@@ -476,7 +490,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     server.set_overflow_source(
         [&listener] { return listener->stats().overflow_closes; });
   }
-  serve_stdin(server, flags.count("serial") != 0, listener.get());
+  serve_stdin(server, serial, listener.get());
   return 0;
 }
 

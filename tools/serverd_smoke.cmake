@@ -8,7 +8,11 @@
 #  * the dynamic micro-batcher (daemon default) answers the same session
 #    byte-identically while sharing sweeps instead of recomputing them,
 #  * the --fleet process mode answers it byte-identically too, and its
-#    merged stats count each problem size's sweep once.
+#    merged stats count each problem size's sweep once,
+#  * --serial 0 means pipelined (the batch scheduler dispatches), not serial,
+#  * a malformed artifact (a tree cycle, a split feature past the row) is
+#    refused with "ok":false within seconds instead of hanging the loader
+#    or answering from out-of-row reads.
 
 set(dir "${WORKDIR}/serverd_smoke_artifacts")
 file(REMOVE_RECURSE "${dir}")
@@ -151,6 +155,44 @@ endif()
 if(NOT out MATCHES "\"models_trained\":0")
   message(FATAL_ERROR "server retrained despite a published artifact: ${out}")
 endif()
+
+# --serial 0 is off: the stq goes through the batch scheduler, whose first
+# dispatch on an idle server is a size-1 bypass.
+file(WRITE "${session}" "{\"op\":\"stq\",\"o\":44,\"v\":260}\n{\"op\":\"stats\"}\n")
+execute_process(COMMAND "${SERVERD}" serve --artifacts "${dir}" --serial 0
+                INPUT_FILE "${session}" TIMEOUT 60
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "--serial 0 serve failed (${rc}): ${err}")
+endif()
+if(NOT out MATCHES "\"batch_bypass\":[1-9]")
+  message(FATAL_ERROR "--serial 0 did not pipeline through the scheduler: ${out}")
+endif()
+
+# Malformed artifacts: each must be refused, and quickly. The TIMEOUT turns
+# a loader that loops into a failure in seconds.
+set(bad_dir "${WORKDIR}/serverd_smoke_bad_artifacts")
+set(bad_models
+    # The second node's left child points back at the root.
+    "ccpred-gb-v1\n1 0.1 5\n3 4\n0 0.5 1 1 2\n1 0.5 2 0 2\n-1 0 3 -1 -1\n0 0 0 0\n"
+    # The root splits on feature 9 of a 4-feature model (rows have 4 columns).
+    "ccpred-gb-v1\n1 0.1 5\n3 4\n9 0.5 1 1 2\n-1 0 2 -1 -1\n-1 0 3 -1 -1\n0 0 0 0\n")
+file(WRITE "${session}" "{\"op\":\"stq\",\"o\":44,\"v\":260}\n")
+foreach(model IN LISTS bad_models)
+  file(REMOVE_RECURSE "${bad_dir}")
+  file(WRITE "${bad_dir}/aurora-gb.model" "${model}")
+  execute_process(COMMAND "${SERVERD}" serve --artifacts "${bad_dir}"
+                          --serial 1
+                  INPUT_FILE "${session}" TIMEOUT 20
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "serve on a malformed artifact did not finish (${rc}): ${model}")
+  endif()
+  if(NOT out MATCHES "\"ok\":false")
+    message(FATAL_ERROR "malformed artifact was served: ${model} -> ${out}")
+  endif()
+endforeach()
+file(REMOVE_RECURSE "${bad_dir}")
 
 file(REMOVE_RECURSE "${dir}")
 file(REMOVE "${session}")
