@@ -3,6 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <limits>
+#include <sstream>
 
 #include "ccpred/common/error.hpp"
 
@@ -49,6 +51,27 @@ long long parse_int(std::string_view s) {
   const auto [ptr, ec] = std::from_chars(first, last, value);
   CCPRED_CHECK_MSG(ec == std::errc() && ptr == last,
                    "cannot parse '" << t << "' as int");
+  return value;
+}
+
+long long parse_int_in(std::string_view s, std::string_view what, long long lo,
+                       long long hi) {
+  const std::string t = trim(s);
+  long long value = 0;
+  const auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), value);
+  const bool ok = !t.empty() && ec == std::errc() &&
+                  ptr == t.data() + t.size() && value >= lo && value <= hi;
+  if (!ok) {
+    std::ostringstream os;
+    os << what << " must be an integer ";
+    if (hi == std::numeric_limits<long long>::max()) {
+      os << ">= " << lo;
+    } else {
+      os << "in " << lo << ".." << hi;
+    }
+    os << ", got '" << t << "'";
+    throw Error(os.str());
+  }
   return value;
 }
 

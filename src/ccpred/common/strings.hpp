@@ -4,9 +4,12 @@
 /// Small string utilities shared by CSV I/O, report formatting and the
 /// stable hashes of cache keys and artifacts.
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace ccpred {
@@ -21,8 +24,28 @@ std::string trim(std::string_view s);
 /// failure or trailing garbage.
 double parse_double(std::string_view s);
 
-/// Parses a non-negative integer; throws ccpred::Error on failure.
+/// Parses an integer; throws ccpred::Error on failure.
 long long parse_int(std::string_view s);
+
+/// Parses an integer that must lie in [lo, hi]. Throws ccpred::Error naming
+/// `what` (a flag or a field) when the text is not an integer or the value
+/// is out of range, so nothing wraps on a later narrowing cast.
+long long parse_int_in(std::string_view s, std::string_view what, long long lo,
+                       long long hi);
+
+/// parse_int_in over the values T holds, from max(lo, T's lowest) to T's
+/// highest (capped at long long's). Pass lo = 0 for a count.
+template <typename T>
+T parse_int_as(std::string_view s, std::string_view what,
+               long long lo = std::numeric_limits<long long>::min()) {
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  constexpr T kTop = std::numeric_limits<T>::max();
+  const long long hi =
+      std::cmp_less(kTop, kMax) ? static_cast<long long>(kTop) : kMax;
+  const long long lowest =
+      static_cast<long long>(std::numeric_limits<T>::lowest());
+  return static_cast<T>(parse_int_in(s, what, std::max(lo, lowest), hi));
+}
 
 /// Formats `v` with `prec` digits after the decimal point.
 std::string format_double(double v, int prec);

@@ -130,12 +130,16 @@ void CompiledEnsemble::predict_batch(const double* x, std::size_t n_rows,
     // self-absorb), so the per-row node chases are independent and overlap
     // instead of serializing behind one row's dependent loads. Leaf values
     // accumulate per row in tree order, matching the walk bit-for-bit.
-    const auto& ops = simd::ops();
     for (std::size_t t = 0; t < roots_.size(); ++t) {
       std::fill(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(bn),
                 roots_[t]);
       for (std::int32_t d = 0; d < depths_[t]; ++d) {
-        ops.ensemble_step(nodes, base, bn, n_cols, idx.data());
+        const double* row = base;
+        for (std::size_t i = 0; i < bn; ++i, row += n_cols) {
+          const TravNode& nd = nodes[idx[i]];
+          idx[i] = nd.left +
+                   static_cast<std::int32_t>(!(row[nd.tfeat] <= nd.threshold));
+        }
       }
       for (std::size_t i = 0; i < bn; ++i) acc[i] += value[idx[i]];
     }

@@ -22,7 +22,6 @@
 
 #include "ccpred/common/aligned.hpp"
 #include "ccpred/linalg/matrix.hpp"
-#include "ccpred/simd/simd.hpp"
 
 namespace ccpred::ml {
 
@@ -61,20 +60,22 @@ class CompiledEnsemble {
   /// descent step costs three loads: the node pair, and one row value.
   /// Breadth-first numbering makes siblings adjacent, so only the left
   /// child is stored and right = left + 1. Leaves are self-absorbing
-  /// (threshold +inf, left = self), so the batch kernel runs a fixed
+  /// (threshold +inf, left = self), so the batch loop runs a fixed
   /// per-tree step count with no per-row termination branch — the
-  /// independent chases across a row block overlap in the memory pipeline
-  /// (or, in the AVX2 dispatch mode, gather four rows per instruction).
+  /// independent chases across a row block overlap in the memory pipeline.
   /// The +inf leaf compare goes wrong only for NaN feature values;
   /// predict_batch pre-scans for NaN and falls back to predict_row (which
-  /// terminates on feature_ and is NaN-exact) for such batches. The layout
-  /// is simd::TravNode so the level step dispatches without conversion.
-  using TravNode = simd::TravNode;
+  /// terminates on feature_ and is NaN-exact) for such batches.
+  struct TravNode {
+    double threshold;
+    std::int32_t tfeat;  ///< split feature (0 for leaves)
+    std::int32_t left;   ///< flat index of the left child (self for leaves)
+  };
+  static_assert(sizeof(TravNode) == 16, "four nodes per cache line");
 
   // Nodes of all trees, renumbered breadth-first per tree so siblings are
   // adjacent and the heavily-shared top levels pack densely. Cache-line
-  // aligned: the AVX2 level step gathers from nodes_, and alignment keeps
-  // each 16-byte node inside one line.
+  // aligned, so each 16-byte node sits inside one line.
   AlignedVector<TravNode> nodes_;
   std::vector<std::int32_t> feature_;  ///< -1 for leaves (predict_row stop)
   AlignedVector<double> value_;        ///< leaf payload (0 for internal)

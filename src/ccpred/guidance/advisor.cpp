@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "ccpred/common/error.hpp"
 
@@ -78,18 +79,18 @@ std::vector<sim::RunConfig> feasible_candidates(
   return candidates;
 }
 
-/// Predictions -> sweep points for one problem's candidate slice.
+/// Predictions -> sweep points for one problem's candidate grid.
 std::vector<SweepPoint> sweep_from_predictions(
     const std::vector<sim::RunConfig>& candidates,
-    const std::vector<double>& times, std::size_t offset) {
+    const std::vector<double>& times) {
   std::vector<SweepPoint> sweep;
   sweep.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     SweepPoint pt;
     pt.config = candidates[i];
-    pt.predicted_time_s = times[offset + i];
+    pt.predicted_time_s = times[i];
     pt.predicted_node_hours =
-        sim::CcsdSimulator::node_hours(candidates[i], times[offset + i]);
+        sim::CcsdSimulator::node_hours(candidates[i], times[i]);
     sweep.push_back(pt);
   }
   return sweep;
@@ -98,43 +99,19 @@ std::vector<SweepPoint> sweep_from_predictions(
 }  // namespace
 
 Recommendation Advisor::recommend(int o, int v, Objective objective) const {
-  return std::move(recommend_batch({{o, v}}, objective).front());
-}
+  const std::vector<sim::RunConfig> candidates =
+      feasible_candidates(simulator_, o, v);
 
-std::vector<Recommendation> Advisor::recommend_batch(
-    const std::vector<std::pair<int, int>>& problems,
-    Objective objective) const {
-  // Enumerate every problem's grid first so the matrix is sized once.
-  std::vector<std::vector<sim::RunConfig>> grids;
-  grids.reserve(problems.size());
-  std::size_t rows = 0;
-  for (const auto& [o, v] : problems) {
-    grids.push_back(feasible_candidates(simulator_, o, v));
-    rows += grids.back().size();
+  // One batched prediction over the whole sweep.
+  linalg::Matrix x(candidates.size(), data::kNumFeatures);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    x(i, data::kFeatO) = candidates[i].o;
+    x(i, data::kFeatV) = candidates[i].v;
+    x(i, data::kFeatNodes) = candidates[i].nodes;
+    x(i, data::kFeatTile) = candidates[i].tile;
   }
-
-  linalg::Matrix x(rows, data::kNumFeatures);
-  std::size_t row = 0;
-  for (const auto& grid : grids) {
-    for (const auto& cfg : grid) {
-      x(row, data::kFeatO) = cfg.o;
-      x(row, data::kFeatV) = cfg.v;
-      x(row, data::kFeatNodes) = cfg.nodes;
-      x(row, data::kFeatTile) = cfg.tile;
-      ++row;
-    }
-  }
-  const auto times = model_.predict(x);
-
-  std::vector<Recommendation> out;
-  out.reserve(problems.size());
-  std::size_t offset = 0;
-  for (const auto& grid : grids) {
-    out.push_back(
-        from_sweep(sweep_from_predictions(grid, times, offset), objective));
-    offset += grid.size();
-  }
-  return out;
+  return from_sweep(sweep_from_predictions(candidates, model_.predict(x)),
+                    objective);
 }
 
 Recommendation Advisor::from_sweep(std::vector<SweepPoint> sweep,

@@ -7,7 +7,6 @@
 /// exactly the iterative-querying procedure the paper describes.
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "ccpred/core/regressor.hpp"
@@ -48,20 +47,10 @@ class Advisor {
 
   /// Recommends the configuration minimizing the objective for (o, v).
   /// Sweeps the machine's node menu clipped to memory feasibility and the
-  /// full tile menu. Throws ccpred::Error when the model's sweep is
-  /// corrupt (see from_sweep). A batch of one: recommend_batch below.
+  /// full tile menu with one model predict over the whole grid. Throws
+  /// ccpred::Error when (o, v) has no feasible configuration or when the
+  /// model's sweep is corrupt (see from_sweep).
   Recommendation recommend(int o, int v, Objective objective) const;
-
-  /// Batched recommend(): concatenates every problem's candidate grid into
-  /// ONE feature matrix and runs ONE model predict over it, so the wide
-  /// batch kernels see cross-request batches instead of per-request ones.
-  /// Row predictions are independent of their neighbours, so each returned
-  /// Recommendation is bit-identical to recommend(o, v, objective) — the
-  /// serving layer's batch lane relies on this. Throws (like recommend)
-  /// if any problem has no feasible configuration.
-  std::vector<Recommendation> recommend_batch(
-      const std::vector<std::pair<int, int>>& problems,
-      Objective objective) const;
 
   /// Shortest-time question.
   Recommendation shortest_time(int o, int v) const {

@@ -4,9 +4,9 @@
 /// Deadline-aware dynamic micro-batching across connections.
 ///
 /// The event loop already batches records that share a binary frame, but
-/// independent clients send single-record traffic, so under bursty load the
-/// SIMD batch kernels ran at batch size 1 and per-request dispatch overhead
-/// (pool hand-off, model-handle stat(), cache probe) dominated. The
+/// independent clients send single-record traffic, so under bursty load
+/// per-request dispatch overhead (pool hand-off, model-handle stat(), cache
+/// probe) dominated, paid once per record instead of once per group. The
 /// BatchScheduler sits between Server::submit_with and the worker pool and
 /// coalesces concurrent requests — whatever connection, protocol, or fleet
 /// shard they arrived on — into micro-batches that Server::handle_batch

@@ -116,12 +116,14 @@ std::string number_exact(double v) {
   return buf;
 }
 
+/// An integer field; a value outside int fails here rather than wrapping
+/// into a different question (o = 2^32 + 44 would ask about O = 44).
 int field_int(const std::map<std::string, std::string>& rec,
               const std::string& key) {
   const auto it = rec.find(key);
   CCPRED_CHECK_MSG(it != rec.end(), "request: missing field \"" << key
                                         << "\"");
-  return static_cast<int>(parse_int(it->second));
+  return parse_int_as<int>(it->second, "request: field \"" + key + "\"");
 }
 
 double field_double(const std::map<std::string, std::string>& rec,

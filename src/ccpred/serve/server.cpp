@@ -183,9 +183,9 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
   // cached sweep, a flight to join, or a new flight this group leads. The
   // cache tells these apart under one shard lock, so a sweep published
   // between probe and join can never be swept twice. Keys this group
-  // leads are computed in ONE batched recommend on the sweep pool; running
-  // sweeps off the request thread lets a deadline abandon the wait while
-  // the computation still completes and populates the cache.
+  // leads are swept by one sweep-pool task; running sweeps off the request
+  // thread lets a deadline abandon the wait while the computation still
+  // completes and populates the cache.
   std::vector<SweepCache::Claim> claims;
   std::vector<SweepKey> lead_keys;
   std::vector<SweepCache::Lead> leads;
@@ -208,53 +208,28 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
     }
   }
   if (!lead_keys.empty()) {
-    // One sweep-pool task computes every cold key the group leads with a
-    // single concatenated predict (recommend_batch), so the SIMD batch
-    // kernels see cross-request batches. If the batched compute fails —
-    // e.g. one infeasible problem — fall back to per-key sweeps so the
-    // innocent keys keep their own answers.
+    // One sweep-pool task sweeps every cold key the group leads, one
+    // recommend per key. Each key resolves its own flight: a key that fails
+    // (e.g. an infeasible problem) carries its own error and leaves the
+    // other keys' answers alone. The Advisor is built inside the try, since
+    // a pool task must not throw.
     sweep_pool_.post([this, handle, lead_keys = std::move(lead_keys),
                       leads = std::move(leads)] {
       if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kSweepCompute);
-      std::vector<SweepCache::Outcome> results(lead_keys.size());
-      bool batched_ok = true;
-      try {
-        const guide::Advisor advisor(*handle.model,
-                                     simulator(lead_keys.front().machine));
-        std::vector<std::pair<int, int>> problems;
-        problems.reserve(lead_keys.size());
-        for (const SweepKey& key : lead_keys) {
-          problems.emplace_back(key.o, key.v);
-        }
-        std::vector<guide::Recommendation> recs = advisor.recommend_batch(
-            problems, guide::Objective::kShortestTime);
-        for (std::size_t k = 0; k < lead_keys.size(); ++k) {
-          results[k].value = std::make_shared<const guide::Recommendation>(
-              std::move(recs[k]));
-        }
-      } catch (...) {
-        batched_ok = false;
-      }
-      if (!batched_ok) {
-        for (std::size_t k = 0; k < lead_keys.size(); ++k) {
-          try {
-            const guide::Advisor advisor(
-                *handle.model, simulator(lead_keys[k].machine));
-            results[k].value = std::make_shared<const guide::Recommendation>(
-                advisor.recommend(lead_keys[k].o, lead_keys[k].v,
-                                  guide::Objective::kShortestTime));
-          } catch (const std::exception& e) {
-            results[k].error = e.what();
-          } catch (...) {
-            results[k].error = "sweep failed with a non-standard exception";
-          }
-        }
-      }
       for (std::size_t k = 0; k < lead_keys.size(); ++k) {
-        if (results[k].value) {
+        const SweepKey& key = lead_keys[k];
+        SweepCache::Outcome result;
+        try {
+          const guide::Advisor advisor(*handle.model, simulator(key.machine));
+          result.value = std::make_shared<const guide::Recommendation>(
+              advisor.recommend(key.o, key.v, guide::Objective::kShortestTime));
           sweeps_computed_.fetch_add(1, std::memory_order_relaxed);
+        } catch (const std::exception& e) {
+          result.error = e.what();
+        } catch (...) {
+          result.error = "sweep failed with a non-standard exception";
         }
-        cache_.finish(lead_keys[k], leads[k], std::move(results[k]));
+        cache_.finish(key, leads[k], std::move(result));
       }
     });
   }

@@ -180,8 +180,8 @@ class Server final : public Shard {
 
   /// Answers one (machine, kind) group of STQ/BQ/budget members inside a
   /// batch: one model handle, one sweep-cache claim per unique (O, V) key,
-  /// one sweep per key the group leads (all of them share ONE batched
-  /// recommend).
+  /// one recommend per key the group leads (all of them on one sweep-pool
+  /// task).
   void answer_group(const std::string& machine, const std::string& kind,
                     const std::vector<std::size_t>& members,
                     std::span<const Request> batch,

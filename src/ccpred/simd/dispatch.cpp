@@ -18,14 +18,12 @@ namespace ccpred::simd {
 namespace {
 
 constexpr Ops kScalarOps = {
-    scalar_rbf_exp_map, scalar_sqdist_row, scalar_ensemble_step,
-    scalar_update2x4,   scalar_update1x4,
+    scalar_rbf_exp_map, scalar_sqdist_row, scalar_update2x4, scalar_update1x4,
 };
 
 #if defined(CCPRED_HAVE_AVX2_BUILD)
 constexpr Ops kAvx2Ops = {
-    avx2_rbf_exp_map, avx2_sqdist_row, avx2_ensemble_step,
-    avx2_update2x4,   avx2_update1x4,
+    avx2_rbf_exp_map, avx2_sqdist_row, avx2_update2x4, avx2_update1x4,
 };
 #else
 constexpr Ops kAvx2Ops = kScalarOps;

@@ -7,7 +7,6 @@
 /// so bit-identity contracts survive), and is compiled empty off x86.
 
 #include <cstddef>
-#include <cstdint>
 
 #include "ccpred/simd/simd.hpp"
 
@@ -18,9 +17,6 @@ void scalar_rbf_exp_map(const double* dist2, double* out, std::size_t n,
 void scalar_sqdist_row(const double* xt, std::size_t n, std::size_t d,
                        const double* row, std::size_t j0, std::size_t j1,
                        double* out);
-void scalar_ensemble_step(const TravNode* nodes, const double* x,
-                          std::size_t bn, std::size_t n_cols,
-                          std::int32_t* idx);
 void scalar_update2x4(double* ya, double* yb, const double* a, const double* b,
                       const double* y0, const double* y1, const double* y2,
                       const double* y3, std::size_t len);
@@ -34,8 +30,6 @@ void avx2_rbf_exp_map(const double* dist2, double* out, std::size_t n,
 void avx2_sqdist_row(const double* xt, std::size_t n, std::size_t d,
                      const double* row, std::size_t j0, std::size_t j1,
                      double* out);
-void avx2_ensemble_step(const TravNode* nodes, const double* x,
-                        std::size_t bn, std::size_t n_cols, std::int32_t* idx);
 void avx2_update2x4(double* ya, double* yb, const double* a, const double* b,
                     const double* y0, const double* y1, const double* y2,
                     const double* y3, std::size_t len);

@@ -1,10 +1,10 @@
 /// \file kernels_avx2.cpp
-/// AVX2+FMA kernel implementations. This is the only translation unit in
-/// the tree built with -mavx2 -mfma; it is also built with
-/// -ffp-contract=off so the compiler cannot fuse the mul+add sequences
-/// that carry bit-identity contracts — FMA appears only where written
-/// explicitly (`rbf_exp_map`, `update2x4`/`update1x4`), which are the
-/// kernels covered by the 1e-9 agreement gates instead.
+/// AVX2+FMA implementations of the four kernel families. This is the only
+/// translation unit in the tree built with -mavx2 -mfma; it is also built
+/// with -ffp-contract=off so the compiler cannot fuse `sqdist_row`'s
+/// mul+add sequence, which carries a bit-identity contract — FMA appears
+/// only where written explicitly (`rbf_exp_map`, `update2x4`/`update1x4`),
+/// which are the kernels covered by the 1e-9 agreement gates instead.
 
 #if defined(CCPRED_HAVE_AVX2_BUILD)
 
@@ -95,48 +95,6 @@ void avx2_sqdist_row(const double* xt, std::size_t n, std::size_t d,
       acc += diff * diff;
     }
     out[j] = acc;
-  }
-}
-
-void avx2_ensemble_step(const TravNode* nodes, const double* x,
-                        std::size_t bn, std::size_t n_cols,
-                        std::int32_t* idx) {
-  // Gather-based level step: thresholds and (tfeat, left) pairs are pulled
-  // 4 rows at a time from the 16-byte node records. Comparisons and index
-  // arithmetic are exact integer/IEEE-compare operations, so the result is
-  // bit-identical to the scalar step.
-  const double* base = reinterpret_cast<const double*>(nodes);
-  const long long* meta_base = reinterpret_cast<const long long*>(nodes);
-  const __m128i one = _mm_set1_epi32(1);
-  const __m256i evens = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-  const auto stride = static_cast<std::int32_t>(n_cols);
-  std::size_t i = 0;
-  for (; i + 4 <= bn; i += 4) {
-    const std::int32_t r0 = static_cast<std::int32_t>(i) * stride;
-    const __m128i roff =
-        _mm_setr_epi32(r0, r0 + stride, r0 + 2 * stride, r0 + 3 * stride);
-    const __m128i cur = _mm_loadu_si128(reinterpret_cast<__m128i*>(idx + i));
-    const __m128i i2 = _mm_slli_epi32(cur, 1);
-    const __m256d thr = _mm256_i32gather_pd(base, i2, 8);
-    const __m256i meta =
-        _mm256_i32gather_epi64(meta_base, _mm_add_epi32(i2, one), 8);
-    const __m256i packed = _mm256_permutevar8x32_epi32(meta, evens);
-    const __m128i tfeat = _mm256_castsi256_si128(packed);
-    const __m128i left = _mm256_extracti128_si256(packed, 1);
-    const __m256d feat =
-        _mm256_i32gather_pd(x, _mm_add_epi32(roff, tfeat), 8);
-    const __m256d le = _mm256_cmp_pd(feat, thr, _CMP_LE_OQ);
-    // le lanes are all-ones (-1) when going left: next = left + 1 + le.
-    const __m128i le32 = _mm256_castsi256_si128(
-        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(le), evens));
-    const __m128i next = _mm_add_epi32(left, _mm_add_epi32(one, le32));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(idx + i), next);
-  }
-  for (; i < bn; ++i) {
-    const double* row = x + i * n_cols;
-    const TravNode& nd = nodes[idx[i]];
-    idx[i] =
-        nd.left + static_cast<std::int32_t>(!(row[nd.tfeat] <= nd.threshold));
   }
 }
 

@@ -1,7 +1,8 @@
 /// \file kernels_scalar.cpp
-/// Portable kernel implementations. These are the exact loops the fast
-/// engines shipped with before the SIMD layer (PRs 2/3), so the scalar
-/// dispatch mode reproduces pre-SIMD numeric behavior bit-for-bit.
+/// Portable kernel implementations of the four families. These are the
+/// exact loops the kernel-model and Cholesky engines ran before the SIMD
+/// layer, so the scalar dispatch mode reproduces pre-SIMD numeric behavior
+/// bit-for-bit.
 
 #include <cmath>
 
@@ -24,17 +25,6 @@ void scalar_sqdist_row(const double* xt, std::size_t n, std::size_t d,
       acc += diff * diff;
     }
     out[j] = acc;
-  }
-}
-
-void scalar_ensemble_step(const TravNode* nodes, const double* x,
-                          std::size_t bn, std::size_t n_cols,
-                          std::int32_t* idx) {
-  const double* row = x;
-  for (std::size_t i = 0; i < bn; ++i, row += n_cols) {
-    const TravNode& nd = nodes[idx[i]];
-    idx[i] =
-        nd.left + static_cast<std::int32_t>(!(row[nd.tfeat] <= nd.threshold));
   }
 }
 

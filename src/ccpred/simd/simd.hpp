@@ -2,9 +2,8 @@
 
 /// \file simd.hpp
 /// Runtime-dispatched vector kernels for the hot numeric loop families:
-/// the kernel-model maps (`rbf_exp_map`, `sqdist_row`), the compiled tree
-/// ensemble's descent step (`ensemble_step`) and the blocked Cholesky's
-/// trailing updates (`update2x4`, `update1x4`).
+/// the kernel-model maps (`rbf_exp_map`, `sqdist_row`) and the blocked
+/// Cholesky's trailing updates (`update2x4`, `update1x4`).
 ///
 /// Layout: a function-pointer table (`Ops`) per dispatch mode. `ops()`
 /// returns the active table, chosen once at first use: AVX2+FMA when the
@@ -13,10 +12,9 @@
 /// benches can compare the implementations directly.
 ///
 /// Numeric contracts (enforced by tests/simd_test.cpp):
-///  - `sqdist_row`, `ensemble_step`: bit-identical results across modes.
-///    The AVX2 variants keep multiply and add separate (no FMA contraction;
-///    the TU is built with -ffp-contract=off) and preserve the scalar
-///    accumulation order.
+///  - `sqdist_row`: bit-identical results across modes. The AVX2 variant
+///    keeps multiply and add separate (no FMA contraction; the TU is built
+///    with -ffp-contract=off) and preserves the scalar accumulation order.
 ///  - `rbf_exp_map`: the AVX2 path uses a Cephes-style polynomial exp
 ///    (measured max relative error ~3e-16 vs libm); agreement with the
 ///    scalar path is gated far below the engine-wide 1e-9 tolerance.
@@ -24,11 +22,12 @@
 ///    Cholesky agrees with the test oracle's left-looking factorization
 ///    within 1e-9, not bit-identically.
 ///
-/// Scalar kernels replicate the exact loops the fast engines shipped with
-/// (PRs 2/3), so `CCPRED_SIMD=scalar` reproduces pre-SIMD behavior.
+/// Scalar kernels replicate the exact loops the kernel-model and Cholesky
+/// engines ran before vectorization, so `CCPRED_SIMD=scalar` reproduces
+/// pre-SIMD behavior. Tree-ensemble descent is not dispatched: a gathered
+/// AVX2 step was no faster than `CompiledEnsemble`'s scalar loop.
 
 #include <cstddef>
-#include <cstdint>
 
 namespace ccpred::simd {
 
@@ -42,14 +41,6 @@ struct CpuFeatures {
 /// CPUID-based detection (always false off x86).
 CpuFeatures detect_cpu();
 
-/// Flat traversal node, layout-compatible with CompiledEnsemble's packed
-/// SoA node (16 bytes: threshold, split feature, absolute left child).
-struct TravNode {
-  double threshold;
-  std::int32_t tfeat;
-  std::int32_t left;
-};
-
 struct Ops {
   /// out[i] = exp(-gamma * dist2[i]) for i in [0, n).
   void (*rbf_exp_map)(const double* dist2, double* out, std::size_t n,
@@ -61,12 +52,6 @@ struct Ops {
   void (*sqdist_row)(const double* xt, std::size_t n, std::size_t d,
                      const double* row, std::size_t j0, std::size_t j1,
                      double* out);
-
-  /// One level-synchronous descent step: for each row i of the block,
-  /// idx[i] = nd.left + !(row[nd.tfeat] <= nd.threshold) with nd =
-  /// nodes[idx[i]]. Leaves self-absorb (+inf threshold).
-  void (*ensemble_step)(const TravNode* nodes, const double* x,
-                        std::size_t bn, std::size_t n_cols, std::int32_t* idx);
 
   /// Fused trailing update, the shared primitive of the blocked-Cholesky
   /// SYRK and panel solves: for c in [0, len),

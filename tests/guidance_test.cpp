@@ -223,40 +223,6 @@ TEST_F(AdvisorTest, InvalidProblemThrows) {
   EXPECT_THROW(advisor.shortest_time(0, 100), Error);
 }
 
-TEST_F(AdvisorTest, RecommendBatchMatchesPerProblemExactly) {
-  // The batch lane's one-predict-over-concatenated-grids path must be
-  // bit-identical to per-problem recommend() — row predictions are
-  // independent, so batching may never change an answer.
-  const Advisor advisor(*model_, simulator_);
-  const std::vector<std::pair<int, int>> problems = {
-      {44, 260}, {85, 698}, {134, 951}, {85, 698}};  // incl. a repeat
-  for (auto obj : {Objective::kShortestTime, Objective::kNodeHours}) {
-    const auto batch = advisor.recommend_batch(problems, obj);
-    ASSERT_EQ(batch.size(), problems.size());
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      const auto single =
-          advisor.recommend(problems[i].first, problems[i].second, obj);
-      EXPECT_EQ(batch[i].config.nodes, single.config.nodes) << i;
-      EXPECT_EQ(batch[i].config.tile, single.config.tile) << i;
-      EXPECT_EQ(batch[i].predicted_time_s, single.predicted_time_s) << i;
-      EXPECT_EQ(batch[i].predicted_node_hours, single.predicted_node_hours)
-          << i;
-      ASSERT_EQ(batch[i].sweep.size(), single.sweep.size()) << i;
-      for (std::size_t k = 0; k < single.sweep.size(); ++k) {
-        EXPECT_EQ(batch[i].sweep[k].predicted_time_s,
-                  single.sweep[k].predicted_time_s)
-            << i << "/" << k;
-      }
-    }
-  }
-  EXPECT_TRUE(
-      advisor.recommend_batch({}, Objective::kShortestTime).empty());
-  // An infeasible problem anywhere throws, exactly like the serial path.
-  EXPECT_THROW(advisor.recommend_batch({{44, 260}, {0, 100}},
-                                       Objective::kShortestTime),
-               Error);
-}
-
 // The daemon's train-and-cache model at the paper's campaign size (aurora,
 // 2,329 rows, seed 2025, 750 GB stages) predicts a negative time for some
 // cells of (O=44, V=260), and both its STQ and its BQ argmin land on such a

@@ -169,6 +169,15 @@ TEST(ProtocolTest, MalformedInputsThrow) {
   EXPECT_THROW(parse_request(R"({"op":"stq","o":1})"), Error);  // missing v
   EXPECT_THROW(parse_request(R"({"o":1,"v":2})"), Error);       // missing op
   EXPECT_THROW(parse_request(R"({"op":"stq","o":"x","v":2})"), Error);
+  // Integers beyond int must not wrap into a different question.
+  EXPECT_THROW(parse_request(R"({"op":"stq","o":4294967340,"v":260})"), Error);
+  EXPECT_THROW(parse_request(R"({"op":"stq","o":44,"v":4294967556})"), Error);
+  EXPECT_THROW(parse_request(
+                   R"({"op":"job","o":44,"v":260,"nodes":4294967312,"tile":60})"),
+               Error);
+  EXPECT_THROW(parse_request(
+                   R"({"op":"stq","o":44,"v":260,"deadline_ms":4294967296})"),
+               Error);
 }
 
 TEST(ProtocolTest, ResponseRoundTripsThroughParseRecord) {

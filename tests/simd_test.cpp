@@ -1,12 +1,11 @@
 /// Contracts of the runtime-dispatched SIMD kernel tables (simd.hpp).
 ///
-/// Every kernel family is exercised across ragged and boundary sizes —
-/// below, at and above the vector width — comparing the scalar and AVX2
-/// tables directly via ops_for(). Families documented bit-identical are
-/// compared with ==/memcmp; the transcendental and FMA-fused families
-/// against their documented tolerances. A whole GB fit and compiled
-/// predict (ensemble_step) is compared bit-for-bit across dispatch modes,
-/// and the cache-line alignment of the hot containers (linalg::Matrix,
+/// Each of the four kernel families is exercised across ragged and
+/// boundary sizes — below, at and above the vector width — comparing the
+/// scalar and AVX2 tables directly via ops_for(). The family documented
+/// bit-identical (sqdist_row) is compared with memcmp; the transcendental
+/// and FMA-fused families against their documented tolerances. The
+/// cache-line alignment of the hot containers (linalg::Matrix,
 /// AlignedVector) is pinned along with serialization stability over the
 /// aligned storage.
 ///
@@ -19,7 +18,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <random>
 #include <vector>
 
@@ -131,32 +129,6 @@ TEST(SimdKernels, SqdistRowBitIdenticalAcrossModes) {
   }
 }
 
-TEST(SimdKernels, EnsembleStepBitIdenticalAcrossModes) {
-  const auto& sc = simd::ops_for(Mode::kScalar);
-  const auto& vx = simd::ops_for(Mode::kAvx2);
-  // A flattened depth-2 tree: root 0 splits f0, nodes 1/2 split f1/f2,
-  // nodes 3..6 are self-absorbing leaves (+inf threshold, left = self).
-  const double inf = std::numeric_limits<double>::infinity();
-  const std::vector<simd::TravNode> nodes = {
-      {0.5, 0, 1},  {-0.25, 1, 3}, {0.75, 2, 5}, {inf, 0, 3},
-      {inf, 0, 4},  {inf, 0, 5},   {inf, 0, 6}};
-  const std::size_t n_cols = 3;
-  for (const std::size_t bn : kRaggedSizes) {
-    const auto x = random_doubles(bn * n_cols, 303 + bn, -1.0, 1.0);
-    std::vector<std::int32_t> idx_s(bn, 0), idx_v(bn, 0);
-    for (int level = 0; level < 3; ++level) {  // depth + one absorb step
-      sc.ensemble_step(nodes.data(), x.data(), bn, n_cols, idx_s.data());
-      vx.ensemble_step(nodes.data(), x.data(), bn, n_cols, idx_v.data());
-      ASSERT_EQ(idx_s, idx_v) << "bn=" << bn << " level=" << level;
-    }
-    // After enough levels every row must rest on a leaf.
-    for (const auto i : idx_s) {
-      EXPECT_GE(i, 3);
-      EXPECT_LE(i, 6);
-    }
-  }
-}
-
 TEST(SimdKernels, CholeskyUpdatesWithinReferenceTolerance) {
   const auto& sc = simd::ops_for(Mode::kScalar);
   const auto& vx = simd::ops_for(Mode::kAvx2);
@@ -186,40 +158,6 @@ TEST(SimdKernels, CholeskyUpdatesWithinReferenceTolerance) {
       EXPECT_NEAR(yr_v[i], yr_s[i], 1e-9) << "len=" << len;
     }
   }
-}
-
-TEST(SimdModel, GbFitAndPredictBitIdenticalAcrossModes) {
-  if (!simd::avx2_available()) GTEST_SKIP() << "no AVX2+FMA on this host";
-  // The fit calls no dispatched kernel and the compiled predict runs
-  // ensemble_step, contracted bit-identical, so a whole fit+predict must
-  // agree across dispatch modes bit-for-bit.
-  const std::size_t n = 400, d = 4;
-  linalg::Matrix x(n, d);
-  auto rng = seeded_rng(909);
-  std::uniform_real_distribution<double> dist(-3.0, 3.0);
-  std::vector<double> y(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < d; ++c) x(r, c) = dist(rng);
-    y[r] = std::sin(x(r, 0)) + 0.5 * x(r, 1) * x(r, 2) + 0.1 * dist(rng);
-  }
-  ml::TreeOptions opt;
-  opt.max_depth = 6;
-
-  const Mode before = simd::active_mode();
-  simd::set_mode_for_testing(Mode::kScalar);
-  ml::GradientBoostingRegressor gb_s(25, 0.1, opt);
-  gb_s.fit(x, y);
-  const auto pred_s = gb_s.predict(x);
-
-  simd::set_mode_for_testing(Mode::kAvx2);
-  ml::GradientBoostingRegressor gb_v(25, 0.1, opt);
-  gb_v.fit(x, y);
-  const auto pred_v = gb_v.predict(x);
-  simd::set_mode_for_testing(before);
-
-  EXPECT_TRUE(bitwise_equal(pred_s, pred_v));
-  // The fitted stage structure must match too, not just the predictions.
-  EXPECT_EQ(ml::serialize_gb(gb_s), ml::serialize_gb(gb_v));
 }
 
 TEST(AlignedStorage, MatrixDataIsCacheLineAligned) {
@@ -252,7 +190,13 @@ TEST(AlignedStorage, AlignedVectorStaysAlignedAcrossGrowth) {
     ASSERT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kCacheLineAlign,
               0u);
   }
-  AlignedVector<simd::TravNode> nodes(37);
+  // A 16-byte record, the size of CompiledEnsemble's traversal node.
+  struct Node16 {
+    double threshold;
+    std::int32_t feature;
+    std::int32_t left;
+  };
+  AlignedVector<Node16> nodes(37);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(nodes.data()) % kCacheLineAlign,
             0u);
 }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -307,16 +308,31 @@ TEST(CompiledEnsembleTest, SerializationRoundTripStaysBitIdentical) {
 }
 
 TEST(CompiledEnsembleTest, BlockBoundarySizesAllAgree) {
-  // Exercise batch sizes straddling the internal row-block length.
+  // Batch sizes that straddle the internal 4,096-row block (one short, one
+  // exact, one over, two blocks and a row), plus ragged small sizes around
+  // 4-, 8-, 16-, 32- and 64-row widths. Each batch is a prefix of one
+  // query matrix, so every size is checked against the same walk.
   const auto train = test::make_nonlinear(300, 0.1, 55);
   GradientBoostingRegressor gb(25, 0.1, {});
   gb.fit(train.x, train.y);
-  for (const std::size_t n : {1u, 255u, 256u, 257u, 513u}) {
-    const auto query = test::make_nonlinear(n, 0.1, 91);
-    const auto compiled = gb.predict(query.x);
-    const auto walk = gb.predict_staged(query.x, gb.stage_count());
-    ASSERT_EQ(compiled.size(), n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(compiled[i], walk[i]);
+  TreeOptions rf_opt;
+  rf_opt.max_depth = 6;
+  RandomForestRegressor rf(10, rf_opt, true, 55);
+  rf.fit(train.x, train.y);
+
+  const auto query = test::make_nonlinear(8193, 0.1, 91);
+  const auto gb_walk = gb.predict_staged(query.x, gb.stage_count());
+  const auto rf_walk = oracle::forest_walk(rf, query.x);
+  std::vector<double> out(query.x.rows());
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 15u, 16u, 17u,
+                              31u, 32u, 33u, 63u, 64u, 65u, 100u, 257u, 4095u,
+                              4096u, 4097u, 8193u}) {
+    gb.compiled().predict_batch(query.x.data(), n, query.x.cols(), out.data());
+    EXPECT_EQ(std::memcmp(out.data(), gb_walk.data(), n * sizeof(double)), 0)
+        << "GB, n=" << n;
+    rf.compiled().predict_batch(query.x.data(), n, query.x.cols(), out.data());
+    EXPECT_EQ(std::memcmp(out.data(), rf_walk.data(), n * sizeof(double)), 0)
+        << "RF, n=" << n;
   }
 }
 

@@ -68,6 +68,17 @@ std::string get_or(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+/// The integer flag --key as a T >= 0 (every integer flag here is a count
+/// or a seed): `fallback` when absent, or required when there is none. An
+/// out-of-range value fails with the flag's name instead of wrapping.
+template <typename T>
+T int_flag(const std::map<std::string, std::string>& flags,
+           const std::string& key, const char* fallback = nullptr) {
+  const std::string text =
+      fallback == nullptr ? need(flags, key) : get_or(flags, key, fallback);
+  return parse_int_as<T>(text, "--" + key, 0);
+}
+
 sim::CcsdSimulator make_simulator(const std::string& machine) {
   if (machine == "aurora") return sim::CcsdSimulator(sim::MachineModel::aurora());
   if (machine == "frontier") {
@@ -79,10 +90,8 @@ sim::CcsdSimulator make_simulator(const std::string& machine) {
 int cmd_generate(const std::map<std::string, std::string>& flags) {
   const auto simulator = make_simulator(need(flags, "machine"));
   data::GeneratorOptions opt;
-  opt.seed = static_cast<std::uint64_t>(
-      parse_int(get_or(flags, "seed", "2025")));
-  opt.target_total = static_cast<std::size_t>(
-      parse_int(get_or(flags, "rows", "0")));
+  opt.seed = int_flag<std::uint64_t>(flags, "seed", "2025");
+  opt.target_total = int_flag<std::size_t>(flags, "rows", "0");
   if (opt.target_total == 0) {
     opt.target_total = data::paper_total_rows(simulator.machine().name);
   }
@@ -115,8 +124,7 @@ TrainedModel train_from_csv(const std::string& path, double test_frac,
 
 int cmd_evaluate(const std::map<std::string, std::string>& flags) {
   const double frac = parse_double(get_or(flags, "test-frac", "0.25"));
-  const auto seed =
-      static_cast<std::uint64_t>(parse_int(get_or(flags, "seed", "1")));
+  const auto seed = int_flag<std::uint64_t>(flags, "seed", "1");
   const auto trained = train_from_csv(need(flags, "data"), frac, seed);
   const auto scores =
       ml::score_all(trained.split.test.targets(),
@@ -140,8 +148,8 @@ int cmd_evaluate(const std::map<std::string, std::string>& flags) {
 int cmd_advise(const std::map<std::string, std::string>& flags) {
   const auto simulator = make_simulator(need(flags, "machine"));
   const auto trained = train_from_csv(need(flags, "data"), 0.25, 1);
-  const int o = static_cast<int>(parse_int(need(flags, "o")));
-  const int v = static_cast<int>(parse_int(need(flags, "v")));
+  const int o = int_flag<int>(flags, "o");
+  const int v = int_flag<int>(flags, "v");
   const guide::Advisor advisor(*trained.model, simulator);
 
   const auto stq = advisor.shortest_time(o, v);
@@ -169,11 +177,10 @@ int cmd_advise(const std::map<std::string, std::string>& flags) {
 
 int cmd_job(const std::map<std::string, std::string>& flags) {
   const auto simulator = make_simulator(need(flags, "machine"));
-  const sim::RunConfig cfg{
-      .o = static_cast<int>(parse_int(need(flags, "o"))),
-      .v = static_cast<int>(parse_int(need(flags, "v"))),
-      .nodes = static_cast<int>(parse_int(need(flags, "nodes"))),
-      .tile = static_cast<int>(parse_int(need(flags, "tile")))};
+  const sim::RunConfig cfg{.o = int_flag<int>(flags, "o"),
+                           .v = int_flag<int>(flags, "v"),
+                           .nodes = int_flag<int>(flags, "nodes"),
+                           .tile = int_flag<int>(flags, "tile")};
   const auto job = sim::estimate_job(simulator, cfg);
   std::printf(
       "CCSD job O=%d V=%d on %d nodes (tile %d):\n"

@@ -61,8 +61,10 @@
 #include <deque>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -123,15 +125,23 @@ bool switch_on(const std::map<std::string, std::string>& flags,
   return value == "1";
 }
 
+/// The integer flag --key (`fallback` when absent) as a T that is >= lo
+/// (0 by default: most flags are counts); an out-of-range value fails with
+/// the flag's name instead of wrapping.
+template <typename T>
+T int_flag(const std::map<std::string, std::string>& flags,
+           const std::string& key, const std::string& fallback,
+           long long lo = 0) {
+  return parse_int_as<T>(get_or(flags, key, fallback), "--" + key, lo);
+}
+
 serve::RegistryOptions registry_options(
     const std::map<std::string, std::string>& flags) {
   serve::RegistryOptions opt;
-  opt.fallback_rows =
-      static_cast<std::size_t>(parse_int(get_or(flags, "rows", "600")));
-  opt.fallback_seed =
-      static_cast<std::uint64_t>(parse_int(get_or(flags, "seed", "2025")));
+  opt.fallback_rows = int_flag<std::size_t>(flags, "rows", "600");
+  opt.fallback_seed = int_flag<std::uint64_t>(flags, "seed", "2025");
   if (flags.count("estimators")) {
-    const int n = static_cast<int>(parse_int(flags.at("estimators")));
+    const int n = int_flag<int>(flags, "estimators", "");
     opt.gb_estimators = n;
     opt.rf_estimators = n;
   }
@@ -177,8 +187,7 @@ std::unique_ptr<serve::FaultInjector> fault_injector_from_flags(
   prob("fault-report", fopt.report_ingest);
   prob("fault-refit", fopt.refit_stall);
   prob("fault-promote", fopt.promotion_race);
-  fopt.seed =
-      static_cast<std::uint64_t>(parse_int(get_or(flags, "fault-seed", "2025")));
+  fopt.seed = int_flag<std::uint64_t>(flags, "fault-seed", "2025");
   fopt.sweep_delay_ms = parse_double(get_or(flags, "fault-sweep-ms", "10"));
   fopt.worker_stall_ms = parse_double(get_or(flags, "fault-stall-ms", "5"));
   fopt.cache_shard_hold_ms =
@@ -197,67 +206,100 @@ serve::online::OnlineOptions online_options_from_flags(
   serve::online::OnlineOptions opt;
   opt.enabled = switch_on(flags, "online");
   if (!opt.enabled) return opt;
-  opt.buffer_capacity = static_cast<std::size_t>(
-      parse_int(get_or(flags, "online-buffer", "4096")));
-  opt.drift.window = static_cast<std::size_t>(
-      parse_int(get_or(flags, "online-drift-window", "64")));
-  opt.drift.min_samples = static_cast<std::size_t>(
-      parse_int(get_or(flags, "online-min-reports", "16")));
+  opt.buffer_capacity = int_flag<std::size_t>(flags, "online-buffer", "4096");
+  opt.drift.window = int_flag<std::size_t>(flags, "online-drift-window", "64");
+  opt.drift.min_samples =
+      int_flag<std::size_t>(flags, "online-min-reports", "16");
   opt.drift.mape_threshold =
       parse_double(get_or(flags, "online-drift-threshold", "0.25"));
-  opt.min_refit_rows = static_cast<std::size_t>(
-      parse_int(get_or(flags, "online-min-refit-rows", "32")));
-  opt.holdout =
-      static_cast<std::size_t>(parse_int(get_or(flags, "online-holdout", "16")));
+  opt.min_refit_rows =
+      int_flag<std::size_t>(flags, "online-min-refit-rows", "32");
+  opt.holdout = int_flag<std::size_t>(flags, "online-holdout", "16");
   opt.min_improvement =
       parse_double(get_or(flags, "online-min-improvement", "0"));
-  opt.feedback_weight = static_cast<std::size_t>(
-      parse_int(get_or(flags, "online-feedback-weight", "8")));
+  opt.feedback_weight =
+      int_flag<std::size_t>(flags, "online-feedback-weight", "8");
   return opt;
 }
 
 serve::ServeOptions serve_options_from_flags(
     const std::map<std::string, std::string>& flags) {
   serve::ServeOptions opt;
-  opt.threads =
-      static_cast<std::size_t>(parse_int(get_or(flags, "threads", "0")));
-  opt.cache_capacity =
-      static_cast<std::size_t>(parse_int(get_or(flags, "cache", "256")));
-  opt.max_queue_depth =
-      static_cast<std::size_t>(parse_int(get_or(flags, "max-queue", "0")));
+  opt.threads = int_flag<std::size_t>(flags, "threads", "0");
+  opt.cache_capacity = int_flag<std::size_t>(flags, "cache", "256");
+  opt.max_queue_depth = int_flag<std::size_t>(flags, "max-queue", "0");
   opt.default_machine = get_or(flags, "default-machine", "aurora");
   opt.default_model = get_or(flags, "default-model", "gb");
   opt.online = online_options_from_flags(flags);
   // Dynamic micro-batching: on by default for the daemon (the whole point
   // of a multi-client front end); --batch-max 0 disables it.
-  opt.batch.max_batch =
-      static_cast<std::size_t>(parse_int(get_or(flags, "batch-max", "64")));
+  opt.batch.max_batch = int_flag<std::size_t>(flags, "batch-max", "64");
   opt.batch.enabled = opt.batch.max_batch > 0;
-  opt.batch.max_hold_us = static_cast<std::uint32_t>(
-      parse_int(get_or(flags, "batch-hold-us", "200")));
+  opt.batch.max_hold_us = int_flag<std::uint32_t>(flags, "batch-hold-us", "200");
   return opt;
 }
 
 serve::EventLoopOptions event_loop_options_from_flags(
-    const std::map<std::string, std::string>& flags, int port) {
+    const std::map<std::string, std::string>& flags) {
   serve::EventLoopOptions opt;
-  opt.port = port;
-  opt.backlog = static_cast<int>(parse_int(get_or(flags, "backlog", "-1")));
-  opt.max_line_bytes = static_cast<std::size_t>(parse_int(
-      get_or(flags, "max-line", std::to_string(opt.max_line_bytes))));
-  opt.max_outbuf_bytes = static_cast<std::size_t>(parse_int(
-      get_or(flags, "max-outbuf", std::to_string(opt.max_outbuf_bytes))));
-  opt.max_inbuf_bytes = static_cast<std::size_t>(
-      parse_int(get_or(flags, "max-inbuf", "0")));
+  // A negative backlog means SOMAXCONN.
+  opt.backlog = int_flag<int>(flags, "backlog", "-1",
+                              std::numeric_limits<int>::min());
+  opt.max_line_bytes = int_flag<std::size_t>(
+      flags, "max-line", std::to_string(opt.max_line_bytes));
+  opt.max_outbuf_bytes = int_flag<std::size_t>(
+      flags, "max-outbuf", std::to_string(opt.max_outbuf_bytes));
+  opt.max_inbuf_bytes = int_flag<std::size_t>(flags, "max-inbuf", "0");
   return opt;
+}
+
+/// Everything `serve` reads from its flags. serve_config() parses and
+/// range-checks all of it before any fork, load or socket, so a bad value
+/// fails like an unknown flag, never inside a forked shard.
+struct ServeConfig {
+  std::string artifacts;
+  bool serial = false;
+  int fleet = 0;            ///< shard processes; 0 serves in this process
+  std::optional<int> port;  ///< no listener without --port
+  serve::RegistryOptions registry;
+  serve::ServeOptions serve;
+  serve::EventLoopOptions loop;  ///< its port is set per listener
+  /// nullptr without --fault-* flags. Built before any fork, so each shard
+  /// process starts from its own copy.
+  std::unique_ptr<serve::FaultInjector> fault;
+};
+
+ServeConfig serve_config(const std::map<std::string, std::string>& flags) {
+  ServeConfig cfg;
+  cfg.artifacts = need(flags, "artifacts");
+  cfg.serial = switch_on(flags, "serial");
+  cfg.fleet = static_cast<int>(
+      parse_int_in(get_or(flags, "fleet", "0"), "--fleet", 0, 64));
+  if (flags.count("port") != 0) {
+    cfg.port = static_cast<int>(
+        parse_int_in(flags.at("port"), "--port", 0, 65535));
+  }
+  // Shards listen on port + 1 .. port + N: the router needs a real port
+  // (0 would fork shards onto ports 1..N) with room for them after it.
+  CCPRED_CHECK_MSG(cfg.fleet == 0 || (cfg.port && *cfg.port >= 1 &&
+                                      *cfg.port + cfg.fleet <= 65535),
+                   "--fleet " << cfg.fleet << " needs --port in 1.."
+                              << 65535 - cfg.fleet);
+  cfg.registry = registry_options(flags);
+  cfg.serve = serve_options_from_flags(flags);
+  cfg.loop = event_loop_options_from_flags(flags);
+  cfg.fault = fault_injector_from_flags(flags);
+  return cfg;
 }
 
 /// The epoll listener on 127.0.0.1:port over `front`: single requests go
 /// through submit_with, whole binary frames through submit_batch_with (one
 /// hand-off per frame).
-std::unique_ptr<serve::EventLoopServer> open_listener(
-    serve::Shard& front, const std::map<std::string, std::string>& flags,
-    int port) {
+std::unique_ptr<serve::EventLoopServer> open_listener(serve::Shard& front,
+                                                      const ServeConfig& cfg,
+                                                      int port) {
+  serve::EventLoopOptions opt = cfg.loop;
+  opt.port = port;
   auto listener = std::make_unique<serve::EventLoopServer>(
       [&front](serve::Request request,
                serve::EventLoopServer::Completion done) {
@@ -267,7 +309,7 @@ std::unique_ptr<serve::EventLoopServer> open_listener(
                serve::EventLoopServer::BatchCompletion done) {
         front.submit_batch_with(std::move(batch), std::move(done));
       },
-      event_loop_options_from_flags(flags, port));
+      opt);
   std::fprintf(stderr,
                "ccpred_serverd listening on 127.0.0.1:%d "
                "(epoll, JSON + binary frames)\n",
@@ -363,16 +405,13 @@ void serve_stdin(serve::Shard& front, bool serial,
 /// Body of one forked shard process: a full Server on its own port. Blocks
 /// until the parent closes the shutdown pipe (EOF), then tears down. Never
 /// touches stdin/stdout — those belong to the parent.
-int run_fleet_child(const std::map<std::string, std::string>& flags,
-                    int port, int shutdown_fd) {
-  serve::ModelRegistry registry(need(flags, "artifacts"),
-                                registry_options(flags));
-  const auto fault = fault_injector_from_flags(flags);
-  registry.set_fault_injector(fault.get());
-  serve::ServeOptions opt = serve_options_from_flags(flags);
-  opt.fault_injector = fault.get();
+int run_fleet_child(const ServeConfig& cfg, int port, int shutdown_fd) {
+  serve::ModelRegistry registry(cfg.artifacts, cfg.registry);
+  registry.set_fault_injector(cfg.fault.get());
+  serve::ServeOptions opt = cfg.serve;
+  opt.fault_injector = cfg.fault.get();
   serve::Server server(registry, opt);
-  const auto listener = open_listener(server, flags, port);
+  const auto listener = open_listener(server, cfg, port);
   server.set_overflow_source(
       [&listener] { return listener->stats().overflow_closes; });
   char byte = 0;
@@ -385,18 +424,9 @@ int run_fleet_child(const std::map<std::string, std::string>& flags,
   return 0;
 }
 
-int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
-                    int shards, const serve::ServeOptions& serve_opt,
-                    bool serial) {
-  CCPRED_CHECK_MSG(flags.count("port") != 0, "--fleet requires --port");
-  CCPRED_CHECK_MSG(shards >= 1 && shards <= 64,
-                   "--fleet wants 1..64 shards, got " << shards);
-  const int base_port = static_cast<int>(parse_int(flags.at("port")));
-  // Shards listen on base_port + 1 .. base_port + N, so the router's port
-  // must be a real one: --port 0 would fork shards onto ports 1..N.
-  CCPRED_CHECK_MSG(base_port >= 1,
-                   "--fleet needs --port >= 1 (shards listen on the ports "
-                   "after it), got " << base_port);
+int cmd_serve_fleet(const ServeConfig& cfg) {
+  const int base_port = *cfg.port;
+  const int shards = cfg.fleet;
 
   // Fork every shard BEFORE the parent creates any thread (fleet pool,
   // event loop): forking a multithreaded process clones only the calling
@@ -415,7 +445,7 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
       for (const int fd : shutdown_fds) ::close(fd);
       int code = 1;
       try {
-        code = run_fleet_child(flags, child_port, pipe_fds[0]);
+        code = run_fleet_child(cfg, child_port, pipe_fds[0]);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "shard %d: fatal: %s\n", i, e.what());
       }
@@ -430,14 +460,14 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
 
   {
     serve::FleetOptions opt;
-    opt.serve = serve_opt;
+    opt.serve = cfg.serve;
     serve::ShardFleet fleet(child_ports, opt);
     // Declared after the fleet, so it stops first; completions the fleet's
     // pool delivers after that are dropped by the loop's closed sink.
-    const auto listener = open_listener(fleet, flags, base_port);
+    const auto listener = open_listener(fleet, cfg, base_port);
     std::fprintf(stderr, "ccpred_serverd fleet: %d shards on ports %d..%d\n",
                  shards, base_port + 1, base_port + shards);
-    serve_stdin(fleet, serial, listener.get());
+    serve_stdin(fleet, cfg.serial, listener.get());
     const serve::FleetCounters c = fleet.counters();
     std::fprintf(stderr,
                  "fleet: %llu routed, %llu failovers, %zu of %zu shards "
@@ -458,18 +488,13 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
 // ---------------------------------------------------------------------------
 
 int cmd_serve(const std::map<std::string, std::string>& flags) {
-  // Both switches are read before any fork, load or socket, so a bad value
-  // fails like an unknown flag.
-  const bool serial = switch_on(flags, "serial");
-  serve::ServeOptions opt = serve_options_from_flags(flags);
-  const int fleet = static_cast<int>(parse_int(get_or(flags, "fleet", "0")));
-  if (fleet > 0) return cmd_serve_fleet(flags, fleet, opt, serial);
+  const ServeConfig cfg = serve_config(flags);
+  if (cfg.fleet > 0) return cmd_serve_fleet(cfg);
 
-  serve::ModelRegistry registry(need(flags, "artifacts"),
-                                registry_options(flags));
-  const auto fault = fault_injector_from_flags(flags);
-  registry.set_fault_injector(fault.get());
-  opt.fault_injector = fault.get();
+  serve::ModelRegistry registry(cfg.artifacts, cfg.registry);
+  registry.set_fault_injector(cfg.fault.get());
+  serve::ServeOptions opt = cfg.serve;
+  opt.fault_injector = cfg.fault.get();
   serve::Server server(registry, opt);
   if (opt.online.enabled) {
     std::fprintf(stderr,
@@ -477,20 +502,19 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
                  "%.2f, window %zu)\n",
                  opt.online.drift.mape_threshold, opt.online.drift.window);
   }
-  if (fault != nullptr) {
+  if (cfg.fault != nullptr) {
     std::fprintf(stderr,
                  "ccpred_serverd FAULT INJECTION ARMED (seed %llu)\n",
-                 static_cast<unsigned long long>(fault->options().seed));
+                 static_cast<unsigned long long>(cfg.fault->options().seed));
   }
 
   std::unique_ptr<serve::EventLoopServer> listener;
-  if (flags.count("port")) {
-    listener = open_listener(server, flags,
-                             static_cast<int>(parse_int(flags.at("port"))));
+  if (cfg.port) {
+    listener = open_listener(server, cfg, *cfg.port);
     server.set_overflow_source(
         [&listener] { return listener->stats().overflow_closes; });
   }
-  serve_stdin(server, serial, listener.get());
+  serve_stdin(server, cfg.serial, listener.get());
   return 0;
 }
 

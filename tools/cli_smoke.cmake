@@ -1,5 +1,6 @@
 # CTest script: generate a small campaign CSV, evaluate it, and ask for
-# advice — the CLI's three data-driven subcommands end to end.
+# advice — the CLI's three data-driven subcommands end to end — and check
+# that an out-of-range integer flag is refused.
 
 set(csv "${WORKDIR}/cli_smoke_campaign.csv")
 
@@ -42,4 +43,15 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "fastest")
 endif()
 
 file(REMOVE "${csv}")
+
+# An integer flag beyond int fails and names the flag instead of wrapping
+# (--o 4294967340 would describe a job for O=44).
+execute_process(COMMAND "${CLI}" job --machine aurora --o 4294967340 --v 260
+                        --nodes 16 --tile 60
+                INPUT_FILE /dev/null TIMEOUT 60
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0 OR NOT err MATCHES "--o must be")
+  message(FATAL_ERROR "job --o 4294967340 was not refused (${rc}): ${out} ${err}")
+endif()
+
 message(STATUS "CLI smoke OK")

@@ -12,7 +12,9 @@
 #  * --serial 0 means pipelined (the batch scheduler dispatches), not serial,
 #  * a malformed artifact (a tree cycle, a split feature past the row) is
 #    refused with "ok":false within seconds instead of hanging the loader
-#    or answering from out-of-row reads.
+#    or answering from out-of-row reads,
+#  * an integer field beyond int and an out-of-range --port or --threads
+#    are refused instead of wrapping.
 
 set(dir "${WORKDIR}/serverd_smoke_artifacts")
 file(REMOVE_RECURSE "${dir}")
@@ -193,6 +195,29 @@ foreach(model IN LISTS bad_models)
   endif()
 endforeach()
 file(REMOVE_RECURSE "${bad_dir}")
+
+# An integer field beyond int must be refused, not wrapped: o = 2^32 + 44
+# would otherwise be answered (and cached) as O = 44.
+file(WRITE "${session}" "{\"op\":\"stq\",\"o\":4294967340,\"v\":260}\n")
+execute_process(COMMAND "${SERVERD}" serve --artifacts "${dir}" --serial 1
+                INPUT_FILE "${session}" TIMEOUT 60
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "\"ok\":false.*\"code\":\"bad_request\"")
+  message(FATAL_ERROR "o beyond int was not refused (${rc}): ${out} ${err}")
+endif()
+
+# Numeric flags out of their range fail before any load or socket, and the
+# error names the flag, instead of wrapping (a port of 70000 to 4464, a
+# thread count of -1 to SIZE_MAX).
+foreach(bad "--port;70000" "--threads;-1")
+  list(GET bad 0 flag)
+  execute_process(COMMAND "${SERVERD}" serve --artifacts "${dir}" ${bad}
+                  INPUT_FILE /dev/null TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR NOT err MATCHES "${flag} must be")
+    message(FATAL_ERROR "serve ${bad} was not refused (${rc}): ${out} ${err}")
+  endif()
+endforeach()
 
 file(REMOVE_RECURSE "${dir}")
 file(REMOVE "${session}")
