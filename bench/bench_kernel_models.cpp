@@ -1,20 +1,16 @@
 /// Kernel-model engine bench: the fast GP path (cached squared distances,
-/// blocked Cholesky, batched variances, incremental refits) against the
-/// test oracle's ReferenceGp (the original scalar per-candidate / per-row
-/// computation), on the paper's Aurora campaign.
+/// blocked Cholesky, batched variances) against the test oracle's
+/// ReferenceGp (the original scalar per-candidate / per-row computation),
+/// on the paper's Aurora campaign.
 ///
-/// Three timed sections:
+/// Two timed engine sections, the two halves of an active-learning round:
 ///   - GP fit with the (gamma, noise) grid search (Fig. 3 hyper-parameter
 ///     optimization), fast vs reference
 ///   - pool-sized batch predict_with_std, fast vs reference
-///   - one uncertainty-sampling active-learning arm (Fig. 3 US config),
-///     fast GP + incremental refits vs ReferenceGp + from-scratch refits,
-///     compared per round
 ///
 /// Gates (exit nonzero on failure):
 ///   - GP grid fit: fast >= 3x faster than reference
 ///   - batch predict_with_std: fast >= 4x faster than reference
-///   - per-AL-round: fast >= 2x faster than reference
 ///   - fast and reference predictions agree to 1e-9 relative
 ///   - RBF exp map: AVX2 table >= 2x the scalar table, <= 1e-12 relative
 ///   - squared-distance build: AVX2 table >= 2x the scalar table,
@@ -31,9 +27,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "ccpred/active/loop.hpp"
 #include "ccpred/data/generator.hpp"
-#include "ccpred/active/uncertainty_sampling.hpp"
 #include "ccpred/common/stopwatch.hpp"
 #include "ccpred/common/table.hpp"
 #include "ccpred/common/thread_pool.hpp"
@@ -76,8 +70,8 @@ int main() {
 
   // The fit/predict sections use a fixed-size campaign in both modes: the
   // engine's algorithmic advantage is an asymptotic property, so shrinking
-  // the matrices (as fast mode does for the AL section) would just measure
-  // fixed overheads. ~1s of reference factorization is still smoke-sized.
+  // the matrices would just measure fixed overheads. ~1s of reference
+  // factorization is still smoke-sized.
   data::GeneratorOptions gen_opt;
   gen_opt.seed = 2025;
   gen_opt.target_total = 1800;
@@ -125,37 +119,6 @@ int main() {
     const double scale = std::max(std::abs(mean_fast[i]), 1e-12);
     std_rel = std::max(std_rel, std::abs(std_fast[i] - std_ref[i]) / scale);
   }
-
-  // ---- active learning, Fig. 3 US arm ----
-  al::ActiveLearningOptions al_ref_opt;
-  al_ref_opt.n_initial = 50;
-  al_ref_opt.query_size = 50;
-  al_ref_opt.n_queries = fast_mode ? 6 : 10;
-  al::ActiveLearningOptions al_fast_opt = al_ref_opt;
-  al_fast_opt.incremental_refit = true;
-  al_fast_opt.refit_cadence = 5;
-
-  ml::GaussianProcessRegression al_proto_fast(0.5, 1e-4, true, true);
-  oracle::ReferenceGp al_proto_ref(0.5, 1e-4, true, true);
-
-  al::UncertaintySampling us_fast, us_ref;
-  std::size_t al_rounds = 0;
-  Stopwatch al_fast_watch;
-  const auto al_fast_result = al::run_active_learning(
-      data.split.train, data.split.test, al_proto_fast, us_fast, al_fast_opt);
-  const double al_fast_s = al_fast_watch.elapsed_s();
-  Stopwatch al_ref_watch;
-  const auto al_ref_result = al::run_active_learning(
-      data.split.train, data.split.test, al_proto_ref, us_ref, al_ref_opt);
-  const double al_ref_s = al_ref_watch.elapsed_s();
-  al_rounds = al_fast_result.rounds.size();
-  const double al_fast_round_s = al_fast_s / static_cast<double>(al_rounds);
-  const double al_ref_round_s =
-      al_ref_s / static_cast<double>(al_ref_result.rounds.size());
-  const double al_speedup = al_ref_round_s / al_fast_round_s;
-  const double al_r2_gap =
-      std::abs(al_fast_result.rounds.back().train_scores.r2 -
-               al_ref_result.rounds.back().train_scores.r2);
 
   // ---- dispatched numeric kernels: scalar vs AVX2 tables ----
   // The two kernels behind the fast GP path, timed table-vs-table on the
@@ -218,11 +181,6 @@ int main() {
   table.add_row({"predict_with_std", "fast",
                  TextTable::cell(predict_fast_s, 4),
                  TextTable::cell(predict_speedup, 1) + "x"});
-  table.add_row({"AL round (US)", "reference",
-                 TextTable::cell(al_ref_round_s, 3), "1.0x"});
-  table.add_row({"AL round (US)", "fast+incremental",
-                 TextTable::cell(al_fast_round_s, 3),
-                 TextTable::cell(al_speedup, 1) + "x"});
   table.add_row({"sqdist build", "scalar", TextTable::cell(sqdist_scalar_s, 4),
                  "1.0x"});
   table.add_row({"sqdist build", "avx2", TextTable::cell(sqdist_avx2_s, 4),
@@ -236,7 +194,6 @@ int main() {
   const bool agree_ok = mean_rel <= 1e-9 && std_rel <= 1e-9;
   const bool fit_ok = fit_speedup >= 3.0;
   const bool predict_ok = predict_speedup >= 4.0;
-  const bool al_ok = al_speedup >= 2.0;
   const bool sqdist_ok =
       !simd_gated || (sqdist_speedup >= 2.0 && sqdist_identical);
   const bool exp_ok = !simd_gated || (exp_speedup >= 2.0 && exp_rel <= 1e-12);
@@ -245,22 +202,18 @@ int main() {
       "%s\n"
       "GP grid-fit speedup %.1fx (target >= 3x): %s\n"
       "batch predict_with_std speedup %.1fx (target >= 4x): %s\n"
-      "per-AL-round speedup %.1fx (target >= 2x): %s\n"
       "sqdist avx2 vs scalar %.1fx, identical %s (target >= 2x): %s\n"
       "RBF exp map avx2 vs scalar %.1fx, rel %.2e (target >= 2x, <= 1e-12): "
-      "%s\n"
-      "final-round train R^2 gap (incremental vs scratch): %.4f\n",
+      "%s\n",
       mean_rel, std_rel, agree_ok ? "PASS" : "FAIL", fit_speedup,
       fit_ok ? "PASS" : "FAIL", predict_speedup, predict_ok ? "PASS" : "FAIL",
-      al_speedup, al_ok ? "PASS" : "FAIL", sqdist_speedup,
-      sqdist_identical ? "yes" : "NO",
+      sqdist_speedup, sqdist_identical ? "yes" : "NO",
       simd_gated ? (sqdist_ok ? "PASS" : "FAIL") : "not gated (no AVX2)",
       exp_speedup, exp_rel,
-      simd_gated ? (exp_ok ? "PASS" : "FAIL") : "not gated (no AVX2)",
-      al_r2_gap);
+      simd_gated ? (exp_ok ? "PASS" : "FAIL") : "not gated (no AVX2)");
 
   const bool pass =
-      agree_ok && fit_ok && predict_ok && al_ok && sqdist_ok && exp_ok;
+      agree_ok && fit_ok && predict_ok && sqdist_ok && exp_ok;
   std::FILE* json = std::fopen("BENCH_kernel_engine.json", "w");
   if (json != nullptr) {
     std::fprintf(
@@ -274,9 +227,6 @@ int main() {
         "  \"predict_with_std\": {\"batch\": %zu, \"reference_s\": %.6f, "
         "\"fast_s\": %.6f, \"speedup\": %.3f, \"mean_rel_diff\": %.3e, "
         "\"std_rel_diff\": %.3e},\n"
-        "  \"active_learning\": {\"rounds\": %zu, \"reference_round_s\": "
-        "%.6f, \"fast_round_s\": %.6f, \"speedup\": %.3f, "
-        "\"final_r2_gap\": %.6f},\n"
         "  \"simd_kernels\": {\"n\": %zu, "
         "\"sqdist_scalar_s\": %.6f, \"sqdist_avx2_s\": %.6f, "
         "\"sqdist_speedup\": %.3f, \"sqdist_identical\": %s, "
@@ -287,8 +237,7 @@ int main() {
         "}\n",
         fast_mode ? "true" : "false", threads, n_fit, fit_ref_s, fit_fast_s,
         fit_speedup, x_pool.rows(), predict_ref_s, predict_fast_s,
-        predict_speedup, mean_rel, std_rel, al_rounds, al_ref_round_s,
-        al_fast_round_s, al_speedup, al_r2_gap, kn, sqdist_scalar_s,
+        predict_speedup, mean_rel, std_rel, kn, sqdist_scalar_s,
         sqdist_avx2_s, sqdist_speedup, sqdist_identical ? "true" : "false",
         exp_scalar_s, exp_avx2_s, exp_speedup, exp_rel,
         simd_gated ? "true" : "false", bench::provenance_json().c_str(),

@@ -73,12 +73,12 @@ int main() {
 
   // ---- training: exact reference vs presorted exact ----
   // Fits take best-of-2: one timer outlier (or a cold first call) should
-  // not fail the run. The oracle calls repeat the library classes' default
-  // seeds (42), subsample (1.0) and bootstrap (on).
+  // not fail the run. The forest oracle call repeats the library class's
+  // default seed (42) and bootstrap (on).
   const int fit_reps = 2;
   std::optional<ml::GradientBoostingRegressor> gb_oracle;
   const double gb_oracle_s = best_time_s(fit_reps, [&] {
-    gb_oracle = oracle::exact_gb(x, y, gb_stages, 0.1, exact_opt, 1.0, 42);
+    gb_oracle = oracle::exact_gb(x, y, gb_stages, 0.1, exact_opt);
   });
   ml::GradientBoostingRegressor gb_exact(gb_stages, 0.1, exact_opt);
   const double gb_presort_s =

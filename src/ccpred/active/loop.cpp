@@ -1,8 +1,5 @@
 #include "ccpred/active/loop.hpp"
 
-#include <algorithm>
-#include <functional>
-
 #include "ccpred/common/error.hpp"
 
 namespace ccpred::al {
@@ -27,10 +24,6 @@ ActiveLearningResult run_active_learning(
   result.strategy = strategy.name();
   result.model = prototype.name();
 
-  std::unique_ptr<ml::Regressor> model;
-  linalg::Matrix pending_x;          // rows labeled since the last fit
-  std::vector<double> pending_y;
-
   // The test set's true objective sweep never changes across rounds —
   // compute it once and reuse it in every goal evaluation.
   std::vector<guide::ProblemSweep> true_sweeps;
@@ -40,21 +33,8 @@ ActiveLearningResult run_active_learning(
   }
 
   for (int round = 0; round < options.n_queries; ++round) {
-    const bool cadence_refit = options.refit_cadence > 0 &&
-                               round % options.refit_cadence == 0;
-    const bool can_update = options.incremental_refit && model != nullptr &&
-                            model->supports_incremental_update() &&
-                            !cadence_refit && pending_x.rows() > 0;
-    if (can_update) {
-      // Reuse the previous factorization: hyper-parameters are unchanged,
-      // so the model only absorbs the newly labeled rows in O(n^2 q).
-      model->update(pending_x, pending_y);
-    } else {
-      model = prototype.clone();
-      model->fit(pool.labeled_features(), pool.labeled_targets());
-    }
-    pending_x = linalg::Matrix();
-    pending_y.clear();
+    const std::unique_ptr<ml::Regressor> model = prototype.clone();
+    model->fit(pool.labeled_features(), pool.labeled_targets());
 
     RoundRecord record;
     record.labeled_count = pool.labeled().size();
@@ -74,19 +54,6 @@ ActiveLearningResult run_active_learning(
     if (pool.unlabeled().empty()) break;
     auto queries = strategy.select(pool, *model, options.query_size, rng);
     if (queries.empty()) break;
-    if (options.incremental_refit && model->supports_incremental_update()) {
-      // Capture the about-to-be-labeled rows in the order label_positions
-      // appends them (descending position), so an incremental update sees
-      // the same row order a from-scratch refit would.
-      std::vector<std::size_t> order = queries;
-      std::sort(order.begin(), order.end(), std::greater<>());
-      std::vector<std::size_t> rows;
-      rows.reserve(order.size());
-      for (auto p : order) rows.push_back(pool.unlabeled()[p]);
-      const auto batch = pool.dataset().select(rows);
-      pending_x = batch.features();
-      pending_y = batch.targets();
-    }
     pool.label_positions(std::move(queries));
   }
   return result;

@@ -28,15 +28,6 @@ struct ActiveLearningOptions {
   /// When set, each round also answers the goal question on the test set
   /// and records the true-loss scores (§3.4).
   std::optional<guide::Objective> goal;
-  /// When true and the model supports it (GP), rounds after the first
-  /// absorb the newly labeled rows via Regressor::update() — extending the
-  /// cached distance matrix and Cholesky factor in O(n^2 q) with
-  /// hyper-parameters unchanged — instead of refitting from scratch.
-  bool incremental_refit = false;
-  /// With incremental_refit, a full refit (including hyper-parameter
-  /// re-optimization and scaler updates) still runs every refit_cadence
-  /// rounds; <= 0 means only round 0 fits from scratch.
-  int refit_cadence = 5;
 };
 
 /// One round of the learning curve.

@@ -2,7 +2,7 @@
 
 /// \file query_by_committee.hpp
 /// Query by committee (QC, Algorithm 2): train a committee of models on
-/// the labeled data (diversified by seed and subsampling), and query the
+/// the labeled data (each on its own bootstrap resample), and query the
 /// unlabeled experiments where the committee's predictions disagree the
 /// most (largest variance). The paper pairs QC with gradient boosting.
 

@@ -53,9 +53,10 @@ void AdaBoostRegressor::fit(const linalg::Matrix& x,
       if (r >= n) r = n - 1;
     }
 
-    TreeOptions opt = tree_options_;
-    opt.seed = rng.next();
-    DecisionTreeRegressor tree(opt);
+    // One draw between stages: every later resample, and so every fitted
+    // model, depends on the stream's position.
+    rng.next();
+    DecisionTreeRegressor tree(tree_options_);
     tree.fit_presorted(x, ranks, y, rows, nullptr, &stage_arena);
 
     // Relative errors on the *full* training set.
@@ -158,7 +159,7 @@ void AdaBoostRegressor::set_params(const ParamMap& params) {
       CCPRED_CHECK_MSG(iv >= 0 && iv <= 2, "loss code must be 0..2");
       loss_ = static_cast<AdaBoostLoss>(iv);
     } else if (key == "max_depth" || key == "min_samples_split" ||
-               key == "min_samples_leaf" || key == "max_features") {
+               key == "min_samples_leaf") {
       DecisionTreeRegressor probe(tree_options_);
       probe.set_params({{key, value}});
       tree_options_ = probe.options();

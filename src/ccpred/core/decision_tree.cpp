@@ -55,8 +55,6 @@ struct DecisionTreeRegressor::PresortContext {
   const double* y = nullptr;
   std::vector<double> importance;
   int effective_max_depth = 64;
-  int max_features = 0;
-  Rng rng{1};
   double* train_pred = nullptr;  ///< optional per-row leaf values
 
   // Per-fit scratch, bump-allocated from the fit's arena:
@@ -65,7 +63,6 @@ struct DecisionTreeRegressor::PresortContext {
   std::uint32_t* order = nullptr;     ///< d sorted orders of m rows each
   std::uint32_t* scratch = nullptr;   ///< right-half staging for partition
   std::uint8_t* goes_left = nullptr;  ///< per row id: routed left at a split
-  std::size_t* all_features = nullptr;  ///< 0..d-1, reused when not sampling
 };
 
 namespace {
@@ -128,18 +125,6 @@ std::size_t partition_ids(std::uint32_t* ids, std::size_t n,
   return nl;
 }
 
-/// Candidate features for one node: all, or a random subset for forests.
-std::vector<std::size_t> candidate_features(std::size_t d, int max_features,
-                                            Rng& rng) {
-  if (max_features > 0 && static_cast<std::size_t>(max_features) < d) {
-    return rng.sample_without_replacement(
-        d, static_cast<std::size_t>(max_features));
-  }
-  std::vector<std::size_t> features(d);
-  for (std::size_t f = 0; f < d; ++f) features[f] = f;
-  return features;
-}
-
 }  // namespace
 
 int DecisionTreeRegressor::build_presorted(PresortContext& ctx, std::size_t lo,
@@ -172,22 +157,11 @@ int DecisionTreeRegressor::build_presorted(PresortContext& ctx, std::size_t lo,
     return emit_leaf();
   }
 
-  // All features when not subsampling (no per-node vector), else a fresh
-  // random subset (candidate_features only draws from the rng when it
-  // actually samples, so the stream is the same either way).
   const std::size_t d = x.cols();
-  std::vector<std::size_t> sampled;
-  const bool use_all = ctx.max_features <= 0 ||
-                       static_cast<std::size_t>(ctx.max_features) >= d;
-  if (!use_all) sampled = candidate_features(d, ctx.max_features, ctx.rng);
-  const std::size_t* features = use_all ? ctx.all_features : sampled.data();
-  const std::size_t n_features = use_all ? d : sampled.size();
-
   SplitCandidate best;
   std::size_t best_feature = 0;
   const auto min_leaf = static_cast<std::size_t>(options_.min_samples_leaf);
-  for (std::size_t fi = 0; fi < n_features; ++fi) {
-    const std::size_t f = features[fi];
+  for (std::size_t f = 0; f < d; ++f) {
     const auto cand = best_split_in_order(ctx.order + f * ctx.m + lo, n,
                                           ctx.ranks->column(f), y, min_leaf);
     if (cand.gain > best.gain) {
@@ -254,8 +228,6 @@ void DecisionTreeRegressor::fit_presorted(const linalg::Matrix& x,
   ctx.importance.assign(x.cols(), 0.0);
   ctx.effective_max_depth =
       options_.max_depth == 0 ? 64 : options_.max_depth;
-  ctx.max_features = options_.max_features;
-  ctx.rng = Rng(options_.seed);
   ctx.train_pred = train_pred;
 
   const std::size_t d = x.cols();
@@ -265,8 +237,6 @@ void DecisionTreeRegressor::fit_presorted(const linalg::Matrix& x,
   ctx.order = mem.alloc_array<std::uint32_t>(m * d);
   ctx.scratch = mem.alloc_array<std::uint32_t>(m);
   ctx.goes_left = mem.alloc_array<std::uint8_t>(x.rows());
-  ctx.all_features = mem.alloc_array<std::size_t>(d);
-  for (std::size_t f = 0; f < d; ++f) ctx.all_features[f] = f;
   for (std::size_t i = 0; i < m; ++i) {
     ctx.rows[i] = static_cast<std::uint32_t>(rows[i]);
   }
@@ -415,9 +385,6 @@ void DecisionTreeRegressor::set_params(const ParamMap& params) {
     } else if (key == "min_samples_leaf") {
       CCPRED_CHECK_MSG(iv >= 1, "min_samples_leaf must be >= 1");
       options_.min_samples_leaf = iv;
-    } else if (key == "max_features") {
-      CCPRED_CHECK_MSG(iv >= 0, "max_features must be >= 0");
-      options_.max_features = iv;
     } else {
       throw Error("DecisionTreeRegressor: unknown parameter '" + key + "'");
     }

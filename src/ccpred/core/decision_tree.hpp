@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "ccpred/common/rng.hpp"
 #include "ccpred/core/regressor.hpp"
 
 namespace ccpred::exec {
@@ -31,8 +30,6 @@ struct TreeOptions {
   int max_depth = 10;          ///< 0 means unlimited (capped at 64)
   int min_samples_split = 2;   ///< don't split nodes smaller than this
   int min_samples_leaf = 1;    ///< each child must keep at least this many
-  int max_features = 0;        ///< features tried per split; 0 = all
-  std::uint64_t seed = 1;      ///< feature-subsampling stream
 };
 
 /// Flattened tree node; children referenced by index into the node array.
@@ -75,7 +72,7 @@ class FeatureRanks {
 };
 
 /// CART regressor. Parameters: "max_depth", "min_samples_split",
-/// "min_samples_leaf", "max_features".
+/// "min_samples_leaf". Every split tries every feature.
 class DecisionTreeRegressor : public Regressor {
  public:
   explicit DecisionTreeRegressor(TreeOptions options = {});

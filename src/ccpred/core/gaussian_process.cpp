@@ -142,8 +142,8 @@ void GaussianProcessRegression::update(const linalg::Matrix& x_new,
   CCPRED_CHECK_MSG(x_new.rows() == y_new.size(), "X/y row mismatch");
   CCPRED_CHECK_MSG(x_new.rows() > 0, "update needs at least one new row");
   // Frozen scalers: the standardization learned at the last full fit keeps
-  // the cached distances and factor valid. The drift it ignores is absorbed
-  // by the active-learning loop's cadence of full refits.
+  // the cached distances and factor valid. The drift it ignores lasts until
+  // the next full fit.
   const linalg::Matrix z = scaler_.transform(x_new);
   std::vector<double> yz_new;
   if (log_target_) {

@@ -46,11 +46,8 @@ class GaussianProcessRegression : public UncertaintyRegressor {
   /// distance matrix and Cholesky factor in O(n^2 q) instead of the O(n^3)
   /// from-scratch fit. Hyper-parameters and the feature/target scalers stay
   /// frozen at their last full-fit values (rescaling would invalidate the
-  /// cached factor) — the active-learning loop refits from scratch on a
-  /// configurable cadence to absorb the drift.
-  void update(const linalg::Matrix& x_new,
-              const std::vector<double>& y_new) override;
-  bool supports_incremental_update() const override { return true; }
+  /// cached factor). Throws ccpred::Error before fit().
+  void update(const linalg::Matrix& x_new, const std::vector<double>& y_new);
 
   /// Log marginal likelihood of the training data under the current
   /// hyper-parameters (computed during fit).

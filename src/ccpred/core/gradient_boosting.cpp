@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "ccpred/common/error.hpp"
-#include "ccpred/common/rng.hpp"
 #include "ccpred/core/compiled_ensemble.hpp"
 #include "ccpred/exec/arena.hpp"
 #include "ccpred/exec/parallel_for.hpp"
@@ -12,19 +11,13 @@ namespace ccpred::ml {
 
 GradientBoostingRegressor::GradientBoostingRegressor(int n_estimators,
                                                      double learning_rate,
-                                                     TreeOptions tree_options,
-                                                     double subsample,
-                                                     std::uint64_t seed)
+                                                     TreeOptions tree_options)
     : n_estimators_(n_estimators),
       learning_rate_(learning_rate),
-      tree_options_(tree_options),
-      subsample_(subsample),
-      seed_(seed) {
+      tree_options_(tree_options) {
   CCPRED_CHECK_MSG(n_estimators > 0, "n_estimators must be > 0");
   CCPRED_CHECK_MSG(learning_rate > 0.0 && learning_rate <= 1.0,
                    "learning_rate must be in (0, 1]");
-  CCPRED_CHECK_MSG(subsample > 0.0 && subsample <= 1.0,
-                   "subsample must be in (0, 1]");
 }
 
 void GradientBoostingRegressor::fit(const linalg::Matrix& x,
@@ -48,17 +41,14 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
   compiled_.reset();
   fitted_ = false;
   trees_.reserve(static_cast<std::size_t>(n_estimators_));
-  Rng rng(seed_);
   std::vector<std::size_t> all_rows(n);
   for (std::size_t i = 0; i < n; ++i) all_rows[i] = i;
 
-  // With the full training set per stage (no subsampling), the tree's
-  // training partition already knows every row's leaf, so the fit hands
-  // back per-row predictions (bit-identical to predict_row) and the
-  // residual update needs no per-row tree walk.
-  std::vector<double> train_pred;
-  const bool use_train_pred = subsample_ >= 1.0;
-  if (use_train_pred) train_pred.resize(n);
+  // Each stage trains on every row, so the tree's training partition
+  // already knows every row's leaf: the fit hands back per-row predictions
+  // (bit-identical to predict_row) and the residual update needs no per-row
+  // tree walk.
+  std::vector<double> train_pred(n);
 
   // One arena reused across every stage's tree fit: the fit resets it and
   // bump-allocates all its scratch, so the boosting loop stops calling
@@ -66,29 +56,14 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
   exec::Arena stage_arena;
 
   for (int stage = 0; stage < n_estimators_; ++stage) {
-    TreeOptions opt = tree_options_;
-    opt.seed = rng.next();
-    DecisionTreeRegressor tree(opt);
-    const std::vector<std::size_t>& rows =
-        subsample_ < 1.0
-            ? rng.sample_without_replacement(
-                  n, std::max<std::size_t>(
-                         1, static_cast<std::size_t>(
-                                subsample_ * static_cast<double>(n))))
-            : all_rows;
-    double* stage_pred = use_train_pred ? train_pred.data() : nullptr;
-    tree.fit_presorted(x, ranks, residual, rows, stage_pred, &stage_arena);
+    DecisionTreeRegressor tree(tree_options_);
+    tree.fit_presorted(x, ranks, residual, all_rows, train_pred.data(),
+                       &stage_arena);
     // Update residuals with the shrunken stage prediction, chunked over the
     // pool (each index is independent, so the result is deterministic).
-    if (use_train_pred) {
-      exec::parallel_for(0, n, [&](std::size_t i) {
-        residual[i] -= learning_rate_ * train_pred[i];
-      });
-    } else {
-      exec::parallel_for(0, n, [&](std::size_t i) {
-        residual[i] -= learning_rate_ * tree.predict_row(x.row_ptr(i));
-      });
-    }
+    exec::parallel_for(0, n, [&](std::size_t i) {
+      residual[i] -= learning_rate_ * train_pred[i];
+    });
     trees_.push_back(std::move(tree));
   }
   fitted_ = true;
@@ -154,7 +129,7 @@ std::vector<double> GradientBoostingRegressor::feature_importances() const {
 
 std::unique_ptr<Regressor> GradientBoostingRegressor::clone() const {
   return std::make_unique<GradientBoostingRegressor>(
-      n_estimators_, learning_rate_, tree_options_, subsample_, seed_);
+      n_estimators_, learning_rate_, tree_options_);
 }
 
 const std::string& GradientBoostingRegressor::name() const {
@@ -172,12 +147,8 @@ void GradientBoostingRegressor::set_params(const ParamMap& params) {
       CCPRED_CHECK_MSG(value > 0.0 && value <= 1.0,
                        "learning_rate must be in (0, 1]");
       learning_rate_ = value;
-    } else if (key == "subsample") {
-      CCPRED_CHECK_MSG(value > 0.0 && value <= 1.0,
-                       "subsample must be in (0, 1]");
-      subsample_ = value;
     } else if (key == "max_depth" || key == "min_samples_split" ||
-               key == "min_samples_leaf" || key == "max_features") {
+               key == "min_samples_leaf") {
       DecisionTreeRegressor probe(tree_options_);
       probe.set_params({{key, value}});
       tree_options_ = probe.options();

@@ -6,12 +6,12 @@
 /// learning rate. The paper's winning model — its tuned configuration
 /// (750 estimators, depth 10, defaults otherwise) is the library default.
 ///
-/// Hot paths: the features are ranked once per fit (FeatureRanks) and every
-/// stage trains on the shared ranks. Without subsampling each stage's fit
-/// also hands back its training predictions, read off the tree's own
-/// partition, so the residual update walks no tree (with subsample < 1 it
-/// walks the new tree over every row); updates run chunked over the shared
-/// thread pool. fit() also compiles the fitted stages into a
+/// Every stage fits on every row. Hot paths: the features are ranked once
+/// per fit (FeatureRanks) and every stage trains on the shared ranks. Each
+/// stage's fit also hands back its training predictions, read off the
+/// tree's own partition, so the residual update walks no tree; updates run
+/// chunked over the shared thread pool. fit() also compiles the fitted
+/// stages into a
 /// CompiledEnsemble, so predict() serves flattened SoA batch inference
 /// (bit-identical to the tree walk of predict_staged over every stage).
 
@@ -27,15 +27,12 @@ namespace ccpred::ml {
 class CompiledEnsemble;
 
 /// Parameters: "n_estimators", "learning_rate", "max_depth",
-/// "min_samples_split", "min_samples_leaf", "max_features", "subsample"
-/// (stochastic GB).
+/// "min_samples_split", "min_samples_leaf".
 class GradientBoostingRegressor : public Regressor {
  public:
   explicit GradientBoostingRegressor(int n_estimators = 750,
                                      double learning_rate = 0.1,
-                                     TreeOptions tree_options = {},
-                                     double subsample = 1.0,
-                                     std::uint64_t seed = 42);
+                                     TreeOptions tree_options = {});
 
   void fit(const linalg::Matrix& x, const std::vector<double>& y) override;
 
@@ -78,8 +75,6 @@ class GradientBoostingRegressor : public Regressor {
   int n_estimators_;
   double learning_rate_;
   TreeOptions tree_options_;
-  double subsample_;
-  std::uint64_t seed_;
 
   bool fitted_ = false;
   double base_prediction_ = 0.0;

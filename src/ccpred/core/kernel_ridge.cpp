@@ -1,6 +1,5 @@
 #include "ccpred/core/kernel_ridge.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "ccpred/common/error.hpp"
@@ -18,31 +17,15 @@ void KernelRidgeRegression::fit(const linalg::Matrix& x,
                                 const std::vector<double>& y) {
   CCPRED_CHECK_MSG(x.rows() == y.size(), "X/y row mismatch");
   CCPRED_CHECK_MSG(x.rows() > 0, "cannot fit on empty data");
-  linalg::Matrix scaled = scaler_.fit_transform(x);
-  // Grid search calls set_params + fit on the same rows over and over;
-  // standardizing identical input reproduces x_train_ bit for bit, which
-  // makes the cached squared-distance matrix (RBF Gram in O(n^2) exps
-  // instead of a recomputation) safe to reuse across candidates.
-  const bool same_x =
-      fitted_ && scaled.rows() == x_train_.rows() &&
-      scaled.cols() == x_train_.cols() &&
-      std::equal(scaled.data(), scaled.data() + scaled.size(),
-                 x_train_.data());
-  x_train_ = std::move(scaled);
+  x_train_ = scaler_.fit_transform(x);
   const auto yz = y_scaler_.fit_transform(y);
-  linalg::Matrix k;
-  if (kernel_.type == KernelType::kRbf) {
-    if (!same_x || dist2_.empty()) dist2_ = squared_distances(x_train_);
-    k = rbf_from_squared_distances_symmetric(dist2_, kernel_.gamma);
-  } else {
-    dist2_ = linalg::Matrix();
-    k = kernel_.gram_symmetric(x_train_);
-  }
+  linalg::Matrix k =
+      kernel_.type == KernelType::kRbf
+          ? rbf_from_squared_distances_symmetric(squared_distances(x_train_),
+                                                 kernel_.gamma)
+          : kernel_.gram_symmetric(x_train_);
   k.add_diagonal(alpha_);
-  // Keep the factorization instead of discarding it after one solve.
-  chol_ = std::make_unique<linalg::Cholesky>(
-      linalg::spd_factor_with_jitter(std::move(k)));
-  dual_ = chol_->solve(yz);
+  dual_ = linalg::spd_solve_with_jitter(std::move(k), yz);
   fitted_ = true;
 }
 

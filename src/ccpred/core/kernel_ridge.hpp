@@ -3,7 +3,9 @@
 /// \file kernel_ridge.hpp
 /// Kernel ridge regression (paper §3.1 "KR"): ridge regression in the
 /// feature space induced by a kernel; dual coefficients from the
-/// regularized Gram system (K + alpha I) a = y.
+/// regularized Gram system (K + alpha I) a = y. A fitted model keeps only
+/// what predict() reads: the standardized training rows, the dual
+/// coefficients and the scalers.
 
 #include <memory>
 #include <string>
@@ -12,7 +14,6 @@
 #include "ccpred/core/kernels.hpp"
 #include "ccpred/core/regressor.hpp"
 #include "ccpred/data/scaler.hpp"
-#include "ccpred/linalg/cholesky.hpp"
 
 namespace ccpred::ml {
 
@@ -31,11 +32,6 @@ class KernelRidgeRegression : public Regressor {
 
   const Kernel& kernel() const { return kernel_; }
 
-  /// The Cholesky factor of (K + alpha I) kept from the last fit — repeated
-  /// set_params + refit during grid search rebuilds the Gram matrix from
-  /// the cached squared-distance matrix instead of recomputing it.
-  const linalg::Cholesky* factorization() const { return chol_.get(); }
-
  private:
   Kernel kernel_;
   double alpha_;
@@ -43,9 +39,7 @@ class KernelRidgeRegression : public Regressor {
   data::StandardScaler scaler_;
   data::TargetScaler y_scaler_;
   linalg::Matrix x_train_;      // standardized training features
-  linalg::Matrix dist2_;        // cached squared distances (RBF refits)
   std::vector<double> dual_;    // dual coefficients
-  std::unique_ptr<linalg::Cholesky> chol_;  // factor of K + alpha I
 };
 
 }  // namespace ccpred::ml

@@ -24,20 +24,14 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
   CCPRED_CHECK_MSG(x.rows() == y.size(), "X/y row mismatch");
   CCPRED_CHECK_MSG(x.rows() > 0, "cannot fit on empty data");
 
-  trees_.clear();
   compiled_.reset();
   const auto n = static_cast<std::size_t>(n_estimators_);
-  trees_.reserve(n);
-  // Pre-derive per-tree seeds so parallel training is deterministic.
+  trees_.assign(n, DecisionTreeRegressor(tree_options_));
+  // Pre-derive per-tree bootstrap seeds so parallel training is
+  // deterministic.
   Rng seeder(seed_);
   std::vector<std::uint64_t> tree_seeds(n);
   for (auto& s : tree_seeds) s = seeder.next();
-
-  for (std::size_t t = 0; t < n; ++t) {
-    TreeOptions opt = tree_options_;
-    opt.seed = tree_seeds[t] ^ 0x5bf03635ULL;
-    trees_.emplace_back(opt);
-  }
 
   // Rank the features once, shared read-only by all members.
   const FeatureRanks ranks = FeatureRanks::build(x);
@@ -119,7 +113,7 @@ void RandomForestRegressor::set_params(const ParamMap& params) {
     } else if (key == "bootstrap") {
       bootstrap_ = value != 0.0;
     } else if (key == "max_depth" || key == "min_samples_split" ||
-               key == "min_samples_leaf" || key == "max_features") {
+               key == "min_samples_leaf") {
       DecisionTreeRegressor probe(tree_options_);
       probe.set_params({{key, value}});
       tree_options_ = probe.options();

@@ -1,10 +1,9 @@
 #pragma once
 
 /// \file random_forest.hpp
-/// Random forest regression (paper §3.1 "RF"): bagged CART trees with
-/// optional per-split feature subsampling; members train in parallel on
-/// the thread pool with per-tree RNG streams, so results are independent
-/// of scheduling.
+/// Random forest regression (paper §3.1 "RF"): bagged CART trees; members
+/// train in parallel on the thread pool with per-tree bootstrap streams,
+/// so results are independent of scheduling.
 ///
 /// The features are ranked once per fit (FeatureRanks), and every member
 /// trains on the shared read-only ranks. fit() also compiles the forest
@@ -25,7 +24,7 @@ namespace ccpred::ml {
 class CompiledEnsemble;
 
 /// Parameters: "n_estimators", "max_depth", "min_samples_split",
-/// "min_samples_leaf", "max_features" (0 = all), "bootstrap" (0/1).
+/// "min_samples_leaf", "bootstrap" (0/1).
 class RandomForestRegressor : public Regressor {
  public:
   explicit RandomForestRegressor(int n_estimators = 100,

@@ -44,18 +44,6 @@ class Regressor {
   /// True after a successful fit().
   virtual bool is_fitted() const = 0;
 
-  /// True when the model can absorb new rows incrementally via update()
-  /// instead of refitting from scratch — the active-learning loop uses this
-  /// to reuse factorizations between rounds (currently the GP).
-  virtual bool supports_incremental_update() const { return false; }
-
-  /// Incrementally extends a fitted model with newly labeled rows. Only
-  /// valid when supports_incremental_update() is true; the default throws.
-  virtual void update(const linalg::Matrix& /*x_new*/,
-                      const std::vector<double>& /*y_new*/) {
-    throw Error(name() + ": incremental update not supported");
-  }
-
   /// Convenience: prediction for a single feature row.
   double predict_one(const std::vector<double>& row) const {
     linalg::Matrix x(1, row.size());

@@ -7,13 +7,21 @@ namespace ccpred::guide {
 std::string paren_cell(double true_value, double pred_value, bool match,
                        int precision) {
   std::string s = format_double(true_value, precision);
-  if (!match) s += "(" + format_double(pred_value, precision) + ")";
+  if (!match) {
+    s += '(';
+    s += format_double(pred_value, precision);
+    s += ')';
+  }
   return s;
 }
 
 std::string paren_cell(int true_value, int pred_value, bool match) {
   std::string s = std::to_string(true_value);
-  if (!match) s += "(" + std::to_string(pred_value) + ")";
+  if (!match) {
+    s += '(';
+    s += std::to_string(pred_value);
+    s += ')';
+  }
   return s;
 }
 

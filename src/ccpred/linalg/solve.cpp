@@ -17,14 +17,10 @@ std::vector<double> ridge_solve(const Matrix& a, const std::vector<double>& b,
 
 std::vector<double> spd_solve_with_jitter(Matrix k, const std::vector<double>& b,
                                           double jitter, int max_tries) {
-  return spd_factor_with_jitter(std::move(k), jitter, max_tries).solve(b);
-}
-
-Cholesky spd_factor_with_jitter(Matrix k, double jitter, int max_tries) {
   double added = 0.0;
   for (int attempt = 0; attempt < max_tries; ++attempt) {
     try {
-      return Cholesky(k);
+      return Cholesky(k).solve(b);
     } catch (const Error&) {
       const double bump = (attempt == 0) ? jitter : added;
       k.add_diagonal(bump);

@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "ccpred/linalg/cholesky.hpp"
 #include "ccpred/linalg/matrix.hpp"
 
 namespace ccpred::linalg {
@@ -22,12 +21,5 @@ std::vector<double> ridge_solve(const Matrix& a, const std::vector<double>& b,
 std::vector<double> spd_solve_with_jitter(Matrix k, const std::vector<double>& b,
                                           double jitter = 1e-10,
                                           int max_tries = 8);
-
-/// Factors the SPD matrix under the same jitter-retry policy as
-/// spd_solve_with_jitter and returns the factorization, so callers that
-/// refit repeatedly (kernel ridge grid search, GP updates) can keep the
-/// factor instead of discarding it after one solve.
-Cholesky spd_factor_with_jitter(Matrix k, double jitter = 1e-10,
-                                int max_tries = 8);
 
 }  // namespace ccpred::linalg

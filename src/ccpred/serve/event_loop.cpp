@@ -444,7 +444,7 @@ void EventLoopServer::flush_ready(Connection* conn) {
     it = conn->parked.erase(it);
     ++conn->next_flush;
   }
-  if (conn->out.size() - conn->out_sent > options_.max_outbuf_bytes) {
+  if (conn->out.size() - conn->out_sent > kMaxOutbufBytes) {
     overflow_closes_.fetch_add(1, std::memory_order_relaxed);
     retire(conn);
     return;

@@ -19,7 +19,7 @@
 ///
 /// Edge-triggered epoll everywhere: every readiness edge is drained to
 /// EAGAIN. The loop never blocks on client sockets; a client that stops
-/// reading accumulates a write buffer until `max_outbuf_bytes` and is then
+/// reading accumulates a write buffer until `kMaxOutbufBytes` and is then
 /// disconnected (slow-loris back-pressure).
 ///
 /// Completion hand-off outlives the server object safely: workers push
@@ -43,7 +43,6 @@ struct EventLoopOptions {
   int port = 0;      ///< 0 = kernel-assigned ephemeral port (see port())
   int backlog = -1;  ///< listen(2) backlog; < 0 = SOMAXCONN
   std::size_t max_line_bytes = 1u << 20;    ///< longest unterminated line
-  std::size_t max_outbuf_bytes = 16u << 20;  ///< per-connection write cap
   /// Per-connection read-buffer cap; a connection exceeding it is closed
   /// and counted in overflow_closes. 0 = derived default
   /// (max_line_bytes + two max-size wire frames).
@@ -74,6 +73,10 @@ class EventLoopServer {
   using Dispatch = std::function<void(Request, Completion)>;
   using BatchCompletion = std::function<void(std::vector<Response>)>;
   using BatchDispatch = std::function<void(std::vector<Request>, BatchCompletion)>;
+
+  /// Per-connection write-buffer cap: a connection whose unsent responses
+  /// exceed it is closed and counted in overflow_closes.
+  static constexpr std::size_t kMaxOutbufBytes = 16u << 20;
 
   /// Binds, listens and starts the loop thread. `batch_dispatch` handles a
   /// whole binary frame as one unit (one pool hand-off per frame); when

@@ -19,8 +19,8 @@ OnlineTrainer::OnlineTrainer(ModelRegistry& registry, SweepCache* cache,
       cache_(cache),
       options_(options),
       fault_(fault) {
-  CCPRED_CHECK_MSG(options_.buffer_capacity > 0,
-                   "online: buffer_capacity must be > 0");
+  // Check the drift options now, not when the first report opens a stream.
+  const DriftDetector probe(options_.drift);
   CCPRED_CHECK_MSG(options_.min_refit_rows > 0,
                    "online: min_refit_rows must be > 0");
   CCPRED_CHECK_MSG(options_.holdout > 0, "online: holdout must be > 0");
@@ -98,22 +98,18 @@ ReportOutcome OnlineTrainer::ingest(const std::string& machine,
   }
 
   if (do_refit) {
-    if (options_.synchronous) {
-      run_refit(machine, kind);
-    } else {
+    {
+      const std::lock_guard<std::mutex> lock(idle_mutex_);
+      ++refits_inflight_;
+    }
+    refit_pool_.post([this, machine, kind] {
+      run_refit(machine, kind);  // never throws
       {
         const std::lock_guard<std::mutex> lock(idle_mutex_);
-        ++refits_inflight_;
+        --refits_inflight_;
       }
-      refit_pool_.post([this, machine, kind] {
-        run_refit(machine, kind);  // never throws
-        {
-          const std::lock_guard<std::mutex> lock(idle_mutex_);
-          --refits_inflight_;
-        }
-        idle_cv_.notify_all();
-      });
-    }
+      idle_cv_.notify_all();
+    });
   }
   return out;
 }

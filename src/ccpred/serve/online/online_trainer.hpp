@@ -48,10 +48,9 @@
 namespace ccpred::serve::online {
 
 /// Online-learning knobs. The defaults suit a long-running daemon; tests
-/// shrink the thresholds and set `synchronous` for determinism.
+/// shrink the thresholds and wait_idle() for the background refits.
 struct OnlineOptions {
   bool enabled = false;           ///< master switch (serverd --online)
-  std::size_t buffer_capacity = 4096;  ///< measurements kept per stream
   DriftOptions drift;             ///< rolling-MAPE drift detection
   std::size_t min_refit_rows = 32;  ///< buffered rows required to refit
   std::size_t holdout = 16;         ///< newest rows reserved for shadow eval
@@ -60,9 +59,6 @@ struct OnlineOptions {
   /// Each feedback row appears this many times in the candidate's training
   /// set, weighting recent truth against the synthetic campaign.
   std::size_t feedback_weight = 8;
-  /// Run refits inline on the reporting thread instead of the background
-  /// pool — deterministic end-to-end tests.
-  bool synchronous = false;
 };
 
 /// What one report ingest did — echoed to the client.
@@ -81,6 +77,10 @@ struct ReportOutcome {
 /// trainer; the destructor drains in-flight background refits.
 class OnlineTrainer {
  public:
+  /// Measurements kept per stream.
+  static constexpr std::size_t kBufferCapacity = 4096;
+
+  /// Throws ccpred::Error on invalid options, the drift options included.
   OnlineTrainer(ModelRegistry& registry, SweepCache* cache,
                 OnlineOptions options, FaultInjector* fault = nullptr);
 
@@ -94,7 +94,9 @@ class OnlineTrainer {
   /// Point-in-time counters across all streams.
   OnlineStats counters() const;
 
-  /// Blocks until no background refit is in flight (test hook).
+  /// Blocks until no background refit is in flight. A refit scheduled by
+  /// an ingest() that returned before this call has finished, and so has
+  /// its promotion, when this returns.
   void wait_idle();
 
   const OnlineOptions& options() const { return options_; }
@@ -105,7 +107,7 @@ class OnlineTrainer {
   /// stream lock).
   struct Stream {
     explicit Stream(const OnlineOptions& opt)
-        : buffer(opt.buffer_capacity), drift(opt.drift) {}
+        : buffer(kBufferCapacity), drift(opt.drift) {}
 
     std::mutex mutex;
     FeedbackBuffer buffer;

@@ -141,7 +141,9 @@ TEST(UncertaintySamplingTest, PicksHighestStdPositions) {
   double min_chosen = 1e300;
   for (auto p : sel) min_chosen = std::min(min_chosen, std[p]);
   for (std::size_t p = 0; p < std.size(); ++p) {
-    if (!chosen.count(p)) EXPECT_LE(std[p], min_chosen + 1e-12);
+    if (!chosen.count(p)) {
+      EXPECT_LE(std[p], min_chosen + 1e-12);
+    }
   }
 }
 

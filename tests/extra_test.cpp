@@ -78,10 +78,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerEquivalence,
 
 TEST(DeterminismTest, GradientBoostingBitReproducible) {
   const auto s = test::make_nonlinear(200, 0.1, 5);
-  ml::GradientBoostingRegressor a(100, 0.1, ml::TreeOptions{.max_depth = 5},
-                                  0.7, 99);
-  ml::GradientBoostingRegressor b(100, 0.1, ml::TreeOptions{.max_depth = 5},
-                                  0.7, 99);
+  ml::GradientBoostingRegressor a(100, 0.1, ml::TreeOptions{.max_depth = 5});
+  ml::GradientBoostingRegressor b(100, 0.1, ml::TreeOptions{.max_depth = 5});
   a.fit(s.x, s.y);
   b.fit(s.x, s.y);
   const auto pa = a.predict(s.x);

@@ -347,7 +347,6 @@ TEST(ServerStatsTest, PerVerbLatencyHistogramsSurfaceThroughStats) {
   ServeOptions base;
   base.threads = 1;
   base.online.enabled = true;
-  base.online.synchronous = true;
   Server server(registry, base);
 
   Request stq;
@@ -460,7 +459,6 @@ LoopResult run_closed_loop(const std::string& name) {
   ServeOptions base;
   base.threads = 2;
   base.online.enabled = true;
-  base.online.synchronous = true;  // refits run inline: deterministic order
   base.online.drift.window = 16;
   base.online.drift.min_samples = 8;
   base.online.drift.mape_threshold = 0.25;
@@ -502,7 +500,11 @@ LoopResult run_closed_loop(const std::string& name) {
     // A tiny per-repeat perturbation keeps repeat measurements byte-
     // distinct (the dedup key hashes the wall-time bits).
     r.wall_times = {campaign.targets()[i] * 1.6 * (1.0 + 1e-3 * rep)};
-    return server.handle(r);
+    Response resp = server.handle(r);
+    // A refit this report scheduled finishes (and promotes) before the next
+    // report: every run takes the same path.
+    server.online()->wait_idle();
+    return resp;
   };
 
   // Phase 1: report the shifted regime until the loop promotes.
@@ -591,7 +593,6 @@ TEST(OnlineLoopTest, StreamThatIsNotDriftingNeverRefits) {
   ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
   ServeOptions base;
   base.online.enabled = true;
-  base.online.synchronous = true;
   base.online.drift.mape_threshold = 1e9;
   base.online.min_refit_rows = 8;
   Server server(registry, base);
@@ -616,13 +617,26 @@ TEST(OnlineLoopTest, StreamThatIsNotDriftingNeverRefits) {
   EXPECT_EQ(c.refits, 0u);
 }
 
+TEST(OnlineLoopTest, InvalidDriftThresholdFailsAtConstruction) {
+  // A threshold the drift detector rejects must fail when the server is
+  // built, not on the first report of every stream.
+  const auto dir = scratch_dir("bad_drift");
+  ModelRegistry registry(dir);
+  for (const double threshold :
+       {-1.0, 0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    ServeOptions base;
+    base.online.enabled = true;
+    base.online.drift.mape_threshold = threshold;
+    EXPECT_THROW({ Server server(registry, base); }, Error) << threshold;
+  }
+}
+
 TEST(OnlineLoopTest, DuplicateReportsAreCountedNotLearned) {
   const auto dir = scratch_dir("dup_reports");
   ModelRegistry registry(dir);
   ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
   ServeOptions base;
   base.online.enabled = true;
-  base.online.synchronous = true;
   Server server(registry, base);
 
   Request r;

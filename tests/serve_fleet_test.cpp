@@ -280,7 +280,8 @@ TEST(ShardFleetTest, StatsAggregateAcrossShardsAndBatchesAnswerInOrder) {
   for (int i = 0; i < static_cast<int>(kProblems.size()); ++i) {
     Request r = stq(kProblems[static_cast<std::size_t>(i)].first,
                     kProblems[static_cast<std::size_t>(i)].second);
-    r.id = "b" + std::to_string(i);
+    r.id = "b";
+    r.id += std::to_string(i);
     batch.push_back(std::move(r));
   }
   std::vector<Response> got;
@@ -566,6 +567,13 @@ std::string stq_line(int i) {
          std::to_string(i) + R"("})" + "\n";
 }
 
+/// The id stq_line(i) carries.
+std::string stq_id(int i) {
+  std::string id = "q";
+  id += std::to_string(i);
+  return id;
+}
+
 TEST(EventLoopServerTest, BindsAnEphemeralPort) {
   EventLoopServer server(echo_dispatch());
   EXPECT_GT(server.port(), 0);
@@ -603,7 +611,7 @@ TEST(EventLoopServerTest, ResponsesKeepRequestOrderAcrossReversedCompletions) {
     for (int i = 0; i < kN; ++i) {
       const std::string line = client.read_line();
       const auto rec = parse_record(line);
-      EXPECT_EQ(rec.at("id"), "q" + std::to_string(i)) << line;
+      EXPECT_EQ(rec.at("id"), stq_id(i)) << line;
     }
   }
   if (completer.joinable()) completer.join();
@@ -796,7 +804,7 @@ TEST(EventLoopServerTest, ManyConcurrentConnectionsAllAnswered) {
   for (int c = 0; c < kConns; ++c) {
     EXPECT_EQ(parse_record(clients[static_cast<std::size_t>(c)]->read_line())
                   .at("id"),
-              "q" + std::to_string(c));
+              stq_id(c));
   }
   EXPECT_EQ(server.stats().connections_accepted,
             static_cast<std::uint64_t>(kConns));

@@ -106,20 +106,16 @@ ExactData make_exact_data(const ExactCase& c) {
   return data;
 }
 
-/// Every max_features x max_depth x min_samples_leaf x min_samples_split
-/// combination the exact builder branches on.
-std::vector<TreeOptions> exact_option_grid(std::uint64_t seed) {
+/// Every max_depth x min_samples_leaf x min_samples_split combination the
+/// exact builder branches on.
+std::vector<TreeOptions> exact_option_grid() {
   std::vector<TreeOptions> grid;
-  for (const int max_features : {0, 2}) {
-    for (const int max_depth : {0, 3, 10}) {
-      for (const int min_leaf : {1, 3}) {
-        for (const int min_split : {2, 5}) {
-          grid.push_back(TreeOptions{.max_depth = max_depth,
-                                     .min_samples_split = min_split,
-                                     .min_samples_leaf = min_leaf,
-                                     .max_features = max_features,
-                                     .seed = seed + grid.size()});
-        }
+  for (const int max_depth : {0, 3, 10}) {
+    for (const int min_leaf : {1, 3}) {
+      for (const int min_split : {2, 5}) {
+        grid.push_back(TreeOptions{.max_depth = max_depth,
+                                   .min_samples_split = min_split,
+                                   .min_samples_leaf = min_leaf});
       }
     }
   }
@@ -127,8 +123,7 @@ std::vector<TreeOptions> exact_option_grid(std::uint64_t seed) {
 }
 
 std::string describe(const TreeOptions& o) {
-  return "max_features=" + std::to_string(o.max_features) +
-         " max_depth=" + std::to_string(o.max_depth) +
+  return "max_depth=" + std::to_string(o.max_depth) +
          " min_samples_leaf=" + std::to_string(o.min_samples_leaf) +
          " min_samples_split=" + std::to_string(o.min_samples_split);
 }
@@ -140,7 +135,7 @@ TEST_P(PresortedOracle, TreeIsBitIdenticalToPerNodeSort) {
   const FeatureRanks ranks = FeatureRanks::build(data.x);
   exec::Arena arena;
   std::vector<double> train_pred(data.x.rows());
-  for (const TreeOptions& opt : exact_option_grid(GetParam().seed)) {
+  for (const TreeOptions& opt : exact_option_grid()) {
     const auto expect = ml::serialize_tree(
         oracle::exact_tree(data.x, data.y, data.rows, opt));
     DecisionTreeRegressor standalone(opt);
@@ -162,19 +157,15 @@ TEST_P(PresortedOracle, TreeIsBitIdenticalToPerNodeSort) {
 TEST_P(PresortedOracle, GbIsBitIdenticalToPerNodeSortBoosting) {
   const ExactData data = make_exact_data(GetParam());
   const TreeOptions opt{.max_depth = 6};
-  for (const double subsample : {1.0, 0.8}) {
-    GradientBoostingRegressor gb(30, 0.1, opt, subsample, GetParam().seed);
-    gb.fit(data.x, data.y);
-    EXPECT_EQ(ml::serialize_gb(gb),
-              ml::serialize_gb(oracle::exact_gb(data.x, data.y, 30, 0.1, opt,
-                                                subsample, GetParam().seed)))
-        << "subsample " << subsample;
-  }
+  GradientBoostingRegressor gb(30, 0.1, opt);
+  gb.fit(data.x, data.y);
+  EXPECT_EQ(ml::serialize_gb(gb),
+            ml::serialize_gb(oracle::exact_gb(data.x, data.y, 30, 0.1, opt)));
 }
 
 TEST_P(PresortedOracle, RfIsBitIdenticalToPerNodeSortForest) {
   const ExactData data = make_exact_data(GetParam());
-  const TreeOptions opt{.max_depth = 8, .max_features = 2};
+  const TreeOptions opt{.max_depth = 8};
   for (const bool bootstrap : {true, false}) {
     RandomForestRegressor rf(12, opt, bootstrap, GetParam().seed);
     rf.fit(data.x, data.y);
@@ -215,7 +206,7 @@ TEST(PresortedOracleEdges, ConstantColumnAndTinyFitsMatch) {
   const std::vector<std::vector<std::size_t>> row_sets = {
       data.rows, {4}, {4, 9}, {9, 9}, {4, 4, 9}};
   for (const auto& rows : row_sets) {
-    for (const TreeOptions& opt : exact_option_grid(3)) {
+    for (const TreeOptions& opt : exact_option_grid()) {
       DecisionTreeRegressor tree(opt);
       tree.fit_rows(data.x, data.y, rows);
       EXPECT_EQ(ml::serialize_tree(tree), ml::serialize_tree(oracle::exact_tree(
@@ -248,7 +239,7 @@ TEST_P(CompiledBitIdentity, GbPredictIsBitIdenticalToWalk) {
   const auto query = test::make_nonlinear(700, 0.1, seed ^ 0x51);
   TreeOptions opt;
   opt.max_depth = 5;
-  GradientBoostingRegressor gb(60, 0.1, opt, 0.8, seed);
+  GradientBoostingRegressor gb(60, 0.1, opt);
   gb.fit(train.x, train.y);
 
   const auto compiled = gb.predict(query.x);
@@ -269,7 +260,6 @@ TEST_P(CompiledBitIdentity, RfPredictIsBitIdenticalToWalk) {
   const auto query = test::make_nonlinear(600, 0.1, seed ^ 0x52);
   TreeOptions opt;
   opt.max_depth = 7;
-  opt.max_features = 2;
   RandomForestRegressor rf(30, opt, true, seed);
   rf.fit(train.x, train.y);
 

@@ -18,14 +18,11 @@
 /// fails with `unknown flag --X` before any work starts.
 
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <set>
 #include <string>
 
 #include "ccpred/common/csv.hpp"
 #include "ccpred/common/error.hpp"
-#include "ccpred/common/strings.hpp"
 #include "ccpred/core/importance.hpp"
 #include "ccpred/core/metrics.hpp"
 #include "ccpred/core/model_zoo.hpp"
@@ -33,51 +30,12 @@
 #include "ccpred/data/split.hpp"
 #include "ccpred/guidance/advisor.hpp"
 #include "ccpred/sim/solver.hpp"
+#include "flags.hpp"
 
 namespace {
 
 using namespace ccpred;
-
-/// Minimal --key value argument parser: a trailing flag without a value
-/// or a flag outside `known` is a hard error.
-std::map<std::string, std::string> parse_flags(
-    int argc, char** argv, int first, const std::set<std::string>& known) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; i += 2) {
-    CCPRED_CHECK_MSG(std::strncmp(argv[i], "--", 2) == 0,
-                     "expected --flag, got '" << argv[i] << "'");
-    CCPRED_CHECK_MSG(known.count(argv[i] + 2) != 0,
-                     "unknown flag " << argv[i]);
-    CCPRED_CHECK_MSG(i + 1 < argc,
-                     "flag '" << argv[i] << "' is missing a value");
-    flags[argv[i] + 2] = argv[i + 1];
-  }
-  return flags;
-}
-
-std::string need(const std::map<std::string, std::string>& flags,
-                 const std::string& key) {
-  const auto it = flags.find(key);
-  CCPRED_CHECK_MSG(it != flags.end(), "missing required flag --" << key);
-  return it->second;
-}
-
-std::string get_or(const std::map<std::string, std::string>& flags,
-                   const std::string& key, const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-/// The integer flag --key as a T >= 0 (every integer flag here is a count
-/// or a seed): `fallback` when absent, or required when there is none. An
-/// out-of-range value fails with the flag's name instead of wrapping.
-template <typename T>
-T int_flag(const std::map<std::string, std::string>& flags,
-           const std::string& key, const char* fallback = nullptr) {
-  const std::string text =
-      fallback == nullptr ? need(flags, key) : get_or(flags, key, fallback);
-  return parse_int_as<T>(text, "--" + key, 0);
-}
+using namespace ccpred::tools;
 
 sim::CcsdSimulator make_simulator(const std::string& machine) {
   if (machine == "aurora") return sim::CcsdSimulator(sim::MachineModel::aurora());
@@ -87,7 +45,7 @@ sim::CcsdSimulator make_simulator(const std::string& machine) {
   throw Error("unknown machine: " + machine + " (use aurora|frontier)");
 }
 
-int cmd_generate(const std::map<std::string, std::string>& flags) {
+int cmd_generate(const Flags& flags) {
   const auto simulator = make_simulator(need(flags, "machine"));
   data::GeneratorOptions opt;
   opt.seed = int_flag<std::uint64_t>(flags, "seed", "2025");
@@ -122,8 +80,8 @@ TrainedModel train_from_csv(const std::string& path, double test_frac,
   return out;
 }
 
-int cmd_evaluate(const std::map<std::string, std::string>& flags) {
-  const double frac = parse_double(get_or(flags, "test-frac", "0.25"));
+int cmd_evaluate(const Flags& flags) {
+  const double frac = double_flag(flags, "test-frac", "0.25");
   const auto seed = int_flag<std::uint64_t>(flags, "seed", "1");
   const auto trained = train_from_csv(need(flags, "data"), frac, seed);
   const auto scores =
@@ -145,7 +103,7 @@ int cmd_evaluate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_advise(const std::map<std::string, std::string>& flags) {
+int cmd_advise(const Flags& flags) {
   const auto simulator = make_simulator(need(flags, "machine"));
   const auto trained = train_from_csv(need(flags, "data"), 0.25, 1);
   const int o = int_flag<int>(flags, "o");
@@ -162,7 +120,7 @@ int cmd_advise(const std::map<std::string, std::string>& flags) {
               bq.config.nodes, bq.config.tile, bq.predicted_time_s,
               bq.predicted_node_hours);
   if (flags.count("budget")) {
-    const double budget = parse_double(flags.at("budget"));
+    const double budget = double_flag(flags, "budget");
     const auto rec = advisor.fastest_within_budget(o, v, budget);
     std::printf("  within %.2f NH: %4d nodes, tile %3d  (pred %.1fs, "
                 "%.2f NH)\n",
@@ -175,7 +133,7 @@ int cmd_advise(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_job(const std::map<std::string, std::string>& flags) {
+int cmd_job(const Flags& flags) {
   const auto simulator = make_simulator(need(flags, "machine"));
   const sim::RunConfig cfg{.o = int_flag<int>(flags, "o"),
                            .v = int_flag<int>(flags, "v"),
@@ -198,7 +156,7 @@ int cmd_job(const std::map<std::string, std::string>& flags) {
 struct Subcommand {
   const char* name;
   std::set<std::string> flags;
-  int (*run)(const std::map<std::string, std::string>&);
+  int (*run)(const Flags&);
 };
 
 const Subcommand kSubcommands[] = {

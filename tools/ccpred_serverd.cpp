@@ -7,9 +7,9 @@
 ///       publish the artifact as DIR/<machine>-<model>.model.
 ///   serve --artifacts DIR [--default-machine M] [--default-model gb|rf]
 ///         [--threads N] [--cache N] [--port P] [--backlog N] [--serial 1]
-///         [--fleet N] [--max-queue N] [--fault-seed S] [--fault-artifact P]
-///         [--fault-sweep P] [--fault-sweep-ms MS] [--fault-stall P]
-///         [--fault-stall-ms MS] [--fault-cache P] [--fault-cache-ms MS]
+///         [--fleet N] [--max-queue N] [--batch-max N] [--online 1]
+///         [--online-drift-threshold X] [--rows N] [--seed S]
+///         [--estimators N]
 ///       Serve requests (see serve/protocol.hpp) from stdin, one response
 ///       line per request line, in request order. Requests are pipelined
 ///       through the worker pool unless --serial 1 is given.
@@ -36,14 +36,15 @@
 ///       --max-queue bounds each worker backlog: beyond it, requests are
 ///       answered immediately with code="overloaded" (the event loop
 ///       passes the rejection through; clients own the retry policy).
-///       The --fault-* flags arm the deterministic FaultInjector for
-///       chaos drills; see serve/fault_injector.hpp.
+///       --batch-max caps a micro-batch (0 disables batching).
 ///
 ///       --online 1 activates the closed-loop online learner: the `report`
 ///       verb ingests measured runs, drift against served predictions
 ///       triggers background refits, and candidates that win shadow
-///       evaluation are atomically promoted (see serve/online/). The
-///       --online-* flags tune its thresholds.
+///       evaluation are atomically promoted (see serve/online/).
+///       --online-drift-threshold sets the rolling MAPE that counts as
+///       drift (default 0.25); the learner's other knobs keep their
+///       OnlineOptions defaults.
 ///
 /// Missing artifacts are trained on first use (train-and-cache), so
 /// `serve` works on an empty directory — pre-train with `train` to make
@@ -57,12 +58,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -75,80 +74,29 @@
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/strings.hpp"
 #include "ccpred/serve/event_loop.hpp"
-#include "ccpred/serve/fault_injector.hpp"
 #include "ccpred/serve/fleet.hpp"
 #include "ccpred/serve/model_registry.hpp"
 #include "ccpred/serve/server.hpp"
+#include "flags.hpp"
 
 namespace {
 
 using namespace ccpred;
+using namespace ccpred::tools;
 
-/// Minimal --key value argument parser (same contract as ccpred_cli: a
-/// trailing flag without a value or a flag outside `known` is a hard
-/// error).
-std::map<std::string, std::string> parse_flags(
-    int argc, char** argv, int first, const std::set<std::string>& known) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; i += 2) {
-    CCPRED_CHECK_MSG(std::strncmp(argv[i], "--", 2) == 0,
-                     "expected --flag, got '" << argv[i] << "'");
-    CCPRED_CHECK_MSG(known.count(argv[i] + 2) != 0,
-                     "unknown flag " << argv[i]);
-    CCPRED_CHECK_MSG(i + 1 < argc,
-                     "flag '" << argv[i] << "' is missing a value");
-    flags[argv[i] + 2] = argv[i + 1];
-  }
-  return flags;
-}
-
-std::string need(const std::map<std::string, std::string>& flags,
-                 const std::string& key) {
-  const auto it = flags.find(key);
-  CCPRED_CHECK_MSG(it != flags.end(), "missing required flag --" << key);
-  return it->second;
-}
-
-std::string get_or(const std::map<std::string, std::string>& flags,
-                   const std::string& key, const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-/// An on/off flag (--serial, --online): absent or 0 is off, 1 is on, and
-/// any other value is a usage error.
-bool switch_on(const std::map<std::string, std::string>& flags,
-               const std::string& key) {
-  const std::string value = get_or(flags, key, "0");
-  CCPRED_CHECK_MSG(value == "0" || value == "1",
-                   "--" << key << " must be 0 or 1, got '" << value << "'");
-  return value == "1";
-}
-
-/// The integer flag --key (`fallback` when absent) as a T that is >= lo
-/// (0 by default: most flags are counts); an out-of-range value fails with
-/// the flag's name instead of wrapping.
-template <typename T>
-T int_flag(const std::map<std::string, std::string>& flags,
-           const std::string& key, const std::string& fallback,
-           long long lo = 0) {
-  return parse_int_as<T>(get_or(flags, key, fallback), "--" + key, lo);
-}
-
-serve::RegistryOptions registry_options(
-    const std::map<std::string, std::string>& flags) {
+serve::RegistryOptions registry_options(const Flags& flags) {
   serve::RegistryOptions opt;
   opt.fallback_rows = int_flag<std::size_t>(flags, "rows", "600");
   opt.fallback_seed = int_flag<std::uint64_t>(flags, "seed", "2025");
   if (flags.count("estimators")) {
-    const int n = int_flag<int>(flags, "estimators", "");
+    const int n = int_flag<int>(flags, "estimators");
     opt.gb_estimators = n;
     opt.rf_estimators = n;
   }
   return opt;
 }
 
-int cmd_train(const std::map<std::string, std::string>& flags) {
+int cmd_train(const Flags& flags) {
   serve::ModelRegistry registry(need(flags, "artifacts"),
                                 registry_options(flags));
   const std::string machine = need(flags, "machine");
@@ -169,61 +117,22 @@ std::string answer_line(serve::Shard& front, const std::string& line) {
   }
 }
 
-/// Builds the injector from --fault-* flags; nullptr when none are given.
-std::unique_ptr<serve::FaultInjector> fault_injector_from_flags(
-    const std::map<std::string, std::string>& flags) {
-  serve::FaultOptions fopt;
-  bool armed = false;
-  const auto prob = [&](const char* flag, double& target) {
-    const auto it = flags.find(flag);
-    if (it == flags.end()) return;
-    target = parse_double(it->second);
-    armed = true;
-  };
-  prob("fault-artifact", fopt.artifact_read_failure);
-  prob("fault-sweep", fopt.sweep_delay);
-  prob("fault-stall", fopt.worker_stall);
-  prob("fault-cache", fopt.cache_shard_hold);
-  prob("fault-report", fopt.report_ingest);
-  prob("fault-refit", fopt.refit_stall);
-  prob("fault-promote", fopt.promotion_race);
-  fopt.seed = int_flag<std::uint64_t>(flags, "fault-seed", "2025");
-  fopt.sweep_delay_ms = parse_double(get_or(flags, "fault-sweep-ms", "10"));
-  fopt.worker_stall_ms = parse_double(get_or(flags, "fault-stall-ms", "5"));
-  fopt.cache_shard_hold_ms =
-      parse_double(get_or(flags, "fault-cache-ms", "2"));
-  fopt.report_ingest_ms = parse_double(get_or(flags, "fault-report-ms", "2"));
-  fopt.refit_stall_ms = parse_double(get_or(flags, "fault-refit-ms", "20"));
-  fopt.promotion_race_ms =
-      parse_double(get_or(flags, "fault-promote-ms", "10"));
-  if (!armed) return nullptr;
-  return std::make_unique<serve::FaultInjector>(fopt);
-}
-
-/// Builds the online-learning options from --online* flags.
-serve::online::OnlineOptions online_options_from_flags(
-    const std::map<std::string, std::string>& flags) {
+/// The online-learning options: --online and its drift threshold, a
+/// finite number > 0 (checked even when --online is off).
+serve::online::OnlineOptions online_options_from_flags(const Flags& flags) {
   serve::online::OnlineOptions opt;
   opt.enabled = switch_on(flags, "online");
-  if (!opt.enabled) return opt;
-  opt.buffer_capacity = int_flag<std::size_t>(flags, "online-buffer", "4096");
-  opt.drift.window = int_flag<std::size_t>(flags, "online-drift-window", "64");
-  opt.drift.min_samples =
-      int_flag<std::size_t>(flags, "online-min-reports", "16");
-  opt.drift.mape_threshold =
-      parse_double(get_or(flags, "online-drift-threshold", "0.25"));
-  opt.min_refit_rows =
-      int_flag<std::size_t>(flags, "online-min-refit-rows", "32");
-  opt.holdout = int_flag<std::size_t>(flags, "online-holdout", "16");
-  opt.min_improvement =
-      parse_double(get_or(flags, "online-min-improvement", "0"));
-  opt.feedback_weight =
-      int_flag<std::size_t>(flags, "online-feedback-weight", "8");
+  const std::string key = "online-drift-threshold";
+  const double threshold = double_flag(flags, key, "0.25");
+  if (threshold <= 0.0) {
+    throw Error("--" + key + " must be > 0, got '" + get_or(flags, key, "") +
+                "'");
+  }
+  opt.drift.mape_threshold = threshold;
   return opt;
 }
 
-serve::ServeOptions serve_options_from_flags(
-    const std::map<std::string, std::string>& flags) {
+serve::ServeOptions serve_options_from_flags(const Flags& flags) {
   serve::ServeOptions opt;
   opt.threads = int_flag<std::size_t>(flags, "threads", "0");
   opt.cache_capacity = int_flag<std::size_t>(flags, "cache", "256");
@@ -235,21 +144,6 @@ serve::ServeOptions serve_options_from_flags(
   // of a multi-client front end); --batch-max 0 disables it.
   opt.batch.max_batch = int_flag<std::size_t>(flags, "batch-max", "64");
   opt.batch.enabled = opt.batch.max_batch > 0;
-  opt.batch.max_hold_us = int_flag<std::uint32_t>(flags, "batch-hold-us", "200");
-  return opt;
-}
-
-serve::EventLoopOptions event_loop_options_from_flags(
-    const std::map<std::string, std::string>& flags) {
-  serve::EventLoopOptions opt;
-  // A negative backlog means SOMAXCONN.
-  opt.backlog = int_flag<int>(flags, "backlog", "-1",
-                              std::numeric_limits<int>::min());
-  opt.max_line_bytes = int_flag<std::size_t>(
-      flags, "max-line", std::to_string(opt.max_line_bytes));
-  opt.max_outbuf_bytes = int_flag<std::size_t>(
-      flags, "max-outbuf", std::to_string(opt.max_outbuf_bytes));
-  opt.max_inbuf_bytes = int_flag<std::size_t>(flags, "max-inbuf", "0");
   return opt;
 }
 
@@ -264,12 +158,9 @@ struct ServeConfig {
   serve::RegistryOptions registry;
   serve::ServeOptions serve;
   serve::EventLoopOptions loop;  ///< its port is set per listener
-  /// nullptr without --fault-* flags. Built before any fork, so each shard
-  /// process starts from its own copy.
-  std::unique_ptr<serve::FaultInjector> fault;
 };
 
-ServeConfig serve_config(const std::map<std::string, std::string>& flags) {
+ServeConfig serve_config(const Flags& flags) {
   ServeConfig cfg;
   cfg.artifacts = need(flags, "artifacts");
   cfg.serial = switch_on(flags, "serial");
@@ -281,14 +172,16 @@ ServeConfig serve_config(const std::map<std::string, std::string>& flags) {
   }
   // Shards listen on port + 1 .. port + N: the router needs a real port
   // (0 would fork shards onto ports 1..N) with room for them after it.
-  CCPRED_CHECK_MSG(cfg.fleet == 0 || (cfg.port && *cfg.port >= 1 &&
-                                      *cfg.port + cfg.fleet <= 65535),
-                   "--fleet " << cfg.fleet << " needs --port in 1.."
-                              << 65535 - cfg.fleet);
+  if (cfg.fleet > 0 &&
+      !(cfg.port && *cfg.port >= 1 && *cfg.port + cfg.fleet <= 65535)) {
+    throw Error("--fleet " + std::to_string(cfg.fleet) +
+                " needs --port in 1.." + std::to_string(65535 - cfg.fleet));
+  }
   cfg.registry = registry_options(flags);
   cfg.serve = serve_options_from_flags(flags);
-  cfg.loop = event_loop_options_from_flags(flags);
-  cfg.fault = fault_injector_from_flags(flags);
+  // A negative backlog means SOMAXCONN.
+  cfg.loop.backlog = int_flag<int>(flags, "backlog", "-1",
+                                   std::numeric_limits<int>::min());
   return cfg;
 }
 
@@ -407,10 +300,7 @@ void serve_stdin(serve::Shard& front, bool serial,
 /// touches stdin/stdout — those belong to the parent.
 int run_fleet_child(const ServeConfig& cfg, int port, int shutdown_fd) {
   serve::ModelRegistry registry(cfg.artifacts, cfg.registry);
-  registry.set_fault_injector(cfg.fault.get());
-  serve::ServeOptions opt = cfg.serve;
-  opt.fault_injector = cfg.fault.get();
-  serve::Server server(registry, opt);
+  serve::Server server(registry, cfg.serve);
   const auto listener = open_listener(server, cfg, port);
   server.set_overflow_source(
       [&listener] { return listener->stats().overflow_closes; });
@@ -487,25 +377,18 @@ int cmd_serve_fleet(const ServeConfig& cfg) {
 
 // ---------------------------------------------------------------------------
 
-int cmd_serve(const std::map<std::string, std::string>& flags) {
+int cmd_serve(const Flags& flags) {
   const ServeConfig cfg = serve_config(flags);
   if (cfg.fleet > 0) return cmd_serve_fleet(cfg);
 
   serve::ModelRegistry registry(cfg.artifacts, cfg.registry);
-  registry.set_fault_injector(cfg.fault.get());
-  serve::ServeOptions opt = cfg.serve;
-  opt.fault_injector = cfg.fault.get();
-  serve::Server server(registry, opt);
-  if (opt.online.enabled) {
+  serve::Server server(registry, cfg.serve);
+  const serve::online::OnlineOptions& online = cfg.serve.online;
+  if (online.enabled) {
     std::fprintf(stderr,
                  "ccpred_serverd online learning ENABLED (drift threshold "
                  "%.2f, window %zu)\n",
-                 opt.online.drift.mape_threshold, opt.online.drift.window);
-  }
-  if (cfg.fault != nullptr) {
-    std::fprintf(stderr,
-                 "ccpred_serverd FAULT INJECTION ARMED (seed %llu)\n",
-                 static_cast<unsigned long long>(cfg.fault->options().seed));
+                 online.drift.mape_threshold, online.drift.window);
   }
 
   std::unique_ptr<serve::EventLoopServer> listener;
@@ -524,7 +407,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
 struct Subcommand {
   const char* name;
   std::set<std::string> flags;
-  int (*run)(const std::map<std::string, std::string>&);
+  int (*run)(const Flags&);
 };
 
 const Subcommand kSubcommands[] = {
@@ -533,15 +416,8 @@ const Subcommand kSubcommands[] = {
      cmd_train},
     {"serve",
      {"artifacts", "rows", "seed", "estimators", "default-machine",
-      "default-model", "threads", "cache", "max-queue", "batch-max",
-      "batch-hold-us", "port", "backlog", "max-line", "max-inbuf",
-      "max-outbuf", "fleet", "serial", "fault-seed", "fault-artifact",
-      "fault-sweep", "fault-sweep-ms", "fault-stall", "fault-stall-ms",
-      "fault-cache", "fault-cache-ms", "fault-report", "fault-report-ms",
-      "fault-refit", "fault-refit-ms", "fault-promote", "fault-promote-ms",
-      "online", "online-buffer", "online-drift-window", "online-min-reports",
-      "online-drift-threshold", "online-min-refit-rows", "online-holdout",
-      "online-min-improvement", "online-feedback-weight"},
+      "default-model", "threads", "cache", "max-queue", "batch-max", "port",
+      "backlog", "fleet", "serial", "online", "online-drift-threshold"},
      cmd_serve},
 };
 
@@ -554,23 +430,10 @@ int usage() {
                "[--default-model gb|rf] [--threads N] [--cache N] "
                "[--port P] [--backlog N] [--fleet N] [--serial 1] "
                "[--max-queue N]\n"
-               "        [--batch-max N (0 disables batching)] "
-               "[--batch-hold-us US] [--max-line BYTES] "
-               "[--max-inbuf BYTES (0 = derived)] [--max-outbuf BYTES]\n"
+               "        [--batch-max N (0 disables batching)] [--online 1] "
+               "[--online-drift-threshold X]\n"
                "        [--rows N] [--seed S] [--estimators N] "
                "(train-and-cache of a missing artifact)\n"
-               "        [--fault-seed S] [--fault-artifact P] "
-               "[--fault-sweep P] [--fault-sweep-ms MS] [--fault-stall P] "
-               "[--fault-stall-ms MS] [--fault-cache P] "
-               "[--fault-cache-ms MS]\n"
-               "        [--fault-report P] [--fault-report-ms MS] "
-               "[--fault-refit P] [--fault-refit-ms MS] "
-               "[--fault-promote P] [--fault-promote-ms MS]\n"
-               "        [--online 1] [--online-buffer N] "
-               "[--online-drift-window N] [--online-min-reports N] "
-               "[--online-drift-threshold X]\n"
-               "        [--online-min-refit-rows N] [--online-holdout N] "
-               "[--online-min-improvement X] [--online-feedback-weight N]\n"
                "  --fleet N forks N shard processes on ports P+1..P+N and "
                "routes to them through one serve::ShardFleet\n");
   return 2;
