@@ -18,9 +18,15 @@
 ///   - campaign generation: fast >= 4x faster than reference
 ///   - STQ/BQ sweep rounds: fast >= 3x faster than reference
 ///   - fast results bit-identical (operator==) to the reference results
+///   - work: each section's cache entries and hits and its engine's graph
+///     builds and evaluations equal the values recorded for the mode.
+///     They depend on the workload alone, not on the host or the thread
+///     count, so a cache that stops hitting or a graph built per row
+///     fails here on any runner.
 ///
 /// Emits the measurements to BENCH_sim_engine.json.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -131,25 +137,60 @@ int main() {
                  TextTable::cell(sweep_speedup, 1) + "x"});
   table.print();
 
+  // Deterministic work: {fast mode, full mode} values of each counter.
+  const auto campaign_work = shared_engine.stats();
+  const auto sweep_work = fast_engine.stats();
+  struct WorkGate {
+    const char* name;
+    std::uint64_t value;
+    std::uint64_t expect[2];
+  };
+  const WorkGate work_gates[] = {
+      {"campaign cache entries", campaign_cache.entries, {792, 3099}},
+      {"campaign cache hits", campaign_cache.hits, {1002, 3869}},
+      {"campaign graph builds", campaign_work.graph_builds, {30, 110}},
+      {"campaign evaluations", campaign_work.evaluations, {210, 770}},
+      {"sweep cache entries", sweep_cache.entries, {1440, 2880}},
+      {"sweep cache hits", sweep_cache.hits, {10080, 20160}},
+      {"sweep graph builds", sweep_work.graph_builds, {45, 90}},
+      {"sweep evaluations", sweep_work.evaluations, {1440, 2880}},
+  };
+  bool work_ok = true;
+  for (const auto& g : work_gates) {
+    work_ok = work_ok && g.value == g.expect[fast_mode ? 0 : 1];
+  }
+
   const bool campaign_ok = campaign_speedup >= 4.0;
   const bool sweep_ok = sweep_speedup >= 3.0;
   const bool identical_ok = campaign_identical && sweep_identical;
   std::printf(
-      "\ncampaign rows %zu x%d regens; engine cache: %zu entries, %llu hits\n"
+      "\ncampaign rows %zu x%d regens; engine cache: %zu entries, %llu hits; "
+      "%llu graph builds, %llu evaluations\n"
       "sweep problems %zu, %zu configs x%d rounds x2 objectives; cache: %zu "
-      "entries, %llu hits\n"
+      "entries, %llu hits; %llu graph builds, %llu evaluations\n"
       "campaign generation speedup %.1fx (target >= 4x): %s\n"
       "STQ/BQ sweep speedup %.1fx (target >= 3x): %s\n"
       "fast vs reference bit-identity (campaign %s, sweeps %s): %s\n",
       rows.size(), regens, campaign_cache.entries,
       static_cast<unsigned long long>(campaign_cache.hits),
+      static_cast<unsigned long long>(campaign_work.graph_builds),
+      static_cast<unsigned long long>(campaign_work.evaluations),
       sweep_problems.size(), sweep_configs, rounds, sweep_cache.entries,
-      static_cast<unsigned long long>(sweep_cache.hits), campaign_speedup,
-      campaign_ok ? "PASS" : "FAIL", sweep_speedup, sweep_ok ? "PASS" : "FAIL",
-      campaign_identical ? "yes" : "NO", sweep_identical ? "yes" : "NO",
-      identical_ok ? "PASS" : "FAIL");
+      static_cast<unsigned long long>(sweep_cache.hits),
+      static_cast<unsigned long long>(sweep_work.graph_builds),
+      static_cast<unsigned long long>(sweep_work.evaluations),
+      campaign_speedup, campaign_ok ? "PASS" : "FAIL", sweep_speedup,
+      sweep_ok ? "PASS" : "FAIL", campaign_identical ? "yes" : "NO",
+      sweep_identical ? "yes" : "NO", identical_ok ? "PASS" : "FAIL");
+  for (const auto& g : work_gates) {
+    const std::uint64_t expect = g.expect[fast_mode ? 0 : 1];
+    std::printf("work: %s %llu (expect %llu): %s\n", g.name,
+                static_cast<unsigned long long>(g.value),
+                static_cast<unsigned long long>(expect),
+                g.value == expect ? "PASS" : "FAIL");
+  }
 
-  const bool pass = campaign_ok && sweep_ok && identical_ok;
+  const bool pass = campaign_ok && sweep_ok && identical_ok && work_ok;
   std::FILE* json = std::fopen("BENCH_sim_engine.json", "w");
   if (json != nullptr) {
     std::fprintf(
@@ -160,11 +201,14 @@ int main() {
         "  \"threads\": %zu,\n"
         "  \"campaign\": {\"rows\": %zu, \"regens\": %d, \"reference_s\": "
         "%.6f, \"fast_s\": %.6f, \"speedup\": %.3f, \"identical\": %s,\n"
-        "    \"cache_entries\": %zu, \"cache_hits\": %llu},\n"
+        "    \"cache_entries\": %zu, \"cache_hits\": %llu, \"graph_builds\": "
+        "%llu, \"evaluations\": %llu},\n"
         "  \"sweep\": {\"problems\": %zu, \"configs\": %zu, \"rounds\": %d, "
         "\"reference_s\": %.6f, \"fast_s\": %.6f, \"speedup\": %.3f, "
         "\"identical\": %s,\n"
-        "    \"cache_entries\": %zu, \"cache_hits\": %llu},\n"
+        "    \"cache_entries\": %zu, \"cache_hits\": %llu, \"graph_builds\": "
+        "%llu, \"evaluations\": %llu},\n"
+        "  \"work_ok\": %s,\n"
         "  \"provenance\": %s,\n"
         "  \"pass\": %s\n"
         "}\n",
@@ -172,11 +216,16 @@ int main() {
         campaign_ref_s, campaign_fast_s, campaign_speedup,
         campaign_identical ? "true" : "false", campaign_cache.entries,
         static_cast<unsigned long long>(campaign_cache.hits),
+        static_cast<unsigned long long>(campaign_work.graph_builds),
+        static_cast<unsigned long long>(campaign_work.evaluations),
         sweep_problems.size(), sweep_configs, rounds, sweep_ref_s,
         sweep_fast_s, sweep_speedup, sweep_identical ? "true" : "false",
         sweep_cache.entries,
         static_cast<unsigned long long>(sweep_cache.hits),
-        bench::provenance_json().c_str(), pass ? "true" : "false");
+        static_cast<unsigned long long>(sweep_work.graph_builds),
+        static_cast<unsigned long long>(sweep_work.evaluations),
+        work_ok ? "true" : "false", bench::provenance_json().c_str(),
+        pass ? "true" : "false");
     std::fclose(json);
     std::printf("\nwrote BENCH_sim_engine.json\n");
   }

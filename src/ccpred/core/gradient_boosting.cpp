@@ -5,7 +5,6 @@
 #include "ccpred/common/error.hpp"
 #include "ccpred/core/compiled_ensemble.hpp"
 #include "ccpred/exec/arena.hpp"
-#include "ccpred/exec/parallel_for.hpp"
 
 namespace ccpred::ml {
 
@@ -26,21 +25,21 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
   CCPRED_CHECK_MSG(x.rows() > 0, "cannot fit on empty data");
   const std::size_t n = x.rows();
 
-  base_prediction_ = 0.0;
-  for (double v : y) base_prediction_ += v;
-  base_prediction_ /= static_cast<double>(n);
+  // The fit builds into locals and commits at the end, so a fit that
+  // throws (a non-finite feature) leaves the model as it was.
+  double base_prediction = 0.0;
+  for (double v : y) base_prediction += v;
+  base_prediction /= static_cast<double>(n);
 
   std::vector<double> residual(n);
-  for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - base_prediction_;
+  for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - base_prediction;
 
   // Rank the features once; every stage trains on the shared ranks (the
   // residual targets change per stage, the feature order does not).
   const FeatureRanks ranks = FeatureRanks::build(x);
 
-  trees_.clear();
-  compiled_.reset();
-  fitted_ = false;
-  trees_.reserve(static_cast<std::size_t>(n_estimators_));
+  std::vector<DecisionTreeRegressor> trees;
+  trees.reserve(static_cast<std::size_t>(n_estimators_));
   std::vector<std::size_t> all_rows(n);
   for (std::size_t i = 0; i < n; ++i) all_rows[i] = i;
 
@@ -59,16 +58,20 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
     DecisionTreeRegressor tree(tree_options_);
     tree.fit_presorted(x, ranks, residual, all_rows, train_pred.data(),
                        &stage_arena);
-    // Update residuals with the shrunken stage prediction, chunked over the
-    // pool (each index is independent, so the result is deterministic).
-    exec::parallel_for(0, n, [&](std::size_t i) {
+    // Update residuals with the shrunken stage prediction. A plain loop:
+    // a few hundred rows cost less than handing chunks to the shared pool,
+    // where concurrent fits would queue behind each other every stage.
+    for (std::size_t i = 0; i < n; ++i) {
       residual[i] -= learning_rate_ * train_pred[i];
-    });
-    trees_.push_back(std::move(tree));
+    }
+    trees.push_back(std::move(tree));
   }
+  GradientBoostingRegressor fitted =
+      from_parts(learning_rate_, base_prediction, std::move(trees));
+  base_prediction_ = fitted.base_prediction_;
+  trees_ = std::move(fitted.trees_);
+  compiled_ = std::move(fitted.compiled_);
   fitted_ = true;
-  compiled_ =
-      std::make_shared<const CompiledEnsemble>(CompiledEnsemble::compile(*this));
 }
 
 const CompiledEnsemble& GradientBoostingRegressor::compiled() const {

@@ -9,11 +9,13 @@
 /// Every stage fits on every row. Hot paths: the features are ranked once
 /// per fit (FeatureRanks) and every stage trains on the shared ranks. Each
 /// stage's fit also hands back its training predictions, read off the
-/// tree's own partition, so the residual update walks no tree; updates run
-/// chunked over the shared thread pool. fit() also compiles the fitted
-/// stages into a
-/// CompiledEnsemble, so predict() serves flattened SoA batch inference
-/// (bit-identical to the tree walk of predict_staged over every stage).
+/// tree's own partition, so the residual update is one plain loop that
+/// walks no tree. A fit runs on its calling thread, so the daemon's two
+/// machines fit side by side without queueing on the shared pool. fit()
+/// also compiles the fitted stages into a CompiledEnsemble, so predict()
+/// serves flattened SoA batch inference (bit-identical to the tree walk of
+/// predict_staged over every stage). A fit that throws leaves the model as
+/// it was.
 
 #include <memory>
 #include <string>

@@ -24,9 +24,11 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
   CCPRED_CHECK_MSG(x.rows() == y.size(), "X/y row mismatch");
   CCPRED_CHECK_MSG(x.rows() > 0, "cannot fit on empty data");
 
-  compiled_.reset();
+  // The fit builds into locals and commits at the end, so a fit that
+  // throws (a non-finite feature) leaves the forest as it was.
   const auto n = static_cast<std::size_t>(n_estimators_);
-  trees_.assign(n, DecisionTreeRegressor(tree_options_));
+  std::vector<DecisionTreeRegressor> trees(n,
+                                           DecisionTreeRegressor(tree_options_));
   // Pre-derive per-tree bootstrap seeds so parallel training is
   // deterministic.
   Rng seeder(seed_);
@@ -50,10 +52,11 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
     Rng rng(tree_seeds[t]);
     const std::vector<std::size_t> rows =
         bootstrap_ ? rng.bootstrap_indices(x.rows()) : all_rows;
-    trees_[t].fit_presorted(x, ranks, y, rows, nullptr, &arena);
+    trees[t].fit_presorted(x, ranks, y, rows, nullptr, &arena);
   });
-  compiled_ =
-      std::make_shared<const CompiledEnsemble>(CompiledEnsemble::compile(*this));
+  RandomForestRegressor fitted = from_parts(std::move(trees));
+  trees_ = std::move(fitted.trees_);
+  compiled_ = std::move(fitted.compiled_);
 }
 
 const CompiledEnsemble& RandomForestRegressor::compiled() const {

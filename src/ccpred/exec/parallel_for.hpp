@@ -4,9 +4,9 @@
 /// The executor layer's one data-parallel loop, over ThreadPool::global().
 ///
 /// Every data-parallel loop in ccpred — campaign labeling, STQ/BQ sweeps,
-/// forest and committee fits, boosting residual updates, kernel builds,
-/// blocked Cholesky and BLAS stripes, CV folds and search candidates — runs
-/// through this function, so they share one set of rules:
+/// forest and committee fits, kernel builds, blocked Cholesky and BLAS
+/// stripes, CV folds and search candidates — runs through this function,
+/// so they share one set of rules:
 ///
 ///  * static chunking: indices are split into one contiguous chunk per
 ///    worker, so as long as iteration i writes only its own outputs and

@@ -2,12 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 
 #include "ccpred/common/error.hpp"
 
 namespace ccpred::sim {
+
+namespace {
+
+/// Workers [first, first + len), all carrying `load`.
+struct Run {
+  double load = 0.0;
+  std::size_t first = 0;
+  std::size_t len = 0;
+};
+
+/// Appends `len` workers of `load` starting at `first` (the next index
+/// after `runs`), extending the last run when the loads are equal.
+void append_run(std::vector<Run>& runs, double load, std::size_t first,
+                std::size_t len) {
+  if (!runs.empty() && runs.back().load == load) {
+    runs.back().len += len;
+  } else {
+    runs.push_back({load, first, len});
+  }
+}
+
+}  // namespace
 
 double lpt_makespan(std::vector<TaskGroup> groups, int workers) {
   CCPRED_CHECK_MSG(workers > 0, "need at least one worker");
@@ -31,17 +52,13 @@ double lpt_makespan(std::vector<TaskGroup> groups, int workers) {
   // the makespan is the longest task (groups are sorted descending).
   if (total_tasks(groups) <= workers) return groups.front().duration_s;
 
-  std::vector<double> load(w, 0.0);
-  std::vector<std::int64_t> extra(w, 0);
-  // (key, worker) pairs. Ordered lexicographically, the smallest
-  // (load, worker) pair is the worker greedy picks next: least loaded,
-  // lowest index on ties.
-  using Entry = std::pair<double, std::size_t>;
-  std::vector<Entry> entries;
-  entries.reserve(w);
+  // Worker loads as runs of equal load, tiling [0, w) in index order.
+  std::vector<Run> runs{{0.0, 0, w}};
+  std::vector<Run> rebuilt;
+  std::vector<std::int64_t> run_extra;
 
   // Greedy assignment of `count` identical tasks of duration d: each task
-  // goes to the currently least-loaded worker.
+  // goes to the currently least-loaded worker, lowest index on ties.
   auto assign_greedy = [&](double d, std::int64_t count) {
     if (count <= 0 || d == 0.0) {
       return;
@@ -49,27 +66,41 @@ double lpt_makespan(std::vector<TaskGroup> groups, int workers) {
     if (count > static_cast<std::int64_t>(w)) {
       // Water-fill bulk step: greedy raises the lowest loads toward the
       // common level T = (sum load + count*d) / w. Pre-assign the whole
-      // multiples and leave the (O(w)-sized) remainder to the exact step.
+      // multiples and leave the remainder to the exact step. The sum adds
+      // every worker's load in index order, so it rounds as the per-worker
+      // greedy's does; outside the clamp it is the only per-worker step.
       double total = static_cast<double>(count) * d;
-      for (double l : load) total += l;
+      for (const Run& r : runs) {
+        for (std::size_t k = 0; k < r.len; ++k) total += r.load;
+      }
       const double level = total / static_cast<double>(w);
       std::int64_t assigned = 0;
-      for (std::size_t i = 0; i < w; ++i) {
+      run_extra.resize(runs.size());
+      for (std::size_t j = 0; j < runs.size(); ++j) {
         const auto n = static_cast<std::int64_t>(
-            std::floor((level - load[i]) / d));
-        extra[i] = std::max<std::int64_t>(0, n);
-        assigned += extra[i];
+            std::floor((level - runs[j].load) / d));
+        run_extra[j] = std::max<std::int64_t>(0, n);
+        assigned += run_extra[j] * static_cast<std::int64_t>(runs[j].len);
       }
+      rebuilt.clear();
       if (assigned > count) {
         // Clamp overshoot (possible when some workers sit above the level):
         // remove tasks one by one from the worker whose top
-        // load + extra*d is highest, lowest index on ties. A max-heap on
-        // (top, lowest index) finds it without rescanning every worker.
+        // load + extra*d is highest, lowest index on ties. It fires
+        // rarely, so it runs per worker: a max-heap on (top, lowest index)
+        // over the expanded runs, which are compressed again after.
+        std::vector<double> load;
+        std::vector<std::int64_t> extra;
+        for (std::size_t j = 0; j < runs.size(); ++j) {
+          load.insert(load.end(), runs[j].len, runs[j].load);
+          extra.insert(extra.end(), runs[j].len, run_extra[j]);
+        }
+        using Entry = std::pair<double, std::size_t>;
         const auto below = [](const Entry& a, const Entry& b) {
           return a.first < b.first ||
                  (a.first == b.first && a.second > b.second);
         };
-        entries.clear();
+        std::vector<Entry> entries;
         for (std::size_t i = 0; i < w; ++i) {
           if (extra[i] == 0) continue;
           entries.emplace_back(load[i] + static_cast<double>(extra[i]) * d, i);
@@ -85,44 +116,59 @@ double lpt_makespan(std::vector<TaskGroup> groups, int workers) {
           entries.back().first = load[i] + static_cast<double>(extra[i]) * d;
           std::push_heap(entries.begin(), entries.end(), below);
         }
+        for (std::size_t i = 0; i < w; ++i) {
+          append_run(rebuilt, load[i] + static_cast<double>(extra[i]) * d, i,
+                     1);
+        }
+      } else {
+        for (std::size_t j = 0; j < runs.size(); ++j) {
+          append_run(rebuilt,
+                     runs[j].load + static_cast<double>(run_extra[j]) * d,
+                     runs[j].first, runs[j].len);
+        }
       }
-      for (std::size_t i = 0; i < w; ++i) {
-        load[i] += static_cast<double>(extra[i]) * d;
-      }
+      runs.swap(rebuilt);
       count -= assigned;
       if (count == 0) return;
     }
-    // Exact greedy for the remaining (<= w) tasks. Greedy gives one task
-    // each to the `count` smallest (load, worker) entries whenever no
-    // loaded entry (load + d, worker) of those ranks before the count-th
-    // one; an nth_element pick then replaces `count` heap pops.
-    entries.clear();
-    for (std::size_t i = 0; i < w; ++i) entries.emplace_back(load[i], i);
-    if (count <= static_cast<std::int64_t>(w)) {
-      const auto nth = entries.begin() + (count - 1);
-      std::nth_element(entries.begin(), nth, entries.end());
-      const bool exact = std::all_of(
-          entries.begin(), nth, [&](const Entry& e) {
-            return *nth < Entry{e.first + d, e.second};
-          });
-      if (exact) {
-        for (auto it = entries.begin(); it <= nth; ++it) load[it->second] += d;
-        return;
+    // Exact greedy for the remaining tasks, on a min-heap of runs keyed on
+    // (load, first index). Runs are disjoint index intervals, so the
+    // popped run's workers are the least-loaded ones, in index order: the
+    // whole run takes one task each, or its first `count` workers do and
+    // the run splits there.
+    const auto after = [](const Run& a, const Run& b) {
+      return a.load > b.load || (a.load == b.load && a.first > b.first);
+    };
+    std::make_heap(runs.begin(), runs.end(), after);
+    while (count > 0) {
+      std::pop_heap(runs.begin(), runs.end(), after);
+      Run& r = runs.back();
+      const double next = r.load + d;
+      // Absorbed: the least-loaded worker's load never changes again.
+      if (next == r.load) break;
+      if (count < static_cast<std::int64_t>(r.len)) {
+        const auto served = static_cast<std::size_t>(count);
+        const Run rest{r.load, r.first + served, r.len - served};
+        r = {next, r.first, served};
+        runs.push_back(rest);
+        break;
       }
+      count -= static_cast<std::int64_t>(r.len);
+      r.load = next;
+      std::push_heap(runs.begin(), runs.end(), after);
     }
-    // Fallback: task-by-task greedy on a binary heap.
-    std::make_heap(entries.begin(), entries.end(), std::greater<>{});
-    for (std::int64_t t = 0; t < count; ++t) {
-      std::pop_heap(entries.begin(), entries.end(), std::greater<>{});
-      auto& [l, i] = entries.back();
-      l += d;
-      load[i] = l;
-      std::push_heap(entries.begin(), entries.end(), std::greater<>{});
-    }
+    std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+      return a.first < b.first;
+    });
+    rebuilt.clear();
+    for (const Run& r : runs) append_run(rebuilt, r.load, r.first, r.len);
+    runs.swap(rebuilt);
   };
 
   for (const auto& g : groups) assign_greedy(g.duration_s, g.count);
-  return *std::max_element(load.begin(), load.end());
+  double makespan = 0.0;
+  for (const Run& r : runs) makespan = std::max(makespan, r.load);
+  return makespan;
 }
 
 double total_work(const std::vector<TaskGroup>& groups) {

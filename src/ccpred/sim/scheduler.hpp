@@ -28,13 +28,17 @@ struct TaskGroup {
 /// to the currently least-loaded workers (lowest index on ties). Returns
 /// the maximum worker load.
 ///
-/// Cost per group is O(w) plus O(r log w) for r overshoot removals, w =
-/// workers: the water-fill's overshoot clamp pops a max-heap on (top,
-/// lowest index), and the remainder is one nth_element pick of the
-/// `count` least-loaded workers, with a per-task heap only when a loaded
-/// worker would rank before the pick's last one. Results are bit-identical
-/// to the previous O(w)-rescan implementation, which tests keep as an
-/// oracle (tests/lpt_reference.hpp).
+/// Worker loads are kept as runs of equal load in worker-index order, so
+/// a group costs O((r + p) log r) for r runs and p heap pops (the daemon's
+/// campaign calls see about a dozen runs and three pops per remainder),
+/// plus, when count > w for w = workers, one index-order O(w) sum for the
+/// water-fill's level. The remainder is a task-by-task greedy over a
+/// min-heap of runs on (load, first index): a popped run's workers are the
+/// least-loaded ones in index order, so each pop serves a whole run or
+/// splits it. The rare water-fill overshoot clamp runs per worker, on a
+/// max-heap on (top, lowest index). Results are bit-identical to the
+/// previous per-worker implementation, which tests keep as an oracle
+/// (tests/lpt_reference.hpp).
 double lpt_makespan(std::vector<TaskGroup> groups, int workers);
 
 /// Sum of duration*count over all groups (aggregate work).

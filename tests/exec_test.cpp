@@ -594,8 +594,9 @@ void expect_shuffle_invariant(const Run& run) {
   }
 }
 
-/// Boosting fans its residual updates over parallel_for (fused training
-/// predictions), so a shuffled fit must produce bit-identical stages.
+/// A boosting fit runs its residual update as a plain loop and calls no
+/// parallel_for today; a shuffled fit must still produce bit-identical
+/// stages, so any loop that later moves onto the pool stays order-free.
 TEST(ExecDeterminismTest, ShuffledBoostingFitMatchesReference) {
   const data::Dataset& d = fit_campaign();
   const linalg::Matrix x = d.features();

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -21,6 +23,7 @@
 #include "ccpred/core/model_zoo.hpp"
 #include "ccpred/core/polynomial.hpp"
 #include "ccpred/core/random_forest.hpp"
+#include "ccpred/core/serialize.hpp"
 #include "ccpred/core/svr.hpp"
 #include "test_util.hpp"
 
@@ -402,6 +405,58 @@ TEST(RandomForestTest, TreeCountMatches) {
   RandomForestRegressor forest(17);
   forest.fit(s.x, s.y);
   EXPECT_EQ(forest.tree_count(), 17u);
+}
+
+/// Training data whose features hold a NaN, with targets shifted away from
+/// make_nonlinear's: every tree-ensemble fit ranks the features first and
+/// throws on it.
+test::Synthetic nan_feature_data() {
+  auto s = make_nonlinear(60, 0.1, 62);
+  s.x(7, 1) = std::numeric_limits<double>::quiet_NaN();
+  for (double& v : s.y) v += 3.0;
+  return s;
+}
+
+TEST(RandomForestTest, FailedRefitKeepsTheFittedForest) {
+  const auto good = make_nonlinear(80, 0.1, 61);
+  const auto bad = nan_feature_data();
+  RandomForestRegressor forest(10);
+  forest.fit(good.x, good.y);
+  const auto before = forest.predict(good.x);
+  const std::string bytes = serialize_rf(forest);
+  EXPECT_THROW(forest.fit(bad.x, bad.y), Error);
+  ASSERT_TRUE(forest.is_fitted());
+  EXPECT_EQ(forest.predict(good.x), before);
+  EXPECT_TRUE(serialize_rf(forest) == bytes) << "serialized forest changed";
+}
+
+TEST(RandomForestTest, FailedFirstFitLeavesTheForestUnfitted) {
+  const auto bad = nan_feature_data();
+  RandomForestRegressor forest(10);
+  EXPECT_THROW(forest.fit(bad.x, bad.y), Error);
+  EXPECT_FALSE(forest.is_fitted());
+  EXPECT_THROW(forest.predict(make_nonlinear(5).x), Error);
+}
+
+TEST(GradientBoostingTest, FailedRefitKeepsTheFittedModel) {
+  const auto good = make_nonlinear(80, 0.1, 61);
+  const auto bad = nan_feature_data();
+  GradientBoostingRegressor gb(20, 0.1, TreeOptions{.max_depth = 3});
+  gb.fit(good.x, good.y);
+  const auto before = gb.predict(good.x);
+  const std::string bytes = serialize_gb(gb);
+  EXPECT_THROW(gb.fit(bad.x, bad.y), Error);
+  ASSERT_TRUE(gb.is_fitted());
+  EXPECT_EQ(gb.predict(good.x), before);
+  EXPECT_TRUE(serialize_gb(gb) == bytes) << "serialized model changed";
+}
+
+TEST(GradientBoostingTest, FailedFirstFitLeavesTheModelUnfitted) {
+  const auto bad = nan_feature_data();
+  GradientBoostingRegressor gb(20, 0.1, TreeOptions{.max_depth = 3});
+  EXPECT_THROW(gb.fit(bad.x, bad.y), Error);
+  EXPECT_FALSE(gb.is_fitted());
+  EXPECT_THROW(gb.predict(make_nonlinear(5).x), Error);
 }
 
 TEST(GradientBoostingTest, ImprovesWithStages) {

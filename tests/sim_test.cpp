@@ -9,6 +9,8 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/rng.hpp"
+#include "ccpred/data/generator.hpp"
+#include "ccpred/data/problems.hpp"
 #include "ccpred/sim/ccsd_simulator.hpp"
 #include "ccpred/sim/contraction.hpp"
 #include "ccpred/sim/machine.hpp"
@@ -289,6 +291,84 @@ TEST(SchedulerTest, BitIdenticalToReferenceOnRoundingTies) {
         std::bit_cast<std::uint64_t>(
             test::lpt_makespan_reference(groups, workers)))
         << "case " << c;
+  }
+}
+
+TEST(SchedulerTest, BitIdenticalToReferenceOnCampaignGroups) {
+  // The calls a cold-starting daemon makes while it labels its default
+  // campaigns (600 rows, seed 2025): every contraction's task groups at
+  // every 10th configuration, on both machines. A call carries about 17
+  // groups, hundreds to thousands of workers and a dozen runs of equal
+  // load, where the adversarial trials above carry at most 6 groups.
+  for (const auto& machine : {MachineModel::aurora(), MachineModel::frontier()}) {
+    const CcsdSimulator simulator(machine);
+    data::GeneratorOptions opt;
+    opt.seed = 2025;
+    opt.target_total = 600;
+    const auto campaign = data::generate_dataset(
+        simulator, data::problems_for(machine.name), opt);
+    for (std::size_t row = 0; row < campaign.size(); row += 10) {
+      const RunConfig& cfg = campaign.config(row);
+      const int workers = machine.workers(cfg.nodes);
+      for (const auto& contraction : simulator.inventory()) {
+        const auto groups = simulator.task_groups(contraction, cfg);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(lpt_makespan(groups, workers)),
+                  std::bit_cast<std::uint64_t>(
+                      test::lpt_makespan_reference(groups, workers)))
+            << machine.name << " row " << row << " contraction "
+            << contraction.name;
+      }
+    }
+  }
+}
+
+TEST(SchedulerTest, BitIdenticalToReferenceOnRunEdgeCases) {
+  struct Case {
+    const char* what;
+    int workers;
+    std::vector<TaskGroup> groups;
+  };
+  const Case cases[] = {
+      // After the unit tasks every load is 1 or 2 and 1 + 1e-30 == 1: the
+      // remainder's least-loaded worker never changes again.
+      {"absorbed remainder", 5, {{1.0, 7}, {1e-30, 3}}},
+      // The same, with a count that is still above the worker count after
+      // the water-fill assigned nothing.
+      {"absorbed water-fill", 6, {{1.0, 6}, {1e-30, 40}}},
+      // Not absorbed (1 + 1.5e-16 rounds up), but the level rounds low, so
+      // the water-fill leaves more than one task per worker.
+      {"count above workers after the fill", 5, {{1.0, 5}, {1.5e-16, 47}}},
+      // Tall tasks leave 11 runs, and the short groups' water-fills
+      // overshoot past the workers above their level.
+      {"overshoot over many runs",
+       13,
+       {{5, 1}, {5.9000000000000004, 2}, {7.9000000000000004, 3},
+        {4.7000000000000002, 2}, {6.4000000000000004, 1}, {7.5, 1},
+        {7.7000000000000002, 1}, {6.4000000000000004, 2},
+        {6.0999999999999996, 1}, {6.5999999999999996, 3},
+        {7.5999999999999996, 1}, {4.4000000000000004, 1},
+        {0.14999999999999999, 36}, {0.19, 42}}},
+      // 23 groups of 22 distinct durations fragment the loads into 20 runs.
+      {"fragmented runs",
+       56,
+       {{0.25714285714285717, 65}, {0.55000000000000004, 18},
+        {0.15714285714285714, 88}, {0.34999999999999998, 71},
+        {0.34285714285714286, 43}, {0.59285714285714286, 33},
+        {0.7142857142857143, 105}, {0.56428571428571428, 28},
+        {0.77142857142857146, 87}, {0.99285714285714288, 13},
+        {1.0857142857142856, 74}, {0.83571428571428574, 64}, {1, 68},
+        {0.73571428571428577, 110}, {1.342857142857143, 111}, {1.05, 104},
+        {1.4285714285714288, 30}, {1.2071428571428573, 69},
+        {0.94285714285714284, 96}, {1.2071428571428573, 81},
+        {1.2285714285714286, 43}, {1.3071428571428572, 103},
+        {1.4142857142857144, 34}}},
+  };
+  for (const auto& [what, workers, groups] : cases) {
+    ASSERT_EQ(
+        std::bit_cast<std::uint64_t>(lpt_makespan(groups, workers)),
+        std::bit_cast<std::uint64_t>(
+            test::lpt_makespan_reference(groups, workers)))
+        << what;
   }
 }
 
