@@ -50,3 +50,16 @@ namespace detail {
                                             ccpred_os_.str());          \
     }                                                                   \
   } while (0)
+
+/// Rejects input from outside the program (a request line, a wire frame,
+/// a number in a text field): throws ccpred::Error carrying only the
+/// streamed message. The message goes back to whoever sent the input, so
+/// it names neither the checked expression nor a source path.
+#define CCPRED_REQUIRE(expr, msg)                \
+  do {                                           \
+    if (!(expr)) {                               \
+      std::ostringstream ccpred_os_;             \
+      ccpred_os_ << msg;                         \
+      throw ::ccpred::Error(ccpred_os_.str());   \
+    }                                            \
+  } while (0)

@@ -32,25 +32,25 @@ std::string trim(std::string_view s) {
 
 double parse_double(std::string_view s) {
   const std::string t = trim(s);
-  CCPRED_CHECK_MSG(!t.empty(), "cannot parse empty string as double");
+  CCPRED_REQUIRE(!t.empty(), "cannot parse empty string as double");
   double value = 0.0;
   const auto* first = t.data();
   const auto* last = t.data() + t.size();
   const auto [ptr, ec] = std::from_chars(first, last, value);
-  CCPRED_CHECK_MSG(ec == std::errc() && ptr == last,
-                   "cannot parse '" << t << "' as double");
+  CCPRED_REQUIRE(ec == std::errc() && ptr == last,
+                 "cannot parse '" << t << "' as double");
   return value;
 }
 
 long long parse_int(std::string_view s) {
   const std::string t = trim(s);
-  CCPRED_CHECK_MSG(!t.empty(), "cannot parse empty string as int");
+  CCPRED_REQUIRE(!t.empty(), "cannot parse empty string as int");
   long long value = 0;
   const auto* first = t.data();
   const auto* last = t.data() + t.size();
   const auto [ptr, ec] = std::from_chars(first, last, value);
-  CCPRED_CHECK_MSG(ec == std::errc() && ptr == last,
-                   "cannot parse '" << t << "' as int");
+  CCPRED_REQUIRE(ec == std::errc() && ptr == last,
+                 "cannot parse '" << t << "' as int");
   return value;
 }
 

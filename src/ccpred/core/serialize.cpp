@@ -11,6 +11,7 @@
 #include <fstream>
 
 #include "ccpred/common/error.hpp"
+#include "ccpred/common/strings.hpp"
 
 namespace ccpred::ml {
 namespace {
@@ -22,9 +23,16 @@ constexpr std::string_view kRfHeader = "ccpred-rf-v1";
 /// Appends text, integers and doubles to one string. Doubles are written
 /// by to_chars with 17 significant digits in general format, which is
 /// printf's "%.17g": enough to round-trip every double exactly.
+///
+/// With a file sink the string is one chunk: flush_if_full() writes it to
+/// the sink once it holds kChunkBytes, and every flushed chunk continues
+/// the FNV-1a hash, so finish() returns fnv1a64 of the whole file.
 class Writer {
  public:
   explicit Writer(std::size_t reserve) { out_.reserve(reserve); }
+  explicit Writer(std::ofstream& sink) : sink_(&sink) {
+    out_.reserve(kChunkBytes + 4096);  // a chunk plus the line crossing it
+  }
 
   Writer& operator<<(std::string_view s) {
     out_ += s;
@@ -47,10 +55,31 @@ class Writer {
     return *this;
   }
 
+  /// Streams the chunk once it is full; a no-op without a sink.
+  void flush_if_full() {
+    if (sink_ != nullptr && out_.size() >= kChunkBytes) flush();
+  }
+
+  /// Streams the last chunk and returns the hash of every byte written.
+  std::uint64_t finish() {
+    flush();
+    return hash_;
+  }
+
   std::string take() { return std::move(out_); }
 
  private:
+  static constexpr std::size_t kChunkBytes = 256 * 1024;
+
+  void flush() {
+    hash_ = fnv1a64(out_, hash_);
+    sink_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
+    out_.clear();
+  }
+
   std::string out_;
+  std::ofstream* sink_ = nullptr;
+  std::uint64_t hash_ = fnv1a64("");
 };
 
 /// Whitespace-separated tokens over one buffer, parsed in place by
@@ -118,12 +147,14 @@ void write_tree_body(Writer& out, const DecisionTreeRegressor& tree) {
   for (const auto& n : nodes) {
     out << n.feature << ' ' << n.threshold << ' ' << n.value << ' ' << n.left
         << ' ' << n.right << '\n';
+    out.flush_if_full();
   }
   for (std::size_t i = 0; i < importance.size(); ++i) {
     if (i) out << ' ';
     out << importance[i];
   }
   if (!importance.empty()) out << '\n';
+  out.flush_if_full();
 }
 
 DecisionTreeRegressor read_tree_body(Reader& in) {
@@ -155,6 +186,46 @@ std::size_t tree_body_bytes(const DecisionTreeRegressor& tree) {
   return 16 + tree.nodes().size() * 48 + tree.raw_importance().size() * 25;
 }
 
+void write_gb(Writer& out, const GradientBoostingRegressor& model) {
+  out << kGbHeader << '\n'
+      << model.stages().size() << ' ' << model.learning_rate() << ' '
+      << model.base_prediction() << '\n';
+  for (const auto& tree : model.stages()) write_tree_body(out, tree);
+}
+
+void write_rf(Writer& out, const RandomForestRegressor& model) {
+  out << kRfHeader << '\n' << model.tree_count() << '\n';
+  for (const auto& tree : model.trees()) write_tree_body(out, tree);
+}
+
+/// Streams an artifact into a temp file beside `path`, named per writer
+/// (pid + counter), and rename(2)s it over `path`: a reader sees the old
+/// bytes or the new ones, never a truncated file, and a stream already
+/// open on the old file keeps reading it whole. The mtime is read after
+/// the close and before the rename, which keeps it. A failed write
+/// removes the temp file.
+template <typename WriteBody>
+ArtifactStamp stream_artifact(const std::string& path, WriteBody write_body) {
+  static std::atomic<std::uint64_t> writes{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(writes.fetch_add(1));
+  std::ofstream file(tmp, std::ios::binary);
+  CCPRED_CHECK_MSG(file.good(), "cannot open model file for write: " << tmp);
+  Writer out(file);
+  write_body(out);
+  ArtifactStamp stamp;
+  stamp.content_hash = out.finish();
+  file.close();
+  std::error_code ec;
+  if (file.good()) stamp.mtime = std::filesystem::last_write_time(tmp, ec);
+  if (file.good() && !ec) std::filesystem::rename(tmp, path, ec);
+  if (!file.good() || ec) {
+    std::filesystem::remove(tmp, ec);
+    throw Error("I/O error writing model file: " + path);
+  }
+  return stamp;
+}
+
 }  // namespace
 
 std::string serialize_tree(const DecisionTreeRegressor& tree) {
@@ -176,10 +247,7 @@ std::string serialize_gb(const GradientBoostingRegressor& model) {
   std::size_t bytes = 64;
   for (const auto& tree : model.stages()) bytes += tree_body_bytes(tree);
   Writer out(bytes);
-  out << kGbHeader << '\n'
-      << model.stages().size() << ' ' << model.learning_rate() << ' '
-      << model.base_prediction() << '\n';
-  for (const auto& tree : model.stages()) write_tree_body(out, tree);
+  write_gb(out, model);
   return out.take();
 }
 
@@ -209,10 +277,7 @@ std::string serialize_rf(const RandomForestRegressor& model) {
     bytes += tree_body_bytes(model.tree(t));
   }
   Writer out(bytes);
-  out << kRfHeader << '\n' << model.tree_count() << '\n';
-  for (std::size_t t = 0; t < model.tree_count(); ++t) {
-    write_tree_body(out, model.tree(t));
-  }
+  write_rf(out, model);
   return out.take();
 }
 
@@ -244,40 +309,20 @@ std::string read_artifact(const std::string& path) {
   return bytes;
 }
 
-namespace {
-
-/// Writes a temp file beside `path`, named per writer (pid + counter), and
-/// rename(2)s it over `path`: a reader sees the old bytes or the new ones,
-/// never a truncated file, and a stream already open on the old file
-/// keeps reading it whole. A failed write removes the temp file.
-void write_artifact(const std::string& bytes, const std::string& path) {
-  static std::atomic<std::uint64_t> writes{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(writes.fetch_add(1));
-  std::ofstream out(tmp, std::ios::binary);
-  CCPRED_CHECK_MSG(out.good(), "cannot open model file for write: " << tmp);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  std::error_code ec;
-  if (out.good()) std::filesystem::rename(tmp, path, ec);
-  if (!out.good() || ec) {
-    std::filesystem::remove(tmp, ec);
-    throw Error("I/O error writing model file: " + path);
-  }
-}
-
-}  // namespace
-
-void save_rf(const RandomForestRegressor& model, const std::string& path) {
-  write_artifact(serialize_rf(model), path);
+ArtifactStamp save_rf(const RandomForestRegressor& model,
+                      const std::string& path) {
+  CCPRED_CHECK_MSG(model.is_fitted(), "cannot serialize an unfitted model");
+  return stream_artifact(path, [&](Writer& out) { write_rf(out, model); });
 }
 
 RandomForestRegressor load_rf(const std::string& path) {
   return deserialize_rf(read_artifact(path));
 }
 
-void save_gb(const GradientBoostingRegressor& model, const std::string& path) {
-  write_artifact(serialize_gb(model), path);
+ArtifactStamp save_gb(const GradientBoostingRegressor& model,
+                      const std::string& path) {
+  CCPRED_CHECK_MSG(model.is_fitted(), "cannot serialize an unfitted model");
+  return stream_artifact(path, [&](Writer& out) { write_gb(out, model); });
 }
 
 GradientBoostingRegressor load_gb(const std::string& path) {

@@ -11,12 +11,19 @@
 /// exactly). Versioned header; loaders validate structure and throw
 /// ccpred::Error on malformed input.
 ///
-/// The writer formats with std::to_chars into one reserved string and the
-/// reader parses with std::from_chars over one buffer, both linear in the
-/// artifact size with no stream in between. The format is unchanged from
-/// the earlier ostream/istream codec, byte for byte; the reader rejects a
-/// leading '+', non-finite values and negative counts.
+/// The writer formats with std::to_chars and the reader parses with
+/// std::from_chars over one buffer, both linear in the artifact size. The
+/// format is unchanged from the earlier ostream/istream codec, byte for
+/// byte; the reader rejects a leading '+', non-finite values and negative
+/// counts.
+///
+/// serialize_* build the artifact in one string. save_* stream it instead:
+/// the same writer flushes into the temp file about every 256 KiB, hashing
+/// each chunk as it goes, so a save holds one chunk rather than the whole
+/// artifact and returns the file's ArtifactStamp without reading it back.
 
+#include <cstdint>
+#include <filesystem>
 #include <string>
 #include <string_view>
 
@@ -40,10 +47,21 @@ std::string serialize_gb(const GradientBoostingRegressor& model);
 /// bit-identically to the original.
 GradientBoostingRegressor deserialize_gb(std::string_view text);
 
+/// What a save published: the FNV-1a hash of the file's bytes, equal to
+/// fnv1a64(read_artifact(path)), and its mtime, equal to
+/// last_write_time(path) until the file is written or touched again.
+struct ArtifactStamp {
+  std::uint64_t content_hash = 0;
+  std::filesystem::file_time_type mtime{};
+};
+
 /// Convenience: write/read a GB model file. save_* publishes atomically:
-/// it writes a temp file beside `path` and renames it over `path`, so a
-/// concurrent reader never sees a partly written artifact.
-void save_gb(const GradientBoostingRegressor& model, const std::string& path);
+/// it streams the bytes serialize_gb returns into a temp file beside
+/// `path` and renames it over `path`, so a concurrent reader never sees a
+/// partly written artifact. A failed write removes the temp file and
+/// throws ccpred::Error.
+ArtifactStamp save_gb(const GradientBoostingRegressor& model,
+                      const std::string& path);
 GradientBoostingRegressor load_gb(const std::string& path);
 
 /// Serializes a fitted random forest (header "ccpred-rf-v1", then each
@@ -54,8 +72,10 @@ std::string serialize_rf(const RandomForestRegressor& model);
 /// bit-identically to the original.
 RandomForestRegressor deserialize_rf(std::string_view text);
 
-/// Convenience: write/read an RF model file (atomic, as save_gb).
-void save_rf(const RandomForestRegressor& model, const std::string& path);
+/// Convenience: write/read an RF model file (streamed and atomic, as
+/// save_gb).
+ArtifactStamp save_rf(const RandomForestRegressor& model,
+                      const std::string& path);
 RandomForestRegressor load_rf(const std::string& path);
 
 /// The whole file at `path` in one read, for callers that both hash and

@@ -6,8 +6,11 @@
 /// probabilities; the server, registry and sweep cache consult it at four
 /// injection points:
 ///
-///  * kArtifactRead  — an artifact (re)load throws as if the file were
-///    unreadable, exercising the registry's stale-while-revalidate path;
+///  * kArtifactRead  — a registry read of an artifact from disk (a first
+///    load or a hot reload) throws as if the file were unreadable,
+///    exercising the registry's stale-while-revalidate path. A model the
+///    registry publish()es was fitted in-process and is never read back,
+///    so publishing consumes no arrival here;
 ///  * kSweepCompute  — an enumerate+predict sweep is slowed down,
 ///    exercising deadlines and single-flight waiting;
 ///  * kWorkerStall   — a worker stalls before handling a request,
@@ -39,7 +42,7 @@ namespace ccpred::serve {
 
 /// Where a fault can be injected.
 enum class FaultPoint : int {
-  kArtifactRead = 0,   ///< registry artifact load throws
+  kArtifactRead = 0,   ///< registry artifact read from disk throws
   kSweepCompute = 1,   ///< sweep computation is delayed
   kWorkerStall = 2,    ///< request worker stalls before dispatch
   kCacheShard = 3,     ///< cache shard mutex held longer
@@ -60,7 +63,7 @@ const char* fault_point_name(FaultPoint point);
 struct FaultOptions {
   std::uint64_t seed = 2025;
 
-  double artifact_read_failure = 0.0;  ///< P(load throws)
+  double artifact_read_failure = 0.0;  ///< P(artifact read throws)
   double sweep_delay = 0.0;            ///< P(sweep is slowed)
   double sweep_delay_ms = 10.0;        ///< base sweep slowdown
   double worker_stall = 0.0;           ///< P(worker stalls)

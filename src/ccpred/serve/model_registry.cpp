@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
 #include "ccpred/common/error.hpp"
@@ -15,18 +16,44 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::int64_t mtime_ns(const std::string& path) {
-  std::error_code ec;
-  const auto t = fs::last_write_time(path, ec);
-  if (ec) return 0;
+std::int64_t to_ns(fs::file_time_type t) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              t.time_since_epoch())
       .count();
 }
 
+std::int64_t mtime_ns(const std::string& path) {
+  std::error_code ec;
+  const auto t = fs::last_write_time(path, ec);
+  return ec ? 0 : to_ns(t);
+}
+
 void check_kind(const std::string& kind) {
   CCPRED_CHECK_MSG(kind == "gb" || kind == "rf",
                    "unknown model kind '" << kind << "' (use gb|rf)");
+}
+
+std::shared_ptr<const ml::Regressor> parse_model(const std::string& kind,
+                                                 std::string_view bytes) {
+  if (kind == "gb") {
+    return std::make_shared<const ml::GradientBoostingRegressor>(
+        ml::deserialize_gb(bytes));
+  }
+  return std::make_shared<const ml::RandomForestRegressor>(
+      ml::deserialize_rf(bytes));
+}
+
+/// Streams a fitted `kind` model to `path`; a model of the other kind is
+/// a caller bug and throws std::bad_cast.
+ml::ArtifactStamp save_model(const ml::Regressor& model,
+                             const std::string& kind,
+                             const std::string& path) {
+  if (kind == "gb") {
+    return ml::save_gb(
+        dynamic_cast<const ml::GradientBoostingRegressor&>(model), path);
+  }
+  return ml::save_rf(dynamic_cast<const ml::RandomForestRegressor&>(model),
+                     path);
 }
 
 }  // namespace
@@ -75,40 +102,32 @@ void ModelRegistry::note_published(const std::string& machine,
   ++published_gen_[machine + "/" + kind];
 }
 
-ModelRegistry::Entry ModelRegistry::load_locked(const std::string& machine,
-                                                const std::string& kind,
-                                                const std::string& path,
-                                                std::string_view bytes,
-                                                std::uint64_t hash) {
+ModelHandle ModelRegistry::install_locked(
+    const std::string& machine, const std::string& kind,
+    const std::string& path, std::shared_ptr<const ml::Regressor> model,
+    std::uint64_t hash, std::int64_t mtime_ns) {
+  const std::string key = machine + "/" + kind;
   Entry entry;
-  ModelHandle& handle = entry.handle;
-  if (kind == "gb") {
-    handle.model = std::make_shared<const ml::GradientBoostingRegressor>(
-        ml::deserialize_gb(bytes));
-  } else {
-    handle.model = std::make_shared<const ml::RandomForestRegressor>(
-        ml::deserialize_rf(bytes));
-  }
-  handle.version = next_version_++;
-  handle.machine = machine;
-  handle.kind = kind;
-  handle.path = path;
+  entry.handle.model = std::move(model);
+  entry.handle.version = next_version_++;
+  entry.handle.machine = machine;
+  entry.handle.kind = kind;
+  entry.handle.path = path;
+  entry.mtime_ns = mtime_ns;
   entry.content_hash = hash;
+  entry.loaded_gen = published_gen_locked(key);
   ++loads_;
-  return entry;
+  return (entries_[key] = std::move(entry)).handle;
 }
 
 ModelHandle ModelRegistry::first_load_locked(const std::string& machine,
                                              const std::string& kind,
-                                             const std::string& key,
                                              const std::string& path) {
   try {
     const std::int64_t now_ns = mtime_ns(path);
     const std::string bytes = read_artifact_locked(path);
-    Entry entry = load_locked(machine, kind, path, bytes, fnv1a64(bytes));
-    entry.mtime_ns = now_ns;
-    entry.loaded_gen = published_gen_locked(key);
-    return (entries_[key] = std::move(entry)).handle;
+    return install_locked(machine, kind, path, parse_model(kind, bytes),
+                          fnv1a64(bytes), now_ns);
   } catch (const std::exception&) {
     // First load failed — there is no last-good model to degrade to.
     ++reload_failures_;
@@ -116,8 +135,8 @@ ModelHandle ModelRegistry::first_load_locked(const std::string& machine,
   }
 }
 
-std::string ModelRegistry::train_artifact(const std::string& machine,
-                                          const std::string& kind) {
+std::shared_ptr<const ml::Regressor> ModelRegistry::fit_fallback(
+    const std::string& machine, const std::string& kind) {
   check_kind(kind);
   const auto simulator = simulator_for(machine);
   data::GeneratorOptions gen;
@@ -125,21 +144,38 @@ std::string ModelRegistry::train_artifact(const std::string& machine,
   gen.target_total = options_.fallback_rows;
   const auto dataset = data::generate_dataset(
       simulator, data::problems_for(simulator.machine().name), gen);
-  const std::string path = artifact_path(machine, kind);
+  std::shared_ptr<ml::Regressor> model;
   if (kind == "gb") {
-    ml::GradientBoostingRegressor model(options_.gb_estimators);
-    model.fit(dataset.features(), dataset.targets());
-    ml::save_gb(model, path);
+    model = std::make_shared<ml::GradientBoostingRegressor>(
+        options_.gb_estimators);
   } else {
-    ml::RandomForestRegressor model(options_.rf_estimators);
-    model.fit(dataset.features(), dataset.targets());
-    ml::save_rf(model, path);
+    model = std::make_shared<ml::RandomForestRegressor>(options_.rf_estimators);
   }
+  model->fit(dataset.features(), dataset.targets());
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++trainings_;
   }
+  return model;
+}
+
+std::string ModelRegistry::train_artifact(const std::string& machine,
+                                          const std::string& kind) {
+  const std::string path = artifact_path(machine, kind);
+  save_model(*fit_fallback(machine, kind), kind, path);
   return path;
+}
+
+ModelHandle ModelRegistry::publish(const std::string& machine,
+                                   const std::string& kind,
+                                   std::shared_ptr<const ml::Regressor> model) {
+  check_kind(kind);
+  simulator_for(machine);  // validates the machine name before any write
+  const std::string path = artifact_path(machine, kind);
+  const ml::ArtifactStamp stamp = save_model(*model, kind, path);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return install_locked(machine, kind, path, std::move(model),
+                        stamp.content_hash, to_ns(stamp.mtime));
 }
 
 ModelHandle ModelRegistry::get(const std::string& machine,
@@ -186,11 +222,8 @@ ModelHandle ModelRegistry::get(const std::string& machine,
           ++hash_skips_;
           return it->second.handle;
         }
-        Entry entry = load_locked(machine, kind, path, bytes, hash);
-        entry.mtime_ns = now_ns;
-        entry.loaded_gen = gen;
-        it->second = std::move(entry);
-        return it->second.handle;
+        return install_locked(machine, kind, path, parse_model(kind, bytes),
+                              hash, now_ns);
       } catch (const std::exception&) {
         // Unreadable/corrupt publish: keep serving the last-good model,
         // marked stale, and retry only when the artifact changes again.
@@ -201,18 +234,20 @@ ModelHandle ModelRegistry::get(const std::string& machine,
         return it->second.handle;
       }
     } else if (fs::exists(path)) {
-      return first_load_locked(machine, kind, key, path);
+      return first_load_locked(machine, kind, path);
     }
   }
   // Missing artifact: train-and-cache outside the lock (training is the
   // slow path and must not block serving other machines), once per key
-  // however many callers race here, then load.
-  trained_.get_or_compute(key, [&] { return train_artifact(machine, kind); });
+  // however many callers race here. The leader publishes what it fitted,
+  // so the entry exists before the flight finishes and every joiner, like
+  // every later caller, serves it without reading the artifact.
+  trained_.get_or_compute(key, [&] {
+    publish(machine, kind, fit_fallback(machine, kind));
+    return path;
+  });
   const std::lock_guard<std::mutex> lock(mutex_);
-  // Another caller may have loaded since; reuse its entry.
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) return it->second.handle;
-  return first_load_locked(machine, kind, key, path);
+  return entries_.at(key).handle;
 }
 
 std::uint64_t ModelRegistry::loads() const {

@@ -3,13 +3,20 @@
 /// \file model_registry.hpp
 /// Artifact-backed model store for the serving layer: train once per
 /// (machine, model-kind), publish "<machine>-<kind>.model" into a
-/// directory, and every server process serves from it. The registry
-/// hot-reloads when the artifact's mtime changes (a newer campaign was
-/// published) and falls back to train-and-cache when an artifact is
-/// missing, so a fresh deployment bootstraps itself. Concurrent first
-/// get()s of one missing (machine, kind) train it once: they coalesce on
-/// the executor layer's single flight, while different keys train in
-/// parallel.
+/// directory, and every server process serves from it. A model comes to
+/// be served by one of two paths:
+///  * from disk: the first get() of an already-published artifact, and a
+///    hot reload when the artifact's mtime changes (a newer campaign was
+///    published), read the file once, hash it and parse it;
+///  * from this process: publish() streams a model the process has fitted
+///    to its artifact and serves that same object. get()'s train-and-cache
+///    fallback (a missing artifact, so a fresh deployment bootstraps
+///    itself) and the online promotion both take this path, so nothing
+///    reads back, re-hashes or re-parses bytes the process has just
+///    written, and nothing is parsed under the registry lock for them.
+/// Concurrent first get()s of one missing (machine, kind) train it once:
+/// they coalesce on the executor layer's single flight, while different
+/// keys train in parallel.
 ///
 /// Degraded mode (stale-while-revalidate): when a hot reload fails — the
 /// new artifact is unreadable, corrupt, or has vanished — the registry
@@ -19,11 +26,11 @@
 /// corrupt file costs one load attempt per publish, not one per request.
 ///
 /// Change detection is content-aware, not mtime-only. Each entry stores a
-/// 64-bit content hash of the loaded artifact:
-///  * an in-process publisher (the online promotion pipeline) calls
-///    note_published() after writing; the next get() rechecks the content
-///    hash even when the mtime is unchanged, so republishing twice within
-///    the filesystem's mtime granularity is never silently missed;
+/// 64-bit content hash of its artifact (publish() takes it from the save):
+///  * a publisher that writes the artifact itself calls note_published()
+///    after the rename; the next get() rechecks the content hash even when
+///    the mtime is unchanged, so republishing twice within the
+///    filesystem's mtime granularity is never silently missed;
 ///  * a publish that changes the mtime but not the bytes (touch, identical
 ///    re-publish) is absorbed without a version bump, so cached sweeps
 ///    stay valid instead of being invalidated for nothing.
@@ -33,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 
 #include "ccpred/core/regressor.hpp"
 #include "ccpred/exec/sharded_cache.hpp"
@@ -56,16 +62,16 @@ struct RegistryOptions {
   int rf_estimators = 100;  ///< trees for fallback-trained RF
 };
 
-/// A loaded model plus its identity. `version` increments globally on every
-/// (re)load, so a sweep cached under version N can never be served from a
-/// newer model. The shared_ptr keeps an in-flight sweep's model alive
+/// A served model plus its identity. `version` increments globally on
+/// every install (a load, a reload or a publish), so a sweep cached under
+/// version N can never be served from a newer model. The shared_ptr keeps an in-flight sweep's model alive
 /// across a concurrent hot-reload.
 struct ModelHandle {
   std::shared_ptr<const ml::Regressor> model;
   std::uint64_t version = 0;
   std::string machine;
   std::string kind;  ///< "gb" | "rf"
-  std::string path;  ///< artifact the model came from
+  std::string path;  ///< its artifact
   bool stale = false;  ///< last-good model served after a failed reload
 };
 
@@ -75,15 +81,32 @@ class ModelRegistry {
   explicit ModelRegistry(std::string artifact_dir,
                          RegistryOptions options = {});
 
-  /// The model for (machine, kind), loading / hot-reloading / fallback-
-  /// training as needed. kind is "gb" or "rf". Throws ccpred::Error for
-  /// unknown machines or kinds, or corrupt artifacts.
+  /// The model for (machine, kind). kind is "gb" or "rf". Serves the
+  /// installed entry while its artifact is unchanged; otherwise loads it
+  /// from disk (first use of a published artifact, or a hot reload). A
+  /// missing artifact is trained once, however many callers race, and
+  /// publish()ed, so the fitted model itself is served. Throws
+  /// ccpred::Error for unknown machines or kinds, or on a first load that
+  /// fails (corrupt artifact, injected read failure).
   ModelHandle get(const std::string& machine, const std::string& kind);
 
+  /// Installs `model`, which this process has fitted and which must be a
+  /// `kind` model ("gb": GradientBoostingRegressor, "rf":
+  /// RandomForestRegressor), as the served (machine, kind). It streams the
+  /// model to the artifact (ml::save_gb / save_rf, outside the registry
+  /// lock), then, under the lock, replaces the entry with a handle on this
+  /// very object: the next version, the save's content hash and mtime, not
+  /// stale, any failed-publish mark cleared. It counts as a load (loads())
+  /// and never reads the artifact, so it never consults kArtifactRead. A
+  /// failed write throws ccpred::Error and leaves the entry as it was.
+  /// Returns the installed handle.
+  ModelHandle publish(const std::string& machine, const std::string& kind,
+                      std::shared_ptr<const ml::Regressor> model);
+
   /// Trains the fallback model for (machine, kind) on a fresh simulated
-  /// campaign and writes the artifact (overwriting any existing one).
-  /// Returns the artifact path. Used by `ccpred_serverd train` and by
-  /// get()'s missing-artifact fallback.
+  /// campaign and writes the artifact (overwriting any existing one)
+  /// without installing it. Returns the artifact path. Used by
+  /// `ccpred_serverd train`, the benches and the ledger.
   std::string train_artifact(const std::string& machine,
                              const std::string& kind);
 
@@ -94,14 +117,14 @@ class ModelRegistry {
   const std::string& artifact_dir() const { return dir_; }
   const RegistryOptions& options() const { return options_; }
 
-  /// Tells the registry (machine, kind) was just republished in-process.
-  /// The next get() verifies the artifact's content hash even if the mtime
-  /// is unchanged — the promotion pipeline calls this after every atomic
-  /// artifact swap so back-to-back promotions within the filesystem's
-  /// mtime granularity are still picked up.
+  /// Tells the registry (machine, kind)'s artifact was just swapped by a
+  /// writer other than publish(). The next get() verifies the artifact's
+  /// content hash even if the mtime is unchanged, so back-to-back swaps
+  /// within the filesystem's mtime granularity are still picked up.
   void note_published(const std::string& machine, const std::string& kind);
 
-  /// Total artifact (re)loads since construction.
+  /// Models installed since construction: artifact (re)loads plus
+  /// publish()es.
   std::uint64_t loads() const;
   /// Total train-and-cache fallbacks taken since construction.
   std::uint64_t trainings() const;
@@ -111,34 +134,40 @@ class ModelRegistry {
   /// version bump (mtime touch, identical re-publish).
   std::uint64_t hash_skips() const;
 
-  /// Arms the kArtifactRead injection point: artifact loads throw with the
-  /// injected probability. The injector must outlive the registry; pass
-  /// nullptr to disarm. Not thread-safe against concurrent get() — arm
-  /// before serving starts.
+  /// Arms the kArtifactRead injection point: artifact reads (first loads
+  /// and hot reloads, never publish()) throw with the injected
+  /// probability. The injector must outlive the registry; pass nullptr to
+  /// disarm. Not thread-safe against concurrent get() — arm before serving
+  /// starts.
   void set_fault_injector(FaultInjector* fault) { fault_ = fault; }
 
  private:
   struct Entry {
     ModelHandle handle;
-    std::int64_t mtime_ns = 0;  ///< artifact mtime at load, for hot reload
+    std::int64_t mtime_ns = 0;  ///< artifact mtime at install, for reload
     std::int64_t failed_mtime_ns = 0;  ///< mtime of a publish that failed
-    std::uint64_t content_hash = 0;    ///< FNV-1a of the loaded artifact
-    std::uint64_t loaded_gen = 0;      ///< published_gen_ seen at load
+    std::uint64_t content_hash = 0;    ///< FNV-1a of the served artifact
+    std::uint64_t loaded_gen = 0;      ///< published_gen_ seen at install
   };
 
-  /// Parses `bytes`, read from `path`, into an entry with a fresh handle
-  /// and `hash` as its content hash (caller holds the lock and sets the
-  /// entry's mtime and generation).
-  Entry load_locked(const std::string& machine, const std::string& kind,
-                    const std::string& path, std::string_view bytes,
-                    std::uint64_t hash);
+  /// Replaces (machine, kind)'s entry with `model` under the next version,
+  /// recording its artifact's hash and mtime and the current publish
+  /// generation, and counts a load. Caller holds the lock.
+  ModelHandle install_locked(const std::string& machine,
+                             const std::string& kind, const std::string& path,
+                             std::shared_ptr<const ml::Regressor> model,
+                             std::uint64_t hash, std::int64_t mtime_ns);
 
   /// Loads (machine, kind) with no last-good entry to fall back on: a
   /// failure is counted and rethrown.
   ModelHandle first_load_locked(const std::string& machine,
                                 const std::string& kind,
-                                const std::string& key,
                                 const std::string& path);
+
+  /// Fits the fallback model for (machine, kind) on the registry's
+  /// deterministic campaign and counts the training.
+  std::shared_ptr<const ml::Regressor> fit_fallback(const std::string& machine,
+                                                    const std::string& kind);
 
   /// Reads the whole artifact once per load attempt; its content hash and
   /// its parse both use these bytes. Consults the kArtifactRead injection

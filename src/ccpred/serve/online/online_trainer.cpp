@@ -1,13 +1,11 @@
 #include "ccpred/serve/online/online_trainer.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/random_forest.hpp"
-#include "ccpred/core/serialize.hpp"
 #include "ccpred/data/generator.hpp"
 #include "ccpred/data/problems.hpp"
 
@@ -174,21 +172,12 @@ void OnlineTrainer::run_refit(const std::string& machine,
 
       const RegistryOptions& reg = registry_.options();
       std::unique_ptr<ml::Regressor> candidate;
-      std::function<void(const std::string&)> save;
       if (kind == "gb") {
-        auto gb =
+        candidate =
             std::make_unique<ml::GradientBoostingRegressor>(reg.gb_estimators);
-        save = [model = gb.get()](const std::string& p) {
-          ml::save_gb(*model, p);
-        };
-        candidate = std::move(gb);
       } else {
-        auto rf =
+        candidate =
             std::make_unique<ml::RandomForestRegressor>(reg.rf_estimators);
-        save = [model = rf.get()](const std::string& p) {
-          ml::save_rf(*model, p);
-        };
-        candidate = std::move(rf);
       }
       candidate->fit(x, y);
       refits_.fetch_add(1, std::memory_order_relaxed);
@@ -202,13 +191,11 @@ void OnlineTrainer::run_refit(const std::string& machine,
         if (fault_ != nullptr) {
           fault_->maybe_delay(FaultPoint::kPromotionRace);
         }
-        const std::lock_guard<std::mutex> publish(promote_mutex_);
-        save(registry_.artifact_path(machine, kind));  // atomic swap
-        registry_.note_published(machine, kind);
-        // Load the promoted artifact now, so the very next request serves
-        // it (and pays no reload latency), then drop the sweeps computed
-        // under the replaced version.
-        registry_.get(machine, kind);
+        const std::lock_guard<std::mutex> promote(promote_mutex_);
+        // One streamed write, and the candidate itself serves the very
+        // next request (no reload); then drop the sweeps computed under
+        // the replaced version.
+        registry_.publish(machine, kind, std::move(candidate));
         if (cache_ != nullptr) {
           cache_invalidated_.fetch_add(cache_->invalidate(machine, kind),
                                        std::memory_order_relaxed);

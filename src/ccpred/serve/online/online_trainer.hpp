@@ -18,9 +18,9 @@
 ///    outvote a 600-row campaign where they overlap);
 ///  * shadow-evaluates the candidate against the incumbent on a holdout of
 ///    the newest reports (excluded from training) and, only on a win,
-///    atomically republishes through the registry (ml::save_*'s tmp +
-///    rename, then note_published) and invalidates the affected
-///    sweep-cache shards.
+///    promotes it with one ModelRegistry::publish() — the candidate is
+///    streamed to its artifact (tmp + rename) and served as fitted, with
+///    no read-back — and invalidates the affected sweep-cache shards.
 ///
 /// A failed or losing refit changes nothing: the incumbent keeps serving
 /// and the feedback keeps accumulating. All entry points are thread-safe.
@@ -137,8 +137,8 @@ class OnlineTrainer {
   std::mutex campaigns_mutex_;
   std::map<std::string, data::Dataset> campaigns_;
 
-  /// Serializes the write -> note_published -> reload -> invalidate window
-  /// across streams so two promotions can never interleave their swaps.
+  /// Serializes the publish -> invalidate window across streams, so two
+  /// promotions can never interleave their swaps.
   std::mutex promote_mutex_;
 
   std::atomic<std::uint64_t> reports_{0};

@@ -26,13 +26,13 @@ struct Cursor {
   }
   char peek() {
     skip_ws();
-    CCPRED_CHECK_MSG(i < s.size(), "protocol: unexpected end of line");
+    CCPRED_REQUIRE(i < s.size(), "protocol: unexpected end of line");
     return s[i];
   }
   void expect(char c) {
-    CCPRED_CHECK_MSG(peek() == c, "protocol: expected '"
-                                      << c << "' at column " << i << ", got '"
-                                      << s[i] << "'");
+    CCPRED_REQUIRE(peek() == c, "protocol: expected '"
+                                    << c << "' at column " << i << ", got '"
+                                    << s[i] << "'");
     ++i;
   }
 };
@@ -41,11 +41,11 @@ std::string parse_string(Cursor& c) {
   c.expect('"');
   std::string out;
   while (true) {
-    CCPRED_CHECK_MSG(c.i < c.s.size(), "protocol: unterminated string");
+    CCPRED_REQUIRE(c.i < c.s.size(), "protocol: unterminated string");
     const char ch = c.s[c.i++];
     if (ch == '"') return out;
     if (ch == '\\') {
-      CCPRED_CHECK_MSG(c.i < c.s.size(), "protocol: dangling escape");
+      CCPRED_REQUIRE(c.i < c.s.size(), "protocol: dangling escape");
       const char esc = c.s[c.i++];
       switch (esc) {
         case '"': out += '"'; break;
@@ -73,12 +73,12 @@ std::string parse_scalar(Cursor& c) {
         std::isspace(static_cast<unsigned char>(ch))) {
       break;
     }
-    CCPRED_CHECK_MSG(ch != '{' && ch != '[',
-                     "protocol: nested values are not supported");
+    CCPRED_REQUIRE(ch != '{' && ch != '[',
+                   "protocol: nested values are not supported");
     out += ch;
     ++c.i;
   }
-  CCPRED_CHECK_MSG(!out.empty(), "protocol: empty value");
+  CCPRED_REQUIRE(!out.empty(), "protocol: empty value");
   return out;
 }
 
@@ -116,22 +116,24 @@ std::string number_exact(double v) {
   return buf;
 }
 
+/// The raw text of a required field.
+const std::string& field(const std::map<std::string, std::string>& rec,
+                         const std::string& key) {
+  const auto it = rec.find(key);
+  CCPRED_REQUIRE(it != rec.end(), "request: missing field \"" << key << "\"");
+  return it->second;
+}
+
 /// An integer field; a value outside int fails here rather than wrapping
 /// into a different question (o = 2^32 + 44 would ask about O = 44).
 int field_int(const std::map<std::string, std::string>& rec,
               const std::string& key) {
-  const auto it = rec.find(key);
-  CCPRED_CHECK_MSG(it != rec.end(), "request: missing field \"" << key
-                                        << "\"");
-  return parse_int_as<int>(it->second, "request: field \"" + key + "\"");
+  return parse_int_as<int>(field(rec, key), "request: field \"" + key + "\"");
 }
 
 double field_double(const std::map<std::string, std::string>& rec,
                     const std::string& key) {
-  const auto it = rec.find(key);
-  CCPRED_CHECK_MSG(it != rec.end(), "request: missing field \"" << key
-                                        << "\"");
-  return parse_double(it->second);
+  return parse_double(field(rec, key));
 }
 
 std::string field_or(const std::map<std::string, std::string>& rec,
@@ -145,9 +147,9 @@ std::string field_or(const std::map<std::string, std::string>& rec,
 /// non-finite or non-positive escapes the parse boundary.
 double parse_wall_time(const std::string& text) {
   const double value = parse_double(text);
-  CCPRED_CHECK_MSG(std::isfinite(value) && value > 0.0,
-                   "report: wall time must be a finite positive number, got \""
-                       << text << "\"");
+  CCPRED_REQUIRE(std::isfinite(value) && value > 0.0,
+                 "report: wall time must be a finite positive number, got \""
+                     << text << "\"");
   return value;
 }
 
@@ -157,9 +159,9 @@ std::vector<double> parse_wall_times(
     const std::map<std::string, std::string>& rec) {
   const bool single = rec.count("wall_time_s") != 0;
   const bool batch = rec.count("wall_times") != 0;
-  CCPRED_CHECK_MSG(single != batch,
-                   "report: provide exactly one of \"wall_time_s\" and "
-                   "\"wall_times\"");
+  CCPRED_REQUIRE(single != batch,
+                 "report: provide exactly one of \"wall_time_s\" and "
+                 "\"wall_times\"");
   std::vector<double> out;
   if (single) {
     out.push_back(parse_wall_time(rec.at("wall_time_s")));
@@ -171,10 +173,10 @@ std::vector<double> parse_wall_times(
     const std::size_t comma = list.find(',', start);
     const std::string item = list.substr(
         start, comma == std::string::npos ? std::string::npos : comma - start);
-    CCPRED_CHECK_MSG(!item.empty(), "report: empty entry in \"wall_times\"");
-    CCPRED_CHECK_MSG(out.size() < kMaxReportBatch,
-                     "report: \"wall_times\" carries more than "
-                         << kMaxReportBatch << " entries");
+    CCPRED_REQUIRE(!item.empty(), "report: empty entry in \"wall_times\"");
+    CCPRED_REQUIRE(out.size() < kMaxReportBatch,
+                   "report: \"wall_times\" carries more than "
+                       << kMaxReportBatch << " entries");
     out.push_back(parse_wall_time(item));
     if (comma == std::string::npos) break;
     start = comma + 1;
@@ -208,16 +210,16 @@ std::map<std::string, std::string> parse_record(const std::string& line) {
       c.expect(':');
       const std::string value =
           c.peek() == '"' ? parse_string(c) : parse_scalar(c);
-      CCPRED_CHECK_MSG(rec.emplace(key, value).second,
-                       "protocol: duplicate key \"" << key << "\"");
+      CCPRED_REQUIRE(rec.emplace(key, value).second,
+                     "protocol: duplicate key \"" << key << "\"");
       const char next = c.peek();
       ++c.i;
       if (next == '}') break;
-      CCPRED_CHECK_MSG(next == ',', "protocol: expected ',' or '}' after \""
-                                        << key << "\"");
+      CCPRED_REQUIRE(next == ',', "protocol: expected ',' or '}' after \""
+                                      << key << "\"");
     }
   }
-  CCPRED_CHECK_MSG(c.done(), "protocol: trailing characters after '}'");
+  CCPRED_REQUIRE(c.done(), "protocol: trailing characters after '}'");
   return rec;
 }
 
@@ -225,7 +227,7 @@ Request parse_request(const std::string& line) {
   const auto rec = parse_record(line);
   Request req;
   const std::string op = field_or(rec, "op", "");
-  CCPRED_CHECK_MSG(!op.empty(), "request: missing field \"op\"");
+  CCPRED_REQUIRE(!op.empty(), "request: missing field \"op\"");
   if (op == "stq") {
     req.op = Op::kStq;
   } else if (op == "bq") {
@@ -267,17 +269,30 @@ Request parse_request(const std::string& line) {
 }
 
 void validate_request(const Request& req) {
-  CCPRED_CHECK_MSG(req.deadline_ms >= 0,
-                   "request: deadline_ms must be >= 0, got " << req.deadline_ms);
+  CCPRED_REQUIRE(req.deadline_ms >= 0,
+                 "request: deadline_ms must be >= 0, got " << req.deadline_ms);
+  if (req.op == Op::kStats) return;
+  CCPRED_REQUIRE(req.o > 0 && req.v > 0,
+                 "request: o and v must be positive, got o="
+                     << req.o << " v=" << req.v);
+  if (req.op == Op::kJob || req.op == Op::kReport) {
+    CCPRED_REQUIRE(req.nodes > 0 && req.tile > 0,
+                   "request: nodes and tile must be positive, got nodes="
+                       << req.nodes << " tile=" << req.tile);
+  }
+  if (req.op == Op::kBudget) {
+    CCPRED_REQUIRE(
+        std::isfinite(req.max_node_hours) && req.max_node_hours > 0.0,
+        "budget: max_node_hours must be a finite positive number, got "
+            << req.max_node_hours);
+  }
   if (req.op == Op::kReport) {
-    CCPRED_CHECK_MSG(req.o > 0 && req.v > 0 && req.nodes > 0 && req.tile > 0,
-                     "report: o, v, nodes and tile must be positive");
-    CCPRED_CHECK_MSG(!req.wall_times.empty() &&
-                         req.wall_times.size() <= kMaxReportBatch,
-                     "report: between 1 and " << kMaxReportBatch
-                                              << " wall times required");
+    CCPRED_REQUIRE(!req.wall_times.empty() &&
+                       req.wall_times.size() <= kMaxReportBatch,
+                   "report: between 1 and " << kMaxReportBatch
+                                            << " wall times required");
     for (const double wall : req.wall_times) {
-      CCPRED_CHECK_MSG(
+      CCPRED_REQUIRE(
           std::isfinite(wall) && wall > 0.0,
           "report: wall time must be a finite positive number, got " << wall);
     }

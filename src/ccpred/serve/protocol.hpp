@@ -121,13 +121,18 @@ struct Response {
 std::map<std::string, std::string> parse_record(const std::string& line);
 
 /// Parses and validates a request line. Throws ccpred::Error with a
-/// user-facing message on unknown ops, missing fields, or bad numbers.
+/// user-facing message on unknown ops, missing fields, or bad numbers:
+/// the message alone, with no checked expression or source path, since it
+/// goes back to the client.
 Request parse_request(const std::string& line);
 
 /// Semantic validation shared by every ingress path (line-JSON parsing and
-/// the binary wire decoder): report dimensions and wall times, deadline
-/// sign. Throws ccpred::Error with the same messages parse_request raises,
-/// so a request is accepted or rejected identically on both protocols.
+/// the binary wire decoder): o and v positive for every op but stats,
+/// nodes and tile positive for job and report, a finite positive
+/// max_node_hours for budget, report wall times, deadline sign. Throws
+/// ccpred::Error with the same plain messages parse_request raises, so a
+/// request is accepted or rejected identically on both protocols and
+/// answered "bad_request".
 void validate_request(const Request& request);
 
 /// Renders a request as one flat JSON line (no trailing newline) that

@@ -29,18 +29,18 @@ struct Writer {
     u64(bits);
   }
   void str(const std::string& s) {
-    CCPRED_CHECK_MSG(s.size() <= kMaxStringBytes,
-                     "wire: string field of " << s.size()
-                                              << " bytes exceeds the cap");
+    CCPRED_REQUIRE(s.size() <= kMaxStringBytes,
+                   "wire: string field of " << s.size()
+                                            << " bytes exceeds the cap");
     u32(static_cast<std::uint32_t>(s.size()));
     out.append(s);
   }
   /// A histogram as its nonzero entries: a u16 entry count, then
   /// (u16 index, u64 count) pairs in ascending index order.
   void counts(const std::vector<std::uint64_t>& h) {
-    CCPRED_CHECK_MSG(h.size() <= kMaxHistogramEntries,
-                     "wire: histogram of " << h.size()
-                                           << " entries exceeds the cap");
+    CCPRED_REQUIRE(h.size() <= kMaxHistogramEntries,
+                   "wire: histogram of " << h.size()
+                                         << " entries exceeds the cap");
     const auto nonzero = static_cast<std::uint16_t>(
         std::count_if(h.begin(), h.end(), [](auto n) { return n != 0; }));
     u16(nonzero);
@@ -61,9 +61,9 @@ struct Reader {
   std::size_t pos = 0;
 
   void need(std::size_t n) const {
-    CCPRED_CHECK_MSG(size - pos >= n,
-                     "wire: truncated record (need " << n << " bytes, have "
-                                                     << size - pos << ")");
+    CCPRED_REQUIRE(size - pos >= n,
+                   "wire: truncated record (need " << n << " bytes, have "
+                                                   << size - pos << ")");
   }
   std::uint8_t u8() {
     need(1);
@@ -96,8 +96,8 @@ struct Reader {
   }
   std::string str() {
     const std::uint32_t n = u32();
-    CCPRED_CHECK_MSG(n <= kMaxStringBytes,
-                     "wire: string length " << n << " exceeds the cap");
+    CCPRED_REQUIRE(n <= kMaxStringBytes,
+                   "wire: string length " << n << " exceeds the cap");
     need(n);
     std::string s(reinterpret_cast<const char*>(data + pos), n);
     pos += n;
@@ -110,12 +110,12 @@ struct Reader {
     std::vector<std::uint64_t> h;
     for (std::uint16_t i = u16(); i > 0; --i) {
       const std::uint16_t index = u16();
-      CCPRED_CHECK_MSG(index >= h.size() && index < limit,
-                       "wire: histogram index " << index
-                                                << " out of order or range");
+      CCPRED_REQUIRE(index >= h.size() && index < limit,
+                     "wire: histogram index " << index
+                                              << " out of order or range");
       h.resize(index + 1);
       h[index] = u64();
-      CCPRED_CHECK_MSG(h[index] != 0, "wire: empty histogram entry");
+      CCPRED_REQUIRE(h[index] != 0, "wire: empty histogram entry");
     }
     return h;
   }
@@ -123,11 +123,11 @@ struct Reader {
 
 void write_header(Writer& w, FrameKind kind, std::size_t count,
                   std::size_t payload_bytes) {
-  CCPRED_CHECK_MSG(count <= kMaxFrameRecords,
-                   "wire: " << count << " records exceed the frame cap");
-  CCPRED_CHECK_MSG(payload_bytes <= kMaxFramePayload,
-                   "wire: payload of " << payload_bytes
-                                       << " bytes exceeds the frame cap");
+  CCPRED_REQUIRE(count <= kMaxFrameRecords,
+                 "wire: " << count << " records exceed the frame cap");
+  CCPRED_REQUIRE(payload_bytes <= kMaxFramePayload,
+                 "wire: payload of " << payload_bytes
+                                     << " bytes exceeds the frame cap");
   for (const unsigned char m : kMagic) w.u8(m);
   w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(kind));
@@ -146,8 +146,8 @@ void encode_request(Writer& w, const Request& r) {
   w.i32(r.tile);
   w.f64(r.max_node_hours);
   w.i32(r.deadline_ms);
-  CCPRED_CHECK_MSG(r.wall_times.size() <= kMaxReportBatch,
-                   "wire: wall-time batch exceeds " << kMaxReportBatch);
+  CCPRED_REQUIRE(r.wall_times.size() <= kMaxReportBatch,
+                 "wire: wall-time batch exceeds " << kMaxReportBatch);
   w.u16(static_cast<std::uint16_t>(r.wall_times.size()));
   for (const double wall : r.wall_times) w.f64(wall);
 }
@@ -155,8 +155,8 @@ void encode_request(Writer& w, const Request& r) {
 Request decode_request(Reader& rd) {
   Request r;
   const std::uint8_t op = rd.u8();
-  CCPRED_CHECK_MSG(op < kNumOps, "wire: invalid op byte "
-                                     << static_cast<int>(op));
+  CCPRED_REQUIRE(op < kNumOps, "wire: invalid op byte "
+                                   << static_cast<int>(op));
   r.op = static_cast<Op>(op);
   r.id = rd.str();
   r.machine = rd.str();
@@ -169,9 +169,9 @@ Request decode_request(Reader& rd) {
   r.deadline_ms = rd.i32();
   const std::uint16_t walls = rd.u16();
   // Cap enforced before allocating: a hostile count cannot reserve memory.
-  CCPRED_CHECK_MSG(walls <= kMaxReportBatch,
-                   "wire: wall-time batch of " << walls << " exceeds "
-                                               << kMaxReportBatch);
+  CCPRED_REQUIRE(walls <= kMaxReportBatch,
+                 "wire: wall-time batch of " << walls << " exceeds "
+                                             << kMaxReportBatch);
   r.wall_times.reserve(walls);
   for (std::uint16_t i = 0; i < walls; ++i) r.wall_times.push_back(rd.f64());
   validate_request(r);  // same semantic gate as the JSON parse boundary
@@ -312,10 +312,10 @@ std::string frame_of(FrameKind kind, std::size_t count,
 }
 
 void check_kind(const FrameHeader& header, FrameKind want) {
-  CCPRED_CHECK_MSG(header.kind == want,
-                   "wire: expected a "
-                       << (want == FrameKind::kRequest ? "request" : "response")
-                       << " frame");
+  CCPRED_REQUIRE(header.kind == want,
+                 "wire: expected a "
+                     << (want == FrameKind::kRequest ? "request" : "response")
+                     << " frame");
 }
 
 }  // namespace
@@ -395,8 +395,8 @@ std::vector<Request> decode_request_frame(const FrameHeader& header,
   for (std::uint16_t i = 0; i < header.count; ++i) {
     out.push_back(decode_request(rd));
   }
-  CCPRED_CHECK_MSG(rd.pos == rd.size, "wire: " << rd.size - rd.pos
-                                               << " trailing payload bytes");
+  CCPRED_REQUIRE(rd.pos == rd.size, "wire: " << rd.size - rd.pos
+                                             << " trailing payload bytes");
   return out;
 }
 
@@ -409,8 +409,8 @@ std::vector<Response> decode_response_frame(const FrameHeader& header,
   for (std::uint16_t i = 0; i < header.count; ++i) {
     out.push_back(decode_response(rd));
   }
-  CCPRED_CHECK_MSG(rd.pos == rd.size, "wire: " << rd.size - rd.pos
-                                               << " trailing payload bytes");
+  CCPRED_REQUIRE(rd.pos == rd.size, "wire: " << rd.size - rd.pos
+                                             << " trailing payload bytes");
   return out;
 }
 

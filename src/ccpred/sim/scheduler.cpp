@@ -77,9 +77,19 @@ double lpt_makespan(std::vector<TaskGroup> groups, int workers) {
       std::int64_t assigned = 0;
       run_extra.resize(runs.size());
       for (std::size_t j = 0; j < runs.size(); ++j) {
-        const auto n = static_cast<std::int64_t>(
-            std::floor((level - runs[j].load) / d));
-        run_extra[j] = std::max<std::int64_t>(0, n);
+        // Capped at `count`, compared as a double before the cast: with d
+        // tiny next to unequal loads the quotient can exceed any task
+        // count (or int64_t), but the greedy gives no worker more than
+        // `count` of this group's tasks, so the clamp would pop the
+        // surplus first anyway.
+        const double n = std::floor((level - runs[j].load) / d);
+        if (!(n > 0.0)) {
+          run_extra[j] = 0;
+        } else if (n >= static_cast<double>(count)) {
+          run_extra[j] = count;
+        } else {
+          run_extra[j] = static_cast<std::int64_t>(n);
+        }
         assigned += run_extra[j] * static_cast<std::int64_t>(runs[j].len);
       }
       rebuilt.clear();

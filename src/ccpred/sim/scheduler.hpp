@@ -36,9 +36,11 @@ struct TaskGroup {
 /// min-heap of runs on (load, first index): a popped run's workers are the
 /// least-loaded ones in index order, so each pop serves a whole run or
 /// splits it. The rare water-fill overshoot clamp runs per worker, on a
-/// max-heap on (top, lowest index). Results are bit-identical to the
-/// previous per-worker implementation, which tests keep as an oracle
-/// (tests/lpt_reference.hpp).
+/// max-heap on (top, lowest index); it costs O(surplus) pops, and since
+/// each run's extra tasks are capped at the group's count, surplus <=
+/// (w - 1) * count however tiny a duration is next to the loads. Results
+/// are bit-identical to the previous per-worker implementation, which
+/// tests keep as an oracle (tests/lpt_reference.hpp).
 double lpt_makespan(std::vector<TaskGroup> groups, int workers);
 
 /// Sum of duration*count over all groups (aggregate work).

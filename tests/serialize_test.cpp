@@ -273,5 +273,60 @@ TEST(ArtifactWriteTest, SaveReplacesTheFileUnderAnOpenReader) {
   fs::remove_all(dir);
 }
 
+// ------------------------------------------------------------ streamed save
+
+namespace fs = std::filesystem;
+
+fs::path fresh_dir(const std::string& name) {
+  const fs::path dir = fs::temp_directory_path() / name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+TEST(ArtifactWriteTest, StreamedSaveWritesSerializedBytesAndStampsThem) {
+  // Models big enough that the streaming writer flushes several 256 KiB
+  // chunks: each file holds exactly serialize_*'s bytes, and the stamp
+  // carries the hash the registry would compute from the file and the
+  // file's mtime, so a publisher never needs to read its artifact back.
+  const fs::path dir = fresh_dir("ccpred_serialize_stream");
+  const auto data = test::make_nonlinear(200, 0.05, 3);
+  GradientBoostingRegressor gb(80);
+  gb.fit(data.x, data.y);
+  RandomForestRegressor rf(80);
+  rf.fit(data.x, data.y);
+  const std::string gb_path = (dir / "aurora-gb.model").string();
+  const std::string rf_path = (dir / "aurora-rf.model").string();
+  const struct {
+    std::string path;
+    ArtifactStamp stamp;
+    std::string expect;
+  } saved[] = {{gb_path, save_gb(gb, gb_path), serialize_gb(gb)},
+               {rf_path, save_rf(rf, rf_path), serialize_rf(rf)}};
+  for (const auto& [path, stamp, expect] : saved) {
+    SCOPED_TRACE(path);
+    const std::string bytes = read_artifact(path);
+    EXPECT_GT(bytes.size(), 2u * 256 * 1024);
+    EXPECT_EQ(bytes, expect);
+    EXPECT_EQ(stamp.content_hash, fnv1a64(bytes));
+    EXPECT_EQ(stamp.mtime, fs::last_write_time(path));
+  }
+  fs::remove_all(dir);
+}
+
+TEST(ArtifactWriteTest, SaveIntoAMissingDirectoryThrowsAndLeavesNoTempFile) {
+  const fs::path dir = fresh_dir("ccpred_serialize_missing");
+  const fs::path missing = dir / "missing";
+  const auto data = test::make_nonlinear(200, 0.05, 11);
+  RandomForestRegressor rf(5);
+  rf.fit(data.x, data.y);
+  EXPECT_THROW(save_gb(small_gb(1), (missing / "aurora-gb.model").string()),
+               Error);
+  EXPECT_THROW(save_rf(rf, (missing / "aurora-rf.model").string()), Error);
+  EXPECT_FALSE(fs::exists(missing));
+  EXPECT_TRUE(fs::is_empty(dir));
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace ccpred::ml

@@ -28,6 +28,7 @@
 #include "ccpred/common/strings.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/serialize.hpp"
+#include "ccpred/data/dataset.hpp"
 #include "ccpred/guidance/advisor.hpp"
 #include "ccpred/serve/event_loop.hpp"
 #include "ccpred/serve/model_registry.hpp"
@@ -178,6 +179,19 @@ TEST(ProtocolTest, MalformedInputsThrow) {
   EXPECT_THROW(parse_request(
                    R"({"op":"stq","o":44,"v":260,"deadline_ms":4294967296})"),
                Error);
+  // Sizes and budgets that name no real question are refused here too.
+  EXPECT_THROW(parse_request(R"({"op":"stq","o":-3,"v":260})"), Error);
+  EXPECT_THROW(parse_request(R"({"op":"bq","o":44,"v":0})"), Error);
+  EXPECT_THROW(
+      parse_request(R"({"op":"budget","o":44,"v":260,"max_node_hours":0})"),
+      Error);
+  // The message goes back to the client: no checked expression, no path.
+  try {
+    parse_request(R"({"op":"budget","o":44,"v":260})");
+    ADD_FAILURE() << "a budget without max_node_hours was accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), R"(request: missing field "max_node_hours")");
+  }
 }
 
 TEST(ProtocolTest, ResponseRoundTripsThroughParseRecord) {
@@ -322,6 +336,64 @@ TEST(ModelRegistryTest, ConcurrentFirstGetsTrainOnce) {
     EXPECT_EQ(h.version, handles.front().version);
     EXPECT_FALSE(h.stale);
   }
+}
+
+TEST(ModelRegistryTest, TrainedModelIsServedWithoutReadingItBack) {
+  // A model the registry fits itself is streamed to its artifact once and
+  // served as the fitted object: with every artifact read armed to fail,
+  // train-and-cache still answers, and it never reaches kArtifactRead.
+  const auto dir = scratch_dir("registry_publish");
+  RegistryOptions opt;
+  opt.fallback_rows = 150;
+  opt.gb_estimators = 6;
+  ModelRegistry registry(dir, opt);
+  FaultOptions fopt;
+  fopt.artifact_read_failure = 1.0;
+  FaultInjector fault(fopt);
+  registry.set_fault_injector(&fault);
+
+  const ModelHandle handle = registry.get("aurora", "gb");
+  ASSERT_NE(handle.model, nullptr);
+  EXPECT_FALSE(handle.stale);
+  EXPECT_EQ(registry.trainings(), 1u);
+  EXPECT_EQ(registry.loads(), 1u);
+  EXPECT_EQ(registry.reload_failures(), 0u);
+  // The entry's mtime is the file's, so the next get() does not read it.
+  EXPECT_EQ(registry.get("aurora", "gb").version, handle.version);
+  EXPECT_EQ(fault.arrivals(FaultPoint::kArtifactRead), 0u);
+  registry.set_fault_injector(nullptr);
+
+  // The served object predicts bitwise as its artifact parsed from disk.
+  const std::string path = registry.artifact_path("aurora", "gb");
+  linalg::Matrix grid(81, data::kNumFeatures);
+  std::size_t row = 0;
+  for (const double o : {44.0, 99.0, 134.0}) {
+    for (const double v : {260.0, 718.0, 951.0}) {
+      for (const double nodes : {16.0, 64.0, 256.0}) {
+        for (const double tile : {40.0, 80.0, 120.0}) {
+          grid(row, data::kFeatO) = o;
+          grid(row, data::kFeatV) = v;
+          grid(row, data::kFeatNodes) = nodes;
+          grid(row, data::kFeatTile) = tile;
+          ++row;
+        }
+      }
+    }
+  }
+  const auto served = handle.model->predict(grid);
+  const auto on_disk = ml::load_gb(path).predict(grid);
+  ASSERT_EQ(served.size(), on_disk.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    ASSERT_EQ(served[i], on_disk[i]) << "row " << i;
+  }
+
+  // The entry's content hash is the hash of the file's bytes: a later
+  // mtime over the same bytes is absorbed without a reload.
+  fs::last_write_time(path,
+                      fs::last_write_time(path) + std::chrono::seconds(2));
+  EXPECT_EQ(registry.get("aurora", "gb").version, handle.version);
+  EXPECT_EQ(registry.hash_skips(), 1u);
+  EXPECT_EQ(registry.loads(), 1u);
 }
 
 TEST(ModelRegistryTest, RejectsUnknownMachineAndKind) {

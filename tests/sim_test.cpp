@@ -4,8 +4,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <exception>
+#include <future>
+#include <memory>
+#include <optional>
+#include <thread>
+#include <vector>
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/rng.hpp"
@@ -369,6 +376,77 @@ TEST(SchedulerTest, BitIdenticalToReferenceOnRunEdgeCases) {
         std::bit_cast<std::uint64_t>(
             test::lpt_makespan_reference(groups, workers)))
         << what;
+  }
+}
+
+// ---------- tiny durations next to unequal loads ----------
+
+/// lpt_makespan on a detached thread, waited for at most 10 s: a call that
+/// does not finish fails its test instead of hanging the suite. A hung
+/// call's thread keeps spinning until the process exits.
+std::optional<double> lpt_with_watchdog(std::vector<TaskGroup> groups,
+                                        int workers) {
+  auto result = std::make_shared<std::promise<double>>();
+  std::future<double> done = result->get_future();
+  std::thread([result, groups = std::move(groups), workers] {
+    try {
+      result->set_value(lpt_makespan(groups, workers));
+    } catch (...) {
+      result->set_exception(std::current_exception());
+    }
+  }).detach();
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    return std::nullopt;
+  }
+  return done.get();
+}
+
+TEST(SchedulerTest, TinyDurationNextToUnequalLoadsFinishes) {
+  // After {1.0, 3} the loads are 2 and 1. Five tasks of 1.2e-16 fill to a
+  // level 0.5 above the lighter worker, so floor((level - load) / d) is
+  // about 4.2e15 tasks, which the overshoot clamp used to pop one by one.
+  const auto got = lpt_with_watchdog({{1.0, 3}, {1.2e-16, 5}}, 2);
+  ASSERT_TRUE(got.has_value()) << "lpt_makespan did not finish within 10 s";
+  EXPECT_EQ(*got, 2.0);
+}
+
+TEST(SchedulerTest, WaterFillQuotientBeyondInt64IsCappedBeforeTheCast) {
+  // (level - load) / d is +-5e299 here, far outside int64_t, whose cast is
+  // undefined; capped at the group's count first, the answer is the
+  // greedy's.
+  const auto got = lpt_with_watchdog({{1.0, 3}, {1e-300, 1'000'000}}, 2);
+  ASSERT_TRUE(got.has_value()) << "lpt_makespan did not finish within 10 s";
+  EXPECT_EQ(*got, 2.0);
+  // An idle worker does not absorb the tiny tasks (0 + d != 0), so a
+  // quotient the cast wrapped to a non-positive count would leave all
+  // 10^15 tasks to the task-by-task remainder.
+  const auto idle =
+      lpt_with_watchdog({{1.0, 1}, {1e-300, 1'000'000'000'000'000}}, 2);
+  ASSERT_TRUE(idle.has_value()) << "lpt_makespan did not finish within 10 s";
+  EXPECT_EQ(*idle, 1.0);
+}
+
+TEST(SchedulerTest, BitIdenticalToReferenceWhenTheCapBinds) {
+  // Durations from 2^-13 to 2 sort the tiny groups after the long ones,
+  // whose loads are unequal by then: a run's floor((level - load) / d)
+  // often exceeds the group's count and is capped. Powers of two make
+  // loads tie, log-uniform draws make sums round.
+  Rng rng(20251018);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const auto workers = static_cast<int>(rng.uniform_int(2, 13));
+    const bool dyadic = trial % 2 == 0;
+    std::vector<TaskGroup> groups(
+        static_cast<std::size_t>(rng.uniform_int(1, 4)));
+    for (auto& g : groups) {
+      g.duration_s =
+          dyadic ? std::ldexp(1.0, static_cast<int>(rng.uniform_int(-13, 1)))
+                 : std::exp2(rng.uniform(-13.0, 1.0));
+      g.count = rng.uniform_int(1, 3 * workers);
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(lpt_makespan(groups, workers)),
+              std::bit_cast<std::uint64_t>(
+                  test::lpt_makespan_reference(groups, workers)))
+        << "trial " << trial << " workers " << workers;
   }
 }
 

@@ -14,7 +14,9 @@
 #    refused with "ok":false within seconds instead of hanging the loader
 #    or answering from out-of-row reads,
 #  * an integer field beyond int and an out-of-range --port or --threads
-#    are refused instead of wrapping.
+#    are refused instead of wrapping,
+#  * a non-positive problem size is the client's error: bad_request with a
+#    plain message, not an internal error quoting a checked expression.
 
 set(dir "${WORKDIR}/serverd_smoke_artifacts")
 file(REMOVE_RECURSE "${dir}")
@@ -204,6 +206,17 @@ execute_process(COMMAND "${SERVERD}" serve --artifacts "${dir}" --serial 1
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0 OR NOT out MATCHES "\"ok\":false.*\"code\":\"bad_request\"")
   message(FATAL_ERROR "o beyond int was not refused (${rc}): ${out} ${err}")
+endif()
+
+# O = -3 is refused at the parse boundary as bad_request, and the message
+# names the fields, not a checked expression or a source path.
+file(WRITE "${session}" "{\"op\":\"stq\",\"o\":-3,\"v\":260}\n")
+execute_process(COMMAND "${SERVERD}" serve --artifacts "${dir}" --serial 1
+                INPUT_FILE "${session}" TIMEOUT 60
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "\"code\":\"bad_request\""
+   OR out MATCHES "check failed")
+  message(FATAL_ERROR "o = -3 was not refused as bad_request (${rc}): ${out} ${err}")
 endif()
 
 # Numeric flags out of their range fail before any load or socket, and the
