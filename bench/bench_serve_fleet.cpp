@@ -1,15 +1,14 @@
-/// Serving-fleet throughput gate: epoll event loop + binary batch frames
-/// vs the pre-PR thread-per-connection JSON daemon.
+/// TCP front-end throughput gate: epoll event loop + binary batch frames
+/// vs a thread-per-connection JSON daemon.
 ///
-/// Four configurations are driven by the same closed-loop epoll load
-/// generator at increasing connection counts ({64, 512, 4096}; fast
-/// {16, 64, 256}):
+/// Three configurations over one Server are driven by the same
+/// closed-loop epoll load generator at increasing connection counts
+/// ({64, 512, 4096}; fast {16, 64, 256}):
 ///
 ///   baseline-json  — thread-per-connection blocking server, one JSON
-///                    line per round trip (replica of the old daemon);
+///                    line per round trip (replica of an older daemon);
 ///   epoll-json     — EventLoopServer, same JSON line protocol;
-///   epoll-binary   — EventLoopServer, 16-record binary frames;
-///   fleet-binary   — 3-shard ShardFleet behind the event loop, frames.
+///   epoll-binary   — EventLoopServer, 16-record binary frames.
 ///
 /// Every backend is pre-warmed (one STQ per problem size) so the numbers
 /// measure SERVING throughput — syscalls, parsing, scheduling — not sweep
@@ -48,7 +47,6 @@
 #include "ccpred/common/error.hpp"
 #include "ccpred/data/problems.hpp"
 #include "ccpred/serve/event_loop.hpp"
-#include "ccpred/serve/fleet.hpp"
 #include "ccpred/serve/model_registry.hpp"
 #include "ccpred/serve/protocol.hpp"
 #include "ccpred/serve/server.hpp"
@@ -347,21 +345,20 @@ LoadResult run_load(int port, int conns, int rounds, bool binary, int batch) {
 
 // --------------------------------------------------------------- backends
 
-serve::EventLoopServer::Dispatch dispatch_of(serve::Shard& s) {
+serve::EventLoopServer::Dispatch dispatch_of(serve::Server& s) {
   return [&s](serve::Request req, serve::EventLoopServer::Completion done) {
     s.submit_with(std::move(req), std::move(done));
   };
 }
 
-serve::EventLoopServer::BatchDispatch batch_dispatch_of(serve::Shard& s) {
+serve::EventLoopServer::BatchDispatch batch_dispatch_of(serve::Server& s) {
   return [&s](std::vector<serve::Request> batch,
               serve::EventLoopServer::BatchCompletion done) {
     s.submit_batch_with(std::move(batch), std::move(done));
   };
 }
 
-template <typename Backend>
-void prewarm(Backend& backend) {
+void prewarm(serve::Server& backend) {
   for (const auto& p : data::problems_for("aurora")) {
     serve::Request req;
     req.op = serve::Op::kStq;
@@ -491,28 +488,20 @@ int main() {
 
   struct Row {
     int conns;
-    LoadResult baseline, epoll_json, epoll_binary, fleet_binary;
+    LoadResult baseline, epoll_json, epoll_binary;
   };
   std::vector<Row> rows;
   bool identical = false;
 
   {
-    // Single-shard backends share one Server (cache stays warm across
-    // levels for both, keeping the comparison about transport).
+    // Every backend shares one Server (its cache stays warm across
+    // levels, keeping the comparison about transport).
     serve::Server server(registry, sopt);
     prewarm(server);
-
-    serve::FleetOptions fopt;
-    fopt.shards = 3;
-    fopt.serve = sopt;
-    serve::ShardFleet fleet(registry, fopt);
-    prewarm(fleet);
 
     ThreadPerConnServer baseline(server);
     serve::EventLoopServer epoll_srv(dispatch_of(server),
                                      batch_dispatch_of(server));
-    serve::EventLoopServer fleet_srv(dispatch_of(fleet),
-                                     batch_dispatch_of(fleet));
 
     identical = binary_matches_json(epoll_srv.port());
 
@@ -523,17 +512,15 @@ int main() {
       row.epoll_json = run_load(epoll_srv.port(), conns, rounds_json, false, 1);
       row.epoll_binary =
           run_load(epoll_srv.port(), conns, rounds_binary, true, batch);
-      row.fleet_binary =
-          run_load(fleet_srv.port(), conns, rounds_binary, true, batch);
       rows.push_back(row);
       std::printf("conns %4d: baseline %.0f q/s | epoll-json %.0f q/s | "
-                  "epoll-binary %.0f q/s | fleet-binary %.0f q/s\n",
+                  "epoll-binary %.0f q/s\n",
                   conns, row.baseline.qps, row.epoll_json.qps,
-                  row.epoll_binary.qps, row.fleet_binary.qps);
+                  row.epoll_binary.qps);
     }
   }
 
-  std::printf("\n== Serving fleet throughput (aurora, gb, warm cache) ==\n\n");
+  std::printf("\n== TCP front-end throughput (aurora, gb, warm cache) ==\n\n");
   std::printf("%8s  %-14s %12s %10s %10s\n", "conns", "config", "req/s",
               "p50 ms", "p99 ms");
   for (const auto& row : rows) {
@@ -544,7 +531,6 @@ int main() {
     line("baseline-json", row.baseline);
     line("epoll-json", row.epoll_json);
     line("epoll-binary", row.epoll_binary);
-    line("fleet-binary", row.fleet_binary);
   }
 
   const Row& top = rows.back();
@@ -573,8 +559,7 @@ int main() {
       std::fprintf(json, "%s{\"conns\": %d, ", i == 0 ? "" : ", ", row.conns);
       obj("baseline_json", row.baseline, false);
       obj("epoll_json", row.epoll_json, false);
-      obj("epoll_binary", row.epoll_binary, false);
-      obj("fleet_binary", row.fleet_binary, true);
+      obj("epoll_binary", row.epoll_binary, true);
       std::fprintf(json, "}");
     }
     std::fprintf(json,

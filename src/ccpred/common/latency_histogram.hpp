@@ -6,7 +6,8 @@
 /// into a plain Snapshot, which answers quantiles by scanning the bucket
 /// counts and interpolating inside the winning bucket. Snapshots add
 /// bucket by bucket, so the quantiles of a sum are the quantiles of the
-/// pooled observations — the way a fleet merges its shards' latencies.
+/// pooled observations — the way ServerStats sums its per-verb
+/// histograms into the overall latency.
 
 #include <array>
 #include <atomic>

@@ -8,9 +8,9 @@
 /// per-request dispatch overhead (pool hand-off, model-handle stat(), cache
 /// probe) dominated, paid once per record instead of once per group. The
 /// BatchScheduler sits between Server::submit_with and the worker pool and
-/// coalesces concurrent requests — whatever connection, protocol, or fleet
-/// shard they arrived on — into micro-batches that Server::handle_batch
-/// dispatches as a group.
+/// coalesces concurrent requests — whatever connection or protocol they
+/// arrived on — into micro-batches that Server::handle_batch dispatches
+/// as a group.
 ///
 /// Policy, in order of precedence:
 ///

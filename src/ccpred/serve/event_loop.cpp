@@ -414,7 +414,7 @@ void EventLoopServer::parse_input(Connection* conn) {
     } catch (const Error& e) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       enqueue_response(conn, seq,
-                       format_response(error_response(e.what())) + "\n");
+                       format_response(line_error(line, e.what())) + "\n");
       continue;
     }
     const std::shared_ptr<Sink> sink = sink_;

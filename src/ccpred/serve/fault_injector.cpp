@@ -33,8 +33,6 @@ double point_probability(const FaultOptions& o, FaultPoint point) {
     case FaultPoint::kReportIngest: return o.report_ingest;
     case FaultPoint::kRefitStall: return o.refit_stall;
     case FaultPoint::kPromotionRace: return o.promotion_race;
-    case FaultPoint::kShardKill: return o.shard_kill;
-    case FaultPoint::kShardRestart: return o.shard_restart;
   }
   return 0.0;
 }
@@ -47,9 +45,7 @@ double point_base_delay_ms(const FaultOptions& o, FaultPoint point) {
     case FaultPoint::kReportIngest: return o.report_ingest_ms;
     case FaultPoint::kRefitStall: return o.refit_stall_ms;
     case FaultPoint::kPromotionRace: return o.promotion_race_ms;
-    case FaultPoint::kArtifactRead: return 0.0;   // fires by throwing
-    case FaultPoint::kShardKill: return 0.0;      // fires by killing
-    case FaultPoint::kShardRestart: return 0.0;   // fires by restarting
+    case FaultPoint::kArtifactRead: return 0.0;  // fires by throwing
   }
   return 0.0;
 }
@@ -65,8 +61,6 @@ const char* fault_point_name(FaultPoint point) {
     case FaultPoint::kReportIngest: return "report_ingest";
     case FaultPoint::kRefitStall: return "refit_stall";
     case FaultPoint::kPromotionRace: return "promotion_race";
-    case FaultPoint::kShardKill: return "shard_kill";
-    case FaultPoint::kShardRestart: return "shard_restart";
   }
   return "?";
 }
@@ -82,8 +76,7 @@ FaultInjector::FaultInjector(FaultOptions options) : options_(options) {
   enabled_ = options_.artifact_read_failure > 0.0 ||
              options_.sweep_delay > 0.0 || options_.worker_stall > 0.0 ||
              options_.cache_shard_hold > 0.0 || options_.report_ingest > 0.0 ||
-             options_.refit_stall > 0.0 || options_.promotion_race > 0.0 ||
-             options_.shard_kill > 0.0 || options_.shard_restart > 0.0;
+             options_.refit_stall > 0.0 || options_.promotion_race > 0.0;
 }
 
 double FaultInjector::probability(FaultPoint point) const {

@@ -3,8 +3,8 @@
 /// \file fault_injector.hpp
 /// Deterministic fault injection for the serving layer. Chaos tests (and
 /// operators rehearsing failure drills) arm an injector with per-point
-/// probabilities; the server, registry and sweep cache consult it at four
-/// injection points:
+/// probabilities; the server, registry, sweep cache and online trainer
+/// consult it at seven injection points:
 ///
 ///  * kArtifactRead  — a registry read of an artifact from disk (a first
 ///    load or a hot reload) throws as if the file were unreadable,
@@ -22,11 +22,7 @@
 ///  * kRefitStall    — a background full refit stalls mid-flight,
 ///    exercising drift recovery under slow retraining;
 ///  * kPromotionRace — the window between a passed shadow evaluation and
-///    the atomic republish is stretched, exercising promotion races;
-///  * kShardKill     — a serving-fleet shard is torn down mid-traffic,
-///    exercising consistent-hash failover to a live replica;
-///  * kShardRestart  — a previously killed shard rejoins with an empty
-///    cache, exercising re-warm and ownership hand-back.
+///    the atomic republish is stretched, exercising promotion races.
 ///
 /// Every decision is a pure function of (seed, point, arrival index): the
 /// Nth arrival at a point always draws the same verdict and the same delay,
@@ -49,11 +45,9 @@ enum class FaultPoint : int {
   kReportIngest = 4,   ///< feedback-report ingestion is delayed
   kRefitStall = 5,     ///< background full refit stalls
   kPromotionRace = 6,  ///< shadow-eval-to-republish window stretched
-  kShardKill = 7,      ///< fleet shard torn down mid-traffic
-  kShardRestart = 8,   ///< killed shard rejoins (empty cache)
 };
 
-inline constexpr int kFaultPointCount = 9;
+inline constexpr int kFaultPointCount = 7;
 
 /// Human-readable name ("artifact_read", "sweep_compute", ...).
 const char* fault_point_name(FaultPoint point);
@@ -76,8 +70,6 @@ struct FaultOptions {
   double refit_stall_ms = 20.0;        ///< base refit stall
   double promotion_race = 0.0;         ///< P(promotion window stretched)
   double promotion_race_ms = 10.0;     ///< base promotion delay
-  double shard_kill = 0.0;             ///< P(fleet shard killed); fires, no delay
-  double shard_restart = 0.0;          ///< P(killed shard restarted)
 };
 
 /// Seeded, thread-safe fault source. fire()/maybe_delay() consume one

@@ -432,6 +432,17 @@ Response error_response(const std::string& message, const std::string& op,
   return r;
 }
 
+Response line_error(const std::string& line, const std::string& message) {
+  std::map<std::string, std::string> rec;
+  try {
+    rec = parse_record(line);
+  } catch (const Error&) {
+    return error_response(message);
+  }
+  return error_response(message, field_or(rec, "op", ""),
+                        field_or(rec, "id", ""));
+}
+
 std::vector<Response> frame_error(std::span<const Request> frame,
                                   const std::string& message,
                                   const std::string& code) {

@@ -137,8 +137,8 @@ void validate_request(const Request& request);
 
 /// Renders a request as one flat JSON line (no trailing newline) that
 /// parse_request accepts back as an equivalent request. Doubles are
-/// rendered with enough digits (%.17g) to round-trip exactly; the fleet
-/// router and the bench load generator are built on this.
+/// rendered with enough digits (%.17g) to round-trip exactly; the load
+/// generators of the benches and the ledger are built on this.
 std::string format_request(const Request& request);
 
 /// Renders a response as one flat JSON line (no trailing newline).
@@ -150,6 +150,12 @@ std::string format_response(const Response& response);
 Response error_response(const std::string& message, const std::string& op = "",
                         const std::string& id = "",
                         const std::string& code = "bad_request");
+
+/// The code="bad_request" answer to a line parse_request rejected with
+/// `message`. A line that still parses as a flat record (parse_record)
+/// gets its "op" and "id" echoed as sent, so a pipelining client can match
+/// the error to its request; any other line is answered without them.
+Response line_error(const std::string& line, const std::string& message);
 
 /// The same ok=false answer for every record of a frame, each echoing its
 /// own record's op and id: a frame always gets one response per record.

@@ -29,6 +29,11 @@
 /// orphaning the computation — and waiting requests can never deadlock
 /// the workers that would run their sweep.
 ///
+/// The daemon serves through one Server per process: its stdin loop and
+/// the EventLoopServer's sockets hand requests to submit_with() and
+/// submit_batch_with(), which go through the BatchScheduler (when
+/// enabled) to the worker pool.
+///
 /// Outstanding submit() futures must be drained before the server is
 /// destroyed.
 
@@ -44,7 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "ccpred/common/error.hpp"
 #include "ccpred/common/latency_histogram.hpp"
 #include "ccpred/common/stopwatch.hpp"
 #include "ccpred/common/thread_pool.hpp"
@@ -77,45 +81,17 @@ struct ServeOptions {
   BatchOptions batch;
 };
 
-/// Anything that answers requests: the in-process Server, a shard process
-/// reached over a socket (fleet.cpp), or a ShardFleet routing to either.
-/// A remote shard that cannot be reached throws ShardDown from any of
-/// these calls without invoking `done`; the fleet then fails over.
-class Shard {
- public:
-  Shard() = default;
-  virtual ~Shard() = default;
-  Shard(const Shard&) = delete;
-  Shard& operator=(const Shard&) = delete;
-
-  /// Answers one request on the calling thread.
-  virtual Response handle(const Request& request) = 0;
-  /// Answers one request; `done` runs exactly once, on any thread.
-  virtual void submit_with(Request request,
-                           std::function<void(Response)> done) = 0;
-  /// Answers a frame in record order; `done` runs exactly once, on any
-  /// thread.
-  virtual void submit_batch_with(
-      std::vector<Request> batch,
-      std::function<void(std::vector<Response>)> done) = 0;
-  /// Point-in-time statistics snapshot.
-  virtual ServerStats stats() const = 0;
-};
-
-/// Thrown by a Shard that cannot be reached (see Shard).
-class ShardDown : public Error {
- public:
-  using Error::Error;
-};
-
 /// See file comment. The registry must outlive the server.
-class Server final : public Shard {
+class Server {
  public:
   explicit Server(ModelRegistry& registry, ServeOptions options = {});
+  /// Pool tasks and listeners hold its address.
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
 
   /// Handles one request synchronously as a batch of one. Thread-safe;
   /// never throws — failures come back as ok=false responses.
-  Response handle(const Request& request) override;
+  Response handle(const Request& request);
 
   /// Enqueues a request onto the worker pool. When `max_queue_depth` is
   /// set and the pool's backlog is full, the future resolves immediately
@@ -127,8 +103,7 @@ class Server final : public Shard {
   /// future, `done` is invoked with the response — from a worker thread on
   /// the normal path, or synchronously from this call when the request is
   /// shed. `done` must be safe to run on either.
-  void submit_with(Request request,
-                   std::function<void(Response)> done) override;
+  void submit_with(Request request, std::function<void(Response)> done);
 
   /// One pool task for a whole wire frame: the batch is admitted (or shed)
   /// as a unit and its records are handled one after another on one
@@ -136,7 +111,7 @@ class Server final : public Shard {
   /// 16 times. Deadlines still apply per request.
   void submit_batch_with(
       std::vector<Request> batch,
-      std::function<void(std::vector<Response>)> done) override;
+      std::function<void(std::vector<Response>)> done);
 
   /// Handles a whole batch synchronously as one group: members are grouped
   /// by (machine, kind), each group acquires its model handle once and
@@ -145,7 +120,7 @@ class Server final : public Shard {
   std::vector<Response> dispatch_batch(const std::vector<Request>& batch);
 
   /// Point-in-time statistics snapshot.
-  ServerStats stats() const override;
+  ServerStats stats() const;
 
   /// The daemon reports its event loop's overflow-closed connections
   /// through this callback so `stats` can surface them beside the server

@@ -1,6 +1,5 @@
 #include "ccpred/serve/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace ccpred::serve {
@@ -23,25 +22,6 @@ double ServerStats::batch_size_quantile(double q) const {
     if (seen >= rank) return static_cast<double>(size);
   }
   return static_cast<double>(batch_sizes.size() - 1);
-}
-
-ServerStats merge_stats(std::span<const ServerStats> parts) {
-  ServerStats total;
-  for (const ServerStats& s : parts) {
-    for (const auto& c : kCounters) total.*c.member += s.*c.member;
-    for (std::size_t v = 0; v < kNumOps; ++v) {
-      total.verb_latency[v] += s.verb_latency[v];
-    }
-    add_counts(total.batch_sizes, s.batch_sizes);
-    if (!s.online_enabled) continue;
-    total.online_enabled = true;
-    for (const auto& c : kOnlineCounters) {
-      total.online.*c.member += s.online.*c.member;
-    }
-    total.online.rolling_mape =
-        std::max(total.online.rolling_mape, s.online.rolling_mape);
-  }
-  return total;
 }
 
 }  // namespace ccpred::serve

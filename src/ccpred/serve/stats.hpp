@@ -3,28 +3,23 @@
 /// \file stats.hpp
 /// The serving subsystem's observable state: one plain snapshot struct
 /// filled by Server::stats() and rendered by the line protocol's `stats`
-/// response, the one list of its counters, and the one function that
-/// merges shard snapshots.
+/// response, and the one list of its counters.
 ///
-/// A snapshot stores only state that merges exactly:
-///  * named counters (gauges such as `cache_size` included), which sum;
-///  * one latency histogram per verb and the dispatch-size histogram,
-///    which add bucket by bucket;
-///  * the online loop's `rolling_mape`, which merges as the maximum.
+/// A snapshot stores only counters and histograms:
+///  * named counters (gauges such as `cache_size` included);
+///  * one latency histogram per verb and the dispatch-size histogram;
+///  * the online loop's `rolling_mape`.
 ///
 /// Everything else is derived from that state when it is read: the cache
 /// hit rate, the overall latency (the sum of the per-verb histograms) and
-/// every quantile, mean and max. A fleet's quantiles are therefore the
-/// quantiles of its shards' pooled observations, never an average of
-/// their quantiles.
+/// every quantile, mean and max.
 ///
 /// kCounters and kOnlineCounters name each counter once, with its key in
-/// the `stats` line. merge_stats, the binary wire codec and the JSON
-/// renderer loop over them, so a new counter is one member and one line.
+/// the `stats` line. The binary wire codec and the JSON renderer loop over
+/// them, so a new counter is one member and one line.
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "ccpred/common/latency_histogram.hpp"
@@ -148,11 +143,5 @@ inline constexpr Counter<OnlineStats> kOnlineCounters[] = {
     {"online_promotions_rejected", &OnlineStats::promotions_rejected},
     {"online_cache_invalidated", &OnlineStats::cache_invalidated},
 };
-
-/// Fleet view of several shards' snapshots: counters sum, histograms add
-/// bucket by bucket, the online counters of shards with the loop enabled
-/// sum and their `rolling_mape` takes the maximum. Registry counters sum
-/// too; callers whose shards share one registry overwrite them.
-ServerStats merge_stats(std::span<const ServerStats> parts);
 
 }  // namespace ccpred::serve

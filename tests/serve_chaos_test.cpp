@@ -40,7 +40,6 @@
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/serialize.hpp"
 #include "ccpred/serve/fault_injector.hpp"
-#include "ccpred/serve/fleet.hpp"
 #include "ccpred/serve/model_registry.hpp"
 #include "ccpred/serve/server.hpp"
 #include "test_util.hpp"
@@ -529,111 +528,6 @@ TEST(ServeChaosTest, PromotionRaceSeed1) { run_promotion_race_at_seed(1); }
 TEST(ServeChaosTest, PromotionRaceSeed7) { run_promotion_race_at_seed(7); }
 TEST(ServeChaosTest, PromotionRaceSeed42) { run_promotion_race_at_seed(42); }
 
-// ------------------------------------------------------------- shard chaos
-//
-// Whole-shard death: the same mixed workload fired at a 3-shard
-// ShardFleet while the injector's kShardKill / kShardRestart points tear
-// shards down mid-traffic and revive them. Properties: every request is
-// answered exactly once (a double completion would double-set a promise
-// and throw), every ok answer is bit-identical to the single-server
-// fault-free baseline (failover changes WHICH shard computes, never the
-// bytes), at least one shard survives, and after restarting the casualties
-// a serial re-run over rejoined empty-cache shards still matches the
-// baseline exactly.
-
-void run_shard_chaos_at_seed(std::uint64_t seed) {
-  SCOPED_TRACE("shard seed " + std::to_string(seed));
-  FaultOptions fopt;
-  fopt.seed = seed;
-  fopt.shard_kill = 0.05;
-  fopt.shard_restart = 0.10;
-  FaultInjector fault(fopt);
-
-  FleetOptions opt;
-  opt.shards = 3;
-  opt.serve.threads = 2;
-  opt.serve.cache_capacity = 64;
-  opt.fault_injector = &fault;
-  const std::string dir = scratch_dir("shard_seed_" + std::to_string(seed));
-  ModelRegistry registry(dir);
-  ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
-  ShardFleet fleet(registry, opt);
-
-  const int per_thread = per_thread_requests();
-  const int total = kClientThreads * per_thread;
-  std::vector<Response> responses(static_cast<std::size_t>(total));
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kClientThreads; ++t) {
-    clients.emplace_back([&, t] {
-      for (int j = 0; j < per_thread; ++j) {
-        const int i = t * per_thread + j;
-        Request req = make_request(i);
-        req.deadline_ms = 0;  // timing faults are not under test here
-        // Exactly-once is load-bearing: if the fleet ever completed a
-        // request twice the second set_value would throw right here.
-        std::promise<Response> promise;
-        auto future = promise.get_future();
-        fleet.submit_with(std::move(req), [&promise](Response r) {
-          promise.set_value(std::move(r));
-        });
-        responses[static_cast<std::size_t>(i)] = future.get();
-      }
-    });
-  }
-  for (auto& c : clients) c.join();
-
-  std::uint64_t unavailable = 0;
-  for (int i = 0; i < total; ++i) {
-    const Response& r = responses[static_cast<std::size_t>(i)];
-    if (r.ok) {
-      expect_matches_baseline(r, i);
-    } else {
-      // The only legitimate failure is the (extreme-interleaving) window
-      // where the preference walk observed every slot dead at once.
-      EXPECT_EQ(r.code, "unavailable") << "request " << i << ": " << r.error;
-      ++unavailable;
-    }
-  }
-
-  const FleetCounters during = fleet.counters();
-  EXPECT_GE(during.alive, 1u) << "the last live shard must never die";
-  EXPECT_GT(fault.injected(FaultPoint::kShardKill), 0u)
-      << "seed never exercised a shard kill — raise shard_kill";
-  // fire() counts every verdict; kill_shard refuses dead and last-live
-  // targets, so actual deaths are bounded by (and usually below) it.
-  EXPECT_GT(during.kills, 0u);
-  EXPECT_LE(during.kills, fault.injected(FaultPoint::kShardKill));
-  EXPECT_LE(during.restarts, fault.injected(FaultPoint::kShardRestart));
-  EXPECT_EQ(during.unrouteable, unavailable);
-  EXPECT_EQ(during.shards, 3u);
-
-  // Revive the casualties: rejoined shards start with an EMPTY cache but
-  // must produce bit-identical answers. Chaos stays armed during the
-  // re-run (more kills may fire), which is the point — failover and
-  // rejoin must be invisible in the values.
-  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
-    if (!fleet.alive(i)) {
-      EXPECT_TRUE(fleet.restart_shard(i));
-    }
-  }
-  EXPECT_EQ(fleet.counters().alive, 3u);
-
-  for (int i = 0; i < total; ++i) {
-    Request req = make_request(i);
-    req.deadline_ms = 0;
-    const Response r = fleet.handle(req);
-    if (!r.ok) {
-      EXPECT_EQ(r.code, "unavailable") << "request " << i << ": " << r.error;
-      continue;
-    }
-    expect_matches_baseline(r, i);
-  }
-}
-
-TEST(ServeChaosTest, ShardStormSeed1) { run_shard_chaos_at_seed(1); }
-TEST(ServeChaosTest, ShardStormSeed7) { run_shard_chaos_at_seed(7); }
-TEST(ServeChaosTest, ShardStormSeed42) { run_shard_chaos_at_seed(42); }
-
 // ------------------------------------------------------------- batch storm
 //
 // Dynamic batching under fire: half the client threads route through the
@@ -728,87 +622,6 @@ void run_batch_storm_at_seed(std::uint64_t seed) {
 TEST(ServeChaosTest, BatchStormSeed1) { run_batch_storm_at_seed(1); }
 TEST(ServeChaosTest, BatchStormSeed7) { run_batch_storm_at_seed(7); }
 TEST(ServeChaosTest, BatchStormSeed42) { run_batch_storm_at_seed(42); }
-
-// Batching on every shard of a fleet while kShardKill / kShardRestart tear
-// shards down mid-traffic: failover may change WHICH shard's scheduler
-// coalesces a request, never the bytes of its answer.
-
-void run_fleet_batch_storm_at_seed(std::uint64_t seed) {
-  SCOPED_TRACE("fleet batch seed " + std::to_string(seed));
-  FaultOptions fopt;
-  fopt.seed = seed;
-  fopt.shard_kill = 0.05;
-  fopt.shard_restart = 0.10;
-  fopt.worker_stall = 0.2;
-  fopt.worker_stall_ms = 2.0;
-  FaultInjector fault(fopt);
-
-  FleetOptions opt;
-  opt.shards = 3;
-  opt.serve.threads = 2;
-  opt.serve.cache_capacity = 64;
-  opt.serve.batch.enabled = true;
-  opt.serve.batch.max_batch = 16;
-  opt.serve.batch.max_hold_us = 500;
-  opt.fault_injector = &fault;
-  const std::string dir =
-      scratch_dir("fleet_batch_seed_" + std::to_string(seed));
-  ModelRegistry registry(dir);
-  ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
-  ShardFleet fleet(registry, opt);
-
-  const int per_thread = per_thread_requests();
-  const int total = kClientThreads * per_thread;
-  std::vector<Response> responses(static_cast<std::size_t>(total));
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kClientThreads; ++t) {
-    clients.emplace_back([&, t] {
-      for (int j = 0; j < per_thread; ++j) {
-        const int i = t * per_thread + j;
-        Request req = make_request(i);
-        req.deadline_ms = 0;
-        std::promise<Response> promise;
-        auto future = promise.get_future();
-        fleet.submit_with(std::move(req), [&promise](Response r) {
-          promise.set_value(std::move(r));
-        });
-        responses[static_cast<std::size_t>(i)] = future.get();
-      }
-    });
-  }
-  for (auto& c : clients) c.join();
-
-  std::uint64_t unavailable = 0;
-  for (int i = 0; i < total; ++i) {
-    const Response& r = responses[static_cast<std::size_t>(i)];
-    if (r.ok) {
-      expect_matches_baseline(r, i);
-    } else {
-      EXPECT_EQ(r.code, "unavailable") << "request " << i << ": " << r.error;
-      ++unavailable;
-    }
-  }
-
-  const FleetCounters during = fleet.counters();
-  EXPECT_GE(during.alive, 1u);
-  EXPECT_EQ(during.unrouteable, unavailable);
-
-  // The aggregated stats fold every surviving shard's scheduler counters;
-  // a killed shard takes its counts with it, so the sum is a lower bound
-  // that must stay consistent with itself and non-trivial.
-  const ServerStats agg = fleet.aggregated_stats();
-  EXPECT_GE(agg.batched_requests + agg.batch_bypass, 1u);
-  EXPECT_LE(agg.batched_requests + agg.batch_bypass, agg.requests);
-  if (agg.batch_flushes + agg.batch_bypass > 0) {
-    EXPECT_GE(agg.batch_size_quantile(0.95), agg.batch_size_quantile(0.50));
-  }
-}
-
-TEST(ServeChaosTest, FleetBatchStormSeed1) { run_fleet_batch_storm_at_seed(1); }
-TEST(ServeChaosTest, FleetBatchStormSeed7) { run_fleet_batch_storm_at_seed(7); }
-TEST(ServeChaosTest, FleetBatchStormSeed42) {
-  run_fleet_batch_storm_at_seed(42);
-}
 
 }  // namespace
 }  // namespace ccpred::serve

@@ -219,6 +219,31 @@ TEST(ProtocolTest, StatsRequestNeedsNoProblemSize) {
   EXPECT_EQ(req.op, Op::kStats);
 }
 
+TEST(ProtocolTest, ALineErrorEchoesOpAndIdWhenTheLineIsARecord) {
+  // The record parses but fails validation: its op and id come back as
+  // sent, so a pipelining client can match the error to its request.
+  const std::string bad_size = R"({"op":"stq","o":-3,"v":260,"id":"q1"})";
+  const Response sized = line_error(bad_size, "rejected");
+  EXPECT_FALSE(sized.ok);
+  EXPECT_EQ(sized.code, "bad_request");
+  EXPECT_EQ(sized.error, "rejected");
+  EXPECT_EQ(sized.op, "stq");
+  EXPECT_EQ(sized.id, "q1");
+  // An op the server does not know is echoed as sent too.
+  const Response unknown = line_error(R"({"op":"warp","id":"w"})", "rejected");
+  EXPECT_EQ(unknown.op, "warp");
+  EXPECT_EQ(unknown.id, "w");
+  // A line that is no record is answered without either.
+  const Response garbage = line_error("this is not json", "rejected");
+  EXPECT_FALSE(garbage.ok);
+  EXPECT_EQ(garbage.code, "bad_request");
+  EXPECT_EQ(garbage.error, "rejected");
+  EXPECT_TRUE(garbage.op.empty());
+  EXPECT_TRUE(garbage.id.empty());
+  EXPECT_EQ(format_response(garbage),
+            format_response(error_response("rejected")));
+}
+
 // -------------------------------------------------------------- SweepCache
 
 TEST(SweepCacheTest, StoresAndEvictsAcrossShards) {
@@ -1048,8 +1073,8 @@ TEST(ServerRobustnessTest, RequestStillQueuedAtTeardownGetsItsSweep) {
   // Destroying a Server drains its request pool, and a request answered
   // during that drain may still need a cold sweep. The sweep pool must
   // outlive the request pool, or the sweep is posted to a joined pool,
-  // never runs, and a request without a deadline waits forever (a fleet
-  // shard killed under load hits exactly this).
+  // never runs, and a request without a deadline waits forever (a server
+  // destroyed under load hits exactly this).
   FaultOptions fopt;
   fopt.seed = 5;
   fopt.worker_stall = 1.0;  // the lone worker stalls 25..75 ms first

@@ -7,12 +7,14 @@
 ///       publish the artifact as DIR/<machine>-<model>.model.
 ///   serve --artifacts DIR [--default-machine M] [--default-model gb|rf]
 ///         [--threads N] [--cache N] [--port P] [--backlog N] [--serial 1]
-///         [--fleet N] [--max-queue N] [--batch-max N] [--online 1]
+///         [--max-queue N] [--batch-max N] [--online 1]
 ///         [--online-drift-threshold X] [--rows N] [--seed S]
 ///         [--estimators N]
 ///       Serve requests (see serve/protocol.hpp) from stdin, one response
-///       line per request line, in request order. Requests are pipelined
-///       through the worker pool unless --serial 1 is given.
+///       line per request line, in request order, through one Server.
+///       Requests are pipelined through the worker pool unless --serial 1
+///       is given, and each answer is written as soon as it and every
+///       earlier answer are done.
 ///
 ///       With --port, additionally listen on 127.0.0.1:P through the
 ///       non-blocking epoll event loop (serve/event_loop.hpp). Every
@@ -21,17 +23,6 @@
 ///       apart from the first byte of each message. --backlog sets the
 ///       listen(2) queue (default SOMAXCONN). EOF on stdin shuts the
 ///       server down and prints a final stats line to stderr.
-///
-///       --fleet N forks N shard processes listening on ports P+1..P+N,
-///       each a full Server over the shared artifacts directory; the
-///       parent serves its listener on P and stdin through a
-///       serve::ShardFleet of those processes — the same consistent-hash
-///       router the in-process fleet uses — forwarding every request to
-///       the shard owning its (machine, model, O, V) key over pooled
-///       binary-wire connections, and failing over to the next shard in
-///       ring order if a shard dies. Pre-train artifacts first so the
-///       shards start instantly and answer reproducibly. `stats` fans out
-///       to every live shard and aggregates, also inside a binary frame.
 ///
 ///       --max-queue bounds each worker backlog: beyond it, requests are
 ///       answered immediately with code="overloaded" (the event loop
@@ -54,8 +45,7 @@
 /// usage text lists them): any other flag fails with `unknown flag --X`
 /// before any work starts.
 
-#include <cerrno>
-#include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <deque>
@@ -63,18 +53,15 @@
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <optional>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/strings.hpp"
 #include "ccpred/serve/event_loop.hpp"
-#include "ccpred/serve/fleet.hpp"
 #include "ccpred/serve/model_registry.hpp"
 #include "ccpred/serve/server.hpp"
 #include "flags.hpp"
@@ -109,11 +96,11 @@ int cmd_train(const Flags& flags) {
 
 /// One protocol line in, one response line out (used by the stdin
 /// --serial path).
-std::string answer_line(serve::Shard& front, const std::string& line) {
+std::string answer_line(serve::Server& server, const std::string& line) {
   try {
-    return serve::format_response(front.handle(serve::parse_request(line)));
+    return serve::format_response(server.handle(serve::parse_request(line)));
   } catch (const std::exception& e) {
-    return serve::format_response(serve::error_response(e.what()));
+    return serve::format_response(serve::line_error(line, e.what()));
   }
 }
 
@@ -148,34 +135,25 @@ serve::ServeOptions serve_options_from_flags(const Flags& flags) {
 }
 
 /// Everything `serve` reads from its flags. serve_config() parses and
-/// range-checks all of it before any fork, load or socket, so a bad value
-/// fails like an unknown flag, never inside a forked shard.
+/// range-checks all of it before any load or socket, so a bad value fails
+/// like an unknown flag.
 struct ServeConfig {
   std::string artifacts;
   bool serial = false;
-  int fleet = 0;            ///< shard processes; 0 serves in this process
-  std::optional<int> port;  ///< no listener without --port
+  bool listen = false;  ///< --port given
   serve::RegistryOptions registry;
   serve::ServeOptions serve;
-  serve::EventLoopOptions loop;  ///< its port is set per listener
+  serve::EventLoopOptions loop;  ///< port and backlog of the listener
 };
 
 ServeConfig serve_config(const Flags& flags) {
   ServeConfig cfg;
   cfg.artifacts = need(flags, "artifacts");
   cfg.serial = switch_on(flags, "serial");
-  cfg.fleet = static_cast<int>(
-      parse_int_in(get_or(flags, "fleet", "0"), "--fleet", 0, 64));
-  if (flags.count("port") != 0) {
-    cfg.port = static_cast<int>(
+  cfg.listen = flags.count("port") != 0;
+  if (cfg.listen) {
+    cfg.loop.port = static_cast<int>(
         parse_int_in(flags.at("port"), "--port", 0, 65535));
-  }
-  // Shards listen on port + 1 .. port + N: the router needs a real port
-  // (0 would fork shards onto ports 1..N) with room for them after it.
-  if (cfg.fleet > 0 &&
-      !(cfg.port && *cfg.port >= 1 && *cfg.port + cfg.fleet <= 65535)) {
-    throw Error("--fleet " + std::to_string(cfg.fleet) +
-                " needs --port in 1.." + std::to_string(65535 - cfg.fleet));
   }
   cfg.registry = registry_options(flags);
   cfg.serve = serve_options_from_flags(flags);
@@ -185,22 +163,19 @@ ServeConfig serve_config(const Flags& flags) {
   return cfg;
 }
 
-/// The epoll listener on 127.0.0.1:port over `front`: single requests go
+/// The epoll listener on 127.0.0.1:port over `server`: single requests go
 /// through submit_with, whole binary frames through submit_batch_with (one
 /// hand-off per frame).
-std::unique_ptr<serve::EventLoopServer> open_listener(serve::Shard& front,
-                                                      const ServeConfig& cfg,
-                                                      int port) {
-  serve::EventLoopOptions opt = cfg.loop;
-  opt.port = port;
+std::unique_ptr<serve::EventLoopServer> open_listener(
+    serve::Server& server, const serve::EventLoopOptions& opt) {
   auto listener = std::make_unique<serve::EventLoopServer>(
-      [&front](serve::Request request,
-               serve::EventLoopServer::Completion done) {
-        front.submit_with(std::move(request), std::move(done));
+      [&server](serve::Request request,
+                serve::EventLoopServer::Completion done) {
+        server.submit_with(std::move(request), std::move(done));
       },
-      [&front](std::vector<serve::Request> batch,
-               serve::EventLoopServer::BatchCompletion done) {
-        front.submit_batch_with(std::move(batch), std::move(done));
+      [&server](std::vector<serve::Request> batch,
+                serve::EventLoopServer::BatchCompletion done) {
+        server.submit_batch_with(std::move(batch), std::move(done));
       },
       opt);
   std::fprintf(stderr,
@@ -244,143 +219,78 @@ void print_final_stats(const serve::ServerStats& s) {
   }
 }
 
-/// Serves `front` until EOF on stdin, answering stdin lines on stdout in
-/// request order — pipelined through submit_with, or one at a time with
-/// --serial 1 — while `listener`, if any, serves its socket. Then prints
-/// the final stats to stderr.
-void serve_stdin(serve::Shard& front, bool serial,
-                 const serve::EventLoopServer* listener) {
-  // Flush completed responses in request order (a response never
-  // overtakes an earlier one).
+/// Answers stdin lines on stdout in request order, pipelined: this thread
+/// parses and submits each line and queues the future of its answer, and a
+/// writer thread writes each answer as soon as it and every earlier answer
+/// are done. A client that waits for one answer before it sends the next
+/// line gets it. Returns at EOF, once every answer is written.
+void pipeline_stdin(serve::Server& server) {
+  std::mutex mutex;
+  std::condition_variable_any queued;
   std::deque<std::future<serve::Response>> pending;
-  const auto flush_ready = [&](bool all) {
-    while (!pending.empty() &&
-           (all || pending.front().wait_for(std::chrono::seconds(0)) ==
-                       std::future_status::ready)) {
-      std::cout << serve::format_response(pending.front().get()) << '\n';
+  // Stopped and joined when this function returns, at EOF or on an
+  // exception; it writes every queued answer before it stops.
+  std::jthread writer([&](std::stop_token eof) {
+    std::unique_lock<std::mutex> lock(mutex);
+    while (queued.wait(lock, eof, [&] { return !pending.empty(); })) {
+      std::future<serve::Response> next = std::move(pending.front());
       pending.pop_front();
+      lock.unlock();
+      serve::Response answer;
+      try {
+        answer = next.get();
+      } catch (const std::exception& e) {
+        // A completion that never ran: answer in its place.
+        answer = serve::error_response(e.what(), "", "", "internal");
+      }
+      std::cout << serve::format_response(answer) << std::endl;
+      lock.lock();
     }
-    if (all) std::cout.flush();
-  };
+  });
 
   std::string line;
   while (std::getline(std::cin, line)) {
     if (trim(line).empty()) continue;
-    if (serial) {
-      std::cout << answer_line(front, line) << std::endl;
-      continue;
-    }
     auto promise = std::make_shared<std::promise<serve::Response>>();
-    pending.push_back(promise->get_future());
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      pending.push_back(promise->get_future());
+    }
+    queued.notify_one();
     serve::Request req;
     try {
       req = serve::parse_request(line);
     } catch (const std::exception& e) {
-      // Keep ordering: the parse error answers in this line's place.
-      promise->set_value(serve::error_response(e.what()));
-      flush_ready(false);
+      // The rejection answers in this line's place.
+      promise->set_value(serve::line_error(line, e.what()));
       continue;
     }
-    front.submit_with(std::move(req), [promise](serve::Response r) {
+    server.submit_with(std::move(req), [promise](serve::Response r) {
       promise->set_value(std::move(r));
     });
-    flush_ready(false);
   }
-  flush_ready(true);
+}
 
-  print_final_stats(front.stats());
+/// Serves `server` on stdin until EOF — pipelined, or one line at a time
+/// with --serial 1 — while `listener`, if any, serves its socket. Then
+/// prints the final stats to stderr.
+void serve_stdin(serve::Server& server, bool serial,
+                 const serve::EventLoopServer* listener) {
+  if (serial) {
+    std::string line;
+    while (std::getline(std::cin, line)) {
+      if (trim(line).empty()) continue;
+      std::cout << answer_line(server, line) << std::endl;
+    }
+  } else {
+    pipeline_stdin(server);
+  }
+  print_final_stats(server.stats());
   if (listener != nullptr) print_loop_stats(*listener);
 }
 
-// ---------------------------------------------------------------------------
-// --fleet mode: shard child processes behind a ShardFleet in the parent.
-
-/// Body of one forked shard process: a full Server on its own port. Blocks
-/// until the parent closes the shutdown pipe (EOF), then tears down. Never
-/// touches stdin/stdout — those belong to the parent.
-int run_fleet_child(const ServeConfig& cfg, int port, int shutdown_fd) {
-  serve::ModelRegistry registry(cfg.artifacts, cfg.registry);
-  serve::Server server(registry, cfg.serve);
-  const auto listener = open_listener(server, cfg, port);
-  server.set_overflow_source(
-      [&listener] { return listener->stats().overflow_closes; });
-  char byte = 0;
-  while (true) {
-    const ssize_t n = ::read(shutdown_fd, &byte, 1);
-    if (n < 0 && errno == EINTR) continue;
-    break;  // EOF (or error): the parent is shutting down or gone.
-  }
-  ::close(shutdown_fd);
-  return 0;
-}
-
-int cmd_serve_fleet(const ServeConfig& cfg) {
-  const int base_port = *cfg.port;
-  const int shards = cfg.fleet;
-
-  // Fork every shard BEFORE the parent creates any thread (fleet pool,
-  // event loop): forking a multithreaded process clones only the calling
-  // thread and leaves cloned locks in undefined states.
-  std::vector<pid_t> pids;
-  std::vector<int> child_ports;
-  std::vector<int> shutdown_fds;  // parent-held write ends
-  for (int i = 0; i < shards; ++i) {
-    int pipe_fds[2];
-    CCPRED_CHECK_MSG(::pipe(pipe_fds) == 0, "cannot create shutdown pipe");
-    const int child_port = base_port + 1 + i;
-    const pid_t pid = ::fork();
-    CCPRED_CHECK_MSG(pid >= 0, "fork failed");
-    if (pid == 0) {
-      ::close(pipe_fds[1]);
-      for (const int fd : shutdown_fds) ::close(fd);
-      int code = 1;
-      try {
-        code = run_fleet_child(cfg, child_port, pipe_fds[0]);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "shard %d: fatal: %s\n", i, e.what());
-      }
-      // _Exit: a child must not run the parent's atexit/static teardown.
-      std::_Exit(code);
-    }
-    ::close(pipe_fds[0]);
-    shutdown_fds.push_back(pipe_fds[1]);
-    child_ports.push_back(child_port);
-    pids.push_back(pid);
-  }
-
-  {
-    serve::FleetOptions opt;
-    opt.serve = cfg.serve;
-    serve::ShardFleet fleet(child_ports, opt);
-    // Declared after the fleet, so it stops first; completions the fleet's
-    // pool delivers after that are dropped by the loop's closed sink.
-    const auto listener = open_listener(fleet, cfg, base_port);
-    std::fprintf(stderr, "ccpred_serverd fleet: %d shards on ports %d..%d\n",
-                 shards, base_port + 1, base_port + shards);
-    serve_stdin(fleet, cfg.serial, listener.get());
-    const serve::FleetCounters c = fleet.counters();
-    std::fprintf(stderr,
-                 "fleet: %llu routed, %llu failovers, %zu of %zu shards "
-                 "alive\n",
-                 static_cast<unsigned long long>(c.routed),
-                 static_cast<unsigned long long>(c.failovers), c.alive,
-                 c.shards);
-  }
-
-  for (const int fd : shutdown_fds) ::close(fd);
-  for (const pid_t pid : pids) {
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-  }
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
-
 int cmd_serve(const Flags& flags) {
   const ServeConfig cfg = serve_config(flags);
-  if (cfg.fleet > 0) return cmd_serve_fleet(cfg);
-
   serve::ModelRegistry registry(cfg.artifacts, cfg.registry);
   serve::Server server(registry, cfg.serve);
   const serve::online::OnlineOptions& online = cfg.serve.online;
@@ -392,8 +302,8 @@ int cmd_serve(const Flags& flags) {
   }
 
   std::unique_ptr<serve::EventLoopServer> listener;
-  if (cfg.port) {
-    listener = open_listener(server, cfg, *cfg.port);
+  if (cfg.listen) {
+    listener = open_listener(server, cfg.loop);
     server.set_overflow_source(
         [&listener] { return listener->stats().overflow_closes; });
   }
@@ -402,8 +312,7 @@ int cmd_serve(const Flags& flags) {
 }
 
 /// A subcommand and the flags it reads; any other flag is rejected before
-/// it runs. Fleet shards read the parent's map, so the serve list covers
-/// them too.
+/// it runs.
 struct Subcommand {
   const char* name;
   std::set<std::string> flags;
@@ -417,7 +326,7 @@ const Subcommand kSubcommands[] = {
     {"serve",
      {"artifacts", "rows", "seed", "estimators", "default-machine",
       "default-model", "threads", "cache", "max-queue", "batch-max", "port",
-      "backlog", "fleet", "serial", "online", "online-drift-threshold"},
+      "backlog", "serial", "online", "online-drift-threshold"},
      cmd_serve},
 };
 
@@ -428,21 +337,18 @@ int usage() {
                "[--rows N] [--seed S] [--estimators N]\n"
                "  serve --artifacts DIR [--default-machine M] "
                "[--default-model gb|rf] [--threads N] [--cache N] "
-               "[--port P] [--backlog N] [--fleet N] [--serial 1] "
-               "[--max-queue N]\n"
+               "[--port P] [--backlog N] [--serial 1] [--max-queue N]\n"
                "        [--batch-max N (0 disables batching)] [--online 1] "
                "[--online-drift-threshold X]\n"
                "        [--rows N] [--seed S] [--estimators N] "
-               "(train-and-cache of a missing artifact)\n"
-               "  --fleet N forks N shard processes on ports P+1..P+N and "
-               "routes to them through one serve::ShardFleet\n");
+               "(train-and-cache of a missing artifact)\n");
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The router and event loop handle write-to-closed-peer as EPIPE; a
+  // The event loop handles write-to-closed-peer as EPIPE; a
   // default-disposition SIGPIPE would kill the daemon instead.
   std::signal(SIGPIPE, SIG_IGN);
   if (argc < 2) return usage();

@@ -7,8 +7,6 @@
 #    checked with batching off, where repeats re-probe the cache),
 #  * the dynamic micro-batcher (daemon default) answers the same session
 #    byte-identically while sharing sweeps instead of recomputing them,
-#  * the --fleet process mode answers it byte-identically too, and its
-#    merged stats count each problem size's sweep once,
 #  * --serial 0 means pipelined (the batch scheduler dispatches), not serial,
 #  * a malformed artifact (a tree cycle, a split feature past the row) is
 #    refused with "ok":false within seconds instead of hanging the loader
@@ -16,7 +14,8 @@
 #  * an integer field beyond int and an out-of-range --port or --threads
 #    are refused instead of wrapping,
 #  * a non-positive problem size is the client's error: bad_request with a
-#    plain message, not an internal error quoting a checked expression.
+#    plain message, not an internal error quoting a checked expression,
+#    echoing the request's op and id.
 
 set(dir "${WORKDIR}/serverd_smoke_artifacts")
 file(REMOVE_RECURSE "${dir}")
@@ -120,34 +119,6 @@ if(NOT err MATCHES "\\(0 errors\\), 9 sweeps")
   message(FATAL_ERROR "batched run did not share sweeps: ${err}")
 endif()
 
-# Process fleet (--fleet 2): the parent's ShardFleet forwards stdin to two
-# forked shards on the ports after --port, so answers must match the
-# single-process run, and each problem size is swept once on the one shard
-# that owns its key — the merged fleet stats must still read 9 sweeps.
-string(RANDOM LENGTH 4 ALPHABET 0123456789 rand)
-math(EXPR port "20000 + (${rand} * 4) % 40000")
-execute_process(COMMAND "${SERVERD}" serve --artifacts "${dir}"
-                        --fleet 2 --port ${port}
-                        --threads 4 --rows 300 --estimators 60
-                INPUT_FILE "${session}"
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "fleet serve on port ${port} failed: ${err}")
-endif()
-string(REGEX MATCHALL "\"ok\":true" oks "${out}")
-list(LENGTH oks n_ok)
-if(NOT n_ok EQUAL 120)
-  message(FATAL_ERROR "fleet run: expected 120 ok responses, got ${n_ok}")
-endif()
-string(REGEX REPLACE "[^\n]*\"op\":\"stats\"[^\n]*\n" "" answers_f "${out}")
-string(REGEX REPLACE "\"cache_hit\":(true|false)" "" answers_f "${answers_f}")
-if(NOT answers_f STREQUAL answers_1)
-  message(FATAL_ERROR "fleet answers differ from single-process answers")
-endif()
-if(NOT err MATCHES "\\(0 errors\\), 9 sweeps")
-  message(FATAL_ERROR "fleet stats did not merge to 9 sweeps: ${err}")
-endif()
-
 # The artifact must have been loaded, never retrained, during serving.
 execute_process(COMMAND "${SERVERD}" serve --artifacts "${dir}"
                         --serial 1
@@ -208,16 +179,22 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "\"ok\":false.*\"code\":\"bad_request\"")
   message(FATAL_ERROR "o beyond int was not refused (${rc}): ${out} ${err}")
 endif()
 
-# O = -3 is refused at the parse boundary as bad_request, and the message
-# names the fields, not a checked expression or a source path.
-file(WRITE "${session}" "{\"op\":\"stq\",\"o\":-3,\"v\":260}\n")
-execute_process(COMMAND "${SERVERD}" serve --artifacts "${dir}" --serial 1
-                INPUT_FILE "${session}" TIMEOUT 60
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0 OR NOT out MATCHES "\"code\":\"bad_request\""
-   OR out MATCHES "check failed")
-  message(FATAL_ERROR "o = -3 was not refused as bad_request (${rc}): ${out} ${err}")
-endif()
+# O = -3 is refused at the parse boundary as bad_request, echoing the
+# request's op and id, serial and pipelined, and the message names the
+# fields, not a checked expression or a source path.
+file(WRITE "${session}" "{\"op\":\"stq\",\"o\":-3,\"v\":260,\"id\":\"neg\"}\n")
+foreach(serial 1 0)
+  execute_process(COMMAND "${SERVERD}" serve --artifacts "${dir}"
+                          --serial ${serial}
+                  INPUT_FILE "${session}" TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT out MATCHES "\"code\":\"bad_request\""
+     OR NOT out MATCHES "\"op\":\"stq\",\"id\":\"neg\""
+     OR out MATCHES "check failed")
+    message(FATAL_ERROR "o = -3 (--serial ${serial}) was not refused as "
+                        "bad_request with its op and id (${rc}): ${out} ${err}")
+  endif()
+endforeach()
 
 # Numeric flags out of their range fail before any load or socket, and the
 # error names the flag, instead of wrapping (a port of 70000 to 4464, a
