@@ -1,10 +1,14 @@
-/// Executor-layer allocation bench: proves the exec arena/cache rewiring
-/// actually removed the malloc traffic, not just the wall time.
+/// Allocation bench: proves the exec arena/cache rewiring actually removed
+/// the malloc traffic, not just the wall time, and that a fitted boosted
+/// model holds each of its nodes once.
 ///
 /// This translation unit interposes the global allocation operators with
 /// counting wrappers (atomic, thread-safe — pool workers allocate too), so
-/// every `new` anywhere in the process is observed. Two workloads, each
-/// run from scratch (the reference) and through the fast engine:
+/// every `new` anywhere in the process is observed, and the live heap
+/// bytes behind them: each allocation and each free is sized the same way,
+/// by malloc_usable_size, so the live count returns exactly to where it
+/// was. Two allocation-count workloads, each run from scratch (the
+/// reference) and through the fast engine:
 ///
 ///   - campaign generation: the figure pipeline's generate_dataset, where
 ///     the fast path batches through the memoized SimEngine and keeps its
@@ -17,18 +21,30 @@
 ///     one from-scratch iteration_time per swept point, round and
 ///     objective
 ///
+/// and one footprint: the heap bytes a daemon-default GB fit keeps live
+/// once it returns (the serving registry's default campaign for aurora,
+/// 750 stages), per node of the fitted model. The model's compiled store
+/// takes 24 bytes a node (a 16-byte traversal node and its value) plus
+/// each tree's small header and importance record; a model that also kept
+/// its fitted trees' node vectors (32-byte nodes and their growth slack)
+/// reads about 74.
+///
 /// Gates (exit nonzero on failure):
 ///   - fast allocates >= 5x fewer times than reference on both workloads
 ///   - fast results bit-identical (operator==) to the reference results
+///   - the GB fit keeps <= 32 live heap bytes per node
 ///
 /// Wall-time/QPS regressions are covered by bench_sim_engine and
-/// bench_serve_fleet; this binary gates only allocation counts, which are
-/// deterministic per build and immune to a noisy host.
+/// bench_serve_fleet; this binary gates only allocation counts and bytes,
+/// which are deterministic per build and immune to a noisy host.
 ///
 /// Emits the measurements to BENCH_exec.json.
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -37,9 +53,12 @@
 #include "bench_util.hpp"
 #include "ccpred/common/table.hpp"
 #include "ccpred/common/thread_pool.hpp"
+#include "ccpred/core/compiled_ensemble.hpp"
+#include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/data/generator.hpp"
 #include "ccpred/data/problems.hpp"
 #include "ccpred/guidance/optimal.hpp"
+#include "ccpred/serve/model_registry.hpp"
 #include "ccpred/sim/sim_engine.hpp"
 #include "oracle/oracle.hpp"
 
@@ -49,20 +68,31 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
 
-void* counted_alloc(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size == 0 ? 1 : size);
+void* counted(void* p) {
   if (p == nullptr) throw std::bad_alloc();
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
   return p;
 }
 
+void* counted_alloc(std::size_t size) {
+  return counted(std::malloc(size == 0 ? 1 : size));
+}
+
 void* counted_alloc(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(align);
-  void* p = std::aligned_alloc(a, ((size == 0 ? 1 : size) + a - 1) / a * a);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+  return counted(
+      std::aligned_alloc(a, ((size == 0 ? 1 : size) + a - 1) / a * a));
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
 }
 }  // namespace
 
@@ -74,17 +104,19 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_alloc(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  counted_free(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,6 +213,26 @@ int main() {
                           guide::Objective::kShortestTime) &&
       bench::sweeps_match(fast_bq, ref_bq, guide::Objective::kNodeHours);
 
+  // ---- footprint: the heap a daemon-default GB fit keeps live ----
+  // The serving registry's train-and-cache campaign and model for aurora
+  // (ModelRegistry::fit_fallback). The fit runs on this thread while the
+  // pool idles, so the live-byte delta repeats per build to within a few
+  // hundred bytes (0.01 B per node).
+  const serve::RegistryOptions daemon;
+  data::GeneratorOptions daemon_gen;
+  daemon_gen.seed = daemon.fallback_seed;
+  daemon_gen.target_total = daemon.fallback_rows;
+  const data::Dataset daemon_campaign =
+      data::generate_dataset(simulator, problems, daemon_gen);
+  const linalg::Matrix daemon_x = daemon_campaign.features();
+  ml::GradientBoostingRegressor gb(daemon.gb_estimators);
+  const std::int64_t live_before = g_live_bytes.load();
+  gb.fit(daemon_x, daemon_campaign.targets());
+  const std::int64_t gb_live_bytes = g_live_bytes.load() - live_before;
+  const std::size_t gb_nodes = gb.compiled().node_count();
+  const double gb_bytes_per_node =
+      static_cast<double>(gb_live_bytes) / static_cast<double>(gb_nodes);
+
   TextTable table({"workload", "path", "allocations", "ratio"},
                   "Global operator-new counts");
   table.add_row({"campaign x2", "reference",
@@ -198,17 +250,23 @@ int main() {
   const bool campaign_ok = campaign_ratio >= 5.0;
   const bool sweep_ok = sweep_ratio >= 5.0;
   const bool identical_ok = campaign_identical && sweep_identical;
+  constexpr double kMaxBytesPerNode = 32.0;
+  const bool footprint_ok = gb_bytes_per_node <= kMaxBytesPerNode;
   std::printf(
       "\ncampaign rows %zu x%d regens\n"
       "campaign allocation ratio %.1fx (target >= 5x): %s\n"
       "STQ/BQ sweep allocation ratio %.1fx (target >= 5x): %s\n"
-      "fast vs reference bit-identity (campaign %s, sweeps %s): %s\n",
+      "fast vs reference bit-identity (campaign %s, sweeps %s): %s\n"
+      "GB fit (%d stages, %zu rows) keeps %lld heap bytes for %zu nodes: "
+      "%.2f B per node (target <= %.0f): %s\n",
       rows.size(), regens, campaign_ratio,
       campaign_ok ? "PASS" : "FAIL", sweep_ratio, sweep_ok ? "PASS" : "FAIL",
       campaign_identical ? "yes" : "NO", sweep_identical ? "yes" : "NO",
-      identical_ok ? "PASS" : "FAIL");
+      identical_ok ? "PASS" : "FAIL", daemon.gb_estimators,
+      daemon_campaign.size(), static_cast<long long>(gb_live_bytes), gb_nodes,
+      gb_bytes_per_node, kMaxBytesPerNode, footprint_ok ? "PASS" : "FAIL");
 
-  const bool pass = campaign_ok && sweep_ok && identical_ok;
+  const bool pass = campaign_ok && sweep_ok && identical_ok && footprint_ok;
   std::FILE* json = std::fopen("BENCH_exec.json", "w");
   if (json != nullptr) {
     std::fprintf(
@@ -223,6 +281,9 @@ int main() {
         "  \"sweeps\": {\"problems\": %zu, \"rounds\": %d,\n"
         "    \"reference_allocations\": %llu, \"fast_allocations\": %llu,\n"
         "    \"ratio\": %.3f, \"identical\": %s},\n"
+        "  \"gb_footprint\": {\"stages\": %d, \"rows\": %zu, \"nodes\": %zu,\n"
+        "    \"live_bytes\": %lld, \"bytes_per_node\": %.3f, "
+        "\"max_bytes_per_node\": %.0f},\n"
         "  \"pass\": %s,\n"
         "  \"provenance\": %s\n"
         "}\n",
@@ -232,7 +293,10 @@ int main() {
         campaign_identical ? "true" : "false", sweep_problems.size(), rounds,
         static_cast<unsigned long long>(sweep_ref_allocs),
         static_cast<unsigned long long>(sweep_fast_allocs), sweep_ratio,
-        sweep_identical ? "true" : "false", pass ? "true" : "false",
+        sweep_identical ? "true" : "false", daemon.gb_estimators,
+        daemon_campaign.size(), gb_nodes,
+        static_cast<long long>(gb_live_bytes), gb_bytes_per_node,
+        kMaxBytesPerNode, pass ? "true" : "false",
         bench::provenance_json().c_str());
     std::fclose(json);
     std::printf("\nwrote BENCH_exec.json\n");

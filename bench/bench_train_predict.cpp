@@ -1,7 +1,6 @@
 /// Tree-ensemble engine bench: the library's exact (presorted) training vs
 /// the exact reference, and compiled SoA batch inference vs the per-row
-/// tree walk (GB's predict_staged over every stage, the oracle's
-/// forest_walk for RF).
+/// tree walk (the oracle's gb_walk and forest_walk over its own trees).
 ///
 /// The exact reference is the oracle's per-node-sort builder
 /// (oracle::exact_gb / exact_rf). Trains GB and RF on the paper's Aurora
@@ -76,7 +75,7 @@ int main() {
   // not fail the run. The forest oracle call repeats the library class's
   // default seed (42) and bootstrap (on).
   const int fit_reps = 2;
-  std::optional<ml::GradientBoostingRegressor> gb_oracle;
+  std::optional<oracle::ExactGb> gb_oracle;
   const double gb_oracle_s = best_time_s(fit_reps, [&] {
     gb_oracle = oracle::exact_gb(x, y, gb_stages, 0.1, exact_opt);
   });
@@ -85,9 +84,9 @@ int main() {
       best_time_s(fit_reps, [&] { gb_exact.fit(x, y); });
   const double gb_presort_speedup = gb_oracle_s / gb_presort_s;
   const bool gb_identical =
-      ml::serialize_gb(gb_exact) == ml::serialize_gb(*gb_oracle);
+      ml::serialize_gb(gb_exact) == ml::serialize_gb(gb_oracle->model());
 
-  std::optional<ml::RandomForestRegressor> rf_oracle;
+  std::optional<oracle::ExactRf> rf_oracle;
   const double rf_oracle_s = best_time_s(fit_reps, [&] {
     rf_oracle = oracle::exact_rf(x, y, rf_trees, exact_opt, true, 42);
   });
@@ -96,15 +95,15 @@ int main() {
       best_time_s(fit_reps, [&] { rf_exact.fit(x, y); });
   const double rf_presort_speedup = rf_oracle_s / rf_presort_s;
   const bool rf_identical =
-      ml::serialize_rf(rf_exact) == ml::serialize_rf(*rf_oracle);
+      ml::serialize_rf(rf_exact) == ml::serialize_rf(rf_oracle->model());
 
   // ---- inference: compiled SoA batch vs per-row tree walk ----
   // A sweep-shaped query batch: every campaign row is a (O, V, nodes, tile)
-  // point, just like the advisor's enumerate-and-predict sweep.
+  // point, just like the advisor's enumerate-and-predict sweep. The walks
+  // run over the oracle's trees, which serialize identically to the
+  // library's (checked above) and never enter a compiled store.
   const int predict_reps = fast ? 5 : 10;
-  const auto gb_walk = [&] {
-    return gb_exact.predict_staged(x, gb_exact.stage_count());
-  };
+  const auto gb_walk = [&] { return oracle::gb_walk(*gb_oracle, x); };
   const double walk_s = best_time_s(predict_reps, gb_walk);
   const double compiled_s =
       best_time_s(predict_reps, [&] { gb_exact.predict(x); });
@@ -118,7 +117,7 @@ int main() {
   }
 
   const double rf_walk_s =
-      best_time_s(predict_reps, [&] { oracle::forest_walk(rf_exact, x); });
+      best_time_s(predict_reps, [&] { oracle::forest_walk(*rf_oracle, x); });
   const double rf_compiled_s =
       best_time_s(predict_reps, [&] { rf_exact.predict(x); });
   const double rf_predict_speedup = rf_walk_s / rf_compiled_s;

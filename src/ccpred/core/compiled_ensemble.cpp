@@ -2,122 +2,93 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "ccpred/common/error.hpp"
-#include "ccpred/core/gradient_boosting.hpp"
-#include "ccpred/core/random_forest.hpp"
 
 namespace ccpred::ml {
 
 namespace {
 /// Rows per block. The dominant cost of batch prediction is streaming the
-/// flattened ensemble (which exceeds L2 for paper-sized models) once per
+/// ensemble's nodes (which exceed L2 for paper-sized models) once per
 /// block, so the block is made large: the row data, index and accumulator
 /// scratch (~44 bytes/row) still fit comfortably in L2 while the ensemble
 /// is re-streamed n_rows / kRowBlock times instead of per row.
 constexpr std::size_t kRowBlock = 4096;
 }  // namespace
 
-CompiledEnsemble CompiledEnsemble::flatten(
-    const std::vector<DecisionTreeRegressor>& trees) {
-  CCPRED_CHECK_MSG(!trees.empty(), "cannot compile an empty ensemble");
-  CompiledEnsemble ce;
-  std::size_t total_nodes = 0;
-  for (const auto& tree : trees) total_nodes += tree.node_count();
-  ce.nodes_.reserve(total_nodes);
-  ce.feature_.reserve(total_nodes);
-  ce.value_.reserve(total_nodes);
-  ce.roots_.reserve(trees.size());
-  ce.depths_.reserve(trees.size());
+CompiledEnsemble::Tree CompiledEnsemble::compile_tree(
+    std::span<const TreeNode> nodes, std::vector<double> raw_importance) {
+  const auto n = static_cast<std::int32_t>(nodes.size());
+  Tree tree;
+  tree.nodes_.resize(nodes.size());
+  tree.value_.resize(nodes.size());
+  tree.importance_ = std::move(raw_importance);
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<std::int32_t> order;   // source indices in BFS order
-  std::vector<std::int32_t> newidx;  // source index -> flat index
-  for (const auto& tree : trees) {
-    const auto& src = tree.nodes();
-    const auto offset = static_cast<std::int32_t>(ce.nodes_.size());
-    ce.roots_.push_back(offset);
-    ce.depths_.push_back(tree.depth());
-
-    // Breadth-first renumbering: a parent enqueues left then right, so
-    // siblings land adjacent and the top levels — shared by every row's
-    // descent — pack into few cache lines.
-    order.assign(1, 0);
-    order.reserve(src.size());
-    newidx.resize(src.size());
-    for (std::size_t qi = 0; qi < order.size(); ++qi) {
-      const auto& node = src[static_cast<std::size_t>(order[qi])];
-      newidx[static_cast<std::size_t>(order[qi])] =
-          offset + static_cast<std::int32_t>(qi);
-      if (!node.is_leaf()) {
-        order.push_back(node.left);
-        order.push_back(node.right);
-      }
+  // Breadth-first renumbering: a parent takes the next two free slots for
+  // its left and right child, so siblings land adjacent and the top
+  // levels — shared by every row's descent — pack into few cache lines.
+  // A slot not yet compiled holds its source index in `left`.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  tree.nodes_[0].left = 0;
+  std::int32_t next = 1;       // next free slot
+  std::int32_t level_end = 1;  // one past the last slot of the current level
+  for (std::int32_t q = 0; q < n; ++q) {
+    if (q == level_end) {
+      ++tree.depth_;
+      level_end = next;
     }
-    for (std::size_t qi = 0; qi < order.size(); ++qi) {
-      const auto& node = src[static_cast<std::size_t>(order[qi])];
-      const auto self = static_cast<std::int32_t>(ce.nodes_.size());
-      ce.feature_.push_back(node.feature);
-      ce.value_.push_back(node.value);
-      // Leaves absorb into themselves with an always-true +inf compare, so
-      // descent needs no termination branch. BFS numbering put siblings
-      // adjacent: right child = left child + 1, no field needed.
-      if (node.is_leaf()) {
-        ce.nodes_.push_back(TravNode{kInf, 0, self});
-      } else {
-        CCPRED_CHECK_MSG(
-            newidx[static_cast<std::size_t>(node.right)] ==
-                newidx[static_cast<std::size_t>(node.left)] + 1,
-            "BFS numbering must place siblings adjacently");
-        ce.nodes_.push_back(
-            TravNode{node.threshold, node.feature,
-                     newidx[static_cast<std::size_t>(node.left)]});
-        ce.min_cols_ = std::max(ce.min_cols_,
-                                static_cast<std::size_t>(node.feature) + 1);
+    const TreeNode& src = nodes[tree.nodes_[q].left];
+    tree.value_[q] = src.value;
+    if (src.is_leaf()) {
+      tree.nodes_[q] = TravNode{kNaN, 0, q - 1};
+      continue;
+    }
+    tree.nodes_[next].left = src.left;
+    tree.nodes_[next + 1].left = src.right;
+    tree.nodes_[q] = TravNode{src.threshold, src.feature, next};
+    next += 2;
+  }
+  return tree;
+}
+
+CompiledEnsemble::CompiledEnsemble(std::vector<Tree> trees, double bias,
+                                   double scale, bool mean)
+    : trees_(std::move(trees)), bias_(bias), scale_(scale), mean_(mean) {
+  CCPRED_CHECK_MSG(!trees_.empty(), "cannot compile an empty ensemble");
+  for (const Tree& tree : trees_) {
+    for (std::size_t q = 0; q < tree.nodes_.size(); ++q) {
+      const TravNode& nd = tree.nodes_[q];
+      if (nd.left != static_cast<std::int32_t>(q) - 1) {
+        min_cols_ =
+            std::max(min_cols_, static_cast<std::size_t>(nd.tfeat) + 1);
       }
     }
   }
-  return ce;
 }
 
-CompiledEnsemble CompiledEnsemble::compile(
-    const GradientBoostingRegressor& model) {
-  CCPRED_CHECK_MSG(model.is_fitted(), "cannot compile an unfitted model");
-  CompiledEnsemble ce = flatten(model.stages());
-  ce.bias_ = model.base_prediction();
-  ce.scale_ = model.learning_rate();
-  ce.mean_ = false;
-  return ce;
+CompiledEnsemble CompiledEnsemble::boosted(std::vector<Tree> trees,
+                                           double bias, double scale) {
+  return CompiledEnsemble(std::move(trees), bias, scale, false);
 }
 
-CompiledEnsemble CompiledEnsemble::compile(const RandomForestRegressor& model) {
-  CCPRED_CHECK_MSG(model.is_fitted(), "cannot compile an unfitted model");
-  CompiledEnsemble ce = flatten(model.trees());
-  ce.mean_ = true;
-  return ce;
+CompiledEnsemble CompiledEnsemble::averaged(std::vector<Tree> trees) {
+  return CompiledEnsemble(std::move(trees), 0.0, 1.0, true);
+}
+
+std::size_t CompiledEnsemble::node_count() const {
+  std::size_t total = 0;
+  for (const Tree& tree : trees_) total += tree.nodes_.size();
+  return total;
 }
 
 void CompiledEnsemble::predict_batch(const double* x, std::size_t n_rows,
                                      std::size_t n_cols, double* out) const {
-  CCPRED_CHECK_MSG(n_cols >= min_cols_,
-                   "batch rows have " << n_cols << " columns; the model "
-                                      << "splits on feature " << min_cols_ - 1);
-  // The fixed-depth kernel's +inf leaf self-loop assumes comparisons with
-  // NaN never happen (a NaN would drift off the leaf). Scan once — NaN is
-  // the only hazard, infinities compare like the walk — and route such
-  // batches through the termination-checked per-row path instead.
-  bool has_nan = false;
-  for (std::size_t i = 0; i < n_rows * n_cols && !has_nan; ++i) {
-    has_nan = x[i] != x[i];
-  }
-  if (has_nan) {
-    for (std::size_t i = 0; i < n_rows; ++i) out[i] = predict_row(x + i * n_cols);
-    return;
-  }
-
-  const TravNode* nodes = nodes_.data();
-  const double* value = value_.data();
-
+  // A model loaded from an artifact may be wider than the rows it is
+  // asked about, so the message carries no checked expression or path.
+  CCPRED_REQUIRE(n_cols >= min_cols_,
+                 "batch rows have " << n_cols << " columns; the model "
+                                    << "splits on feature " << min_cols_ - 1);
   std::vector<std::int32_t> idx(std::min(kRowBlock, n_rows));
   std::vector<double> acc(std::min(kRowBlock, n_rows));
   for (std::size_t block = 0; block < n_rows; block += kRowBlock) {
@@ -130,10 +101,11 @@ void CompiledEnsemble::predict_batch(const double* x, std::size_t n_rows,
     // self-absorb), so the per-row node chases are independent and overlap
     // instead of serializing behind one row's dependent loads. Leaf values
     // accumulate per row in tree order, matching the walk bit-for-bit.
-    for (std::size_t t = 0; t < roots_.size(); ++t) {
-      std::fill(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(bn),
-                roots_[t]);
-      for (std::int32_t d = 0; d < depths_[t]; ++d) {
+    for (const Tree& tree : trees_) {
+      const TravNode* nodes = tree.nodes_.data();
+      const double* value = tree.value_.data();
+      std::fill(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(bn), 0);
+      for (std::int32_t d = 0; d < tree.depth_; ++d) {
         const double* row = base;
         for (std::size_t i = 0; i < bn; ++i, row += n_cols) {
           const TravNode& nd = nodes[idx[i]];
@@ -145,7 +117,7 @@ void CompiledEnsemble::predict_batch(const double* x, std::size_t n_rows,
     }
     double* o = out + block;
     if (mean_) {
-      const auto count = static_cast<double>(roots_.size());
+      const auto count = static_cast<double>(trees_.size());
       for (std::size_t i = 0; i < bn; ++i) o[i] = acc[i] / count;
     } else {
       for (std::size_t i = 0; i < bn; ++i) o[i] = bias_ + scale_ * acc[i];
@@ -161,20 +133,75 @@ std::vector<double> CompiledEnsemble::predict_batch(
 }
 
 double CompiledEnsemble::predict_row(const double* row) const {
+  return predict_row(row, trees_.size());
+}
+
+double CompiledEnsemble::predict_row(const double* row,
+                                     std::size_t trees) const {
+  CCPRED_CHECK_MSG(trees <= trees_.size(), "tree count out of range");
   double acc = 0.0;
-  for (const std::int32_t root : roots_) {
-    std::int32_t idx = root;
-    // Terminates on feature_ like the reference walk, so a NaN feature
-    // value takes the right child at every internal node — exactly the
-    // walk's comparison semantics.
-    while (feature_[idx] >= 0) {
-      const TravNode& nd = nodes_[idx];
+  for (std::size_t t = 0; t < trees; ++t) {
+    const TravNode* nodes = trees_[t].nodes_.data();
+    std::int32_t idx = 0;
+    // Stops at the leaf, so a NaN feature value takes the right child at
+    // every internal node — exactly the walk's comparison semantics.
+    while (nodes[idx].left != idx - 1) {
+      const TravNode& nd = nodes[idx];
       idx = nd.left + static_cast<std::int32_t>(!(row[nd.tfeat] <= nd.threshold));
     }
-    acc += value_[idx];
+    acc += trees_[t].value_[idx];
   }
-  if (mean_) return acc / static_cast<double>(roots_.size());
+  if (mean_) return acc / static_cast<double>(trees);
   return bias_ + scale_ * acc;
+}
+
+std::vector<double> CompiledEnsemble::feature_importances() const {
+  std::vector<double> out;
+  for (const Tree& tree : trees_) {
+    const std::vector<double>& imp = tree.importance_;
+    double total = 0.0;
+    for (double v : imp) total += v;
+    if (out.size() < imp.size()) out.resize(imp.size(), 0.0);
+    for (std::size_t c = 0; c < imp.size(); ++c) {
+      out[c] += total > 0.0 ? imp[c] / total : imp[c];
+    }
+  }
+  double total = 0.0;
+  for (double v : out) total += v;
+  if (total > 0.0) {
+    for (auto& v : out) v /= total;
+  }
+  return out;
+}
+
+void CompiledEnsemble::preorder(std::size_t t,
+                                std::vector<TreeNode>& out) const {
+  const Tree& tree = trees_[t];
+  out.clear();
+  out.reserve(tree.nodes_.size());
+  // An explicit stack of (slot, pre-order position of the parent whose
+  // right child the slot is, or -1): a loaded tree may be deeper than the
+  // call stack allows. The right child is pushed first, so the whole left
+  // subtree is written before it.
+  std::vector<std::pair<std::int32_t, std::int32_t>> stack = {{0, -1}};
+  while (!stack.empty()) {
+    const auto [q, parent] = stack.back();
+    stack.pop_back();
+    const auto pos = static_cast<std::int32_t>(out.size());
+    if (parent >= 0) out[parent].right = pos;
+    const TravNode& nd = tree.nodes_[q];
+    const double value = tree.value_[q];
+    if (nd.left == q - 1) {
+      out.push_back(TreeNode{.value = value});
+      continue;
+    }
+    out.push_back(TreeNode{.feature = nd.tfeat,
+                           .threshold = nd.threshold,
+                           .value = value,
+                           .left = pos + 1});
+    stack.push_back({nd.left + 1, pos});
+    stack.push_back({nd.left, -1});
+  }
 }
 
 }  // namespace ccpred::ml

@@ -1,42 +1,78 @@
 #pragma once
 
 /// \file compiled_ensemble.hpp
-/// Flattened tree-ensemble inference engine.
+/// The tree store of a fitted GB/RF model, and its inference engine.
 ///
-/// A fitted GB/RF model stores each member tree as its own node vector;
-/// the reference predict path pointer-chases tree-by-tree per row, which
-/// streams the whole ensemble's scattered working set once per row.
-/// CompiledEnsemble flattens all trees into contiguous SoA arrays
-/// (feature / threshold / left / right / value, child indices rebased to
-/// the flat array) and predicts row-blocks tree-major: for each tree, all
-/// rows of the block descend while that tree's nodes are hot in cache.
+/// A fitted GradientBoostingRegressor or RandomForestRegressor keeps its
+/// trees here and nowhere else: the fit compiles each member as soon as it
+/// is built, the artifact loader compiles each parsed tree, and the writer
+/// reads the trees back out in the builder's depth-first order
+/// (preorder()).
+/// Each tree is one Tree block: its nodes renumbered breadth-first in one
+/// exact allocation (16 bytes each), the nodes' values in another (8 bytes
+/// each, internal nodes' too, because the artifact writes them), and its
+/// raw per-feature importance. Batch prediction walks row-blocks
+/// tree-major: for each tree, all rows of the block descend while that
+/// tree's nodes are hot in cache.
 ///
-/// Predictions are bit-identical to the tree-walk path: per row, leaf
-/// values accumulate in the same tree order with the same comparisons, and
-/// the final transform replicates the walk's expression exactly
+/// Predictions are bit-identical to the tree walk: per row, leaf values
+/// accumulate in the same tree order with the same comparisons, and the
+/// final transform replicates the walk's expression exactly
 /// (GB: bias + rate * sum; RF: sum / tree_count).
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ccpred/common/aligned.hpp"
+#include "ccpred/core/decision_tree.hpp"
 #include "ccpred/linalg/matrix.hpp"
 
 namespace ccpred::ml {
 
-class GradientBoostingRegressor;
-class RandomForestRegressor;
-class DecisionTreeRegressor;
-
 class CompiledEnsemble {
- public:
-  /// Flattens a fitted gradient-boosting model
-  /// (out = base_prediction + learning_rate * sum of stage leaves).
-  static CompiledEnsemble compile(const GradientBoostingRegressor& model);
+  /// One traversal node, packed to 16 bytes (4 per cache line) so each
+  /// descent step costs three loads: the node pair, and one row value.
+  /// Breadth-first numbering makes siblings adjacent, so only the left
+  /// child is stored and a step goes to left + !(x <= threshold). A leaf
+  /// stores left = self - 1 and a NaN threshold: no comparison with NaN
+  /// holds, so every step from a leaf lands on the leaf itself, whatever
+  /// the row holds (a NaN feature too). The batch loop therefore runs a
+  /// fixed per-tree step count with no per-row termination branch — the
+  /// independent chases across a row block overlap in the memory pipeline.
+  struct TravNode {
+    double threshold;    ///< go left if x[tfeat] <= threshold; NaN for leaves
+    std::int32_t tfeat;  ///< split feature (0 for leaves)
+    std::int32_t left;   ///< index of the left child (self - 1 for leaves)
+  };
+  static_assert(sizeof(TravNode) == 16, "four nodes per cache line");
 
-  /// Flattens a fitted random forest (out = sum of tree leaves / trees).
-  static CompiledEnsemble compile(const RandomForestRegressor& model);
+ public:
+  /// One member tree, compiled on its own (inside a parallel fit task, for
+  /// example) and then handed to boosted() or averaged(). Node indices are
+  /// local to the tree; the root is node 0.
+  class Tree {
+    friend class CompiledEnsemble;
+    /// Cache-line aligned, so each 16-byte node sits inside one line.
+    AlignedVector<TravNode> nodes_;
+    std::vector<double> value_;       ///< per node, leaves and internal
+    std::vector<double> importance_;  ///< raw per-feature gain sums
+    std::int32_t depth_ = 0;          ///< descent steps from the root
+  };
+
+  /// Compiles one tree given as a builder emits it: `nodes` must pass
+  /// check_tree_parts(nodes, raw_importance.size(), ...).
+  static Tree compile_tree(std::span<const TreeNode> nodes,
+                           std::vector<double> raw_importance);
+
+  /// The store of a boosted model: out = bias + scale * (sum of the
+  /// trees' leaves), trees in the given order. Needs at least one tree.
+  static CompiledEnsemble boosted(std::vector<Tree> trees, double bias,
+                                  double scale);
+
+  /// The store of a forest: out = (sum of the trees' leaves) / tree count.
+  static CompiledEnsemble averaged(std::vector<Tree> trees);
 
   /// Batch prediction over every row of `x` (cols = trained feature count).
   std::vector<double> predict_batch(const linalg::Matrix& x) const;
@@ -50,37 +86,34 @@ class CompiledEnsemble {
   /// Single-row prediction (same result as predict_batch on one row).
   double predict_row(const double* row) const;
 
-  std::size_t tree_count() const { return roots_.size(); }
-  std::size_t node_count() const { return feature_.size(); }
+  /// The prediction of the first `trees` trees alone (a boosted model's
+  /// staged prediction), walking each tree with the same comparisons.
+  double predict_row(const double* row, std::size_t trees) const;
+
+  /// Mean impurity-based feature importances: each tree's raw importance
+  /// normalized to sum to 1 (kept as is when its sum is not positive),
+  /// summed over the trees, and the sum normalized again.
+  std::vector<double> feature_importances() const;
+
+  /// Tree `t` as the builder emits it: depth-first pre-order, left subtree
+  /// first, so node i's left child is i + 1; leaves read
+  /// `{feature -1, threshold 0, value, left -1, right -1}`. Replaces the
+  /// contents of `out`.
+  void preorder(std::size_t t, std::vector<TreeNode>& out) const;
+
+  /// Tree `t`'s raw per-feature gain sums.
+  const std::vector<double>& raw_importance(std::size_t t) const {
+    return trees_[t].importance_;
+  }
+
+  std::size_t tree_count() const { return trees_.size(); }
+  std::size_t node_count() const;
 
  private:
-  static CompiledEnsemble flatten(const std::vector<DecisionTreeRegressor>& trees);
+  CompiledEnsemble(std::vector<Tree> trees, double bias, double scale,
+                   bool mean);
 
-  /// One traversal node, packed to 16 bytes (4 per cache line) so each
-  /// descent step costs three loads: the node pair, and one row value.
-  /// Breadth-first numbering makes siblings adjacent, so only the left
-  /// child is stored and right = left + 1. Leaves are self-absorbing
-  /// (threshold +inf, left = self), so the batch loop runs a fixed
-  /// per-tree step count with no per-row termination branch — the
-  /// independent chases across a row block overlap in the memory pipeline.
-  /// The +inf leaf compare goes wrong only for NaN feature values;
-  /// predict_batch pre-scans for NaN and falls back to predict_row (which
-  /// terminates on feature_ and is NaN-exact) for such batches.
-  struct TravNode {
-    double threshold;
-    std::int32_t tfeat;  ///< split feature (0 for leaves)
-    std::int32_t left;   ///< flat index of the left child (self for leaves)
-  };
-  static_assert(sizeof(TravNode) == 16, "four nodes per cache line");
-
-  // Nodes of all trees, renumbered breadth-first per tree so siblings are
-  // adjacent and the heavily-shared top levels pack densely. Cache-line
-  // aligned, so each 16-byte node sits inside one line.
-  AlignedVector<TravNode> nodes_;
-  std::vector<std::int32_t> feature_;  ///< -1 for leaves (predict_row stop)
-  AlignedVector<double> value_;        ///< leaf payload (0 for internal)
-  std::vector<std::int32_t> roots_;    ///< root node index per tree
-  std::vector<std::int32_t> depths_;   ///< descent steps per tree
+  std::vector<Tree> trees_;
   std::size_t min_cols_ = 0;  ///< widest split feature + 1: columns a row needs
 
   // Final transform: mean_ ? acc / tree_count : bias_ + scale_ * acc.

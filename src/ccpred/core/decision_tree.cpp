@@ -216,9 +216,15 @@ void DecisionTreeRegressor::fit_presorted(const linalg::Matrix& x,
   }
 
   // The fit's scratch arena: the caller's (the ensembles pass a reused
-  // per-task arena) or a reused thread-local one, reset either way.
-  thread_local exec::Arena fallback;
-  exec::Arena& mem = arena != nullptr ? *arena : fallback;
+  // per-task arena) or a reused thread-local one, reset either way. The
+  // thread-local one is built on first use only, so a thread that only
+  // fits ensembles never holds its 1 MiB buffer.
+  exec::Arena* scratch = arena;
+  if (scratch == nullptr) {
+    thread_local exec::Arena fallback;
+    scratch = &fallback;
+  }
+  exec::Arena& mem = *scratch;
   mem.reset();
   nodes_.clear();
   PresortContext ctx;
@@ -298,39 +304,57 @@ std::vector<double> DecisionTreeRegressor::feature_importances() const {
   return out;
 }
 
-DecisionTreeRegressor DecisionTreeRegressor::from_parts(
-    TreeOptions options, std::vector<TreeNode> nodes,
-    std::vector<double> raw_importance) {
-  CCPRED_CHECK_MSG(!nodes.empty(), "a fitted tree needs at least one node");
+void check_tree_parts(std::span<const TreeNode> nodes, std::size_t n_features,
+                      std::string_view what) {
+  CCPRED_REQUIRE(!nodes.empty(), what << ": a tree needs at least one node");
   // Every builder emits pre-order trees, so children follow their parent:
   // forward child indices and one parent per node rule out cycles and
-  // shared subtrees, which would hang depth() and the flattener. A split
-  // feature must index the importance record, the model's feature width.
-  const int n = static_cast<int>(nodes.size());
-  std::vector<char> has_parent(nodes.size(), 0);
-  for (int i = 0; i < n; ++i) {
-    const TreeNode& node = nodes[static_cast<std::size_t>(i)];
+  // shared subtrees, which would hang the compiler and the descent. A
+  // split feature must index the importance record, the model's feature
+  // width.
+  const std::size_t n = nodes.size();
+  std::vector<char> has_parent(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const TreeNode& node = nodes[i];
     if (node.is_leaf()) continue;
-    CCPRED_CHECK_MSG(static_cast<std::size_t>(node.feature) <
-                         raw_importance.size(),
-                     "tree node " << i << " splits on feature " << node.feature
-                                  << " of " << raw_importance.size());
+    CCPRED_REQUIRE(static_cast<std::size_t>(node.feature) < n_features,
+                   what << ": node " << i << " splits on feature "
+                        << node.feature << " of " << n_features);
     for (const int child : {node.left, node.right}) {
-      CCPRED_CHECK_MSG(child >= 0 && child < n, "tree child index out of range");
-      CCPRED_CHECK_MSG(child > i, "tree node " << i << " has child " << child
-                                                << " before it");
-      CCPRED_CHECK_MSG(!has_parent[static_cast<std::size_t>(child)],
-                       "tree node " << child << " has two parents");
+      CCPRED_REQUIRE(child >= 0 && static_cast<std::size_t>(child) < n,
+                     what << ": node " << i << " has child " << child
+                          << ", not one of the " << n << " nodes");
+      CCPRED_REQUIRE(static_cast<std::size_t>(child) > i,
+                     what << ": node " << i << " has child " << child
+                          << " before it");
+      CCPRED_REQUIRE(!has_parent[static_cast<std::size_t>(child)],
+                     what << ": node " << child << " has two parents");
       has_parent[static_cast<std::size_t>(child)] = 1;
     }
   }
+  // With a parent before each of them, every node but the root lies on a
+  // path from the root: the tree has exactly `n` reachable nodes, the
+  // count its compiled form is sized by.
+  for (std::size_t i = 1; i < n; ++i) {
+    CCPRED_REQUIRE(has_parent[i], what << ": node " << i << " has no parent");
+  }
+}
+
+DecisionTreeRegressor DecisionTreeRegressor::from_parts(
+    TreeOptions options, std::vector<TreeNode> nodes,
+    std::vector<double> raw_importance) {
+  check_tree_parts(nodes, raw_importance.size(), "tree file");
   DecisionTreeRegressor tree(options);
   tree.nodes_ = std::move(nodes);
   tree.importance_ = std::move(raw_importance);
   return tree;
 }
 
-double DecisionTreeRegressor::predict_row(const double* row) const {
+// The walk is the reference that compiled inference's speedup is measured
+// against (bench_train_predict). A cache-line start keeps its loop's
+// timing independent of where the linker happens to place it.
+[[gnu::aligned(64)]] double DecisionTreeRegressor::predict_row(
+    const double* row) const {
   int i = 0;
   while (!nodes_[i].is_leaf()) {
     i = row[nodes_[i].feature] <= nodes_[i].threshold ? nodes_[i].left

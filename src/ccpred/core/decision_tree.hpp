@@ -14,7 +14,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ccpred/core/regressor.hpp"
@@ -42,6 +44,18 @@ struct TreeNode {
 
   bool is_leaf() const { return feature < 0; }
 };
+
+/// Throws ccpred::Error unless `nodes` form a pre-order tree, as every
+/// builder emits: at least one node, each internal node's children in
+/// range and after it, every node but the root the child of exactly one
+/// internal node (so a malformed artifact cannot loop, share subtrees or
+/// hold a node no descent reaches), and every split feature below
+/// `n_features`, the model's feature width. The nodes come
+/// from an artifact, so a message names the record being read (`what`,
+/// for example "GB model file: stage 3") and the node, and carries no
+/// checked expression or source path.
+void check_tree_parts(std::span<const TreeNode> nodes, std::size_t n_features,
+                      std::string_view what);
 
 /// Dense per-feature ranks of a feature matrix, computed once per ensemble
 /// fit and shared by every member tree: the one sort of the feature values
@@ -122,17 +136,14 @@ class DecisionTreeRegressor : public Regressor {
   /// a single-leaf tree). Requires fit().
   std::vector<double> feature_importances() const;
 
-  /// Fitted tree structure (flattened nodes) — used by serialization and
-  /// the compiled-ensemble flattener.
+  /// Fitted tree structure (flattened nodes, pre-order) — used by
+  /// serialization and CompiledEnsemble::compile_tree.
   const std::vector<TreeNode>& nodes() const { return nodes_; }
 
   /// Reconstructs a fitted tree from its parts (serialization loader).
   /// `raw_importance` holds the unnormalized per-feature gain sums, one per
-  /// feature. Throws ccpred::Error unless the nodes form a pre-order tree,
-  /// as every builder emits: each internal node's children lie in range
-  /// and after it, no node is the child of two internal nodes (so a
-  /// malformed artifact cannot loop or share subtrees), and every split
-  /// feature is below raw_importance.size().
+  /// feature. Throws ccpred::Error unless
+  /// check_tree_parts(nodes, raw_importance.size(), "tree file") passes.
   static DecisionTreeRegressor from_parts(TreeOptions options,
                                           std::vector<TreeNode> nodes,
                                           std::vector<double> raw_importance);

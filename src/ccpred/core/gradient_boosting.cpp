@@ -37,9 +37,6 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
   // Rank the features once; every stage trains on the shared ranks (the
   // residual targets change per stage, the feature order does not).
   const FeatureRanks ranks = FeatureRanks::build(x);
-
-  std::vector<DecisionTreeRegressor> trees;
-  trees.reserve(static_cast<std::size_t>(n_estimators_));
   std::vector<std::size_t> all_rows(n);
   for (std::size_t i = 0; i < n; ++i) all_rows[i] = i;
 
@@ -49,13 +46,17 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
   // tree walk.
   std::vector<double> train_pred(n);
 
-  // One arena reused across every stage's tree fit: the fit resets it and
-  // bump-allocates all its scratch, so the boosting loop stops calling
-  // malloc per stage.
+  // One tree and one arena reused across every stage's fit: the fit resets
+  // both and bump-allocates all its scratch, so the boosting loop stops
+  // calling malloc per stage. Each stage is compiled into its own exact
+  // block before the next one is built, so the model never holds a tree
+  // twice.
+  DecisionTreeRegressor tree(tree_options_);
   exec::Arena stage_arena;
+  std::vector<CompiledEnsemble::Tree> stages;
+  stages.reserve(static_cast<std::size_t>(n_estimators_));
 
   for (int stage = 0; stage < n_estimators_; ++stage) {
-    DecisionTreeRegressor tree(tree_options_);
     tree.fit_presorted(x, ranks, residual, all_rows, train_pred.data(),
                        &stage_arena);
     // Update residuals with the shrunken stage prediction. A plain loop:
@@ -64,70 +65,55 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
     for (std::size_t i = 0; i < n; ++i) {
       residual[i] -= learning_rate_ * train_pred[i];
     }
-    trees.push_back(std::move(tree));
+    stages.push_back(
+        CompiledEnsemble::compile_tree(tree.nodes(), tree.raw_importance()));
   }
-  GradientBoostingRegressor fitted =
-      from_parts(learning_rate_, base_prediction, std::move(trees));
-  base_prediction_ = fitted.base_prediction_;
-  trees_ = std::move(fitted.trees_);
-  compiled_ = std::move(fitted.compiled_);
-  fitted_ = true;
+  compiled_ =
+      from_parts(learning_rate_, base_prediction, std::move(stages)).compiled_;
+  base_prediction_ = base_prediction;
 }
 
 const CompiledEnsemble& GradientBoostingRegressor::compiled() const {
-  CCPRED_CHECK_MSG(fitted_ && compiled_ != nullptr,
-                   "GradientBoostingRegressor::compiled before fit");
+  CCPRED_CHECK_MSG(compiled_ != nullptr,
+                   "GradientBoostingRegressor used before fit");
   return *compiled_;
+}
+
+std::size_t GradientBoostingRegressor::stage_count() const {
+  return compiled_ == nullptr ? 0 : compiled_->tree_count();
 }
 
 std::vector<double> GradientBoostingRegressor::predict(
     const linalg::Matrix& x) const {
-  CCPRED_CHECK_MSG(fitted_, "GradientBoostingRegressor::predict before fit");
-  return compiled_->predict_batch(x);
+  return compiled().predict_batch(x);
 }
 
 std::vector<double> GradientBoostingRegressor::predict_staged(
     const linalg::Matrix& x, std::size_t stages) const {
-  CCPRED_CHECK_MSG(fitted_, "GradientBoostingRegressor::predict before fit");
-  CCPRED_CHECK_MSG(stages <= trees_.size(), "stage count out of range");
-  std::vector<double> out(x.rows(), base_prediction_);
+  const CompiledEnsemble& store = compiled();
+  CCPRED_CHECK_MSG(stages <= store.tree_count(), "stage count out of range");
+  std::vector<double> out(x.rows());
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    const double* row = x.row_ptr(i);
-    double s = 0.0;
-    for (std::size_t t = 0; t < stages; ++t) s += trees_[t].predict_row(row);
-    out[i] += learning_rate_ * s;
+    out[i] = store.predict_row(x.row_ptr(i), stages);
   }
   return out;
 }
 
 GradientBoostingRegressor GradientBoostingRegressor::from_parts(
     double learning_rate, double base_prediction,
-    std::vector<DecisionTreeRegressor> stages) {
+    std::vector<CompiledEnsemble::Tree> stages) {
   CCPRED_CHECK_MSG(!stages.empty(), "a fitted model needs at least one stage");
   GradientBoostingRegressor model(static_cast<int>(stages.size()),
                                   learning_rate);
   model.base_prediction_ = base_prediction;
-  model.trees_ = std::move(stages);
-  model.fitted_ = true;
-  model.compiled_ =
-      std::make_shared<const CompiledEnsemble>(CompiledEnsemble::compile(model));
+  model.compiled_ = std::make_shared<const CompiledEnsemble>(
+      CompiledEnsemble::boosted(std::move(stages), base_prediction,
+                                learning_rate));
   return model;
 }
 
 std::vector<double> GradientBoostingRegressor::feature_importances() const {
-  CCPRED_CHECK_MSG(fitted_, "feature_importances before fit");
-  std::vector<double> out;
-  for (const auto& tree : trees_) {
-    const auto imp = tree.feature_importances();
-    if (out.empty()) out.assign(imp.size(), 0.0);
-    for (std::size_t c = 0; c < imp.size(); ++c) out[c] += imp[c];
-  }
-  double total = 0.0;
-  for (double v : out) total += v;
-  if (total > 0.0) {
-    for (auto& v : out) v /= total;
-  }
-  return out;
+  return compiled().feature_importances();
 }
 
 std::unique_ptr<Regressor> GradientBoostingRegressor::clone() const {

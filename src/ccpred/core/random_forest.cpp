@@ -27,8 +27,7 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
   // The fit builds into locals and commits at the end, so a fit that
   // throws (a non-finite feature) leaves the forest as it was.
   const auto n = static_cast<std::size_t>(n_estimators_);
-  std::vector<DecisionTreeRegressor> trees(n,
-                                           DecisionTreeRegressor(tree_options_));
+  std::vector<CompiledEnsemble::Tree> trees(n);
   // Pre-derive per-tree bootstrap seeds so parallel training is
   // deterministic.
   Rng seeder(seed_);
@@ -44,7 +43,8 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
   }
 
   // Fan-out with a per-chunk arena: every member tree's fit scratch
-  // bump-allocates from its chunk's arena instead of the heap. Per-tree
+  // bump-allocates from its chunk's arena instead of the heap, and the
+  // member is compiled into its slot inside its own task. Per-tree
   // randomness derives only from tree_seeds[t], so the result is
   // independent of chunking and iteration order (the determinism suite
   // shuffles this loop and asserts bit-identical forests).
@@ -52,48 +52,39 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
     Rng rng(tree_seeds[t]);
     const std::vector<std::size_t> rows =
         bootstrap_ ? rng.bootstrap_indices(x.rows()) : all_rows;
-    trees[t].fit_presorted(x, ranks, y, rows, nullptr, &arena);
+    DecisionTreeRegressor tree(tree_options_);
+    tree.fit_presorted(x, ranks, y, rows, nullptr, &arena);
+    trees[t] = CompiledEnsemble::compile_tree(tree.nodes(),
+                                              tree.raw_importance());
   });
-  RandomForestRegressor fitted = from_parts(std::move(trees));
-  trees_ = std::move(fitted.trees_);
-  compiled_ = std::move(fitted.compiled_);
+  compiled_ = from_parts(std::move(trees)).compiled_;
 }
 
 const CompiledEnsemble& RandomForestRegressor::compiled() const {
-  CCPRED_CHECK_MSG(is_fitted() && compiled_ != nullptr,
-                   "RandomForestRegressor::compiled before fit");
+  CCPRED_CHECK_MSG(compiled_ != nullptr,
+                   "RandomForestRegressor used before fit");
   return *compiled_;
+}
+
+std::size_t RandomForestRegressor::tree_count() const {
+  return compiled_ == nullptr ? 0 : compiled_->tree_count();
 }
 
 std::vector<double> RandomForestRegressor::predict(
     const linalg::Matrix& x) const {
-  CCPRED_CHECK_MSG(is_fitted(), "RandomForestRegressor::predict before fit");
-  return compiled_->predict_batch(x);
+  return compiled().predict_batch(x);
 }
 
 std::vector<double> RandomForestRegressor::feature_importances() const {
-  CCPRED_CHECK_MSG(is_fitted(), "feature_importances before fit");
-  std::vector<double> out;
-  for (const auto& tree : trees_) {
-    const auto imp = tree.feature_importances();
-    if (out.empty()) out.assign(imp.size(), 0.0);
-    for (std::size_t c = 0; c < imp.size(); ++c) out[c] += imp[c];
-  }
-  double total = 0.0;
-  for (double v : out) total += v;
-  if (total > 0.0) {
-    for (auto& v : out) v /= total;
-  }
-  return out;
+  return compiled().feature_importances();
 }
 
 RandomForestRegressor RandomForestRegressor::from_parts(
-    std::vector<DecisionTreeRegressor> trees) {
+    std::vector<CompiledEnsemble::Tree> trees) {
   CCPRED_CHECK_MSG(!trees.empty(), "from_parts needs at least one tree");
   RandomForestRegressor forest(static_cast<int>(trees.size()));
-  forest.trees_ = std::move(trees);
   forest.compiled_ = std::make_shared<const CompiledEnsemble>(
-      CompiledEnsemble::compile(forest));
+      CompiledEnsemble::averaged(std::move(trees)));
   return forest;
 }
 

@@ -9,6 +9,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/strings.hpp"
@@ -137,12 +140,18 @@ class Reader {
 
 void expect_header(Reader& in, std::string_view header, const char* what) {
   std::string_view word;
-  CCPRED_CHECK_MSG(in.word(word) && word == header, "not a ccpred " << what);
+  CCPRED_REQUIRE(in.word(word) && word == header, "not a ccpred " << what);
 }
 
-void write_tree_body(Writer& out, const DecisionTreeRegressor& tree) {
-  const auto& nodes = tree.nodes();
-  const auto& importance = tree.raw_importance();
+/// Lower bounds on the bytes a record takes, which bound every count read
+/// from an artifact before anything is sized by it: each number takes at
+/// least one character and the separator before it. A node record has
+/// five numbers; a tree body at least its size line and one node record.
+constexpr std::size_t kMinNodeBytes = 10;
+constexpr std::size_t kMinTreeBytes = 4 + kMinNodeBytes;
+
+void write_tree_body(Writer& out, std::span<const TreeNode> nodes,
+                     const std::vector<double>& importance) {
   out << nodes.size() << ' ' << importance.size() << '\n';
   for (const auto& n : nodes) {
     out << n.feature << ' ' << n.threshold << ' ' << n.value << ' ' << n.left
@@ -157,45 +166,99 @@ void write_tree_body(Writer& out, const DecisionTreeRegressor& tree) {
   out.flush_if_full();
 }
 
-DecisionTreeRegressor read_tree_body(Reader& in) {
-  std::size_t n_nodes = 0;
-  std::size_t n_features = 0;
-  CCPRED_CHECK_MSG(in.numbers(n_nodes, n_features),
-                   "tree body: missing size line");
-  CCPRED_CHECK_MSG(n_nodes >= 1 && n_nodes < (1u << 26),
-                   "tree body: implausible node count " << n_nodes);
-  CCPRED_CHECK_MSG(n_features <= in.remaining() / 2,
-                   "tree body: truncated importance record");
-  std::vector<TreeNode> nodes(n_nodes);
-  for (auto& node : nodes) {
-    CCPRED_CHECK_MSG(in.numbers(node.feature, node.threshold, node.value,
-                                node.left, node.right),
-                     "tree body: truncated node record");
+/// Every tree of a GB/RF store, read back in the builder's depth-first
+/// order.
+void write_trees(Writer& out, const CompiledEnsemble& store) {
+  std::vector<TreeNode> nodes;
+  for (std::size_t t = 0; t < store.tree_count(); ++t) {
+    store.preorder(t, nodes);
+    write_tree_body(out, nodes, store.raw_importance(t));
   }
-  std::vector<double> importance(n_features);
-  for (auto& v : importance) {
-    CCPRED_CHECK_MSG(in.number(v), "tree body: truncated importance record");
-  }
-  return DecisionTreeRegressor::from_parts({}, std::move(nodes),
-                                           std::move(importance));
 }
 
-/// Serialized size of one tree body, close enough to reserve once: a node
-/// line is ~45 bytes at 17 significant digits.
-std::size_t tree_body_bytes(const DecisionTreeRegressor& tree) {
-  return 16 + tree.nodes().size() * 48 + tree.raw_importance().size() * 25;
+/// Reads one tree body into `nodes` and `importance` (reused across the
+/// trees of a model). Every message names `what`, the record being read;
+/// the caller checks the tree's shape.
+void read_tree_body(Reader& in, std::string_view what,
+                    std::vector<TreeNode>& nodes,
+                    std::vector<double>& importance) {
+  std::size_t n_nodes = 0;
+  std::size_t n_features = 0;
+  CCPRED_REQUIRE(in.numbers(n_nodes, n_features), what << ": missing size line");
+  CCPRED_REQUIRE(n_nodes >= 1 && n_nodes < (1u << 26),
+                 what << ": implausible node count " << n_nodes);
+  CCPRED_REQUIRE(n_nodes <= in.remaining() / kMinNodeBytes,
+                 what << ": node count " << n_nodes << " needs at least "
+                      << n_nodes * kMinNodeBytes << " bytes, "
+                      << in.remaining() << " left");
+  CCPRED_REQUIRE(n_features <= in.remaining() / 2,
+                 what << ": truncated importance record");
+  nodes.resize(n_nodes);
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    TreeNode& node = nodes[i];
+    CCPRED_REQUIRE(in.numbers(node.feature, node.threshold, node.value,
+                              node.left, node.right),
+                   what << ": truncated node record " << i);
+  }
+  importance.resize(n_features);
+  for (auto& v : importance) {
+    CCPRED_REQUIRE(in.number(v), what << ": truncated importance record");
+  }
+}
+
+/// Reads the `count` tree bodies of a GB/RF artifact, checking and
+/// compiling each one as soon as it is parsed; tree t is named
+/// "<file>: <kind> t".
+std::vector<CompiledEnsemble::Tree> read_trees(Reader& in,
+                                               std::string_view file,
+                                               std::string_view kind,
+                                               std::size_t count) {
+  CCPRED_REQUIRE(count >= 1 && count < (1u << 20),
+                 file << ": implausible " << kind << " count " << count);
+  CCPRED_REQUIRE(count <= in.remaining() / kMinTreeBytes,
+                 file << ": " << kind << " count " << count
+                      << " needs at least " << count * kMinTreeBytes
+                      << " bytes, " << in.remaining() << " left");
+  std::vector<CompiledEnsemble::Tree> trees;
+  trees.reserve(count);
+  std::vector<TreeNode> nodes;
+  std::vector<double> importance;
+  for (std::size_t t = 0; t < count; ++t) {
+    const std::string what =
+        std::string(file) + ": " + std::string(kind) + " " + std::to_string(t);
+    read_tree_body(in, what, nodes, importance);
+    check_tree_parts(nodes, importance.size(), what);
+    trees.push_back(CompiledEnsemble::compile_tree(nodes, importance));
+  }
+  return trees;
+}
+
+/// Serialized size of `trees` tree bodies holding `nodes` nodes and
+/// `features` importance values in all, close enough to reserve once: a
+/// node line is ~45 bytes at 17 significant digits.
+std::size_t body_bytes(std::size_t trees, std::size_t nodes,
+                       std::size_t features) {
+  return 16 * trees + 48 * nodes + 25 * features;
+}
+
+std::size_t body_bytes(const CompiledEnsemble& store) {
+  std::size_t features = 0;
+  for (std::size_t t = 0; t < store.tree_count(); ++t) {
+    features += store.raw_importance(t).size();
+  }
+  return body_bytes(store.tree_count(), store.node_count(), features);
 }
 
 void write_gb(Writer& out, const GradientBoostingRegressor& model) {
   out << kGbHeader << '\n'
-      << model.stages().size() << ' ' << model.learning_rate() << ' '
+      << model.stage_count() << ' ' << model.learning_rate() << ' '
       << model.base_prediction() << '\n';
-  for (const auto& tree : model.stages()) write_tree_body(out, tree);
+  write_trees(out, model.compiled());
 }
 
 void write_rf(Writer& out, const RandomForestRegressor& model) {
   out << kRfHeader << '\n' << model.tree_count() << '\n';
-  for (const auto& tree : model.trees()) write_tree_body(out, tree);
+  write_trees(out, model.compiled());
 }
 
 /// Streams an artifact into a temp file beside `path`, named per writer
@@ -230,23 +293,27 @@ ArtifactStamp stream_artifact(const std::string& path, WriteBody write_body) {
 
 std::string serialize_tree(const DecisionTreeRegressor& tree) {
   CCPRED_CHECK_MSG(tree.is_fitted(), "cannot serialize an unfitted tree");
-  Writer out(kTreeHeader.size() + 1 + tree_body_bytes(tree));
+  Writer out(kTreeHeader.size() + 1 +
+             body_bytes(1, tree.nodes().size(), tree.raw_importance().size()));
   out << kTreeHeader << '\n';
-  write_tree_body(out, tree);
+  write_tree_body(out, tree.nodes(), tree.raw_importance());
   return out.take();
 }
 
 DecisionTreeRegressor deserialize_tree(std::string_view text) {
   Reader in(text);
   expect_header(in, kTreeHeader, "tree file");
-  return read_tree_body(in);
+  std::vector<TreeNode> nodes;
+  std::vector<double> importance;
+  read_tree_body(in, "tree file", nodes, importance);
+  // from_parts checks the tree's shape, its messages also naming the file.
+  return DecisionTreeRegressor::from_parts({}, std::move(nodes),
+                                           std::move(importance));
 }
 
 std::string serialize_gb(const GradientBoostingRegressor& model) {
   CCPRED_CHECK_MSG(model.is_fitted(), "cannot serialize an unfitted model");
-  std::size_t bytes = 64;
-  for (const auto& tree : model.stages()) bytes += tree_body_bytes(tree);
-  Writer out(bytes);
+  Writer out(64 + body_bytes(model.compiled()));
   write_gb(out, model);
   return out.take();
 }
@@ -257,26 +324,18 @@ GradientBoostingRegressor deserialize_gb(std::string_view text) {
   std::size_t n_stages = 0;
   double learning_rate = 0.0;
   double base = 0.0;
-  CCPRED_CHECK_MSG(in.numbers(n_stages, learning_rate, base),
-                   "GB model file: missing header line");
-  CCPRED_CHECK_MSG(n_stages >= 1 && n_stages < (1u << 20),
-                   "GB model file: implausible stage count " << n_stages);
-  std::vector<DecisionTreeRegressor> stages;
-  stages.reserve(n_stages);
-  for (std::size_t s = 0; s < n_stages; ++s) {
-    stages.push_back(read_tree_body(in));
-  }
-  return GradientBoostingRegressor::from_parts(learning_rate, base,
-                                               std::move(stages));
+  CCPRED_REQUIRE(in.numbers(n_stages, learning_rate, base),
+                 "GB model file: missing header line");
+  CCPRED_REQUIRE(learning_rate > 0.0 && learning_rate <= 1.0,
+                 "GB model file: learning rate " << learning_rate
+                                                 << " is not in (0, 1]");
+  return GradientBoostingRegressor::from_parts(
+      learning_rate, base, read_trees(in, "GB model file", "stage", n_stages));
 }
 
 std::string serialize_rf(const RandomForestRegressor& model) {
   CCPRED_CHECK_MSG(model.is_fitted(), "cannot serialize an unfitted model");
-  std::size_t bytes = 32;
-  for (std::size_t t = 0; t < model.tree_count(); ++t) {
-    bytes += tree_body_bytes(model.tree(t));
-  }
-  Writer out(bytes);
+  Writer out(32 + body_bytes(model.compiled()));
   write_rf(out, model);
   return out.take();
 }
@@ -285,27 +344,21 @@ RandomForestRegressor deserialize_rf(std::string_view text) {
   Reader in(text);
   expect_header(in, kRfHeader, "RF model file");
   std::size_t n_trees = 0;
-  CCPRED_CHECK_MSG(in.number(n_trees), "RF model file: missing tree count");
-  CCPRED_CHECK_MSG(n_trees >= 1 && n_trees < (1u << 20),
-                   "RF model file: implausible tree count " << n_trees);
-  std::vector<DecisionTreeRegressor> trees;
-  trees.reserve(n_trees);
-  for (std::size_t t = 0; t < n_trees; ++t) {
-    trees.push_back(read_tree_body(in));
-  }
-  return RandomForestRegressor::from_parts(std::move(trees));
+  CCPRED_REQUIRE(in.number(n_trees), "RF model file: missing tree count");
+  return RandomForestRegressor::from_parts(
+      read_trees(in, "RF model file", "tree", n_trees));
 }
 
 std::string read_artifact(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
-  CCPRED_CHECK_MSG(in.good(), "cannot open model file: " << path);
+  CCPRED_REQUIRE(in.good(), "cannot open model file: " << path);
   const std::streamoff size = in.tellg();
-  CCPRED_CHECK_MSG(size >= 0, "cannot size model file: " << path);
+  CCPRED_REQUIRE(size >= 0, "cannot size model file: " << path);
   std::string bytes(static_cast<std::size_t>(size), '\0');
   in.seekg(0);
   in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  CCPRED_CHECK_MSG(in.gcount() == static_cast<std::streamsize>(bytes.size()),
-                   "I/O error reading model file: " << path);
+  CCPRED_REQUIRE(in.gcount() == static_cast<std::streamsize>(bytes.size()),
+                 "I/O error reading model file: " << path);
   return bytes;
 }
 

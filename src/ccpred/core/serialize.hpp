@@ -9,7 +9,21 @@
 /// Format: line-oriented ASCII, whitespace-separated decimal numbers,
 /// doubles at 17 significant digits ("%.17g", so every double round-trips
 /// exactly). Versioned header; loaders validate structure and throw
-/// ccpred::Error on malformed input.
+/// ccpred::Error on malformed input. An artifact comes from outside the
+/// program, so a loader's message names the record that failed ("GB model
+/// file: stage 3: truncated node record 5") and carries no checked
+/// expression or source path, and every count read from the file is
+/// bounded by the bytes left before anything is sized by it.
+///
+/// A GB or RF model keeps its trees only in its CompiledEnsemble: the
+/// loader compiles each tree as it parses it, and the writer reads each
+/// tree back out of the store in the builder's depth-first pre-order (node
+/// i's left child is i + 1), writing every leaf as `-1 0 <value> -1 -1`.
+/// A fitted model's trees are in that form already, so its bytes
+/// round-trip exactly. A hand-made artifact whose trees are valid but not
+/// in that form (children numbered in another order, or leaves carrying
+/// other fields) loads and predicts the same, and re-serializes in the
+/// canonical form.
 ///
 /// The writer formats with std::to_chars and the reader parses with
 /// std::from_chars over one buffer, both linear in the artifact size. The

@@ -128,10 +128,12 @@ ModelHandle ModelRegistry::first_load_locked(const std::string& machine,
     const std::string bytes = read_artifact_locked(path);
     return install_locked(machine, kind, path, parse_model(kind, bytes),
                           fnv1a64(bytes), now_ns);
-  } catch (const std::exception&) {
-    // First load failed — there is no last-good model to degrade to.
+  } catch (const std::exception& e) {
+    // First load failed — there is no last-good model to degrade to. The
+    // message reaches the client, so it names the model it was loading.
     ++reload_failures_;
-    throw;
+    throw Error("cannot load model " + machine + "/" + kind + ": " +
+                e.what());
   }
 }
 

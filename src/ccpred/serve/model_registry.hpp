@@ -159,7 +159,8 @@ class ModelRegistry {
                              std::uint64_t hash, std::int64_t mtime_ns);
 
   /// Loads (machine, kind) with no last-good entry to fall back on: a
-  /// failure is counted and rethrown.
+  /// failure is counted and rethrown as a ccpred::Error naming the model
+  /// ("cannot load model aurora/gb: ...").
   ModelHandle first_load_locked(const std::string& machine,
                                 const std::string& kind,
                                 const std::string& path);

@@ -265,7 +265,7 @@ TEST(SerializeTest, MalformedInputThrows) {
 
   // One-stage GB artifacts (the daemon's format) over 4 features whose
   // nodes do not form a pre-order tree: loading one must throw, not loop
-  // in the flattener or serve reads past the row.
+  // in the tree compiler or serve reads past the row.
   const std::string stage = "ccpred-gb-v1\n1 0.1 5\n";
   const std::string importance = "0 0 0 0\n";
   const std::pair<const char*, std::string> bad_trees[] = {
@@ -277,6 +277,13 @@ TEST(SerializeTest, MalformedInputThrows) {
        "-1 0 5 -1 -1\n"},
       {"split feature past the importance width",
        "3 4\n4 0.5 1 1 2\n-1 0 2 -1 -1\n-1 0 3 -1 -1\n"},
+      // A node no parent points to would be compiled past the tree's
+      // exact node allocation.
+      {"orphan leaf", "4 4\n0 0.5 1 1 2\n-1 0 2 -1 -1\n-1 0 3 -1 -1\n"
+                      "-1 0 4 -1 -1\n"},
+      {"orphan subtree",
+       "6 4\n0 0.5 1 1 2\n-1 0 2 -1 -1\n-1 0 3 -1 -1\n1 0.5 4 4 5\n"
+       "-1 0 5 -1 -1\n-1 0 6 -1 -1\n"},
   };
   for (const auto& [what, tree] : bad_trees) {
     EXPECT_THROW(ml::deserialize_gb(stage + tree + importance), Error) << what;

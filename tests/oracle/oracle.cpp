@@ -9,6 +9,7 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/rng.hpp"
+#include "ccpred/core/compiled_ensemble.hpp"
 #include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/linalg/blas.hpp"
 #include "ccpred/sim/noise.hpp"
@@ -175,20 +176,37 @@ ml::DecisionTreeRegressor exact_tree(const linalg::Matrix& x,
                                                std::move(ctx.importance));
 }
 
-ml::GradientBoostingRegressor exact_gb(const linalg::Matrix& x,
-                                       const std::vector<double>& y,
-                                       int n_estimators, double learning_rate,
-                                       const ml::TreeOptions& tree_options) {
+namespace {
+
+std::vector<ml::CompiledEnsemble::Tree> compile_all(
+    const std::vector<ml::DecisionTreeRegressor>& trees) {
+  std::vector<ml::CompiledEnsemble::Tree> out;
+  for (const auto& tree : trees) {
+    out.push_back(ml::CompiledEnsemble::compile_tree(tree.nodes(),
+                                                     tree.raw_importance()));
+  }
+  return out;
+}
+
+}  // namespace
+
+ml::GradientBoostingRegressor ExactGb::model() const {
+  return ml::GradientBoostingRegressor::from_parts(
+      learning_rate, base_prediction, compile_all(stages));
+}
+
+ExactGb exact_gb(const linalg::Matrix& x, const std::vector<double>& y,
+                 int n_estimators, double learning_rate,
+                 const ml::TreeOptions& tree_options) {
   const std::size_t n = x.rows();
-  double base_prediction = 0.0;
-  for (double v : y) base_prediction += v;
-  base_prediction /= static_cast<double>(n);
+  ExactGb gb;
+  gb.learning_rate = learning_rate;
+  for (double v : y) gb.base_prediction += v;
+  gb.base_prediction /= static_cast<double>(n);
 
   std::vector<double> residual(n);
-  for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - base_prediction;
+  for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - gb.base_prediction;
 
-  std::vector<ml::DecisionTreeRegressor> stages;
-  stages.reserve(static_cast<std::size_t>(n_estimators));
   std::vector<std::size_t> all_rows(n);
   for (std::size_t i = 0; i < n; ++i) all_rows[i] = i;
   for (int stage = 0; stage < n_estimators; ++stage) {
@@ -197,17 +215,32 @@ ml::GradientBoostingRegressor exact_gb(const linalg::Matrix& x,
     exec::parallel_for(0, n, [&](std::size_t i) {
       residual[i] -= learning_rate * tree.predict_row(x.row_ptr(i));
     });
-    stages.push_back(std::move(tree));
+    gb.stages.push_back(std::move(tree));
   }
-  return ml::GradientBoostingRegressor::from_parts(
-      learning_rate, base_prediction, std::move(stages));
+  return gb;
 }
 
-ml::RandomForestRegressor exact_rf(const linalg::Matrix& x,
-                                   const std::vector<double>& y,
-                                   int n_estimators,
-                                   const ml::TreeOptions& tree_options,
-                                   bool bootstrap, std::uint64_t seed) {
+// Both walks start on a cache line, as DecisionTreeRegressor::predict_row
+// does, so a bench timing them reads the same wherever they are linked.
+[[gnu::aligned(64)]] std::vector<double> gb_walk(const ExactGb& gb,
+                                                 const linalg::Matrix& x) {
+  std::vector<double> out(x.rows(), gb.base_prediction);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const double* row = x.row_ptr(i);
+    double s = 0.0;
+    for (const auto& tree : gb.stages) s += tree.predict_row(row);
+    out[i] += gb.learning_rate * s;
+  }
+  return out;
+}
+
+ml::RandomForestRegressor ExactRf::model() const {
+  return ml::RandomForestRegressor::from_parts(compile_all(trees));
+}
+
+ExactRf exact_rf(const linalg::Matrix& x, const std::vector<double>& y,
+                 int n_estimators, const ml::TreeOptions& tree_options,
+                 bool bootstrap, std::uint64_t seed) {
   const auto n = static_cast<std::size_t>(n_estimators);
   Rng seeder(seed);
   std::vector<std::uint64_t> tree_seeds(n);
@@ -215,14 +248,15 @@ ml::RandomForestRegressor exact_rf(const linalg::Matrix& x,
 
   std::vector<std::size_t> all_rows(x.rows());
   for (std::size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
-  std::vector<ml::DecisionTreeRegressor> trees(n);
+  ExactRf forest;
+  forest.trees.resize(n);
   exec::parallel_for(0, n, [&](std::size_t t) {
     Rng rng(tree_seeds[t]);
-    trees[t] = exact_tree(x, y,
-                          bootstrap ? rng.bootstrap_indices(x.rows()) : all_rows,
-                          tree_options);
+    forest.trees[t] = exact_tree(
+        x, y, bootstrap ? rng.bootstrap_indices(x.rows()) : all_rows,
+        tree_options);
   });
-  return ml::RandomForestRegressor::from_parts(std::move(trees));
+  return forest;
 }
 
 linalg::Matrix cholesky_left_looking(const linalg::Matrix& a) {
@@ -249,9 +283,9 @@ linalg::Matrix cholesky_left_looking(const linalg::Matrix& a) {
   return l;
 }
 
-std::vector<double> forest_walk(const ml::RandomForestRegressor& forest,
-                                const linalg::Matrix& x) {
-  const auto& trees = forest.trees();
+[[gnu::aligned(64)]] std::vector<double> forest_walk(
+    const ExactRf& forest, const linalg::Matrix& x) {
+  const auto& trees = forest.trees;
   std::vector<double> out(x.rows(), 0.0);
   for (std::size_t i = 0; i < x.rows(); ++i) {
     const double* row = x.row_ptr(i);

@@ -14,15 +14,17 @@
 ///  * exact_tree — the exact CART builder that sorts (value, target) pairs
 ///    of every feature at every node, and exact_gb / exact_rf, the boosting
 ///    loop and the forest assembled from it (bitwise: equal serialize_*);
-///  * forest_walk — a random forest's per-row tree walk (bitwise);
+///  * gb_walk and forest_walk — a boosted model's and a forest's per-row
+///    tree walk over exact_gb's and exact_rf's own trees, which never enter
+///    a CompiledEnsemble: the reference of its batch and row kernels
+///    (bitwise);
 ///  * campaign_labels — a campaign's targets simulated from scratch, one
 ///    iteration_time per row (bitwise);
 ///  * ReferenceGp — the per-candidate / per-row Gaussian process
 ///    (relative 1e-9).
 ///
-/// Gradient boosting's inference needs no oracle code: predict_staged over
-/// every stage is its tree walk. Neither does a sweep:
-/// CcsdSimulator::iteration_time is the simulation engine's oracle.
+/// A sweep needs no oracle code: CcsdSimulator::iteration_time is the
+/// simulation engine's oracle.
 
 #include <cstdint>
 #include <memory>
@@ -53,25 +55,43 @@ ml::DecisionTreeRegressor exact_tree(const linalg::Matrix& x,
                                      const std::vector<std::size_t>& rows,
                                      const ml::TreeOptions& options);
 
+/// A boosted model kept as separate trees.
+struct ExactGb {
+  double base_prediction = 0.0;
+  double learning_rate = 0.0;
+  std::vector<ml::DecisionTreeRegressor> stages;
+
+  /// The library model holding compiled copies of these stages.
+  ml::GradientBoostingRegressor model() const;
+};
+
 /// GradientBoostingRegressor(n_estimators, learning_rate, tree_options)
 /// .fit(x, y) with exact_tree stages on every row, and residuals updated by
 /// walking each new tree over every row.
-ml::GradientBoostingRegressor exact_gb(const linalg::Matrix& x,
-                                       const std::vector<double>& y,
-                                       int n_estimators, double learning_rate,
-                                       const ml::TreeOptions& tree_options);
+ExactGb exact_gb(const linalg::Matrix& x, const std::vector<double>& y,
+                 int n_estimators, double learning_rate,
+                 const ml::TreeOptions& tree_options);
+
+/// The boosted prediction as base + rate * (sum of the stages' walks).
+std::vector<double> gb_walk(const ExactGb& gb, const linalg::Matrix& x);
+
+/// A forest kept as separate trees.
+struct ExactRf {
+  std::vector<ml::DecisionTreeRegressor> trees;
+
+  /// The library forest holding compiled copies of these trees.
+  ml::RandomForestRegressor model() const;
+};
 
 /// RandomForestRegressor(n_estimators, tree_options, bootstrap, seed)
 /// .fit(x, y) with exact_tree members: the same per-tree bootstrap draws,
 /// trees trained in parallel.
-ml::RandomForestRegressor exact_rf(const linalg::Matrix& x,
-                                   const std::vector<double>& y,
-                                   int n_estimators,
-                                   const ml::TreeOptions& tree_options,
-                                   bool bootstrap, std::uint64_t seed);
+ExactRf exact_rf(const linalg::Matrix& x, const std::vector<double>& y,
+                 int n_estimators, const ml::TreeOptions& tree_options,
+                 bool bootstrap, std::uint64_t seed);
 
 /// The forest's prediction as the mean of its members' tree walks.
-std::vector<double> forest_walk(const ml::RandomForestRegressor& forest,
+std::vector<double> forest_walk(const ExactRf& forest,
                                 const linalg::Matrix& x);
 
 /// The targets data::generate_dataset must produce for `dataset`'s rows

@@ -1,7 +1,9 @@
 // Serialization robustness: bit-for-bit round trips for the tree-family
-// models (GB and RF) on random inputs, negative tests proving that
-// corrupted artifacts fail through CCPRED_CHECK rather than reading
-// uninitialized structure, and the atomic replace behind save_gb/save_rf.
+// models (GB and RF) on random inputs, the canonical form the writer emits,
+// negative tests proving that corrupted artifacts throw ccpred::Error,
+// naming the record, rather than reading uninitialized structure or sizing
+// by a count the file cannot hold, and the atomic replace behind
+// save_gb/save_rf.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ccpred/common/error.hpp"
@@ -33,6 +36,17 @@ linalg::Matrix random_queries(std::size_t n, std::uint64_t seed) {
     for (std::size_t c = 0; c < 3; ++c) x(i, c) = rng.uniform(-3.0, 3.0);
   }
   return x;
+}
+
+/// The message a load throws, or "" when it succeeds.
+template <typename Load>
+std::string load_error(Load load) {
+  try {
+    load();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 GradientBoostingRegressor small_gb(std::uint64_t seed = 7) {
@@ -56,6 +70,50 @@ TEST(SerializeGbTest, RoundTripPredictsBitForBitOnRandomInputs) {
       EXPECT_EQ(expect[i], got[i]) << "seed " << seed << " row " << i;
     }
   }
+}
+
+TEST(SerializeGbTest, HandMadeTreesReserializeInCanonicalForm) {
+  // Valid trees need not be in the builder's form: here the root's right
+  // child is numbered first and two leaves carry stray fields. The models
+  // load and predict from what the nodes mean, and the writer, reading
+  // each tree out of the store, emits the builder's depth-first form
+  // (left child i + 1, leaves "-1 0 <value> -1 -1"), which predicts the
+  // same and is a fixed point.
+  const std::string body =
+      "5 2\n"
+      "0 0.5 3 4 1\n"
+      "1 2.5 7 2 3\n"
+      "-1 0 10 -1 -1\n"
+      "-7 9.5 20 3 3\n"
+      "-1 1 30 0 0\n"
+      "0.25 0.75\n";
+  const std::string canonical =
+      "5 2\n"
+      "0 0.5 3 1 2\n"
+      "-1 0 30 -1 -1\n"
+      "1 2.5 7 3 4\n"
+      "-1 0 10 -1 -1\n"
+      "-1 0 20 -1 -1\n"
+      "0.25 0.75\n";
+  linalg::Matrix x(4, 2);
+  const double rows[4][2] = {
+      {0.0, 0.0}, {1.0, 2.0}, {1.0, 3.0}, {std::nan(""), 0.0}};
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t c = 0; c < 2; ++c) x(i, c) = rows[i][c];
+  }
+
+  const std::string gb_header = "ccpred-gb-v1\n1 0.5 1\n";
+  const auto gb = deserialize_gb(gb_header + body);
+  EXPECT_EQ(gb.predict(x), (std::vector<double>{16.0, 6.0, 11.0, 6.0}));
+  EXPECT_EQ(serialize_gb(gb), gb_header + canonical);
+  const auto gb_again = deserialize_gb(gb_header + canonical);
+  EXPECT_EQ(gb_again.predict(x), gb.predict(x));
+  EXPECT_EQ(serialize_gb(gb_again), gb_header + canonical);
+
+  const std::string rf_header = "ccpred-rf-v1\n1\n";
+  const auto rf = deserialize_rf(rf_header + body);
+  EXPECT_EQ(rf.predict(x), (std::vector<double>{30.0, 10.0, 20.0, 10.0}));
+  EXPECT_EQ(serialize_rf(rf), rf_header + canonical);
 }
 
 TEST(SerializeGbTest, SerializationIsAFixedPoint) {
@@ -186,6 +244,61 @@ TEST(SerializeNegativeTest, NegativeCountsThrow) {
   EXPECT_THROW(deserialize_tree("ccpred-tree-v1\n1 99999999999\n"
                                 "-1 0 1.5 -1 -1\n"),
                Error);
+  // So must every other count: a 32-byte artifact may not size 67 million
+  // nodes (2 GiB) before finding them missing, nor reserve a million
+  // stages or trees. A node record takes at least 10 bytes, a tree body 14.
+  EXPECT_EQ(load_error([] {
+              deserialize_gb("ccpred-gb-v1\n1 0.1 5\n67108000 0\n");
+            }),
+            "GB model file: stage count 1 needs at least 14 bytes, 12 left");
+  EXPECT_EQ(load_error([] {
+              deserialize_gb(
+                  "ccpred-gb-v1\n1 0.1 5\n67108000 0\n-1 0 5 -1 -1\n");
+            }),
+            "GB model file: stage 0: node count 67108000 needs at least "
+            "671080000 bytes, 14 left");
+  EXPECT_EQ(load_error([] { deserialize_tree("ccpred-tree-v1\n67108000 0\n"); }),
+            "tree file: node count 67108000 needs at least 671080000 bytes, "
+            "1 left");
+  EXPECT_EQ(load_error([] { deserialize_gb("ccpred-gb-v1\n1000000 0.1 5\n"); }),
+            "GB model file: stage count 1000000 needs at least 14000000 "
+            "bytes, 1 left");
+  EXPECT_EQ(load_error([] { deserialize_rf("ccpred-rf-v1\n1000000\n"); }),
+            "RF model file: tree count 1000000 needs at least 14000000 bytes, "
+            "1 left");
+}
+
+TEST(SerializeNegativeTest, MessagesNameTheRecordNotTheSource) {
+  // An artifact is input from outside the program: a loader's message
+  // names the stage or tree and the node that failed, never a checked
+  // expression or a source path.
+  const std::string gb_cut =
+      "ccpred-gb-v1\n2 0.1 5\n1 0\n-1 0 2 -1 -1\n"
+      "3 0\n0 0.5 1 1 2\n-1 0 2 -1 -1\n-1 0 3";
+  const std::string rf_loop =
+      "ccpred-rf-v1\n1\n3 4\n0 0.5 1 1 2\n1 0.5 2 0 2\n-1 0 3 -1 -1\n"
+      "0 0 0 0\n";
+  const std::string gb_rate = "ccpred-gb-v1\n1 5 5\n1 0\n-1 0 2 -1 -1\n";
+  const std::string gb_orphan =
+      "ccpred-gb-v1\n1 0.1 5\n4 4\n0 0.5 1 1 2\n-1 0 2 -1 -1\n"
+      "-1 0 3 -1 -1\n-1 0 4 -1 -1\n0 0 0 0\n";
+  const std::string tree_orphan =
+      "ccpred-tree-v1\n2 1\n-1 0 1 -1 -1\n-1 0 2 -1 -1\n0\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {load_error([&] { deserialize_gb(gb_cut); }),
+       "GB model file: stage 1: truncated node record 2"},
+      {load_error([&] { deserialize_rf(rf_loop); }),
+       "RF model file: tree 0: node 1 has child 0 before it"},
+      {load_error([&] { deserialize_gb(gb_rate); }),
+       "GB model file: learning rate 5 is not in (0, 1]"},
+      {load_error([&] { deserialize_gb(gb_orphan); }),
+       "GB model file: stage 0: node 3 has no parent"},
+      {load_error([&] { deserialize_tree(tree_orphan); }),
+       "tree file: node 1 has no parent"},
+      {load_error([] { deserialize_rf("ccpred-gb-v1\n1\n"); }),
+       "not a ccpred RF model file"},
+  };
+  for (const auto& [got, expect] : cases) EXPECT_EQ(got, expect);
 }
 
 // ------------------------------------------------------------ golden bytes

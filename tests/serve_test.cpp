@@ -527,6 +527,44 @@ TEST(ServerTest, ErrorsComeBackAsResponsesAndAreCounted) {
   EXPECT_EQ(f.server->stats().errors, 2u);
 }
 
+TEST(ServerTest, CorruptArtifactIsAnsweredNamingTheModelAndRecord) {
+  // A truncated artifact and no last-good model to fall back on: the
+  // answer is an internal error that names the model and the record that
+  // failed, with no checked expression and no source path.
+  const auto dir = scratch_dir("corrupt_artifact");
+  ModelRegistry registry(dir);
+  {
+    std::ofstream out(registry.artifact_path("aurora", "gb"));
+    out << "ccpred-gb-v1\n1 0.1 5\n3 4\n0 0.5 1 1 2\n-1 0 2 -1 -1\n-1 0 3";
+  }
+  Server server(registry, ServeOptions{});
+  Request req;
+  req.op = Op::kStq;
+  req.o = 44;
+  req.v = 260;
+  const auto r = server.handle(req);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, "internal");
+  EXPECT_EQ(r.error,
+            "cannot load model aurora/gb: GB model file: stage 0: truncated "
+            "node record 2");
+  EXPECT_EQ(registry.reload_failures(), 1u);
+
+  // A well-formed model wider than the rows loads, and the sweep is
+  // refused the same way.
+  {
+    std::ofstream out(registry.artifact_path("frontier", "gb"));
+    out << "ccpred-gb-v1\n1 0.1 5\n3 10\n9 0.5 1 1 2\n-1 0 2 -1 -1\n"
+           "-1 0 3 -1 -1\n0 0 0 0 0 0 0 0 0 0\n";
+  }
+  req.machine = "frontier";
+  const auto wide = server.handle(req);
+  EXPECT_FALSE(wide.ok);
+  EXPECT_EQ(wide.code, "internal");
+  EXPECT_EQ(wide.error,
+            "batch rows have 4 columns; the model splits on feature 9");
+}
+
 TEST(ServerTest, JobEstimatesMatchTheSimulator) {
   ServerFixture f;
   Request req;

@@ -1,6 +1,7 @@
 // Property tests for the tree-ensemble engine: bit-identity of the
 // presorted exact builder against the oracle's per-node-sort builder, and
-// bit-identity of CompiledEnsemble batch inference against the tree walk.
+// bit-identity of CompiledEnsemble batch inference against the oracle's
+// tree walk over trees that never entered a store.
 
 #include <gtest/gtest.h>
 
@@ -160,7 +161,8 @@ TEST_P(PresortedOracle, GbIsBitIdenticalToPerNodeSortBoosting) {
   GradientBoostingRegressor gb(30, 0.1, opt);
   gb.fit(data.x, data.y);
   EXPECT_EQ(ml::serialize_gb(gb),
-            ml::serialize_gb(oracle::exact_gb(data.x, data.y, 30, 0.1, opt)));
+            ml::serialize_gb(
+                oracle::exact_gb(data.x, data.y, 30, 0.1, opt).model()));
 }
 
 TEST_P(PresortedOracle, RfIsBitIdenticalToPerNodeSortForest) {
@@ -171,7 +173,8 @@ TEST_P(PresortedOracle, RfIsBitIdenticalToPerNodeSortForest) {
     rf.fit(data.x, data.y);
     EXPECT_EQ(ml::serialize_rf(rf),
               ml::serialize_rf(oracle::exact_rf(data.x, data.y, 12, opt,
-                                                bootstrap, GetParam().seed)))
+                                                bootstrap, GetParam().seed)
+                                   .model()))
         << "bootstrap " << bootstrap;
   }
 }
@@ -231,6 +234,10 @@ TEST(PresortedOracleEdges, NonFiniteInputsAreRejected) {
 
 // ---------- compiled inference bit-identity ----------
 
+// The references below walk the oracle's own exact trees, which equal the
+// library's fits (PresortedOracle) but never enter a CompiledEnsemble, so
+// the store is checked against trees it did not produce.
+
 class CompiledBitIdentity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CompiledBitIdentity, GbPredictIsBitIdenticalToWalk) {
@@ -243,7 +250,8 @@ TEST_P(CompiledBitIdentity, GbPredictIsBitIdenticalToWalk) {
   gb.fit(train.x, train.y);
 
   const auto compiled = gb.predict(query.x);
-  const auto walk = gb.predict_staged(query.x, gb.stage_count());
+  const auto walk =
+      oracle::gb_walk(oracle::exact_gb(train.x, train.y, 60, 0.1, opt), query.x);
   ASSERT_EQ(compiled.size(), walk.size());
   for (std::size_t i = 0; i < walk.size(); ++i) {
     EXPECT_EQ(compiled[i], walk[i]) << "row " << i;  // bitwise, not NEAR
@@ -264,7 +272,8 @@ TEST_P(CompiledBitIdentity, RfPredictIsBitIdenticalToWalk) {
   rf.fit(train.x, train.y);
 
   const auto compiled = rf.predict(query.x);
-  const auto walk = oracle::forest_walk(rf, query.x);
+  const auto walk = oracle::forest_walk(
+      oracle::exact_rf(train.x, train.y, 30, opt, true, seed), query.x);
   ASSERT_EQ(compiled.size(), walk.size());
   for (std::size_t i = 0; i < walk.size(); ++i) {
     EXPECT_EQ(compiled[i], walk[i]) << "row " << i;
@@ -311,8 +320,10 @@ TEST(CompiledEnsembleTest, BlockBoundarySizesAllAgree) {
   rf.fit(train.x, train.y);
 
   const auto query = test::make_nonlinear(8193, 0.1, 91);
-  const auto gb_walk = gb.predict_staged(query.x, gb.stage_count());
-  const auto rf_walk = oracle::forest_walk(rf, query.x);
+  const auto gb_walk = oracle::gb_walk(
+      oracle::exact_gb(train.x, train.y, 25, 0.1, {}), query.x);
+  const auto rf_walk = oracle::forest_walk(
+      oracle::exact_rf(train.x, train.y, 10, rf_opt, true, 55), query.x);
   std::vector<double> out(query.x.rows());
   for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 15u, 16u, 17u,
                               31u, 32u, 33u, 63u, 64u, 65u, 100u, 257u, 4095u,
@@ -326,13 +337,51 @@ TEST(CompiledEnsembleTest, BlockBoundarySizesAllAgree) {
   }
 }
 
+TEST(CompiledEnsembleTest, NanFeaturesFollowTheWalk) {
+  // A NaN feature value fails every `<=`, so the walk takes the right
+  // child at each split on it. The batch kernel has no NaN pre-scan: its
+  // leaves absorb a NaN like any other value, so rows holding NaN in any
+  // column, and rows of NaN alone, match the walk bit for bit.
+  const auto train = test::make_nonlinear(300, 0.1, 23);
+  const TreeOptions opt{.max_depth = 6};
+  GradientBoostingRegressor gb(30, 0.1, opt);
+  gb.fit(train.x, train.y);
+  RandomForestRegressor rf(12, opt, true, 23);
+  rf.fit(train.x, train.y);
+
+  auto query = test::make_nonlinear(257, 0.1, 24);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t i = 0; i < query.x.rows(); ++i) {
+    if (i % 3 == 0) query.x(i, i % query.x.cols()) = nan;
+    if (i % 17 == 0) {
+      for (std::size_t c = 0; c < query.x.cols(); ++c) query.x(i, c) = nan;
+    }
+  }
+  const auto gb_walk = oracle::gb_walk(
+      oracle::exact_gb(train.x, train.y, 30, 0.1, opt), query.x);
+  const auto rf_walk = oracle::forest_walk(
+      oracle::exact_rf(train.x, train.y, 12, opt, true, 23), query.x);
+  const auto gb_out = gb.predict(query.x);
+  const auto rf_out = rf.predict(query.x);
+  for (std::size_t i = 0; i < query.x.rows(); ++i) {
+    EXPECT_EQ(gb_out[i], gb_walk[i]) << "GB row " << i;
+    EXPECT_EQ(rf_out[i], rf_walk[i]) << "RF row " << i;
+    EXPECT_EQ(gb.compiled().predict_row(query.x.row_ptr(i)), gb_walk[i])
+        << "GB row " << i;
+    EXPECT_EQ(rf.compiled().predict_row(query.x.row_ptr(i)), rf_walk[i])
+        << "RF row " << i;
+  }
+}
+
 TEST(CompiledEnsembleTest, CountsMatchSourceModel) {
   const auto train = test::make_nonlinear(200, 0.1, 66);
   GradientBoostingRegressor gb(15, 0.1, {});
   gb.fit(train.x, train.y);
+  const auto exact = oracle::exact_gb(train.x, train.y, 15, 0.1, {});
   std::size_t nodes = 0;
-  for (const auto& t : gb.stages()) nodes += t.node_count();
-  EXPECT_EQ(gb.compiled().tree_count(), gb.stage_count());
+  for (const auto& t : exact.stages) nodes += t.node_count();
+  EXPECT_EQ(gb.compiled().tree_count(), exact.stages.size());
+  EXPECT_EQ(gb.stage_count(), exact.stages.size());
   EXPECT_EQ(gb.compiled().node_count(), nodes);
 }
 
