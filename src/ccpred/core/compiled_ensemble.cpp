@@ -11,9 +11,10 @@ namespace ccpred::ml {
 namespace {
 /// Rows per block. The dominant cost of batch prediction is streaming the
 /// ensemble's nodes (which exceed L2 for paper-sized models) once per
-/// block, so the block is made large: the row data, index and accumulator
-/// scratch (~44 bytes/row) still fit comfortably in L2 while the ensemble
-/// is re-streamed n_rows / kRowBlock times instead of per row.
+/// block, so the block is made large: the row copy, index and accumulator
+/// scratch (~52 bytes/row for the paper's four features) still fit
+/// comfortably in L2 while the ensemble is re-streamed n_rows / kRowBlock
+/// times instead of per row.
 constexpr std::size_t kRowBlock = 4096;
 }  // namespace
 
@@ -22,14 +23,13 @@ CompiledEnsemble::Tree CompiledEnsemble::compile_tree(
   const auto n = static_cast<std::int32_t>(nodes.size());
   Tree tree;
   tree.nodes_.resize(nodes.size());
-  tree.value_.resize(nodes.size());
+  tree.split_value_.resize(nodes.size() / 2);
   tree.importance_ = std::move(raw_importance);
 
   // Breadth-first renumbering: a parent takes the next two free slots for
   // its left and right child, so siblings land adjacent and the top
   // levels — shared by every row's descent — pack into few cache lines.
   // A slot not yet compiled holds its source index in `left`.
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   tree.nodes_[0].left = 0;
   std::int32_t next = 1;       // next free slot
   std::int32_t level_end = 1;  // one past the last slot of the current level
@@ -39,14 +39,14 @@ CompiledEnsemble::Tree CompiledEnsemble::compile_tree(
       level_end = next;
     }
     const TreeNode& src = nodes[tree.nodes_[q].left];
-    tree.value_[q] = src.value;
     if (src.is_leaf()) {
-      tree.nodes_[q] = TravNode{kNaN, 0, q - 1};
+      tree.nodes_[q] = TravNode{src.value, 0, q - 1};
       continue;
     }
     tree.nodes_[next].left = src.left;
     tree.nodes_[next + 1].left = src.right;
-    tree.nodes_[q] = TravNode{src.threshold, src.feature, next};
+    tree.split_value_[(next - 1) / 2] = src.value;
+    tree.nodes_[q] = TravNode{src.threshold, src.feature + 1, next};
     next += 2;
   }
   return tree;
@@ -57,12 +57,8 @@ CompiledEnsemble::CompiledEnsemble(std::vector<Tree> trees, double bias,
     : trees_(std::move(trees)), bias_(bias), scale_(scale), mean_(mean) {
   CCPRED_CHECK_MSG(!trees_.empty(), "cannot compile an empty ensemble");
   for (const Tree& tree : trees_) {
-    for (std::size_t q = 0; q < tree.nodes_.size(); ++q) {
-      const TravNode& nd = tree.nodes_[q];
-      if (nd.left != static_cast<std::int32_t>(q) - 1) {
-        min_cols_ =
-            std::max(min_cols_, static_cast<std::size_t>(nd.tfeat) + 1);
-      }
+    for (const TravNode& nd : tree.nodes_) {
+      min_cols_ = std::max(min_cols_, static_cast<std::size_t>(nd.tfeat));
     }
   }
 }
@@ -89,12 +85,21 @@ void CompiledEnsemble::predict_batch(const double* x, std::size_t n_rows,
   CCPRED_REQUIRE(n_cols >= min_cols_,
                  "batch rows have " << n_cols << " columns; the model "
                                     << "splits on feature " << min_cols_ - 1);
+  // Each block's rows are copied with a NaN column in front, the one a
+  // leaf's feature slot 0 reads, and only as wide as the model reads.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t stride = min_cols_ + 1;
+  std::vector<double> rows(std::min(kRowBlock, n_rows) * stride);
   std::vector<std::int32_t> idx(std::min(kRowBlock, n_rows));
   std::vector<double> acc(std::min(kRowBlock, n_rows));
   for (std::size_t block = 0; block < n_rows; block += kRowBlock) {
     const std::size_t bn = std::min(kRowBlock, n_rows - block);
+    const double* src = x + block * n_cols;
+    for (std::size_t i = 0; i < bn; ++i, src += n_cols) {
+      rows[i * stride] = kNaN;
+      std::copy_n(src, min_cols_, rows.data() + i * stride + 1);
+    }
     std::fill(acc.begin(), acc.begin() + static_cast<std::ptrdiff_t>(bn), 0.0);
-    const double* base = x + block * n_cols;
     // Tree-major over the block: one tree's nodes stay hot while every row
     // of the block descends it. The descent is level-synchronous — all
     // rows advance one step per pass for the tree's full depth (leaves
@@ -103,17 +108,16 @@ void CompiledEnsemble::predict_batch(const double* x, std::size_t n_rows,
     // accumulate per row in tree order, matching the walk bit-for-bit.
     for (const Tree& tree : trees_) {
       const TravNode* nodes = tree.nodes_.data();
-      const double* value = tree.value_.data();
       std::fill(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(bn), 0);
       for (std::int32_t d = 0; d < tree.depth_; ++d) {
-        const double* row = base;
-        for (std::size_t i = 0; i < bn; ++i, row += n_cols) {
+        const double* row = rows.data();
+        for (std::size_t i = 0; i < bn; ++i, row += stride) {
           const TravNode& nd = nodes[idx[i]];
           idx[i] = nd.left +
                    static_cast<std::int32_t>(!(row[nd.tfeat] <= nd.threshold));
         }
       }
-      for (std::size_t i = 0; i < bn; ++i) acc[i] += value[idx[i]];
+      for (std::size_t i = 0; i < bn; ++i) acc[i] += nodes[idx[i]].threshold;
     }
     double* o = out + block;
     if (mean_) {
@@ -145,11 +149,12 @@ double CompiledEnsemble::predict_row(const double* row,
     std::int32_t idx = 0;
     // Stops at the leaf, so a NaN feature value takes the right child at
     // every internal node — exactly the walk's comparison semantics.
-    while (nodes[idx].left != idx - 1) {
+    while (nodes[idx].tfeat != 0) {
       const TravNode& nd = nodes[idx];
-      idx = nd.left + static_cast<std::int32_t>(!(row[nd.tfeat] <= nd.threshold));
+      idx = nd.left +
+            static_cast<std::int32_t>(!(row[nd.tfeat - 1] <= nd.threshold));
     }
-    acc += trees_[t].value_[idx];
+    acc += nodes[idx].threshold;
   }
   if (mean_) return acc / static_cast<double>(trees);
   return bias_ + scale_ * acc;
@@ -190,14 +195,13 @@ void CompiledEnsemble::preorder(std::size_t t,
     const auto pos = static_cast<std::int32_t>(out.size());
     if (parent >= 0) out[parent].right = pos;
     const TravNode& nd = tree.nodes_[q];
-    const double value = tree.value_[q];
-    if (nd.left == q - 1) {
-      out.push_back(TreeNode{.value = value});
+    if (nd.tfeat == 0) {
+      out.push_back(TreeNode{.value = nd.threshold});
       continue;
     }
-    out.push_back(TreeNode{.feature = nd.tfeat,
+    out.push_back(TreeNode{.feature = nd.tfeat - 1,
                            .threshold = nd.threshold,
-                           .value = value,
+                           .value = tree.split_value_[(nd.left - 1) / 2],
                            .left = pos + 1});
     stack.push_back({nd.left + 1, pos});
     stack.push_back({nd.left, -1});

@@ -9,11 +9,13 @@
 /// reads the trees back out in the builder's depth-first order
 /// (preorder()).
 /// Each tree is one Tree block: its nodes renumbered breadth-first in one
-/// exact allocation (16 bytes each), the nodes' values in another (8 bytes
-/// each, internal nodes' too, because the artifact writes them), and its
-/// raw per-feature importance. Batch prediction walks row-blocks
-/// tree-major: for each tree, all rows of the block descend while that
-/// tree's nodes are hot in cache.
+/// exact allocation of 16-byte nodes, a leaf holding its value in place of
+/// a threshold; the internal nodes' values in another (8 bytes each; only
+/// the artifact writes them); and its raw per-feature importance. That is
+/// about 20 bytes a node, since a binary tree has one internal node fewer
+/// than it has leaves. Batch prediction walks row-blocks tree-major: for
+/// each tree, all rows of the block descend while that tree's nodes are
+/// hot in cache.
 ///
 /// Predictions are bit-identical to the tree walk: per row, leaf values
 /// accumulate in the same tree order with the same comparisons, and the
@@ -35,15 +37,18 @@ class CompiledEnsemble {
   /// One traversal node, packed to 16 bytes (4 per cache line) so each
   /// descent step costs three loads: the node pair, and one row value.
   /// Breadth-first numbering makes siblings adjacent, so only the left
-  /// child is stored and a step goes to left + !(x <= threshold). A leaf
-  /// stores left = self - 1 and a NaN threshold: no comparison with NaN
-  /// holds, so every step from a leaf lands on the leaf itself, whatever
-  /// the row holds (a NaN feature too). The batch loop therefore runs a
-  /// fixed per-tree step count with no per-row termination branch — the
-  /// independent chases across a row block overlap in the memory pipeline.
+  /// child is stored and a step goes to left + !(x <= threshold). An
+  /// internal node stores its split feature plus one, because the batch
+  /// kernel reads rows with a NaN column in front; a leaf stores feature
+  /// slot 0, left = self - 1 and its value in the threshold slot. No
+  /// comparison with NaN holds, so every step from a leaf lands on the
+  /// leaf itself, and a row's leaf value is the threshold of the node it
+  /// rests on. The batch loop therefore runs a fixed per-tree step count
+  /// with no per-row termination branch — the independent chases across a
+  /// row block overlap in the memory pipeline.
   struct TravNode {
-    double threshold;    ///< go left if x[tfeat] <= threshold; NaN for leaves
-    std::int32_t tfeat;  ///< split feature (0 for leaves)
+    double threshold;    ///< go left if x[tfeat - 1] <= threshold; leaf value
+    std::int32_t tfeat;  ///< split feature + 1; 0 for leaves
     std::int32_t left;   ///< index of the left child (self - 1 for leaves)
   };
   static_assert(sizeof(TravNode) == 16, "four nodes per cache line");
@@ -56,7 +61,10 @@ class CompiledEnsemble {
     friend class CompiledEnsemble;
     /// Cache-line aligned, so each 16-byte node sits inside one line.
     AlignedVector<TravNode> nodes_;
-    std::vector<double> value_;       ///< per node, leaves and internal
+    /// The internal nodes' values, dense: the node whose children sit at
+    /// left and left + 1 holds split_value_[(left - 1) / 2], because
+    /// compile_tree hands out child pairs in slot order from slot 1.
+    std::vector<double> split_value_;
     std::vector<double> importance_;  ///< raw per-feature gain sums
     std::int32_t depth_ = 0;          ///< descent steps from the root
   };

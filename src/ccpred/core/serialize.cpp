@@ -29,7 +29,9 @@ constexpr std::string_view kRfHeader = "ccpred-rf-v1";
 ///
 /// With a file sink the string is one chunk: flush_if_full() writes it to
 /// the sink once it holds kChunkBytes, and every flushed chunk continues
-/// the FNV-1a hash, so finish() returns fnv1a64 of the whole file.
+/// the FNV-1a hash, so finish() returns fnv1a64 of the whole file. The
+/// chunk is small because its buffer outlives the save: once freed, it
+/// stays resident in the saving thread's malloc arena.
 class Writer {
  public:
   explicit Writer(std::size_t reserve) { out_.reserve(reserve); }
@@ -72,7 +74,7 @@ class Writer {
   std::string take() { return std::move(out_); }
 
  private:
-  static constexpr std::size_t kChunkBytes = 256 * 1024;
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
 
   void flush() {
     hash_ = fnv1a64(out_, hash_);

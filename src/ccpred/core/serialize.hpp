@@ -32,7 +32,7 @@
 /// counts.
 ///
 /// serialize_* build the artifact in one string. save_* stream it instead:
-/// the same writer flushes into the temp file about every 256 KiB, hashing
+/// the same writer flushes into the temp file about every 64 KiB, hashing
 /// each chunk as it goes, so a save holds one chunk rather than the whole
 /// artifact and returns the file's ArtifactStamp without reading it back.
 

@@ -13,7 +13,18 @@ bool is_pow2(std::size_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
 }  // namespace
 
-Arena::Arena(std::size_t capacity_bytes) : buffer_(capacity_bytes) {}
+void Arena::FreeBuffer::operator()(unsigned char* p) const noexcept {
+  ::operator delete(p, std::align_val_t{kCacheLineAlign});
+}
+
+// Raw operator new, not a container: nothing writes the buffer until an
+// allocation hands part of it out, so untouched pages are never faulted in.
+Arena::Arena(std::size_t capacity_bytes)
+    : buffer_(capacity_bytes == 0
+                  ? nullptr
+                  : static_cast<unsigned char*>(::operator new(
+                        capacity_bytes, std::align_val_t{kCacheLineAlign}))),
+      capacity_(capacity_bytes) {}
 
 Arena::~Arena() { reset(); }
 
@@ -22,20 +33,20 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   if (align < kCacheLineAlign) align = kCacheLineAlign;
 
   const std::size_t aligned_off = (offset_ + align - 1) & ~(align - 1);
-  // buffer_.data() is kCacheLineAlign-aligned, and align is a multiple of
+  // buffer_ is kCacheLineAlign-aligned, and align is a multiple of
   // it only when align <= kCacheLineAlign; for larger alignments align the
   // absolute address instead of the offset.
-  if (align <= kCacheLineAlign && aligned_off <= buffer_.size() &&
-      bytes <= buffer_.size() - aligned_off) {
-    void* p = buffer_.data() + aligned_off;
+  if (align <= kCacheLineAlign && aligned_off <= capacity_ &&
+      bytes <= capacity_ - aligned_off) {
+    void* p = buffer_.get() + aligned_off;
     offset_ = aligned_off + bytes;
     return p;
   }
-  if (align > kCacheLineAlign && !buffer_.empty()) {
-    const auto base = reinterpret_cast<std::uintptr_t>(buffer_.data());
+  if (align > kCacheLineAlign && buffer_ != nullptr) {
+    const auto base = reinterpret_cast<std::uintptr_t>(buffer_.get());
     const std::uintptr_t want = (base + offset_ + align - 1) & ~(align - 1);
     const std::size_t off = static_cast<std::size_t>(want - base);
-    if (off <= buffer_.size() && bytes <= buffer_.size() - off) {
+    if (off <= capacity_ && bytes <= capacity_ - off) {
       offset_ = off + bytes;
       return reinterpret_cast<void*>(want);
     }

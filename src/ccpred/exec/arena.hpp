@@ -13,12 +13,17 @@
 /// need to size the arena exactly — an undersized arena is only slower,
 /// never wrong.
 ///
+/// The buffer is never initialized, so an arena faults in only the pages
+/// its callers write: capacity a task never reaches costs address space,
+/// not memory.
+///
 /// Arenas are single-owner: one task (or one parallel_for chunk) uses one
 /// arena at a time. Nothing is destroyed on reset, so only trivially
 /// destructible element types may live in arena storage.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -29,7 +34,8 @@ namespace ccpred::exec {
 class Arena {
  public:
   /// Default buffer: big enough for a typical tree-fit or batch-grouping
-  /// scratch set without being wasteful per worker.
+  /// scratch set. The arena never touches the headroom a task leaves
+  /// unused, so a generous default costs no memory per worker.
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
   explicit Arena(std::size_t capacity_bytes = kDefaultCapacity);
@@ -60,13 +66,17 @@ class Arena {
   /// sequence after reset() returns the same in-buffer pointers.
   void reset();
 
-  std::size_t capacity() const { return buffer_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return offset_; }
   /// Cumulative count of allocations that did not fit the buffer.
   std::uint64_t heap_fallbacks() const { return heap_fallbacks_; }
 
  private:
-  AlignedVector<unsigned char> buffer_;
+  struct FreeBuffer {
+    void operator()(unsigned char* p) const noexcept;
+  };
+  std::unique_ptr<unsigned char[], FreeBuffer> buffer_;  // uninitialized
+  std::size_t capacity_ = 0;
   std::size_t offset_ = 0;
   std::vector<std::pair<void*, std::size_t>> overflow_;  // (ptr, align)
   std::uint64_t heap_fallbacks_ = 0;

@@ -7,11 +7,14 @@
 /// shuffle-injection determinism suite for every loop on the layer
 /// (campaign generation, STQ/BQ sweeps, RF and GB fits, the GP fit and
 /// predictive variances, cross-validation, grid search, query by
-/// committee), Arena edge cases, and the kDefaultShards derivation shared
-/// by SimCache and SweepCache — including behavior at non-default shard
-/// counts.
+/// committee), Arena edge cases and page residency, and the kDefaultShards
+/// derivation shared by SimCache and SweepCache — including behavior at
+/// non-default shard counts.
 
 #include <gtest/gtest.h>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -714,6 +717,39 @@ TEST(ArenaTest, OverCapacityFallsBackToHeap) {
   EXPECT_EQ(arena.used(), 0u);
   ASSERT_NE(arena.allocate(4096), nullptr);
   EXPECT_EQ(arena.heap_fallbacks(), 2u);
+}
+
+TEST(ArenaTest, BufferPagesAreResidentOnlyOnceWritten) {
+  // 64 MiB is above glibc's largest mmap threshold (32 MiB), so the buffer
+  // is always a fresh mapping, whose pages become resident only when
+  // written. The slack covers the allocator's own writes (a sanitizer
+  // fills the first 4 KiB of a block).
+  constexpr std::size_t kBytes = std::size_t{64} << 20;
+  constexpr std::size_t kSlack = 4;
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  Arena arena(kBytes);
+  const auto start = reinterpret_cast<std::uintptr_t>(arena.allocate(kBytes));
+  ASSERT_EQ(arena.heap_fallbacks(), 0u);
+  // The whole pages inside the buffer; mincore takes a page-aligned start.
+  auto* first =
+      reinterpret_cast<unsigned char*>((start + page - 1) / page * page);
+  const std::size_t pages = ((start + kBytes) / page * page -
+                             reinterpret_cast<std::uintptr_t>(first)) / page;
+  // A transparent huge page would make one write fault in 2 MiB.
+  ::madvise(first, pages * page, MADV_NOHUGEPAGE);
+  const auto resident = [&] {
+    std::vector<unsigned char> state(pages);
+    EXPECT_EQ(::mincore(first, pages * page, state.data()), 0);
+    return static_cast<std::size_t>(std::count_if(
+        state.begin(), state.end(), [](unsigned char v) { return v & 1; }));
+  };
+  EXPECT_LE(resident(), kSlack) << "of " << pages << " pages";
+  for (const std::size_t p : {pages / 4, pages / 2, pages - 1}) {
+    first[p * page] = 1;
+  }
+  const std::size_t touched = resident();
+  EXPECT_GE(touched, 3u);
+  EXPECT_LE(touched, 3 + kSlack);
 }
 
 TEST(ArenaTest, ResetReplaysIdenticalPointerSequence) {

@@ -398,7 +398,7 @@ fs::path fresh_dir(const std::string& name) {
 }
 
 TEST(ArtifactWriteTest, StreamedSaveWritesSerializedBytesAndStampsThem) {
-  // Models big enough that the streaming writer flushes several 256 KiB
+  // Models big enough that the streaming writer flushes several 64 KiB
   // chunks: each file holds exactly serialize_*'s bytes, and the stamp
   // carries the hash the registry would compute from the file and the
   // file's mtime, so a publisher never needs to read its artifact back.
@@ -419,7 +419,7 @@ TEST(ArtifactWriteTest, StreamedSaveWritesSerializedBytesAndStampsThem) {
   for (const auto& [path, stamp, expect] : saved) {
     SCOPED_TRACE(path);
     const std::string bytes = read_artifact(path);
-    EXPECT_GT(bytes.size(), 2u * 256 * 1024);
+    EXPECT_GT(bytes.size(), 8u * 64 * 1024);
     EXPECT_EQ(bytes, expect);
     EXPECT_EQ(stamp.content_hash, fnv1a64(bytes));
     EXPECT_EQ(stamp.mtime, fs::last_write_time(path));

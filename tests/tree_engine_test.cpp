@@ -11,6 +11,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ccpred/core/compiled_ensemble.hpp"
@@ -337,11 +338,30 @@ TEST(CompiledEnsembleTest, BlockBoundarySizesAllAgree) {
   }
 }
 
+/// Writes NaN, +inf and -inf into `x`: single cells in some rows, whole
+/// rows in others.
+void plant_non_finite(linalg::Matrix& x) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    if (i % 3 == 0) x(i, i % x.cols()) = nan;
+    if (i % 5 == 1) x(i, (i / 5) % x.cols()) = inf;
+    if (i % 7 == 2) x(i, (i / 7) % x.cols()) = -inf;
+    for (const auto& [period, value] :
+         {std::pair{17u, nan}, std::pair{19u, inf}, std::pair{23u, -inf}}) {
+      if (i % period != 0) continue;
+      for (std::size_t c = 0; c < x.cols(); ++c) x(i, c) = value;
+    }
+  }
+}
+
 TEST(CompiledEnsembleTest, NanFeaturesFollowTheWalk) {
   // A NaN feature value fails every `<=`, so the walk takes the right
-  // child at each split on it. The batch kernel has no NaN pre-scan: its
-  // leaves absorb a NaN like any other value, so rows holding NaN in any
-  // column, and rows of NaN alone, match the walk bit for bit.
+  // child at each split on it; +inf goes right and -inf left like any
+  // large value. The batch kernel has no NaN pre-scan: its leaves step on
+  // the NaN column it prepends to each row, whatever the row holds, so
+  // rows holding NaN or an infinity in any column, and rows of one of
+  // them alone, match the walk bit for bit.
   const auto train = test::make_nonlinear(300, 0.1, 23);
   const TreeOptions opt{.max_depth = 6};
   GradientBoostingRegressor gb(30, 0.1, opt);
@@ -350,13 +370,7 @@ TEST(CompiledEnsembleTest, NanFeaturesFollowTheWalk) {
   rf.fit(train.x, train.y);
 
   auto query = test::make_nonlinear(257, 0.1, 24);
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (std::size_t i = 0; i < query.x.rows(); ++i) {
-    if (i % 3 == 0) query.x(i, i % query.x.cols()) = nan;
-    if (i % 17 == 0) {
-      for (std::size_t c = 0; c < query.x.cols(); ++c) query.x(i, c) = nan;
-    }
-  }
+  plant_non_finite(query.x);
   const auto gb_walk = oracle::gb_walk(
       oracle::exact_gb(train.x, train.y, 30, 0.1, opt), query.x);
   const auto rf_walk = oracle::forest_walk(
@@ -371,6 +385,56 @@ TEST(CompiledEnsembleTest, NanFeaturesFollowTheWalk) {
     EXPECT_EQ(rf.compiled().predict_row(query.x.row_ptr(i)), rf_walk[i])
         << "RF row " << i;
   }
+}
+
+TEST(CompiledEnsembleTest, LeafOnlyTreesMatchTheWalkAndRoundTrip) {
+  // A constant target leaves nothing to split: every GB stage fits zero
+  // residuals and every forest member the constant, each as one leaf at
+  // depth 0. The batch kernel then takes no step and reads the root, and
+  // predict_row stops at it, on finite rows and non-finite ones alike.
+  auto train = test::make_nonlinear(120, 0.1, 29);
+  std::fill(train.y.begin(), train.y.end(), 3.25);
+  GradientBoostingRegressor gb(8, 0.1, {});
+  gb.fit(train.x, train.y);
+  RandomForestRegressor rf(6, {}, true, 29);
+  rf.fit(train.x, train.y);
+  ASSERT_EQ(gb.compiled().node_count(), 8u);
+  ASSERT_EQ(rf.compiled().node_count(), 6u);
+
+  auto query = test::make_nonlinear(60, 0.1, 30);
+  plant_non_finite(query.x);
+  const auto gb_walk = oracle::gb_walk(
+      oracle::exact_gb(train.x, train.y, 8, 0.1, {}), query.x);
+  const auto rf_walk = oracle::forest_walk(
+      oracle::exact_rf(train.x, train.y, 6, {}, true, 29), query.x);
+  const auto gb_out = gb.predict(query.x);
+  const auto rf_out = rf.predict(query.x);
+  for (std::size_t i = 0; i < query.x.rows(); ++i) {
+    EXPECT_EQ(gb_out[i], gb_walk[i]) << "GB row " << i;
+    EXPECT_EQ(rf_out[i], rf_walk[i]) << "RF row " << i;
+    EXPECT_EQ(gb.compiled().predict_row(query.x.row_ptr(i)), gb_walk[i])
+        << "GB row " << i;
+    EXPECT_EQ(rf.compiled().predict_row(query.x.row_ptr(i)), rf_walk[i])
+        << "RF row " << i;
+  }
+  EXPECT_EQ(rf_out[0], 3.25);
+
+  // The writer reads each leaf back out of its node: the canonical leaf
+  // record, once per member, and the same bytes after a load.
+  const auto leaves = [](const std::string& text, const std::string& leaf) {
+    std::size_t count = 0;
+    for (auto at = text.find(leaf); at != std::string::npos;
+         at = text.find(leaf, at + 1)) {
+      ++count;
+    }
+    return count;
+  };
+  const std::string gb_bytes = ml::serialize_gb(gb);
+  const std::string rf_bytes = ml::serialize_rf(rf);
+  EXPECT_EQ(leaves(gb_bytes, "\n-1 0 0 -1 -1\n"), 8u);
+  EXPECT_EQ(leaves(rf_bytes, "\n-1 0 3.25 -1 -1\n"), 6u);
+  EXPECT_EQ(ml::serialize_gb(ml::deserialize_gb(gb_bytes)), gb_bytes);
+  EXPECT_EQ(ml::serialize_rf(ml::deserialize_rf(rf_bytes)), rf_bytes);
 }
 
 TEST(CompiledEnsembleTest, CountsMatchSourceModel) {
