@@ -7,19 +7,18 @@
 /// every `new` anywhere in the process is observed, and the live heap
 /// bytes behind them: each allocation and each free is sized the same way,
 /// by malloc_usable_size, so the live count returns exactly to where it
-/// was. Two allocation-count workloads, each run from scratch (the
-/// reference) and through the fast engine:
+/// was. Two allocation-count workloads, one call each as the programs
+/// make it, batched (the fast path) against a from-scratch reference:
 ///
-///   - campaign generation: the figure pipeline's generate_dataset, where
-///     the fast path batches through the memoized SimEngine and keeps its
+///   - campaign generation: one generate_dataset call, which simulates the
+///     campaign's rows in one batch and keeps the batch's dedupe and
 ///     grouping scratch in a per-thread Arena; the reference labels the
 ///     same rows with the oracle's campaign_labels, one from-scratch
 ///     simulation per row
-///   - STQ/BQ true-optima sweeps across evaluation rounds: the fast engine
-///     serves repeat rounds from its ShardedMemoCache instead of
-///     re-simulating (and re-allocating) every round; the reference runs
-///     one from-scratch iteration_time per swept point, round and
-///     objective
+///   - STQ/BQ true-optima sweeps: one true_optima_sweeps call per
+///     objective, each one batch that builds one task graph per
+///     (O, V, tile); the reference runs one from-scratch iteration_time
+///     per swept point and objective
 ///
 /// and one footprint: the heap bytes a daemon-default GB fit keeps live
 /// once it returns (the serving registry's default campaign for aurora,
@@ -32,7 +31,11 @@
 /// about 80.
 ///
 /// Gates (exit nonzero on failure):
-///   - fast allocates >= 5x fewer times than reference on both workloads
+///   - fast allocates >= 4x fewer times than reference on the campaign
+///     (about 4.5x; a dedupe that stops collapsing its repeats reads
+///     1.6-1.8x, a task graph built per configuration 2.8-3.0x) and
+///     >= 1.5x fewer on the sweeps (about 2.0-2.4x; a task graph per
+///     configuration reads 1.0x)
 ///   - fast results bit-identical (operator==) to the reference results
 ///   - the GB fit keeps <= 22 live heap bytes per node
 ///
@@ -61,7 +64,6 @@
 #include "ccpred/data/problems.hpp"
 #include "ccpred/guidance/optimal.hpp"
 #include "ccpred/serve/model_registry.hpp"
-#include "ccpred/sim/sim_engine.hpp"
 #include "oracle/oracle.hpp"
 
 // ---------------------------------------------------------------------------
@@ -147,8 +149,7 @@ int main() {
       "== Executor-layer allocation counts (aurora, %zu threads%s) ==\n\n",
       threads, fast_mode ? ", fast mode" : "");
 
-  // ---- workload A: campaign generation ----
-  const int regens = 2;
+  // ---- workload A: campaign generation, one call ----
   const auto campaign_problems =
       fast_mode ? bench::smallest_problems(problems, 6) : problems;
   data::GeneratorOptions opt;
@@ -156,56 +157,37 @@ int main() {
   opt.target_total = fast_mode ? data::paper_total_rows("aurora") / 4
                                : data::paper_total_rows("aurora");
 
-  // The campaign's rows (not counted), which the reference labels from
-  // scratch.
-  const data::Dataset rows =
-      data::generate_dataset(simulator, campaign_problems, opt);
+  data::Dataset campaign;
+  const std::uint64_t campaign_fast_allocs = allocations_of([&] {
+    campaign = data::generate_dataset(simulator, campaign_problems, opt);
+  });
+  // The reference labels the campaign's own rows from scratch.
   std::vector<double> ref_labels;
   const std::uint64_t campaign_ref_allocs = allocations_of([&] {
-    for (int r = 0; r < regens; ++r) {
-      ref_labels = oracle::campaign_labels(simulator, rows, opt.seed);
-    }
-  });
-
-  data::GeneratorOptions fast_opt = opt;
-  sim::SimEngine shared_engine(simulator);
-  fast_opt.shared_engine = &shared_engine;
-
-  data::Dataset fast_campaign;
-  const std::uint64_t campaign_fast_allocs = allocations_of([&] {
-    for (int r = 0; r < regens; ++r) {
-      fast_campaign =
-          data::generate_dataset(simulator, campaign_problems, fast_opt);
-    }
+    ref_labels = oracle::campaign_labels(simulator, campaign, opt.seed);
   });
   const double campaign_ratio =
       static_cast<double>(campaign_ref_allocs) /
       static_cast<double>(std::max<std::uint64_t>(1, campaign_fast_allocs));
   const bool campaign_identical =
-      bench::campaign_matches(fast_campaign, rows, ref_labels);
+      bench::campaign_matches(campaign, campaign, ref_labels);
 
-  // ---- workload B: STQ/BQ true-optima sweeps across rounds ----
-  const int rounds = 4;
+  // ---- workload B: STQ then BQ true-optima sweep, one call each ----
   const auto sweep_problems =
       bench::smallest_problems(problems, fast_mode ? 3 : 6);
 
-  sim::SimEngine fast_engine(simulator);
   std::vector<guide::TrueOptimaSweep> fast_stq, fast_bq;
   const std::uint64_t sweep_fast_allocs = allocations_of([&] {
-    for (int r = 0; r < rounds; ++r) {
-      fast_stq = guide::true_optima_sweeps(fast_engine, sweep_problems,
-                                           guide::Objective::kShortestTime);
-      fast_bq = guide::true_optima_sweeps(fast_engine, sweep_problems,
-                                          guide::Objective::kNodeHours);
-    }
+    fast_stq = guide::true_optima_sweeps(simulator, sweep_problems,
+                                         guide::Objective::kShortestTime);
+    fast_bq = guide::true_optima_sweeps(simulator, sweep_problems,
+                                        guide::Objective::kNodeHours);
   });
 
   std::vector<double> ref_stq, ref_bq;
   const std::uint64_t sweep_ref_allocs = allocations_of([&] {
-    for (int r = 0; r < rounds; ++r) {
-      ref_stq = bench::reference_times(simulator, fast_stq);
-      ref_bq = bench::reference_times(simulator, fast_bq);
-    }
+    ref_stq = bench::reference_times(simulator, fast_stq);
+    ref_bq = bench::reference_times(simulator, fast_bq);
   });
   const double sweep_ratio =
       static_cast<double>(sweep_ref_allocs) /
@@ -237,32 +219,35 @@ int main() {
 
   TextTable table({"workload", "path", "allocations", "ratio"},
                   "Global operator-new counts");
-  table.add_row({"campaign x2", "reference",
+  table.add_row({"campaign", "reference",
                  std::to_string(campaign_ref_allocs), "1.0x"});
-  table.add_row({"campaign x2", "fast (arena+cache)",
+  table.add_row({"campaign", "batched (arena)",
                  std::to_string(campaign_fast_allocs),
                  TextTable::cell(campaign_ratio, 1) + "x"});
-  table.add_row({"STQ/BQ sweep x4", "reference",
+  table.add_row({"STQ+BQ sweep", "reference",
                  std::to_string(sweep_ref_allocs), "1.0x"});
-  table.add_row({"STQ/BQ sweep x4", "fast (memoized)",
+  table.add_row({"STQ+BQ sweep", "batched",
                  std::to_string(sweep_fast_allocs),
                  TextTable::cell(sweep_ratio, 1) + "x"});
   table.print();
 
-  const bool campaign_ok = campaign_ratio >= 5.0;
-  const bool sweep_ok = sweep_ratio >= 5.0;
+  constexpr double kMinCampaignRatio = 4.0;
+  constexpr double kMinSweepRatio = 1.5;
+  const bool campaign_ok = campaign_ratio >= kMinCampaignRatio;
+  const bool sweep_ok = sweep_ratio >= kMinSweepRatio;
   const bool identical_ok = campaign_identical && sweep_identical;
   constexpr double kMaxBytesPerNode = 22.0;
   const bool footprint_ok = gb_bytes_per_node <= kMaxBytesPerNode;
   std::printf(
-      "\ncampaign rows %zu x%d regens\n"
-      "campaign allocation ratio %.1fx (target >= 5x): %s\n"
-      "STQ/BQ sweep allocation ratio %.1fx (target >= 5x): %s\n"
+      "\ncampaign rows %zu\n"
+      "campaign allocation ratio %.1fx (target >= %.1fx): %s\n"
+      "STQ+BQ sweep allocation ratio %.1fx (target >= %.1fx): %s\n"
       "fast vs reference bit-identity (campaign %s, sweeps %s): %s\n"
       "GB fit (%d stages, %zu rows) keeps %lld heap bytes for %zu nodes: "
       "%.2f B per node (target <= %.0f): %s\n",
-      rows.size(), regens, campaign_ratio,
-      campaign_ok ? "PASS" : "FAIL", sweep_ratio, sweep_ok ? "PASS" : "FAIL",
+      campaign.size(), campaign_ratio, kMinCampaignRatio,
+      campaign_ok ? "PASS" : "FAIL", sweep_ratio, kMinSweepRatio,
+      sweep_ok ? "PASS" : "FAIL",
       campaign_identical ? "yes" : "NO", sweep_identical ? "yes" : "NO",
       identical_ok ? "PASS" : "FAIL", daemon.gb_estimators,
       daemon_campaign.size(), static_cast<long long>(gb_live_bytes), gb_nodes,
@@ -277,10 +262,10 @@ int main() {
         "  \"machine\": \"aurora\",\n"
         "  \"fast_mode\": %s,\n"
         "  \"threads\": %zu,\n"
-        "  \"campaign\": {\"rows\": %zu, \"regens\": %d,\n"
+        "  \"campaign\": {\"rows\": %zu,\n"
         "    \"reference_allocations\": %llu, \"fast_allocations\": %llu,\n"
         "    \"ratio\": %.3f, \"identical\": %s},\n"
-        "  \"sweeps\": {\"problems\": %zu, \"rounds\": %d,\n"
+        "  \"sweeps\": {\"problems\": %zu,\n"
         "    \"reference_allocations\": %llu, \"fast_allocations\": %llu,\n"
         "    \"ratio\": %.3f, \"identical\": %s},\n"
         "  \"gb_footprint\": {\"stages\": %d, \"rows\": %zu, \"nodes\": %zu,\n"
@@ -289,10 +274,10 @@ int main() {
         "  \"pass\": %s,\n"
         "  \"provenance\": %s\n"
         "}\n",
-        fast_mode ? "true" : "false", threads, rows.size(), regens,
+        fast_mode ? "true" : "false", threads, campaign.size(),
         static_cast<unsigned long long>(campaign_ref_allocs),
         static_cast<unsigned long long>(campaign_fast_allocs), campaign_ratio,
-        campaign_identical ? "true" : "false", sweep_problems.size(), rounds,
+        campaign_identical ? "true" : "false", sweep_problems.size(),
         static_cast<unsigned long long>(sweep_ref_allocs),
         static_cast<unsigned long long>(sweep_fast_allocs), sweep_ratio,
         sweep_identical ? "true" : "false", daemon.gb_estimators,

@@ -77,21 +77,9 @@ class LruCache {
     }
   }
 
-  /// True when `key` is present. Neither counters nor recency are touched —
-  /// the probe the sharded memo cache's first-writer-wins insert needs.
-  bool contains(const K& key) const { return index_.find(key) != index_.end(); }
-
   std::size_t size() const { return index_.size(); }
   std::size_t capacity() const { return capacity_; }
   const CacheCounters& counters() const { return counters_; }
-
-  void clear() {
-    order_.clear();
-    index_.clear();
-  }
-
-  /// Zeroes the hit/miss/eviction counters (entries are untouched).
-  void reset_counters() { counters_ = CacheCounters{}; }
 
   /// Erases every entry whose key satisfies `pred`; returns how many were
   /// dropped. Targeted invalidation (e.g. a promoted model dropping its

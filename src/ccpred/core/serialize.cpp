@@ -370,10 +370,6 @@ ArtifactStamp save_rf(const RandomForestRegressor& model,
   return stream_artifact(path, [&](Writer& out) { write_rf(out, model); });
 }
 
-RandomForestRegressor load_rf(const std::string& path) {
-  return deserialize_rf(read_artifact(path));
-}
-
 ArtifactStamp save_gb(const GradientBoostingRegressor& model,
                       const std::string& path) {
   CCPRED_CHECK_MSG(model.is_fitted(), "cannot serialize an unfitted model");

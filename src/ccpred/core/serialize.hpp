@@ -86,14 +86,13 @@ std::string serialize_rf(const RandomForestRegressor& model);
 /// bit-identically to the original.
 RandomForestRegressor deserialize_rf(std::string_view text);
 
-/// Convenience: write/read an RF model file (streamed and atomic, as
-/// save_gb).
+/// Convenience: write an RF model file (streamed and atomic, as save_gb).
+/// Readers parse read_artifact's bytes with deserialize_rf.
 ArtifactStamp save_rf(const RandomForestRegressor& model,
                       const std::string& path);
-RandomForestRegressor load_rf(const std::string& path);
 
 /// The whole file at `path` in one read, for callers that both hash and
-/// parse an artifact (load_gb/load_rf are deserialize_* of this).
+/// parse an artifact (load_gb is deserialize_gb of this).
 std::string read_artifact(const std::string& path);
 
 }  // namespace ccpred::ml

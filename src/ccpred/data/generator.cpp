@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "ccpred/common/error.hpp"
-#include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/sim/contraction.hpp"
+#include "ccpred/sim/sim_engine.hpp"
 
 namespace ccpred::data {
 namespace {
@@ -77,9 +78,6 @@ Dataset generate_dataset(const sim::CcsdSimulator& simulator,
                          const std::vector<Problem>& problems,
                          const GeneratorOptions& options) {
   CCPRED_CHECK_MSG(!problems.empty(), "need at least one problem");
-  CCPRED_CHECK_MSG(options.shared_engine == nullptr ||
-                       &options.shared_engine->simulator() == &simulator,
-                   "shared engine must wrap the campaign's simulator");
 
   // Per problem, the campaign sweeps a modest grid of node counts and tile
   // sizes (batch queues are expensive) and measures configurations
@@ -110,8 +108,9 @@ Dataset generate_dataset(const sim::CcsdSimulator& simulator,
                          << " V=" << p.v);
   }
 
-  // Rows per problem: equal shares of the target (largest-remainder), or
-  // one measurement per configuration when no target is set.
+  // Rows per problem: equal shares of the target (the first
+  // target_total mod P problems take one more), or one measurement per
+  // configuration when no target is set.
   std::vector<std::size_t> quota(problems.size());
   if (options.target_total == 0) {
     for (std::size_t pi = 0; pi < problems.size(); ++pi) {
@@ -125,62 +124,42 @@ Dataset generate_dataset(const sim::CcsdSimulator& simulator,
     }
   }
 
-  // Label every configuration's repeat series through the engine. Each
-  // configuration draws from its own measurement stream (seeded on
-  // (campaign seed, config)), so the values do not depend on evaluation
-  // order or thread count.
-  sim::SimEngine local_engine(simulator);
-  sim::SimEngine& engine =
-      options.shared_engine ? *options.shared_engine : local_engine;
-
-  struct Item {
-    std::size_t problem = 0;
-    std::size_t config = 0;
-    int reps = 0;
-  };
-  std::vector<Item> items;
-  std::vector<std::vector<std::vector<double>>> series(problems.size());
-  for (std::size_t pi = 0; pi < problems.size(); ++pi) {
-    const std::size_t n = per_problem[pi].size();
-    series[pi].resize(n);
-    // Round-robin repeat counts: row k of the problem goes to config k % n,
-    // so config ci gets ceil/floor(quota / n) repeats.
-    const std::size_t base = quota[pi] / n;
-    const std::size_t rem = quota[pi] % n;
-    for (std::size_t ci = 0; ci < n; ++ci) {
-      const int reps = static_cast<int>(base + (ci < rem ? 1 : 0));
-      if (reps > 0) items.push_back(Item{pi, ci, reps});
-    }
-  }
-
-  // Warm the noise-free cache in one batch (task-graph reuse across node
-  // counts), then draw the per-config noise series in parallel.
-  std::vector<sim::RunConfig> all;
-  all.reserve(items.size());
-  for (const auto& it : items) all.push_back(per_problem[it.problem][it.config]);
-  engine.simulate_batch(all);
-  const auto label = [&](std::size_t i) {
-    const auto& it = items[i];
-    series[it.problem][it.config] = engine.measured_series(
-        per_problem[it.problem][it.config], options.seed, it.reps);
-  };
-  // Each item draws only from its own config's measurement stream, so the
-  // fan-out is order-independent (the determinism suite shuffles it).
-  if (items.size() >= sim::kMinParallelBatch) {
-    exec::parallel_for(0, items.size(), label);
-  } else {
-    for (std::size_t i = 0; i < items.size(); ++i) label(i);
-  }
-
-  // Emit rows round-robin so repeat counts differ by at most one across a
+  // The campaign's rows, round-robin per problem: row k goes to
+  // configuration k mod n, so repeat counts differ by at most one across a
   // problem's configurations (the balanced campaign protocol).
-  Dataset out;
+  std::vector<sim::RunConfig> rows;
+  rows.reserve(std::accumulate(quota.begin(), quota.end(), std::size_t{0}));
   for (std::size_t pi = 0; pi < problems.size(); ++pi) {
     const auto& configs = per_problem[pi];
     for (std::size_t k = 0; k < quota[pi]; ++k) {
-      const std::size_t ci = k % configs.size();
-      out.add(configs[ci], series[pi][ci][k / configs.size()]);
+      rows.push_back(configs[k % configs.size()]);
     }
+  }
+
+  // One batched simulation of the whole campaign: the batch dedupes the
+  // repeats and builds one task graph per (O, V, tile).
+  const std::vector<double> times = sim::simulate_batch(simulator, rows);
+
+  // Row k of a configuration is its k-th draw from its own measurement
+  // stream (seeded on (campaign seed, config)), so the values do not
+  // depend on evaluation order or thread count.
+  Dataset out;
+  std::size_t first = 0;  // the problem's first row
+  for (std::size_t pi = 0; pi < problems.size(); ++pi) {
+    const auto& configs = per_problem[pi];
+    const std::size_t n = configs.size();
+    std::vector<std::vector<double>> series(std::min(n, quota[pi]));
+    for (std::size_t ci = 0; ci < series.size(); ++ci) {
+      const int reps =
+          static_cast<int>(quota[pi] / n + (ci < quota[pi] % n ? 1 : 0));
+      series[ci] = sim::measured_series(simulator.machine(),
+                                        times[first + ci], options.seed,
+                                        configs[ci], reps);
+    }
+    for (std::size_t k = 0; k < quota[pi]; ++k) {
+      out.add(rows[first + k], series[k % n][k / n]);
+    }
+    first += quota[pi];
   }
   return out;
 }

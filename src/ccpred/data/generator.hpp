@@ -12,21 +12,20 @@
 #include "ccpred/data/dataset.hpp"
 #include "ccpred/data/problems.hpp"
 #include "ccpred/sim/ccsd_simulator.hpp"
-#include "ccpred/sim/sim_engine.hpp"
 
 namespace ccpred::data {
 
 /// Campaign parameters.
 struct GeneratorOptions {
   std::uint64_t seed = 2025;
-  /// Total rows to generate; every configuration is measured at least once
-  /// and surplus rows are repeated (independent-noise) measurements.
-  /// 0 means "one measurement per feasible configuration".
+  /// Total rows to generate, split equally across the problems (the first
+  /// target_total mod P of the P problems get one row more). Row k of a
+  /// problem measures its configuration k mod n, in ascending (nodes,
+  /// tile) order: a problem whose share is below its n configurations
+  /// never measures its largest node counts, and rows past n are repeated
+  /// (independent-noise) measurements. 0 means "one measurement per
+  /// feasible configuration".
   std::size_t target_total = 0;
-  /// Optional externally owned engine (must wrap `simulator`); lets a
-  /// figure pipeline share one SimCache across campaign regenerations and
-  /// sweeps. nullptr means "use a private engine".
-  sim::SimEngine* shared_engine = nullptr;
 };
 
 /// Node counts swept for one problem on one machine: the machine's node

@@ -35,9 +35,10 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   const std::size_t aligned_off = (offset_ + align - 1) & ~(align - 1);
   // buffer_ is kCacheLineAlign-aligned, and align is a multiple of
   // it only when align <= kCacheLineAlign; for larger alignments align the
-  // absolute address instead of the offset.
-  if (align <= kCacheLineAlign && aligned_off <= capacity_ &&
-      bytes <= capacity_ - aligned_off) {
+  // absolute address instead of the offset. A bufferless arena (capacity
+  // 0) has no in-buffer pointer to hand out, not even for zero bytes.
+  if (buffer_ != nullptr && align <= kCacheLineAlign &&
+      aligned_off <= capacity_ && bytes <= capacity_ - aligned_off) {
     void* p = buffer_.get() + aligned_off;
     offset_ = aligned_off + bytes;
     return p;

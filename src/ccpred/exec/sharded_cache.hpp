@@ -3,12 +3,10 @@
 /// \file sharded_cache.hpp
 /// The executor layer's generic sharded memo cache.
 ///
-/// One template replaces the three hand-rolled sharded caches that PRs 1/3/5
-/// grew independently: the simulation engine's SimCache (unbounded memo of
-/// simulated times), the serving layer's SweepCache (bounded LRU of advisor
-/// sweeps) and the ad-hoc single-flight logic in front of them. Each shard
-/// is an LruCache under its own mutex; keys are distributed by a mixed hash
-/// so shard choice and bucket choice stay uncorrelated.
+/// It backs the serving layer's SweepCache (a bounded LRU of advisor
+/// sweeps) and the model registry's single flight over train-and-cache.
+/// Each shard is an LruCache under its own mutex; keys are distributed by
+/// a mixed hash so shard choice and bucket choice stay uncorrelated.
 ///
 /// It is also the project's one single flight: next to its LRU each shard
 /// keeps the computations in flight as shared futures, so one lock decides
@@ -17,10 +15,10 @@
 /// with finish(); get_or_compute() is claim, compute, finish. A joiner may
 /// stop waiting (a request deadline) without cancelling the flight.
 ///
-/// Capacity semantics: `per_shard_capacity == 0` means unbounded (memo
-/// table, inserts never evict); a positive value bounds each shard with LRU
-/// eviction. Shard count defaults to exec::kDefaultShards but any positive
-/// count works, which is what the property tests exercise.
+/// Capacity semantics: `per_shard_capacity == 0` means unbounded (puts
+/// never evict); a positive value bounds each shard with LRU eviction.
+/// Shard count defaults to exec::kDefaultShards but any positive count
+/// works, which is what the property tests exercise.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,7 +39,7 @@
 namespace ccpred::exec {
 
 /// splitmix64 finalizer: the strong 64-bit mix shared by shard selection,
-/// the test shuffle order and the simulation engine's stream seeding.
+/// the test shuffle order and the simulator's measurement-stream seeding.
 inline std::uint64_t splitmix64(std::uint64_t z) {
   z ^= z >> 30;
   z *= 0xbf58476d1ce4e5b9ULL;
@@ -53,7 +51,7 @@ inline std::uint64_t splitmix64(std::uint64_t z) {
 
 inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
 
-/// Default shard count of every sharded cache (SimCache, SweepCache).
+/// Default shard count of every sharded cache.
 inline constexpr std::size_t kDefaultShards = 16;
 
 /// Aggregated counters of one sharded cache.
@@ -91,16 +89,6 @@ class ShardedMemoCache {
     if (!hit) return false;
     *value = std::move(*hit);
     return true;
-  }
-
-  /// First writer wins: inserts only when the key is absent (racing writers
-  /// compute identical values by construction, so dropping the second write
-  /// is safe). Counters are untouched.
-  void insert(const K& key, V value) {
-    Shard& s = shard_for(key);
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (lock_hook_) lock_hook_();
-    if (!s.cache.contains(key)) s.cache.put(key, std::move(value));
   }
 
   /// Inserts or overwrites, making the key most recent.
@@ -206,15 +194,6 @@ class ShardedMemoCache {
       erased += s->cache.erase_if(pred);
     }
     return erased;
-  }
-
-  void clear() {
-    for (const auto& s : shards_) {
-      std::lock_guard<std::mutex> lock(s->mutex);
-      s->cache.clear();
-      s->cache.reset_counters();
-      s->coalesced = 0;
-    }
   }
 
   MemoCacheStats stats() const {

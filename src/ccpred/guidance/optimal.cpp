@@ -2,6 +2,7 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/exec/parallel_for.hpp"
+#include "ccpred/sim/sim_engine.hpp"
 
 namespace ccpred::guide {
 namespace {
@@ -132,17 +133,16 @@ std::vector<ProblemOutcome> evaluate_optima(
 }
 
 std::vector<TrueOptimaSweep> true_optima_sweeps(
-    sim::SimEngine& engine, const std::vector<data::Problem>& problems,
-    Objective objective) {
+    const sim::CcsdSimulator& simulator,
+    const std::vector<data::Problem>& problems, Objective objective) {
   CCPRED_CHECK_MSG(!problems.empty(), "need at least one problem");
-  const auto& simulator = engine.simulator();
   const auto nodes = simulator.machine().node_menu();
   const auto tiles = simulator.machine().tile_menu();
 
   // Enumerate every feasible menu configuration of every problem, then
-  // simulate them all in one batch: the engine dedupes, reuses one task
-  // graph per (O, V, tile) across the node menu and fans the work over the
-  // shared pool.
+  // simulate them all in one batch, which reuses one task graph per
+  // (O, V, tile) across the node menu and fans the work over the shared
+  // pool.
   std::vector<TrueOptimaSweep> out(problems.size());
   std::vector<sim::RunConfig> batch;
   for (std::size_t pi = 0; pi < problems.size(); ++pi) {
@@ -162,7 +162,7 @@ std::vector<TrueOptimaSweep> true_optima_sweeps(
                          << problems[pi].o << " V=" << problems[pi].v);
   }
 
-  const std::vector<double> times = engine.simulate_batch(batch);
+  const std::vector<double> times = sim::simulate_batch(simulator, batch);
   std::size_t cursor = 0;
   for (auto& sweep : out) {
     bool first = true;

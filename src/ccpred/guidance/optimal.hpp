@@ -5,14 +5,16 @@
 /// configuration minimizing an objective, and the *true-loss* evaluation of
 /// predicted optima — the loss of a predicted configuration is its TRUE
 /// measured value, not the model's predicted value (the paper's bold
-/// caveat: anything else under-reports the loss).
+/// caveat: anything else under-reports the loss). The exhaustive
+/// true-optima sweep over a machine's menu is one batched simulation per
+/// call (sim::simulate_batch).
 
 #include <vector>
 
 #include "ccpred/core/metrics.hpp"
 #include "ccpred/data/dataset.hpp"
 #include "ccpred/data/problems.hpp"
-#include "ccpred/sim/sim_engine.hpp"
+#include "ccpred/sim/ccsd_simulator.hpp"
 
 namespace ccpred::guide {
 
@@ -108,12 +110,13 @@ struct TrueOptimaSweep {
 };
 
 /// The paper's exhaustive ground-truth sweep (§3.4): simulates every
-/// feasible menu configuration of every problem through `engine` in one
-/// batch (task-graph reuse + memoization + pool fan-out) and returns the
-/// per-problem surfaces with their true optima.
+/// feasible menu configuration of every problem in one
+/// sim::simulate_batch (task-graph reuse + pool fan-out) and returns the
+/// per-problem surfaces with their true optima. Each call simulates its
+/// grid afresh; nothing is remembered between calls.
 std::vector<TrueOptimaSweep> true_optima_sweeps(
-    sim::SimEngine& engine, const std::vector<data::Problem>& problems,
-    Objective objective);
+    const sim::CcsdSimulator& simulator,
+    const std::vector<data::Problem>& problems, Objective objective);
 
 /// Paper-style losses over the outcomes: R^2 / MAE / MAPE between the true
 /// optimal objective values and the realized (true-at-predicted-config)

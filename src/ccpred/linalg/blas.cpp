@@ -13,11 +13,6 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
   return s;
 }
 
-void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
-  CCPRED_CHECK(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
 std::vector<double> gemv(const Matrix& a, const std::vector<double>& x) {
   CCPRED_CHECK(a.cols() == x.size());
   std::vector<double> y(a.rows(), 0.0);
@@ -40,54 +35,6 @@ std::vector<double> gemv_transposed(const Matrix& a,
     for (std::size_t c = 0; c < a.cols(); ++c) y[c] += xr * ar[c];
   }
   return y;
-}
-
-namespace {
-
-// i-k-j loop order: the inner loop streams contiguously through B and C,
-// which vectorizes well; blocking keeps the working set in L1/L2.
-constexpr std::size_t kBlock = 64;
-
-void gemm_block(const Matrix& a, const Matrix& b, Matrix& c, std::size_t i0,
-                std::size_t i1) {
-  const std::size_t n = b.cols();
-  const std::size_t k_dim = a.cols();
-  for (std::size_t kk = 0; kk < k_dim; kk += kBlock) {
-    const std::size_t k1 = std::min(k_dim, kk + kBlock);
-    for (std::size_t i = i0; i < i1; ++i) {
-      const double* ai = a.row_ptr(i);
-      double* ci = c.row_ptr(i);
-      for (std::size_t k = kk; k < k1; ++k) {
-        const double aik = ai[k];
-        if (aik == 0.0) continue;
-        const double* bk = b.row_ptr(k);
-        for (std::size_t j = 0; j < n; ++j) ci[j] += aik * bk[j];
-      }
-    }
-  }
-}
-
-}  // namespace
-
-Matrix gemm(const Matrix& a, const Matrix& b) {
-  CCPRED_CHECK_MSG(a.cols() == b.rows(), "gemm dimension mismatch: "
-                                             << a.rows() << "x" << a.cols()
-                                             << " * " << b.rows() << "x"
-                                             << b.cols());
-  Matrix c(a.rows(), b.cols());
-  const std::size_t m = a.rows();
-  // Parallelize over row stripes when the product is large enough that the
-  // fork/join overhead is irrelevant.
-  if (m * b.cols() * a.cols() > 1u << 21) {
-    const std::size_t stripes = (m + kBlock - 1) / kBlock;
-    exec::parallel_for(0, stripes, [&](std::size_t s) {
-      const std::size_t i0 = s * kBlock;
-      gemm_block(a, b, c, i0, std::min(m, i0 + kBlock));
-    });
-  } else {
-    gemm_block(a, b, c, 0, m);
-  }
-  return c;
 }
 
 namespace {
@@ -130,24 +77,6 @@ Matrix syrk_at_a(const Matrix& a) {
     for (const auto& p : partial) c += p;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) c(i, j) = c(j, i);
-  }
-  return c;
-}
-
-Matrix syrk_a_at(const Matrix& a) {
-  const std::size_t m = a.rows();
-  Matrix c(m, m);
-  exec::parallel_for(0, m, [&](std::size_t i) {
-    const double* ai = a.row_ptr(i);
-    for (std::size_t j = i; j < m; ++j) {
-      const double* aj = a.row_ptr(j);
-      double s = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) s += ai[k] * aj[k];
-      c(i, j) = s;
-    }
-  });
-  for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < i; ++j) c(i, j) = c(j, i);
   }
   return c;

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file blas.hpp
-/// Cache-blocked dense kernels (GEMM/GEMV/dot/axpy) used by the matrix
-/// factorizations and kernel regressors. Written in plain C++ with
-/// register-tiled inner loops; GEMM additionally parallelizes over row
-/// blocks through the global thread pool.
+/// Dense level-1/2 kernels and the Gram product used by the matrix
+/// factorizations and the linear and kernel models, in plain C++. syrk_at_a
+/// parallelizes large products over row stripes through the global thread
+/// pool, reducing the stripes in a fixed order.
 
 #include <cstddef>
 #include <vector>
@@ -16,9 +16,6 @@ namespace ccpred::linalg {
 /// Dot product of two equal-length vectors.
 double dot(const std::vector<double>& a, const std::vector<double>& b);
 
-/// y += alpha * x (equal lengths).
-void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y);
-
 /// Returns A * x (x.size() == A.cols()).
 std::vector<double> gemv(const Matrix& a, const std::vector<double>& x);
 
@@ -26,13 +23,7 @@ std::vector<double> gemv(const Matrix& a, const std::vector<double>& x);
 std::vector<double> gemv_transposed(const Matrix& a,
                                     const std::vector<double>& x);
 
-/// Returns A * B (dimension-checked), blocked and multi-threaded.
-Matrix gemm(const Matrix& a, const Matrix& b);
-
 /// Returns A^T * A (n x n symmetric, only needs A once).
 Matrix syrk_at_a(const Matrix& a);
-
-/// Returns A * A^T.
-Matrix syrk_a_at(const Matrix& a);
 
 }  // namespace ccpred::linalg

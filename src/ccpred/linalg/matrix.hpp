@@ -4,7 +4,7 @@
 /// Dense row-major matrix of doubles — the numeric workhorse for the
 /// kernel-based regressors (KRR, GP, SVR), Bayesian ridge and the
 /// polynomial/linear solvers. Sized for this library's regime (n up to a
-/// few thousand); all hot paths route through the blocked kernels in
+/// few thousand); the hot products route through the kernels in
 /// blas.hpp.
 
 #include <cstddef>

@@ -9,9 +9,10 @@
 ///
 /// The sharded machinery itself is the executor layer's ShardedMemoCache,
 /// which also keeps the sweeps in flight: the server claim()s each key and
-/// the leader of a cold key finish()es it. This facade keeps the serving
-/// vocabulary (SweepKey, invalidate, FaultInjector arming) and derives its
-/// default shard count from exec::kDefaultShards.
+/// the leader of a cold key finish()es it. This facade, the only cache
+/// that shards it, keeps the serving vocabulary (SweepKey, invalidate,
+/// FaultInjector arming) and takes its default shard count from
+/// exec::kDefaultShards.
 
 #include <cstdint>
 #include <memory>

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <numeric>
 #include <tuple>
-#include <utility>
 
 #include "ccpred/common/error.hpp"
-#include "ccpred/common/strings.hpp"
 #include "ccpred/exec/arena.hpp"
 #include "ccpred/exec/parallel_for.hpp"
+#include "ccpred/exec/sharded_cache.hpp"
 #include "ccpred/sim/noise.hpp"
 
 namespace ccpred::sim {
@@ -17,18 +16,15 @@ namespace {
 using exec::kGoldenGamma;
 using exec::splitmix64;
 
-/// Cache seed of the rep-th measurement of a stream. Never 0 (0 is the
-/// noise-free key).
-std::uint64_t rep_seed(std::uint64_t stream, int rep) {
-  const std::uint64_t h = splitmix64(
-      stream + kGoldenGamma * (static_cast<std::uint64_t>(rep) + 1));
-  return h == 0 ? 1 : h;
-}
+/// Batches with fewer (O, V, tile) groups than this run serially: the
+/// pool handoff costs more than it saves.
+constexpr std::size_t kMinParallelBatch = 4;
 
 /// Per-thread scratch for simulate_batch's dedupe/grouping pass, reused
 /// across calls so batching itself stops hitting the heap. Thread-local
-/// because one engine may serve concurrent batch calls (the serving layer
-/// does exactly that).
+/// because an arena has one owner at a time, and campaigns may be batched
+/// on several threads at once (the model registry trains each machine's
+/// model on the request thread that first asks for it).
 exec::Arena& batch_arena() {
   thread_local exec::Arena arena;
   return arena;
@@ -54,56 +50,9 @@ std::uint64_t measurement_stream_seed(std::uint64_t campaign_seed,
   return h;
 }
 
-std::uint64_t SimCache::machine_tag(const std::string& name) {
-  return fnv1a64(name);
-}
-
-std::size_t SimCache::KeyHash::operator()(const Key& k) const {
-  std::uint64_t h = k.machine;
-  h = splitmix64(h + kGoldenGamma * static_cast<std::uint64_t>(k.o));
-  h = splitmix64(h + kGoldenGamma * static_cast<std::uint64_t>(k.v));
-  h = splitmix64(h + kGoldenGamma * static_cast<std::uint64_t>(k.nodes));
-  h = splitmix64(h + kGoldenGamma * static_cast<std::uint64_t>(k.tile));
-  h = splitmix64(h + k.seed);
-  return static_cast<std::size_t>(h);
-}
-
-SimEngine::SimEngine(const CcsdSimulator& simulator)
-    : simulator_(&simulator),
-      machine_tag_(SimCache::machine_tag(simulator.machine().name)) {}
-
-SimCache::Key SimEngine::key_for(const RunConfig& cfg,
-                                 std::uint64_t seed) const {
-  return SimCache::Key{.machine = machine_tag_,
-                       .o = cfg.o,
-                       .v = cfg.v,
-                       .nodes = cfg.nodes,
-                       .tile = cfg.tile,
-                       .seed = seed};
-}
-
-SimEngineStats SimEngine::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
-}
-
-double SimEngine::iteration_time(const RunConfig& cfg) {
-  const auto simulate = [this, &cfg] {
-    // breakdown(cfg) routes through build_task_graph + breakdown(graph,
-    // nodes), so this is bit-identical to the batched path.
-    const double t = simulator_->iteration_time(cfg);
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.graph_builds;
-    ++stats_.evaluations;
-    return t;
-  };
-  // Single-flight: concurrent callers of the same uncached config coalesce
-  // onto one simulation instead of duplicating the graph build.
-  return cache_.get_or_compute(key_for(cfg), simulate);
-}
-
-std::vector<double> SimEngine::simulate_batch(
-    const std::vector<RunConfig>& configs) {
+std::vector<double> simulate_batch(const CcsdSimulator& simulator,
+                                   const std::vector<RunConfig>& configs,
+                                   BatchWork* work) {
   std::vector<double> out(configs.size(), 0.0);
   if (configs.empty()) return out;
 
@@ -132,37 +81,24 @@ std::vector<double> SimEngine::simulate_batch(
     uid[i] = nu - 1;
   }
 
-  double* uval = arena.alloc_array<double>(nu);
-  unsigned char* have = arena.alloc_array<unsigned char>(nu);
-  for (std::size_t u = 0; u < nu; ++u) {
-    have[u] = cache_.lookup(key_for(configs[urep[u]]), &uval[u]) ? 1 : 0;
-  }
-
-  // Group cache misses by (O, V, tile): one task-graph build per group,
+  // Group the uniques by (O, V, tile): one task-graph build per group,
   // evaluated at each of the group's node counts. Uniques are in sorted
-  // order, so a group is a run of consecutive uncached uniques sharing
-  // (O, V, tile).
-  std::size_t* gmember = arena.alloc_array<std::size_t>(nu);
+  // order, so a group is a run of consecutive uniques sharing (O, V, tile).
   std::size_t* gstart = arena.alloc_array<std::size_t>(nu + 1);
   std::size_t ngroups = 0;
-  std::size_t evaluated = 0;
   for (std::size_t u = 0; u < nu; ++u) {
-    if (have[u]) continue;
-    if (evaluated == 0 ||
-        !same_group(configs[urep[gmember[evaluated - 1]]],
-                    configs[urep[u]])) {
-      gstart[ngroups++] = evaluated;
+    if (u == 0 || !same_group(configs[urep[u - 1]], configs[urep[u]])) {
+      gstart[ngroups++] = u;
     }
-    gmember[evaluated++] = u;
   }
-  gstart[ngroups] = evaluated;
+  gstart[ngroups] = nu;
 
+  double* uval = arena.alloc_array<double>(nu);
   const auto eval_group = [&](std::size_t gi) {
-    const auto& c0 = configs[urep[gmember[gstart[gi]]]];
-    const TaskGraph graph = simulator_->build_task_graph(c0.o, c0.v, c0.tile);
-    for (std::size_t m = gstart[gi]; m < gstart[gi + 1]; ++m) {
-      const std::size_t u = gmember[m];
-      uval[u] = simulator_->breakdown(graph, configs[urep[u]].nodes).total_s();
+    const auto& c0 = configs[urep[gstart[gi]]];
+    const TaskGraph graph = simulator.build_task_graph(c0.o, c0.v, c0.tile);
+    for (std::size_t u = gstart[gi]; u < gstart[gi + 1]; ++u) {
+      uval[u] = simulator.breakdown(graph, configs[urep[u]].nodes).total_s();
     }
   };
   if (ngroups >= kMinParallelBatch) {
@@ -170,52 +106,24 @@ std::vector<double> SimEngine::simulate_batch(
   } else {
     for (std::size_t gi = 0; gi < ngroups; ++gi) eval_group(gi);
   }
-
-  for (std::size_t m = 0; m < evaluated; ++m) {
-    const std::size_t u = gmember[m];
-    cache_.insert(key_for(configs[urep[u]]), uval[u]);
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.graph_builds += ngroups;
-    stats_.evaluations += evaluated;
+  if (work != nullptr) {
+    work->graph_builds += ngroups;
+    work->evaluations += nu;
   }
 
   for (std::size_t i = 0; i < n; ++i) out[i] = uval[uid[i]];
   return out;
 }
 
-std::vector<double> SimEngine::measured_series(const RunConfig& cfg,
-                                               std::uint64_t campaign_seed,
-                                               int reps) {
+std::vector<double> measured_series(const MachineModel& machine,
+                                    double noise_free_s,
+                                    std::uint64_t campaign_seed,
+                                    const RunConfig& cfg, int reps) {
   CCPRED_CHECK_MSG(reps >= 0, "repeat count must be non-negative");
   std::vector<double> out(static_cast<std::size_t>(reps), 0.0);
-  if (reps == 0) return out;
-  const std::uint64_t stream = measurement_stream_seed(campaign_seed, cfg);
-
-  bool all = true;
-  for (int r = 0; r < reps && all; ++r) {
-    all = cache_.lookup(key_for(cfg, rep_seed(stream, r)),
-                        &out[static_cast<std::size_t>(r)]);
-  }
-  if (all) return out;
-
-  // Replaying the stream from the start makes each rep's value independent
-  // of which prefix happened to be cached.
-  const double base = iteration_time(cfg);
-  Rng rng(stream);
-  for (int r = 0; r < reps; ++r) {
-    const double value = base * noise_factor(simulator_->machine(), rng);
-    out[static_cast<std::size_t>(r)] = value;
-    cache_.insert(key_for(cfg, rep_seed(stream, r)), value);
-  }
+  Rng stream(measurement_stream_seed(campaign_seed, cfg));
+  for (double& value : out) value = noise_free_s * noise_factor(machine, stream);
   return out;
-}
-
-double SimEngine::measured_time(const RunConfig& cfg,
-                                std::uint64_t campaign_seed, int rep) {
-  CCPRED_CHECK_MSG(rep >= 0, "repeat index must be non-negative");
-  return measured_series(cfg, campaign_seed, rep + 1).back();
 }
 
 }  // namespace ccpred::sim

@@ -7,9 +7,9 @@
 /// shuffle-injection determinism suite for every loop on the layer
 /// (campaign generation, STQ/BQ sweeps, RF and GB fits, the GP fit and
 /// predictive variances, cross-validation, grid search, query by
-/// committee), Arena edge cases and page residency, and the kDefaultShards
-/// derivation shared by SimCache and SweepCache — including behavior at
-/// non-default shard counts.
+/// committee), Arena edge cases and page residency, and SweepCache's
+/// kDefaultShards derivation — including behavior at non-default shard
+/// counts.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +43,7 @@
 #include "ccpred/exec/sharded_cache.hpp"
 #include "ccpred/guidance/optimal.hpp"
 #include "ccpred/serve/sweep_cache.hpp"
-#include "ccpred/sim/sim_engine.hpp"
+#include "ccpred/sim/ccsd_simulator.hpp"
 #include "oracle/oracle.hpp"
 
 namespace ccpred {
@@ -66,8 +66,8 @@ struct ShuffleGuard {
 
 /// Serial differential test: a randomized interleaving of every cache
 /// operation must leave the sharded cache observably identical to a plain
-/// unordered_map driven by the same semantics (insert = first writer wins,
-/// put = overwrite, get_or_compute = memoize).
+/// unordered_map driven by the same semantics (put = overwrite,
+/// get_or_compute = memoize).
 TEST(ShardedMemoCacheTest, DifferentialAgainstReferenceModel) {
   ShardedMemoCache<std::uint64_t, double> cache(4);
   std::unordered_map<std::uint64_t, double> model;
@@ -78,18 +78,13 @@ TEST(ShardedMemoCacheTest, DifferentialAgainstReferenceModel) {
   for (int step = 0; step < 20000; ++step) {
     const std::uint64_t key = next() % 257;  // small key space forces hits
     const double value = static_cast<double>(step);
-    switch (next() % 5) {
-      case 0: {  // insert: first writer wins
-        cache.insert(key, value);
-        model.emplace(key, value);
-        break;
-      }
-      case 1: {  // put: overwrite
+    switch (next() % 4) {
+      case 0: {  // put: overwrite
         cache.put(key, value);
         model[key] = value;
         break;
       }
-      case 2: {  // lookup
+      case 1: {  // lookup
         double got = 0.0;
         const bool hit = cache.lookup(key, &got);
         const auto it = model.find(key);
@@ -99,7 +94,7 @@ TEST(ShardedMemoCacheTest, DifferentialAgainstReferenceModel) {
         }
         break;
       }
-      case 3: {  // get_or_compute: memoize
+      case 2: {  // get_or_compute: memoize
         const double got = cache.get_or_compute(key, [&] { return value; });
         const auto [it, inserted] = model.emplace(key, value);
         ASSERT_EQ(got, it->second) << "key " << key;
@@ -158,11 +153,8 @@ TEST(ShardedMemoCacheTest, EightThreadMixedWorkloadConverges) {
       std::uint64_t state = 1000 + static_cast<std::uint64_t>(t);
       for (int step = 0; step < 4000; ++step) {
         const std::uint64_t key = exec::splitmix64(state += 1) % kKeys;
-        switch (exec::splitmix64(state += 1) % 3) {
-          case 0:
-            cache.insert(key, value_of(key));
-            break;
-          case 1: {
+        switch (exec::splitmix64(state += 1) % 2) {
+          case 0: {
             double got = 0.0;
             if (cache.lookup(key, &got) && got != value_of(key)) {
               mismatches.fetch_add(1, std::memory_order_relaxed);
@@ -330,7 +322,7 @@ TEST(ShardedMemoCacheTest, ShardCountIsNotObservable) {
     ShardedMemoCache<std::uint64_t, double> cache(shards);
     ASSERT_EQ(cache.shard_count(), shards);
     for (std::uint64_t k = 0; k < 64; ++k) {
-      cache.insert(k, static_cast<double>(k) * 1.5);
+      cache.put(k, static_cast<double>(k) * 1.5);
     }
     cache.erase_if([](const std::uint64_t& k) { return k % 3 == 0; });
     std::size_t present = 0;
@@ -351,41 +343,12 @@ TEST(ShardedMemoCacheTest, ShardCountIsNotObservable) {
 // Shared shard-count derivation (exec::kDefaultShards)
 // ---------------------------------------------------------------------------
 
-TEST(DefaultShardsTest, SimCacheAndSweepCacheDeriveFromOneConstant) {
-  EXPECT_EQ(sim::SimCache().shard_count(), exec::kDefaultShards);
+TEST(DefaultShardsTest, SweepCacheDerivesFromTheConstant) {
   EXPECT_EQ(serve::SweepCache(64).shard_count(), exec::kDefaultShards);
   // SweepCache clamps shards to capacity so every shard holds >= 1 sweep.
   EXPECT_EQ(serve::SweepCache(4).shard_count(), 4u);
   // Explicit overrides are honored.
-  EXPECT_EQ(sim::SimCache(5).shard_count(), 5u);
   EXPECT_EQ(serve::SweepCache(64, 3).shard_count(), 3u);
-}
-
-TEST(DefaultShardsTest, SimCacheBehavesIdenticallyAtNonDefaultShards) {
-  sim::SimCache::Key key;
-  key.machine = sim::SimCache::machine_tag("aurora");
-  std::vector<sim::SimCache::Key> keys;
-  for (int o = 10; o < 30; ++o) {
-    key.o = o;
-    key.v = 4 * o;
-    key.nodes = o % 7 + 1;
-    key.tile = 20 + o % 3;
-    keys.push_back(key);
-  }
-  sim::SimCache def;  // 16 shards
-  sim::SimCache odd(5);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    def.insert(keys[i], static_cast<double>(i));
-    odd.insert(keys[i], static_cast<double>(i));
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    double a = -1.0;
-    double b = -2.0;
-    ASSERT_TRUE(def.lookup(keys[i], &a));
-    ASSERT_TRUE(odd.lookup(keys[i], &b));
-    ASSERT_EQ(a, b);
-  }
-  EXPECT_EQ(def.stats().entries, odd.stats().entries);
 }
 
 TEST(DefaultShardsTest, SweepCacheInvalidateAtNonDefaultShards) {
@@ -669,14 +632,18 @@ TEST(ExecDeterminismTest, ShuffledCommitteeQueryMatchesReference) {
 // ---------------------------------------------------------------------------
 
 TEST(ArenaTest, ZeroSizeAllocationsAreValidAndFree) {
-  Arena arena(1024);
-  void* a = arena.allocate(0);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % kCacheLineAlign, 0u);
-  EXPECT_EQ(arena.used(), 0u);
-  void* b = arena.allocate(0);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(arena.heap_fallbacks(), 0u);
+  // A bufferless arena has no in-buffer pointer to hand out, so its
+  // zero-size requests take the heap fallback.
+  for (const std::size_t capacity : {std::size_t{1024}, std::size_t{0}}) {
+    Arena arena(capacity);
+    void* a = arena.allocate(0);
+    ASSERT_NE(a, nullptr) << capacity;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % kCacheLineAlign, 0u);
+    EXPECT_EQ(arena.used(), 0u);
+    void* b = arena.allocate(0);
+    ASSERT_NE(b, nullptr) << capacity;
+    EXPECT_EQ(arena.heap_fallbacks(), capacity == 0 ? 2u : 0u);
+  }
 }
 
 TEST(ArenaTest, DefaultAlignmentIsCacheLine) {

@@ -9,7 +9,6 @@
 #include "ccpred/linalg/blas.hpp"
 #include "ccpred/linalg/cholesky.hpp"
 #include "ccpred/linalg/matrix.hpp"
-#include "ccpred/linalg/qr.hpp"
 #include "ccpred/linalg/solve.hpp"
 #include "oracle/oracle.hpp"
 
@@ -24,14 +23,6 @@ Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
   return m;
 }
 
-/// Random symmetric positive-definite matrix A = B B^T + n I.
-Matrix random_spd(std::size_t n, Rng& rng) {
-  const Matrix b = random_matrix(n, n, rng);
-  Matrix a = syrk_a_at(b);
-  a.add_diagonal(static_cast<double>(n) * 0.1);
-  return a;
-}
-
 Matrix naive_gemm(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -42,6 +33,14 @@ Matrix naive_gemm(const Matrix& a, const Matrix& b) {
     }
   }
   return c;
+}
+
+/// Random symmetric positive-definite matrix A = B B^T + n I.
+Matrix random_spd(std::size_t n, Rng& rng) {
+  const Matrix b = random_matrix(n, n, rng);
+  Matrix a = naive_gemm(b, b.transposed());
+  a.add_diagonal(static_cast<double>(n) * 0.1);
+  return a;
 }
 
 // ---------- Matrix ----------
@@ -134,12 +133,10 @@ TEST(MatrixTest, MaxAbsDiff) {
 
 // ---------- BLAS ----------
 
-TEST(BlasTest, DotAndAxpy) {
+TEST(BlasTest, Dot) {
   const std::vector<double> a = {1, 2, 3};
-  std::vector<double> b = {4, 5, 6};
+  const std::vector<double> b = {4, 5, 6};
   EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-  axpy(2.0, a, b);
-  EXPECT_EQ(b, (std::vector<double>{6, 9, 12}));
 }
 
 TEST(BlasTest, DotSizeMismatchThrows) {
@@ -162,47 +159,13 @@ TEST(BlasTest, GemvTransposedMatchesTranspose) {
   for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
 }
 
-TEST(BlasTest, GemmDimensionMismatchThrows) {
-  const Matrix a(2, 3);
-  const Matrix b(2, 3);
-  EXPECT_THROW(gemm(a, b), Error);
-}
-
 TEST(BlasTest, SyrkAtAMatchesGemm) {
   Rng rng(6);
   const Matrix a = random_matrix(9, 5, rng);
   const Matrix g1 = syrk_at_a(a);
-  const Matrix g2 = gemm(a.transposed(), a);
+  const Matrix g2 = naive_gemm(a.transposed(), a);
   EXPECT_LT(g1.max_abs_diff(g2), 1e-10);
 }
-
-TEST(BlasTest, SyrkAAtMatchesGemm) {
-  Rng rng(7);
-  const Matrix a = random_matrix(6, 8, rng);
-  const Matrix g1 = syrk_a_at(a);
-  const Matrix g2 = gemm(a, a.transposed());
-  EXPECT_LT(g1.max_abs_diff(g2), 1e-10);
-}
-
-// Parameterized sweep: blocked gemm matches the naive reference across
-// shapes including non-multiples of the block size.
-class GemmShapes
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(GemmShapes, MatchesNaive) {
-  const auto [m, k, n] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(m * 73 + k * 7 + n));
-  const Matrix a = random_matrix(m, k, rng);
-  const Matrix b = random_matrix(k, n, rng);
-  EXPECT_LT(gemm(a, b).max_abs_diff(naive_gemm(a, b)), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, GemmShapes,
-    ::testing::Values(std::tuple{1, 1, 1}, std::tuple{2, 3, 4},
-                      std::tuple{17, 5, 9}, std::tuple{64, 64, 64},
-                      std::tuple{65, 63, 66}, std::tuple{128, 1, 128},
-                      std::tuple{1, 128, 1}, std::tuple{100, 130, 70}));
 
 // ---------- Cholesky ----------
 
@@ -211,7 +174,7 @@ TEST(CholeskyTest, ReconstructsMatrix) {
   const Matrix a = random_spd(12, rng);
   const Cholesky chol(a);
   const Matrix l = chol.factor();
-  EXPECT_LT(gemm(l, l.transposed()).max_abs_diff(a), 1e-9);
+  EXPECT_LT(naive_gemm(l, l.transposed()).max_abs_diff(a), 1e-9);
 }
 
 TEST(CholeskyTest, SolveRecoversSolution) {
@@ -249,7 +212,7 @@ TEST(CholeskyTest, InverseTimesMatrixIsIdentity) {
   Rng rng(11);
   const Matrix a = random_spd(10, rng);
   const Matrix inv = Cholesky(a).inverse();
-  EXPECT_LT(gemm(a, inv).max_abs_diff(Matrix::identity(10)), 1e-8);
+  EXPECT_LT(naive_gemm(a, inv).max_abs_diff(Matrix::identity(10)), 1e-8);
 }
 
 TEST(CholeskyTest, NonSquareThrows) {
@@ -359,50 +322,25 @@ TEST(MatrixTest, AppendRows) {
   EXPECT_THROW(m.append_rows(Matrix(1, 3)), Error);
 }
 
-// ---------- QR ----------
-
-TEST(QrTest, SolvesSquareSystemExactly) {
-  Rng rng(13);
-  const Matrix a = random_matrix(10, 10, rng);
-  std::vector<double> x_true(10);
-  for (auto& v : x_true) v = rng.uniform(-1, 1);
-  const auto x = QR(a).solve(gemv(a, x_true));
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
-}
-
-TEST(QrTest, LeastSquaresResidualOrthogonalToColumns) {
-  Rng rng(14);
-  const Matrix a = random_matrix(30, 5, rng);
-  std::vector<double> b(30);
-  for (auto& v : b) v = rng.uniform(-1, 1);
-  const auto x = lstsq(a, b);
-  auto r = gemv(a, x);
-  for (std::size_t i = 0; i < 30; ++i) r[i] = b[i] - r[i];
-  const auto atr = gemv_transposed(a, r);
-  for (double v : atr) EXPECT_NEAR(v, 0.0, 1e-9);
-}
-
-TEST(QrTest, UnderdeterminedThrows) { EXPECT_THROW(QR{Matrix(3, 5)}, Error); }
-
-TEST(QrTest, RankDeficientThrows) {
-  Matrix a(4, 2);
-  for (std::size_t i = 0; i < 4; ++i) {
-    a(i, 0) = static_cast<double>(i);
-    a(i, 1) = 2.0 * static_cast<double>(i);  // dependent column
-  }
-  EXPECT_THROW(QR{a}, Error);
-}
-
 // ---------- solve ----------
 
 TEST(SolveTest, RidgeZeroLambdaMatchesLstsq) {
+  // At lambda = 0 ridge_solve is least squares: on an inconsistent system
+  // (40 random equations, 6 unknowns) the residual is orthogonal to A's
+  // columns, A^T (b - A x) = 0.
   Rng rng(15);
   const Matrix a = random_matrix(40, 6, rng);
   std::vector<double> b(40);
   for (auto& v : b) v = rng.uniform(-1, 1);
-  const auto x1 = ridge_solve(a, b, 0.0);
-  const auto x2 = lstsq(a, b);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(x1[i], x2[i], 1e-6);
+  const auto x = ridge_solve(a, b, 0.0);
+  auto r = gemv(a, x);
+  double residual = 0.0;
+  for (std::size_t i = 0; i < 40; ++i) {
+    r[i] = b[i] - r[i];
+    residual += r[i] * r[i];
+  }
+  ASSERT_GT(residual, 1e-3);  // inconsistent: no exact solution
+  for (const double v : gemv_transposed(a, r)) EXPECT_NEAR(v, 0.0, 1e-9);
 }
 
 TEST(SolveTest, RidgeShrinksCoefficients) {

@@ -4,8 +4,8 @@
 /// Test-only reference implementations (the ccpred_oracle library).
 ///
 /// The library ships one path per engine: the blocked Cholesky, the
-/// presorted exact tree builder, the compiled tree ensembles, the memoized
-/// simulation engine and the cached-distance Gaussian process. The tests
+/// presorted exact tree builder, the compiled tree ensembles, the batched
+/// simulation and the cached-distance Gaussian process. The tests
 /// and the bench gates compare each against the original, plainly written
 /// computation kept here:
 ///
