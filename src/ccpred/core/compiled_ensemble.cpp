@@ -18,19 +18,31 @@ namespace {
 constexpr std::size_t kRowBlock = 4096;
 }  // namespace
 
+void CompiledEnsemble::check_width(std::size_t features,
+                                   std::string_view what) {
+  CCPRED_REQUIRE(features <= kMaxFeatures,
+                 what << ": " << features << " features; a tree model holds "
+                      << "at most " << kMaxFeatures);
+}
+
 CompiledEnsemble::Tree CompiledEnsemble::compile_tree(
     std::span<const TreeNode> nodes, std::vector<double> raw_importance) {
+  check_width(raw_importance.size(), "compiled tree");
   const auto n = static_cast<std::int32_t>(nodes.size());
   Tree tree;
-  tree.nodes_.resize(nodes.size());
-  tree.split_value_.resize(nodes.size() / 2);
+  tree.size_ = n;
+  tree.slots_ = std::make_unique_for_overwrite<std::byte[]>(
+      nodes.size() * (sizeof(double) + sizeof(std::int32_t) + 1));
   tree.importance_ = std::move(raw_importance);
+  double* value = tree.value();
+  std::int32_t* left = tree.left();
+  std::uint8_t* feature = tree.feature();
 
   // Breadth-first renumbering: a parent takes the next two free slots for
   // its left and right child, so siblings land adjacent and the top
   // levels — shared by every row's descent — pack into few cache lines.
   // A slot not yet compiled holds its source index in `left`.
-  tree.nodes_[0].left = 0;
+  left[0] = 0;
   std::int32_t next = 1;       // next free slot
   std::int32_t level_end = 1;  // one past the last slot of the current level
   for (std::int32_t q = 0; q < n; ++q) {
@@ -38,15 +50,18 @@ CompiledEnsemble::Tree CompiledEnsemble::compile_tree(
       ++tree.depth_;
       level_end = next;
     }
-    const TreeNode& src = nodes[tree.nodes_[q].left];
+    const TreeNode& src = nodes[left[q]];
     if (src.is_leaf()) {
-      tree.nodes_[q] = TravNode{src.value, 0, q - 1};
+      value[q] = src.value;
+      left[q] = q - 1;
+      feature[q] = 0;
       continue;
     }
-    tree.nodes_[next].left = src.left;
-    tree.nodes_[next + 1].left = src.right;
-    tree.split_value_[(next - 1) / 2] = src.value;
-    tree.nodes_[q] = TravNode{src.threshold, src.feature + 1, next};
+    left[next] = src.left;
+    left[next + 1] = src.right;
+    value[q] = src.threshold;
+    left[q] = next;
+    feature[q] = static_cast<std::uint8_t>(src.feature + 1);
     next += 2;
   }
   return tree;
@@ -57,8 +72,9 @@ CompiledEnsemble::CompiledEnsemble(std::vector<Tree> trees, double bias,
     : trees_(std::move(trees)), bias_(bias), scale_(scale), mean_(mean) {
   CCPRED_CHECK_MSG(!trees_.empty(), "cannot compile an empty ensemble");
   for (const Tree& tree : trees_) {
-    for (const TravNode& nd : tree.nodes_) {
-      min_cols_ = std::max(min_cols_, static_cast<std::size_t>(nd.tfeat));
+    const std::uint8_t* feature = tree.feature();
+    for (std::int32_t q = 0; q < tree.size_; ++q) {
+      min_cols_ = std::max(min_cols_, static_cast<std::size_t>(feature[q]));
     }
   }
 }
@@ -74,7 +90,9 @@ CompiledEnsemble CompiledEnsemble::averaged(std::vector<Tree> trees) {
 
 std::size_t CompiledEnsemble::node_count() const {
   std::size_t total = 0;
-  for (const Tree& tree : trees_) total += tree.nodes_.size();
+  for (const Tree& tree : trees_) {
+    total += static_cast<std::size_t>(tree.size_);
+  }
   return total;
 }
 
@@ -107,17 +125,19 @@ void CompiledEnsemble::predict_batch(const double* x, std::size_t n_rows,
     // instead of serializing behind one row's dependent loads. Leaf values
     // accumulate per row in tree order, matching the walk bit-for-bit.
     for (const Tree& tree : trees_) {
-      const TravNode* nodes = tree.nodes_.data();
+      const double* value = tree.value();
+      const std::int32_t* left = tree.left();
+      const std::uint8_t* feature = tree.feature();
       std::fill(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(bn), 0);
       for (std::int32_t d = 0; d < tree.depth_; ++d) {
         const double* row = rows.data();
         for (std::size_t i = 0; i < bn; ++i, row += stride) {
-          const TravNode& nd = nodes[idx[i]];
-          idx[i] = nd.left +
-                   static_cast<std::int32_t>(!(row[nd.tfeat] <= nd.threshold));
+          const std::int32_t q = idx[i];
+          idx[i] = left[q] +
+                   static_cast<std::int32_t>(!(row[feature[q]] <= value[q]));
         }
       }
-      for (std::size_t i = 0; i < bn; ++i) acc[i] += nodes[idx[i]].threshold;
+      for (std::size_t i = 0; i < bn; ++i) acc[i] += value[idx[i]];
     }
     double* o = out + block;
     if (mean_) {
@@ -145,16 +165,17 @@ double CompiledEnsemble::predict_row(const double* row,
   CCPRED_CHECK_MSG(trees <= trees_.size(), "tree count out of range");
   double acc = 0.0;
   for (std::size_t t = 0; t < trees; ++t) {
-    const TravNode* nodes = trees_[t].nodes_.data();
-    std::int32_t idx = 0;
+    const double* value = trees_[t].value();
+    const std::int32_t* left = trees_[t].left();
+    const std::uint8_t* feature = trees_[t].feature();
+    std::int32_t q = 0;
     // Stops at the leaf, so a NaN feature value takes the right child at
     // every internal node — exactly the walk's comparison semantics.
-    while (nodes[idx].tfeat != 0) {
-      const TravNode& nd = nodes[idx];
-      idx = nd.left +
-            static_cast<std::int32_t>(!(row[nd.tfeat - 1] <= nd.threshold));
+    while (feature[q] != 0) {
+      q = left[q] +
+          static_cast<std::int32_t>(!(row[feature[q] - 1] <= value[q]));
     }
-    acc += nodes[idx].threshold;
+    acc += value[q];
   }
   if (mean_) return acc / static_cast<double>(trees);
   return bias_ + scale_ * acc;
@@ -182,8 +203,11 @@ std::vector<double> CompiledEnsemble::feature_importances() const {
 void CompiledEnsemble::preorder(std::size_t t,
                                 std::vector<TreeNode>& out) const {
   const Tree& tree = trees_[t];
+  const double* value = tree.value();
+  const std::int32_t* left = tree.left();
+  const std::uint8_t* feature = tree.feature();
   out.clear();
-  out.reserve(tree.nodes_.size());
+  out.reserve(static_cast<std::size_t>(tree.size_));
   // An explicit stack of (slot, pre-order position of the parent whose
   // right child the slot is, or -1): a loaded tree may be deeper than the
   // call stack allows. The right child is pushed first, so the whole left
@@ -194,17 +218,15 @@ void CompiledEnsemble::preorder(std::size_t t,
     stack.pop_back();
     const auto pos = static_cast<std::int32_t>(out.size());
     if (parent >= 0) out[parent].right = pos;
-    const TravNode& nd = tree.nodes_[q];
-    if (nd.tfeat == 0) {
-      out.push_back(TreeNode{.value = nd.threshold});
+    if (feature[q] == 0) {
+      out.push_back(TreeNode{.value = value[q]});
       continue;
     }
-    out.push_back(TreeNode{.feature = nd.tfeat - 1,
-                           .threshold = nd.threshold,
-                           .value = tree.split_value_[(nd.left - 1) / 2],
+    out.push_back(TreeNode{.feature = feature[q] - 1,
+                           .threshold = value[q],
                            .left = pos + 1});
-    stack.push_back({nd.left + 1, pos});
-    stack.push_back({nd.left, -1});
+    stack.push_back({left[q] + 1, pos});
+    stack.push_back({left[q], -1});
   }
 }
 

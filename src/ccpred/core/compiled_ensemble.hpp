@@ -8,14 +8,14 @@
 /// is built, the artifact loader compiles each parsed tree, and the writer
 /// reads the trees back out in the builder's depth-first order
 /// (preorder()).
-/// Each tree is one Tree block: its nodes renumbered breadth-first in one
-/// exact allocation of 16-byte nodes, a leaf holding its value in place of
-/// a threshold; the internal nodes' values in another (8 bytes each; only
-/// the artifact writes them); and its raw per-feature importance. That is
-/// about 20 bytes a node, since a binary tree has one internal node fewer
-/// than it has leaves. Batch prediction walks row-blocks tree-major: for
-/// each tree, all rows of the block descend while that tree's nodes are
-/// hot in cache.
+/// Each tree is one Tree: its nodes renumbered breadth-first into three
+/// per-slot arrays held in one exact allocation (an 8-byte value, a 4-byte
+/// left child and a 1-byte split feature, 13 bytes a node) and its raw
+/// per-feature importance. A slot's value is an internal node's threshold
+/// or a leaf's prediction; the mean target a builder keeps at an internal
+/// node is dropped, since no prediction reads it. Batch prediction walks
+/// row-blocks tree-major: for each tree, all rows of the block descend
+/// while that tree's nodes are hot in cache.
 ///
 /// Predictions are bit-identical to the tree walk: per row, leaf values
 /// accumulate in the same tree order with the same comparisons, and the
@@ -24,53 +24,64 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
-#include "ccpred/common/aligned.hpp"
 #include "ccpred/core/decision_tree.hpp"
 #include "ccpred/linalg/matrix.hpp"
 
 namespace ccpred::ml {
 
 class CompiledEnsemble {
-  /// One traversal node, packed to 16 bytes (4 per cache line) so each
-  /// descent step costs three loads: the node pair, and one row value.
-  /// Breadth-first numbering makes siblings adjacent, so only the left
-  /// child is stored and a step goes to left + !(x <= threshold). An
-  /// internal node stores its split feature plus one, because the batch
-  /// kernel reads rows with a NaN column in front; a leaf stores feature
-  /// slot 0, left = self - 1 and its value in the threshold slot. No
-  /// comparison with NaN holds, so every step from a leaf lands on the
-  /// leaf itself, and a row's leaf value is the threshold of the node it
-  /// rests on. The batch loop therefore runs a fixed per-tree step count
-  /// with no per-row termination branch — the independent chases across a
-  /// row block overlap in the memory pipeline.
-  struct TravNode {
-    double threshold;    ///< go left if x[tfeat - 1] <= threshold; leaf value
-    std::int32_t tfeat;  ///< split feature + 1; 0 for leaves
-    std::int32_t left;   ///< index of the left child (self - 1 for leaves)
-  };
-  static_assert(sizeof(TravNode) == 16, "four nodes per cache line");
-
  public:
+  /// The widest model a store holds: a split feature is kept in one byte
+  /// as feature + 1, because 0 marks a leaf.
+  static constexpr std::size_t kMaxFeatures = 255;
+
   /// One member tree, compiled on its own (inside a parallel fit task, for
-  /// example) and then handed to boosted() or averaged(). Node indices are
-  /// local to the tree; the root is node 0.
+  /// example) and then handed to boosted() or averaged(). Slots are local
+  /// to the tree; the root is slot 0.
+  ///
+  /// Breadth-first numbering makes siblings adjacent, so only the left
+  /// child is stored and a step goes to left + !(x <= value). A leaf has
+  /// feature slot 0 and left = self - 1. The batch kernel reads rows with
+  /// a NaN column in front, the one slot 0 names, and no comparison with
+  /// NaN holds, so every step from a leaf lands on the leaf itself and a
+  /// row's prediction is the value of the slot it rests on. The batch loop
+  /// therefore runs a fixed per-tree step count with no per-row
+  /// termination branch: the independent chases across a row block overlap
+  /// in the memory pipeline.
   class Tree {
     friend class CompiledEnsemble;
-    /// Cache-line aligned, so each 16-byte node sits inside one line.
-    AlignedVector<TravNode> nodes_;
-    /// The internal nodes' values, dense: the node whose children sit at
-    /// left and left + 1 holds split_value_[(left - 1) / 2], because
-    /// compile_tree hands out child pairs in slot order from slot 1.
-    std::vector<double> split_value_;
-    std::vector<double> importance_;  ///< raw per-feature gain sums
+    /// size_ values, then size_ left children, then size_ feature slots;
+    /// written only by compile_tree.
+    std::unique_ptr<std::byte[]> slots_;
+    std::int32_t size_ = 0;
     std::int32_t depth_ = 0;          ///< descent steps from the root
+    std::vector<double> importance_;  ///< raw per-feature gain sums
+
+    /// Threshold of an internal slot; prediction of a leaf.
+    double* value() const { return reinterpret_cast<double*>(slots_.get()); }
+    /// Slot of the left child (self - 1 for a leaf).
+    std::int32_t* left() const {
+      return reinterpret_cast<std::int32_t*>(value() + size_);
+    }
+    /// Split feature + 1; 0 for a leaf.
+    std::uint8_t* feature() const {
+      return reinterpret_cast<std::uint8_t*>(left() + size_);
+    }
   };
 
+  /// Throws ccpred::Error naming `what` (the model or tree) and the width
+  /// unless a model `features` wide fits a store (at most kMaxFeatures).
+  static void check_width(std::size_t features, std::string_view what);
+
   /// Compiles one tree given as a builder emits it: `nodes` must pass
-  /// check_tree_parts(nodes, raw_importance.size(), ...).
+  /// check_tree_parts(nodes, raw_importance.size(), ...). Internal nodes'
+  /// values are not kept. Throws as check_width does on a tree wider than
+  /// kMaxFeatures.
   static Tree compile_tree(std::span<const TreeNode> nodes,
                            std::vector<double> raw_importance);
 
@@ -105,7 +116,8 @@ class CompiledEnsemble {
 
   /// Tree `t` as the builder emits it: depth-first pre-order, left subtree
   /// first, so node i's left child is i + 1; leaves read
-  /// `{feature -1, threshold 0, value, left -1, right -1}`. Replaces the
+  /// `{feature -1, threshold 0, value, left -1, right -1}` and internal
+  /// nodes value 0, since the store keeps no internal values. Replaces the
   /// contents of `out`.
   void preorder(std::size_t t, std::vector<TreeNode>& out) const;
 

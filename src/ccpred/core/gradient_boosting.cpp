@@ -23,6 +23,7 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
                                     const std::vector<double>& y) {
   CCPRED_CHECK_MSG(x.rows() == y.size(), "X/y row mismatch");
   CCPRED_CHECK_MSG(x.rows() > 0, "cannot fit on empty data");
+  CompiledEnsemble::check_width(x.cols(), "GB fit");
   const std::size_t n = x.rows();
 
   // The fit builds into locals and commits at the end, so a fit that

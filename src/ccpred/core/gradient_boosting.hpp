@@ -15,9 +15,10 @@
 ///
 /// The fitted stages live in one place, the model's CompiledEnsemble: the
 /// fit builds every stage in one reused tree and compiles it into the store
-/// before the next starts, so a fitted model holds each node once (24
-/// bytes) and predict() serves the store's batch inference. A fit that
-/// throws leaves the model as it was.
+/// before the next starts, so a fitted model holds each node once (13
+/// bytes, with no value kept for an internal node) and predict() serves
+/// the store's batch inference. A fit that throws, or a matrix wider than
+/// CompiledEnsemble::kMaxFeatures, leaves the model as it was.
 
 #include <memory>
 #include <string>

@@ -23,6 +23,7 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
                                 const std::vector<double>& y) {
   CCPRED_CHECK_MSG(x.rows() == y.size(), "X/y row mismatch");
   CCPRED_CHECK_MSG(x.rows() > 0, "cannot fit on empty data");
+  CompiledEnsemble::check_width(x.cols(), "RF fit");
 
   // The fit builds into locals and commits at the end, so a fit that
   // throws (a non-finite feature) leaves the forest as it was.

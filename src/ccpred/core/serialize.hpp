@@ -15,15 +15,22 @@
 /// expression or source path, and every count read from the file is
 /// bounded by the bytes left before anything is sized by it.
 ///
-/// A GB or RF model keeps its trees only in its CompiledEnsemble: the
-/// loader compiles each tree as it parses it, and the writer reads each
-/// tree back out of the store in the builder's depth-first pre-order (node
-/// i's left child is i + 1), writing every leaf as `-1 0 <value> -1 -1`.
-/// A fitted model's trees are in that form already, so its bytes
-/// round-trip exactly. A hand-made artifact whose trees are valid but not
-/// in that form (children numbered in another order, or leaves carrying
+/// A tree body is a `<nodes> <features>` line, one
+/// `<feature> <threshold> <value> <left> <right>` line per node and one
+/// line of raw per-feature importances. A GB or RF model keeps its trees
+/// only in its CompiledEnsemble, which keeps no internal node's value: the
+/// loader compiles each tree as it parses it, ignoring the value field of
+/// an internal node, and the writer reads each tree back out of the store
+/// in the builder's depth-first pre-order (node i's left child is i + 1),
+/// writing every leaf as `-1 0 <value> -1 -1` and every internal node
+/// with value 0. A model fitted here is in that form already, so its bytes
+/// round-trip exactly. An artifact whose trees are valid but not in that
+/// form (internal nodes carrying their mean targets, as writers before
+/// this store did, children numbered in another order, or leaves carrying
 /// other fields) loads and predicts the same, and re-serializes in the
-/// canonical form.
+/// canonical form. A GB or RF model is at most
+/// CompiledEnsemble::kMaxFeatures wide; the loader refuses a wider tree.
+/// A lone tree (serialize_tree) keeps every node's value.
 ///
 /// The writer formats with std::to_chars and the reader parses with
 /// std::from_chars over one buffer, both linear in the artifact size. The

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "ccpred/common/error.hpp"
+#include "ccpred/common/thread_pool.hpp"
 #include "ccpred/exec/arena.hpp"
 #include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/exec/sharded_cache.hpp"
@@ -84,27 +85,36 @@ std::vector<double> simulate_batch(const CcsdSimulator& simulator,
   // Group the uniques by (O, V, tile): one task-graph build per group,
   // evaluated at each of the group's node counts. Uniques are in sorted
   // order, so a group is a run of consecutive uniques sharing (O, V, tile).
-  std::size_t* gstart = arena.alloc_array<std::size_t>(nu + 1);
-  std::size_t ngroups = 0;
+  // A graph is a few buckets per contraction, so every group's graph is
+  // built before any evaluation and stays until the call returns.
+  std::size_t* ugroup = arena.alloc_array<std::size_t>(nu);  // -> group
+  std::vector<TaskGraph> graphs;
   for (std::size_t u = 0; u < nu; ++u) {
-    if (u == 0 || !same_group(configs[urep[u - 1]], configs[urep[u]])) {
-      gstart[ngroups++] = u;
+    const RunConfig& c = configs[urep[u]];
+    if (u == 0 || !same_group(configs[urep[u - 1]], c)) {
+      graphs.push_back(simulator.build_task_graph(c.o, c.v, c.tile));
     }
+    ugroup[u] = graphs.size() - 1;
   }
-  gstart[ngroups] = nu;
+  const std::size_t ngroups = graphs.size();
 
   double* uval = arena.alloc_array<double>(nu);
-  const auto eval_group = [&](std::size_t gi) {
-    const auto& c0 = configs[urep[gstart[gi]]];
-    const TaskGraph graph = simulator.build_task_graph(c0.o, c0.v, c0.tile);
-    for (std::size_t u = gstart[gi]; u < gstart[gi + 1]; ++u) {
-      uval[u] = simulator.breakdown(graph, configs[urep[u]].nodes).total_s();
-    }
+  const auto eval = [&](std::size_t u) {
+    const int nodes = configs[urep[u]].nodes;
+    uval[u] = simulator.breakdown(graphs[ugroup[u]], nodes).total_s();
   };
   if (ngroups >= kMinParallelBatch) {
-    exec::parallel_for(0, ngroups, eval_group);
+    // The evaluations are dealt round-robin over one lane per worker. In
+    // sorted order one group's node counts are adjacent, and a single
+    // group can cost more than all the others together (O = 81, tile 80
+    // on aurora), so contiguous chunks would leave it to one worker.
+    const std::size_t lanes =
+        std::clamp<std::size_t>(ThreadPool::global().size(), 1, nu);
+    exec::parallel_for(0, lanes, [&](std::size_t lane) {
+      for (std::size_t u = lane; u < nu; u += lanes) eval(u);
+    });
   } else {
-    for (std::size_t gi = 0; gi < ngroups; ++gi) eval_group(gi);
+    for (std::size_t u = 0; u < nu; ++u) eval(u);
   }
   if (work != nullptr) {
     work->graph_builds += ngroups;

@@ -9,8 +9,9 @@
 ///
 ///  * simulate_batch — dedupes a config list, groups it by (O, V, tile) so
 ///    the tiling/task-graph decomposition is built once per group instead
-///    of once per point, and fans the groups over the shared ThreadPool.
-///    Grouping scratch lives in a reused per-thread Arena, not the heap.
+///    of once per point, and deals the evaluations round-robin over the
+///    shared ThreadPool's workers, so one costly group is spread over all
+///    of them. Grouping scratch lives in a reused per-thread Arena.
 ///  * measurement_stream_seed / measured_series — a per-config RNG stream
 ///    derivation, so a config's noise draws do not depend on which other
 ///    configs are simulated, in which order, or on how many threads ran
@@ -42,8 +43,8 @@ struct BatchWork {
 
 /// Noise-free times for a config list, bit-identical to one
 /// simulator.iteration_time per entry: dedupes, reuses one task graph per
-/// (O, V, tile) group across its node counts and fans the groups over the
-/// shared ThreadPool. Adds the call's work to `*work` when given.
+/// (O, V, tile) group across its node counts and deals the evaluations
+/// over the shared ThreadPool. Adds the call's work to `*work` when given.
 std::vector<double> simulate_batch(const CcsdSimulator& simulator,
                                    const std::vector<RunConfig>& configs,
                                    BatchWork* work = nullptr);

@@ -302,15 +302,17 @@ TEST(GeneratorGoldenTest, DaemonDefaultCampaignsAreBitStable) {
 TEST(ModelGoldenTest, DaemonDefaultArtifactsAreByteStable) {
   // The GB artifacts ccpred_serverd trains on a cold start: default
   // RegistryOptions (600 rows, seed 2025, 750 stages). Sizes and FNV-1a
-  // checksums were recorded with the exact builder that sorted every
-  // feature at every node; any change to a fitted tree shows up here.
+  // checksums were recorded when the writer started emitting 0 for every
+  // internal node's value (the files are otherwise the bytes of the exact
+  // builder that sorted every feature at every node); any change to a
+  // fitted tree shows up here.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "ccpred_data_model_golden";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::tuple<std::string, std::size_t, std::uint64_t> cases[] = {
-      {"aurora", 6045513u, 0x24b50d59360e9419ULL},
-      {"frontier", 6065576u, 0xb2702229ef0b2e40ULL},
+      {"aurora", 4310649u, 0x31f1d7bc5f80ec76ULL},
+      {"frontier", 4323266u, 0xf7c5a38d74224d05ULL},
   };
   serve::ModelRegistry registry(dir.string());
   for (const auto& [machine, size, expect] : cases) {

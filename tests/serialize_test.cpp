@@ -77,8 +77,9 @@ TEST(SerializeGbTest, HandMadeTreesReserializeInCanonicalForm) {
   // child is numbered first and two leaves carry stray fields. The models
   // load and predict from what the nodes mean, and the writer, reading
   // each tree out of the store, emits the builder's depth-first form
-  // (left child i + 1, leaves "-1 0 <value> -1 -1"), which predicts the
-  // same and is a fixed point.
+  // (left child i + 1, leaves "-1 0 <value> -1 -1", internal nodes value
+  // 0, since the store keeps no internal values), which predicts the same
+  // and is a fixed point.
   const std::string body =
       "5 2\n"
       "0 0.5 3 4 1\n"
@@ -89,9 +90,9 @@ TEST(SerializeGbTest, HandMadeTreesReserializeInCanonicalForm) {
       "0.25 0.75\n";
   const std::string canonical =
       "5 2\n"
-      "0 0.5 3 1 2\n"
+      "0 0.5 0 1 2\n"
       "-1 0 30 -1 -1\n"
-      "1 2.5 7 3 4\n"
+      "1 2.5 0 3 4\n"
       "-1 0 10 -1 -1\n"
       "-1 0 20 -1 -1\n"
       "0.25 0.75\n";
@@ -301,21 +302,125 @@ TEST(SerializeNegativeTest, MessagesNameTheRecordNotTheSource) {
   for (const auto& [got, expect] : cases) EXPECT_EQ(got, expect);
 }
 
+TEST(SerializeNegativeTest, ModelsWiderThanTheStoreAreRefused) {
+  // A store keeps a split feature in one byte, so a GB or RF model is at
+  // most kMaxFeatures wide: the loader refuses a wider tree by its
+  // importance record's width, naming the tree, and a fit refuses a wider
+  // matrix before it builds anything.
+  std::string wide_body = "1 300\n-1 0 2 -1 -1\n0";
+  for (int i = 1; i < 300; ++i) wide_body += " 0";
+  wide_body += "\n";
+  EXPECT_EQ(load_error([&] {
+              deserialize_gb("ccpred-gb-v1\n1 0.1 5\n" + wide_body);
+            }),
+            "GB model file: stage 0: 300 features; a tree model holds at "
+            "most 255");
+  EXPECT_EQ(load_error([&] {
+              deserialize_rf("ccpred-rf-v1\n2\n1 4\n-1 0 2 -1 -1\n"
+                             "0 0 0 0\n" +
+                             wide_body);
+            }),
+            "RF model file: tree 1: 300 features; a tree model holds at "
+            "most 255");
+
+  Rng rng(5);
+  linalg::Matrix x(20, 300);
+  std::vector<double> y(20);
+  for (std::size_t i = 0; i < 20; ++i) {
+    for (std::size_t c = 0; c < 300; ++c) x(i, c) = rng.uniform(-1.0, 1.0);
+    y[i] = x(i, 299);
+  }
+  GradientBoostingRegressor gb(1);
+  EXPECT_EQ(load_error([&] { gb.fit(x, y); }),
+            "GB fit: 300 features; a tree model holds at most 255");
+  EXPECT_FALSE(gb.is_fitted());
+  RandomForestRegressor rf(1);
+  EXPECT_EQ(load_error([&] { rf.fit(x, y); }),
+            "RF fit: 300 features; a tree model holds at most 255");
+}
+
+// ------------------------------------------------------ earlier artifacts
+
+std::string fixture(const std::string& name) {
+  return read_artifact(std::string(CCPRED_TEST_DATA_DIR) + "/" + name);
+}
+
+TEST(LegacyArtifactTest, LoadsWithTheSameBitsAndResavesCanonically) {
+  // tests/data holds a 4-stage GB and a 3-tree RF (depth 3, 4 features)
+  // written at commit b34d588, whose store still kept every internal
+  // node's mean target and wrote it in the node's value field, beside that
+  // code's predictions for 12 rows (training rows, fresh rows, and all-NaN,
+  // +inf and -inf rows): each line is the row's 4 features, then the GB
+  // and the RF prediction, at 17 significant digits. This store loads
+  // them, predicts the same bits, and re-saves them with 0 in exactly the
+  // internal nodes' value fields.
+  const std::string gb_text = fixture("legacy-gb.model");
+  const std::string rf_text = fixture("legacy-rf.model");
+  const auto gb = deserialize_gb(gb_text);
+  const auto rf = deserialize_rf(rf_text);
+
+  const auto rows = split(trim(fixture("legacy-predictions.txt")), '\n');
+  ASSERT_EQ(rows.size(), 12u);
+  linalg::Matrix x(rows.size(), 4);
+  std::vector<double> gb_expect, rf_expect;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto fields = split(rows[i], ' ');
+    ASSERT_EQ(fields.size(), 6u) << rows[i];
+    for (std::size_t c = 0; c < 4; ++c) x(i, c) = parse_double(fields[c]);
+    gb_expect.push_back(parse_double(fields[4]));
+    rf_expect.push_back(parse_double(fields[5]));
+  }
+  const auto gb_got = gb.predict(x);
+  const auto rf_got = rf.predict(x);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(gb_got[i]),
+              std::bit_cast<std::uint64_t>(gb_expect[i]))
+        << "GB row " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rf_got[i]),
+              std::bit_cast<std::uint64_t>(rf_expect[i]))
+        << "RF row " << i;
+  }
+
+  const std::pair<std::string, std::string> resaved[] = {
+      {gb_text, serialize_gb(gb)}, {rf_text, serialize_rf(rf)}};
+  for (const auto& [before, after] : resaved) {
+    const auto old_lines = split(before, '\n');
+    const auto new_lines = split(after, '\n');
+    ASSERT_EQ(old_lines.size(), new_lines.size());
+    std::size_t internal = 0;
+    for (std::size_t i = 0; i < old_lines.size(); ++i) {
+      if (old_lines[i] == new_lines[i]) continue;
+      SCOPED_TRACE(old_lines[i]);
+      auto old_fields = split(old_lines[i], ' ');
+      const auto new_fields = split(new_lines[i], ' ');
+      ASSERT_EQ(old_fields.size(), 5u);
+      ASSERT_NE(old_fields[0], "-1");
+      EXPECT_EQ(new_fields[2], "0");
+      old_fields[2] = "0";
+      EXPECT_EQ(new_fields, old_fields);
+      ++internal;
+    }
+    EXPECT_GT(internal, 0u);
+  }
+}
+
 // ------------------------------------------------------------ golden bytes
 
 TEST(SerializeGoldenTest, BytesMatchTheStreamCodec) {
-  // Sizes and FNV-1a checksums recorded from the ostream codec that the
-  // to_chars writer replaced: the file format must not move by one byte.
+  // Sizes and FNV-1a checksums recorded when the writer started emitting
+  // 0 for every internal node's value (the store keeps none); the files
+  // are otherwise the ostream codec's bytes, which the to_chars writer
+  // reproduced exactly. The file format must not move by one byte.
   const auto gb = serialize_gb(small_gb(7));
-  EXPECT_EQ(gb.size(), 294691u);
-  EXPECT_EQ(fnv1a64(gb), 0x03eab960bff3ceaaULL);
+  EXPECT_EQ(gb.size(), 228382u);
+  EXPECT_EQ(fnv1a64(gb), 0x9e9f79ddb6476304ULL);
 
   const auto data = test::make_nonlinear(200, 0.05, 11);
   RandomForestRegressor rf(15);
   rf.fit(data.x, data.y);
   const auto text = serialize_rf(rf);
-  EXPECT_EQ(text.size(), 123266u);
-  EXPECT_EQ(fnv1a64(text), 0x106e769b81416fa0ULL);
+  EXPECT_EQ(text.size(), 96266u);
+  EXPECT_EQ(fnv1a64(text), 0xca6936d05e76386cULL);
 }
 
 TEST(SerializeGoldenTest, DoublesFormatLikePrecision17Streams) {
@@ -406,7 +511,7 @@ TEST(ArtifactWriteTest, StreamedSaveWritesSerializedBytesAndStampsThem) {
   const auto data = test::make_nonlinear(200, 0.05, 3);
   GradientBoostingRegressor gb(80);
   gb.fit(data.x, data.y);
-  RandomForestRegressor rf(80);
+  RandomForestRegressor rf(120);
   rf.fit(data.x, data.y);
   const std::string gb_path = (dir / "aurora-gb.model").string();
   const std::string rf_path = (dir / "aurora-rf.model").string();

@@ -182,15 +182,15 @@ TEST(AlignedStorage, MatrixDataIsCacheLineAligned) {
 }
 
 TEST(AlignedStorage, AlignedVectorStaysAlignedAcrossGrowth) {
-  // The allocator behind Matrix and CompiledEnsemble's SoA arrays: every
-  // allocation it hands out is 64-byte aligned, across reallocations.
+  // The allocator behind Matrix: every allocation it hands out is 64-byte
+  // aligned, across reallocations.
   AlignedVector<double> v;
   for (int i = 0; i < 1000; ++i) {
     v.push_back(static_cast<double>(i));
     ASSERT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kCacheLineAlign,
               0u);
   }
-  // A 16-byte record, the size of CompiledEnsemble's traversal node.
+  // A 16-byte record, wider than its own alignment.
   struct Node16 {
     double threshold;
     std::int32_t feature;
