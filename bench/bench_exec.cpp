@@ -1,6 +1,6 @@
-/// Allocation bench: proves the exec arena/cache rewiring actually removed
-/// the malloc traffic, not just the wall time, and that a fitted boosted
-/// model holds each of its nodes once.
+/// Allocation bench: proves the batched simulation's dedupe and per-group
+/// task graphs remove malloc traffic, not just wall time, and that a
+/// fitted boosted model holds each of its nodes once.
 ///
 /// This translation unit interposes the global allocation operators with
 /// counting wrappers (atomic, thread-safe — pool workers allocate too), so
@@ -11,10 +11,9 @@
 /// make it, batched (the fast path) against a from-scratch reference:
 ///
 ///   - campaign generation: one generate_dataset call, which simulates the
-///     campaign's rows in one batch and keeps the batch's dedupe and
-///     grouping scratch in a per-thread Arena; the reference labels the
-///     same rows with the oracle's campaign_labels, one from-scratch
-///     simulation per row
+///     campaign's rows in one batch, one task graph per (O, V, tile) group;
+///     the reference labels the same rows with the oracle's
+///     campaign_labels, one from-scratch simulation per row
 ///   - STQ/BQ true-optima sweeps: one true_optima_sweeps call per
 ///     objective, each one batch that builds one task graph per
 ///     (O, V, tile); the reference runs one from-scratch iteration_time
@@ -223,7 +222,7 @@ int main() {
                   "Global operator-new counts");
   table.add_row({"campaign", "reference",
                  std::to_string(campaign_ref_allocs), "1.0x"});
-  table.add_row({"campaign", "batched (arena)",
+  table.add_row({"campaign", "batched",
                  std::to_string(campaign_fast_allocs),
                  TextTable::cell(campaign_ratio, 1) + "x"});
   table.add_row({"STQ+BQ sweep", "reference",

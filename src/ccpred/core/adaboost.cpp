@@ -6,7 +6,6 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/rng.hpp"
-#include "ccpred/exec/arena.hpp"
 
 namespace ccpred::ml {
 
@@ -29,15 +28,15 @@ void AdaBoostRegressor::fit(const linalg::Matrix& x,
   CCPRED_CHECK_MSG(x.rows() > 0, "cannot fit on empty data");
   const std::size_t n = x.rows();
 
-  trees_.clear();
-  stage_weights_.clear();
+  // The fit builds into locals and commits at the end, so a fit that
+  // throws (a non-finite feature or target) leaves the model as it was.
+  std::vector<DecisionTreeRegressor> trees;
+  std::vector<double> stage_weights;
   std::vector<double> w(n, 1.0 / static_cast<double>(n));
   Rng rng(seed_);
 
-  // Rank the features once; every stage resamples rows, not values. One
-  // arena serves every stage's fit.
+  // Rank the features once; every stage resamples rows, not values.
   const FeatureRanks ranks = FeatureRanks::build(x);
-  exec::Arena stage_arena;
 
   for (int stage = 0; stage < n_estimators_; ++stage) {
     // Weighted bootstrap: sample n rows with probability proportional to w
@@ -57,7 +56,7 @@ void AdaBoostRegressor::fit(const linalg::Matrix& x,
     // model, depends on the stream's position.
     rng.next();
     DecisionTreeRegressor tree(tree_options_);
-    tree.fit_presorted(x, ranks, y, rows, nullptr, &stage_arena);
+    tree.fit_presorted(x, ranks, y, rows);
 
     // Relative errors on the *full* training set.
     std::vector<double> err(n);
@@ -68,8 +67,8 @@ void AdaBoostRegressor::fit(const linalg::Matrix& x,
     }
     if (max_err <= 0.0) {
       // Perfect learner: keep it with a dominant weight and stop.
-      trees_.push_back(std::move(tree));
-      stage_weights_.push_back(50.0);
+      trees.push_back(std::move(tree));
+      stage_weights.push_back(50.0);
       break;
     }
     for (auto& e : err) {
@@ -90,9 +89,9 @@ void AdaBoostRegressor::fit(const linalg::Matrix& x,
     avg_loss /= std::accumulate(w.begin(), w.end(), 0.0);
     if (avg_loss >= 0.5) {
       // Drucker's stopping rule: the learner is no better than chance.
-      if (trees_.empty()) {
-        trees_.push_back(std::move(tree));
-        stage_weights_.push_back(1.0);
+      if (trees.empty()) {
+        trees.push_back(std::move(tree));
+        stage_weights.push_back(1.0);
       }
       break;
     }
@@ -101,10 +100,12 @@ void AdaBoostRegressor::fit(const linalg::Matrix& x,
     for (std::size_t i = 0; i < n; ++i) {
       w[i] *= std::pow(beta, learning_rate_ * (1.0 - err[i]));
     }
-    trees_.push_back(std::move(tree));
-    stage_weights_.push_back(learning_rate_ * std::log(1.0 / beta));
+    trees.push_back(std::move(tree));
+    stage_weights.push_back(learning_rate_ * std::log(1.0 / beta));
   }
-  CCPRED_CHECK_MSG(!trees_.empty(), "AdaBoost produced no learners");
+  CCPRED_CHECK_MSG(!trees.empty(), "AdaBoost produced no learners");
+  trees_ = std::move(trees);
+  stage_weights_ = std::move(stage_weights);
 }
 
 std::vector<double> AdaBoostRegressor::predict(const linalg::Matrix& x) const {

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "ccpred/common/error.hpp"
-#include "ccpred/exec/arena.hpp"
 
 namespace ccpred::ml {
 
@@ -57,12 +56,17 @@ struct DecisionTreeRegressor::PresortContext {
   int effective_max_depth = 64;
   double* train_pred = nullptr;  ///< optional per-row leaf values
 
-  // Per-fit scratch, bump-allocated from the fit's arena:
-  std::size_t m = 0;                 ///< the tree's row count (with repeats)
-  std::uint32_t* rows = nullptr;      ///< row list, partitioned in place
-  std::uint32_t* order = nullptr;     ///< d sorted orders of m rows each
-  std::uint32_t* scratch = nullptr;   ///< right-half staging for partition
-  std::uint8_t* goes_left = nullptr;  ///< per row id: routed left at a split
+  // Per-fit scratch, allocated uninitialized: every entry is written
+  // before it is read.
+  std::size_t m = 0;  ///< the tree's row count (with repeats)
+  /// Row list, partitioned in place.
+  std::unique_ptr<std::uint32_t[]> rows;
+  /// d sorted orders of m rows each.
+  std::unique_ptr<std::uint32_t[]> order;
+  /// Right-half staging for partition.
+  std::unique_ptr<std::uint32_t[]> scratch;
+  /// Per row id: routed left at a split.
+  std::unique_ptr<std::uint8_t[]> goes_left;
 };
 
 namespace {
@@ -132,7 +136,7 @@ int DecisionTreeRegressor::build_presorted(PresortContext& ctx, std::size_t lo,
   const linalg::Matrix& x = *ctx.x;
   const double* y = ctx.y;
   const std::size_t n = hi - lo;
-  std::uint32_t* rows = ctx.rows + lo;
+  std::uint32_t* rows = ctx.rows.get() + lo;
 
   // The leaf mean sums in row-list order: the caller's order, stably
   // partitioned at every split.
@@ -162,7 +166,7 @@ int DecisionTreeRegressor::build_presorted(PresortContext& ctx, std::size_t lo,
   std::size_t best_feature = 0;
   const auto min_leaf = static_cast<std::size_t>(options_.min_samples_leaf);
   for (std::size_t f = 0; f < d; ++f) {
-    const auto cand = best_split_in_order(ctx.order + f * ctx.m + lo, n,
+    const auto cand = best_split_in_order(ctx.order.get() + f * ctx.m + lo, n,
                                           ctx.ranks->column(f), y, min_leaf);
     if (cand.gain > best.gain) {
       best = cand;
@@ -173,7 +177,7 @@ int DecisionTreeRegressor::build_presorted(PresortContext& ctx, std::size_t lo,
   ctx.importance[best_feature] += best.gain;
 
   // The midpoint between the values either side of the winning boundary.
-  const std::uint32_t* sorted = ctx.order + best_feature * ctx.m + lo;
+  const std::uint32_t* sorted = ctx.order.get() + best_feature * ctx.m + lo;
   const double threshold =
       0.5 * (x(sorted[best.left_count - 1], best_feature) +
              x(sorted[best.left_count], best_feature));
@@ -183,11 +187,13 @@ int DecisionTreeRegressor::build_presorted(PresortContext& ctx, std::size_t lo,
   for (std::size_t i = 0; i < n; ++i) {
     ctx.goes_left[rows[i]] = x(rows[i], best_feature) <= threshold ? 1 : 0;
   }
-  const std::size_t nl = partition_ids(rows, n, ctx.goes_left, ctx.scratch);
+  const std::size_t nl =
+      partition_ids(rows, n, ctx.goes_left.get(), ctx.scratch.get());
   // Ties at the threshold can defeat the sorted-scan counts; guard anyway.
   if (nl == 0 || nl == n) return emit_leaf();
   for (std::size_t f = 0; f < d; ++f) {
-    partition_ids(ctx.order + f * ctx.m + lo, n, ctx.goes_left, ctx.scratch);
+    partition_ids(ctx.order.get() + f * ctx.m + lo, n, ctx.goes_left.get(),
+                  ctx.scratch.get());
   }
 
   const int left = build_presorted(ctx, lo, lo + nl, depth + 1);
@@ -203,8 +209,7 @@ void DecisionTreeRegressor::fit_presorted(const linalg::Matrix& x,
                                           const FeatureRanks& ranks,
                                           const std::vector<double>& y,
                                           const std::vector<std::size_t>& rows,
-                                          double* train_pred,
-                                          exec::Arena* arena) {
+                                          double* train_pred) {
   CCPRED_CHECK_MSG(x.rows() == y.size(), "X/y row mismatch");
   CCPRED_CHECK_MSG(ranks.rows() == x.rows() && ranks.cols() == x.cols(),
                    "feature ranks do not match X");
@@ -215,17 +220,6 @@ void DecisionTreeRegressor::fit_presorted(const linalg::Matrix& x,
                      "target of row " << r << " is not finite");
   }
 
-  // The fit's scratch arena: the caller's (the ensembles pass a reused
-  // per-task arena) or a reused thread-local one, reset either way. The
-  // thread-local one is built on first use only, so a thread that only
-  // fits ensembles never holds its 1 MiB buffer.
-  exec::Arena* scratch = arena;
-  if (scratch == nullptr) {
-    thread_local exec::Arena fallback;
-    scratch = &fallback;
-  }
-  exec::Arena& mem = *scratch;
-  mem.reset();
   nodes_.clear();
   PresortContext ctx;
   ctx.x = &x;
@@ -239,10 +233,10 @@ void DecisionTreeRegressor::fit_presorted(const linalg::Matrix& x,
   const std::size_t d = x.cols();
   const std::size_t m = rows.size();
   ctx.m = m;
-  ctx.rows = mem.alloc_array<std::uint32_t>(m);
-  ctx.order = mem.alloc_array<std::uint32_t>(m * d);
-  ctx.scratch = mem.alloc_array<std::uint32_t>(m);
-  ctx.goes_left = mem.alloc_array<std::uint8_t>(x.rows());
+  ctx.rows = std::make_unique_for_overwrite<std::uint32_t[]>(m);
+  ctx.order = std::make_unique_for_overwrite<std::uint32_t[]>(m * d);
+  ctx.scratch = std::make_unique_for_overwrite<std::uint32_t[]>(m);
+  ctx.goes_left = std::make_unique_for_overwrite<std::uint8_t[]>(x.rows());
   for (std::size_t i = 0; i < m; ++i) {
     ctx.rows[i] = static_cast<std::uint32_t>(rows[i]);
   }
@@ -251,23 +245,22 @@ void DecisionTreeRegressor::fit_presorted(const linalg::Matrix& x,
   // per feature by rank: each order is sorted by (value, target), the order
   // of a per-node sort of (value, target) pairs. Entries equal in both are
   // interchangeable: they add the same bits wherever they sit.
-  std::uint32_t* by_target = ctx.scratch;
-  std::copy(ctx.rows, ctx.rows + m, by_target);
+  std::uint32_t* by_target = ctx.scratch.get();
+  std::copy(ctx.rows.get(), ctx.rows.get() + m, by_target);
   std::sort(by_target, by_target + m,
             [&](std::uint32_t a, std::uint32_t b) { return y[a] < y[b]; });
   std::uint32_t max_distinct = 0;
   for (std::size_t f = 0; f < d; ++f) {
     max_distinct = std::max(max_distinct, ranks.distinct(f));
   }
-  std::size_t* start =
-      mem.alloc_array<std::size_t>(std::size_t{max_distinct} + 1);
+  std::vector<std::size_t> start(std::size_t{max_distinct} + 1);
   for (std::size_t f = 0; f < d; ++f) {
     const std::uint32_t* rank = ranks.column(f);
     const std::size_t k = ranks.distinct(f);
-    std::fill(start, start + k + 1, std::size_t{0});
+    std::fill(start.begin(), start.begin() + k + 1, std::size_t{0});
     for (std::size_t i = 0; i < m; ++i) ++start[rank[by_target[i]] + 1];
     for (std::size_t b = 0; b < k; ++b) start[b + 1] += start[b];
-    std::uint32_t* out = ctx.order + f * m;
+    std::uint32_t* out = ctx.order.get() + f * m;
     for (std::size_t i = 0; i < m; ++i) {
       const std::uint32_t r = by_target[i];
       out[start[rank[r]]++] = r;

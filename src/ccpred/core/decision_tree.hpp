@@ -21,10 +21,6 @@
 
 #include "ccpred/core/regressor.hpp"
 
-namespace ccpred::exec {
-class Arena;
-}
-
 namespace ccpred::ml {
 
 /// Hyper-parameters of a CART regression tree.
@@ -107,17 +103,13 @@ class DecisionTreeRegressor : public Regressor {
   /// write their means for their rows, routed by predict_row's own
   /// comparison, so they equal predict_row on the same row bit-for-bit:
   /// gradient boosting uses them to update residuals without re-walking the
-  /// tree per row per stage. All fit scratch (the row list, the per-feature
-  /// orders, the routing flags) bump-allocates from `arena` when one is
-  /// passed; the ensembles hand in a reused per-task arena so repeated fits
-  /// stop calling malloc. The arena is reset by this call: it must not hold
-  /// the caller's live allocations. When null, a reused thread-local arena
-  /// is used.
+  /// tree per row per stage. The fit's scratch (the row list, the
+  /// per-feature orders, the routing flags) belongs to the call: it is
+  /// allocated uninitialized on entry and freed on return.
   void fit_presorted(const linalg::Matrix& x, const FeatureRanks& ranks,
                      const std::vector<double>& y,
                      const std::vector<std::size_t>& rows,
-                     double* train_pred = nullptr,
-                     exec::Arena* arena = nullptr);
+                     double* train_pred = nullptr);
 
   std::vector<double> predict(const linalg::Matrix& x) const override;
   std::unique_ptr<Regressor> clone() const override;

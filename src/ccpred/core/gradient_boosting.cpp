@@ -4,7 +4,6 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/core/compiled_ensemble.hpp"
-#include "ccpred/exec/arena.hpp"
 
 namespace ccpred::ml {
 
@@ -47,19 +46,15 @@ void GradientBoostingRegressor::fit(const linalg::Matrix& x,
   // tree walk.
   std::vector<double> train_pred(n);
 
-  // One tree and one arena reused across every stage's fit: the fit resets
-  // both and bump-allocates all its scratch, so the boosting loop stops
-  // calling malloc per stage. Each stage is compiled into its own exact
-  // block before the next one is built, so the model never holds a tree
-  // twice.
+  // One tree reused across every stage's fit, whose scratch lives for
+  // that fit only. Each stage is compiled into its own exact block before
+  // the next one is built, so the model never holds a tree twice.
   DecisionTreeRegressor tree(tree_options_);
-  exec::Arena stage_arena;
   std::vector<CompiledEnsemble::Tree> stages;
   stages.reserve(static_cast<std::size_t>(n_estimators_));
 
   for (int stage = 0; stage < n_estimators_; ++stage) {
-    tree.fit_presorted(x, ranks, residual, all_rows, train_pred.data(),
-                       &stage_arena);
+    tree.fit_presorted(x, ranks, residual, all_rows, train_pred.data());
     // Update residuals with the shrunken stage prediction. A plain loop:
     // a few hundred rows cost less than handing chunks to the shared pool,
     // where concurrent fits would queue behind each other every stage.

@@ -43,18 +43,17 @@ void RandomForestRegressor::fit(const linalg::Matrix& x,
     for (std::size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
   }
 
-  // Fan-out with a per-chunk arena: every member tree's fit scratch
-  // bump-allocates from its chunk's arena instead of the heap, and the
-  // member is compiled into its slot inside its own task. Per-tree
-  // randomness derives only from tree_seeds[t], so the result is
-  // independent of chunking and iteration order (the determinism suite
-  // shuffles this loop and asserts bit-identical forests).
-  exec::parallel_for(0, n, [&](std::size_t t, exec::Arena& arena) {
+  // Fan-out: each member is fitted and compiled into its slot inside its
+  // own task. Per-tree randomness derives only from tree_seeds[t], so the
+  // result is independent of chunking and iteration order (the
+  // determinism suite shuffles this loop and asserts bit-identical
+  // forests).
+  exec::parallel_for(0, n, [&](std::size_t t) {
     Rng rng(tree_seeds[t]);
     const std::vector<std::size_t> rows =
         bootstrap_ ? rng.bootstrap_indices(x.rows()) : all_rows;
     DecisionTreeRegressor tree(tree_options_);
-    tree.fit_presorted(x, ranks, y, rows, nullptr, &arena);
+    tree.fit_presorted(x, ranks, y, rows);
     trees[t] = CompiledEnsemble::compile_tree(tree.nodes(),
                                               tree.raw_importance());
   });

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -43,11 +42,10 @@ std::vector<std::size_t> shuffled(std::size_t begin, std::size_t end,
   return order;
 }
 
-/// The loop driver behind both overloads; body(i, arena) gets a null
-/// arena unless `with_arenas`.
-template <typename Body>
-void run_loop(std::size_t begin, std::size_t end, bool with_arenas,
-              const Body& body) {
+}  // namespace
+
+void parallel_for(std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
   const std::uint64_t seed = shuffle_seed.load(std::memory_order_relaxed);
@@ -59,51 +57,28 @@ void run_loop(std::size_t begin, std::size_t end, bool with_arenas,
       in_parallel_region ? 1 : std::min(pool.size(), n);
   const std::size_t chunk = (n + workers - 1) / workers;
   const std::size_t chunks = (n + chunk - 1) / chunk;
-  // One arena per chunk, each made on the calling thread just before its
-  // chunk is posted, so the first chunks run while later arenas are made.
-  std::vector<std::unique_ptr<Arena>> arenas;
-  const auto chunk_arena = [&]() -> Arena* {
-    if (!with_arenas) return nullptr;
-    arenas.push_back(std::make_unique<Arena>());
-    return arenas.back().get();
-  };
 
   // Runs chunk c: positions [c * chunk, (c + 1) * chunk) of the visiting
   // order.
-  const auto run_chunk = [&](std::size_t c, Arena* scratch) {
+  const auto run_chunk = [&](std::size_t c) {
     const std::size_t hi = std::min(n, (c + 1) * chunk);
     for (std::size_t k = c * chunk; k < hi; ++k) {
-      body(order.empty() ? begin + k : order[k], scratch);
+      body(order.empty() ? begin + k : order[k]);
     }
   };
 
   if (chunks == 1) {
-    run_chunk(0, chunk_arena());
+    run_chunk(0);
     return;
   }
   TaskGroup group(pool);
   for (std::size_t c = 0; c < chunks; ++c) {
-    Arena* scratch = chunk_arena();
-    group.run([&run_chunk, c, scratch] {
+    group.run([&run_chunk, c] {
       const RegionGuard region;
-      run_chunk(c, scratch);
+      run_chunk(c);
     });
   }
   group.wait();  // rethrows the first chunk exception, if any
-}
-
-}  // namespace
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body) {
-  run_loop(begin, end, /*with_arenas=*/false,
-           [&body](std::size_t i, Arena*) { body(i); });
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t, Arena&)>& body) {
-  run_loop(begin, end, /*with_arenas=*/true,
-           [&body](std::size_t i, Arena* arena) { body(i, *arena); });
 }
 
 void set_shuffle_for_testing(std::uint64_t seed) {

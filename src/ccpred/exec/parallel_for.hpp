@@ -17,8 +17,6 @@
 ///    would deadlock;
 ///  * the first exception thrown by any iteration is rethrown to the
 ///    caller after every chunk has finished;
-///  * the arena overload hands each chunk a bump allocator for its
-///    scratch, so hot loops stop calling malloc per iteration;
 ///  * shuffle injection for tests: set_shuffle_for_testing(seed) runs
 ///    every loop in a seed-derived random order. Correct loops are
 ///    iteration-order independent, so the determinism suite shuffles with
@@ -28,20 +26,12 @@
 #include <cstdint>
 #include <functional>
 
-#include "ccpred/exec/arena.hpp"
-
 namespace ccpred::exec {
 
 /// Runs body(i) for i in [begin, end) across the global pool and returns
 /// once every iteration has finished; rethrows the first exception.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
-
-/// Arena overload: body(i, arena) runs with its chunk's bump allocator.
-/// Each chunk gets a fresh arena; nothing allocated from it outlives the
-/// call.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t, Arena&)>& body);
 
 /// Test hook: a non-zero seed makes every subsequent parallel_for visit
 /// its indices in a seed-derived random order (in both the pooled and the

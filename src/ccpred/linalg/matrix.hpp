@@ -11,7 +11,6 @@
 #include <initializer_list>
 #include <vector>
 
-#include "ccpred/common/aligned.hpp"
 #include "ccpred/common/error.hpp"
 
 namespace ccpred::linalg {
@@ -99,10 +98,8 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  // Cache-line-aligned so the SIMD kernels' vector loads over matrix
-  // storage start on aligned lines; same growth and value semantics as
-  // std::vector<double>.
-  AlignedVector<double> data_;
+  // Row-major; the SIMD kernels load it unaligned, so any start will do.
+  std::vector<double> data_;
 };
 
 }  // namespace ccpred::linalg

@@ -10,9 +10,11 @@
 namespace ccpred::serve {
 namespace {
 
-/// `options`, checked before the flusher thread starts: every dispatch
-/// size must be an index the stats wire record can carry.
+/// `options`, checked before the flusher thread starts: a flush must take
+/// at least one request, and every dispatch size must be an index the
+/// stats wire record can carry.
 BatchOptions checked(BatchOptions options) {
+  CCPRED_CHECK_MSG(options.max_batch > 0, "batch: max_batch must be > 0");
   CCPRED_CHECK_MSG(options.max_batch < wire::kMaxHistogramEntries,
                    "batch: max_batch " << options.max_batch
                                        << " exceeds "

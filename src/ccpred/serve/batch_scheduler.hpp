@@ -58,7 +58,7 @@ class Server;
 /// serverd / benches opt in explicitly.
 struct BatchOptions {
   bool enabled = false;
-  /// Flush size cap per dispatch; at most 65,535, because the stats wire
+  /// Flush size cap per dispatch; 1 to 65,535, because the stats wire
   /// record indexes dispatch sizes with a u16.
   std::size_t max_batch = 64;
   std::uint32_t max_hold_us = 200;  ///< hard bound on queue hold time

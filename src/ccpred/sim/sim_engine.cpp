@@ -6,7 +6,6 @@
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/thread_pool.hpp"
-#include "ccpred/exec/arena.hpp"
 #include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/exec/sharded_cache.hpp"
 #include "ccpred/sim/noise.hpp"
@@ -20,16 +19,6 @@ using exec::splitmix64;
 /// Batches with fewer (O, V, tile) groups than this run serially: the
 /// pool handoff costs more than it saves.
 constexpr std::size_t kMinParallelBatch = 4;
-
-/// Per-thread scratch for simulate_batch's dedupe/grouping pass, reused
-/// across calls so batching itself stops hitting the heap. Thread-local
-/// because an arena has one owner at a time, and campaigns may be batched
-/// on several threads at once (the model registry trains each machine's
-/// model on the request thread that first asks for it).
-exec::Arena& batch_arena() {
-  thread_local exec::Arena arena;
-  return arena;
-}
 
 std::tuple<int, int, int, int> sort_key(const RunConfig& c) {
   return {c.o, c.v, c.tile, c.nodes};
@@ -56,25 +45,21 @@ std::vector<double> simulate_batch(const CcsdSimulator& simulator,
                                    BatchWork* work) {
   std::vector<double> out(configs.size(), 0.0);
   if (configs.empty()) return out;
-
-  // All grouping scratch bump-allocates from a reused per-thread arena —
-  // the batching layer itself does not touch the heap.
-  exec::Arena& arena = batch_arena();
-  arena.reset();
   const std::size_t n = configs.size();
 
   // Sorting by (O, V, tile, nodes) makes duplicates adjacent and keeps
   // every unique of one (O, V, tile) group contiguous, so dedupe and
   // grouping are both single sorted walks.
-  std::size_t* order = arena.alloc_array<std::size_t>(n);
-  std::iota(order, order + n, std::size_t{0});
-  std::sort(order, order + n, [&configs](std::size_t a, std::size_t b) {
-    return sort_key(configs[a]) < sort_key(configs[b]);
-  });
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&configs](std::size_t a, std::size_t b) {
+              return sort_key(configs[a]) < sort_key(configs[b]);
+            });
 
   // Dedupe: one evaluation per distinct configuration.
-  std::size_t* uid = arena.alloc_array<std::size_t>(n);   // config -> unique
-  std::size_t* urep = arena.alloc_array<std::size_t>(n);  // unique -> config
+  std::vector<std::size_t> uid(n);   // config -> unique
+  std::vector<std::size_t> urep(n);  // unique -> config
   std::size_t nu = 0;
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t i = order[k];
@@ -87,7 +72,7 @@ std::vector<double> simulate_batch(const CcsdSimulator& simulator,
   // order, so a group is a run of consecutive uniques sharing (O, V, tile).
   // A graph is a few buckets per contraction, so every group's graph is
   // built before any evaluation and stays until the call returns.
-  std::size_t* ugroup = arena.alloc_array<std::size_t>(nu);  // -> group
+  std::vector<std::size_t> ugroup(nu);  // -> group
   std::vector<TaskGraph> graphs;
   for (std::size_t u = 0; u < nu; ++u) {
     const RunConfig& c = configs[urep[u]];
@@ -98,7 +83,7 @@ std::vector<double> simulate_batch(const CcsdSimulator& simulator,
   }
   const std::size_t ngroups = graphs.size();
 
-  double* uval = arena.alloc_array<double>(nu);
+  std::vector<double> uval(nu);
   const auto eval = [&](std::size_t u) {
     const int nodes = configs[urep[u]].nodes;
     uval[u] = simulator.breakdown(graphs[ugroup[u]], nodes).total_s();

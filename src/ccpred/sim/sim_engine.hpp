@@ -11,7 +11,7 @@
 ///    the tiling/task-graph decomposition is built once per group instead
 ///    of once per point, and deals the evaluations round-robin over the
 ///    shared ThreadPool's workers, so one costly group is spread over all
-///    of them. Grouping scratch lives in a reused per-thread Arena.
+///    of them.
 ///  * measurement_stream_seed / measured_series — a per-config RNG stream
 ///    derivation, so a config's noise draws do not depend on which other
 ///    configs are simulated, in which order, or on how many threads ran

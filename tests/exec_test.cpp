@@ -3,18 +3,14 @@
 /// exec::ShardedMemoCache against a single-map reference model (serial and
 /// 8-thread, TSAN-clean), single-flight semantics (claim/finish step by
 /// step, then under threads), exec::parallel_for structure (coverage,
-/// exception propagation, empty ranges, nesting, per-chunk arenas), the
-/// shuffle-injection determinism suite for every loop on the layer
-/// (campaign generation, STQ/BQ sweeps, RF and GB fits, the GP fit and
-/// predictive variances, cross-validation, grid search, query by
-/// committee), Arena edge cases and page residency, and SweepCache's
+/// exception propagation, empty ranges, nesting), the shuffle-injection
+/// determinism suite for every loop on the layer (campaign generation,
+/// STQ/BQ sweeps, RF and GB fits, the GP fit and predictive variances,
+/// cross-validation, grid search, query by committee), and SweepCache's
 /// kDefaultShards derivation — including behavior at non-default shard
 /// counts.
 
 #include <gtest/gtest.h>
-
-#include <sys/mman.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -38,7 +34,6 @@
 #include "ccpred/core/random_forest.hpp"
 #include "ccpred/data/generator.hpp"
 #include "ccpred/data/problems.hpp"
-#include "ccpred/exec/arena.hpp"
 #include "ccpred/exec/parallel_for.hpp"
 #include "ccpred/exec/sharded_cache.hpp"
 #include "ccpred/guidance/optimal.hpp"
@@ -49,7 +44,6 @@
 namespace ccpred {
 namespace {
 
-using exec::Arena;
 using exec::ShardedMemoCache;
 
 /// Restores the no-shuffle default even when a test assertion fails.
@@ -419,23 +413,6 @@ TEST(ParallelForTest, NestedLoopRunsSerially) {
   EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ParallelForTest, ArenaOverloadHandsOutWritableArenas) {
-  constexpr std::size_t kN = 64;
-  std::vector<double> sums(kN, 0.0);
-  exec::parallel_for(0, kN, [&](std::size_t i, Arena& arena) {
-    double* scratch = arena.alloc_array<double>(128);
-    for (int j = 0; j < 128; ++j) {
-      scratch[j] = static_cast<double>(i + static_cast<std::size_t>(j));
-    }
-    double s = 0.0;
-    for (int j = 0; j < 128; ++j) s += scratch[j];
-    sums[i] = s;
-  });
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(sums[i], 128.0 * static_cast<double>(i) + 8128.0);
-  }
-}
-
 TEST(ParallelForTest, ShuffledLoopStillCoversEveryIndex) {
   constexpr std::size_t kN = 500;
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL}) {
@@ -625,116 +602,6 @@ TEST(ExecDeterminismTest, ShuffledCommitteeQueryMatchesReference) {
     const al::Pool pool(fit_campaign(), 60, rng);
     return al::QueryByCommittee(proto, 5).select(pool, proto, 25, rng);
   });
-}
-
-// ---------------------------------------------------------------------------
-// Arena edge cases
-// ---------------------------------------------------------------------------
-
-TEST(ArenaTest, ZeroSizeAllocationsAreValidAndFree) {
-  // A bufferless arena has no in-buffer pointer to hand out, so its
-  // zero-size requests take the heap fallback.
-  for (const std::size_t capacity : {std::size_t{1024}, std::size_t{0}}) {
-    Arena arena(capacity);
-    void* a = arena.allocate(0);
-    ASSERT_NE(a, nullptr) << capacity;
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % kCacheLineAlign, 0u);
-    EXPECT_EQ(arena.used(), 0u);
-    void* b = arena.allocate(0);
-    ASSERT_NE(b, nullptr) << capacity;
-    EXPECT_EQ(arena.heap_fallbacks(), capacity == 0 ? 2u : 0u);
-  }
-}
-
-TEST(ArenaTest, DefaultAlignmentIsCacheLine) {
-  Arena arena;
-  for (int i = 0; i < 10; ++i) {
-    void* p = arena.allocate(24);  // deliberately not a multiple of 64
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kCacheLineAlign, 0u);
-  }
-  double* d = arena.alloc_array<double>(7);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % kCacheLineAlign, 0u);
-}
-
-TEST(ArenaTest, LargeAlignmentsAreHonored) {
-  Arena arena(1 << 14);
-  for (const std::size_t align : {std::size_t{128}, std::size_t{256},
-                                  std::size_t{512}}) {
-    void* p = arena.allocate(100, align);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u) << align;
-  }
-  EXPECT_EQ(arena.heap_fallbacks(), 0u);
-}
-
-TEST(ArenaTest, OverCapacityFallsBackToHeap) {
-  Arena arena(256);
-  // Fits in the buffer: no fallback.
-  void* small = arena.allocate(64);
-  ASSERT_NE(small, nullptr);
-  EXPECT_EQ(arena.heap_fallbacks(), 0u);
-  // Does not fit: heap fallback, still aligned and fully writable.
-  auto* big = static_cast<unsigned char*>(arena.allocate(4096, 128));
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big) % 128, 0u);
-  for (int i = 0; i < 4096; ++i) big[i] = static_cast<unsigned char>(i);
-  EXPECT_EQ(arena.heap_fallbacks(), 1u);
-  // reset() frees the overflow block; the counter stays cumulative.
-  arena.reset();
-  EXPECT_EQ(arena.used(), 0u);
-  ASSERT_NE(arena.allocate(4096), nullptr);
-  EXPECT_EQ(arena.heap_fallbacks(), 2u);
-}
-
-TEST(ArenaTest, BufferPagesAreResidentOnlyOnceWritten) {
-  // 64 MiB is above glibc's largest mmap threshold (32 MiB), so the buffer
-  // is always a fresh mapping, whose pages become resident only when
-  // written. The slack covers the allocator's own writes (a sanitizer
-  // fills the first 4 KiB of a block).
-  constexpr std::size_t kBytes = std::size_t{64} << 20;
-  constexpr std::size_t kSlack = 4;
-  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  Arena arena(kBytes);
-  const auto start = reinterpret_cast<std::uintptr_t>(arena.allocate(kBytes));
-  ASSERT_EQ(arena.heap_fallbacks(), 0u);
-  // The whole pages inside the buffer; mincore takes a page-aligned start.
-  auto* first =
-      reinterpret_cast<unsigned char*>((start + page - 1) / page * page);
-  const std::size_t pages = ((start + kBytes) / page * page -
-                             reinterpret_cast<std::uintptr_t>(first)) / page;
-  // A transparent huge page would make one write fault in 2 MiB.
-  ::madvise(first, pages * page, MADV_NOHUGEPAGE);
-  const auto resident = [&] {
-    std::vector<unsigned char> state(pages);
-    EXPECT_EQ(::mincore(first, pages * page, state.data()), 0);
-    return static_cast<std::size_t>(std::count_if(
-        state.begin(), state.end(), [](unsigned char v) { return v & 1; }));
-  };
-  EXPECT_LE(resident(), kSlack) << "of " << pages << " pages";
-  for (const std::size_t p : {pages / 4, pages / 2, pages - 1}) {
-    first[p * page] = 1;
-  }
-  const std::size_t touched = resident();
-  EXPECT_GE(touched, 3u);
-  EXPECT_LE(touched, 3 + kSlack);
-}
-
-TEST(ArenaTest, ResetReplaysIdenticalPointerSequence) {
-  Arena arena(1 << 12);
-  const auto take = [&arena] {
-    std::vector<void*> ptrs;
-    ptrs.push_back(arena.allocate(100));
-    ptrs.push_back(arena.alloc_array<double>(33));
-    ptrs.push_back(arena.allocate(1, 256));
-    ptrs.push_back(arena.alloc_array<std::uint32_t>(9));
-    return ptrs;
-  };
-  const auto first = take();
-  const std::size_t used = arena.used();
-  arena.reset();
-  const auto second = take();
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(arena.used(), used);
 }
 
 }  // namespace

@@ -459,6 +459,32 @@ TEST(GradientBoostingTest, FailedFirstFitLeavesTheModelUnfitted) {
   EXPECT_THROW(gb.predict(make_nonlinear(5).x), Error);
 }
 
+TEST(AdaBoostTest, FailedRefitKeepsTheFittedModel) {
+  // A NaN feature throws while the features are ranked, an infinite target
+  // in the first stage's fit: neither may unfit the model.
+  const auto good = make_nonlinear(80, 0.1, 61);
+  auto inf_target = make_nonlinear(60, 0.1, 62);
+  for (double& v : inf_target.y) v = std::numeric_limits<double>::infinity();
+  AdaBoostRegressor model;
+  model.fit(good.x, good.y);
+  const auto before = model.predict(good.x);
+  const std::size_t stages = model.stage_count();
+  for (const auto& bad : {nan_feature_data(), inf_target}) {
+    EXPECT_THROW(model.fit(bad.x, bad.y), Error);
+    ASSERT_TRUE(model.is_fitted());
+    EXPECT_EQ(model.stage_count(), stages);
+    EXPECT_EQ(model.predict(good.x), before);
+  }
+}
+
+TEST(AdaBoostTest, FailedFirstFitLeavesTheModelUnfitted) {
+  const auto bad = nan_feature_data();
+  AdaBoostRegressor model;
+  EXPECT_THROW(model.fit(bad.x, bad.y), Error);
+  EXPECT_FALSE(model.is_fitted());
+  EXPECT_THROW(model.predict(make_nonlinear(5).x), Error);
+}
+
 TEST(GradientBoostingTest, ImprovesWithStages) {
   const auto train = make_nonlinear(300, 0.1, 51);
   const auto test = make_nonlinear(150, 0.0, 52);

@@ -1235,11 +1235,14 @@ TEST(BatchSchedulerTest, LoneRequestBypassesWithoutHold) {
 }
 
 TEST(BatchSchedulerTest, MaxBatchMustFitTheStatsRecord) {
-  // The wire's stats record indexes dispatch sizes with a u16.
+  // The wire's stats record indexes dispatch sizes with a u16, and a
+  // flush must take at least one request.
   ServeOptions base;
   base.batch.enabled = true;
-  base.batch.max_batch = 65536;
-  EXPECT_THROW(ServerFixture(8, 1, base, "batch_cap"), Error);
+  for (const std::size_t bad : {std::size_t{65536}, std::size_t{0}}) {
+    base.batch.max_batch = bad;
+    EXPECT_THROW(ServerFixture(8, 1, base, "batch_cap"), Error) << bad;
+  }
   base.batch.max_batch = 65535;
   ServerFixture f(8, 1, base, "batch_cap");
   EXPECT_TRUE(f.server->handle(f.stq(44, 260)).ok);

@@ -4,10 +4,10 @@
 /// boundary sizes — below, at and above the vector width — comparing the
 /// scalar and AVX2 tables directly via ops_for(). The family documented
 /// bit-identical (sqdist_row) is compared with memcmp; the transcendental
-/// and FMA-fused families against their documented tolerances. The
-/// cache-line alignment of the hot containers (linalg::Matrix,
-/// AlignedVector) is pinned along with serialization stability over the
-/// aligned storage.
+/// and FMA-fused families against their documented tolerances. Every
+/// vector load and store on caller memory is unaligned, so no container
+/// needs an aligned start. A GB model's serialized bytes are pinned
+/// through a round trip.
 ///
 /// On hosts without AVX2+FMA, ops_for(kAvx2) is the scalar table, so the
 /// cross-mode comparisons degrade to tautologies rather than failures.
@@ -21,7 +21,6 @@
 #include <random>
 #include <vector>
 
-#include "ccpred/common/aligned.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/serialize.hpp"
 #include "ccpred/linalg/matrix.hpp"
@@ -160,51 +159,9 @@ TEST(SimdKernels, CholeskyUpdatesWithinReferenceTolerance) {
   }
 }
 
-TEST(AlignedStorage, MatrixDataIsCacheLineAligned) {
-  const auto aligned = [](const double* p) {
-    return reinterpret_cast<std::uintptr_t>(p) % kCacheLineAlign == 0;
-  };
-  linalg::Matrix m(5, 7, 1.5);
-  EXPECT_TRUE(aligned(m.data()));
-
-  // Growth through append_rows (including a reallocation) stays aligned.
-  linalg::Matrix grown(1, 7, 0.0);
-  for (int i = 0; i < 50; ++i) grown.append_rows(m);
-  EXPECT_TRUE(aligned(grown.data()));
-  EXPECT_EQ(grown.rows(), 1u + 50u * 5u);
-
-  // Moves and copies land on aligned storage as well.
-  linalg::Matrix moved(std::move(grown));
-  EXPECT_TRUE(aligned(moved.data()));
-  linalg::Matrix copied = moved;
-  EXPECT_TRUE(aligned(copied.data()));
-  EXPECT_TRUE(aligned(linalg::Matrix::identity(9).data()));
-}
-
-TEST(AlignedStorage, AlignedVectorStaysAlignedAcrossGrowth) {
-  // The allocator behind Matrix: every allocation it hands out is 64-byte
-  // aligned, across reallocations.
-  AlignedVector<double> v;
-  for (int i = 0; i < 1000; ++i) {
-    v.push_back(static_cast<double>(i));
-    ASSERT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kCacheLineAlign,
-              0u);
-  }
-  // A 16-byte record, wider than its own alignment.
-  struct Node16 {
-    double threshold;
-    std::int32_t feature;
-    std::int32_t left;
-  };
-  AlignedVector<Node16> nodes(37);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(nodes.data()) % kCacheLineAlign,
-            0u);
-}
-
-TEST(AlignedStorage, SerializationBytesUnchangedByAlignedStorage) {
-  // Regression for the aligned-allocator change: serialization reads only
-  // values, so bytes must be stable through a round trip and the restored
-  // model must predict bit-identically.
+TEST(SerializationRoundTrip, GbBytesAndPredictionsSurvive) {
+  // Serialization reads only values, so bytes must be stable through a
+  // round trip and the restored model must predict bit-identically.
   const std::size_t n = 200, d = 4;
   linalg::Matrix x(n, d);
   auto rng = seeded_rng(1010);

@@ -20,7 +20,6 @@
 #include "ccpred/core/grid_search.hpp"
 #include "ccpred/core/random_forest.hpp"
 #include "ccpred/core/serialize.hpp"
-#include "ccpred/exec/arena.hpp"
 #include "oracle/oracle.hpp"
 #include "test_util.hpp"
 
@@ -135,7 +134,6 @@ class PresortedOracle : public ::testing::TestWithParam<ExactCase> {};
 TEST_P(PresortedOracle, TreeIsBitIdenticalToPerNodeSort) {
   const ExactData data = make_exact_data(GetParam());
   const FeatureRanks ranks = FeatureRanks::build(data.x);
-  exec::Arena arena;
   std::vector<double> train_pred(data.x.rows());
   for (const TreeOptions& opt : exact_option_grid()) {
     const auto expect = ml::serialize_tree(
@@ -145,8 +143,7 @@ TEST_P(PresortedOracle, TreeIsBitIdenticalToPerNodeSort) {
     EXPECT_EQ(ml::serialize_tree(standalone), expect) << describe(opt);
 
     DecisionTreeRegressor shared(opt);
-    shared.fit_presorted(data.x, ranks, data.y, data.rows, train_pred.data(),
-                         &arena);
+    shared.fit_presorted(data.x, ranks, data.y, data.rows, train_pred.data());
     ASSERT_EQ(ml::serialize_tree(shared), expect) << describe(opt);
     // The leaves' training predictions are predict_row's, bit for bit.
     for (const std::size_t r : data.rows) {

@@ -76,7 +76,7 @@ serve::RegistryOptions registry_options(const Flags& flags) {
   opt.fallback_rows = int_flag<std::size_t>(flags, "rows", "600");
   opt.fallback_seed = int_flag<std::uint64_t>(flags, "seed", "2025");
   if (flags.count("estimators")) {
-    const int n = int_flag<int>(flags, "estimators");
+    const int n = int_flag<int>(flags, "estimators", nullptr, 1);
     opt.gb_estimators = n;
     opt.rf_estimators = n;
   }
